@@ -170,7 +170,30 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
             view.tables != nullptr && view.best_last != nullptr &&
             view.mincost != nullptr && view.prune != nullptr);
   OVO_CHECK(view.dense->size() == view.tables->size());
+  static const OpCounter kZeroOps{};
+  static const std::string kEmpty;
+  static const std::vector<int> kNoOrder;
+  static const FsSeedStats kZeroSeed{};
+  const OpCounter& ops = view.ops != nullptr ? *view.ops : kZeroOps;
+  const std::string& seed_name =
+      view.seed_name != nullptr ? *view.seed_name : kEmpty;
+  const std::vector<int>& seed_order =
+      view.seed_order != nullptr ? *view.seed_order : kNoOrder;
+  const FsSeedStats& ss =
+      view.seed_stats != nullptr ? *view.seed_stats : kZeroSeed;
+
+  // Size the payload once: the layer's cells and the two maps are all
+  // but a few hundred bytes of it, and one reservation keeps the encode
+  // a single pass over memory with no regrowth copies.
+  std::size_t cells = 0;
+  for (const PrefixTable& t : *view.tables) cells += t.cells.size();
+  constexpr std::size_t kScalarBytes = 1024;  // fixed fields, generous
   ByteWriter w;
+  w.reserve(kScalarBytes + seed_name.size() + 4 * seed_order.size() +
+            (8 + 4 + 8) * view.tables->size() + 4 * cells +
+            (8 + 4) * view.best_last->size() +
+            (8 + 8) * view.mincost->size() + 12 * obs::kMetricCount);
+
   const FsFingerprint& fp = *view.fingerprint;
   w.u64(fp.base_hash);
   w.u32(fp.n);
@@ -185,21 +208,11 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
   w.u64(view.work_charged);
   w.u64(view.prune_upper_bound);
   encode_prune_stats(w, *view.prune);
-  static const OpCounter kZeroOps{};
-  encode_ops(w, view.ops != nullptr ? *view.ops : kZeroOps);
+  encode_ops(w, ops);
   w.u64(view.rng_seed);
-  static const std::string kEmpty;
-  w.str(view.seed_name != nullptr ? *view.seed_name : kEmpty);
-  if (view.seed_order != nullptr) {
-    w.u64(view.seed_order->size());
-    for (const int v : *view.seed_order)
-      w.u32(static_cast<std::uint32_t>(v));
-  } else {
-    w.u64(0);
-  }
-  static const FsSeedStats kZeroSeed{};
-  const FsSeedStats& ss =
-      view.seed_stats != nullptr ? *view.seed_stats : kZeroSeed;
+  w.str(seed_name);
+  w.u64(seed_order.size());
+  for (const int v : seed_order) w.u32(static_cast<std::uint32_t>(v));
   w.u64(ss.queries);
   w.u64(ss.evals);
   w.u64(ss.memo_hits);
@@ -212,7 +225,7 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
     w.u64((*view.dense)[i]);
     w.u32(t.next_id);
     w.u64(t.cells.size());
-    for (const std::uint32_t cell : t.cells) w.u32(cell);
+    w.u32_array(t.cells.data(), t.cells.size());
   }
 
   // Map entries sorted by mask: deterministic bytes regardless of the
@@ -237,8 +250,7 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
   // v2: the unified obs ledger for this fence.  Recomputed from the
   // fields above rather than passed in, so payload bytes can never carry
   // a ledger that disagrees with the counters it summarizes.
-  encode_ledger(w, fence_ledger(view.ops != nullptr ? *view.ops : kZeroOps,
-                                *view.prune, ss, view.work_charged,
+  encode_ledger(w, fence_ledger(ops, *view.prune, ss, view.work_charged,
                                 view.prune_upper_bound));
   return w.take();
 }

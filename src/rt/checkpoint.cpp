@@ -1,5 +1,6 @@
 #include "rt/checkpoint.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -26,19 +27,13 @@ std::string dir_of(const std::string& path) {
   return path.substr(0, slash);
 }
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
+/// Spelled out (not looped) so compilers fold it into one load on a
+/// little-endian host — it sits in crc32's inner loop.
 std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -151,31 +146,52 @@ const char* checkpoint_error_name(CheckpointErrorKind kind) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) {
-  // Table-driven CRC-32 (IEEE 802.3 reflected polynomial); the table is
-  // built once on first use.
-  struct CrcTable {
-    std::uint32_t v[256];
+  // Slice-by-8 over the IEEE 802.3 reflected polynomial.  t[0] is the
+  // classic bytewise table; t[k][b] advances t[k-1][b] by one more zero
+  // byte, so one step folds eight bytes with eight independent lookups
+  // and yields exactly the bytewise algorithm's register.  Built once on
+  // first use.
+  struct CrcTables {
+    std::uint32_t t[8][256];
   };
-  static const CrcTable table = [] {
-    CrcTable t{};
+  static const CrcTables tables = [] {
+    CrcTables c{};
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
+      std::uint32_t r = i;
       for (int k = 0; k < 8; ++k)
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t.v[i] = c;
+        r = (r & 1) != 0 ? 0xEDB88320u ^ (r >> 1) : r >> 1;
+      c.t[0][i] = r;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i)
+      for (int k = 1; k < 8; ++k)
+        c.t[k][i] = (c.t[k - 1][i] >> 8) ^ c.t[0][c.t[k - 1][i] & 0xFFu];
+    return c;
   }();
+  const auto& t = tables.t;
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i)
-    crc = table.v[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
 void ByteWriter::bytes(const void* data, std::size_t len) {
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + len);
+}
+
+void ByteWriter::u32_array(const std::uint32_t* values, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    bytes(values, count * sizeof(std::uint32_t));
+  } else {
+    for (std::size_t i = 0; i < count; ++i) u32(values[i]);
+  }
 }
 
 void ByteWriter::str(const std::string& s) {
@@ -270,14 +286,14 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 
 void save_checkpoint(const std::string& path, std::uint32_t version,
                      const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> framed(kHeaderSize + payload.size());
-  std::memcpy(framed.data(), kMagic, sizeof(kMagic));
-  put_u32(framed.data() + 8, version);
-  put_u64(framed.data() + 12, payload.size());
-  put_u32(framed.data() + 20, crc32(payload.data(), payload.size()));
-  if (!payload.empty())
-    std::memcpy(framed.data() + kHeaderSize, payload.data(), payload.size());
-  write_file_atomic(path, framed.data(), framed.size());
+  ByteWriter framed;
+  framed.reserve(kHeaderSize + payload.size());
+  framed.bytes(kMagic, sizeof(kMagic));
+  framed.u32(version);
+  framed.u64(payload.size());
+  framed.u32(crc32(payload.data(), payload.size()));
+  framed.bytes(payload.data(), payload.size());
+  write_file_atomic(path, framed.data().data(), framed.data().size());
 }
 
 CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,

@@ -69,6 +69,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes.
+/// Slice-by-8: eight bytes per step through eight derived tables, so the
+/// snapshot CRC runs near memory speed; the values are those of the
+/// bytewise table-driven algorithm.
 std::uint32_t crc32(const void* data, std::size_t len);
 
 /// Little-endian append-only payload builder.  Produced bytes are a pure
@@ -77,6 +80,9 @@ std::uint32_t crc32(const void* data, std::size_t len);
 /// snapshot files diffable and CRC-stable across runs.
 class ByteWriter {
  public:
+  /// Pre-sizes the buffer for `total` bytes, so a caller that knows its
+  /// payload size appends without regrowth.
+  void reserve(std::size_t total) { buf_.reserve(total); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i)
@@ -87,6 +93,9 @@ class ByteWriter {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void bytes(const void* data, std::size_t len);
+  /// Appends `count` values as little-endian u32s — the bytes of `count`
+  /// u32() calls, in one memcpy on a little-endian host.
+  void u32_array(const std::uint32_t* values, std::size_t count);
   /// u32 length prefix + raw bytes.
   void str(const std::string& s);
 

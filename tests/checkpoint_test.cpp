@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,69 @@ std::vector<std::uint8_t> build_valid_frame(
                      rt::crc32(payload.data(), payload.size()), payload);
 }
 
+/// CRC-32 straight from its definition — IEEE 802.3 polynomial,
+/// reflected, one byte and then one bit at a time — sharing nothing with
+/// rt::crc32's tables.
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 // ---------------------------------------------------------------------------
 // rt framing container
+
+// Pins the polynomial: every other CRC check computes both sides with
+// rt::crc32 itself.
+TEST(RtCrc32, KnownAnswer) {
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(rt::crc32(kCheck, 9), 0xCBF43926u);
+  EXPECT_EQ(rt::crc32(kCheck, 0), 0u);
+  EXPECT_EQ(rt::crc32(nullptr, 0), 0u);
+}
+
+// The sliced loop must agree with the definition at every length around
+// its 8-byte step and every start alignment, and on a buffer large
+// enough to run the main loop for millions of steps.
+TEST(RtCrc32, MatchesBytewiseReference) {
+  util::Xoshiro256 rng(41);
+  std::vector<std::uint8_t> buf((std::size_t{3} << 20) + 13);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng() >> 56);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(rt::crc32(buf.data() + off, len),
+                reference_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+  EXPECT_EQ(rt::crc32(buf.data(), buf.size()),
+            reference_crc32(buf.data(), buf.size()));
+  EXPECT_EQ(rt::crc32(buf.data() + 3, buf.size() - 3),
+            reference_crc32(buf.data() + 3, buf.size() - 3));
+}
+
+TEST(RtByteWriter, BulkU32AppendMatchesPerValue) {
+  const std::vector<std::uint32_t> values = {0u,          1u, 0x01020304u,
+                                             0x80000000u, 0xFFFFFFFFu, 77u};
+  rt::ByteWriter bulk;
+  rt::ByteWriter single;
+  // An odd starting offset: the bulk append needs no alignment.
+  bulk.u8(9);
+  single.u8(9);
+  bulk.reserve(64);
+  bulk.u32_array(values.data(), values.size());
+  for (const std::uint32_t v : values) single.u32(v);
+  EXPECT_EQ(bulk.data(), single.data());
+  // Little-endian on the wire, whatever the host.
+  const std::vector<std::uint8_t> want = {4, 3, 2, 1};
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), bulk.data().begin() + 9));
+  bulk.u32_array(nullptr, 0);
+  EXPECT_EQ(bulk.data().size(), 1 + 4 * values.size());
+}
 
 TEST(RtCheckpoint, FramingRoundTrip) {
   const std::string path = temp_path("frame.bin");
@@ -255,6 +317,33 @@ void expect_results_equal(const FsStarResult& a, const FsStarResult& b) {
   expect_tables_equal(a.tables, b.tables);
 }
 
+/// Encodes a decoded snapshot again, through the same view the engines
+/// fill from live state (maps rebuilt as hash maps).
+std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
+  FsSnapshotView v;
+  v.fingerprint = &s.fingerprint;
+  v.num_terminals = s.num_terminals;
+  v.layer = s.layer;
+  v.dense = &s.dense;
+  v.tables = &s.tables;
+  const std::unordered_map<util::Mask, int> bl(s.best_last.begin(),
+                                               s.best_last.end());
+  const std::unordered_map<util::Mask, std::uint64_t> mc(s.mincost.begin(),
+                                                         s.mincost.end());
+  v.best_last = &bl;
+  v.mincost = &mc;
+  v.prune = &s.prune;
+  v.certified_lower_bound = s.certified_lower_bound;
+  v.ops = &s.ops;
+  v.work_charged = s.work_charged;
+  v.prune_upper_bound = s.prune_upper_bound;
+  v.seed_order = &s.seed_order;
+  v.rng_seed = s.rng_seed;
+  v.seed_name = &s.seed_name;
+  v.seed_stats = &s.seed_stats;
+  return encode_snapshot(v);
+}
+
 TEST(FsSnapshot, EncodeIsDeterministicAndRoundTrips) {
   util::Xoshiro256 rng(11);
   const tt::TruthTable t = tt::random_function(6, rng);
@@ -270,28 +359,71 @@ TEST(FsSnapshot, EncodeIsDeterministicAndRoundTrips) {
       EXPECT_EQ(s.dense.size(), s.tables.size());
       // Decoded state re-encodes to the identical bytes: the codec has no
       // iteration-order or uninitialized-padding leaks.
-      FsSnapshotView v;
-      v.fingerprint = &s.fingerprint;
-      v.num_terminals = s.num_terminals;
-      v.layer = s.layer;
-      v.dense = &s.dense;
-      v.tables = &s.tables;
-      std::unordered_map<util::Mask, int> bl(s.best_last.begin(),
-                                             s.best_last.end());
-      std::unordered_map<util::Mask, std::uint64_t> mc(s.mincost.begin(),
-                                                       s.mincost.end());
-      v.best_last = &bl;
-      v.mincost = &mc;
-      v.prune = &s.prune;
-      v.certified_lower_bound = s.certified_lower_bound;
-      v.ops = &s.ops;
-      v.work_charged = s.work_charged;
-      v.prune_upper_bound = s.prune_upper_bound;
-      v.seed_order = &s.seed_order;
-      v.rng_seed = s.rng_seed;
-      v.seed_name = &s.seed_name;
-      v.seed_stats = &s.seed_stats;
-      EXPECT_EQ(encode_snapshot(v), payload);
+      EXPECT_EQ(reencode(s), payload);
+    }
+  }
+}
+
+/// Payloads a run writes, by fence layer: cadence `every`, optionally
+/// resumed from `resume`.
+std::map<int, std::vector<std::uint8_t>> fence_payloads(
+    const tt::TruthTable& t, par::PruneMode prune, int threads, int every,
+    const FsStarSnapshot* resume) {
+  std::map<int, std::vector<std::uint8_t>> out;
+  FsCheckpointOptions ckpt;
+  ckpt.every = every;
+  ckpt.resume = resume;
+  ckpt.on_bytes = [&](const std::vector<std::uint8_t>& payload) {
+    const int layer = decode_snapshot(payload.data(), payload.size()).layer;
+    EXPECT_TRUE(out.emplace(layer, payload).second) << "layer " << layer;
+  };
+  par::ExecPolicy exec;
+  exec.num_threads = threads;
+  exec.prune = prune;
+  OpCounter ops;
+  fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
+          DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
+  return out;
+}
+
+// A fence's bytes are a function of the DP state at that fence alone:
+// neither the cadence (fences that wrote nothing still contribute their
+// map entries) nor a resume in between may change them.  This pins the
+// encoder's map ordering and completeness: every entry of every earlier
+// layer, in ascending mask order.
+TEST(FsSnapshot, BytesIndependentOfCadenceAndResume) {
+  util::Xoshiro256 rng(14);
+  for (const int n : {6, 8}) {
+    const tt::TruthTable t = tt::random_function(n, rng);
+    for (const par::PruneMode prune :
+         {par::PruneMode::kOff, par::PruneMode::kBounds}) {
+      const auto straight = fence_payloads(t, prune, 1, 1, nullptr);
+      ASSERT_EQ(straight.size(), static_cast<std::size_t>(n - 1));
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                     std::to_string(threads) +
+                     (prune == par::PruneMode::kBounds ? " pruned" : ""));
+        for (const int every : {2, 3}) {
+          const auto sparse = fence_payloads(t, prune, threads, every, nullptr);
+          EXPECT_EQ(sparse.size(), static_cast<std::size_t>((n - 1) / every));
+          for (const auto& [layer, payload] : sparse) {
+            EXPECT_EQ(layer % every, 0);
+            EXPECT_EQ(payload, straight.at(layer))
+                << "every=" << every << " layer=" << layer;
+          }
+        }
+        for (const auto& [from, payload] : straight) {
+          const FsStarSnapshot snap =
+              decode_snapshot(payload.data(), payload.size());
+          const auto resumed = fence_payloads(t, prune, threads, 1, &snap);
+          EXPECT_EQ(resumed.size(), static_cast<std::size_t>(n - 1 - from));
+          for (const auto& [layer, bytes] : resumed) {
+            EXPECT_GT(layer, from);
+            EXPECT_EQ(bytes, straight.at(layer))
+                << "resumed at " << from << ", layer " << layer;
+          }
+        }
+      }
     }
   }
 }
@@ -549,6 +681,25 @@ TEST(FsResume, OldSnapshotVersionIsTyped) {
 // ---------------------------------------------------------------------------
 // The governed ladder
 
+/// A resumed ladder run must reproduce the straight one: order, size,
+/// optimality, and every ledger (DP ops, the oracle counters restored
+/// from the snapshot's seed-stage provenance, and governor work).
+void expect_auto_equal(const rt::Result<reorder::AutoMinimizeResult>& resumed,
+                       const rt::Result<reorder::AutoMinimizeResult>& straight) {
+  EXPECT_EQ(resumed.outcome, rt::Outcome::kComplete);
+  EXPECT_TRUE(resumed.value.optimal);
+  EXPECT_EQ(resumed.value.order_root_first, straight.value.order_root_first);
+  EXPECT_EQ(resumed.value.internal_nodes, straight.value.internal_nodes);
+  EXPECT_EQ(resumed.value.lower_bound, straight.value.lower_bound);
+  expect_ops_equal(resumed.value.ops, straight.value.ops);
+  EXPECT_EQ(resumed.value.oracle.queries, straight.value.oracle.queries);
+  EXPECT_EQ(resumed.value.oracle.evals, straight.value.oracle.evals);
+  EXPECT_EQ(resumed.value.oracle.memo_hits, straight.value.oracle.memo_hits);
+  EXPECT_EQ(resumed.value.oracle.ops.table_cells,
+            straight.value.oracle.ops.table_cells);
+  EXPECT_EQ(resumed.stats.work_units, straight.stats.work_units);
+}
+
 // A minimize_auto run cancelled mid-DP (deterministically, via fault
 // injection standing in for SIGINT) persists a trip snapshot; resuming
 // skips the seed stage yet reproduces the uninterrupted run's order,
@@ -618,22 +769,75 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
     const rt::Result<reorder::AutoMinimizeResult> resumed =
         reorder::minimize_auto(t, rt::Budget(), topt);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(resumed.outcome, rt::Outcome::kComplete);
-    EXPECT_TRUE(resumed.value.optimal);
-    EXPECT_EQ(resumed.value.order_root_first,
-              straight.value.order_root_first);
-    EXPECT_EQ(resumed.value.internal_nodes, straight.value.internal_nodes);
-    EXPECT_EQ(resumed.value.lower_bound, straight.value.lower_bound);
-    // Ledger continuity: DP ops, oracle counters (seed stage restored
-    // from the snapshot), and governor work all equal the straight run.
-    expect_ops_equal(resumed.value.ops, straight.value.ops);
-    EXPECT_EQ(resumed.value.oracle.queries, straight.value.oracle.queries);
-    EXPECT_EQ(resumed.value.oracle.evals, straight.value.oracle.evals);
-    EXPECT_EQ(resumed.value.oracle.memo_hits,
-              straight.value.oracle.memo_hits);
-    EXPECT_EQ(resumed.value.oracle.ops.table_cells,
-              straight.value.oracle.ops.table_cells);
-    EXPECT_EQ(resumed.stats.work_units, straight.stats.work_units);
+    expect_auto_equal(resumed, straight);
+  }
+}
+
+// Framed v2 snapshots written by the previous encoder (one byte per
+// push, bytewise CRC) and checked in under the corpus: the format
+// is pinned, not just self-consistent.  Each must load, re-encode to its
+// exact payload, equal what a fresh run writes at that fence, and resume
+// to the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
+// direct fs_star run.  Pruned: adder carry(6) at fence 3 of a
+// minimize_auto run with a sift seed, so the seed provenance fields
+// (order, name, oracle counters) are covered too.
+std::string corpus_snapshot(const char* name) {
+  return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
+}
+
+TEST(FsSnapshot, CheckedInV2FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 2);
+  {
+    const std::string path = corpus_snapshot("valid_dense_hwb6_layer3.bin");
+    const std::vector<std::uint8_t> payload =
+        rt::load_checkpoint(path, 2, 2).payload;
+    const FsStarSnapshot snap = load_snapshot(path);
+    ASSERT_EQ(snap.layer, 3);
+    EXPECT_EQ(reencode(snap), payload);
+
+    const tt::TruthTable t = tt::hidden_weighted_bit(6);
+    const CapturedRun straight = capture_run(t, par::PruneMode::kOff);
+    ASSERT_EQ(straight.fences.size(), 5u);
+    EXPECT_EQ(straight.fences[2], payload);
+    FsCheckpointOptions resume;
+    resume.resume = &snap;
+    OpCounter ops;
+    const FsStarResult r =
+        fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
+                &ops, {}, nullptr, 0, &resume);
+    expect_results_equal(r, straight.result);
+    expect_ops_equal(ops, straight.ops);
+  }
+  {
+    const std::string path =
+        corpus_snapshot("valid_pruned_adder6_layer3.bin");
+    const std::vector<std::uint8_t> payload =
+        rt::load_checkpoint(path, 2, 2).payload;
+    const FsStarSnapshot snap = load_snapshot(path);
+    ASSERT_EQ(snap.layer, 3);
+    EXPECT_EQ(snap.seed_name, "sift");
+    EXPECT_EQ(snap.seed_order.size(), 6u);
+    EXPECT_LT(snap.tables.size(), 20u) << "fence 3 should be pruned";
+    EXPECT_EQ(reencode(snap), payload);
+
+    const tt::TruthTable t = tt::adder_carry(6);
+    reorder::AutoMinimizeOptions opt;
+    opt.exec.prune = par::PruneMode::kBounds;
+    std::vector<std::vector<std::uint8_t>> fences;
+    reorder::AutoMinimizeOptions wopt = opt;
+    wopt.ckpt.every = 1;
+    wopt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+      fences.push_back(p);
+    };
+    const rt::Result<reorder::AutoMinimizeResult> straight =
+        reorder::minimize_auto(t, rt::Budget(), wopt);
+    ASSERT_TRUE(straight.value.optimal);
+    ASSERT_EQ(fences.size(), 5u);
+    EXPECT_EQ(fences[2], payload);
+    reorder::AutoMinimizeOptions ropt = opt;
+    ropt.ckpt.resume = &snap;
+    expect_auto_equal(reorder::minimize_auto(t, rt::Budget(), ropt),
+                      straight);
   }
 }
 

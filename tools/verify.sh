@@ -4,7 +4,9 @@
 # Full mode (default): tier-1 tests on the default preset, then the whole
 # suite again under ASan+UBSan and TSan.  Each preset configures, builds,
 # and runs ctest (per-test timeout comes from the test registration:
-# 300 s).  Any failure stops the script.
+# 300 s).  Any failure stops the script.  The default preset builds with
+# -DOVO_WERROR=ON in both modes, so a new compiler warning fails the
+# sweep.
 #
 # Full mode also builds the `notrace` preset (-DOVO_TRACE=OFF) and checks
 # with nm that the CLI binary references no obs::trace symbols — the
@@ -67,15 +69,17 @@ check_strategy_table() {
   echo "strategy table: README.md matches --list-strategies"
 }
 
+# Extra arguments after the preset name go to the configure step.
 run_preset() {
   local preset="$1"
+  shift
   echo "==== preset: ${preset} ===================================="
-  cmake --preset "${preset}"
+  cmake --preset "${preset}" "$@"
   cmake --build --preset "${preset}" "${JOBS}"
   ctest --preset "${preset}" "${JOBS}"
 }
 
-run_preset default
+run_preset default -DOVO_WERROR=ON
 check_strategy_table build/tools/ovo
 
 if [[ "${QUICK}" -eq 1 ]]; then
