@@ -183,9 +183,7 @@ int main(int argc, char** argv) {
         obs::append_metrics_json(
             row, l,
             {obs::Metric::kSchedTasks, obs::Metric::kSchedChunks,
-             obs::Metric::kSchedReadyHwm, obs::Metric::kSchedOverlapTasks,
-             obs::Metric::kSchedOverlapNs, obs::Metric::kSchedBarrierWaitNs,
-             obs::Metric::kSchedPrunedChunks});
+             obs::Metric::kSchedReadyHwm, obs::Metric::kSchedBarrierWaitNs});
         obs::append_run_info_json(row, resolved_threads);
         row += "}";
         std::fprintf(out, "%s%s\n", row.c_str(),
@@ -211,8 +209,8 @@ int main(int argc, char** argv) {
 
   std::vector<int> ns;
   std::vector<double> fs_cells, fs_space;
-  std::vector<double> serial_times, threaded_times, barrier_times;
-  std::vector<par::SchedStats> pipe_sched, barrier_sched;
+  std::vector<double> serial_times, threaded_times;
+  std::vector<par::SchedStats> threaded_sched;
   std::vector<double> pruned_times;
   std::vector<core::PruneStats> prune_rows;
   std::vector<std::uint64_t> pruned_peaks;
@@ -250,40 +248,23 @@ int main(int argc, char** argv) {
     const double fs_time = timer.seconds();
 
     double threaded_time = fs_time;
-    double barrier_time = fs_time;
-    par::SchedStats sp, sb;
+    par::SchedStats sched;
     if (resolved_threads > 1) {
-      // A/B the two engines: the pipelined TaskGraph DP (the default)
-      // against the PR 2 per-layer-barrier engine (pipeline = false).
-      // Both must reproduce the serial results bit-exactly; the sched
-      // deltas expose barrier-wait vs. cross-layer-overlap time.
-      par::SchedStats snap = par::sched_stats();
+      // The threaded run must reproduce the serial results bit-exactly;
+      // the sched delta exposes its regions and barrier-wait time.
+      const par::SchedStats snap = par::sched_stats();
       timer.reset();
       const core::MinimizeResult rt =
           core::fs_minimize(t, core::DiagramKind::kBdd, exec);
       threaded_time = timer.seconds();
-      sp = par::sched_stats() - snap;
-      par::ExecPolicy no_pipe = exec;
-      no_pipe.pipeline = false;
-      snap = par::sched_stats();
-      timer.reset();
-      const core::MinimizeResult rb =
-          core::fs_minimize(t, core::DiagramKind::kBdd, no_pipe);
-      barrier_time = timer.seconds();
-      sb = par::sched_stats() - snap;
-      threads_match &=
-          rt.min_internal_nodes == r.min_internal_nodes &&
-          rt.order_root_first == r.order_root_first &&
-          rt.ops.table_cells == r.ops.table_cells &&
-          rb.min_internal_nodes == r.min_internal_nodes &&
-          rb.order_root_first == r.order_root_first &&
-          rb.ops.table_cells == r.ops.table_cells;
+      sched = par::sched_stats() - snap;
+      threads_match &= rt.min_internal_nodes == r.min_internal_nodes &&
+                       rt.order_root_first == r.order_root_first &&
+                       rt.ops.table_cells == r.ops.table_cells;
     }
     serial_times.push_back(fs_time);
     threaded_times.push_back(threaded_time);
-    barrier_times.push_back(barrier_time);
-    pipe_sched.push_back(sp);
-    barrier_sched.push_back(sb);
+    threaded_sched.push_back(sched);
 
     double brute_time = -1.0;
     if (n <= kMaxBruteN) {
@@ -399,25 +380,11 @@ int main(int argc, char** argv) {
                 resolved_threads,
                 serial_times.back() / threaded_times.back(),
                 threads_match ? "yes" : "NO");
-    par::SchedStats sp_total, sb_total;
-    for (std::size_t i = 0; i < pipe_sched.size(); ++i) {
-      sp_total += pipe_sched[i];
-      sb_total += barrier_sched[i];
-    }
-    std::printf("scheduler (pipelined):  tasks=%" PRIu64 " overlap_tasks=%"
-                PRIu64 " overlap_ms=%.2f barrier_wait_ms=%.2f\n",
-                sp_total.tasks, sp_total.overlap_tasks,
-                sp_total.overlap_ns / 1e6, sp_total.barrier_wait_ns / 1e6);
-    std::printf("scheduler (barrier):    tasks=%" PRIu64 " overlap_tasks=%"
-                PRIu64 " overlap_ms=%.2f barrier_wait_ms=%.2f\n",
-                sb_total.tasks, sb_total.overlap_tasks,
-                sb_total.overlap_ns / 1e6, sb_total.barrier_wait_ns / 1e6);
-    std::printf("cross-layer overlap engaged: %s; barrier-wait reduced vs "
-                "PR 2 engine: %s\n",
-                sp_total.overlap_tasks > 0 ? "yes" : "NO",
-                sp_total.barrier_wait_ns <= sb_total.barrier_wait_ns
-                    ? "yes"
-                    : "no");
+    par::SchedStats total;
+    for (const par::SchedStats& s : threaded_sched) total += s;
+    std::printf("scheduler: graphs=%" PRIu64 " tasks=%" PRIu64
+                " barrier_wait_ms=%.2f\n",
+                total.graphs, total.tasks, total.barrier_wait_ns / 1e6);
   }
 
   if (!json_path.empty()) {
@@ -450,7 +417,7 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < ns.size(); ++i) {
       obs::Ledger l;
-      pipe_sched[i].to_ledger(l);
+      threaded_sched[i].to_ledger(l);
       l.record(obs::Metric::kFsTableCells,
                static_cast<std::uint64_t>(fs_cells[i]));
       std::string row = "  {";
@@ -461,14 +428,10 @@ int main(int argc, char** argv) {
       appendf(row, ",\"speedup\":%.4f",
               serial_times[i] / threaded_times[i]);
       obs::append_metric_json(row, l, obs::Metric::kFsTableCells);
-      appendf(row, ",\"seconds_barrier_engine\":%.6f", barrier_times[i]);
       obs::append_metrics_json(
           row, l,
-          {obs::Metric::kSchedTasks, obs::Metric::kSchedReadyHwm,
-           obs::Metric::kSchedOverlapTasks, obs::Metric::kSchedOverlapNs,
-           obs::Metric::kSchedBarrierWaitNs});
-      appendf(row, ",\"sched_barrier_wait_ns_barrier_engine\":%" PRIu64,
-              barrier_sched[i].barrier_wait_ns);
+          {obs::Metric::kSchedGraphs, obs::Metric::kSchedTasks,
+           obs::Metric::kSchedReadyHwm, obs::Metric::kSchedBarrierWaitNs});
       appendf(row, ",\"seconds_pruned\":%.6f", pruned_times[i]);
       append_prune_json(row, prune_rows[i]);
       appendf(row, ",\"peak_cells_pruned\":%" PRIu64, pruned_peaks[i]);

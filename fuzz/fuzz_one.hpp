@@ -2,7 +2,8 @@
 // Shared one-input harness bodies for the fuzzed input frontier.  Each
 // function feeds arbitrary bytes to one untrusted-input decoder and
 // absorbs exactly the *typed* rejection paths (util::CheckError for the
-// text parsers, rt::CheckpointError for the binary decoders).  Anything
+// PLA/BLIF parsers, tt::ParseError for the expression parser,
+// rt::CheckpointError for the binary decoders).  Anything
 // else — a crash, a sanitizer report, an unexpected exception type
 // terminating the process — is a finding.
 //
@@ -21,6 +22,7 @@
 #include "rt/checkpoint.hpp"
 #include "tt/blif.hpp"
 #include "tt/expr.hpp"
+#include "tt/parse_error.hpp"
 #include "tt/pla.hpp"
 #include "util/check.hpp"
 #include "zdd/serialize.hpp"
@@ -50,7 +52,7 @@ inline int one_pla(const std::uint8_t* data, std::size_t len) {
 inline int one_expr(const std::uint8_t* data, std::size_t len) {
   try {
     tt::parse_expr(as_text(data, len));
-  } catch (const util::CheckError&) {
+  } catch (const tt::ParseError&) {
   }
   return 0;
 }

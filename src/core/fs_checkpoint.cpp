@@ -218,7 +218,7 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
   w.u64(ss.memo_hits);
   encode_ops(w, ss.ops);
 
-  // Layer tables, already in colex (ascending-mask) order in the engines.
+  // Layer tables, already in colex (ascending-mask) order in the engine.
   w.u64(view.dense->size());
   for (std::size_t i = 0; i < view.dense->size(); ++i) {
     const PrefixTable& t = (*view.tables)[i];

@@ -9,15 +9,16 @@
 // all C(|J|,k) of them; pruned: the packed survivors), the accumulated
 // back-pointer/mincost maps, the prune ledger and certified lower bound,
 // the merged OpCounter at the fence, and the governor work charged so
-// far.  Resuming re-seeds an engine with exactly that state, so the
+// far.  Resuming re-seeds the engine with exactly that state, so the
 // remaining layers — and every tie-break, ledger total, and budget-trip
 // decision after them — replay as if the run had never stopped, at any
-// thread count and in either engine (see docs/INTERNALS.md, "Checkpoint
-// format & resume protocol").
+// thread count (see docs/INTERNALS.md, "Checkpoint format & resume
+// protocol").  Every layer of the one FS* engine ends at such a fence,
+// so every run can write snapshots.
 //
 // The fingerprint binds a snapshot to its instance: a content hash of the
 // base table plus every input that shapes the DP (J, stop layer, diagram
-// kind, prune mode).  Threads / grain / pipeline are deliberately *not*
+// kind, prune mode).  Threads and grain are deliberately *not*
 // fingerprinted — the determinism contract makes results identical across
 // them, so resuming under a different execution policy is legal.
 // Resuming against a non-matching fingerprint is a typed
@@ -135,8 +136,8 @@ struct FsStarSnapshot {
   obs::Ledger ledger;
 };
 
-/// Borrowed view of fence state for zero-copy encoding: the engines point
-/// it at their live layer vectors instead of materializing an
+/// Borrowed view of fence state for zero-copy encoding: the engine points
+/// it at its live layer vectors instead of materializing an
 /// FsStarSnapshot.  Map entries are sorted by mask during encoding, so
 /// identical state always encodes to identical bytes.
 struct FsSnapshotView {
@@ -176,9 +177,8 @@ void save_snapshot(const std::string& path,
 FsStarSnapshot load_snapshot(const std::string& path);
 
 /// Checkpoint/resume configuration threaded into fs_star (and from there
-/// into the engines).  Writing requires a fence-consistent merged ledger,
-/// so snapshot-writing runs always take the barrier engines; resume-only
-/// runs may take any engine (see fs_star.cpp dispatch).
+/// into the engine, whose every layer fence holds a merged ledger).  Any
+/// run may write or resume, at any thread count and prune mode.
 struct FsCheckpointOptions {
   /// Non-empty: write a snapshot here (atomically) at qualifying fences.
   std::string path;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "ds/sparse_index.hpp"
@@ -27,40 +28,6 @@ util::Mask spread_mask(util::Mask dense, const std::vector<int>& j_vars) {
   return K;
 }
 
-/// Shared per-subset kernel of both engines: finds the best last variable
-/// for dense subset `d` by compacting each predecessor table, writing the
-/// winner into `best` (Lemma 7's argmin; first-candidate-wins tie-break,
-/// identical in every engine because candidates are visited in ascending
-/// bit order).
-void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
-                          const std::vector<util::Mask>& prev_dense,
-                          const std::vector<int>& j_vars, DiagramKind kind,
-                          const util::BinomialTable& binom, OpCounter* shard,
-                          PrefixTable& cand, PrefixTable& best,
-                          int* best_var_out, std::uint64_t* best_cost_out) {
-  std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
-  util::for_each_bit(d, [&](int b) {
-    // Predecessor = this subset minus one element, found at its colex
-    // rank in the previous layer — an O(layer) table-driven computation
-    // in place of the seed's hash find.
-    const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::uint64_t pred = binom.rank(pd);
-    OVO_DCHECK(pred < prev.size() &&
-               prev_dense[static_cast<std::size_t>(pred)] == pd);
-    compact_into(cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard);
-    const std::uint64_t cost = cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
-    }
-  });
-  *best_var_out = bv;
-  *best_cost_out = bc;
-}
-
 std::uint64_t engine_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -71,7 +38,7 @@ std::uint64_t engine_now_ns() {
 // ---------------------------------------------------------------------------
 // Checkpoint/resume plumbing (see fs_checkpoint.hpp for the contract).
 
-/// Dispatch-resolved checkpoint plan handed to the engines: the caller's
+/// Dispatch-resolved checkpoint plan handed to the engine: the caller's
 /// options plus the run's fingerprint and the effective pruning incumbent
 /// (recorded into every written snapshot so a resume prunes against the
 /// identical bound).
@@ -88,9 +55,9 @@ struct CkptPlan {
 };
 
 /// Emits one layer-fence snapshot from live engine state.  Only called at
-/// a fence of a barrier engine (dispatch forces barrier for writing
-/// runs), where `dense`/`tables` hold the completed layer, the result
-/// maps are published through it, and `ops`/`gov` hold merged totals.
+/// a layer fence, where `dense`/`tables` hold the completed layer, the
+/// result maps are published through it, and `ops`/`gov` hold merged
+/// totals.
 void emit_fence_snapshot(const CkptPlan& plan, int layer,
                          const std::vector<util::Mask>& dense,
                          const std::vector<PrefixTable>& tables,
@@ -121,7 +88,7 @@ void emit_fence_snapshot(const CkptPlan& plan, int layer,
 }
 
 /// True at a fence that should persist: the cadence hit (or a trip, which
-/// the engines handle separately).
+/// the engine handles separately).
 bool fence_due(const CkptPlan& plan, int layer, int stop_k) {
   return plan.writes() && layer < stop_k && plan.opts->every > 0 &&
          layer % plan.opts->every == 0;
@@ -141,7 +108,7 @@ void apply_resume(FsStarResult& result, const FsStarSnapshot& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Bound-pruned mode: admissible per-state lower bounds and sparse layers.
+// Bound-pruned mode: admissible per-state lower bounds.
 
 /// Free variables of `t` whose assignment can change a cell id.  Because
 /// ids are canonical per table, v is in the support iff two cells
@@ -216,27 +183,34 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
   return sinks > dep ? sinks : dep;
 }
 
-/// best_last_for_subset against a *sparse* previous layer (packed
-/// survivors + sorted-mask index).  A missing predecessor was pruned:
-/// every chain through it already exceeds the incumbent, so skipping it
-/// never changes the argmin on a surviving state.  Surviving candidates
-/// are visited in the same ascending bit order as the dense kernel, so
-/// the winner — and every tie-break — coincides with the dense engine
-/// along any chain of surviving states.
-void best_last_for_subset_sparse(util::Mask d,
-                                 const std::vector<PrefixTable>& prev,
-                                 const ds::SparseIndex& prev_index,
-                                 const std::vector<int>& j_vars,
-                                 DiagramKind kind, OpCounter* shard,
-                                 PrefixTable& cand, PrefixTable& best,
-                                 int* best_var_out,
-                                 std::uint64_t* best_cost_out) {
+// ---------------------------------------------------------------------------
+// The engine.
+
+/// The per-subset kernel: finds the best last variable for dense subset
+/// `d` by compacting each predecessor table of the previous layer (packed
+/// states + sorted-mask index), writing the winner into `best` (Lemma 7's
+/// argmin; first-candidate-wins tie-break).  A predecessor missing from
+/// the index was pruned: every chain through it already exceeds the
+/// incumbent, so skipping it never changes the argmin on a surviving
+/// state.  Candidates are visited in ascending bit order, so along any
+/// chain of surviving states the winner — and every tie-break — is the
+/// dense DP's.
+void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
+                          const ds::SparseIndex& prev_index,
+                          bool prev_complete, const std::vector<int>& j_vars,
+                          DiagramKind kind, OpCounter* shard,
+                          PrefixTable& cand, PrefixTable& best,
+                          int* best_var_out, std::uint64_t* best_cost_out) {
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
   int bv = -1;
   util::for_each_bit(d, [&](int b) {
     const util::Mask pd = d & ~(util::Mask{1} << b);
     const std::size_t pred = prev_index.rank(pd);
-    if (pred == ds::SparseIndex::npos) return;  // predecessor pruned
+    if (pred == ds::SparseIndex::npos) {
+      // A complete previous layer never misses a predecessor.
+      OVO_DCHECK(!prev_complete);
+      return;  // predecessor pruned
+    }
     compact_into(cand, prev[pred], j_vars[static_cast<std::size_t>(b)], kind,
                  shard);
     const std::uint64_t cost = cand.mincost();
@@ -250,478 +224,58 @@ void best_last_for_subset_sparse(util::Mask d,
   *best_cost_out = bc;
 }
 
-/// DP state fates in the pruned pipelined engine's rank-indexed slots.
-enum : std::uint8_t { kStateDead = 0, kStatePruned = 1, kStateAlive = 2 };
-
-/// best_last_for_subset against a *status-gated* dense previous layer
-/// (the pruned pipelined engine keeps rank-indexed slots; pruned/dead
-/// slots hold no cells and are skipped).  Returns best_var -1 when every
-/// predecessor is gone — the caller marks the state dead.
-void best_last_for_subset_gated(
-    util::Mask d, const std::vector<PrefixTable>& prev,
-    const std::vector<std::uint8_t>& prev_status,
-    const std::vector<int>& j_vars, DiagramKind kind,
-    const util::BinomialTable& binom, OpCounter* shard, PrefixTable& cand,
-    PrefixTable& best, int* best_var_out, std::uint64_t* best_cost_out) {
-  std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
-  util::for_each_bit(d, [&](int b) {
-    const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::uint64_t pred = binom.rank(pd);
-    OVO_DCHECK(pred < prev.size());
-    if (prev_status[static_cast<std::size_t>(pred)] != kStateAlive) return;
-    compact_into(cand, prev[static_cast<std::size_t>(pred)],
-                 j_vars[static_cast<std::size_t>(b)], kind, shard);
-    const std::uint64_t cost = cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
-    }
-  });
-  *best_var_out = bv;
-  *best_cost_out = bc;
-}
-
-/// The PR 2 engine: one parallel_for per layer with an implicit barrier.
-/// Kept as the serial path and the pipeline=false A/B reference — its
-/// published results are identical to the pipelined engine's.
+/// The FS* engine: one parallel_for per layer over the layer's candidate
+/// states, then a serial publish epilogue (the layer fence).  Layers are
+/// stored packed — the kept states in colex order plus a sorted-mask
+/// ds::SparseIndex — so a dense run is the case that keeps every state:
+/// with `ub` empty every candidate is kept, no bound is computed, and the
+/// prune ledger and certified bound stay zero.
 ///
-/// Barrier-wait accounting (symmetric with the pipelined engine):
-/// charged time is the *layer-boundary serialization each engine's
-/// design imposes* — here, the per-layer publish epilogue after every
-/// fanned-out region plus the final extraction, each costing
-/// (threads - 1) x its duration in parked participants.  The pipelined
-/// engine overlaps those epilogues with the next layer's chunk work
-/// (they run inside fences), so this is exactly the stall pipelining
-/// removes.  Serial work BOTH engines pay identically before any fan-out
-/// (admission, enumeration, allocation; the pipelined engine's graph
-/// build) is excluded on both sides: it is setup overhead, visible in
-/// wall clock, not barrier stall.
-FsStarResult fs_star_barrier(const PrefixTable& base, util::Mask J,
-                             int stop_k, DiagramKind kind, OpCounter* ops,
-                             int threads, std::uint64_t grain,
-                             rt::Governor* gov, const CkptPlan& plan) {
+/// Bound pruning (`ub` set): each state's admissible bound is tested
+/// against the fixed incumbent *ub.  The incumbent never moves during the
+/// DP and each bound depends only on its own state's table, so the
+/// surviving set is a pure function of (base, J, ub) — identical at every
+/// thread count — and the kernel sees the dense DP's candidates in the
+/// same order along every surviving chain, so the optimal order, size,
+/// and every tie-break match the dense run bit for bit.
+///
+/// Determinism: every candidate writes its table/best-var/best-cost into
+/// its own slot, shards merge at each fence, and governor admission is
+/// made serially per layer from the layer's exact work — surviving
+/// predecessors × predecessor cells, the dense closed form C(|J|,k)·k·
+/// cells when nothing was pruned — so trips, orders, sizes, tie-breaks,
+/// and merged OpCounter totals are identical at every thread count.
+///
+/// Barrier-wait accounting: charged time is the layer-boundary
+/// serialization the per-layer barrier imposes — the publish epilogue
+/// after every fanned-out region plus the final extraction, each costing
+/// (threads - 1) x its duration in parked participants.  Serial setup
+/// before the fan-out (admission, enumeration, allocation) is overhead
+/// visible in wall clock, not barrier stall, and is not charged.
+FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
+                            int stop_k, DiagramKind kind, OpCounter* ops,
+                            int threads, std::uint64_t grain,
+                            rt::Governor* gov,
+                            std::optional<std::uint64_t> ub,
+                            const CkptPlan& plan) {
+  const bool prune = ub.has_value();
   const int j_size = util::popcount(J);
   const std::vector<int> j_vars = util::bits_of(J);
   const auto& binom = util::BinomialTable::instance();
   par::ThreadPool& pool = par::ThreadPool::shared();
 
   FsStarResult result;
+  if (prune) result.prune.upper_bound = *ub;
   result.mincost.emplace(util::Mask{0}, base.mincost());
 
-  // Layer k holds one PrefixTable per k-subset of J, at the subset's
-  // colex rank (over dense positions into j_vars).  Layer 0 is the base.
-  // A resume snapshot stands in for layers 0..snapshot.layer.
-  const FsStarSnapshot* resume = plan.resume();
-  const int start_layer = resume != nullptr ? resume->layer : 0;
-  std::vector<PrefixTable> prev;
-  std::vector<util::Mask> prev_dense;
-  if (resume != nullptr) {
-    apply_resume(result, *resume);
-    prev = resume->tables;  // copies: one snapshot may seed many runs
-    prev_dense = resume->dense;
-  } else {
-    prev.push_back(base);
-    prev_dense.push_back(util::Mask{0});
-  }
-
-  // Per-thread-slot state: scratch tables so the inner loop's candidate
-  // compaction reuses one buffer per thread, and OpCounter shards merged
-  // after each layer (exact: all fields commute).
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
-  std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
-
-  const std::atomic<bool>* stop_flag =
-      gov != nullptr ? gov->stop_flag() : nullptr;
-  std::uint64_t prev_resident = 0;
-  for (const PrefixTable& t : prev) prev_resident += t.cells.size();
-  std::uint64_t layer_work = 0;
-  std::uint64_t serial_ns = 0;
-  int last_snapshot_layer = -1;
-  for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
-    const std::uint64_t layer_size = binom.choose(j_size, layer);
-    if (gov != nullptr) {
-      // Deterministic pre-admission: the whole layer's cost is known in
-      // closed form, so the trip decision is independent of thread count
-      // and made before any allocation.  Both layers are resident while
-      // the next one is built (Remark 1).
-      const std::uint64_t pred_cells =
-          static_cast<std::uint64_t>(base.cells.size()) >> (layer - 1);
-      layer_work =
-          layer_size * static_cast<std::uint64_t>(layer) * pred_cells;
-      const std::uint64_t resident =
-          prev_resident + layer_size * (pred_cells >> 1);
-      if (!gov->admit_nodes(resident) ||
-          !gov->admit_bytes(resident * sizeof(base.cells[0])) ||
-          !gov->admit_work(layer_work))
-        break;
-    }
-    // Gosper enumeration yields masks in increasing numeric order, which
-    // for fixed popcount IS colex rank order; the one-time size check
-    // below replaces the seed's per-(subset, variable) hash-find checks.
-    std::vector<util::Mask> dense;
-    dense.reserve(static_cast<std::size_t>(layer_size));
-    util::for_each_subset_of_size(j_size, layer, [&](util::Mask m) {
-      dense.push_back(m);
-    });
-    OVO_CHECK_MSG(dense.size() == layer_size,
-                  "fs_star: layer enumeration incomplete");
-
-    std::vector<PrefixTable> cur(static_cast<std::size_t>(layer_size));
-    std::vector<int> best_var(static_cast<std::size_t>(layer_size), -1);
-    std::vector<std::uint64_t> best_cost(
-        static_cast<std::size_t>(layer_size));
-
-    // A layer of <= grain subsets takes parallel_for's serial fast path;
-    // its epilogue is not a fan-out seam, so it is not charged.
-    const bool fans_out = threads > 1 && layer_size > grain;
-    pool.parallel_for(0, layer_size, grain, threads, stop_flag,
-                      [&](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
-      OpCounter* shard =
-          ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset(dense[static_cast<std::size_t>(rank)], prev,
-                           prev_dense, j_vars, kind, binom, shard,
-                           scratch[static_cast<std::size_t>(slot)],
-                           cur[static_cast<std::size_t>(rank)],
-                           &best_var[static_cast<std::size_t>(rank)],
-                           &best_cost[static_cast<std::size_t>(rank)]);
-    });
-    const std::uint64_t epilogue_t0 = fans_out ? engine_now_ns() : 0;
-    if (gov != nullptr && gov->stopped()) break;  // discard partial layer
-
-    // Serial epilogue per layer: publish back-pointers/costs in rank
-    // order (identical to the seed's enumeration order) and account for
-    // residency.  Remark 1: both layers are resident while the next one
-    // is built.
-    std::uint64_t cur_resident = 0;
-    for (std::uint64_t r = 0; r < layer_size; ++r) {
-      OVO_CHECK(best_var[static_cast<std::size_t>(r)] >= 0);
-      const util::Mask K =
-          spread_mask(dense[static_cast<std::size_t>(r)], j_vars);
-      result.best_last.emplace(K, best_var[static_cast<std::size_t>(r)]);
-      result.mincost.emplace(K, best_cost[static_cast<std::size_t>(r)]);
-      cur_resident += cur[static_cast<std::size_t>(r)].cells.size();
-    }
-    if (ops != nullptr) {
-      for (OpCounter& shard : shards) {
-        *ops += shard;
-        shard.reset();
-      }
-      ops->observe_resident(prev_resident + cur_resident);
-    }
-    prev_resident = cur_resident;
-    prev = std::move(cur);
-    prev_dense = std::move(dense);
-    result.completed_layers = layer;
-    if (gov != nullptr) gov->charge(layer_work);
-    if (fans_out) serial_ns += engine_now_ns() - epilogue_t0;
-    // Snapshot IO happens after charging, so a resumed run's first
-    // admit decision sees exactly the work total recorded here.
-    if (fence_due(plan, layer, stop_k)) {
-      emit_fence_snapshot(plan, layer, prev_dense, prev, result, ops, gov);
-      last_snapshot_layer = layer;
-    }
-  }
-
-  // Trip snapshot: persist the deepest completed layer even off-cadence,
-  // so a budget/cancel trip never loses fence state.  Must run before
-  // extraction moves the tables out.
-  if (plan.writes() && plan.opts->on_trip &&
-      result.completed_layers < stop_k &&
-      result.completed_layers != last_snapshot_layer)
-    emit_fence_snapshot(plan, result.completed_layers, prev_dense, prev,
-                        result, ops, gov);
-
-  const std::uint64_t extract_t0 = threads > 1 ? engine_now_ns() : 0;
-  for (std::size_t r = 0; r < prev.size(); ++r)
-    result.tables.emplace(spread_mask(prev_dense[r], j_vars),
-                          std::move(prev[r]));
-  if (threads > 1) {
-    serial_ns += engine_now_ns() - extract_t0;
-    par::charge_barrier_wait(static_cast<std::uint64_t>(threads - 1) *
-                             serial_ns);
-  }
-  return result;
-}
-
-/// Ceiling on subset-group task nodes per DP layer: big layers are cut
-/// into at most this many graph nodes (each still work-chunked at the
-/// subset grain internally), bounding graph size at O(layers × 512)
-/// while keeping dependency edges sparse enough to pipeline.
-constexpr std::uint64_t kMaxGroupsPerLayer = 512;
-
-/// The tentpole engine: the whole admitted DP is built as ONE TaskGraph.
-/// Each layer's subsets are grouped into up to kMaxGroupsPerLayer range
-/// nodes; a layer-(k+1) group depends only on the layer-k groups that
-/// hold its predecessors (dependency count = number of incomplete
-/// predecessor groups), so compaction of layer k+1 starts while layer k
-/// is still draining — the per-layer barrier is gone from the hot path.
-/// A seq_epoch fence per layer publishes back-pointers/costs in rank
-/// order, accounts residency, charges the governor, and frees layer k-1;
-/// fences are serialized by the fence chain, so they run the exact
-/// serial-epilogue code of the barrier engine.
-///
-/// Determinism: every subset writes its table/best-var/best-cost into
-/// its own colex-rank slot and the candidate loop is identical code, so
-/// published results are bit-identical to the barrier engine at every
-/// thread count.  Governor interaction is kept deterministic by doing
-/// ALL admit decisions serially up front: admit_work(cum + w_k) with
-/// nothing charged yet tests the same predicate work0 + w_1 + … + w_k <=
-/// limit the interleaved admit/charge sequence does (closed-form layer
-/// costs are exact — compaction halves cells), and each fence then
-/// charges its layer exactly where the barrier engine would.
-///
-/// Residency under pipelining: reported peak_cells stays the Remark-1
-/// two-layer model (fences observe prev+cur, identical values to the
-/// barrier engine); the true transient footprint can briefly hold parts
-/// of three layers, since layer k-1 is freed only when fence k runs.
-FsStarResult fs_star_pipelined(const PrefixTable& base, util::Mask J,
-                               int stop_k, DiagramKind kind, OpCounter* ops,
-                               int threads, std::uint64_t grain,
-                               rt::Governor* gov, const CkptPlan& plan) {
-  const int j_size = util::popcount(J);
-  const std::vector<int> j_vars = util::bits_of(J);
-  const auto& binom = util::BinomialTable::instance();
-
-  FsStarResult result;
-  result.mincost.emplace(util::Mask{0}, base.mincost());
-
-  // Resume-only here: snapshot-writing runs take the barrier engine
-  // (fs_star dispatch), since this engine's ledger merges only after the
-  // DAG drains.  The snapshot's layer becomes the graph's seed layer.
-  const FsStarSnapshot* resume = plan.resume();
-  const int start_layer = resume != nullptr ? resume->layer : 0;
-  if (resume != nullptr) apply_resume(result, *resume);
-  std::uint64_t seed_resident = 0;
-  if (resume != nullptr)
-    for (const PrefixTable& t : resume->tables)
-      seed_resident += t.cells.size();
-  else
-    seed_resident = base.cells.size();
-
-  // --- Serial pre-admission (see function comment). ---
-  int last_layer = start_layer;
-  std::vector<std::uint64_t> layer_work(
-      static_cast<std::size_t>(stop_k) + 1, 0);
-  {
-    std::uint64_t cum = 0;
-    std::uint64_t prev_res = seed_resident;
-    for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
-      const std::uint64_t layer_size = binom.choose(j_size, layer);
-      const std::uint64_t pred_cells =
-          static_cast<std::uint64_t>(base.cells.size()) >> (layer - 1);
-      const std::uint64_t w =
-          layer_size * static_cast<std::uint64_t>(layer) * pred_cells;
-      if (gov != nullptr) {
-        const std::uint64_t resident =
-            prev_res + layer_size * (pred_cells >> 1);
-        if (!gov->admit_nodes(resident) ||
-            !gov->admit_bytes(resident * sizeof(base.cells[0])) ||
-            !gov->admit_work(cum + w))
-          break;
-      }
-      cum += w;
-      layer_work[static_cast<std::size_t>(layer)] = w;
-      prev_res = layer_size * (pred_cells >> 1);
-      last_layer = layer;
-    }
-  }
-
-  struct Layer {
-    std::vector<util::Mask> dense;
-    std::vector<PrefixTable> tables;
-    std::vector<int> best_var;
-    std::vector<std::uint64_t> best_cost;
-    std::uint64_t group_size = 1;
-    std::uint64_t n_groups = 0;
-    par::TaskGraph::TaskId first_group = 0;
-  };
-  std::vector<Layer> layers(static_cast<std::size_t>(last_layer) + 1);
-  Layer& seed = layers[static_cast<std::size_t>(start_layer)];
-  if (resume != nullptr) {
-    seed.dense = resume->dense;
-    seed.tables = resume->tables;  // copies, as in the barrier engine
-  } else {
-    seed.dense.push_back(util::Mask{0});
-    seed.tables.push_back(base);
-  }
-
-  if (last_layer == start_layer) {
-    for (std::size_t r = 0; r < seed.tables.size(); ++r)
-      result.tables.emplace(spread_mask(seed.dense[r], j_vars),
-                            std::move(seed.tables[r]));
-    return result;
-  }
-
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
-  std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
-
-  // Chained fence state: fences are serialized, so plain variables.
-  std::uint64_t fence_prev_resident = seed_resident;
-
-  par::TaskGraph graph;
-  for (int layer = start_layer + 1; layer <= last_layer; ++layer) {
-    Layer& L = layers[static_cast<std::size_t>(layer)];
-    Layer& P = layers[static_cast<std::size_t>(layer) - 1];
-    const std::uint64_t layer_size = binom.choose(j_size, layer);
-    L.dense.reserve(static_cast<std::size_t>(layer_size));
-    util::for_each_subset_of_size(j_size, layer, [&](util::Mask m) {
-      L.dense.push_back(m);
-    });
-    OVO_CHECK_MSG(L.dense.size() == layer_size,
-                  "fs_star: layer enumeration incomplete");
-    L.tables.resize(static_cast<std::size_t>(layer_size));
-    L.best_var.assign(static_cast<std::size_t>(layer_size), -1);
-    L.best_cost.resize(static_cast<std::size_t>(layer_size));
-
-    std::uint64_t group = (layer_size + kMaxGroupsPerLayer - 1) /
-                          kMaxGroupsPerLayer;
-    if (group < grain) group = grain;
-    group = (group + grain - 1) / grain * grain;  // align chunk boundaries
-    L.group_size = group;
-    L.n_groups = (layer_size + group - 1) / group;
-
-    auto body = [&layers, &scratch, &shards, &j_vars, &binom, layer, kind,
-                 ops, gov](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
-      Layer& cur = layers[static_cast<std::size_t>(layer)];
-      Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
-      OpCounter* shard =
-          ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset(cur.dense[static_cast<std::size_t>(rank)],
-                           pre.tables, pre.dense, j_vars, kind, binom, shard,
-                           scratch[static_cast<std::size_t>(slot)],
-                           cur.tables[static_cast<std::size_t>(rank)],
-                           &cur.best_var[static_cast<std::size_t>(rank)],
-                           &cur.best_cost[static_cast<std::size_t>(rank)]);
-    };
-
-    // One range node per group; dependency edges to exactly the previous
-    // layer's groups that hold this group's predecessors, deduplicated
-    // with a stamp array.  The first built layer's only predecessor is
-    // the seed (base or resume snapshot), which is not a task — its
-    // groups seed the ready queue.
-    std::vector<std::uint32_t> stamp(
-        layer >= start_layer + 2 ? static_cast<std::size_t>(P.n_groups) : 0,
-        std::numeric_limits<std::uint32_t>::max());
-    for (std::uint64_t g = 0; g < L.n_groups; ++g) {
-      const std::uint64_t lo = g * group;
-      const std::uint64_t hi =
-          lo + group < layer_size ? lo + group : layer_size;
-      const par::TaskGraph::TaskId id = graph.add_range(lo, hi, grain, body);
-      graph.set_label(id, "fs.group", "layer",
-                      static_cast<std::uint64_t>(layer), "group", g);
-      if (g == 0) L.first_group = id;
-      if (layer < start_layer + 2) continue;
-      for (std::uint64_t r = lo; r < hi; ++r) {
-        util::for_each_bit(L.dense[static_cast<std::size_t>(r)], [&](int b) {
-          const util::Mask pd =
-              L.dense[static_cast<std::size_t>(r)] & ~(util::Mask{1} << b);
-          const std::uint64_t pg = binom.rank(pd) / P.group_size;
-          if (stamp[static_cast<std::size_t>(pg)] !=
-              static_cast<std::uint32_t>(g)) {
-            stamp[static_cast<std::size_t>(pg)] =
-                static_cast<std::uint32_t>(g);
-            graph.add_edge(
-                P.first_group + static_cast<par::TaskGraph::TaskId>(pg), id);
-          }
-        });
-      }
-    }
-
-    // The layer fence: the one consumer that truly needs every subset of
-    // the layer.  Runs the barrier engine's serial epilogue verbatim —
-    // publish in rank order, account residency, charge, free layer-1.
-    const par::TaskGraph::TaskId fence_id = graph.seq_epoch(
-        [&result, &layers, &layer_work, &fence_prev_resident,
-                     &j_vars, layer, layer_size, ops, gov](int) {
-      Layer& cur = layers[static_cast<std::size_t>(layer)];
-      std::uint64_t cur_resident = 0;
-      for (std::uint64_t r = 0; r < layer_size; ++r) {
-        OVO_CHECK(cur.best_var[static_cast<std::size_t>(r)] >= 0);
-        const util::Mask K =
-            spread_mask(cur.dense[static_cast<std::size_t>(r)], j_vars);
-        result.best_last.emplace(K,
-                                 cur.best_var[static_cast<std::size_t>(r)]);
-        result.mincost.emplace(K,
-                               cur.best_cost[static_cast<std::size_t>(r)]);
-        cur_resident += cur.tables[static_cast<std::size_t>(r)].cells.size();
-      }
-      if (ops != nullptr)
-        ops->observe_resident(fence_prev_resident + cur_resident);
-      fence_prev_resident = cur_resident;
-      result.completed_layers = layer;
-      if (gov != nullptr)
-        gov->charge(layer_work[static_cast<std::size_t>(layer)]);
-      // Every reader of layer-1 (this layer's subsets) has completed.
-      std::vector<PrefixTable>().swap(
-          layers[static_cast<std::size_t>(layer) - 1].tables);
-    });
-    graph.set_label(fence_id, "fs.fence", "layer",
-                    static_cast<std::uint64_t>(layer));
-  }
-
-  graph.run(threads, gov != nullptr ? gov->stop_flag() : nullptr);
-  // Barrier-wait accounting: the only layer-boundary serialization this
-  // engine retains is the final extraction (per-layer epilogues run
-  // inside fences, overlapped with the next layer's chunks; in-graph
-  // no-work bubbles are counted by the scheduler itself).  Setup cost —
-  // pre-admission, enumeration, graph build — is excluded on both sides
-  // of the A/B; see fs_star_barrier.
-  const std::uint64_t extract_t0 = engine_now_ns();
-
-  // Shards merge once, after the drain (fences overlap layer k+1 chunk
-  // work, so per-layer merges would race).  All fields commute, so
-  // completed-run totals equal the barrier engine's; a hard-stopped run
-  // additionally counts work from its discarded partial layer.
-  if (ops != nullptr)
-    for (OpCounter& shard : shards) *ops += shard;
-
-  Layer& last = layers[static_cast<std::size_t>(result.completed_layers)];
-  for (std::size_t r = 0; r < last.tables.size(); ++r)
-    result.tables.emplace(spread_mask(last.dense[r], j_vars),
-                          std::move(last.tables[r]));
-  par::charge_barrier_wait(static_cast<std::uint64_t>(threads - 1) *
-                           (engine_now_ns() - extract_t0));
-  return result;
-}
-
-/// Bound-pruned barrier engine: sparse layers (packed survivors plus a
-/// sorted-mask ds::SparseIndex), per-state admissible bounds against the
-/// fixed incumbent `ub`, and the serial per-layer publish epilogue of
-/// the dense barrier engine.  Serves the serial path, pipeline=false,
-/// and every governed pruned run with deterministic limits: its
-/// admission uses the *running sparse counts* (surviving predecessors,
-/// live candidates) that are only known at a serial layer boundary.
-///
-/// Determinism: the incumbent never moves during the DP and each state's
-/// bound depends only on its own table, so the surviving set is a pure
-/// function of (base, J, ub) — identical at every thread count.  Along
-/// any chain of surviving states the candidate sweep sees exactly the
-/// dense engine's candidates in the same order, so the optimal order,
-/// size, and every tie-break match the dense engines bit for bit.
-FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
-                                    int stop_k, DiagramKind kind,
-                                    OpCounter* ops, int threads,
-                                    std::uint64_t grain, rt::Governor* gov,
-                                    std::uint64_t ub, const CkptPlan& plan) {
-  const int j_size = util::popcount(J);
-  const std::vector<int> j_vars = util::bits_of(J);
-  const auto& binom = util::BinomialTable::instance();
-  par::ThreadPool& pool = par::ThreadPool::shared();
-
-  FsStarResult result;
-  result.prune.upper_bound = ub;
-  result.mincost.emplace(util::Mask{0}, base.mincost());
-
-  // Placement-invariant bound inputs, computed once per run.
-  const util::Mask base_support = table_support(base) & J;
+  // Placement-invariant bound inputs, computed once per pruned run.
+  const util::Mask base_support = prune ? table_support(base) & J : 0;
   const std::uint64_t final_cells =
       static_cast<std::uint64_t>(base.cells.size()) >> j_size;
 
-  // A resume snapshot's packed survivors stand in for layers
+  // Layer k holds the kept k-subsets of J (over dense positions into
+  // j_vars) in colex order, with one PrefixTable each.  Layer 0 is the
+  // base.  A resume snapshot's layer stands in for layers
   // 0..snapshot.layer; its ledger (including the restored layer-fence
   // lower bound) replaces the layer-0 certification below.
   const FsStarSnapshot* resume = plan.resume();
@@ -729,6 +283,9 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
   std::vector<PrefixTable> prev;
   std::vector<util::Mask> prev_dense;
 
+  // Per-thread-slot state: scratch tables so the inner loop's candidate
+  // compaction reuses one buffer per thread, OpCounter shards merged
+  // after each layer (exact: all fields commute), bound scratch.
   std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
   std::vector<BoundScratch> bounds(static_cast<std::size_t>(threads));
@@ -742,9 +299,10 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     prev_dense.push_back(util::Mask{0});
     // The run may trip before layer 1: layer 0's bound is still
     // certified.
-    result.certified_lower_bound =
-        base.mincost() +
-        completion_bound(base, J, base_support, final_cells, bounds[0]);
+    if (prune)
+      result.certified_lower_bound =
+          base.mincost() +
+          completion_bound(base, J, base_support, final_cells, bounds[0]);
   }
 
   const std::atomic<bool>* stop_flag =
@@ -758,19 +316,27 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     const std::uint64_t pred_cells =
         static_cast<std::uint64_t>(base.cells.size()) >> (layer - 1);
 
-    // Serial candidate enumeration: states with at least one surviving
-    // predecessor.  O(C(|J|,k)·k·log s) mask work — noise next to the
-    // compactions it skips — and the surviving-predecessor total IS the
-    // layer's exact compaction work.
+    // Serial candidate enumeration: states with at least one kept
+    // predecessor, in colex order (Gosper enumeration yields masks in
+    // increasing numeric order, which for fixed popcount IS colex rank
+    // order).  The kept-predecessor total is the layer's exact compaction
+    // work.  A complete previous layer — every dense layer — keeps every
+    // predecessor, so its k lookups per state are skipped.
+    const bool prev_complete =
+        prev_dense.size() == binom.choose(j_size, layer - 1);
     const ds::SparseIndex prev_index(prev_dense);
     std::vector<util::Mask> cand;
+    cand.reserve(static_cast<std::size_t>(layer_size));
     std::uint64_t n_dead = 0;
     std::uint64_t n_comp = 0;
     util::for_each_subset_of_size(j_size, layer, [&](util::Mask m) {
-      int live = 0;
-      util::for_each_bit(m, [&](int b) {
-        if (prev_index.contains(m & ~(util::Mask{1} << b))) ++live;
-      });
+      int live = layer;
+      if (!prev_complete) {
+        live = 0;
+        util::for_each_bit(m, [&](int b) {
+          if (prev_index.contains(m & ~(util::Mask{1} << b))) ++live;
+        });
+      }
       if (live > 0) {
         cand.push_back(m);
         n_comp += static_cast<std::uint64_t>(live);
@@ -778,12 +344,16 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
         ++n_dead;
       }
     });
+    OVO_CHECK_MSG(cand.size() + n_dead == layer_size,
+                  "fs_star: layer enumeration incomplete");
 
     const std::uint64_t layer_work = n_comp * pred_cells;
     if (gov != nullptr) {
-      // Running-sparse-count admission: live candidates stand in for the
-      // dense closed form, so a pruned run fits budgets a dense run of
-      // the same n would trip.
+      // Deterministic pre-admission from the layer's exact cost, made
+      // before any allocation.  Both layers are resident while the next
+      // one is built (Remark 1).  Live candidates stand in for the dense
+      // closed form, so a pruned run fits budgets a dense run of the same
+      // n would trip.
       const std::uint64_t resident =
           prev_resident +
           static_cast<std::uint64_t>(cand.size()) * (pred_cells >> 1);
@@ -796,86 +366,106 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     std::vector<PrefixTable> cur(cand.size());
     std::vector<int> best_var(cand.size(), -1);
     std::vector<std::uint64_t> best_cost(cand.size());
-    std::vector<std::uint64_t> bound(cand.size());
-    std::vector<std::uint8_t> keep(cand.size(), 0);
+    std::vector<std::uint64_t> bound(prune ? cand.size() : 0);
+    std::vector<std::uint8_t> keep(cand.size(), prune ? 0 : 1);
 
+    // A layer of <= grain candidates takes parallel_for's serial fast
+    // path; its epilogue is not a fan-out seam, so it is not charged.
     const bool fans_out = threads > 1 && cand.size() > grain;
-    pool.parallel_for(
-        0, cand.size(), grain, threads, stop_flag,
-        [&](std::uint64_t i, int slot) {
-          if (gov != nullptr) gov->poll();
-          OpCounter* shard =
-              ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
-                             : nullptr;
-          const std::size_t s = static_cast<std::size_t>(i);
-          best_last_for_subset_sparse(cand[s], prev, prev_index, j_vars,
-                                      kind, shard,
-                                      scratch[static_cast<std::size_t>(slot)],
-                                      cur[s], &best_var[s], &best_cost[s]);
-          // The prune decision is state-local and the incumbent is
-          // fixed, so deciding it inside the parallel body is safe and
-          // deterministic; a pruned state's cells are freed on the spot.
-          const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
-          bound[s] = best_cost[s] +
-                     completion_bound(cur[s], rest, base_support, final_cells,
-                                      bounds[static_cast<std::size_t>(slot)]);
-          if (bound[s] <= ub)
-            keep[s] = 1;
-          else
-            std::vector<std::uint32_t>().swap(cur[s].cells);
-        });
+    {
+      OVO_TRACE_SPAN_ARGS("fs.group", "fs", 0, "layer",
+                          static_cast<std::uint64_t>(layer), nullptr, 0);
+      pool.parallel_for(
+          0, cand.size(), grain, threads, stop_flag,
+          [&](std::uint64_t i, int slot) {
+            if (gov != nullptr) gov->poll();  // cancel/deadline polling
+            OpCounter* shard =
+                ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
+                               : nullptr;
+            const std::size_t s = static_cast<std::size_t>(i);
+            best_last_for_subset(cand[s], prev, prev_index, prev_complete,
+                                 j_vars, kind, shard,
+                                 scratch[static_cast<std::size_t>(slot)],
+                                 cur[s], &best_var[s], &best_cost[s]);
+            if (!prune) return;
+            // The prune decision is state-local and the incumbent is
+            // fixed, so deciding it inside the parallel body is safe and
+            // deterministic; a pruned state's cells are freed on the spot.
+            const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
+            bound[s] = best_cost[s] +
+                       completion_bound(cur[s], rest, base_support,
+                                        final_cells,
+                                        bounds[static_cast<std::size_t>(slot)]);
+            if (bound[s] <= *ub)
+              keep[s] = 1;
+            else
+              std::vector<std::uint32_t>().swap(cur[s].cells);
+          });
+    }
     const std::uint64_t epilogue_t0 = fans_out ? engine_now_ns() : 0;
     if (gov != nullptr && gov->stopped()) break;  // discard partial layer
 
-    // Serial epilogue: publish survivors in rank order and re-pack the
-    // layer (surviving-mask index + packed payload vector).
-    std::vector<PrefixTable> nxt;
-    std::vector<util::Mask> nxt_dense;
-    std::uint64_t cur_resident = 0;
-    std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      OVO_CHECK(best_var[i] >= 0);
-      if (keep[i] == 0) continue;
-      const util::Mask K = spread_mask(cand[i], j_vars);
-      result.best_last.emplace(K, best_var[i]);
-      result.mincost.emplace(K, best_cost[i]);
-      if (bound[i] < layer_lb_min) layer_lb_min = bound[i];
-      cur_resident += cur[i].cells.size();
-      nxt_dense.push_back(cand[i]);
-      nxt.push_back(std::move(cur[i]));
-    }
-    OVO_CHECK_MSG(!nxt.empty(),
-                  "fs_star: pruning incumbent below the true optimum");
-    result.prune.states_generated += cand.size();
-    result.prune.states_pruned += cand.size() - nxt.size();
-    result.prune.states_dead += n_dead;
-    result.prune.states_surviving += nxt.size();
-    result.prune.dense_cells += layer_size * (pred_cells >> 1);
-    result.prune.sparse_cells += cur_resident;
-    result.certified_lower_bound = layer_lb_min;
-    if (ops != nullptr) {
-      for (OpCounter& shard : shards) {
-        *ops += shard;
-        shard.reset();
+    {
+      // Serial epilogue (the layer fence): publish kept states in colex
+      // order and re-pack the layer in place.
+      OVO_TRACE_SPAN_ARGS("fs.fence", "fs", 0, "layer",
+                          static_cast<std::uint64_t>(layer), nullptr, 0);
+      std::size_t kept = 0;
+      std::uint64_t cur_resident = 0;
+      std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
+      for (std::size_t i = 0; i < cand.size(); ++i) {
+        OVO_CHECK(best_var[i] >= 0);
+        if (keep[i] == 0) continue;
+        const util::Mask K = spread_mask(cand[i], j_vars);
+        result.best_last.emplace(K, best_var[i]);
+        result.mincost.emplace(K, best_cost[i]);
+        if (prune && bound[i] < layer_lb_min) layer_lb_min = bound[i];
+        cur_resident += cur[i].cells.size();
+        cand[kept] = cand[i];
+        if (kept != i) cur[kept] = std::move(cur[i]);
+        ++kept;
       }
-      ops->observe_resident(prev_resident + cur_resident);
+      OVO_CHECK_MSG(kept > 0,
+                    "fs_star: pruning incumbent below the true optimum");
+      if (prune) {
+        result.prune.states_generated += cand.size();
+        result.prune.states_pruned += cand.size() - kept;
+        result.prune.states_dead += n_dead;
+        result.prune.states_surviving += kept;
+        result.prune.dense_cells += layer_size * (pred_cells >> 1);
+        result.prune.sparse_cells += cur_resident;
+        result.certified_lower_bound = layer_lb_min;
+      }
+      cand.resize(kept);
+      cur.resize(kept);
+      if (ops != nullptr) {
+        for (OpCounter& shard : shards) {
+          *ops += shard;
+          shard.reset();
+        }
+        ops->observe_resident(prev_resident + cur_resident);
+      }
+      prev_resident = cur_resident;
+      prev = std::move(cur);
+      prev_dense = std::move(cand);
+      result.completed_layers = layer;
+      if (gov != nullptr) gov->charge(layer_work);
     }
-    prev_resident = cur_resident;
-    prev = std::move(nxt);
-    prev_dense = std::move(nxt_dense);
-    result.completed_layers = layer;
-    if (gov != nullptr) gov->charge(layer_work);
     if (fans_out) serial_ns += engine_now_ns() - epilogue_t0;
+    // Snapshot IO happens after charging, so a resumed run's first
+    // admit decision sees exactly the work total recorded here.
     if (fence_due(plan, layer, stop_k)) {
       emit_fence_snapshot(plan, layer, prev_dense, prev, result, ops, gov);
       last_snapshot_layer = layer;
     }
   }
 
-  // Trip snapshot, emitted BEFORE the final prune-ledger merge into
-  // `ops`: fence-time ops never include the merge (it happens once, at
-  // engine end), so a resumed run — which restores snapshot.ops and
-  // result.prune, then merges at its own end — reproduces the
+  // Trip snapshot: persist the deepest completed layer even off-cadence,
+  // so a budget/cancel trip never loses fence state.  Must run before
+  // extraction moves the tables out, and before the final prune-ledger
+  // merge into `ops`: fence-time ops never include the merge (it happens
+  // once, at engine end), so a resumed run — which restores snapshot.ops
+  // and result.prune, then merges at its own end — reproduces the
   // uninterrupted run's final totals exactly.
   if (plan.writes() && plan.opts->on_trip &&
       result.completed_layers < stop_k &&
@@ -892,285 +482,9 @@ FsStarResult fs_star_pruned_barrier(const PrefixTable& base, util::Mask J,
     par::charge_barrier_wait(static_cast<std::uint64_t>(threads - 1) *
                              serial_ns);
   }
-  if (ops != nullptr) ops->prune += result.prune;
+  if (prune && ops != nullptr) ops->prune += result.prune;
   return result;
 }
-
-/// Bound-pruned pipelined engine: the dense task graph with per-state
-/// prune gates.  The graph must be built before any prune decision
-/// exists, so slots stay rank-indexed — but dead states never allocate
-/// cells and pruned states free theirs inside the chunk body, so the
-/// heap holds survivors only (the fully packed representation lives in
-/// the barrier engine, which big memory-capped runs take anyway).  Each
-/// layer's fence publishes survivors in rank order, tallies the prune
-/// ledger and the chunks that held no surviving work, charges the
-/// governor the layer's *actual* sparse work, and frees layer k-1.
-///
-/// Runs only without deterministic budget limits (see fs_star dispatch):
-/// sparse admission needs the serial layer boundary the barrier engine
-/// has.  Deadline/cancel budgets still work — per-chunk polls, DAG
-/// drain, partial layers discarded.
-FsStarResult fs_star_pruned_pipelined(const PrefixTable& base, util::Mask J,
-                                      int stop_k, DiagramKind kind,
-                                      OpCounter* ops, int threads,
-                                      std::uint64_t grain, rt::Governor* gov,
-                                      std::uint64_t ub,
-                                      const CkptPlan& plan) {
-  const int j_size = util::popcount(J);
-  const std::vector<int> j_vars = util::bits_of(J);
-  const auto& binom = util::BinomialTable::instance();
-
-  FsStarResult result;
-  result.prune.upper_bound = ub;
-  result.mincost.emplace(util::Mask{0}, base.mincost());
-
-  const util::Mask base_support = table_support(base) & J;
-  const std::uint64_t final_cells =
-      static_cast<std::uint64_t>(base.cells.size()) >> j_size;
-
-  struct Layer {
-    std::vector<util::Mask> dense;
-    std::vector<PrefixTable> tables;
-    std::vector<int> best_var;
-    std::vector<std::uint64_t> best_cost;
-    std::vector<std::uint64_t> bound;
-    std::vector<std::uint8_t> status;
-    std::uint64_t group_size = 1;
-    std::uint64_t n_groups = 0;
-    par::TaskGraph::TaskId first_group = 0;
-  };
-  std::vector<Layer> layers(static_cast<std::size_t>(stop_k) + 1);
-
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
-  std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
-  std::vector<BoundScratch> bounds(static_cast<std::size_t>(threads));
-
-  // Resume-only here (writing runs take the barrier engine).  The seed
-  // layer must be rank-indexed like every other layer of this engine, so
-  // the snapshot's packed survivors are scattered back to their colex
-  // slots; non-survivors keep empty tables and a kStatePruned gate.
-  const FsStarSnapshot* resume = plan.resume();
-  const int start_layer = resume != nullptr ? resume->layer : 0;
-  std::uint64_t fence_prev_resident = 0;
-  Layer& seed = layers[static_cast<std::size_t>(start_layer)];
-  if (resume != nullptr) {
-    apply_resume(result, *resume);
-    const std::uint64_t seed_card =
-        binom.choose(j_size, start_layer);
-    seed.dense.reserve(static_cast<std::size_t>(seed_card));
-    util::for_each_subset_of_size(j_size, start_layer, [&](util::Mask m) {
-      seed.dense.push_back(m);
-    });
-    seed.tables.resize(static_cast<std::size_t>(seed_card));
-    seed.status.assign(static_cast<std::size_t>(seed_card), kStatePruned);
-    std::size_t si = 0;
-    for (std::size_t r = 0; r < seed.dense.size(); ++r) {
-      if (si < resume->dense.size() && resume->dense[si] == seed.dense[r]) {
-        seed.tables[r] = resume->tables[si];
-        seed.status[r] = kStateAlive;
-        fence_prev_resident += seed.tables[r].cells.size();
-        ++si;
-      }
-    }
-    OVO_CHECK_MSG(si == resume->dense.size(),
-                  "fs_star: snapshot survivor outside its layer");
-  } else {
-    seed.dense.push_back(util::Mask{0});
-    seed.tables.push_back(base);
-    seed.status.push_back(kStateAlive);
-    result.certified_lower_bound =
-        base.mincost() +
-        completion_bound(base, J, base_support, final_cells, bounds[0]);
-    fence_prev_resident = base.cells.size();
-  }
-
-  par::TaskGraph graph;
-  for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
-    Layer& L = layers[static_cast<std::size_t>(layer)];
-    Layer& P = layers[static_cast<std::size_t>(layer) - 1];
-    const std::uint64_t layer_size = binom.choose(j_size, layer);
-    L.dense.reserve(static_cast<std::size_t>(layer_size));
-    util::for_each_subset_of_size(j_size, layer, [&](util::Mask m) {
-      L.dense.push_back(m);
-    });
-    OVO_CHECK_MSG(L.dense.size() == layer_size,
-                  "fs_star: layer enumeration incomplete");
-    L.tables.resize(static_cast<std::size_t>(layer_size));
-    L.best_var.assign(static_cast<std::size_t>(layer_size), -1);
-    L.best_cost.resize(static_cast<std::size_t>(layer_size));
-    L.bound.resize(static_cast<std::size_t>(layer_size));
-    L.status.assign(static_cast<std::size_t>(layer_size), kStateDead);
-
-    std::uint64_t group = (layer_size + kMaxGroupsPerLayer - 1) /
-                          kMaxGroupsPerLayer;
-    if (group < grain) group = grain;
-    group = (group + grain - 1) / grain * grain;  // align chunk boundaries
-    L.group_size = group;
-    L.n_groups = (layer_size + group - 1) / group;
-
-    auto body = [&layers, &scratch, &shards, &bounds, &j_vars, &binom, layer,
-                 kind, ops, gov, ub, base_support, final_cells,
-                 J](std::uint64_t rank, int slot) {
-      if (gov != nullptr) gov->poll();  // cancel/deadline responsiveness
-      Layer& cur = layers[static_cast<std::size_t>(layer)];
-      Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
-      const std::size_t r = static_cast<std::size_t>(rank);
-      OpCounter* shard =
-          ops != nullptr ? &shards[static_cast<std::size_t>(slot)] : nullptr;
-      best_last_for_subset_gated(cur.dense[r], pre.tables, pre.status,
-                                 j_vars, kind, binom, shard,
-                                 scratch[static_cast<std::size_t>(slot)],
-                                 cur.tables[r], &cur.best_var[r],
-                                 &cur.best_cost[r]);
-      if (cur.best_var[r] < 0) return;  // every predecessor pruned: dead
-      const util::Mask rest = J & ~spread_mask(cur.dense[r], j_vars);
-      cur.bound[r] =
-          cur.best_cost[r] +
-          completion_bound(cur.tables[r], rest, base_support, final_cells,
-                           bounds[static_cast<std::size_t>(slot)]);
-      if (cur.bound[r] <= ub) {
-        cur.status[r] = kStateAlive;
-      } else {
-        cur.status[r] = kStatePruned;
-        std::vector<std::uint32_t>().swap(cur.tables[r].cells);
-      }
-    };
-
-    // Same sparse-enough dependency structure as the dense engine: a
-    // group waits for every previous-layer group holding one of its
-    // predecessors.  Prune fates are not known at build time, so edges
-    // are conservative; a dead group body costs one status sweep.
-    std::vector<std::uint32_t> stamp(
-        layer >= start_layer + 2 ? static_cast<std::size_t>(P.n_groups) : 0,
-        std::numeric_limits<std::uint32_t>::max());
-    for (std::uint64_t g = 0; g < L.n_groups; ++g) {
-      const std::uint64_t lo = g * group;
-      const std::uint64_t hi =
-          lo + group < layer_size ? lo + group : layer_size;
-      const par::TaskGraph::TaskId id = graph.add_range(lo, hi, grain, body);
-      graph.set_label(id, "fs.group", "layer",
-                      static_cast<std::uint64_t>(layer), "group", g);
-      if (g == 0) L.first_group = id;
-      if (layer < start_layer + 2) continue;
-      for (std::uint64_t r = lo; r < hi; ++r) {
-        util::for_each_bit(L.dense[static_cast<std::size_t>(r)], [&](int b) {
-          const util::Mask pd =
-              L.dense[static_cast<std::size_t>(r)] & ~(util::Mask{1} << b);
-          const std::uint64_t pg = binom.rank(pd) / P.group_size;
-          if (stamp[static_cast<std::size_t>(pg)] !=
-              static_cast<std::uint32_t>(g)) {
-            stamp[static_cast<std::size_t>(pg)] =
-                static_cast<std::uint32_t>(g);
-            graph.add_edge(
-                P.first_group + static_cast<par::TaskGraph::TaskId>(pg), id);
-          }
-        });
-      }
-    }
-
-    // Layer fence: publish survivors in rank order, tally the ledger and
-    // the all-dead chunks, charge the actual sparse work, free layer-1.
-    const par::TaskGraph::TaskId fence_id = graph.seq_epoch(
-        [&result, &layers, &fence_prev_resident, &j_vars, &binom,
-                     layer, layer_size, grain, pred_cells =
-                         static_cast<std::uint64_t>(base.cells.size()) >>
-                         (layer - 1),
-                     ops, gov](int) {
-      Layer& cur = layers[static_cast<std::size_t>(layer)];
-      Layer& pre = layers[static_cast<std::size_t>(layer) - 1];
-      std::uint64_t cur_resident = 0;
-      std::uint64_t n_alive = 0, n_pruned = 0, n_dead = 0, n_comp = 0;
-      std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
-      for (std::uint64_t r = 0; r < layer_size; ++r) {
-        const std::size_t i = static_cast<std::size_t>(r);
-        switch (cur.status[i]) {
-          case kStateAlive: {
-            const util::Mask K = spread_mask(cur.dense[i], j_vars);
-            result.best_last.emplace(K, cur.best_var[i]);
-            result.mincost.emplace(K, cur.best_cost[i]);
-            if (cur.bound[i] < layer_lb_min) layer_lb_min = cur.bound[i];
-            cur_resident += cur.tables[i].cells.size();
-            ++n_alive;
-            break;
-          }
-          case kStatePruned:
-            ++n_pruned;
-            break;
-          default:
-            ++n_dead;
-            break;
-        }
-        // Actual compaction work this state cost: one predecessor-cells
-        // sweep per surviving predecessor (dead states cost none).
-        if (cur.status[i] != kStateDead) {
-          util::for_each_bit(cur.dense[i], [&](int b) {
-            const util::Mask pd = cur.dense[i] & ~(util::Mask{1} << b);
-            if (pre.status[static_cast<std::size_t>(binom.rank(pd))] ==
-                kStateAlive)
-              ++n_comp;
-          });
-        }
-      }
-      OVO_CHECK_MSG(n_alive > 0,
-                    "fs_star: pruning incumbent below the true optimum");
-      result.prune.states_generated += n_alive + n_pruned;
-      result.prune.states_pruned += n_pruned;
-      result.prune.states_dead += n_dead;
-      result.prune.states_surviving += n_alive;
-      result.prune.dense_cells += layer_size * (pred_cells >> 1);
-      result.prune.sparse_cells += cur_resident;
-      result.certified_lower_bound = layer_lb_min;
-      if (ops != nullptr)
-        ops->observe_resident(fence_prev_resident + cur_resident);
-      fence_prev_resident = cur_resident;
-      result.completed_layers = layer;
-      if (gov != nullptr) gov->charge(n_comp * pred_cells);
-      // Chunks whose whole range was dead retired without compacting
-      // anything — the scheduling overhead sparsity leaves behind.
-      std::uint64_t skipped_chunks = 0;
-      for (std::uint64_t g = 0; g < cur.n_groups; ++g) {
-        const std::uint64_t glo = g * cur.group_size;
-        const std::uint64_t ghi = glo + cur.group_size < layer_size
-                                      ? glo + cur.group_size
-                                      : layer_size;
-        for (std::uint64_t lo = glo; lo < ghi; lo += grain) {
-          const std::uint64_t hi = lo + grain < ghi ? lo + grain : ghi;
-          bool any_work = false;
-          for (std::uint64_t r = lo; r < hi && !any_work; ++r)
-            any_work = cur.status[static_cast<std::size_t>(r)] != kStateDead;
-          if (!any_work) ++skipped_chunks;
-        }
-      }
-      if (skipped_chunks > 0) par::charge_pruned_chunks(skipped_chunks);
-      // Every reader of layer-1 (this layer's subsets) has completed.
-      std::vector<PrefixTable>().swap(
-          layers[static_cast<std::size_t>(layer) - 1].tables);
-    });
-    graph.set_label(fence_id, "fs.fence", "layer",
-                    static_cast<std::uint64_t>(layer));
-  }
-
-  graph.run(threads, gov != nullptr ? gov->stop_flag() : nullptr);
-  const std::uint64_t extract_t0 = engine_now_ns();
-
-  if (ops != nullptr)
-    for (OpCounter& shard : shards) *ops += shard;
-
-  Layer& last = layers[static_cast<std::size_t>(result.completed_layers)];
-  for (std::size_t r = 0; r < last.tables.size(); ++r) {
-    if (last.status[r] != kStateAlive) continue;  // pruned/dead slot
-    result.tables.emplace(spread_mask(last.dense[r], j_vars),
-                          std::move(last.tables[r]));
-  }
-  par::charge_barrier_wait(static_cast<std::uint64_t>(threads - 1) *
-                           (engine_now_ns() - extract_t0));
-  if (ops != nullptr) ops->prune += result.prune;
-  return result;
-}
-
-}  // namespace
-
-namespace {
 
 /// Closed-form total compaction work of a dense full-depth run: each
 /// layer-k state costs k compactions over base_cells >> (k-1) predecessor
@@ -1225,7 +539,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
 
   // Small-n serial fallback: when the whole DP's closed-form work is
   // below the fan-out's break-even, or no layer even fills one chunk,
-  // run serially — same engines, same results, no pool round-trip.
+  // run serially — same engine, same results, no pool round-trip.
   if (threads > 1 && stop_k > 0) {
     const auto& binom = util::BinomialTable::instance();
     std::uint64_t widest = 0;
@@ -1265,41 +579,22 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
       if (gov != nullptr) gov->restore_work(ckpt->resume->work_charged);
     }
   }
-  const FsStarSnapshot* resume = plan.resume();
 
+  std::optional<std::uint64_t> ub;
   if (prune) {
     // A resume snapshot carries the *effective* incumbent of the original
     // run (post self-seed), so resuming neither re-seeds nor re-runs the
     // ascending chain — bounds and ops replay identically.
-    const std::uint64_t ub =
-        resume != nullptr
-            ? resume->prune_upper_bound
-            : (prune_upper_bound != 0
-                   ? prune_upper_bound
-                   : ascending_chain_bound(base, J, kind, ops));
-    plan.prune_ub = ub;
-    // Sparse admission counts exist only at serial layer boundaries, so
-    // deterministic budget limits force the barrier engine (see
-    // Budget::deterministic_limits); deadline/cancel-only budgets keep
-    // their per-chunk polling on either engine.  Snapshot-writing runs
-    // also need the barrier engine: only its fences hold a merged,
-    // fence-consistent ledger (the pipelined engine merges shards once,
-    // after the DAG drains).
-    const bool may_pipeline =
-        exec.pipeline && threads > 1 && !plan.writes() &&
-        !(gov != nullptr && gov->budget().deterministic_limits());
-    if (may_pipeline)
-      return fs_star_pruned_pipelined(base, J, stop_k, kind, ops, threads,
-                                      grain, gov, ub, plan);
-    return fs_star_pruned_barrier(base, J, stop_k, kind, ops, threads,
-                                  grain, gov, ub, plan);
+    const FsStarSnapshot* resume = plan.resume();
+    ub = resume != nullptr
+             ? resume->prune_upper_bound
+             : (prune_upper_bound != 0
+                    ? prune_upper_bound
+                    : ascending_chain_bound(base, J, kind, ops));
+    plan.prune_ub = *ub;
   }
-
-  if (exec.pipeline && threads > 1 && stop_k > 0 && !plan.writes())
-    return fs_star_pipelined(base, J, stop_k, kind, ops, threads, grain,
-                             gov, plan);
-  return fs_star_barrier(base, J, stop_k, kind, ops, threads, grain, gov,
-                         plan);
+  return fs_star_layers(base, J, stop_k, kind, ops, threads, grain, gov, ub,
+                        plan);
 }
 
 PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,

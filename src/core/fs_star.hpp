@@ -6,47 +6,34 @@
 // (Theorem 5) is the special case I = ∅, J = [n], run to completion; see
 // minimize.hpp for that entry point.
 //
-// Layer storage is rank-indexed: within a layer the C(|J|, k) subsets are
-// stored in a dense vector indexed by the colexicographic rank of the
-// subset (over J's bit positions), so predecessor lookup in the inner loop
-// is an O(k) rank computation against the previous layer's vector instead
-// of a hash probe.  Subsets within a layer only read the previous layer,
-// so the per-subset best-last-variable searches are independent, and a
-// layer-(k+1) subset depends on exactly its k+1 one-element-removed
-// predecessors in layer k.
+// One engine runs every call.  Layer k holds its states' tables packed
+// in colexicographic order of the subset (over J's bit positions), with
+// a sorted-mask index for predecessor lookup.  Subsets within a layer
+// only read the previous layer, so each layer is one parallel_for over
+// its states (the per-subset best-last-variable searches are
+// independent) followed by a serial publish epilogue — the layer fence —
+// that publishes back-pointers and costs in colex order, merges the
+// per-thread OpCounter shards, charges the governor, and may write a
+// checkpoint.  Every state writes to its own slot, so orders, sizes,
+// tie-breaks, and merged OpCounter totals are bit-identical at every
+// thread count.  The default policy is serial and bit-identical to the
+// original single-threaded implementation.
 //
-// Two engines share one per-subset kernel:
-//  * Barrier engine (serial, or ExecPolicy{.pipeline = false}): one
-//    parallel_for per layer with an implicit barrier and a serial
-//    publish epilogue — the PR 2 structure, kept as the bit-identity
-//    reference and the serial path.
-//  * Pipelined engine (pipeline = true and threads > 1): the whole
-//    admitted DP is one ovo::par::TaskGraph.  Subset groups become nodes
-//    whose dependency counters track incomplete predecessor groups, so
-//    layer k+1 compactions start while layer k is still draining; a
-//    seq_epoch fence per layer publishes results in rank order.  Every
-//    subset writes to its own colex-rank slot, so orders, sizes,
-//    tie-breaks, and merged OpCounter totals are bit-identical across
-//    engines and thread counts (governor admits are decided serially up
-//    front, preserving deterministic budget trips; see fs_star.cpp).
-// The default policy is serial and bit-identical to the original
-// single-threaded implementation.
-//
-// Bound-pruned mode (ExecPolicy.prune = PruneMode::kBounds): full-block
-// runs (stop_k == |J|) additionally compute an admissible per-state
-// lower bound — cost so far plus a completion bound from the table's
-// distinct-subfunction count and the block variables the function still
-// depends on — and skip every state whose bound exceeds a seeded upper
-// bound (callers pass one from a cheap heuristic; 0 self-seeds from one
-// ascending chain over J).  Layers are stored sparsely: only surviving
-// states hold cells, so pruned states cost zero bytes.  Because the
-// incumbent is fixed before the DP starts and every state's bound is
-// local, the surviving set — and therefore the optimal order, size, and
-// every tie-break — is bit-identical to the dense engines at every
-// thread count (see docs/INTERNALS.md for the admissibility and
-// determinism arguments).  Stop-early runs (stop_k < |J|) ignore the
-// prune flag: their contract is one table per subset at the stop layer.
-// The default mode is kOff: dense engines, untouched.
+// A dense run is the case that keeps every state.  Bound-pruned mode
+// (ExecPolicy.prune = PruneMode::kBounds): full-block runs (stop_k ==
+// |J|) additionally compute an admissible per-state lower bound — cost
+// so far plus a completion bound from the table's distinct-subfunction
+// count and the block variables the function still depends on — and
+// drop every state whose bound exceeds a seeded upper bound (callers
+// pass one from a cheap heuristic; 0 self-seeds from one ascending chain
+// over J).  Dropped states cost zero bytes.  Because the incumbent is
+// fixed before the DP starts and every state's bound is local, the
+// surviving set — and therefore the optimal order, size, and every
+// tie-break — is bit-identical to the dense run at every thread count
+// (see docs/INTERNALS.md for the admissibility and determinism
+// arguments).  Stop-early runs (stop_k < |J|) ignore the prune flag:
+// their contract is one table per subset at the stop layer.  The default
+// mode is kOff: every state kept, the prune ledger all zero.
 
 #include <unordered_map>
 #include <vector>
@@ -104,11 +91,9 @@ struct FsStarResult {
 /// polled per subset, discarding any partially built layer.  In pruned
 /// mode the admission estimate uses the *running sparse counts* (actual
 /// surviving predecessors and candidate states) instead of the dense
-/// closed form; sparse counts are only known layer by layer, so a pruned
-/// run with deterministic limits always takes the serially-admitting
-/// barrier engine, regardless of `exec.pipeline`.  On a trip the result
-/// holds every layer up to `completed_layers` and remains fully
-/// consistent (valid tables, back-pointers, and mincosts for all
+/// closed form; the two agree while no state has been pruned.  On a trip
+/// the result holds every layer up to `completed_layers` and remains
+/// fully consistent (valid tables, back-pointers, and mincosts for all
 /// published subsets) and — in pruned mode — still carries a consistent
 /// prune ledger and a certified lower bound.
 ///
@@ -125,11 +110,9 @@ struct FsStarResult {
 /// governor trip; with a resume snapshot, the DP restarts from that fence
 /// and replays the remaining layers bit-identically — same order, sizes,
 /// tie-breaks, ledgers (`*ops` gains the snapshot's fence totals, `gov`
-/// is credited the snapshot's charged work), at any thread count.
-/// Snapshot-writing runs take the barrier engines, whose fences hold a
-/// merged ledger; resume works on every engine.  A snapshot whose
-/// fingerprint does not match (base, J, stop_k, kind, effective prune
-/// mode) throws rt::CheckpointError(kWrongInstance).
+/// is credited the snapshot's charged work), at any thread count.  A
+/// snapshot whose fingerprint does not match (base, J, stop_k, kind,
+/// effective prune mode) throws rt::CheckpointError(kWrongInstance).
 FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                      DiagramKind kind, OpCounter* ops = nullptr,
                      const par::ExecPolicy& exec = {},

@@ -16,11 +16,11 @@ namespace ovo::par {
 /// first call.
 int default_threads();
 
-/// Bound pruning in the FS* DP.  kOff keeps the dense engines exactly as
-/// they shipped (the A/B reference); kBounds seeds an upper bound, skips
-/// every DP state whose admissible lower bound exceeds it, and stores
-/// layers sparsely (surviving states only).  Pruned runs return the same
-/// optimal order, size, and tie-breaks as dense runs — see fs_star.hpp.
+/// Bound pruning in the FS* DP.  kOff runs the dense DP (every state is
+/// kept); kBounds seeds an upper bound, skips every DP state whose
+/// admissible lower bound exceeds it, and stores layers sparsely
+/// (surviving states only).  Pruned runs return the same optimal order,
+/// size, and tie-breaks as dense runs — see fs_star.hpp.
 enum class PruneMode : std::uint8_t { kOff = 0, kBounds = 1 };
 
 struct ExecPolicy {
@@ -37,16 +37,13 @@ struct ExecPolicy {
   /// results depend on the grain but not on the thread count.
   std::uint64_t grain = 0;
 
-  /// Cross-layer pipelining in the FS* DP (and any future task-graph
-  /// client): when true and threads > 1, layer k+1 subsets whose
-  /// predecessors have all compacted may start before layer k finishes
-  /// draining.  The publish protocol (pre-assigned colex-rank slots)
-  /// keeps results bit-identical either way; set false to force the
-  /// PR 2 per-layer-barrier engine, e.g. for A/B bench comparisons.
+  /// Ignored: nothing reads it (the FS* DP has one engine, see
+  /// fs_star.hpp).  It stays only because callers outside the library
+  /// still assign it.
   bool pipeline = true;
 
   /// Bound pruning for the FS* DP (see PruneMode).  Off by default so
-  /// every existing caller keeps the dense engines bit for bit.
+  /// every existing caller keeps the dense DP bit for bit.
   PruneMode prune = PruneMode::kOff;
 
   int resolved_threads() const {

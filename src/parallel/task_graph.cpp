@@ -35,10 +35,6 @@ void charge_barrier_wait(std::uint64_t ns) {
   obs::Registry::global().record(obs::Metric::kSchedBarrierWaitNs, ns);
 }
 
-void charge_pruned_chunks(std::uint64_t n) {
-  obs::Registry::global().record(obs::Metric::kSchedPrunedChunks, n);
-}
-
 SchedStats sched_stats() {
   SchedStats s;
   s.from_ledger(obs::Registry::global().snapshot());

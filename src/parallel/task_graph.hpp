@@ -75,11 +75,6 @@ struct SchedStats {
   /// latency excluded) plus engine-charged barrier seams (see
   /// charge_barrier_wait).
   std::uint64_t barrier_wait_ns = 0;
-  /// Chunks the bound-pruned FS* DP retired without compacting a single
-  /// state (every index in the chunk was dead or pruned) — the residual
-  /// scheduling overhead sparse chunk ranges leave behind.  Engine-
-  /// charged (see charge_pruned_chunks); zero when pruning is off.
-  std::uint64_t pruned_chunks = 0;
 
   /// Accumulates this struct into `l` under the sched.* metric IDs
   /// (ready_hwm is a kMax metric, everything else kSum).
@@ -91,7 +86,6 @@ struct SchedStats {
     l.record(obs::Metric::kSchedOverlapTasks, overlap_tasks);
     l.record(obs::Metric::kSchedOverlapNs, overlap_ns);
     l.record(obs::Metric::kSchedBarrierWaitNs, barrier_wait_ns);
-    l.record(obs::Metric::kSchedPrunedChunks, pruned_chunks);
   }
   void from_ledger(const obs::Ledger& l) {
     graphs = l.get(obs::Metric::kSchedGraphs);
@@ -101,7 +95,6 @@ struct SchedStats {
     overlap_tasks = l.get(obs::Metric::kSchedOverlapTasks);
     overlap_ns = l.get(obs::Metric::kSchedOverlapNs);
     barrier_wait_ns = l.get(obs::Metric::kSchedBarrierWaitNs);
-    pruned_chunks = l.get(obs::Metric::kSchedPrunedChunks);
   }
 
   /// Shard merge under the registry's policies (sums add, hwm maxes).
@@ -122,7 +115,6 @@ struct SchedStats {
     d.overlap_tasks -= o.overlap_tasks;
     d.overlap_ns -= o.overlap_ns;
     d.barrier_wait_ns -= o.barrier_wait_ns;
-    d.pruned_chunks -= o.pruned_chunks;
     return d;
   }
 };
@@ -142,11 +134,6 @@ SchedStats sched_stats();
 /// bubbles (waiting with no ready work) are counted automatically;
 /// final join waits are not (identical teardown cost in every engine).
 void charge_barrier_wait(std::uint64_t ns);
-
-/// Adds `n` to the process-wide pruned_chunks total.  The bound-pruned
-/// FS* engines call this from their (serialized) layer fences after
-/// tallying which chunk ranges held no surviving work.
-void charge_pruned_chunks(std::uint64_t n);
 
 class TaskGraph {
  public:

@@ -74,9 +74,9 @@ struct AutoMinimizeResult {
   /// both stages visit is evaluated once (`evals` < `queries`).
   OracleStats oracle;
   /// ovo::par scheduler counters attributed to this run (delta of the
-  /// process-wide totals around the ladder): tasks/chunks executed,
-  /// ready-queue high-water mark, and the barrier-wait vs.
-  /// pipelined-overlap split.  All zero for a serial policy.
+  /// process-wide totals around the ladder): parallel regions, tasks and
+  /// chunks executed, ready-queue high-water mark, and barrier-wait
+  /// time.  All zero for a serial policy.
   par::SchedStats sched;
 };
 

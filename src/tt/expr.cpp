@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tt/parse_error.hpp"
 #include "util/check.hpp"
 
 namespace ovo::tt {
@@ -65,11 +66,18 @@ class Parser {
   ExprPtr parse() {
     ExprPtr e = parse_or();
     skip_ws();
-    OVO_CHECK_MSG(pos_ == text_.size(), "parse_expr: trailing input");
+    if (pos_ != text_.size()) fail("trailing input");
     return e;
   }
 
  private:
+  /// Malformed input is the caller's data error, never an invariant
+  /// violation: every syntax error is a ParseError naming its column.
+  [[noreturn]] void fail(const std::string& msg) const {
+    throw ParseError("expression column " + std::to_string(pos_ + 1) + ": " +
+                     msg);
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n'))
@@ -108,7 +116,7 @@ class Parser {
     // adversarial "((((..." must hit a typed error before it hits the
     // process stack guard.  The cap also bounds the recursion depth of
     // the eventual shared_ptr destruction chain.
-    OVO_CHECK_MSG(depth_ < kMaxDepth, "parse_expr: nesting too deep");
+    if (depth_ >= kMaxDepth) fail("nesting too deep");
     ++depth_;
     ExprPtr e = parse_factor_inner();
     --depth_;
@@ -117,7 +125,7 @@ class Parser {
 
   ExprPtr parse_factor_inner() {
     skip_ws();
-    OVO_CHECK_MSG(pos_ < text_.size(), "parse_expr: unexpected end of input");
+    if (pos_ >= text_.size()) fail("unexpected end of input");
     const char c = text_[pos_];
     if (c == '!') {
       ++pos_;
@@ -126,7 +134,7 @@ class Parser {
     if (c == '(') {
       ++pos_;
       ExprPtr e = parse_or();
-      OVO_CHECK_MSG(eat(')'), "parse_expr: expected ')'");
+      if (!eat(')')) fail("expected ')'");
       return e;
     }
     if (c == '0' || c == '1') {
@@ -138,18 +146,15 @@ class Parser {
       std::size_t start = pos_;
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
         ++pos_;
-      OVO_CHECK_MSG(pos_ > start, "parse_expr: expected variable number");
+      if (pos_ == start) fail("expected variable number");
       // Bound the digit count before std::stoi so an oversized index is
       // a typed error, not std::out_of_range (6 digits >> 64 variables).
-      OVO_CHECK_MSG(pos_ - start <= 6,
-                    "parse_expr: variable number out of range");
+      if (pos_ - start > 6) fail("variable number out of range");
       const int idx = std::stoi(text_.substr(start, pos_ - start));
-      OVO_CHECK_MSG(idx >= 1, "parse_expr: variables are 1-based (x1, x2, ...)");
+      if (idx < 1) fail("variables are 1-based (x1, x2, ...)");
       return make_var(idx - 1);
     }
-    OVO_CHECK_MSG(false, std::string("parse_expr: unexpected character '") +
-                             c + "'");
-    return nullptr;  // unreachable
+    fail(std::string("unexpected character '") + c + "'");
   }
 
   static constexpr int kMaxDepth = 2000;

@@ -41,7 +41,8 @@ ExprPtr make_and(ExprPtr a, ExprPtr b);
 ExprPtr make_or(ExprPtr a, ExprPtr b);
 ExprPtr make_xor(ExprPtr a, ExprPtr b);
 
-/// Parses the grammar above. Throws util::CheckError on syntax errors.
+/// Parses the grammar above.  Throws tt::ParseError (a util::CheckError)
+/// naming the column on any syntax error.
 ExprPtr parse_expr(const std::string& text);
 
 /// Evaluate under assignment (bit i = variable i).

@@ -1,5 +1,5 @@
 #pragma once
-// Typed error for malformed input files (PLA, BLIF).
+// Typed error for malformed input (PLA and BLIF files, expressions).
 //
 // Derives from util::CheckError so existing call sites that treat any
 // checked failure uniformly keep working; catch ParseError specifically

@@ -31,7 +31,7 @@ double entropy_bound(int n, int k);
 /// rank is in [0, binom(n,k)).  Colex order of subsets coincides with the
 /// numeric order of their masks, so Gosper-style enumeration
 /// (for_each_subset_of_size) visits subsets exactly in rank order — the
-/// property the rank-indexed DP layers rely on.
+/// property the colex-ordered FS* DP layers rely on.
 std::uint64_t combination_rank(Mask m);
 
 /// Inverse of combination_rank: the k-subset of rank `rank` (colex order).

@@ -5,7 +5,7 @@
 // the asan/tsan presets enforce), and the resume-determinism
 // differential: a run interrupted at any layer fence and resumed must be
 // bit-identical to the uninterrupted run — orders, sizes, tie-breaks,
-// and every ledger — in both engines and at every thread count.
+// and every ledger — at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -494,7 +494,7 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
 // Interrupt at every layer fence, resume, and require the resumed run to
 // reproduce the straight-through run exactly: tables, back-pointers,
 // mincosts, prune ledger, certified bound, and the merged OpCounter —
-// in both engines, at several thread counts.
+// at several thread counts.
 TEST(FsResume, EveryFenceBitIdentical) {
   util::Xoshiro256 rng(21);
   for (const int n : {6, 8}) {
@@ -507,25 +507,21 @@ TEST(FsResume, EveryFenceBitIdentical) {
         const FsStarSnapshot snap =
             decode_snapshot(payload.data(), payload.size());
         for (const int threads : {1, 2, 4, 8}) {
-          for (const bool pipeline : {false, true}) {
-            par::ExecPolicy exec;
-            exec.num_threads = threads;
-            exec.pipeline = pipeline;
-            exec.prune = prune;
-            FsCheckpointOptions resume;
-            resume.resume = &snap;
-            OpCounter ops;
-            const FsStarResult r =
-                fs_star(initial_table(t), all, n, DiagramKind::kBdd, &ops,
-                        exec, nullptr, 0, &resume);
-            SCOPED_TRACE("n=" + std::to_string(n) + " layer=" +
-                         std::to_string(snap.layer) + " threads=" +
-                         std::to_string(threads) +
-                         (pipeline ? " pipelined" : " barrier") +
-                         (prune == par::PruneMode::kBounds ? " pruned" : ""));
-            expect_results_equal(r, straight.result);
-            expect_ops_equal(ops, straight.ops);
-          }
+          par::ExecPolicy exec;
+          exec.num_threads = threads;
+          exec.prune = prune;
+          FsCheckpointOptions resume;
+          resume.resume = &snap;
+          OpCounter ops;
+          const FsStarResult r =
+              fs_star(initial_table(t), all, n, DiagramKind::kBdd, &ops,
+                      exec, nullptr, 0, &resume);
+          SCOPED_TRACE("n=" + std::to_string(n) + " layer=" +
+                       std::to_string(snap.layer) + " threads=" +
+                       std::to_string(threads) +
+                       (prune == par::PruneMode::kBounds ? " pruned" : ""));
+          expect_results_equal(r, straight.result);
+          expect_ops_equal(ops, straight.ops);
         }
       }
     }

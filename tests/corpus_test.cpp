@@ -57,7 +57,24 @@ void replay_category(
 
 TEST(Corpus, Blif) { replay_category("blif", fuzz::one_blif); }
 TEST(Corpus, Pla) { replay_category("pla", fuzz::one_pla); }
-TEST(Corpus, Expr) { replay_category("expr", fuzz::one_expr); }
+// Every malformed expression must be rejected as a tt::ParseError — the
+// typed input error — not merely some util::CheckError.
+TEST(Corpus, Expr) {
+  replay_category("expr", fuzz::one_expr);
+  std::size_t malformed = 0;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(OVO_CORPUS_DIR) / "expr")) {
+    if (!entry.is_regular_file() ||
+        entry.path().filename().string().rfind("valid_", 0) == 0)
+      continue;
+    const std::vector<std::uint8_t> data = slurp(entry.path());
+    EXPECT_THROW(tt::parse_expr(std::string(data.begin(), data.end())),
+                 tt::ParseError)
+        << entry.path();
+    ++malformed;
+  }
+  EXPECT_GE(malformed, 4u);
+}
 TEST(Corpus, Snapshot) { replay_category("snapshot", fuzz::one_snapshot); }
 TEST(Corpus, Diagram) { replay_category("diagram", fuzz::one_diagram); }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tt/expr.hpp"
 #include "tt/function_zoo.hpp"
+#include "tt/parse_error.hpp"
 #include "util/check.hpp"
 
 namespace ovo::tt {
@@ -71,13 +74,22 @@ TEST(ExprParse, Whitespace) {
 }
 
 TEST(ExprParse, Errors) {
-  EXPECT_THROW(parse_expr(""), util::CheckError);
-  EXPECT_THROW(parse_expr("x"), util::CheckError);
-  EXPECT_THROW(parse_expr("x0"), util::CheckError);  // 1-based
-  EXPECT_THROW(parse_expr("x1 &"), util::CheckError);
-  EXPECT_THROW(parse_expr("(x1"), util::CheckError);
-  EXPECT_THROW(parse_expr("x1 x2"), util::CheckError);
-  EXPECT_THROW(parse_expr("y1"), util::CheckError);
+  // Syntax errors are the typed input error, never internal-check text.
+  EXPECT_THROW(parse_expr(""), ParseError);
+  EXPECT_THROW(parse_expr("x"), ParseError);
+  EXPECT_THROW(parse_expr("x0"), ParseError);  // 1-based
+  EXPECT_THROW(parse_expr("x1 &"), ParseError);
+  EXPECT_THROW(parse_expr("x1 & & x2"), ParseError);
+  EXPECT_THROW(parse_expr("(x1"), ParseError);
+  EXPECT_THROW(parse_expr("x1 x2"), ParseError);
+  EXPECT_THROW(parse_expr("y1"), ParseError);
+  try {
+    parse_expr("x1 & & x2");
+    FAIL() << "no error";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "expression column 6: unexpected character '&'");
+  }
 }
 
 TEST(ExprMeta, NumVarsAndSize) {

@@ -1,8 +1,8 @@
 // Tests for the bound-pruned sparse FS* DP (ExecPolicy.prune = kBounds):
-// bit-identity with the dense engines over exhaustive small-n sweeps and
-// randomized larger functions at every thread count and both pipeline
-// settings, ledger consistency, the certified lower bound, the small-n
-// serial fallback, governed engine routing, and fault injection
+// bit-identity with the dense DP over exhaustive small-n sweeps and
+// randomized larger functions at every thread count, ledger consistency,
+// the certified lower bound, the small-n serial fallback, the one
+// parallel region per fanned-out layer, and fault injection
 // (cancellation and allocation failure) on the sparse path.  Run under
 // the asan/tsan presets by tools/ci.sh.
 
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/fs_star.hpp"
@@ -27,11 +28,10 @@
 namespace ovo {
 namespace {
 
-par::ExecPolicy policy(int threads, bool pipeline = true,
+par::ExecPolicy policy(int threads,
                        par::PruneMode prune = par::PruneMode::kOff) {
   par::ExecPolicy exec;
   exec.num_threads = threads;
-  exec.pipeline = pipeline;
   exec.prune = prune;
   return exec;
 }
@@ -73,7 +73,7 @@ TEST(FsPruneDifferential, ExhaustiveN3AllFunctions) {
     const core::MinimizeResult dense = core::fs_minimize(f);
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kBdd,
-        policy(1, true, par::PruneMode::kBounds));
+        policy(1, par::PruneMode::kBounds));
     ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
         << "bits=" << bits;
     ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
@@ -91,7 +91,7 @@ TEST(FsPruneDifferential, ExhaustiveN4AllFunctions) {
     const core::MinimizeResult dense = core::fs_minimize(f);
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kBdd,
-        policy(1, true, par::PruneMode::kBounds));
+        policy(1, par::PruneMode::kBounds));
     ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
         << "bits=" << bits;
     ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
@@ -99,27 +99,23 @@ TEST(FsPruneDifferential, ExhaustiveN4AllFunctions) {
   }
 }
 
-// Random functions up to n = 10 across thread counts and both pipeline
-// settings; n >= 7 clears the serial-fallback threshold, so threads > 1
-// genuinely exercises the pruned barrier AND pruned pipelined engines.
+// Random functions up to n = 10 across thread counts; n >= 7 clears the
+// serial-fallback threshold, so threads > 1 genuinely fans the pruned
+// layers out.
 TEST(FsPruneDifferential, RandomizedAcrossThreadsAndPipelines) {
   util::Xoshiro256 rng(0xbead);
   for (const int n : {5, 6, 7, 8, 10}) {
     const tt::TruthTable f = tt::random_function(n, rng);
     const core::MinimizeResult dense = core::fs_minimize(f);
     for (const int threads : {1, 2, 4, 8}) {
-      for (const bool pipeline : {false, true}) {
-        const core::MinimizeResult pruned = core::fs_minimize(
-            f, core::DiagramKind::kBdd,
-            policy(threads, pipeline, par::PruneMode::kBounds));
-        ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
-            << "n=" << n << " threads=" << threads
-            << " pipeline=" << pipeline;
-        ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
-            << "n=" << n << " threads=" << threads
-            << " pipeline=" << pipeline;
-        expect_consistent_ledger(pruned.ops.prune);
-      }
+      const core::MinimizeResult pruned = core::fs_minimize(
+          f, core::DiagramKind::kBdd,
+          policy(threads, par::PruneMode::kBounds));
+      ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
+          << "n=" << n << " threads=" << threads;
+      ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
+          << "n=" << n << " threads=" << threads;
+      expect_consistent_ledger(pruned.ops.prune);
     }
   }
 }
@@ -133,7 +129,7 @@ TEST(FsPruneDifferential, ZddKindMatchesDense) {
   for (const int threads : {1, 4}) {
     const core::MinimizeResult pruned = core::fs_minimize(
         f, core::DiagramKind::kZdd,
-        policy(threads, true, par::PruneMode::kBounds));
+        policy(threads, par::PruneMode::kBounds));
     EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
     EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
   }
@@ -149,7 +145,7 @@ TEST(FsPruneDifferential, TightUpperBoundKeepsTheOptimum) {
     for (const int threads : {1, 4}) {
       const core::MinimizeResult pruned = core::fs_minimize(
           f, core::DiagramKind::kBdd,
-          policy(threads, true, par::PruneMode::kBounds),
+          policy(threads, par::PruneMode::kBounds),
           dense.min_internal_nodes);
       EXPECT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes);
       EXPECT_EQ(pruned.order_root_first, dense.order_root_first);
@@ -167,7 +163,7 @@ TEST(FsPruneLedger, CountsCoverTheSubsetLatticeAndBoundIsExact) {
   core::OpCounter ops;
   const core::FsStarResult r = core::fs_star(
       core::initial_table(f), util::full_mask(n), n, core::DiagramKind::kBdd,
-      &ops, policy(1, true, par::PruneMode::kBounds));
+      &ops, policy(1, par::PruneMode::kBounds));
   expect_consistent_ledger(r.prune);
   // Enumerated states cover every non-empty subset of the lattice.
   std::uint64_t lattice = 0;
@@ -182,18 +178,42 @@ TEST(FsPruneLedger, CountsCoverTheSubsetLatticeAndBoundIsExact) {
   EXPECT_GE(r.prune.upper_bound, r.certified_lower_bound);
 }
 
+// A dense run is the engine's unpruned case: serially and fanned out
+// (n = 7 clears the small-n serial fallback at 4 threads), it leaves the
+// prune ledger and the certified bound at zero.
 TEST(FsPruneLedger, DenseModeLeavesLedgerUntouched) {
   util::Xoshiro256 rng(0xd00d);
-  const tt::TruthTable f = tt::random_function(6, rng);
-  const core::MinimizeResult dense = core::fs_minimize(f);
-  EXPECT_EQ(dense.ops.prune.states_enumerated(), 0u);
-  EXPECT_EQ(dense.ops.prune.upper_bound, 0u);
-  // kOff is the default: an explicit kOff policy is the same engine.
-  const core::MinimizeResult off = core::fs_minimize(
-      f, core::DiagramKind::kBdd, policy(1, true, par::PruneMode::kOff));
-  EXPECT_EQ(off.min_internal_nodes, dense.min_internal_nodes);
-  EXPECT_EQ(off.order_root_first, dense.order_root_first);
-  EXPECT_EQ(off.ops.table_cells, dense.ops.table_cells);
+  for (const int n : {6, 7}) {
+    const tt::TruthTable f = tt::random_function(n, rng);
+    const core::MinimizeResult serial = core::fs_minimize(f);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      const par::SchedStats before = par::sched_stats();
+      const core::MinimizeResult dense =
+          core::fs_minimize(f, core::DiagramKind::kBdd, policy(threads));
+      if (n == 7 && threads == 4) {
+        EXPECT_GT((par::sched_stats() - before).graphs, 0u);
+      }
+      EXPECT_EQ(dense.ops.prune.states_enumerated(), 0u);
+      EXPECT_EQ(dense.ops.prune.upper_bound, 0u);
+      EXPECT_EQ(dense.ops.prune.dense_cells, 0u);
+      EXPECT_EQ(dense.ops.prune.sparse_cells, 0u);
+      EXPECT_EQ(dense.ops.table_cells, serial.ops.table_cells);
+      const core::FsStarResult r = core::fs_star(
+          core::initial_table(f), util::full_mask(n), n,
+          core::DiagramKind::kBdd, nullptr, policy(threads));
+      EXPECT_EQ(r.certified_lower_bound, 0u);
+      EXPECT_EQ(r.prune.states_enumerated(), 0u);
+      // kOff is the default: an explicit kOff policy is the same run.
+      const core::MinimizeResult off = core::fs_minimize(
+          f, core::DiagramKind::kBdd,
+          policy(threads, par::PruneMode::kOff));
+      EXPECT_EQ(off.min_internal_nodes, serial.min_internal_nodes);
+      EXPECT_EQ(off.order_root_first, serial.order_root_first);
+      EXPECT_EQ(off.ops.table_cells, serial.ops.table_cells);
+    }
+  }
 }
 
 // Stop-early runs must keep the dense all-subsets contract even when the
@@ -205,7 +225,7 @@ TEST(FsPruneLedger, StopEarlyRunsIgnoreThePruneFlag) {
   for (int k = 1; k < 5; ++k) {
     const core::FsStarResult r =
         core::fs_star(core::initial_table(f), all, k, core::DiagramKind::kBdd,
-                      nullptr, policy(1, true, par::PruneMode::kBounds));
+                      nullptr, policy(1, par::PruneMode::kBounds));
     EXPECT_EQ(r.tables.size(), util::binomial_u64(5, k)) << "k=" << k;
     EXPECT_EQ(r.prune.states_enumerated(), 0u) << "k=" << k;
   }
@@ -214,7 +234,8 @@ TEST(FsPruneLedger, StopEarlyRunsIgnoreThePruneFlag) {
 // --------------------------------------------------- fallback and routing --
 
 // Below the serial-fallback work threshold a threads=4 run must not
-// touch the scheduler at all: zero graphs, zero chunks.
+// touch the scheduler at all: zero graphs, zero chunks.  Above it, each
+// layer with more than one state is one parallel region.
 TEST(FsPruneRouting, SmallInstancesFallBackToSerial) {
   util::Xoshiro256 rng(0xfa11);
   const tt::TruthTable small = tt::random_function(6, rng);
@@ -226,24 +247,24 @@ TEST(FsPruneRouting, SmallInstancesFallBackToSerial) {
   EXPECT_EQ(delta.chunks, 0u);
   EXPECT_EQ(r.min_internal_nodes, core::fs_minimize(small).min_internal_nodes);
 
-  // One variable more clears the threshold: the pipelined engine runs
-  // the whole DP as one graph.
+  // One variable more clears the threshold: layers 1..6 of the n = 7 DP
+  // (7, 21, 35, 35, 21, 7 states) fan out, one region each; layer 7's
+  // single state runs inline.
   const tt::TruthTable big = tt::random_function(7, rng);
   const par::SchedStats before2 = par::sched_stats();
   core::fs_minimize(big, core::DiagramKind::kBdd, policy(4));
   const par::SchedStats delta2 = par::sched_stats() - before2;
-  EXPECT_EQ(delta2.graphs, 1u);
+  EXPECT_EQ(delta2.graphs, 6u);
   EXPECT_GT(delta2.chunks, 0u);
 }
 
-// A pruned run under deterministic budget limits must take the barrier
-// engine (one parallel_for graph per fanned-out layer) even when the
-// policy asks to pipeline; without such limits it pipelines as one
-// graph.
+// A pruned run under deterministic budget limits runs the same engine as
+// an ungoverned one: the same result and the same parallel regions, one
+// per fanned-out layer.
 TEST(FsPruneRouting, DeterministicLimitsForceTheBarrierEngine) {
   util::Xoshiro256 rng(0xbead);
   const tt::TruthTable f = tt::random_function(7, rng);
-  const par::ExecPolicy exec = policy(4, true, par::PruneMode::kBounds);
+  const par::ExecPolicy exec = policy(4, par::PruneMode::kBounds);
 
   const par::SchedStats before = par::sched_stats();
   core::OpCounter ops;
@@ -252,19 +273,24 @@ TEST(FsPruneRouting, DeterministicLimitsForceTheBarrierEngine) {
       core::fs_star(core::initial_table(f), util::full_mask(7), 7,
                     core::DiagramKind::kBdd, &ops, exec, &roomy);
   const par::SchedStats delta = par::sched_stats() - before;
-  EXPECT_GT(delta.graphs, 1u);  // one region per parallel layer
+  EXPECT_GT(delta.graphs, 1u);  // one region per fanned-out layer
 
   const par::SchedStats before2 = par::sched_stats();
+  core::OpCounter free_ops;
   const core::FsStarResult free_run =
       core::fs_star(core::initial_table(f), util::full_mask(7), 7,
-                    core::DiagramKind::kBdd, nullptr, exec);
+                    core::DiagramKind::kBdd, &free_ops, exec);
   const par::SchedStats delta2 = par::sched_stats() - before2;
-  EXPECT_EQ(delta2.graphs, 1u);  // the whole DP is one task graph
+  EXPECT_EQ(delta2.graphs, delta.graphs);
 
   EXPECT_EQ(governed.tables.at(util::full_mask(7)).mincost(),
             free_run.tables.at(util::full_mask(7)).mincost());
   EXPECT_EQ(core::reconstruct_block_order(governed, util::full_mask(7)),
             core::reconstruct_block_order(free_run, util::full_mask(7)));
+  EXPECT_EQ(governed.best_last, free_run.best_last);
+  EXPECT_EQ(governed.certified_lower_bound, free_run.certified_lower_bound);
+  EXPECT_EQ(ops.table_cells, free_ops.table_cells);
+  EXPECT_EQ(ops.prune.states_surviving, free_ops.prune.states_surviving);
 }
 
 // ------------------------------------------------------- governed pruning --
@@ -279,7 +305,7 @@ TEST(FsPruneGoverned, WorkLimitTripIsThreadCountInvariant) {
   rt::Budget b;
   b.work_limit = 30000;  // trips a few layers into the n=9 pruned DP
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(1, true, par::PruneMode::kBounds);
+  opt.exec = policy(1, par::PruneMode::kBounds);
 
   const auto reference = reorder::minimize_auto(f, b, opt);
   EXPECT_EQ(reference.outcome, rt::Outcome::kDeadline);
@@ -290,7 +316,7 @@ TEST(FsPruneGoverned, WorkLimitTripIsThreadCountInvariant) {
 
   for (const int threads : {2, 4, 8}) {
     reorder::AutoMinimizeOptions t_opt;
-    t_opt.exec = policy(threads, true, par::PruneMode::kBounds);
+    t_opt.exec = policy(threads, par::PruneMode::kBounds);
     const auto r = reorder::minimize_auto(f, b, t_opt);
     EXPECT_EQ(r.outcome, reference.outcome) << "threads=" << threads;
     EXPECT_EQ(r.value.order_root_first, reference.value.order_root_first)
@@ -315,7 +341,7 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
   const tt::TruthTable f = tt::random_function(8, rng);
   const std::uint64_t optimal = core::fs_minimize(f).min_internal_nodes;
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(4, true, par::PruneMode::kBounds);
+  opt.exec = policy(4, par::PruneMode::kBounds);
   const auto r = reorder::minimize_auto(f, rt::Budget{}, opt);
   EXPECT_EQ(r.outcome, rt::Outcome::kComplete);
   EXPECT_TRUE(r.value.optimal);
@@ -327,7 +353,7 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
 
 // ---------------------------------------------------------------- faults --
 
-// Cancellation mid-DP on the pruned pipelined path: the DAG drains, the
+// Cancellation mid-DP on the pruned path: the region drains, the
 // ladder salvages a valid order, the prune ledger stays consistent, and
 // the interrupted run still reports a certified lower bound.
 TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
@@ -343,7 +369,7 @@ TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
   rt::Budget b;
   b.cancel = &token;
   reorder::AutoMinimizeOptions opt;
-  opt.exec = policy(4, true, par::PruneMode::kBounds);
+  opt.exec = policy(4, par::PruneMode::kBounds);
   opt.prune_seed = "none";  // keep every checkpoint inside the DP
   const auto r = reorder::minimize_auto(f, b, opt);
   EXPECT_EQ(r.outcome, rt::Outcome::kCancelled);
@@ -358,14 +384,14 @@ TEST(FsPruneFaults, CancelMidDagKeepsLedgerAndBoundConsistent) {
   EXPECT_GE(scoped.checkpoints_seen(), 100u);
 }
 
-// Allocation faults injected under the pruned pipelined DP: the
-// bad_alloc drains the DAG, propagates exactly once, and a rerun with
+// Allocation faults injected under the pruned 4-thread DP: the
+// bad_alloc drains the region, propagates exactly once, and a rerun with
 // the plan gone is bit-identical to the dense serial reference.
 TEST(FsPruneFaults, AllocFaultDrainsAndLeavesNoCorruption) {
   util::Xoshiro256 rng(0xa110c);
   const tt::TruthTable f = tt::random_function(8, rng);
   const core::MinimizeResult serial = core::fs_minimize(f);
-  const par::ExecPolicy exec = policy(4, true, par::PruneMode::kBounds);
+  const par::ExecPolicy exec = policy(4, par::PruneMode::kBounds);
 
   std::uint64_t events = 0;
   {

@@ -11,6 +11,7 @@
 #include "bdd/manager.hpp"
 #include "core/fs_star.hpp"
 #include "core/minimize.hpp"
+#include "parallel/exec_policy.hpp"
 #include "quantum/analysis.hpp"
 #include "quantum/min_find.hpp"
 #include "quantum/opt_obdd.hpp"
@@ -24,6 +25,12 @@
 
 namespace ovo {
 namespace {
+
+par::ExecPolicy exec_threads(int threads) {
+  par::ExecPolicy exec;
+  exec.num_threads = threads;
+  return exec;
+}
 
 // Theorem 1 / Theorem 13: minimum OBDD + ordering, valid output even under
 // minimum-finder failure.
@@ -110,9 +117,16 @@ TEST(PaperClaims, Lemma4Recurrence) {
 TEST(PaperClaims, Theorem5OperationCount) {
   util::Xoshiro256 rng(5);
   for (int n = 3; n <= 8; ++n) {
-    const auto r = core::fs_minimize(tt::random_function(n, rng));
-    EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.table_cells),
-                     quantum::fs_total_cells(n));
+    const tt::TruthTable f = tt::random_function(n, rng);
+    // threads = 4 fans the layers out from n = 7 on (below that the
+    // small-n serial fallback applies); the count is the same.
+    for (const int threads : {1, 4}) {
+      const auto r =
+          core::fs_minimize(f, core::DiagramKind::kBdd, exec_threads(threads));
+      EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.table_cells),
+                       quantum::fs_total_cells(n))
+          << "n=" << n << " threads=" << threads;
+    }
   }
 }
 
@@ -206,13 +220,18 @@ TEST(PaperClaims, Theorem13TowerConstant) {
 // Remark 1: space of the same order as time.
 TEST(PaperClaims, Remark1SpaceOrder) {
   util::Xoshiro256 rng(11);
-  const auto r = core::fs_minimize(tt::random_function(8, rng));
-  EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.peak_cells),
-                   quantum::fs_peak_cells(8));
-  // Both time and space are within a polynomial factor of 3^n.
-  const double three_n = std::pow(3.0, 8);
-  EXPECT_LE(static_cast<double>(r.ops.peak_cells), 8 * three_n);
-  EXPECT_GE(static_cast<double>(r.ops.peak_cells), three_n / 8);
+  const tt::TruthTable f = tt::random_function(8, rng);
+  for (const int threads : {1, 4}) {
+    const auto r =
+        core::fs_minimize(f, core::DiagramKind::kBdd, exec_threads(threads));
+    EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.peak_cells),
+                     quantum::fs_peak_cells(8))
+        << "threads=" << threads;
+    // Both time and space are within a polynomial factor of 3^n.
+    const double three_n = std::pow(3.0, 8);
+    EXPECT_LE(static_cast<double>(r.ops.peak_cells), 8 * three_n);
+    EXPECT_GE(static_cast<double>(r.ops.peak_cells), three_n / 8);
+  }
 }
 
 // Remark 2: multi-valued (MTBDD) and ZDD variants minimize exactly.

@@ -1,5 +1,5 @@
 // Determinism suite for the ovo::par layer and everything built on it:
-// the thread pool primitives themselves, the rank-indexed Friedman–Supowit
+// the thread pool primitives themselves, the colex-ordered Friedman–Supowit
 // DP, the baseline searches, branch and bound, and the statevector sweeps.
 // The contract under test: for integer-valued results, every thread count
 // produces exactly the serial answer (including merged OpCounter totals);
@@ -37,15 +37,6 @@ namespace {
 par::ExecPolicy policy(int threads) {
   par::ExecPolicy exec;
   exec.num_threads = threads;
-  return exec;
-}
-
-// The PR 2 per-layer barrier engine, kept as the A/B reference: the
-// determinism contract requires it to match the pipelined default
-// bit-for-bit at every thread count.
-par::ExecPolicy barrier_policy(int threads) {
-  par::ExecPolicy exec = policy(threads);
-  exec.pipeline = false;
   return exec;
 }
 
@@ -169,9 +160,6 @@ TEST(FsDeterminism, BddIdenticalAcrossThreadCountsUpToN13) {
       const core::MinimizeResult par_r =
           core::fs_minimize(f, core::DiagramKind::kBdd, policy(threads));
       expect_same_minimize(serial, par_r, threads);
-      const core::MinimizeResult barrier_r = core::fs_minimize(
-          f, core::DiagramKind::kBdd, barrier_policy(threads));
-      expect_same_minimize(serial, barrier_r, threads);
     }
   }
 }
@@ -183,8 +171,6 @@ TEST(FsDeterminism, ZddIdenticalAcrossThreadCounts) {
   for (const int threads : {2, 4, 8}) {
     expect_same_minimize(serial, core::fs_minimize_zdd(f, policy(threads)),
                          threads);
-    expect_same_minimize(
-        serial, core::fs_minimize_zdd(f, barrier_policy(threads)), threads);
   }
 }
 
@@ -197,9 +183,6 @@ TEST(FsDeterminism, MtbddIdenticalAcrossThreadCounts) {
   for (const int threads : {2, 4, 8}) {
     expect_same_minimize(
         serial, core::fs_minimize_mtbdd(values, n, policy(threads)), threads);
-    expect_same_minimize(
-        serial, core::fs_minimize_mtbdd(values, n, barrier_policy(threads)),
-        threads);
   }
 }
 
@@ -218,8 +201,7 @@ TEST(FsDeterminism, SharedDiagramIdenticalAcrossThreadCounts) {
 }
 
 // The stop-early form returns one table per k-subset; every cell of every
-// table (and every back-pointer) must be bit-identical to the serial run,
-// for the pipelined default AND the pipeline=false barrier engine.
+// table (and every back-pointer) must be bit-identical to the serial run.
 TEST(FsDeterminism, FsStarLayerTablesBitIdentical) {
   util::Xoshiro256 rng(4242);
   const tt::TruthTable f = tt::random_function(9, rng);
@@ -227,12 +209,11 @@ TEST(FsDeterminism, FsStarLayerTablesBitIdentical) {
   const util::Mask J = util::full_mask(9);
   const core::FsStarResult serial =
       core::fs_star(base, J, /*stop_k=*/5, core::DiagramKind::kBdd);
-  const auto expect_same = [&](const core::FsStarResult& par_r, int threads,
-                               const char* engine) {
-    EXPECT_EQ(par_r.best_last, serial.best_last)
-        << engine << " threads=" << threads;
-    EXPECT_EQ(par_r.mincost, serial.mincost)
-        << engine << " threads=" << threads;
+  for (const int threads : {2, 4, 8}) {
+    const core::FsStarResult par_r = core::fs_star(
+        base, J, 5, core::DiagramKind::kBdd, nullptr, policy(threads));
+    EXPECT_EQ(par_r.best_last, serial.best_last) << "threads=" << threads;
+    EXPECT_EQ(par_r.mincost, serial.mincost) << "threads=" << threads;
     ASSERT_EQ(par_r.tables.size(), serial.tables.size());
     for (const auto& [mask, table] : serial.tables) {
       const auto it = par_r.tables.find(mask);
@@ -241,14 +222,6 @@ TEST(FsDeterminism, FsStarLayerTablesBitIdentical) {
       EXPECT_EQ(it->second.next_id, table.next_id);
       EXPECT_EQ(it->second.vars, table.vars);
     }
-  };
-  for (const int threads : {2, 4, 8}) {
-    expect_same(core::fs_star(base, J, 5, core::DiagramKind::kBdd, nullptr,
-                              policy(threads)),
-                threads, "pipelined");
-    expect_same(core::fs_star(base, J, 5, core::DiagramKind::kBdd, nullptr,
-                              barrier_policy(threads)),
-                threads, "barrier");
   }
 }
 

@@ -4,10 +4,9 @@
 // pre-assigned-slot publish protocol makes results thread-count
 // invariant, fences see their whole epoch and serialize, tasks added
 // after a fence pipeline past it, exceptions and mid-DAG stops drain the
-// graph without deadlock, nested runs execute inline, and the pipelined
-// FS* DP built on all of this survives cancellation and allocation
-// faults injected mid-flight (run under the asan/tsan presets by
-// tools/ci.sh).
+// graph without deadlock, nested runs execute inline, and the FS* DP
+// built on all of this survives cancellation and allocation faults
+// injected mid-flight (run under the asan/tsan presets by tools/ci.sh).
 
 #include <gtest/gtest.h>
 
@@ -213,7 +212,7 @@ TEST(TaskGraph, PreTrippedStopRunsNothing) {
 // A stop tripped mid-DAG drains: run() returns, in-flight chunks finish,
 // and every fence that DID run observed its complete epoch — the
 // "partial layers are discarded, completed fences are trustworthy"
-// contract the pipelined DP relies on.
+// contract a layered DP relies on.
 TEST(TaskGraph, MidDagStopDrainsToAConsistentFenceFrontier) {
   for (const int threads : {1, 2, 4}) {
     for (int round = 0; round < 10; ++round) {
@@ -275,12 +274,12 @@ TEST(TaskGraph, NestedRunInsideAGraphRegionExecutesInline) {
   EXPECT_EQ(inner_total.load(), 160);
 }
 
-// ------------------------------------- faults under the pipelined FS* --
+// ----------------------------------------------- faults under the FS* --
 
-// Cancellation tripped at a governor checkpoint *inside* the pipelined
-// DP's task bodies: the DAG drains, the ladder salvages, and the result
-// is a valid order with its exact size and Outcome::kCancelled.
-TEST(PipelinedDpFaults, CancelMidDagSalvagesAConsistentOutcome) {
+// Cancellation tripped at a governor checkpoint *inside* a 4-thread DP
+// layer's task bodies: the region drains, the ladder salvages, and the
+// result is a valid order with its exact size and Outcome::kCancelled.
+TEST(FsDpFaults, CancelMidDagSalvagesAConsistentOutcome) {
   const tt::TruthTable f = tt::hidden_weighted_bit(10);
   rt::CancelToken token;
   rt::FaultPlan plan;
@@ -303,11 +302,11 @@ TEST(PipelinedDpFaults, CancelMidDagSalvagesAConsistentOutcome) {
   EXPECT_GE(scoped.checkpoints_seen(), 100u);
 }
 
-// ds-layer allocation faults injected under the pipelined DP: the
-// bad_alloc thrown inside a task body must drain the DAG, propagate
+// ds-layer allocation faults injected under the 4-thread DP: the
+// bad_alloc thrown inside a task body must drain the region, propagate
 // exactly once, corrupt nothing (the rerun matches serial), and leak
 // nothing under the asan preset.
-TEST(PipelinedDpFaults, AllocFaultDrainsAndLeavesNoCorruption) {
+TEST(FsDpFaults, AllocFaultDrainsAndLeavesNoCorruption) {
   util::Xoshiro256 rng(4242);
   const tt::TruthTable f = tt::random_function(8, rng);
   const core::MinimizeResult serial = core::fs_minimize(f);
@@ -336,7 +335,7 @@ TEST(PipelinedDpFaults, AllocFaultDrainsAndLeavesNoCorruption) {
     }
   }
 
-  // With the plan gone, the same pipelined run succeeds bit-identically.
+  // With the plan gone, the same 4-thread run succeeds bit-identically.
   const core::MinimizeResult again =
       core::fs_minimize(f, core::DiagramKind::kBdd, policy(4));
   EXPECT_EQ(again.min_internal_nodes, serial.min_internal_nodes);

@@ -172,7 +172,7 @@ TEST(Combinatorics, BinomialTableMatchesBinomialU64) {
           << "n=" << n << " k=" << k;
 }
 
-// The property the rank-indexed DP layers rely on: Gosper enumeration of
+// The property the colex-ordered DP layers rely on: Gosper enumeration of
 // k-subsets visits exactly ranks 0, 1, 2, ... (colex order), and the
 // table-driven rank/unrank agree with combination_rank/unrank on every
 // subset of every size, n <= 16.

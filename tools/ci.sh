@@ -3,12 +3,12 @@
 #
 #   1. tools/verify.sh (full): tier-1 tests on the default preset, then
 #      the whole suite again under ASan+UBSan and under TSan (the
-#      task-graph scheduler and the pipelined FS* DP are exercised by
-#      task_graph_test / parallel_determinism_test / parallel_cancel_test
-#      on every preset), plus the README strategy-table drift check —
-#      the registry is the source of truth and drift fails the gate —
-#      plus the -DOVO_TRACE=OFF build's nm check that the span macros
-#      compile out of the CLI entirely.
+#      task-graph scheduler and the FS* DP's per-layer parallel regions
+#      are exercised by task_graph_test / parallel_determinism_test /
+#      parallel_cancel_test on every preset), plus the README
+#      strategy-table drift check — the registry is the source of truth
+#      and drift fails the gate — plus the -DOVO_TRACE=OFF build's nm
+#      check that the span macros compile out of the CLI entirely.
 #   2. tools/verify.sh --quick: a governed smoke run of both scaling
 #      benches (the FS bench under --prune bounds), asserting the JSON
 #      rows carry the unified oracle ledger, the ovo::par scheduler
@@ -17,9 +17,11 @@
 #      guard against the dense default, plus the checkpoint round-trip
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
-#      `ovo order --trace` Chrome trace-event smoke, plus the fuzz
-#      frontier smoke (each OVO_FUZZ target: fixed-seed random inputs +
-#      regression-corpus replay) and the trimmed CLI chaos sweep
+#      typed-CLI-error block (malformed formulas, bad numeric flag values
+#      and a missing input file exit 1 or 2, never with internal-check
+#      text), plus the `ovo order --trace` Chrome trace-event smoke, plus
+#      the fuzz frontier smoke (each OVO_FUZZ target: fixed-seed random
+#      inputs + regression-corpus replay) and the trimmed CLI chaos sweep
 #      (tools/chaos.sh --quick: fault-injected runs must exit with typed
 #      codes, leak no temp file, and resume byte-identically).  The full
 #      chaos grid runs at the end of step 1's full sweep.

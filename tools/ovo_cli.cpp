@@ -47,7 +47,9 @@
 // dispatch event independently with probability P, reproducibly for a
 // given seed.  Exit codes: 0 success, 1 error, 2 usage, 3 checkpoint
 // error, 4 injected fault (std::bad_alloc / rt::FaultInjected), 130
-// second signal.
+// second signal.  Numeric flag values must be whole, in-range strings of
+// digits ("-5", "4x", "abc" are usage errors naming the flag), and an
+// input that cannot be read or parsed is a typed error (exit 1).
 //
 // <input> is one of:
 //   - a path ending in .pla  (Berkeley PLA; first output used unless
@@ -57,7 +59,9 @@
 //     e.g.  ovo order "x1 & x2 | x3 & x4"
 
 #include <atomic>
+#include <charconv>
 #include <cinttypes>
+#include <climits>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
@@ -68,6 +72,7 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -91,7 +96,7 @@
 #include "tt/blif.hpp"
 #include "tt/expr.hpp"
 #include "tt/pla.hpp"
-#include "util/check.hpp"
+#include "util/combinatorics.hpp"
 
 namespace {
 
@@ -112,6 +117,17 @@ void on_signal(int) {
   g_interrupt.cancel();
 }
 
+/// A malformed command line (bad flag value, missing argument): main()
+/// prints the message and the usage text and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// An input the CLI cannot read: main() prints the message and exits 1.
+struct InputError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct LoadedInput {
   std::vector<tt::TruthTable> outputs;  ///< one per output
   std::string description;
@@ -124,7 +140,7 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
-  OVO_CHECK_MSG(in.good(), "cannot open '" + path + "'");
+  if (!in.good()) throw InputError("cannot open '" + path + "'");
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
@@ -151,7 +167,7 @@ LoadedInput load_input(const std::string& spec) {
     out.description =
         "formula on " + std::to_string(n) + " variables";
   }
-  OVO_CHECK_MSG(!out.outputs.empty(), "input has no outputs");
+  if (out.outputs.empty()) throw InputError("input has no outputs");
   return out;
 }
 
@@ -161,22 +177,33 @@ void print_order(const std::vector<int>& order) {
   std::printf("\n");
 }
 
+/// Parses `value` as a whole string of decimal digits in [lo, hi]: no
+/// sign, no whitespace, no trailing junk, no wrap-around.  Anything else
+/// is a UsageError naming `flag`.
+std::uint64_t parse_u64_flag(const char* flag, const std::string& value,
+                             std::uint64_t lo = 0,
+                             std::uint64_t hi = UINT64_MAX) {
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec == std::errc{} && ptr == end && v >= lo && v <= hi) return v;
+  throw UsageError(std::string(flag) + ": expected an integer from " +
+                   std::to_string(lo) + " to " + std::to_string(hi) +
+                   ", got '" + value + "'");
+}
+
+/// As parse_u64_flag, for flags stored in an int.
+int parse_int_flag(const char* flag, const std::string& value, int lo) {
+  return static_cast<int>(parse_u64_flag(
+      flag, value, static_cast<std::uint64_t>(lo), INT_MAX));
+}
+
 /// --threads N: 0 = auto (OVO_THREADS env or hardware concurrency);
 /// default 1 (serial).
 par::ExecPolicy parse_threads(const std::string& value) {
   par::ExecPolicy exec;
-  exec.num_threads = std::stoi(value);
-  OVO_CHECK_MSG(exec.num_threads >= 0, "--threads: must be >= 0");
+  exec.num_threads = parse_int_flag("--threads", value, 0);
   return exec;
-}
-
-std::uint64_t parse_u64_flag(const char* flag, const std::string& value) {
-  try {
-    return std::stoull(value);
-  } catch (const std::exception&) {
-    OVO_CHECK_MSG(false, std::string(flag) + ": not a number: " + value);
-    __builtin_unreachable();
-  }
 }
 
 void appendf(std::string& s, const char* fmt, ...) {
@@ -266,7 +293,7 @@ int cmd_order(const std::vector<std::string>& args) {
   std::string trace_path;
   std::string checkpoint_path;
   std::string resume_path;
-  std::uint64_t checkpoint_every = 1;
+  int checkpoint_every = 1;
   std::uint64_t fault_cancel_at = 0;
   rt::FaultSchedule fault_schedule;
   bool fault_requested = false;
@@ -305,8 +332,9 @@ int cmd_order(const std::vector<std::string>& args) {
     } else if (args[i] == "--node-limit" && i + 1 < args.size()) {
       budget.node_limit = parse_u64_flag("--node-limit", args[++i]);
     } else if (args[i] == "--mem-limit-mb" && i + 1 < args.size()) {
-      budget.bytes_limit =
-          parse_u64_flag("--mem-limit-mb", args[++i]) * 1024 * 1024;
+      budget.bytes_limit = parse_u64_flag("--mem-limit-mb", args[++i], 0,
+                                          UINT64_MAX >> 20)
+                           << 20;
     } else if (args[i] == "--work-limit" && i + 1 < args.size()) {
       budget.work_limit = parse_u64_flag("--work-limit", args[++i]);
     } else if (args[i] == "--json-out" && i + 1 < args.size()) {
@@ -316,8 +344,7 @@ int cmd_order(const std::vector<std::string>& args) {
     } else if (args[i] == "--checkpoint" && i + 1 < args.size()) {
       checkpoint_path = args[++i];
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
-      checkpoint_every = parse_u64_flag("--checkpoint-every", args[++i]);
-      OVO_CHECK_MSG(checkpoint_every > 0, "--checkpoint-every: must be > 0");
+      checkpoint_every = parse_int_flag("--checkpoint-every", args[++i], 1);
     } else if (args[i] == "--resume" && i + 1 < args.size()) {
       resume_path = args[++i];
     } else if (args[i] == "--fault-cancel-at" && i + 1 < args.size()) {
@@ -344,10 +371,15 @@ int cmd_order(const std::vector<std::string>& args) {
           site, parse_u64_flag("--fault-fileop", spec.substr(colon + 1)));
       fault_requested = true;
     } else if (args[i] == "--fault-prob" && i + 1 < args.size()) {
-      fault_schedule.probability = std::atof(args[++i].c_str());
-      OVO_CHECK_MSG(fault_schedule.probability >= 0.0 &&
-                        fault_schedule.probability <= 1.0,
-                    "--fault-prob: expected a probability in [0, 1]");
+      const std::string& value = args[++i];
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(
+          value.data(), end, fault_schedule.probability);
+      if (ec != std::errc{} || ptr != end ||
+          !(fault_schedule.probability >= 0.0 &&
+            fault_schedule.probability <= 1.0))
+        throw UsageError("--fault-prob: expected a probability in [0, 1], "
+                         "got '" + value + "'");
       // Probabilistic chaos targets the I/O and dispatch sites; the
       // allocation and poll sites have dedicated deterministic flags.
       fault_schedule.prob_mask =
@@ -362,11 +394,13 @@ int cmd_order(const std::vector<std::string>& args) {
       fault_requested = true;
     } else if (args[i] == "--fault-seed" && i + 1 < args.size()) {
       fault_schedule.seed = parse_u64_flag("--fault-seed", args[++i]);
+    } else if (args[i].rfind("--", 0) == 0) {
+      throw UsageError("order: unknown flag or missing value: " + args[i]);
     } else {
       input = args[i];
     }
   }
-  OVO_CHECK_MSG(!input.empty(), "order: missing input");
+  if (input.empty()) throw UsageError("order: missing input");
   exec.prune = prune;  // after the loop: --threads rebuilds ExecPolicy
 
   // --trace: start span collection now so strategy setup (seeding, base
@@ -485,7 +519,7 @@ int cmd_order(const std::vector<std::string>& args) {
   sopt.kind = kind;
   sopt.prune_seed = prune_seed;
   sopt.ckpt.path = checkpoint_path;
-  sopt.ckpt.every = static_cast<int>(checkpoint_every);
+  sopt.ckpt.every = checkpoint_every;
   if (!resume_path.empty()) sopt.ckpt.resume = &snapshot;
   const reorder::StrategyResult r = strategy->run(f, sopt, ctx);
   const std::string outcome = rt::outcome_name(r.outcome);
@@ -521,14 +555,19 @@ int cmd_size(const std::vector<std::string>& args) {
       input = args[i];
     }
   }
-  OVO_CHECK_MSG(!input.empty() && !order_spec.empty(),
-                "size: need --order and an input");
+  if (input.empty() || order_spec.empty())
+    throw UsageError("size: need --order and an input");
   const LoadedInput loaded = load_input(input);
   std::vector<int> order;
   std::stringstream ss(order_spec);
   std::string item;
+  // The CLI is 1-based like formulas.
   while (std::getline(ss, item, ','))
-    order.push_back(std::stoi(item) - 1);  // CLI is 1-based like formulas
+    order.push_back(parse_int_flag("--order", item, 1) - 1);
+  const int n = loaded.outputs.front().num_vars();
+  if (static_cast<int>(order.size()) != n || !util::is_permutation(order))
+    throw UsageError("--order: expected a permutation of 1.." +
+                     std::to_string(n) + ", got '" + order_spec + "'");
   const std::uint64_t s =
       core::diagram_size_for_order(loaded.outputs.front(), order, kind);
   std::printf("%" PRIu64 " internal nodes\n", s);
@@ -545,7 +584,7 @@ int cmd_compare(const std::vector<std::string>& args) {
       input = args[i];
     }
   }
-  OVO_CHECK_MSG(!input.empty(), "compare: missing input");
+  if (input.empty()) throw UsageError("compare: missing input");
   const LoadedInput loaded = load_input(input);
   const tt::TruthTable& f = loaded.outputs.front();
   std::printf("input: %s\n\n", loaded.description.c_str());
@@ -570,9 +609,10 @@ int cmd_compare(const std::vector<std::string>& args) {
 int cmd_tables(const std::vector<std::string>& args) {
   int k = 6, iters = 10;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--k" && i + 1 < args.size()) k = std::stoi(args[++i]);
+    if (args[i] == "--k" && i + 1 < args.size())
+      k = parse_int_flag("--k", args[++i], 1);
     if (args[i] == "--iters" && i + 1 < args.size())
-      iters = std::stoi(args[++i]);
+      iters = parse_int_flag("--iters", args[++i], 1);
   }
   std::printf("Table 1 (gamma_k):\n");
   for (int kk = 1; kk <= k; ++kk) {
@@ -588,7 +628,7 @@ int cmd_tables(const std::vector<std::string>& args) {
 }
 
 int cmd_dot(const std::vector<std::string>& args) {
-  OVO_CHECK_MSG(args.size() == 1, "dot: exactly one input");
+  if (args.size() != 1) throw UsageError("dot: exactly one input");
   const LoadedInput loaded = load_input(args[0]);
   const tt::TruthTable& f = loaded.outputs.front();
   const auto r = core::fs_minimize(f);
@@ -638,6 +678,10 @@ int main(int argc, char** argv) {
     if (cmd == "compare") return cmd_compare(args);
     if (cmd == "tables") return cmd_tables(args);
     if (cmd == "dot") return cmd_dot(args);
+    usage();
+    return 2;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "usage error: %s\n", e.what());
     usage();
     return 2;
   } catch (const rt::CheckpointError& e) {

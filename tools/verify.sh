@@ -19,8 +19,11 @@
 # the two scaling benches so the bench JSON surface is exercised too —
 # the FS bench runs with --prune bounds and its rows must carry the
 # pruning ledger — and a CLI guard that a bound-pruned `ovo order` run
-# returns the identical order and size as the dense default.  Quick mode
-# also smokes `ovo order --trace` (the exported Chrome trace must be
+# returns the identical order and size as the dense default.  It runs
+# malformed formulas, bad numeric flag values, and a missing input file
+# through `ovo order` and checks each exit code and that no
+# internal-check text reaches stderr.  Quick mode also smokes
+# `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence spans and per-thread monotone
 # timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
 # plus corpus replay, and runs the trimmed CLI chaos sweep
@@ -140,6 +143,33 @@ if [[ "${QUICK}" -eq 1 ]]; then
     || rc=$?
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
+  echo "==== quick: typed CLI errors ==============================="
+  # A typo in a formula or a flag value, or a missing input file, is the
+  # user's error: each must exit with its documented code (1 input error,
+  # 2 usage error) and never surface internal-check text.
+  expect_cli_error() {
+    local want="$1" rc=0
+    shift
+    build/tools/ovo order "$@" > /dev/null 2> "${smoke_dir}/cli_err.txt" \
+      || rc=$?
+    if [[ "${rc}" -ne "${want}" ]] ||
+       grep -q 'check failed' "${smoke_dir}/cli_err.txt"; then
+      echo "FAIL: ovo order $* exited ${rc} (want ${want}):" >&2
+      cat "${smoke_dir}/cli_err.txt" >&2
+      exit 1
+    fi
+  }
+  expect_cli_error 1 "x1 & & x2"
+  expect_cli_error 1 "x1 &"
+  expect_cli_error 1 "(x1"
+  expect_cli_error 2 --node-limit -5 "${smoke_fn}"
+  expect_cli_error 2 --timeout-ms -1 "${smoke_fn}"
+  expect_cli_error 2 --checkpoint "${smoke_dir}/bad.ckpt" \
+    --checkpoint-every -1 "${smoke_fn}"
+  expect_cli_error 2 --threads 4x "${smoke_fn}"
+  expect_cli_error 2 --threads abc "${smoke_fn}"
+  expect_cli_error 1 "${smoke_dir}/missing.pla"
+  echo "typed CLI errors: 9 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
