@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
         obs::append_metrics_json(
             row, l,
             {obs::Metric::kSchedTasks, obs::Metric::kSchedChunks,
-             obs::Metric::kSchedReadyHwm, obs::Metric::kSchedBarrierWaitNs});
+             obs::Metric::kSchedBarrierWaitNs});
         obs::append_run_info_json(row, resolved_threads);
         row += "}";
         std::fprintf(out, "%s%s\n", row.c_str(),
@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
       obs::append_metrics_json(
           row, l,
           {obs::Metric::kSchedGraphs, obs::Metric::kSchedTasks,
-           obs::Metric::kSchedReadyHwm, obs::Metric::kSchedBarrierWaitNs});
+           obs::Metric::kSchedBarrierWaitNs});
       appendf(row, ",\"seconds_pruned\":%.6f", pruned_times[i]);
       append_prune_json(row, prune_rows[i]);
       appendf(row, ",\"peak_cells_pruned\":%" PRIu64, pruned_peaks[i]);

@@ -240,9 +240,7 @@ int main(int argc, char** argv) {
           row, l,
           {obs::Metric::kOracleQueries, obs::Metric::kOracleEvals,
            obs::Metric::kOracleMemoHits, obs::Metric::kSchedTasks,
-           obs::Metric::kSchedChunks, obs::Metric::kSchedReadyHwm,
-           obs::Metric::kSchedOverlapTasks, obs::Metric::kSchedOverlapNs,
-           obs::Metric::kSchedBarrierWaitNs});
+           obs::Metric::kSchedChunks, obs::Metric::kSchedBarrierWaitNs});
       obs::append_run_info_json(row, resolved_threads);
       std::fprintf(out, "%s}%s\n", row.c_str(),
                    i + 1 < sim_ns.size() ? "," : "");

@@ -18,9 +18,9 @@
 //
 // The fingerprint binds a snapshot to its instance: a content hash of the
 // base table plus every input that shapes the DP (J, stop layer, diagram
-// kind, prune mode).  Threads and grain are deliberately *not*
+// kind, prune mode).  The thread count is deliberately *not*
 // fingerprinted — the determinism contract makes results identical across
-// them, so resuming under a different execution policy is legal.
+// thread counts, so resuming under a different execution policy is legal.
 // Resuming against a non-matching fingerprint is a typed
 // CheckpointError(kWrongInstance), never silent corruption.
 

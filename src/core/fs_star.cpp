@@ -19,6 +19,10 @@ namespace ovo::core {
 
 namespace {
 
+/// Subsets per work chunk: per-subset work is exponential in the
+/// free-variable count, so a chunk is a single subset.
+constexpr std::uint64_t kGrain = 1;
+
 /// Expands a dense subset of J's bit positions into a variable mask.
 util::Mask spread_mask(util::Mask dense, const std::vector<int>& j_vars) {
   util::Mask K = 0;
@@ -254,8 +258,7 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
 /// visible in wall clock, not barrier stall, and is not charged.
 FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                             int stop_k, DiagramKind kind, OpCounter* ops,
-                            int threads, std::uint64_t grain,
-                            rt::Governor* gov,
+                            int threads, rt::Governor* gov,
                             std::optional<std::uint64_t> ub,
                             const CkptPlan& plan) {
   const bool prune = ub.has_value();
@@ -369,14 +372,14 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     std::vector<std::uint64_t> bound(prune ? cand.size() : 0);
     std::vector<std::uint8_t> keep(cand.size(), prune ? 0 : 1);
 
-    // A layer of <= grain candidates takes parallel_for's serial fast
+    // A layer of <= kGrain candidates takes parallel_for's serial fast
     // path; its epilogue is not a fan-out seam, so it is not charged.
-    const bool fans_out = threads > 1 && cand.size() > grain;
+    const bool fans_out = threads > 1 && cand.size() > kGrain;
     {
       OVO_TRACE_SPAN_ARGS("fs.group", "fs", 0, "layer",
                           static_cast<std::uint64_t>(layer), nullptr, 0);
       pool.parallel_for(
-          0, cand.size(), grain, threads, stop_flag,
+          0, cand.size(), kGrain, threads, stop_flag,
           [&](std::uint64_t i, int slot) {
             if (gov != nullptr) gov->poll();  // cancel/deadline polling
             OpCounter* shard =
@@ -533,9 +536,6 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
   OVO_CHECK_MSG(stop_k >= 0 && stop_k <= j_size, "fs_star: bad stop layer");
 
   int threads = par::ThreadPool::clamp_threads(exec.resolved_threads());
-  // Per-subset work is exponential in the free-variable count, so the
-  // default chunk is a single subset.
-  const std::uint64_t grain = exec.grain != 0 ? exec.grain : 1;
 
   // Small-n serial fallback: when the whole DP's closed-form work is
   // below the fan-out's break-even, or no layer even fills one chunk,
@@ -547,7 +547,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
       if (binom.choose(j_size, k) > widest) widest = binom.choose(j_size, k);
     if (dense_dp_work(j_size, base.cells.size(), stop_k) <
             kSerialFallbackWork ||
-        widest <= grain)
+        widest <= kGrain)
       threads = 1;
   }
 
@@ -593,8 +593,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                     : ascending_chain_bound(base, J, kind, ops));
     plan.prune_ub = *ub;
   }
-  return fs_star_layers(base, J, stop_k, kind, ops, threads, grain, gov, ub,
-                        plan);
+  return fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub, plan);
 }
 
 PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,

@@ -111,7 +111,10 @@ enum class Agg : std::uint8_t {
   X(kOracleMinFindCalls, "oracle.min_find_calls", "min_find_calls", kSum)    \
   X(kOracleMinFindQueries, "oracle.min_find_queries", "min_find_queries",    \
     kSumF64)                                                                 \
-  /* sched: the task-graph scheduler (par::SchedStats) */                    \
+  /* sched: the parallel-region counters (par::SchedStats).  ready_hwm,   */ \
+  /* overlap_tasks, overlap_ns and pruned_chunks have no writer any more, */ \
+  /* but keep their slots: FS snapshot v2 ledgers store positional ids,   */ \
+  /* and rt.work_charged (id 50) follows this block (ids 42-49).          */ \
   X(kSchedGraphs, "sched.graphs", "sched_graphs", kSum)                      \
   X(kSchedTasks, "sched.tasks", "sched_tasks", kSum)                         \
   X(kSchedChunks, "sched.chunks", "sched_chunks", kSum)                      \

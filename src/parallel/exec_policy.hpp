@@ -30,13 +30,6 @@ struct ExecPolicy {
   /// default_threads().
   int num_threads = 1;
 
-  /// Indices per work chunk handed to one thread at a time; 0 lets each
-  /// call site pick its own default (1 for heavyweight per-index work
-  /// like DP subsets, a few thousand for amplitude sweeps).  Reductions
-  /// fold chunk partials in chunk order, so floating-point reduction
-  /// results depend on the grain but not on the thread count.
-  std::uint64_t grain = 0;
-
   /// Ignored: nothing reads it (the FS* DP has one engine, see
   /// fs_star.hpp).  It stays only because callers outside the library
   /// still assign it.
@@ -51,7 +44,7 @@ struct ExecPolicy {
   }
   bool serial() const { return resolved_threads() <= 1; }
 
-  static ExecPolicy auto_detect() { return ExecPolicy{0, 0}; }
+  static ExecPolicy auto_detect() { return ExecPolicy{0}; }
 };
 
 }  // namespace ovo::par

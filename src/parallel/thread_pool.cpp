@@ -1,9 +1,14 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "parallel/task_graph.hpp"
+#include "rt/fault.hpp"
 
 namespace ovo::par {
 
@@ -22,6 +27,74 @@ int default_threads() {
   }();
   return cached;
 }
+
+void charge_barrier_wait(std::uint64_t ns) {
+  obs::Registry::global().record(obs::Metric::kSchedBarrierWaitNs, ns);
+}
+
+/// The process-wide totals ARE the obs registry's sched.* slots — there
+/// is no second accumulator.
+SchedStats sched_stats() {
+  SchedStats s;
+  s.from_ledger(obs::Registry::global().snapshot());
+  return s;
+}
+
+/// One fanned-out region: a chunk cursor over [cursor, end) shared by the
+/// caller (slot 0) and `pending` pool workers.
+struct ThreadPool::Region {
+  Region(std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
+         const std::atomic<bool>* stop, const ChunkBody& body)
+      : end(end), grain(grain), stop(stop), body(body), cursor(begin) {}
+
+  /// Claims and runs chunks until the cursor passes `end` or the region
+  /// halts.  Never throws: the first exception is parked in `error`.
+  void participate(int slot) {
+    in_region() = true;
+    std::uint64_t ran = 0;
+    {
+      OVO_TRACE_SPAN("task", "sched", slot);
+      while (!halted.load(std::memory_order_relaxed)) {
+        if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+          halted.store(true, std::memory_order_relaxed);
+          break;
+        }
+        const std::uint64_t lo =
+            cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (lo >= end) break;
+        const std::uint64_t hi = lo + grain < end ? lo + grain : end;
+        try {
+          // Fault site kTaskDispatch: the injected FaultInjected takes
+          // the same first-exception-wins path as a real chunk failure.
+          rt::fault_dispatch_hook();
+          body(lo, hi, slot);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!error) error = std::current_exception();
+          halted.store(true, std::memory_order_relaxed);
+          break;
+        }
+        ++ran;
+      }
+    }
+    chunks_run.fetch_add(ran, std::memory_order_relaxed);
+    in_region() = false;
+  }
+
+  const std::uint64_t end;
+  const std::uint64_t grain;
+  const std::atomic<bool>* const stop;
+  const ChunkBody& body;
+  std::atomic<std::uint64_t> cursor;
+  std::atomic<std::uint64_t> chunks_run{0};
+  /// Set by the first participant that sees the stop flag or a throw.
+  std::atomic<bool> halted{false};
+
+  std::mutex mu;  ///< guards error and pending
+  std::condition_variable detached;
+  std::exception_ptr error;
+  int pending = 0;  ///< workers that have not detached yet
+};
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool;
@@ -42,7 +115,7 @@ int ThreadPool::workers() const {
   return static_cast<int>(workers_.size());
 }
 
-bool& ThreadPool::in_worker() {
+bool& ThreadPool::in_region() {
   thread_local bool flag = false;
   return flag;
 }
@@ -55,7 +128,6 @@ void ThreadPool::ensure_workers(int count) {
 }
 
 void ThreadPool::worker_main() {
-  in_worker() = true;
   for (;;) {
     Job job;
     {
@@ -65,43 +137,43 @@ void ThreadPool::worker_main() {
       job = queue_.front();
       queue_.pop_front();
     }
-    job.region->participate(job.slot);
-    // Detach from the region while holding its lock: once pending hits
-    // zero the dispatching thread may destroy the region, so do not
-    // touch it after the unlock.
-    {
-      std::lock_guard<std::mutex> lk(job.region->detach_mu_);
-      if (--job.region->pending_ == 0) job.region->detach_cv_.notify_all();
-    }
+    Region& region = *job.region;
+    region.participate(job.slot);
+    // Detach while holding the region's lock: once pending hits zero the
+    // caller may destroy the region, so do not touch it after the unlock.
+    std::lock_guard<std::mutex> lk(region.mu);
+    if (--region.pending == 0) region.detached.notify_all();
   }
 }
 
-void ThreadPool::run_region(RegionBase& region, int extra) {
-  if (extra < 0) extra = 0;
-  if (extra > kMaxThreads - 1) extra = kMaxThreads - 1;
-  ensure_workers(extra);
+void ThreadPool::run_chunked(std::uint64_t begin, std::uint64_t end,
+                             std::uint64_t grain, int threads,
+                             const std::atomic<bool>* stop,
+                             const ChunkBody& body) {
+  const std::uint64_t chunks = (end - begin + grain - 1) / grain;
+  const int wanted = static_cast<int>(
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(threads - 1),
+                              chunks - 1));
+  ensure_workers(wanted);
+  Region region(begin, end, grain, stop, body);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    const int available = static_cast<int>(workers_.size());
-    if (extra > available) extra = available;
-    region.pending_ = extra;
+    const int extra = std::min(wanted, static_cast<int>(workers_.size()));
+    region.pending = extra;
     for (int s = 1; s <= extra; ++s) queue_.push_back(Job{&region, s});
   }
   cv_.notify_all();
   region.participate(0);
   {
-    std::unique_lock<std::mutex> lk(region.detach_mu_);
-    region.detach_cv_.wait(lk, [&] { return region.pending_ == 0; });
+    std::unique_lock<std::mutex> lk(region.mu);
+    region.detached.wait(lk, [&] { return region.pending == 0; });
   }
-}
-
-void ThreadPool::run_chunked(
-    std::uint64_t begin, std::uint64_t end, std::uint64_t grain, int threads,
-    const std::atomic<bool>* stop,
-    std::function<void(std::uint64_t, std::uint64_t, int)> chunk_body) {
-  TaskGraph graph;
-  graph.add_chunked(begin, end, grain, std::move(chunk_body));
-  graph.run(threads, stop);
+  const std::uint64_t ran = region.chunks_run.load(std::memory_order_relaxed);
+  obs::Registry& reg = obs::Registry::global();
+  reg.record(obs::Metric::kSchedGraphs, 1);
+  reg.record(obs::Metric::kSchedTasks, ran == chunks ? 1 : 0);
+  reg.record(obs::Metric::kSchedChunks, ran);
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 }  // namespace ovo::par

@@ -1,17 +1,13 @@
 #pragma once
-// Worker-pool substrate of the ovo::par execution layer.  Since the
-// task-graph refactor this header owns only the *threads*: a lazily
-// grown set of pool workers plus the region-dispatch protocol.  All
-// scheduling lives in ovo::par::TaskGraph (task_graph.hpp) — nodes with
-// atomic dependency counters, work-chunked bodies, per-worker ready
-// deques, and a deterministic publish protocol.  parallel_for and
-// parallel_reduce below are thin wrappers that build a one-node graph.
+// The ovo::par worker pool: one flat parallel region per call.
 //
 // Model: a parallel region splits an index range [begin, end) into
-// chunks of `grain` consecutive indices; participating threads pull
-// chunks until the range is exhausted.  The calling thread always
-// participates (as slot 0), so `threads = t` means the caller plus up to
-// t - 1 pool workers.
+// chunks of `grain` consecutive indices.  The calling thread always
+// participates (as slot 0), joined by up to min(threads - 1, chunks - 1)
+// pool workers; every participant claims the next chunk with one
+// fetch_add on a shared cursor and detaches once the cursor passes the
+// end.  `threads = t` therefore means the caller plus up to t - 1 pool
+// workers.
 //
 // Determinism contract:
 //  * parallel_for(threads <= 1, stop == nullptr) runs a plain serial
@@ -28,27 +24,33 @@
 //    deterministic, because slot-to-chunk assignment is not.
 //  * parallel_reduce computes one partial per *chunk* and folds the
 //    partials in chunk order, so its result depends on the grain but not
-//    on the thread count — except threads <= 1 without a stop flag,
-//    which maps the whole range as a single chunk (bit-identical to a
-//    pre-parallel serial accumulation loop).  A *governed* serial reduce
-//    (stop != nullptr) folds chunk by chunk like the pooled path — same
-//    fold order, same cancellation granularity at every thread count.
+//    on the thread count — except threads <= 1 (or a nested region)
+//    without a stop flag, which maps the whole range as a single chunk
+//    (bit-identical to a pre-parallel serial accumulation loop).  A
+//    *governed* serial reduce (stop != nullptr) folds chunk by chunk
+//    like the pooled path — same fold order, same cancellation
+//    granularity at every thread count.
 //
-// Nested regions: a region issued from inside ANY active region — a
-// pool worker servicing one, or a caller thread participating in a
-// graph run — executes serially on that thread (slot 0 of the inner
-// region).  Graph participants park waiting for future ready nodes
-// instead of returning when idle, so handing a nested region to the
-// pool could deadlock against the outer region's sleepers; only the
+// Nested regions: a region issued by a thread that already participates
+// in one — a pool worker or the caller as slot 0 — runs inline on that
+// thread as slot 0 of the inner region and counts nothing.  Only the
 // outermost region fans out.
 //
 // Cooperative cancellation: the overloads taking a `stop` flag check it
-// once per chunk — before pulling the next chunk — and drain
-// cooperatively when it flips.  Already-started chunks run to
-// completion, so a stopped region never leaves a chunk half-executed;
-// callers discard the region's output when the flag is set.  The flag is
-// typically rt::Governor::stop_flag().  Passing stop == nullptr compiles
-// to the ungoverned code path.
+// before every chunk and drain cooperatively when it flips.
+// Already-started chunks run to completion, so a stopped region never
+// leaves a chunk half-executed; callers discard the region's output when
+// the flag is set.  The flag is typically rt::Governor::stop_flag().
+// Passing stop == nullptr compiles to the ungoverned code path.
+//
+// Exceptions: the first exception a chunk throws stops the region (no
+// further chunk starts) and is rethrown on the caller after every worker
+// has detached.
+//
+// Counters and tracing: each fanned-out region adds one graph, one task
+// if every chunk ran, and its executed chunks to the process-wide
+// sched.* totals (task_graph.hpp), and every participant records one
+// `task` trace span in category `sched`.
 
 #include <atomic>
 #include <condition_variable>
@@ -89,35 +91,6 @@ class ThreadPool {
     return threads < 1 ? 1 : (threads > kMaxThreads ? kMaxThreads : threads);
   }
 
-  /// True on threads owned by this pool.  Regions started from a pool
-  /// worker must execute inline (nested fan-out is forbidden by design).
-  static bool in_pool_worker() { return in_worker(); }
-
-  /// One in-flight parallel region.  TaskGraph::run implements this to
-  /// dispatch a graph over the pool; participate(slot) is the scheduling
-  /// loop each cooperating thread runs (slot 0 = caller) and must not
-  /// throw — regions capture task exceptions and rethrow after the
-  /// region drains.  The detach fields let the pool hand workers back:
-  /// once pending_ hits zero the dispatching thread may destroy the
-  /// region, so workers must not touch it after detaching.
-  class RegionBase {
-   public:
-    virtual ~RegionBase() = default;
-
-   protected:
-    friend class ThreadPool;
-    virtual void participate(int slot) = 0;
-
-   private:
-    std::mutex detach_mu_;
-    std::condition_variable detach_cv_;
-    int pending_ = 0;
-  };
-
-  /// Enqueues `extra` worker jobs for `region` (slots 1..extra),
-  /// participates as slot 0, and waits for the workers to detach.
-  void run_region(RegionBase& region, int extra);
-
   /// Runs fn(i, slot) for every i in [begin, end), chunked by `grain`
   /// over at most `threads` threads (caller included).  slot identifies
   /// the executing thread within this region, in [0, threads).
@@ -139,7 +112,7 @@ class ThreadPool {
     if (grain == 0) grain = 1;
     threads = clamp_threads(threads);
     const std::uint64_t chunks = (end - begin + grain - 1) / grain;
-    if (threads <= 1 || chunks <= 1 || in_worker()) {
+    if (threads <= 1 || chunks <= 1 || in_region()) {
       if (stop == nullptr) {
         for (std::uint64_t i = begin; i < end; ++i) fn(i, 0);
         return;
@@ -161,7 +134,8 @@ class ThreadPool {
 
   /// Maps chunks [lo, hi) of [begin, end) with `map_chunk` and folds the
   /// per-chunk partials with `combine` in ascending chunk order, seeded
-  /// by `init`.  threads <= 1 maps the whole range as one chunk.
+  /// by `init`.  threads <= 1 (or a nested region) maps the whole range
+  /// as one chunk.
   template <typename T, typename MapChunk, typename Combine>
   T parallel_reduce(std::uint64_t begin, std::uint64_t end,
                     std::uint64_t grain, int threads, T init,
@@ -187,7 +161,7 @@ class ThreadPool {
     if (grain == 0) grain = 1;
     threads = clamp_threads(threads);
     const std::uint64_t chunks = (end - begin + grain - 1) / grain;
-    if (threads <= 1 || chunks <= 1 || in_worker()) {
+    if (threads <= 1 || chunks <= 1 || in_region()) {
       if (stop == nullptr)
         return combine(std::move(init), map_chunk(begin, end));
       if (chunks <= 1) {
@@ -214,20 +188,23 @@ class ThreadPool {
   }
 
  private:
+  using ChunkBody = std::function<void(std::uint64_t, std::uint64_t, int)>;
+  /// One fanned-out region; defined in thread_pool.cpp.
+  struct Region;
   struct Job {
-    RegionBase* region = nullptr;
+    Region* region = nullptr;
     int slot = 0;
   };
 
-  /// True on threads owned by this pool (blocks nested fan-out).
-  static bool& in_worker();
+  /// True while this thread participates in a region (a pool worker
+  /// servicing one, or the caller as its slot 0): regions it starts run
+  /// inline.
+  static bool& in_region();
 
-  /// Builds a one-node TaskGraph over [begin, end) and runs it; defined
-  /// in thread_pool.cpp so this header need not include task_graph.hpp.
-  void run_chunked(
-      std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
-      int threads, const std::atomic<bool>* stop,
-      std::function<void(std::uint64_t, std::uint64_t, int)> chunk_body);
+  /// Fans [begin, end) out as one flat region (see header comment).
+  void run_chunked(std::uint64_t begin, std::uint64_t end,
+                   std::uint64_t grain, int threads,
+                   const std::atomic<bool>* stop, const ChunkBody& body);
 
   void ensure_workers(int count);
   void worker_main();

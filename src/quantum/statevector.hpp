@@ -32,7 +32,7 @@ class Statevector {
   std::uint64_t dimension() const { return std::uint64_t{1} << qubits_; }
 
   /// Fans the amplitude sweeps (oracle, diffusion, probabilities, norms)
-  /// out as one-node regions on the ovo::par task-graph scheduler.
+  /// out as parallel regions on the ovo::par thread pool.
   /// Serial by default.  Amplitude chunks are fixed-size (kAmpGrain) and
   /// reduction partials are folded in chunk order, so results do not
   /// depend on which thread ran which chunk.

@@ -42,9 +42,9 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
     std::uint64_t worst_size = 0;
     core::OpCounter ops;
   };
-  const std::uint64_t grain = ctx.exec.grain != 0 ? ctx.exec.grain : 1024;
+  constexpr std::uint64_t kGrain = 1024;  // permutations per chunk
   const ChunkBest agg = par::ThreadPool::shared().parallel_reduce(
-      std::uint64_t{0}, total, grain, ctx.exec.resolved_threads(),
+      std::uint64_t{0}, total, kGrain, ctx.exec.resolved_threads(),
       ChunkBest{},
       [&](std::uint64_t b, std::uint64_t e) {
         ChunkBest c;

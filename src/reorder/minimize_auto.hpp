@@ -75,8 +75,8 @@ struct AutoMinimizeResult {
   OracleStats oracle;
   /// ovo::par scheduler counters attributed to this run (delta of the
   /// process-wide totals around the ladder): parallel regions, tasks and
-  /// chunks executed, ready-queue high-water mark, and barrier-wait
-  /// time.  All zero for a serial policy.
+  /// chunks executed, and barrier-wait time.  All zero for a serial
+  /// policy.
   par::SchedStats sched;
 };
 

@@ -97,18 +97,17 @@ std::vector<std::uint64_t> CostOracle::sizes_for_orders(
     misses.push_back(i);
   }
 
-  // Fan the misses out, one candidate per chunk by default; per-slot
-  // scratch tables and OpCounter shards, merged commutatively.
+  // Fan the misses out, one candidate per chunk; per-slot scratch tables
+  // and OpCounter shards, merged commutatively.
   struct Scratch {
     core::PrefixTable cur, next;
     core::OpCounter ops;
   };
   const int threads = ctx.exec.resolved_threads();
-  const std::uint64_t grain = ctx.exec.grain != 0 ? ctx.exec.grain : 1;
   std::vector<Scratch> scratch(
       static_cast<std::size_t>(par::ThreadPool::clamp_threads(threads)));
   par::ThreadPool::shared().parallel_for(
-      std::uint64_t{0}, misses.size(), grain, threads,
+      std::uint64_t{0}, misses.size(), 1, threads,
       gov != nullptr ? gov->stop_flag() : nullptr,
       [&](std::uint64_t j, int slot) {
         OVO_TRACE_SPAN_ARGS("oracle.eval", "oracle", slot, "candidate",

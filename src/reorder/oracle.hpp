@@ -69,14 +69,14 @@ class CostOracle {
   std::uint64_t size_for_order(const std::vector<int>& order_root_first,
                                const rt::Governor* gov = nullptr);
 
-  /// Batch evaluation of candidate orders, fanned out as a one-node
-  /// region on the task-graph scheduler, preserving the pre-oracle
+  /// Batch evaluation of candidate orders, fanned out as one parallel
+  /// region on the ovo::par thread pool, preserving the pre-oracle
   /// semantics bit for bit: with ctx.gov the batch is first
   /// truncated — serially — to the prefix the remaining work budget
   /// admits (chain_eval_cost() units per candidate, charged whether or
   /// not the candidate later hits the memo), then memo hits are resolved
-  /// serially and only the misses fan out (one candidate per chunk by
-  /// default).  Entries not admitted or hard-stopped mid-chain hold
+  /// serially and only the misses fan out (one candidate per chunk).
+  /// Entries not admitted or hard-stopped mid-chain hold
   /// core::kAbortedSize, which no selection scan can pick as a best.
   std::vector<std::uint64_t> sizes_for_orders(
       const std::vector<std::vector<int>>& candidates,

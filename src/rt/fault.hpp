@@ -1,7 +1,7 @@
 #pragma once
 // Deterministic fault-site framework for robustness tests and chaos
 // sweeps.  Every injectable failure point in the stack is a typed
-// FaultSite: node-store allocation events, governor polls, task-graph
+// FaultSite: node-store allocation events, governor polls, parallel
 // chunk dispatch, and each filesystem operation inside the checkpoint
 // writer (open/read/write/fsync/rename/close/unlink — the rt::FileOps
 // seam).  A FaultSchedule says *which* events fail — "the Nth event at
@@ -24,8 +24,8 @@
 //                       CancelToken and reports a hard stop, exactly like
 //                       an external cancellation.
 //   * kTaskDispatch   — fault_dispatch_hook throws FaultInjected before
-//                       the chunk body runs; the scheduler's
-//                       first-exception-wins drain carries it out.
+//                       the chunk body runs; the parallel region's
+//                       first-exception-wins path carries it out.
 //   * kFile*          — fault_fileop_hook returns true and the FileOps
 //                       call site fails with EIO semantics, surfacing as
 //                       CheckpointError(kIo) from the checkpoint layer.
@@ -45,7 +45,7 @@ class CancelToken;
 enum class FaultSite : std::uint8_t {
   kAlloc = 0,     ///< node-store allocation event (rehash / arena growth)
   kGovPoll,       ///< governor poll checkpoint
-  kTaskDispatch,  ///< task-graph chunk dispatch (before the body runs)
+  kTaskDispatch,  ///< parallel-region chunk dispatch (before the body)
   kFileOpen,      ///< FileOps::open_write / open_read
   kFileRead,      ///< FileOps::read
   kFileWrite,     ///< FileOps::write
@@ -181,7 +181,7 @@ void fault_alloc_hook();
 /// cancels the schedule's token) when the installed schedule trips here.
 bool fault_checkpoint_hook();
 
-/// Called by the task-graph scheduler before each chunk body; throws
+/// Called by a fanned-out parallel region before each chunk body; throws
 /// FaultInjected(kTaskDispatch) when the installed schedule says so.
 void fault_dispatch_hook();
 

@@ -22,6 +22,7 @@
 #include "core/minimize.hpp"
 #include "core/multi_output.hpp"
 #include "parallel/exec_policy.hpp"
+#include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
 #include "quantum/grover.hpp"
 #include "quantum/min_find.hpp"
@@ -127,6 +128,26 @@ TEST(ThreadPool, NestedRegionsRunSeriallyWithoutDeadlock) {
             });
       });
   EXPECT_EQ(inner_total.load(), 80);
+}
+
+// A fanned-out region adds one graph, one task and its chunks to the
+// process-wide scheduler totals; the serial path touches none of them.
+TEST(ThreadPool, ParallelForAccumulatesIntoProcessWideStats) {
+  const auto delta = [](int threads) {
+    const par::SchedStats before = par::sched_stats();
+    par::ThreadPool::shared().parallel_for(
+        std::uint64_t{0}, std::uint64_t{100}, 10, threads,
+        [](std::uint64_t, int) {});
+    return par::sched_stats() - before;
+  };
+  const par::SchedStats pooled = delta(4);
+  EXPECT_EQ(pooled.graphs, 1u);
+  EXPECT_EQ(pooled.tasks, 1u);
+  EXPECT_EQ(pooled.chunks, 10u);
+  const par::SchedStats serial = delta(1);
+  EXPECT_EQ(serial.graphs, 0u);
+  EXPECT_EQ(serial.tasks, 0u);
+  EXPECT_EQ(serial.chunks, 0u);
 }
 
 TEST(ExecPolicy, SerialDefaultsAndAutoDetect) {

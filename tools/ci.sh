@@ -3,9 +3,9 @@
 #
 #   1. tools/verify.sh (full): tier-1 tests on the default preset, then
 #      the whole suite again under ASan+UBSan and under TSan (the
-#      task-graph scheduler and the FS* DP's per-layer parallel regions
-#      are exercised by task_graph_test / parallel_determinism_test /
-#      parallel_cancel_test on every preset), plus the README
+#      thread pool's parallel regions and the FS* DP's per-layer regions
+#      are exercised by parallel_determinism_test / parallel_cancel_test
+#      on every preset), plus the README
 #      strategy-table drift check — the registry is the source of truth
 #      and drift fails the gate — plus the -DOVO_TRACE=OFF build's nm
 #      check that the span macros compile out of the CLI entirely.

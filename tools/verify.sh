@@ -24,7 +24,7 @@
 # through `ovo order` and checks each exit code and that no
 # internal-check text reaches stderr.  Quick mode also smokes
 # `ovo order --trace` (the exported Chrome trace must be
-# valid JSON with fs.group/fs.fence spans and per-thread monotone
+# valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
 # plus corpus replay, and runs the trimmed CLI chaos sweep
 # (tools/chaos.sh --quick): torn-write/fault injection through the CLI
@@ -173,7 +173,8 @@ if [[ "${QUICK}" -eq 1 ]]; then
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
-  # spans present, and timestamps monotone within each thread lane.
+  # spans and the parallel region's per-participant `task` span present,
+  # and timestamps monotone within each thread lane.
   build/tools/ovo order --strategy fs --threads 2 --json \
     --trace "${smoke_dir}/trace.json" "${smoke_fn}" > /dev/null
   python3 - "${smoke_dir}/trace.json" <<'PY'
@@ -181,7 +182,7 @@ import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
 assert events, "trace is empty"
 names = {e["name"] for e in events}
-assert {"fs.group", "fs.fence"} <= names, f"missing FS spans: {names}"
+assert {"fs.group", "fs.fence", "task"} <= names, f"missing spans: {names}"
 last = {}
 for e in events:
     assert e["ph"] == "X", e
