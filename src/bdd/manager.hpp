@@ -64,17 +64,6 @@ class Manager : public ds::DiagramStoreBase<Manager> {
     std::size_t cache_entries = 0;   ///< live ITE computed-table entries
     ds::TableStats unique;           ///< unique-table probe/hit counters
     ds::CacheStats cache;            ///< ITE computed-table counters
-
-    /// Accumulates this snapshot into `l`: the residency gauges land on
-    /// the ds.* kMax metrics, the nested table/cache counters on their
-    /// own ds.unique.* / ds.cache.* slots.
-    void to_ledger(obs::Ledger& l) const {
-      l.record(obs::Metric::kDsPoolNodes, pool_nodes);
-      l.record(obs::Metric::kDsUniqueEntries, unique_entries);
-      l.record(obs::Metric::kDsCacheEntries, cache_entries);
-      unique.to_ledger(l);
-      cache.to_ledger(l);
-    }
   };
   Stats stats() const;
 

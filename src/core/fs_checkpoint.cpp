@@ -1,6 +1,7 @@
 #include "core/fs_checkpoint.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/check.hpp"
 #include "util/combinatorics.hpp"
@@ -36,107 +37,60 @@ std::uint64_t base_content_hash(const PrefixTable& base) {
   return h;
 }
 
-void encode_prune_stats(ByteWriter& w, const PruneStats& p) {
-  w.u64(p.upper_bound);
-  w.u64(p.states_generated);
-  w.u64(p.states_pruned);
-  w.u64(p.states_dead);
-  w.u64(p.states_surviving);
-  w.u64(p.dense_cells);
-  w.u64(p.sparse_cells);
+/// Every metric in ascending dotted-name order: the entry order of a
+/// keyed counter section.
+const std::vector<obs::Metric>& metrics_by_name() {
+  static const std::vector<obs::Metric> order = [] {
+    std::vector<obs::Metric> v;
+    for (std::size_t i = 0; i < obs::kMetricCount; ++i)
+      v.push_back(static_cast<obs::Metric>(i));
+    std::sort(v.begin(), v.end(), [](obs::Metric a, obs::Metric b) {
+      return std::strcmp(obs::metric_name(a), obs::metric_name(b)) < 0;
+    });
+    return v;
+  }();
+  return order;
 }
 
-PruneStats decode_prune_stats(ByteReader& r) {
-  PruneStats p;
-  p.upper_bound = r.u64();
-  p.states_generated = r.u64();
-  p.states_pruned = r.u64();
-  p.states_dead = r.u64();
-  p.states_surviving = r.u64();
-  p.dense_cells = r.u64();
-  p.sparse_cells = r.u64();
-  return p;
-}
-
-void encode_ops(ByteWriter& w, const OpCounter& o) {
-  w.u64(o.table_cells);
-  w.u64(o.compactions);
-  w.u64(o.peak_cells);
-  w.u64(o.dedup.lookups);
-  w.u64(o.dedup.hits);
-  w.u64(o.dedup.inserts);
-  w.u64(o.dedup.resizes);
-  w.u64(o.dedup.probes);
-  for (int i = 0; i < 8; ++i) w.u64(o.dedup.probe_hist[i]);
-  encode_prune_stats(w, o.prune);
-}
-
-OpCounter decode_ops(ByteReader& r) {
-  OpCounter o;
-  o.table_cells = r.u64();
-  o.compactions = r.u64();
-  o.peak_cells = r.u64();
-  o.dedup.lookups = r.u64();
-  o.dedup.hits = r.u64();
-  o.dedup.inserts = r.u64();
-  o.dedup.resizes = r.u64();
-  o.dedup.probes = r.u64();
-  for (int i = 0; i < 8; ++i) o.dedup.probe_hist[i] = r.u64();
-  o.prune = decode_prune_stats(r);
-  return o;
-}
-
-/// The v2 unified-ledger section, derived from the fence's legacy
-/// counters.  Encoding always recomputes it from those fields — there is
-/// no second accumulation path that could drift — and decoding rebuilds
-/// the same derivation from the decoded fields to cross-validate the
-/// stored section.
-obs::Ledger fence_ledger(const OpCounter& ops, const PruneStats& prune,
-                         const FsSeedStats& seed,
-                         std::uint64_t work_charged,
-                         std::uint64_t prune_upper_bound) {
-  obs::Ledger l;
-  ops.to_ledger(l);
-  prune.to_ledger(l);
-  seed.to_ledger(l);
-  l.record(obs::Metric::kRtWorkCharged, work_charged);
-  l.record(obs::Metric::kFsPruneUpperBound, prune_upper_bound);
-  return l;
-}
-
-void encode_ledger(ByteWriter& w, const obs::Ledger& l) {
-  const auto& slots = l.slots();
-  std::uint32_t nonzero = 0;
-  for (const std::uint64_t v : slots)
-    if (v != 0) ++nonzero;
-  w.u32(nonzero);
-  // (metric id, slot bits) pairs in ascending metric order: identical
-  // ledgers always encode to identical bytes.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == 0) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.u64(slots[i]);
+/// One keyed section: a u32 count, then (name, u64 bits) for each
+/// nonzero slot of `l`'s pinned projection, by ascending name.  Measured
+/// slots are never written, so execution detail cannot change the bytes.
+void encode_counters(ByteWriter& w, const obs::Ledger& l) {
+  const obs::Ledger pinned = l.pinned();
+  std::uint32_t count = 0;
+  for (const obs::Metric m : metrics_by_name()) count += pinned.get(m) != 0;
+  w.u32(count);
+  for (const obs::Metric m : metrics_by_name()) {
+    if (pinned.get(m) == 0) continue;
+    w.str(obs::metric_name(m));
+    w.u64(pinned.get(m));
   }
 }
 
-obs::Ledger decode_ledger(ByteReader& r) {
+obs::Ledger decode_counters(ByteReader& r) {
+  const std::uint32_t count = r.u32();
+  if (count > obs::kMetricCount)
+    malformed("counter section has more entries than the metric registry");
+  const std::vector<obs::Metric>& order = metrics_by_name();
   obs::Ledger l;
-  const std::uint32_t nonzero = r.u32();
-  if (nonzero > obs::kMetricCount)
-    malformed("ledger section has more entries than the metric registry");
-  std::uint32_t prev = 0;
-  bool first = true;
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    const std::uint32_t id = r.u32();
-    if (id >= obs::kMetricCount)
-      malformed("ledger metric id outside the registry");
-    if (!first && id <= prev)
-      malformed("ledger metric ids not strictly ascending");
-    first = false;
-    prev = id;
+  std::string prev;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::string name = r.str();
+    if (i > 0 && name <= prev)
+      malformed("counter names not strictly ascending");
+    const auto it = std::lower_bound(
+        order.begin(), order.end(), name,
+        [](obs::Metric m, const std::string& n) {
+          return n.compare(obs::metric_name(m)) > 0;
+        });
+    if (it == order.end() || name != obs::metric_name(*it))
+      malformed("counter name not in the metric registry");
+    if (!obs::is_pinned(*it))
+      malformed("counter section stores a measured metric");
     const std::uint64_t bits = r.u64();
-    if (bits == 0) malformed("ledger section stores a zero slot");
-    l.set(static_cast<obs::Metric>(id), bits);
+    if (bits == 0) malformed("counter section stores a zero value");
+    l.set(*it, bits);
+    prev = name;
   }
   return l;
 }
@@ -168,31 +122,28 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
 std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
   OVO_CHECK(view.fingerprint != nullptr && view.dense != nullptr &&
             view.tables != nullptr && view.best_last != nullptr &&
-            view.mincost != nullptr && view.prune != nullptr);
+            view.mincost != nullptr && view.counters != nullptr &&
+            view.seed_counters != nullptr);
   OVO_CHECK(view.dense->size() == view.tables->size());
-  static const OpCounter kZeroOps{};
   static const std::string kEmpty;
   static const std::vector<int> kNoOrder;
-  static const FsSeedStats kZeroSeed{};
-  const OpCounter& ops = view.ops != nullptr ? *view.ops : kZeroOps;
   const std::string& seed_name =
       view.seed_name != nullptr ? *view.seed_name : kEmpty;
   const std::vector<int>& seed_order =
       view.seed_order != nullptr ? *view.seed_order : kNoOrder;
-  const FsSeedStats& ss =
-      view.seed_stats != nullptr ? *view.seed_stats : kZeroSeed;
 
   // Size the payload once: the layer's cells and the two maps are all
   // but a few hundred bytes of it, and one reservation keeps the encode
   // a single pass over memory with no regrowth copies.
   std::size_t cells = 0;
   for (const PrefixTable& t : *view.tables) cells += t.cells.size();
-  constexpr std::size_t kScalarBytes = 1024;  // fixed fields, generous
+  // Fixed fields plus both counter sections (names stay under 32 bytes).
+  constexpr std::size_t kScalarBytes = 128 + 2 * 44 * obs::kMetricCount;
   ByteWriter w;
   w.reserve(kScalarBytes + seed_name.size() + 4 * seed_order.size() +
             (8 + 4 + 8) * view.tables->size() + 4 * cells +
             (8 + 4) * view.best_last->size() +
-            (8 + 8) * view.mincost->size() + 12 * obs::kMetricCount);
+            (8 + 8) * view.mincost->size());
 
   const FsFingerprint& fp = *view.fingerprint;
   w.u64(fp.base_hash);
@@ -205,18 +156,12 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
   w.u32(view.num_terminals);
   w.u32(static_cast<std::uint32_t>(view.layer));
   w.u64(view.certified_lower_bound);
-  w.u64(view.work_charged);
-  w.u64(view.prune_upper_bound);
-  encode_prune_stats(w, *view.prune);
-  encode_ops(w, ops);
   w.u64(view.rng_seed);
   w.str(seed_name);
   w.u64(seed_order.size());
   for (const int v : seed_order) w.u32(static_cast<std::uint32_t>(v));
-  w.u64(ss.queries);
-  w.u64(ss.evals);
-  w.u64(ss.memo_hits);
-  encode_ops(w, ss.ops);
+  encode_counters(w, *view.counters);
+  encode_counters(w, *view.seed_counters);
 
   // Layer tables, already in colex (ascending-mask) order in the engine.
   w.u64(view.dense->size());
@@ -246,12 +191,6 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
     w.u64(mask);
     w.u64(cost);
   }
-
-  // v2: the unified obs ledger for this fence.  Recomputed from the
-  // fields above rather than passed in, so payload bytes can never carry
-  // a ledger that disagrees with the counters it summarizes.
-  encode_ledger(w, fence_ledger(ops, *view.prune, ss, view.work_charged,
-                                view.prune_upper_bound));
   return w.take();
 }
 
@@ -286,10 +225,6 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
   if (layer > fp.stop_k) malformed("snapshot layer exceeds the stop layer");
   s.layer = static_cast<int>(layer);
   s.certified_lower_bound = r.u64();
-  s.work_charged = r.u64();
-  s.prune_upper_bound = r.u64();
-  s.prune = decode_prune_stats(r);
-  s.ops = decode_ops(r);
   s.rng_seed = r.u64();
   s.seed_name = r.str();
   const std::uint64_t seed_len = r.array_count(4);
@@ -300,10 +235,8 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     if (v >= fp.n) malformed("seed order variable out of range");
     s.seed_order.push_back(static_cast<int>(v));
   }
-  s.seed_stats.queries = r.u64();
-  s.seed_stats.evals = r.u64();
-  s.seed_stats.memo_hits = r.u64();
-  s.seed_stats.ops = decode_ops(r);
+  s.counters = decode_counters(r);
+  s.seed_counters = decode_counters(r);
 
   const auto& binom = util::BinomialTable::instance();
   const std::uint64_t layer_card =
@@ -379,15 +312,6 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
       malformed("mincost masks not strictly ascending");
     s.mincost.emplace_back(mask, cost);
   }
-
-  // v2 unified-ledger section.  The same derivation that produced it at
-  // encode time must reproduce it from the legacy fields decoded above —
-  // any divergence means the payload was tampered with or mis-written.
-  s.ledger = decode_ledger(r);
-  const obs::Ledger expected = fence_ledger(
-      s.ops, s.prune, s.seed_stats, s.work_charged, s.prune_upper_bound);
-  if (!(s.ledger == expected))
-    malformed("ledger section disagrees with the snapshot's counters");
 
   if (!r.done()) malformed("trailing bytes after the snapshot payload");
   return s;

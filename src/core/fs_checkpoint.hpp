@@ -7,13 +7,14 @@
 // is fully published, nothing deeper exists.  That is the one program
 // point where the DP's state is a pure value — the layer's tables (dense:
 // all C(|J|,k) of them; pruned: the packed survivors), the accumulated
-// back-pointer/mincost maps, the prune ledger and certified lower bound,
-// the merged OpCounter at the fence, and the governor work charged so
-// far.  Resuming re-seeds the engine with exactly that state, so the
-// remaining layers — and every tie-break, ledger total, and budget-trip
-// decision after them — replay as if the run had never stopped, at any
-// thread count (see docs/INTERNALS.md, "Checkpoint format & resume
-// protocol").  Every layer of the one FS* engine ends at such a fence,
+// back-pointer/mincost maps, the certified lower bound, and the fence's
+// pinned counters (obs/metrics.hpp), each stored once by dotted name.
+// Resuming re-seeds the engine with exactly that state, so the remaining
+// layers — and every tie-break, pinned counter, and budget-trip decision
+// after them — replay as if the run had never stopped, at any thread
+// count (see docs/INTERNALS.md, "Checkpoint format & resume protocol").
+// Measured counters are not stored: after a resume they cover only the
+// work since.  Every layer of the one FS* engine ends at such a fence,
 // so every run can write snapshots.
 //
 // The fingerprint binds a snapshot to its instance: a content hash of the
@@ -39,9 +40,10 @@
 
 namespace ovo::core {
 
-/// Payload format version (the rt container carries it).  v2 appends the
-/// unified obs ledger section (see encode_snapshot) after the DP maps.
-inline constexpr std::uint32_t kFsSnapshotVersion = 2;
+/// Payload format version (the rt container carries it).  v3 stores the
+/// counters as two keyed sections of pinned metrics (see encode_snapshot);
+/// older files load as kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 3;
 
 /// Identity of the DP instance a snapshot belongs to.
 struct FsFingerprint {
@@ -61,34 +63,6 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
                              int stop_k, DiagramKind kind,
                              par::PruneMode prune);
 
-/// Oracle-side counters of the heuristic stage that seeded the pruning
-/// incumbent (stage 0 of the governed ladder).  Recorded into snapshots
-/// so a resumed run — which skips that stage — still reports the
-/// uninterrupted run's ledger totals.
-struct FsSeedStats {
-  std::uint64_t queries = 0;    ///< size queries the seed stage answered
-  std::uint64_t evals = 0;      ///< chain evaluations it performed
-  std::uint64_t memo_hits = 0;  ///< queries served from its memo
-  OpCounter ops;                ///< its chain-evaluation work ledger
-
-  /// Accumulates the seed-stage counters into `l` under fs.seed.*.  Only
-  /// the headline table-cell total of `ops` is projected (fs.seed.
-  /// table_cells); its dedup shards stay seed-local so they never mix
-  /// with the DP's own ds.unique.* totals.
-  void to_ledger(obs::Ledger& l) const {
-    l.record(obs::Metric::kFsSeedQueries, queries);
-    l.record(obs::Metric::kFsSeedEvals, evals);
-    l.record(obs::Metric::kFsSeedMemoHits, memo_hits);
-    l.record(obs::Metric::kFsSeedTableCells, ops.table_cells);
-  }
-  void from_ledger(const obs::Ledger& l) {
-    queries = l.get(obs::Metric::kFsSeedQueries);
-    evals = l.get(obs::Metric::kFsSeedEvals);
-    memo_hits = l.get(obs::Metric::kFsSeedMemoHits);
-    ops.table_cells = l.get(obs::Metric::kFsSeedTableCells);
-  }
-};
-
 /// One decoded layer-fence snapshot.  `dense` holds the layer's subsets
 /// as dense masks over J's bit positions in colex (== ascending numeric)
 /// order; `tables[i]` is the table at `dense[i]`.  In dense mode the
@@ -106,18 +80,18 @@ struct FsStarSnapshot {
   std::vector<std::pair<util::Mask, int>> best_last;
   std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
 
-  PruneStats prune;
   std::uint64_t certified_lower_bound = 0;
 
-  /// Merged OpCounter at the fence (zeros when the run tracked none).
-  OpCounter ops;
-  /// Governor work charged through the fence; restored on resume so
-  /// later admit decisions replay the uninterrupted run's.
-  std::uint64_t work_charged = 0;
-
-  /// The *effective* pruning incumbent (after self-seeding), so a resume
-  /// prunes against the identical bound without re-running the seed.
-  std::uint64_t prune_upper_bound = 0;
+  /// The fence's pinned counters, each stored once: the caller's
+  /// OpCounter (fs.*, ds.unique.*; none when it tracked none), the run's
+  /// prune ledger (fs.prune.*, whose upper_bound is the *effective*
+  /// incumbent after self-seeding, so a resume prunes against the
+  /// identical bound without re-running the seed) and rt.work_charged
+  /// (restored so later admit decisions replay the uninterrupted run's).
+  /// The engine adds the run's prune ledger into the OpCounter only on
+  /// return, and a checkpointing caller passes a fresh OpCounter, so the
+  /// one fs.prune.* group here is exactly the run's prune ledger.
+  obs::Ledger counters;
 
   /// Provenance: the heuristic order that seeded the incumbent (root
   /// first; empty in dense mode), its RNG seed, and the seed strategy
@@ -126,14 +100,9 @@ struct FsStarSnapshot {
   std::vector<int> seed_order;
   std::uint64_t rng_seed = 0;
   std::string seed_name;
-  /// The seed stage's oracle counters, restored into the resumed run's
-  /// reported ledger.
-  FsSeedStats seed_stats;
-
-  /// The unified obs ledger at the fence (payload v2 section).  Always
-  /// derivable from the legacy fields above — decode_snapshot verifies
-  /// that equivalence, so a loaded snapshot's ledger is trustworthy.
-  obs::Ledger ledger;
+  /// The seed stage's pinned oracle ledger (reorder::OracleStats::
+  /// to_ledger), restored into the resumed run's reported ledger.
+  obs::Ledger seed_counters;
 };
 
 /// Borrowed view of fence state for zero-copy encoding: the engine points
@@ -148,25 +117,27 @@ struct FsSnapshotView {
   const std::vector<PrefixTable>* tables = nullptr;
   const std::unordered_map<util::Mask, int>* best_last = nullptr;
   const std::unordered_map<util::Mask, std::uint64_t>* mincost = nullptr;
-  const PruneStats* prune = nullptr;
   std::uint64_t certified_lower_bound = 0;
-  const OpCounter* ops = nullptr;  ///< null encodes as zeros
-  std::uint64_t work_charged = 0;
-  std::uint64_t prune_upper_bound = 0;
+  const obs::Ledger* counters = nullptr;
   const std::vector<int>* seed_order = nullptr;  ///< null encodes empty
   std::uint64_t rng_seed = 0;
   const std::string* seed_name = nullptr;      ///< null encodes empty
-  const FsSeedStats* seed_stats = nullptr;     ///< null encodes zeros
+  const obs::Ledger* seed_counters = nullptr;
 };
 
-/// Serializes a fence view to payload bytes (deterministic).
+/// Serializes a fence view to payload bytes (deterministic).  Each
+/// counter ledger becomes one keyed section: a u32 count, then
+/// (name, u64 bits) pairs for its nonzero pinned metrics in strictly
+/// ascending dotted-name order; measured slots are never written.
 std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 
 /// Parses and *semantically validates* payload bytes: every structural
 /// inconsistency the CRC cannot catch (mask order, layer cardinality,
-/// cell ids out of range, table sizes that disagree with the fingerprint)
-/// throws a typed CheckpointError — a decoded snapshot is safe to resume
-/// from without further bounds checks.
+/// cell ids out of range, table sizes that disagree with the fingerprint,
+/// a keyed section naming an unknown or measured metric, repeating or
+/// misordering a name, storing a zero, or holding more entries than the
+/// registry) throws a typed CheckpointError — a decoded snapshot is safe
+/// to resume from without further bounds checks.
 FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len);
 
 /// Frames `payload` (see rt::save_checkpoint) and writes it atomically.
@@ -178,7 +149,9 @@ FsStarSnapshot load_snapshot(const std::string& path);
 
 /// Checkpoint/resume configuration threaded into fs_star (and from there
 /// into the engine, whose every layer fence holds a merged ledger).  Any
-/// run may write or resume, at any thread count and prune mode.
+/// run may write or resume, at any thread count and prune mode; the
+/// OpCounter passed alongside must start fresh, both when writing and
+/// when resuming (see FsStarSnapshot::counters).
 struct FsCheckpointOptions {
   /// Non-empty: write a snapshot here (atomically) at qualifying fences.
   std::string path;
@@ -196,7 +169,7 @@ struct FsCheckpointOptions {
   std::vector<int> seed_order;
   std::uint64_t rng_seed = 0;
   std::string seed_name;
-  FsSeedStats seed_stats;
+  obs::Ledger seed_counters;
 
   bool writes() const {
     return !path.empty() || static_cast<bool>(on_bytes);

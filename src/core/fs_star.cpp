@@ -43,14 +43,11 @@ std::uint64_t engine_now_ns() {
 // Checkpoint/resume plumbing (see fs_checkpoint.hpp for the contract).
 
 /// Dispatch-resolved checkpoint plan handed to the engine: the caller's
-/// options plus the run's fingerprint and the effective pruning incumbent
-/// (recorded into every written snapshot so a resume prunes against the
-/// identical bound).
+/// options plus the run's fingerprint.
 struct CkptPlan {
   const FsCheckpointOptions* opts = nullptr;
   FsFingerprint fp;
   std::uint32_t num_terminals = 2;
-  std::uint64_t prune_ub = 0;  ///< effective incumbent; 0 in dense mode
 
   bool writes() const { return opts != nullptr && opts->writes(); }
   const FsStarSnapshot* resume() const {
@@ -60,8 +57,10 @@ struct CkptPlan {
 
 /// Emits one layer-fence snapshot from live engine state.  Only called at
 /// a layer fence, where `dense`/`tables` hold the completed layer, the
-/// result maps are published through it, and `ops`/`gov` hold merged
-/// totals.
+/// result maps and prune ledger are published through it, and
+/// `ops`/`gov` hold merged totals.  The counters stored are `*ops`, the
+/// run's prune ledger (its upper_bound is the effective incumbent) and
+/// the governor's work.
 void emit_fence_snapshot(const CkptPlan& plan, int layer,
                          const std::vector<util::Mask>& dense,
                          const std::vector<PrefixTable>& tables,
@@ -77,15 +76,17 @@ void emit_fence_snapshot(const CkptPlan& plan, int layer,
   v.tables = &tables;
   v.best_last = &result.best_last;
   v.mincost = &result.mincost;
-  v.prune = &result.prune;
   v.certified_lower_bound = result.certified_lower_bound;
-  v.ops = ops;
-  v.work_charged = gov != nullptr ? gov->stats().work_units : 0;
-  v.prune_upper_bound = plan.prune_ub;
+  obs::Ledger counters;
+  if (ops != nullptr) ops->to_ledger(counters);
+  result.prune.to_ledger(counters);
+  if (gov != nullptr)
+    counters.record(obs::Metric::kRtWorkCharged, gov->stats().work_units);
+  v.counters = &counters;
   v.seed_order = &plan.opts->seed_order;
   v.rng_seed = plan.opts->rng_seed;
   v.seed_name = &plan.opts->seed_name;
-  v.seed_stats = &plan.opts->seed_stats;
+  v.seed_counters = &plan.opts->seed_counters;
   const std::vector<std::uint8_t> payload = encode_snapshot(v);
   if (plan.opts->on_bytes) plan.opts->on_bytes(payload);
   if (!plan.opts->path.empty()) save_snapshot(plan.opts->path, payload);
@@ -106,7 +107,7 @@ void apply_resume(FsStarResult& result, const FsStarSnapshot& s) {
     result.best_last.emplace(mask, var);
   for (const auto& [mask, cost] : s.mincost)
     result.mincost.emplace(mask, cost);
-  result.prune = s.prune;
+  result.prune.from_ledger(s.counters);
   result.certified_lower_bound = s.certified_lower_bound;
   result.completed_layers = s.layer;
 }
@@ -467,9 +468,9 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   // so a budget/cancel trip never loses fence state.  Must run before
   // extraction moves the tables out, and before the final prune-ledger
   // merge into `ops`: fence-time ops never include the merge (it happens
-  // once, at engine end), so a resumed run — which restores snapshot.ops
-  // and result.prune, then merges at its own end — reproduces the
-  // uninterrupted run's final totals exactly.
+  // once, at engine end), so a resumed run — which restores the stored
+  // OpCounter and result.prune, then merges at its own end — reproduces
+  // the uninterrupted run's final totals exactly.
   if (plan.writes() && plan.opts->on_trip &&
       result.completed_layers < stop_k &&
       result.completed_layers != last_snapshot_layer)
@@ -575,8 +576,15 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
             rt::CheckpointErrorKind::kWrongInstance,
             "checkpoint: snapshot fingerprint does not match this run "
             "(different function, block, stop layer, kind, or prune mode)");
-      if (ops != nullptr) *ops += ckpt->resume->ops;
-      if (gov != nullptr) gov->restore_work(ckpt->resume->work_charged);
+      const obs::Ledger& stored = ckpt->resume->counters;
+      if (ops != nullptr) {
+        OpCounter restored;  // the stored fs.prune.* are the run's own
+        restored.from_ledger(stored);
+        restored.prune = PruneStats{};
+        *ops += restored;
+      }
+      if (gov != nullptr)
+        gov->restore_work(stored.get(obs::Metric::kRtWorkCharged));
     }
   }
 
@@ -587,11 +595,10 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
     // ascending chain — bounds and ops replay identically.
     const FsStarSnapshot* resume = plan.resume();
     ub = resume != nullptr
-             ? resume->prune_upper_bound
+             ? resume->counters.get(obs::Metric::kFsPruneUpperBound)
              : (prune_upper_bound != 0
                     ? prune_upper_bound
                     : ascending_chain_bound(base, J, kind, ops));
-    plan.prune_ub = *ub;
   }
   return fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub, plan);
 }

@@ -20,12 +20,10 @@
 #include <vector>
 
 #include "ds/hash.hpp"
-#include "obs/metrics.hpp"
 
 namespace ovo::ds {
 
-/// View over the obs registry's ds.cache.* metrics (see TableStats for
-/// the pattern: fields stay, merging is the ledger's).
+/// Always-on computed-cache counters, read through the managers' Stats.
 struct CacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
@@ -33,31 +31,6 @@ struct CacheStats {
   std::uint64_t evictions = 0;      ///< stores that displaced a live entry
   std::uint64_t resizes = 0;        ///< capacity growths
   std::uint64_t invalidations = 0;  ///< generation bumps
-
-  void to_ledger(obs::Ledger& l) const {
-    l.record(obs::Metric::kDsCacheLookups, lookups);
-    l.record(obs::Metric::kDsCacheHits, hits);
-    l.record(obs::Metric::kDsCacheStores, stores);
-    l.record(obs::Metric::kDsCacheEvictions, evictions);
-    l.record(obs::Metric::kDsCacheResizes, resizes);
-    l.record(obs::Metric::kDsCacheInvalidations, invalidations);
-  }
-  void from_ledger(const obs::Ledger& l) {
-    lookups = l.get(obs::Metric::kDsCacheLookups);
-    hits = l.get(obs::Metric::kDsCacheHits);
-    stores = l.get(obs::Metric::kDsCacheStores);
-    evictions = l.get(obs::Metric::kDsCacheEvictions);
-    resizes = l.get(obs::Metric::kDsCacheResizes);
-    invalidations = l.get(obs::Metric::kDsCacheInvalidations);
-  }
-
-  CacheStats& operator+=(const CacheStats& o) {
-    obs::Ledger mine, theirs;
-    to_ledger(mine);
-    o.to_ledger(theirs);
-    from_ledger(mine.merge(theirs));
-    return *this;
-  }
 
   double hit_rate() const {
     return lookups == 0 ? 0.0

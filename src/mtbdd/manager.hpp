@@ -48,14 +48,6 @@ class Manager : public ds::DiagramStoreBase<Manager> {
     std::size_t unique_entries = 0;
     std::size_t terminal_entries = 0;  ///< distinct interned values
     ds::TableStats unique;
-
-    /// See bdd::Manager::Stats::to_ledger — same ds.* metric slots.
-    void to_ledger(obs::Ledger& l) const {
-      l.record(obs::Metric::kDsPoolNodes, pool_nodes);
-      l.record(obs::Metric::kDsUniqueEntries, unique_entries);
-      l.record(obs::Metric::kDsTerminalEntries, terminal_entries);
-      unique.to_ledger(l);
-    }
   };
   Stats stats() const;
 

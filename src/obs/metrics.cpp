@@ -18,18 +18,6 @@ Registry& Registry::global() {
   return g;
 }
 
-void Registry::merge(const Ledger& l) {
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    const std::uint64_t bits = l.slots()[i];
-    if (bits == 0) continue;
-    const Metric m = static_cast<Metric>(i);
-    if (agg(m) == Agg::kSumF64)
-      record_f64(m, slot_to_f64(bits));
-    else
-      record(m, bits);
-  }
-}
-
 Ledger Registry::snapshot() const {
   Ledger out;
   for (std::size_t i = 0; i < kMetricCount; ++i)

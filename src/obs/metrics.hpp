@@ -3,26 +3,36 @@
 //
 // Every counter the repo accounts with — prefix-table cells read by
 // compactions, unique-table probes, oracle memo hits, scheduler barrier
-// waits, quantum oracle queries — is one *metric* in a single constexpr
-// registry: a typed, hierarchical ID (`ds.unique.probes`,
-// `fs.prune.pruned`, `oracle.memo_hits`, `sched.barrier_wait_ns`,
-// `quantum.queries`, …) with a declared aggregation policy (sum, max, or
-// float sum) and a canonical JSON key.  A Ledger is one flat slot array
-// over that registry; merging two ledgers applies each metric's policy
-// slot by slot, so merges are associative, commutative (per policy), and
-// bit-identical regardless of shard order or thread count.
+// waits — is one *metric* in a single constexpr registry: a typed,
+// hierarchical ID (`ds.unique.probes`, `fs.prune.pruned`,
+// `oracle.memo_hits`, `sched.barrier_wait_ns`, …) with a declared
+// aggregation policy (sum, max, or float sum), a class, and a canonical
+// JSON key.  A Ledger is one flat slot array over that registry; merging
+// two ledgers applies each metric's policy slot by slot, so merges are
+// associative, commutative (per policy), and bit-identical regardless of
+// shard order or thread count.
 //
-// The legacy per-subsystem stats structs (ds::TableStats,
-// core::OpCounter, reorder::OracleStats, par::SchedStats, …) survive as
-// *views* over this registry: their fields keep their names and zero-cost
-// hot-path increments, but their merge operators and JSON emission are
-// defined by round-tripping through a Ledger, so the registry's per-metric
-// policy is the single source of truth for how counters combine and what
-// they are called.  See docs/INTERNALS.md, "Telemetry & tracing".
+// The class splits the registry in two.  *Pinned* metrics are the
+// algorithm's ledger — compaction cells (Theorem 5's cost), resident
+// cells (Remark 1's space), dedup lookups and inserts, the prune and
+// oracle ledgers, governor work — and are a function of the instance
+// alone: a resumed run reproduces them bit for bit, and FS snapshots
+// store exactly them.  *Measured* metrics (hash-table probe detail,
+// scheduler counts) describe how one process ran; they move with table
+// sizing and scheduling, are never stored, and after a resume cover only
+// the work since.
+//
+// The per-subsystem stats structs (ds::TableStats, core::OpCounter,
+// core::PruneStats, reorder::OracleStats, par::SchedStats) survive as
+// *views* over this registry: their fields keep their names and
+// zero-cost hot-path increments, but their merge operators round-trip
+// through a Ledger, so the registry's per-metric policy is the single
+// source of truth for how counters combine and what they are called.
+// See docs/INTERNALS.md, "Telemetry & tracing".
 //
 // Layering: obs sits between util and everything else (it depends on
-// nothing but the standard library), so ds, rt, parallel, core, reorder,
-// and quantum can all view their counters through it.
+// nothing but the standard library), so ds, parallel, core and reorder
+// can all view their counters through it.
 
 #include <array>
 #include <atomic>
@@ -30,14 +40,13 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
-#include <vector>
 
 namespace ovo::obs {
 
 /// Version of the unified counter schema (metric set + JSON key names).
 /// Bump when a metric is renamed, removed, or re-keyed; emitted as
 /// "schema_version" in every JSON artifact.
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 /// How two values of one metric combine under Ledger::merge.
 enum class Agg : std::uint8_t {
@@ -46,104 +55,80 @@ enum class Agg : std::uint8_t {
   kSumF64,  ///< float counters: slots hold double bit patterns, values add
 };
 
-/// The metric registry: X(enum_id, "dotted.name", "json_key", Agg).
+/// Whether a metric belongs to the algorithm's ledger (see above).
+enum class Class : std::uint8_t {
+  kPinned,    ///< instance-determined; stored in snapshots, kept on resume
+  kMeasured,  ///< execution detail; never stored, restarts on resume
+};
+
+/// The metric registry: X(enum_id, "dotted.name", "json_key", Agg, Class).
 /// Dotted names are the hierarchical IDs (namespace table in
 /// docs/INTERNALS.md); JSON keys are the canonical field names every
 /// emitter (CLI --json, both scaling benches) must use — they are defined
 /// here ONCE so the artifacts cannot drift from one another.
 #define OVO_OBS_METRICS(X)                                                   \
   /* ds: unique-table / dedup kernel (ds::TableStats) */                     \
-  X(kDsUniqueLookups, "ds.unique.lookups", "ds_unique_lookups", kSum)        \
-  X(kDsUniqueHits, "ds.unique.hits", "ds_unique_hits", kSum)                 \
-  X(kDsUniqueInserts, "ds.unique.inserts", "ds_unique_inserts", kSum)        \
-  X(kDsUniqueResizes, "ds.unique.resizes", "ds_unique_resizes", kSum)        \
-  X(kDsUniqueProbes, "ds.unique.probes", "ds_unique_probes", kSum)           \
+  X(kDsUniqueLookups, "ds.unique.lookups", "ds_unique_lookups",              \
+    kSum, kPinned)                                                           \
+  X(kDsUniqueHits, "ds.unique.hits", "ds_unique_hits", kSum, kPinned)        \
+  X(kDsUniqueInserts, "ds.unique.inserts", "ds_unique_inserts",              \
+    kSum, kPinned)                                                           \
+  X(kDsUniqueResizes, "ds.unique.resizes", "ds_unique_resizes",              \
+    kSum, kMeasured)                                                         \
+  X(kDsUniqueProbes, "ds.unique.probes", "ds_unique_probes",                 \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist0, "ds.unique.probe_hist.1", "ds_unique_probe_hist_1", \
-    kSum)                                                                    \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist1, "ds.unique.probe_hist.2", "ds_unique_probe_hist_2", \
-    kSum)                                                                    \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist2, "ds.unique.probe_hist.3", "ds_unique_probe_hist_3", \
-    kSum)                                                                    \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist3, "ds.unique.probe_hist.4", "ds_unique_probe_hist_4", \
-    kSum)                                                                    \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist4, "ds.unique.probe_hist.8", "ds_unique_probe_hist_8", \
-    kSum)                                                                    \
+    kSum, kMeasured)                                                         \
   X(kDsUniqueProbeHist5, "ds.unique.probe_hist.16",                          \
-    "ds_unique_probe_hist_16", kSum)                                         \
+    "ds_unique_probe_hist_16", kSum, kMeasured)                              \
   X(kDsUniqueProbeHist6, "ds.unique.probe_hist.32",                          \
-    "ds_unique_probe_hist_32", kSum)                                         \
+    "ds_unique_probe_hist_32", kSum, kMeasured)                              \
   X(kDsUniqueProbeHist7, "ds.unique.probe_hist.over32",                      \
-    "ds_unique_probe_hist_over32", kSum)                                     \
-  /* ds: computed caches (ds::CacheStats) */                                 \
-  X(kDsCacheLookups, "ds.cache.lookups", "ds_cache_lookups", kSum)           \
-  X(kDsCacheHits, "ds.cache.hits", "ds_cache_hits", kSum)                    \
-  X(kDsCacheStores, "ds.cache.stores", "ds_cache_stores", kSum)              \
-  X(kDsCacheEvictions, "ds.cache.evictions", "ds_cache_evictions", kSum)     \
-  X(kDsCacheResizes, "ds.cache.resizes", "ds_cache_resizes", kSum)           \
-  X(kDsCacheInvalidations, "ds.cache.invalidations",                         \
-    "ds_cache_invalidations", kSum)                                          \
-  /* ds: manager residency gauges (bdd/zdd/mtbdd Manager::Stats) */          \
-  X(kDsPoolNodes, "ds.pool_nodes", "pool_nodes", kMax)                       \
-  X(kDsUniqueEntries, "ds.unique_entries", "unique_entries", kMax)           \
-  X(kDsCacheEntries, "ds.cache_entries", "cache_entries", kMax)              \
-  X(kDsTerminalEntries, "ds.terminal_entries", "terminal_entries", kMax)     \
+    "ds_unique_probe_hist_over32", kSum, kMeasured)                          \
   /* fs: the DP / compaction work ledger (core::OpCounter) */                \
-  X(kFsTableCells, "fs.table_cells", "table_cells", kSum)                    \
-  X(kFsCompactions, "fs.compactions", "compactions", kSum)                   \
-  X(kFsPeakCells, "fs.peak_cells", "peak_cells", kMax)                       \
+  X(kFsTableCells, "fs.table_cells", "table_cells", kSum, kPinned)           \
+  X(kFsCompactions, "fs.compactions", "compactions", kSum, kPinned)          \
+  X(kFsPeakCells, "fs.peak_cells", "peak_cells", kMax, kPinned)              \
   /* fs.prune: the bound-pruned DP ledger (core::PruneStats) */              \
-  X(kFsPruneUpperBound, "fs.prune.upper_bound", "prune_upper_bound", kMax)   \
-  X(kFsPruneGenerated, "fs.prune.generated", "states_generated", kSum)       \
-  X(kFsPrunePruned, "fs.prune.pruned", "states_pruned", kSum)                \
-  X(kFsPruneDead, "fs.prune.dead", "states_dead", kSum)                      \
-  X(kFsPruneSurviving, "fs.prune.surviving", "states_surviving", kSum)       \
-  X(kFsPruneDenseCells, "fs.prune.dense_cells", "dense_cells", kSum)         \
-  X(kFsPruneSparseCells, "fs.prune.sparse_cells", "sparse_cells", kSum)      \
-  /* fs.seed: the heuristic stage that seeded the pruning incumbent */       \
-  X(kFsSeedQueries, "fs.seed.queries", "seed_queries", kSum)                 \
-  X(kFsSeedEvals, "fs.seed.evals", "seed_evals", kSum)                       \
-  X(kFsSeedMemoHits, "fs.seed.memo_hits", "seed_memo_hits", kSum)            \
-  X(kFsSeedTableCells, "fs.seed.table_cells", "seed_table_cells", kSum)      \
+  X(kFsPruneUpperBound, "fs.prune.upper_bound", "prune_upper_bound",         \
+    kMax, kPinned)                                                           \
+  X(kFsPruneGenerated, "fs.prune.generated", "states_generated",             \
+    kSum, kPinned)                                                           \
+  X(kFsPrunePruned, "fs.prune.pruned", "states_pruned", kSum, kPinned)       \
+  X(kFsPruneDead, "fs.prune.dead", "states_dead", kSum, kPinned)             \
+  X(kFsPruneSurviving, "fs.prune.surviving", "states_surviving",             \
+    kSum, kPinned)                                                           \
+  X(kFsPruneDenseCells, "fs.prune.dense_cells", "dense_cells",               \
+    kSum, kPinned)                                                           \
+  X(kFsPruneSparseCells, "fs.prune.sparse_cells", "sparse_cells",            \
+    kSum, kPinned)                                                           \
   /* oracle: the unified reorder cost oracle (reorder::OracleStats) */       \
-  X(kOracleQueries, "oracle.queries", "oracle_queries", kSum)                \
-  X(kOracleEvals, "oracle.evals", "oracle_evals", kSum)                      \
-  X(kOracleMemoHits, "oracle.memo_hits", "oracle_memo_hits", kSum)           \
-  X(kOracleMinFindCalls, "oracle.min_find_calls", "min_find_calls", kSum)    \
+  X(kOracleQueries, "oracle.queries", "oracle_queries", kSum, kPinned)       \
+  X(kOracleEvals, "oracle.evals", "oracle_evals", kSum, kPinned)             \
+  X(kOracleMemoHits, "oracle.memo_hits", "oracle_memo_hits", kSum, kPinned)  \
+  X(kOracleMinFindCalls, "oracle.min_find_calls", "min_find_calls",          \
+    kSum, kPinned)                                                           \
   X(kOracleMinFindQueries, "oracle.min_find_queries", "min_find_queries",    \
-    kSumF64)                                                                 \
-  /* sched: the parallel-region counters (par::SchedStats).  ready_hwm,   */ \
-  /* overlap_tasks, overlap_ns and pruned_chunks have no writer any more, */ \
-  /* but keep their slots: FS snapshot v2 ledgers store positional ids,   */ \
-  /* and rt.work_charged (id 50) follows this block (ids 42-49).          */ \
-  X(kSchedGraphs, "sched.graphs", "sched_graphs", kSum)                      \
-  X(kSchedTasks, "sched.tasks", "sched_tasks", kSum)                         \
-  X(kSchedChunks, "sched.chunks", "sched_chunks", kSum)                      \
-  X(kSchedReadyHwm, "sched.ready_hwm", "sched_ready_hwm", kMax)              \
-  X(kSchedOverlapTasks, "sched.overlap_tasks", "sched_overlap_tasks", kSum)  \
-  X(kSchedOverlapNs, "sched.overlap_ns", "sched_overlap_ns", kSum)           \
+    kSumF64, kPinned)                                                        \
+  /* sched: the parallel-region counters (par::SchedStats) */                \
+  X(kSchedGraphs, "sched.graphs", "sched_graphs", kSum, kMeasured)           \
+  X(kSchedTasks, "sched.tasks", "sched_tasks", kSum, kMeasured)              \
+  X(kSchedChunks, "sched.chunks", "sched_chunks", kSum, kMeasured)           \
   X(kSchedBarrierWaitNs, "sched.barrier_wait_ns", "sched_barrier_wait_ns",   \
-    kSum)                                                                    \
-  X(kSchedPrunedChunks, "sched.pruned_chunks", "sched_pruned_chunks", kSum)  \
-  /* rt: the resource governor (rt::RunStats) */                             \
-  X(kRtWorkCharged, "rt.work_charged", "work_units", kSum)                   \
-  X(kRtCheckpoints, "rt.checkpoints", "rt_checkpoints", kSum)                \
-  X(kRtPeakNodes, "rt.peak_nodes", "peak_nodes", kMax)                       \
-  X(kRtPeakBytes, "rt.peak_bytes", "peak_bytes", kMax)                       \
-  /* quantum: the quantum query ledger */                                    \
-  X(kQuantumGroverQueries, "quantum.grover_queries", "grover_queries",       \
-    kSum)                                                                    \
-  X(kQuantumMeasurements, "quantum.measurements", "grover_measurements",     \
-    kSum)                                                                    \
-  X(kQuantumQueries, "quantum.queries", "quantum_queries", kSumF64)          \
-  X(kQuantumMinFindRounds, "quantum.min_find_rounds", "min_find_rounds",     \
-    kSum)                                                                    \
-  /* rt.fault: the fault-injection framework (appended last so every     */  \
-  /* pre-existing metric id stays stable for serialized ledgers)         */  \
-  X(kRtFaultEvents, "rt.fault_events", "rt_fault_events", kSum)              \
-  X(kRtFaultsInjected, "rt.faults_injected", "rt_faults_injected", kSum)
+    kSum, kMeasured)                                                         \
+  /* rt: work the resource governor charged (rt::RunStats) */                \
+  X(kRtWorkCharged, "rt.work_charged", "work_units", kSum, kPinned)
 
 enum class Metric : std::uint16_t {
-#define OVO_OBS_ENUM(id, name, key, agg) id,
+#define OVO_OBS_ENUM(id, name, key, agg, cls) id,
   OVO_OBS_METRICS(OVO_OBS_ENUM)
 #undef OVO_OBS_ENUM
       kCount
@@ -156,10 +141,12 @@ struct MetricInfo {
   const char* name;      ///< hierarchical dotted ID
   const char* json_key;  ///< canonical JSON field name
   Agg agg;               ///< merge policy
+  Class cls;             ///< pinned or measured
 };
 
 inline constexpr std::array<MetricInfo, kMetricCount> kMetricInfo = {{
-#define OVO_OBS_INFO(id, name, key, agg) MetricInfo{name, key, Agg::agg},
+#define OVO_OBS_INFO(id, name, key, agg, cls) \
+  MetricInfo{name, key, Agg::agg, Class::cls},
     OVO_OBS_METRICS(OVO_OBS_INFO)
 #undef OVO_OBS_INFO
 }};
@@ -170,6 +157,7 @@ constexpr const MetricInfo& info(Metric m) {
 constexpr const char* metric_name(Metric m) { return info(m).name; }
 constexpr const char* json_key(Metric m) { return info(m).json_key; }
 constexpr Agg agg(Metric m) { return info(m).agg; }
+constexpr bool is_pinned(Metric m) { return info(m).cls == Class::kPinned; }
 
 /// memcpy-based bit_cast (the header targets C++20 but stays footloose
 /// about <bit> availability on older standard libraries).
@@ -215,10 +203,10 @@ class Ledger {
   }
 
   /// Merges `o` into this ledger, metric by metric, under each metric's
-  /// declared policy.  This is THE merge — every legacy stats struct's
-  /// operator+= round-trips through it, so shard merges are policy-pure
-  /// and deterministic in any order (sums and maxes commute; float sums
-  /// are combined in call order, which every caller keeps ascending by
+  /// declared policy.  This is THE merge — every stats view's operator+=
+  /// round-trips through it, so shard merges are policy-pure and
+  /// deterministic in any order (sums and maxes commute; float sums are
+  /// combined in call order, which every caller keeps ascending by
   /// slot).
   Ledger& merge(const Ledger& o) {
     for (std::size_t i = 0; i < kMetricCount; ++i) {
@@ -237,10 +225,16 @@ class Ledger {
     return *this;
   }
 
-  bool operator==(const Ledger&) const = default;
+  /// The pinned projection: this ledger with every measured slot zeroed —
+  /// what snapshots store and resumed runs reproduce.
+  Ledger pinned() const {
+    Ledger p;
+    for (std::size_t i = 0; i < kMetricCount; ++i)
+      if (kMetricInfo[i].cls == Class::kPinned) p.v_[i] = v_[i];
+    return p;
+  }
 
-  /// Serialization view: the raw slot bits, indexed by Metric value.
-  const std::array<std::uint64_t, kMetricCount>& slots() const { return v_; }
+  bool operator==(const Ledger&) const = default;
 
  private:
   static constexpr std::size_t idx(Metric m) {
@@ -249,71 +243,27 @@ class Ledger {
   std::array<std::uint64_t, kMetricCount> v_{};
 };
 
-/// Per-slot ledger shards for parallel regions: each worker writes its
-/// own shard, and merged() folds them in ascending slot order — the one
-/// deterministic order every thread count reproduces.
-class ShardedLedger {
- public:
-  explicit ShardedLedger(int slots) : shards_(static_cast<std::size_t>(
-                                          slots > 0 ? slots : 1)) {}
-
-  Ledger& shard(int slot) { return shards_[static_cast<std::size_t>(slot)]; }
-  const Ledger& shard(int slot) const {
-    return shards_[static_cast<std::size_t>(slot)];
-  }
-  int slots() const { return static_cast<int>(shards_.size()); }
-
-  Ledger merged() const {
-    Ledger total;
-    for (const Ledger& s : shards_) total.merge(s);
-    return total;
-  }
-
- private:
-  std::vector<Ledger> shards_;
-};
-
-/// Process-wide monotone counter registry (relaxed atomics).  The
-/// scheduler totals behind par::sched_stats() and the governor's work
-/// charges live here; benches diff two snapshots around a run they want
-/// to attribute.
+/// Process-wide monotone counter registry (relaxed atomics).  It holds
+/// the scheduler totals behind par::sched_stats(); callers diff two
+/// snapshots around a run they want to attribute.
 class Registry {
  public:
   static Registry& global();
 
-  /// Records `v` under the metric's declared policy (atomic).
+  /// Records `v` atomically: max metrics keep the larger value, all
+  /// others add.  Float-sum metrics live in ledgers only; no registry
+  /// writer records one.
   void record(Metric m, std::uint64_t v) {
     std::atomic<std::uint64_t>& slot = v_[static_cast<std::size_t>(m)];
-    switch (agg(m)) {
-      case Agg::kSum:
-        slot.fetch_add(v, std::memory_order_relaxed);
-        break;
-      case Agg::kMax: {
-        std::uint64_t cur = slot.load(std::memory_order_relaxed);
-        while (v > cur && !slot.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
-        break;
-      }
-      case Agg::kSumF64:
-        record_f64(m, static_cast<double>(v));
-        break;
+    if (agg(m) != Agg::kMax) {
+      slot.fetch_add(v, std::memory_order_relaxed);
+      return;
     }
-  }
-
-  /// Float-sum metrics only: CAS-adds `d` to the slot's double value.
-  void record_f64(Metric m, double d) {
-    std::atomic<std::uint64_t>& slot = v_[static_cast<std::size_t>(m)];
     std::uint64_t cur = slot.load(std::memory_order_relaxed);
-    while (!slot.compare_exchange_weak(
-        cur, f64_to_slot(slot_to_f64(cur) + d),
-        std::memory_order_relaxed)) {
+    while (v > cur &&
+           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
-
-  /// Folds a whole ledger into the registry (one atomic op per nonzero
-  /// slot).
-  void merge(const Ledger& l);
 
   /// Consistent-enough snapshot of the totals (each slot individually
   /// atomic).

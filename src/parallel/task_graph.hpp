@@ -28,14 +28,12 @@ struct SchedStats {
     l.record(obs::Metric::kSchedGraphs, graphs);
     l.record(obs::Metric::kSchedTasks, tasks);
     l.record(obs::Metric::kSchedChunks, chunks);
-    l.record(obs::Metric::kSchedOverlapNs, overlap_ns);
     l.record(obs::Metric::kSchedBarrierWaitNs, barrier_wait_ns);
   }
   void from_ledger(const obs::Ledger& l) {
     graphs = l.get(obs::Metric::kSchedGraphs);
     tasks = l.get(obs::Metric::kSchedTasks);
     chunks = l.get(obs::Metric::kSchedChunks);
-    overlap_ns = l.get(obs::Metric::kSchedOverlapNs);
     barrier_wait_ns = l.get(obs::Metric::kSchedBarrierWaitNs);
   }
 

@@ -110,11 +110,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-int ThreadPool::workers() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<int>(workers_.size());
-}
-
 bool& ThreadPool::in_region() {
   thread_local bool flag = false;
   return flag;

@@ -83,9 +83,6 @@ class ThreadPool {
   /// serial policies never spawns a thread.
   static ThreadPool& shared();
 
-  /// Worker threads currently alive (excludes callers).
-  int workers() const;
-
   /// Clamps a requested thread count into [1, kMaxThreads].
   static int clamp_threads(int threads) {
     return threads < 1 ? 1 : (threads > kMaxThreads ? kMaxThreads : threads);
@@ -209,7 +206,7 @@ class ThreadPool {
   void ensure_workers(int count);
   void worker_main();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Job> queue_;
   std::vector<std::thread> workers_;

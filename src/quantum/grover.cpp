@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "quantum/statevector.hpp"
 #include "util/check.hpp"
@@ -63,9 +62,6 @@ std::optional<std::uint64_t> grover_search(
     // of the measured candidate (counted as one query so the budget always
     // advances — j may be 0 when the schedule ceiling is 1).
     used += j + 1;
-    obs::Registry::global().record(obs::Metric::kQuantumGroverQueries,
-                                   j + 1);
-    obs::Registry::global().record(obs::Metric::kQuantumMeasurements, 1);
     if (stats != nullptr) {
       stats->oracle_queries += j + 1;
       ++stats->measurements;

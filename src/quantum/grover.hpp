@@ -9,7 +9,6 @@
 #include <optional>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "parallel/exec_policy.hpp"
 #include "rt/budget.hpp"
 #include "util/rng.hpp"
@@ -19,16 +18,6 @@ namespace ovo::quantum {
 struct GroverStats {
   std::uint64_t oracle_queries = 0;   ///< Grover iterations performed
   std::uint64_t measurements = 0;     ///< verification measurements
-
-  /// View over the obs registry's quantum.* metrics.
-  void to_ledger(obs::Ledger& l) const {
-    l.record(obs::Metric::kQuantumGroverQueries, oracle_queries);
-    l.record(obs::Metric::kQuantumMeasurements, measurements);
-  }
-  void from_ledger(const obs::Ledger& l) {
-    oracle_queries = l.get(obs::Metric::kQuantumGroverQueries);
-    measurements = l.get(obs::Metric::kQuantumMeasurements);
-  }
 };
 
 /// Searches for any x in [0, space) with marked(x), using the

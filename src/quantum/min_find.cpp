@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "quantum/grover.hpp"
 #include "util/check.hpp"
 
@@ -28,8 +27,6 @@ MinOutcome AccountingMinimumFinder::find_min(
   out.best_index = argmin;
   out.quantum_queries =
       std::sqrt(static_cast<double>(values.size())) * log_inv_eps_;
-  obs::Registry::global().record_f64(obs::Metric::kQuantumQueries,
-                                     out.quantum_queries);
   if (failure_rate_ > 0.0 && values.size() > 1 &&
       rng_.uniform() < failure_rate_) {
     // DH failure mode: the answer is some candidate that is not the
@@ -55,10 +52,6 @@ MinOutcome GroverMinimumFinder::find_min(
   MinOutcome out;
   out.best_index = r.best_index;
   out.quantum_queries = static_cast<double>(r.oracle_queries);
-  obs::Registry::global().record_f64(obs::Metric::kQuantumQueries,
-                                     out.quantum_queries);
-  obs::Registry::global().record(obs::Metric::kQuantumMinFindRounds,
-                                 r.rounds);
   const std::int64_t true_min =
       *std::min_element(values.begin(), values.end());
   out.failed = values[r.best_index] != true_min;

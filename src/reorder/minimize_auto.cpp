@@ -41,10 +41,17 @@ void greedy_complete(core::PrefixTable& t, core::DiagramKind kind,
 
 }  // namespace
 
+bool is_prune_seed(std::string_view name) {
+  return std::find(kPruneSeeds.begin(), kPruneSeeds.end(), name) !=
+         kPruneSeeds.end();
+}
+
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,
                                  int max_passes, int restarts,
                                  std::uint64_t rng_seed,
                                  const EvalContext& ctx) {
+  OVO_CHECK_MSG(is_prune_seed(seed),
+                "seed_prune_bound: unknown seed strategy");
   PruneSeedResult out;
   if (seed == "none") return out;
   std::vector<int> identity(static_cast<std::size_t>(oracle.base().n));
@@ -62,11 +69,9 @@ PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,
     r = sift(oracle, identity, max_passes, ctx);
   } else if (seed == "window") {
     r = window_permute(oracle, identity, /*window=*/3, max_passes, ctx);
-  } else if (seed == "restarts") {
+  } else {  // "restarts"
     util::Xoshiro256 rng(rng_seed);
     r = random_restart(oracle, restarts, rng, ctx);
-  } else {
-    OVO_CHECK_MSG(false, "seed_prune_bound: unknown seed strategy");
   }
   out.order_root_first = r.order_root_first;
   out.upper_bound = r.internal_nodes;
@@ -111,7 +116,8 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   const core::FsStarSnapshot* resume = options.ckpt.resume;
   if (resume != nullptr) {
     seeded.order_root_first = resume->seed_order;
-    seeded.upper_bound = resume->prune_upper_bound;
+    seeded.upper_bound =
+        resume->counters.get(obs::Metric::kFsPruneUpperBound);
   } else if (options.exec.prune == par::PruneMode::kBounds) {
     seeded = seed_prune_bound(oracle, options.prune_seed,
                               options.sift_max_passes, options.restarts,
@@ -127,27 +133,22 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     ckpt.seed_order = resume->seed_order;
     ckpt.rng_seed = resume->rng_seed;
     ckpt.seed_name = resume->seed_name;
-    ckpt.seed_stats = resume->seed_stats;
+    ckpt.seed_counters = resume->seed_counters;
   } else if (options.exec.prune == par::PruneMode::kBounds) {
     ckpt.seed_order = seeded.order_root_first;
     ckpt.rng_seed = options.restart_seed;
     ckpt.seed_name = options.prune_seed;
-    const OracleStats after_seed = oracle.stats();
-    ckpt.seed_stats.queries = after_seed.queries;
-    ckpt.seed_stats.evals = after_seed.evals;
-    ckpt.seed_stats.memo_hits = after_seed.memo_hits;
-    ckpt.seed_stats.ops = after_seed.ops;
+    oracle.stats().to_ledger(ckpt.seed_counters);
   }
 
   // The skipped seed stage's counters still belong in the reported
-  // ledger: with them restored, a resumed run's totals equal the
+  // ledger: with them restored, a resumed run's pinned totals equal the
   // uninterrupted run's.
   const auto restore_seed_ledger = [&](OracleStats* st) {
     if (resume == nullptr) return;
-    st->queries += resume->seed_stats.queries;
-    st->evals += resume->seed_stats.evals;
-    st->memo_hits += resume->seed_stats.memo_hits;
-    st->ops += resume->seed_stats.ops;
+    OracleStats seed;
+    seed.from_ledger(resume->seed_counters);
+    *st += seed;
   };
 
   // Stage 1: the exact DP, layer-admitted against the budget.

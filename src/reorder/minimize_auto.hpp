@@ -21,8 +21,10 @@
 // run with a fixed work-unit budget returns the same order, size, and
 // outcome for every thread count; only wall-clock/cancel trips vary.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/minimize.hpp"
@@ -103,10 +105,17 @@ struct PruneSeedResult {
   std::uint64_t upper_bound = 0;      ///< 0 for "none" (DP self-seeds)
 };
 
-/// Runs the cheap strategy named `seed` through `oracle` and returns the
-/// best order it found plus its exact size.  Recognized names: "sift"
-/// (default everywhere), "window", "restarts", "anneal", and "none"
-/// (skip seeding; the DP self-seeds from one ascending chain).  The
+/// The seed strategies seed_prune_bound dispatches on: "sift" (default
+/// everywhere), "window", "restarts", "anneal", and "none" (skip
+/// seeding; the DP self-seeds from one ascending chain).
+inline constexpr std::array<std::string_view, 5> kPruneSeeds = {
+    "sift", "window", "restarts", "anneal", "none"};
+
+/// True iff `name` is one of kPruneSeeds.
+bool is_prune_seed(std::string_view name);
+
+/// Runs the cheap strategy named `seed` (one of kPruneSeeds) through
+/// `oracle` and returns the best order it found plus its exact size.  The
 /// evaluations go through the shared memoized oracle, so a later
 /// heuristic stage revisiting an order pays a lookup, not a chain.
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,

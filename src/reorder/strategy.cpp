@@ -48,16 +48,12 @@ StrategyResult run_fs(const tt::TruthTable& f, const StrategyOptions& o,
   core::FsCheckpointOptions ckpt = o.ckpt;
   std::uint64_t prune_ub = 0;
   if (o.ckpt.resume != nullptr) {
-    const core::FsSeedStats& ss = o.ckpt.resume->seed_stats;
     ckpt.seed_order = o.ckpt.resume->seed_order;
     ckpt.rng_seed = o.ckpt.resume->rng_seed;
     ckpt.seed_name = o.ckpt.resume->seed_name;
-    ckpt.seed_stats = ss;
+    ckpt.seed_counters = o.ckpt.resume->seed_counters;
     // Report the skipped seed stage's ledger as if it had run.
-    r.oracle.queries = ss.queries;
-    r.oracle.evals = ss.evals;
-    r.oracle.memo_hits = ss.memo_hits;
-    r.oracle.ops = ss.ops;
+    r.oracle.from_ledger(ckpt.seed_counters);
   } else if (ctx.exec.prune == par::PruneMode::kBounds &&
              o.prune_seed != "none") {
     CostOracle oracle(f, o.kind);
@@ -71,10 +67,7 @@ StrategyResult run_fs(const tt::TruthTable& f, const StrategyOptions& o,
     ckpt.rng_seed = o.seed;
     ckpt.seed_name = o.prune_seed;
     r.oracle = oracle.stats();
-    ckpt.seed_stats.queries = r.oracle.queries;
-    ckpt.seed_stats.evals = r.oracle.evals;
-    ckpt.seed_stats.memo_hits = r.oracle.memo_hits;
-    ckpt.seed_stats.ops = r.oracle.ops;
+    r.oracle.to_ledger(ckpt.seed_counters);
   }
   // The plain DP has no graceful degradation; `auto` is the governed
   // exact path.  A budget on ctx is ignored here by design.

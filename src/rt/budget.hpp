@@ -33,8 +33,6 @@
 #include <chrono>
 #include <cstdint>
 
-#include "obs/metrics.hpp"
-
 namespace ovo::rt {
 
 /// Why a governed run ended.
@@ -99,30 +97,13 @@ struct Budget {
   }
 };
 
-/// Accounting for one governed run.  A view over the obs registry's
-/// rt.* metrics (the governor also mirrors every charge into the
-/// process-global registry; see Governor).
+/// Accounting for one governed run (see Governor::stats).
 struct RunStats {
   std::uint64_t work_units = 0;   ///< total charged work
   std::uint64_t checkpoints = 0;  ///< charge() + poll() calls
   std::uint64_t peak_nodes = 0;   ///< largest admitted node footprint
   std::uint64_t peak_bytes = 0;   ///< largest admitted byte footprint
   double elapsed_seconds = 0.0;
-
-  /// Accumulates this struct into `l` under the rt.* metric IDs
-  /// (elapsed_seconds is wall clock, not a counter; it stays out).
-  void to_ledger(obs::Ledger& l) const {
-    l.record(obs::Metric::kRtWorkCharged, work_units);
-    l.record(obs::Metric::kRtCheckpoints, checkpoints);
-    l.record(obs::Metric::kRtPeakNodes, peak_nodes);
-    l.record(obs::Metric::kRtPeakBytes, peak_bytes);
-  }
-  void from_ledger(const obs::Ledger& l) {
-    work_units = l.get(obs::Metric::kRtWorkCharged);
-    checkpoints = l.get(obs::Metric::kRtCheckpoints);
-    peak_nodes = l.get(obs::Metric::kRtPeakNodes);
-    peak_bytes = l.get(obs::Metric::kRtPeakBytes);
-  }
 };
 
 /// A governed result: the best-so-far value plus why the run stopped.

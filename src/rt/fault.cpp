@@ -3,7 +3,6 @@
 #include <atomic>
 #include <new>
 
-#include "obs/metrics.hpp"
 #include "rt/budget.hpp"
 
 namespace ovo::rt {
@@ -97,14 +96,6 @@ ScopedFaultPlan::ScopedFaultPlan(const FaultSchedule& schedule)
 
 ScopedFaultPlan::~ScopedFaultPlan() {
   g_fault.store(nullptr, std::memory_order_release);
-  // Fold the observation totals into the obs registry so chaos sweeps
-  // and fault-injected runs are visible in every telemetry artifact.
-  const std::uint64_t events = total_events();
-  const std::uint64_t faults = total_injected();
-  if (events != 0)
-    obs::Registry::global().record(obs::Metric::kRtFaultEvents, events);
-  if (faults != 0)
-    obs::Registry::global().record(obs::Metric::kRtFaultsInjected, faults);
   delete state_;
 }
 

@@ -140,8 +140,8 @@ struct FaultPlan {
 
 /// Installs a FaultSchedule process-wide for its scope (all counters
 /// start at zero on installation).  Only one plan may be active at a
-/// time; nesting throws FaultNestingError.  On uninstall the totals are
-/// folded into the obs registry (rt.fault_events / rt.faults_injected).
+/// time; nesting throws FaultNestingError.  Its counters are readable
+/// only through this object and die with it.
 class ScopedFaultPlan {
  public:
   explicit ScopedFaultPlan(const FaultSchedule& schedule);

@@ -1,21 +1,8 @@
 #include "rt/budget.hpp"
 
-#include "obs/metrics.hpp"
 #include "rt/fault.hpp"
 
 namespace ovo::rt {
-
-namespace {
-
-/// Every governed charge is mirrored into the process-global obs
-/// registry: the governor's own work_ atomic stays the decision ledger
-/// (budget math must not see another run's work), the registry is the
-/// telemetry total benches and traces read.
-void mirror(obs::Metric m, std::uint64_t v) {
-  obs::Registry::global().record(m, v);
-}
-
-}  // namespace
 
 const char* outcome_name(Outcome o) {
   switch (o) {
@@ -61,7 +48,6 @@ bool Governor::over_deadline() {
 bool Governor::poll() {
   const std::uint64_t cp =
       checkpoints_.fetch_add(1, std::memory_order_relaxed) + 1;
-  mirror(obs::Metric::kRtCheckpoints, 1);
   if (fault_checkpoint_hook() ||
       (budget_.cancel != nullptr && budget_.cancel->cancelled())) {
     stop(Outcome::kCancelled);
@@ -76,7 +62,6 @@ bool Governor::poll() {
 
 void Governor::restore_work(std::uint64_t units) {
   work_.fetch_add(units, std::memory_order_relaxed);
-  mirror(obs::Metric::kRtWorkCharged, units);
 }
 
 bool Governor::admit_work(std::uint64_t upcoming) {
@@ -105,7 +90,6 @@ std::uint64_t Governor::admit_charge_batch(std::uint64_t per_item,
     }
   }
   work_.fetch_add(admitted * per_item, std::memory_order_relaxed);
-  mirror(obs::Metric::kRtWorkCharged, admitted * per_item);
   return admitted;
 }
 
@@ -114,7 +98,6 @@ bool Governor::admit_nodes(std::uint64_t nodes) {
   while (nodes > peak && !peak_nodes_.compare_exchange_weak(
                              peak, nodes, std::memory_order_relaxed)) {
   }
-  mirror(obs::Metric::kRtPeakNodes, nodes);
   if (stopped()) return false;
   if (budget_.node_limit != 0 && nodes > budget_.node_limit) {
     note(Outcome::kNodeLimit);
@@ -128,7 +111,6 @@ bool Governor::admit_bytes(std::uint64_t bytes) {
   while (bytes > peak && !peak_bytes_.compare_exchange_weak(
                              peak, bytes, std::memory_order_relaxed)) {
   }
-  mirror(obs::Metric::kRtPeakBytes, bytes);
   if (stopped()) return false;
   if (budget_.bytes_limit != 0 && bytes > budget_.bytes_limit) {
     note(Outcome::kMemLimit);
@@ -140,7 +122,6 @@ bool Governor::admit_bytes(std::uint64_t bytes) {
 bool Governor::charge(std::uint64_t units) {
   const std::uint64_t total =
       work_.fetch_add(units, std::memory_order_relaxed) + units;
-  mirror(obs::Metric::kRtWorkCharged, units);
   if (poll()) return false;
   if (budget_.work_limit != 0 && total > budget_.work_limit) {
     note(Outcome::kDeadline);

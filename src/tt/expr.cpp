@@ -148,10 +148,12 @@ class Parser {
         ++pos_;
       if (pos_ == start) fail("expected variable number");
       // Bound the digit count before std::stoi so an oversized index is
-      // a typed error, not std::out_of_range (6 digits >> 64 variables).
+      // a typed error, not std::out_of_range; then bound the index by
+      // what a truth table can hold, as the PLA reader does.
       if (pos_ - start > 6) fail("variable number out of range");
       const int idx = std::stoi(text_.substr(start, pos_ - start));
       if (idx < 1) fail("variables are 1-based (x1, x2, ...)");
+      if (idx > TruthTable::kMaxVars) fail("variable number out of range");
       return make_var(idx - 1);
     }
     fail(std::string("unexpected character '") + c + "'");

@@ -52,15 +52,6 @@ class Manager : public ds::DiagramStoreBase<Manager> {
     std::size_t cache_entries = 0;  ///< live op-cache entries
     ds::TableStats unique;
     ds::CacheStats cache;
-
-    /// See bdd::Manager::Stats::to_ledger — same ds.* metric slots.
-    void to_ledger(obs::Ledger& l) const {
-      l.record(obs::Metric::kDsPoolNodes, pool_nodes);
-      l.record(obs::Metric::kDsUniqueEntries, unique_entries);
-      l.record(obs::Metric::kDsCacheEntries, cache_entries);
-      unique.to_ledger(l);
-      cache.to_ledger(l);
-    }
   };
   Stats stats() const;
 

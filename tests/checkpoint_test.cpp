@@ -297,15 +297,18 @@ void expect_prune_equal(const PruneStats& a, const PruneStats& b) {
   EXPECT_EQ(a.sparse_cells, b.sparse_cells);
 }
 
+/// The pinned projection of a stats view's ledger: what a resumed run
+/// must reproduce exactly (measured counters such as dedup probes cover
+/// only the work after the resume).
+template <typename Stats>
+obs::Ledger pinned_ledger(const Stats& stats) {
+  obs::Ledger l;
+  stats.to_ledger(l);
+  return l.pinned();
+}
+
 void expect_ops_equal(const OpCounter& a, const OpCounter& b) {
-  EXPECT_EQ(a.table_cells, b.table_cells);
-  EXPECT_EQ(a.compactions, b.compactions);
-  EXPECT_EQ(a.peak_cells, b.peak_cells);
-  EXPECT_EQ(a.dedup.lookups, b.dedup.lookups);
-  EXPECT_EQ(a.dedup.hits, b.dedup.hits);
-  EXPECT_EQ(a.dedup.inserts, b.dedup.inserts);
-  EXPECT_EQ(a.dedup.probes, b.dedup.probes);
-  expect_prune_equal(a.prune, b.prune);
+  EXPECT_EQ(pinned_ledger(a), pinned_ledger(b));
 }
 
 void expect_results_equal(const FsStarResult& a, const FsStarResult& b) {
@@ -332,15 +335,12 @@ std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
                                                          s.mincost.end());
   v.best_last = &bl;
   v.mincost = &mc;
-  v.prune = &s.prune;
   v.certified_lower_bound = s.certified_lower_bound;
-  v.ops = &s.ops;
-  v.work_charged = s.work_charged;
-  v.prune_upper_bound = s.prune_upper_bound;
+  v.counters = &s.counters;
   v.seed_order = &s.seed_order;
   v.rng_seed = s.rng_seed;
   v.seed_name = &s.seed_name;
-  v.seed_stats = &s.seed_stats;
+  v.seed_counters = &s.seed_counters;
   return encode_snapshot(v);
 }
 
@@ -360,6 +360,111 @@ TEST(FsSnapshot, EncodeIsDeterministicAndRoundTrips) {
       // Decoded state re-encodes to the identical bytes: the codec has no
       // iteration-order or uninitialized-padding leaks.
       EXPECT_EQ(reencode(s), payload);
+    }
+  }
+}
+
+// Measured counters never reach the bytes: a fence encoded with other
+// dedup probe totals, resizes and probe histogram (what a differently
+// sized dedup table would record) is the identical payload.
+TEST(FsSnapshot, MeasuredCountersLeaveBytesUnchanged) {
+  util::Xoshiro256 rng(15);
+  const tt::TruthTable t = tt::adder_carry(6);
+  reorder::AutoMinimizeOptions opt;
+  opt.exec.prune = par::PruneMode::kBounds;
+  std::vector<std::vector<std::uint8_t>> fences;
+  opt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+    fences.push_back(p);
+  };
+  reorder::minimize_auto(t, rt::Budget(), opt);
+  ASSERT_FALSE(fences.empty());
+  for (const auto& payload : fences) {
+    FsStarSnapshot s = decode_snapshot(payload.data(), payload.size());
+    ASSERT_GT(s.counters.get(obs::Metric::kDsUniqueLookups), 0u);
+    ASSERT_GT(s.seed_counters.get(obs::Metric::kOracleQueries), 0u);
+    for (obs::Ledger* l : {&s.counters, &s.seed_counters}) {
+      OpCounter noisy;
+      noisy.dedup.probes = 1 + rng.below(1000);
+      noisy.dedup.resizes = 1 + rng.below(10);
+      for (std::uint64_t& h : noisy.dedup.probe_hist) h = rng.below(100);
+      noisy.to_ledger(*l);
+    }
+    EXPECT_EQ(reencode(s), payload);
+  }
+}
+
+/// The bytes of one keyed counter section, written as given: no check
+/// of names, order, values or count.
+std::vector<std::uint8_t> counter_section(
+    std::uint32_t count,
+    const std::vector<std::pair<std::string, std::uint64_t>>& entries) {
+  rt::ByteWriter w;
+  w.u32(count);
+  for (const auto& [name, bits] : entries) {
+    w.str(name);
+    w.u64(bits);
+  }
+  return w.take();
+}
+
+// Each way a keyed section can lie is a typed kMalformed, in either
+// section: an unknown or measured name, a repeated or out-of-order name,
+// a zero value, or more entries than the registry has.
+TEST(FsSnapshot, KeyedSectionRejectsMalformedEntries) {
+  util::Xoshiro256 rng(16);
+  const tt::TruthTable t = tt::random_function(5, rng);
+  const CapturedRun run = capture_run(t, par::PruneMode::kOff);
+  ASSERT_FALSE(run.fences.empty());
+  FsStarSnapshot s =
+      decode_snapshot(run.fences.back().data(), run.fences.back().size());
+  s.counters = obs::Ledger{};
+  s.counters.set(obs::Metric::kFsCompactions, 5);
+  s.counters.set(obs::Metric::kFsTableCells, 9);
+  s.seed_counters = obs::Ledger{};
+  s.seed_counters.set(obs::Metric::kOracleEvals, 3);
+  s.seed_counters.set(obs::Metric::kOracleQueries, 4);
+  const std::vector<std::uint8_t> payload = reencode(s);
+
+  const std::vector<std::vector<std::uint8_t>> sections = {
+      counter_section(2, {{"fs.compactions", 5}, {"fs.table_cells", 9}}),
+      counter_section(2, {{"oracle.evals", 3}, {"oracle.queries", 4}})};
+  const struct {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+  } lies[] = {
+      {"unknown name", counter_section(1, {{"fs.bogus", 5}})},
+      {"measured name", counter_section(1, {{"ds.unique.probes", 5}})},
+      {"repeated name",
+       counter_section(2, {{"fs.compactions", 5}, {"fs.compactions", 9}})},
+      {"out-of-order names",
+       counter_section(2, {{"fs.table_cells", 9}, {"fs.compactions", 5}})},
+      {"zero value", counter_section(1, {{"fs.compactions", 0}})},
+      {"more entries than the registry",
+       counter_section(static_cast<std::uint32_t>(obs::kMetricCount) + 1,
+                       {})},
+  };
+  for (const std::vector<std::uint8_t>& section : sections) {
+    const auto at = std::search(payload.begin(), payload.end(),
+                                section.begin(), section.end());
+    ASSERT_NE(at, payload.end());
+    const auto splice = [&](const std::vector<std::uint8_t>& bytes) {
+      std::vector<std::uint8_t> p(payload.begin(), at);
+      p.insert(p.end(), bytes.begin(), bytes.end());
+      p.insert(p.end(), at + static_cast<std::ptrdiff_t>(section.size()),
+               payload.end());
+      return p;
+    };
+    const std::vector<std::uint8_t> same = splice(section);
+    EXPECT_NO_THROW(decode_snapshot(same.data(), same.size()));
+    for (const auto& lie : lies) {
+      const std::vector<std::uint8_t> bad = splice(lie.bytes);
+      try {
+        decode_snapshot(bad.data(), bad.size());
+        ADD_FAILURE() << lie.what << " decoded";
+      } catch (const rt::CheckpointError& e) {
+        EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed)
+            << lie.what << ": " << e.what();
+      }
     }
   }
 }
@@ -655,7 +760,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
 
 // A snapshot written by an older encoder (container version below
 // kFsSnapshotVersion) must be refused as version skew, not misparsed —
-// the v2 payload grew a trailing ledger section that v1 files lack.
+// each version's payload lays its counters out differently.
 TEST(FsResume, OldSnapshotVersionIsTyped) {
   util::Xoshiro256 rng(26);
   const tt::TruthTable t = tt::random_function(5, rng);
@@ -688,11 +793,8 @@ void expect_auto_equal(const rt::Result<reorder::AutoMinimizeResult>& resumed,
   EXPECT_EQ(resumed.value.internal_nodes, straight.value.internal_nodes);
   EXPECT_EQ(resumed.value.lower_bound, straight.value.lower_bound);
   expect_ops_equal(resumed.value.ops, straight.value.ops);
-  EXPECT_EQ(resumed.value.oracle.queries, straight.value.oracle.queries);
-  EXPECT_EQ(resumed.value.oracle.evals, straight.value.oracle.evals);
-  EXPECT_EQ(resumed.value.oracle.memo_hits, straight.value.oracle.memo_hits);
-  EXPECT_EQ(resumed.value.oracle.ops.table_cells,
-            straight.value.oracle.ops.table_cells);
+  EXPECT_EQ(pinned_ledger(resumed.value.oracle),
+            pinned_ledger(straight.value.oracle));
   EXPECT_EQ(resumed.stats.work_units, straight.stats.work_units);
 }
 
@@ -769,11 +871,10 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
   }
 }
 
-// Framed v2 snapshots written by the previous encoder (one byte per
-// push, bytewise CRC) and checked in under the corpus: the format
-// is pinned, not just self-consistent.  Each must load, re-encode to its
-// exact payload, equal what a fresh run writes at that fence, and resume
-// to the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
+// Framed v3 snapshots checked in under the corpus: the format is pinned,
+// not just self-consistent.  Each must load, re-encode to its exact
+// payload, equal what a fresh run writes at that fence, and resume to
+// the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
 // direct fs_star run.  Pruned: adder carry(6) at fence 3 of a
 // minimize_auto run with a sift seed, so the seed provenance fields
 // (order, name, oracle counters) are covered too.
@@ -781,12 +882,13 @@ std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV2FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 2);
+TEST(FsSnapshot, CheckedInV3FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 3);
   {
-    const std::string path = corpus_snapshot("valid_dense_hwb6_layer3.bin");
+    const std::string path =
+        corpus_snapshot("valid_v3_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 2, 2).payload;
+        rt::load_checkpoint(path, 3, 3).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
@@ -806,9 +908,9 @@ TEST(FsSnapshot, CheckedInV2FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v3_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 2, 2).payload;
+        rt::load_checkpoint(path, 3, 3).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
@@ -834,6 +936,22 @@ TEST(FsSnapshot, CheckedInV2FixturesStayCompatible) {
     ropt.ckpt.resume = &snap;
     expect_auto_equal(reorder::minimize_auto(t, rt::Budget(), ropt),
                       straight);
+  }
+}
+
+// The v2 fixtures the previous encoder wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v3 payload.
+TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
+  for (const char* name :
+       {"valid_dense_hwb6_layer3.bin", "valid_pruned_adder6_layer3.bin"}) {
+    const std::string path = corpus_snapshot(name);
+    EXPECT_EQ(rt::load_checkpoint(path, 2, 2).version, 2u) << name;
+    try {
+      load_snapshot(path);
+      ADD_FAILURE() << name << " loaded";
+    } catch (const rt::CheckpointError& e) {
+      EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kVersionSkew) << name;
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // ovo::obs unit tests: the counter/ledger registry's merge algebra (the
-// property every legacy stats struct's operator+= now inherits), shard-
-// order invariance, bit-identical run ledgers across thread counts, the
-// shared JSON serializer's pinned keys, and the trace-span exporter's
-// Chrome trace-event output.
+// property every stats view's operator+= inherits), the pinned/measured
+// split, bit-identical run ledgers across thread counts, the shared JSON
+// serializer's pinned keys, and the trace-span exporter's Chrome
+// trace-event output.
 
 #include <gtest/gtest.h>
 
@@ -34,10 +34,10 @@ Ledger sample_ledger(std::uint64_t seed) {
   l.record(Metric::kFsTableCells, 100 * seed + 7);
   l.record(Metric::kDsUniqueLookups, 13 * seed);
   l.record(Metric::kFsPeakCells, 50 * ((seed * 7919) % 11));  // kMax
-  l.record(Metric::kRtPeakNodes, seed % 3 == 0 ? 900 : 12);   // kMax
+  l.record(Metric::kFsPruneUpperBound, seed % 3 == 0 ? 900 : 12);  // kMax
   l.record(Metric::kSchedBarrierWaitNs, seed * seed);
-  l.set_f64(Metric::kQuantumQueries, static_cast<double>(64 * seed));
-  l.set_f64(Metric::kOracleMinFindQueries, static_cast<double>(seed % 5));
+  l.set_f64(Metric::kOracleMinFindQueries,
+            static_cast<double>(64 * seed + seed % 5));
   return l;
 }
 
@@ -53,10 +53,10 @@ TEST(ObsLedger, RecordFollowsDeclaredPolicy) {
   l.record(Metric::kFsPeakCells, 5);
   EXPECT_EQ(l.get(Metric::kFsPeakCells), 9u);
 
-  ASSERT_EQ(agg(Metric::kQuantumQueries), Agg::kSumF64);
-  l.record(Metric::kQuantumQueries, 2);
-  l.add_f64(Metric::kQuantumQueries, 0.5);
-  EXPECT_DOUBLE_EQ(l.get_f64(Metric::kQuantumQueries), 2.5);
+  ASSERT_EQ(agg(Metric::kOracleMinFindQueries), Agg::kSumF64);
+  l.record(Metric::kOracleMinFindQueries, 2);
+  l.add_f64(Metric::kOracleMinFindQueries, 0.5);
+  EXPECT_DOUBLE_EQ(l.get_f64(Metric::kOracleMinFindQueries), 2.5);
 }
 
 TEST(ObsLedger, ZeroLedgerIsMergeIdentity) {
@@ -92,22 +92,6 @@ TEST(ObsLedger, MergeIsAssociative) {
   EXPECT_EQ(left, right);
 }
 
-TEST(ObsLedger, ShardedFoldMatchesAnyShardOrder) {
-  constexpr int kShards = 8;
-  ShardedLedger sharded(kShards);
-  for (int s = 0; s < kShards; ++s)
-    sharded.shard(s) = sample_ledger(static_cast<std::uint64_t>(s + 1));
-  const Ledger ascending = sharded.merged();
-
-  // Fold in descending and in an interleaved order: same bits.
-  Ledger descending, interleaved;
-  for (int s = kShards - 1; s >= 0; --s) descending.merge(sharded.shard(s));
-  for (int s = 0; s < kShards; s += 2) interleaved.merge(sharded.shard(s));
-  for (int s = 1; s < kShards; s += 2) interleaved.merge(sharded.shard(s));
-  EXPECT_EQ(ascending, descending);
-  EXPECT_EQ(ascending, interleaved);
-}
-
 TEST(ObsLedger, LegacyViewRoundTripsThroughLedger) {
   // OpCounter's operator+= is defined as a ledger round trip; spot-check
   // the view projection both ways, prune and dedup included.
@@ -140,21 +124,9 @@ TEST(ObsRegistry, RecordAndSnapshotFollowPolicies) {
   reg.record(Metric::kFsTableCells, 6);
   reg.record(Metric::kFsPeakCells, 8);
   reg.record(Metric::kFsPeakCells, 3);
-  reg.record_f64(Metric::kQuantumQueries, 1.25);
-  reg.record_f64(Metric::kQuantumQueries, 0.75);
   const Ledger snap = reg.snapshot();
   EXPECT_EQ(snap.get(Metric::kFsTableCells), 11u);
   EXPECT_EQ(snap.get(Metric::kFsPeakCells), 8u);
-  EXPECT_DOUBLE_EQ(snap.get_f64(Metric::kQuantumQueries), 2.0);
-}
-
-TEST(ObsRegistry, MergeFoldsWholeLedger) {
-  Registry reg;
-  reg.merge(sample_ledger(2));
-  reg.merge(sample_ledger(5));
-  Ledger expect = sample_ledger(2);
-  expect.merge(sample_ledger(5));
-  EXPECT_EQ(reg.snapshot(), expect);
 }
 
 TEST(ObsRegistry, ConcurrentRecordsSumExactly) {
@@ -166,7 +138,6 @@ TEST(ObsRegistry, ConcurrentRecordsSumExactly) {
       for (int i = 0; i < kPerThread; ++i) {
         reg.record(Metric::kDsUniqueLookups, 1);
         reg.record(Metric::kFsPeakCells, static_cast<std::uint64_t>(i));
-        reg.record_f64(Metric::kQuantumQueries, 1.0);
       }
     });
   }
@@ -176,8 +147,44 @@ TEST(ObsRegistry, ConcurrentRecordsSumExactly) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(snap.get(Metric::kFsPeakCells),
             static_cast<std::uint64_t>(kPerThread - 1));
-  EXPECT_DOUBLE_EQ(snap.get_f64(Metric::kQuantumQueries),
-                   static_cast<double>(kThreads * kPerThread));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned vs measured
+
+/// The measured set, exactly: hash-table probe detail and the scheduler
+/// counters.  Everything else is the algorithm's ledger, which snapshots
+/// store and resumed runs reproduce; moving a metric across the line
+/// changes the snapshot format and must show up here.
+TEST(ObsRegistry, MeasuredSetIsProbeDetailAndScheduler) {
+  std::vector<std::string> measured;
+  std::size_t pinned_count = 0;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const Metric m = static_cast<Metric>(i);
+    if (is_pinned(m))
+      ++pinned_count;
+    else
+      measured.emplace_back(metric_name(m));
+  }
+  EXPECT_EQ(measured,
+            (std::vector<std::string>{
+                "ds.unique.resizes", "ds.unique.probes",
+                "ds.unique.probe_hist.1", "ds.unique.probe_hist.2",
+                "ds.unique.probe_hist.3", "ds.unique.probe_hist.4",
+                "ds.unique.probe_hist.8", "ds.unique.probe_hist.16",
+                "ds.unique.probe_hist.32", "ds.unique.probe_hist.over32",
+                "sched.graphs", "sched.tasks", "sched.chunks",
+                "sched.barrier_wait_ns"}));
+  EXPECT_EQ(pinned_count, 19u);
+
+  // The pinned projection zeroes exactly the measured slots.
+  const Ledger a = sample_ledger(3);
+  const Ledger p = a.pinned();
+  EXPECT_EQ(p.get(Metric::kSchedBarrierWaitNs), 0u);
+  EXPECT_EQ(p.get(Metric::kFsTableCells), a.get(Metric::kFsTableCells));
+  EXPECT_EQ(p.get(Metric::kOracleMinFindQueries),
+            a.get(Metric::kOracleMinFindQueries));
+  EXPECT_EQ(p.pinned(), p);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +263,7 @@ TEST(ObsJson, CounterBlockUsesRegistryKeys) {
 TEST(ObsJson, RunInfoBlockCarriesProvenance) {
   std::string s;
   append_run_info_json(s, 4);
-  EXPECT_NE(s.find("\"schema_version\":1"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"schema_version\":2"), std::string::npos) << s;
   EXPECT_NE(s.find("\"git\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"build\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"threads\":4"), std::string::npos) << s;

@@ -74,6 +74,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bdd/manager.hpp"
@@ -327,6 +328,13 @@ int cmd_order(const std::vector<std::string>& args) {
       }
     } else if (args[i] == "--prune-seed" && i + 1 < args.size()) {
       prune_seed = args[++i];
+      if (!reorder::is_prune_seed(prune_seed)) {
+        std::string names;
+        for (const std::string_view s : reorder::kPruneSeeds)
+          names += (names.empty() ? "" : "|") + std::string(s);
+        throw UsageError("--prune-seed: expected " + names + ", got '" +
+                         prune_seed + "'");
+      }
     } else if (args[i] == "--timeout-ms" && i + 1 < args.size()) {
       budget.deadline_ms = parse_u64_flag("--timeout-ms", args[++i]);
     } else if (args[i] == "--node-limit" && i + 1 < args.size()) {
