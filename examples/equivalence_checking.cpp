@@ -54,7 +54,7 @@ int main() {
       carry = buggy.add_gate(tt::GateOp::kOr, uv, prop);
     }
   }
-  buggy.set_output(carry);
+  buggy.add_output(carry);
 
   const bdd::NodeId buggy_root = m.from_truth_table(buggy.to_truth_table());
   std::printf("spec == buggy impl: %s\n",

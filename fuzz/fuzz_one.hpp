@@ -1,11 +1,14 @@
 #pragma once
 // Shared one-input harness bodies for the fuzzed input frontier.  Each
 // function feeds arbitrary bytes to one untrusted-input decoder and
-// absorbs exactly the *typed* rejection paths (util::CheckError for the
-// PLA/BLIF parsers, tt::ParseError for the expression parser,
-// rt::CheckpointError for the binary decoders).  Anything
-// else — a crash, a sanitizer report, an unexpected exception type
-// terminating the process — is a finding.
+// absorbs exactly the *typed* rejection paths (tt::ParseError for the
+// PLA, BLIF and expression readers, rt::CheckpointError for the binary
+// decoders, util::CheckError for the diagram loaders).  The three text
+// readers also tabulate what they accept, up to kMaxTabulatedInputs
+// inputs and kMaxTabulatedOutputs outputs, so the lowering to tt::Circuit
+// and its simulation are on the frontier too.  Anything else — a crash,
+// a sanitizer report, an internal check failing, an unexpected exception
+// type terminating the process — is a finding.
 //
 // The same bodies back three harnesses:
 //   * the libFuzzer targets in fuzz/fuzz_*.cpp (Clang, -fsanitize=fuzzer)
@@ -33,25 +36,38 @@ inline std::string as_text(const std::uint8_t* data, std::size_t len) {
   return std::string(reinterpret_cast<const char*>(data), len);
 }
 
+/// Parsed inputs up to this size are tabulated as well.
+constexpr std::size_t kMaxTabulatedInputs = 12;
+constexpr std::size_t kMaxTabulatedOutputs = 16;
+
 inline int one_blif(const std::uint8_t* data, std::size_t len) {
   try {
-    tt::parse_blif(as_text(data, len));
-  } catch (const util::CheckError&) {
+    const tt::BlifModel m = tt::parse_blif(as_text(data, len));
+    if (m.inputs.size() <= kMaxTabulatedInputs &&
+        m.outputs.size() <= kMaxTabulatedOutputs)
+      m.output_tables();
+  } catch (const tt::ParseError&) {
   }
   return 0;
 }
 
 inline int one_pla(const std::uint8_t* data, std::size_t len) {
   try {
-    tt::parse_pla(as_text(data, len));
-  } catch (const util::CheckError&) {
+    const tt::Pla p = tt::parse_pla(as_text(data, len));
+    if (static_cast<std::size_t>(p.num_inputs) <= kMaxTabulatedInputs &&
+        static_cast<std::size_t>(p.num_outputs) <= kMaxTabulatedOutputs)
+      p.output_tables();
+  } catch (const tt::ParseError&) {
   }
   return 0;
 }
 
 inline int one_expr(const std::uint8_t* data, std::size_t len) {
   try {
-    tt::parse_expr(as_text(data, len));
+    const tt::ExprPtr e = tt::parse_expr(as_text(data, len));
+    const int n = tt::expr_num_vars(*e);
+    if (static_cast<std::size_t>(n) <= kMaxTabulatedInputs)
+      tt::expr_to_truth_table(*e, n);
   } catch (const tt::ParseError&) {
   }
   return 0;

@@ -1,99 +1,43 @@
 #include "bdd/builder.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace ovo::bdd {
 
-NodeId build_from_expr(Manager& m, const tt::Expr& e) {
-  switch (e.op) {
-    case tt::ExprOp::kVar:
-      OVO_CHECK_MSG(e.var < m.num_vars(),
-                    "build_from_expr: variable outside manager");
-      return m.var_node(e.var);
-    case tt::ExprOp::kConst:
-      return m.constant(e.value);
-    case tt::ExprOp::kNot:
-      return m.apply_not(build_from_expr(m, *e.lhs));
-    case tt::ExprOp::kAnd:
-      return m.apply_and(build_from_expr(m, *e.lhs),
-                         build_from_expr(m, *e.rhs));
-    case tt::ExprOp::kOr:
-      return m.apply_or(build_from_expr(m, *e.lhs),
-                        build_from_expr(m, *e.rhs));
-    case tt::ExprOp::kXor:
-      return m.apply_xor(build_from_expr(m, *e.lhs),
-                         build_from_expr(m, *e.rhs));
-  }
-  OVO_CHECK(false);
-  return kFalse;
-}
-
-namespace {
-
-NodeId literal_node(Manager& m, const tt::Literal& lit) {
-  OVO_CHECK_MSG(lit.var < m.num_vars(),
-                "builder: literal variable outside manager");
-  return m.literal(lit.var, lit.positive);
-}
-
-}  // namespace
-
-NodeId build_from_dnf(Manager& m, const tt::Dnf& d) {
-  NodeId acc = kFalse;
-  for (const tt::Clause& term : d.terms) {
-    NodeId t = kTrue;
-    for (const tt::Literal& lit : term) t = m.apply_and(t, literal_node(m, lit));
-    acc = m.apply_or(acc, t);
-  }
-  return acc;
-}
-
-NodeId build_from_cnf(Manager& m, const tt::Cnf& c) {
-  NodeId acc = kTrue;
-  for (const tt::Clause& clause : c.clauses) {
-    NodeId t = kFalse;
-    for (const tt::Literal& lit : clause)
-      t = m.apply_or(t, literal_node(m, lit));
-    acc = m.apply_and(acc, t);
-  }
-  return acc;
-}
-
-NodeId build_from_circuit(Manager& m, const tt::Circuit& ckt) {
+std::vector<NodeId> build_from_circuit(Manager& m, const tt::Circuit& ckt) {
   OVO_CHECK_MSG(ckt.num_inputs() <= m.num_vars(),
                 "build_from_circuit: manager has too few variables");
-  // Symbolic simulation: one BDD per signal, gates in topological order.
   std::vector<NodeId> signal(
       static_cast<std::size_t>(ckt.num_inputs() + ckt.num_gates()));
   for (int i = 0; i < ckt.num_inputs(); ++i)
     signal[static_cast<std::size_t>(i)] = m.var_node(i);
   for (int g = 0; g < ckt.num_gates(); ++g) {
+    // A missing fanin reads signal 0; its gate ignores it.
     const tt::Gate& gate = ckt.gate(g);
-    const NodeId a = signal[static_cast<std::size_t>(gate.a)];
-    const NodeId b =
-        gate.b >= 0 ? signal[static_cast<std::size_t>(gate.b)] : kFalse;
+    const NodeId a = signal[static_cast<std::size_t>(std::max(gate.a, 0))];
+    const NodeId b = signal[static_cast<std::size_t>(std::max(gate.b, 0))];
     NodeId out = kFalse;
     switch (gate.op) {
-      case tt::GateOp::kAnd:  out = m.apply_and(a, b); break;
-      case tt::GateOp::kOr:   out = m.apply_or(a, b); break;
-      case tt::GateOp::kXor:  out = m.apply_xor(a, b); break;
-      case tt::GateOp::kNand: out = m.apply_not(m.apply_and(a, b)); break;
-      case tt::GateOp::kNor:  out = m.apply_not(m.apply_or(a, b)); break;
-      case tt::GateOp::kXnor: out = m.apply_xnor(a, b); break;
-      case tt::GateOp::kNot:  out = m.apply_not(a); break;
-      case tt::GateOp::kBuf:  out = a; break;
+      case tt::GateOp::kAnd:    out = m.apply_and(a, b); break;
+      case tt::GateOp::kOr:     out = m.apply_or(a, b); break;
+      case tt::GateOp::kXor:    out = m.apply_xor(a, b); break;
+      case tt::GateOp::kNand:   out = m.apply_not(m.apply_and(a, b)); break;
+      case tt::GateOp::kNor:    out = m.apply_not(m.apply_or(a, b)); break;
+      case tt::GateOp::kXnor:   out = m.apply_xnor(a, b); break;
+      case tt::GateOp::kNot:    out = m.apply_not(a); break;
+      case tt::GateOp::kBuf:    out = a; break;
+      case tt::GateOp::kConst0: out = kFalse; break;
+      case tt::GateOp::kConst1: out = kTrue; break;
     }
     signal[static_cast<std::size_t>(ckt.num_inputs() + g)] = out;
   }
-  return signal[static_cast<std::size_t>(ckt.output())];
-}
-
-std::vector<NodeId> build_from_pla(Manager& m, const tt::Pla& pla) {
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(pla.num_outputs));
-  for (int o = 0; o < pla.num_outputs; ++o)
-    out.push_back(build_from_dnf(m, pla.output_dnf(o)));
-  return out;
+  std::vector<NodeId> roots;
+  roots.reserve(ckt.outputs().size());
+  for (const int s : ckt.outputs())
+    roots.push_back(signal[static_cast<std::size_t>(s)]);
+  return roots;
 }
 
 }  // namespace ovo::bdd

@@ -1,33 +1,21 @@
 #pragma once
-// Apply-based BDD construction: builds diagrams directly from symbolic
-// representations (expressions, DNF/CNF, gate-level circuits) via ITE,
-// without materializing a 2^n truth table.  This is how BDD packages are
-// used in practice for functions with many variables; the truth-table path
-// (Manager::from_truth_table) remains the reference for cross-checks and
-// for the ordering DP, which is inherently exponential anyway.
+// Apply-based BDD construction from the gate list every input format
+// lowers to (tt::Circuit: expressions, DNF/CNF, PLA and BLIF alike), by
+// symbolic simulation with ITE and without materializing a 2^n truth
+// table.  This is how BDD packages are used in practice for functions
+// with many variables; the truth-table path (Manager::from_truth_table)
+// remains the reference for cross-checks and for the ordering DP, which
+// is inherently exponential anyway.
+
+#include <vector>
 
 #include "bdd/manager.hpp"
 #include "tt/circuit.hpp"
-#include "tt/expr.hpp"
-#include "tt/normal_forms.hpp"
-#include "tt/pla.hpp"
 
 namespace ovo::bdd {
 
-/// Builds the BDD of an expression tree bottom-up with ITE.
-NodeId build_from_expr(Manager& m, const tt::Expr& e);
-
-/// Builds the BDD of a DNF (OR of ANDs of literals).
-NodeId build_from_dnf(Manager& m, const tt::Dnf& d);
-
-/// Builds the BDD of a CNF (AND of ORs of literals).
-NodeId build_from_cnf(Manager& m, const tt::Cnf& c);
-
-/// Builds the BDD of a circuit output by symbolic simulation (one BDD per
-/// signal, in topological order).
-NodeId build_from_circuit(Manager& m, const tt::Circuit& ckt);
-
-/// Builds one BDD per PLA output (shared node pool).
-std::vector<NodeId> build_from_pla(Manager& m, const tt::Pla& pla);
+/// Builds one BDD per circuit output, in output order (shared node pool):
+/// one BDD per signal, gates in topological order.
+std::vector<NodeId> build_from_circuit(Manager& m, const tt::Circuit& ckt);
 
 }  // namespace ovo::bdd

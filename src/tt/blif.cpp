@@ -1,7 +1,8 @@
 #include "tt/blif.hpp"
 
+#include <algorithm>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "tt/parse_error.hpp"
 #include "util/check.hpp"
@@ -22,88 +23,81 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-/// Evaluation context: memoized recursive evaluation with cycle detection.
-class Evaluator {
- public:
-  Evaluator(const BlifModel& model, std::uint64_t assignment)
-      : model_(model), assignment_(assignment) {
-    for (std::size_t i = 0; i < model.inputs.size(); ++i)
-      input_index_.emplace(model.inputs[i], static_cast<int>(i));
-    for (const BlifCover& c : model.covers)
-      cover_of_.emplace(c.output, &c);
-  }
-
-  bool eval(const std::string& signal) {
-    if (const auto it = input_index_.find(signal);
-        it != input_index_.end())
-      return ((assignment_ >> it->second) & 1u) != 0;
-    if (const auto it = value_.find(signal); it != value_.end())
-      return it->second;
-    const auto cit = cover_of_.find(signal);
-    OVO_CHECK_MSG(cit != cover_of_.end(),
-                  "BLIF: undefined signal '" + signal + "'");
-    OVO_CHECK_MSG(in_progress_.insert(signal).second,
-                  "BLIF: combinational cycle through '" + signal + "'");
-    const BlifCover& cover = *cit->second;
-    bool covered = false;
-    for (const std::string& cube : cover.cubes) {
-      bool hit = true;
-      for (std::size_t i = 0; i < cover.fanins.size(); ++i) {
-        const char c = cube[i];
-        if (c == '-') continue;
-        if (eval(cover.fanins[i]) != (c == '1')) {
-          hit = false;
-          break;
-        }
-      }
-      if (hit) {
-        covered = true;
-        break;
-      }
-    }
-    const bool v = cover.out_value == '1' ? covered : !covered;
-    in_progress_.erase(signal);
-    value_.emplace(signal, v);
-    return v;
-  }
-
- private:
-  const BlifModel& model_;
-  std::uint64_t assignment_;
-  std::unordered_map<std::string, int> input_index_;
-  std::unordered_map<std::string, const BlifCover*> cover_of_;
-  std::unordered_map<std::string, bool> value_;
-  std::unordered_set<std::string> in_progress_;
+/// One `.names` block: a single-output cover.
+struct Cover {
+  int line = 0;                     ///< the .names line
+  std::vector<std::string> fanins;  ///< signal names, in .names order
+  std::vector<std::string> cubes;   ///< input planes, chars in {0,1,-}
+  char out_value = '1';  ///< '1': cubes are the ON-set; '0': the OFF-set
 };
 
+using Index = std::unordered_map<std::string, std::size_t>;
+
+/// Compiles the cones of m.outputs into m.circuit, each cover after the
+/// fanins its cubes test.  The depth-first walk keeps its path on the heap,
+/// so a long chain of covers cannot overflow the stack.
+void compile_cones(BlifModel& m, const std::vector<Cover>& covers,
+                   const Index& cover_of, const std::vector<int>& output_line) {
+  Index input_of;
+  for (std::size_t i = 0; i < m.inputs.size(); ++i)
+    input_of.emplace(m.inputs[i], i);
+  Circuit& c = m.circuit = Circuit(static_cast<int>(m.inputs.size()));
+  constexpr int kUnvisited = -1, kOnPath = -2;
+  std::vector<int> signal(covers.size(), kUnvisited);
+  std::vector<std::pair<std::size_t, std::size_t>> path;  // cover, fanin
+  // The signal `name` tested at `line`; an unvisited cover joins the path.
+  const auto resolve = [&](const std::string& name, int line) -> int {
+    if (const auto it = input_of.find(name); it != input_of.end())
+      return static_cast<int>(it->second);
+    const auto it = cover_of.find(name);
+    if (it == cover_of.end()) fail(line, "undefined signal '" + name + "'");
+    int& s = signal[it->second];
+    if (s == kOnPath) fail(line, "combinational cycle through '" + name + "'");
+    if (s == kUnvisited) {
+      s = kOnPath;
+      path.emplace_back(it->second, 0);
+    }
+    return s;
+  };
+  std::vector<int> cubes, lits;
+  for (std::size_t o = 0; o < m.outputs.size(); ++o) {
+    resolve(m.outputs[o], output_line[o]);
+    while (!path.empty()) {
+      const std::size_t k = path.back().first;
+      const std::size_t f = path.back().second++;
+      const Cover& cover = covers[k];
+      if (f < cover.fanins.size()) {
+        const auto tests = [f](const std::string& q) { return q[f] != '-'; };
+        if (std::any_of(cover.cubes.begin(), cover.cubes.end(), tests))
+          resolve(cover.fanins[f], cover.line);
+        continue;
+      }
+      cubes.clear();
+      for (const std::string& cube : cover.cubes) {
+        lits.clear();
+        for (std::size_t i = 0; i < cube.size(); ++i)
+          if (cube[i] != '-')
+            lits.push_back(c.literal(resolve(cover.fanins[i], cover.line),
+                                     cube[i] == '1'));
+        cubes.push_back(c.add_nary(GateOp::kAnd, lits));
+      }
+      const int covered = c.add_nary(GateOp::kOr, cubes);
+      signal[k] = c.literal(covered, cover.out_value == '1');
+      path.pop_back();
+    }
+    c.add_output(resolve(m.outputs[o], output_line[o]));
+  }
+}
+
 }  // namespace
-
-bool BlifModel::eval(const std::string& signal,
-                     std::uint64_t assignment) const {
-  Evaluator ev(*this, assignment);
-  return ev.eval(signal);
-}
-
-TruthTable BlifModel::output_table(const std::string& output) const {
-  OVO_CHECK_MSG(static_cast<int>(inputs.size()) <= TruthTable::kMaxVars,
-                "BLIF: too many primary inputs to tabulate");
-  return TruthTable::tabulate(
-      static_cast<int>(inputs.size()),
-      [&](std::uint64_t a) { return eval(output, a); });
-}
-
-std::vector<TruthTable> BlifModel::output_tables() const {
-  std::vector<TruthTable> out;
-  out.reserve(outputs.size());
-  for (const std::string& o : outputs) out.push_back(output_table(o));
-  return out;
-}
 
 BlifModel parse_blif(const std::string& text) {
   BlifModel model;
   bool ended = false;
-  BlifCover* current = nullptr;
-  std::unordered_set<std::string> cover_outputs;
+  std::vector<Cover> covers;
+  Cover* current = nullptr;
+  Index cover_of;
+  std::vector<int> output_line;
 
   // Pre-join continuation lines.
   std::vector<std::pair<int, std::string>> lines;
@@ -144,20 +138,23 @@ BlifModel parse_blif(const std::string& text) {
       current = nullptr;
     } else if (tok[0] == ".inputs") {
       model.inputs.insert(model.inputs.end(), tok.begin() + 1, tok.end());
+      if (model.inputs.size() > TruthTable::kMaxVars)
+        fail(line_no, "more than " + std::to_string(TruthTable::kMaxVars) +
+                          " primary inputs");
       current = nullptr;
     } else if (tok[0] == ".outputs") {
       model.outputs.insert(model.outputs.end(), tok.begin() + 1, tok.end());
+      output_line.resize(model.outputs.size(), line_no);
       current = nullptr;
     } else if (tok[0] == ".names") {
       if (tok.size() < 2) fail(line_no, ".names needs an output signal");
-      if (!cover_outputs.insert(tok.back()).second)
-        fail(line_no, "duplicate .names for '" + tok.back() +
-                          "' (the evaluator would silently use the first)");
-      BlifCover cover;
+      if (!cover_of.emplace(tok.back(), covers.size()).second)
+        fail(line_no, "duplicate .names for '" + tok.back() + "'");
+      Cover cover;
+      cover.line = line_no;
       cover.fanins.assign(tok.begin() + 1, tok.end() - 1);
-      cover.output = tok.back();
-      model.covers.push_back(std::move(cover));
-      current = &model.covers.back();
+      covers.push_back(std::move(cover));
+      current = &covers.back();
     } else if (tok[0] == ".end") {
       ended = true;
       current = nullptr;
@@ -201,6 +198,7 @@ BlifModel parse_blif(const std::string& text) {
   if (model.inputs.empty()) throw ParseError("BLIF: no .inputs");
   if (model.outputs.empty()) throw ParseError("BLIF: no .outputs");
   if (!ended) throw ParseError("BLIF: truncated file: missing .end");
+  compile_cones(model, covers, cover_of, output_line);
   return model;
 }
 

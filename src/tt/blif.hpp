@@ -7,40 +7,33 @@
 // continuation (`\`), `.end`.  Latches and subcircuits are rejected.
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "tt/circuit.hpp"
 #include "tt/truth_table.hpp"
 
 namespace ovo::tt {
-
-struct BlifCover {
-  std::vector<std::string> fanins;  ///< signal names, in .names order
-  std::string output;
-  std::vector<std::string> cubes;   ///< input planes, chars in {0,1,-}
-  char out_value = '1';             ///< '1': cubes are the ON-set;
-                                    ///< '0': cubes are the OFF-set
-};
 
 struct BlifModel {
   std::string name;
   std::vector<std::string> inputs;
   std::vector<std::string> outputs;
-  std::vector<BlifCover> covers;
-
-  /// Evaluate signal `signal` under an assignment to the primary inputs
-  /// (bit i = inputs[i]). Throws on undefined or cyclic signals.
-  bool eval(const std::string& signal, std::uint64_t assignment) const;
-
-  /// Truth table of one primary output over the primary inputs.
-  TruthTable output_table(const std::string& output) const;
+  /// The cones of `outputs`, compiled from the `.names` covers by
+  /// parse_blif: one circuit output per primary output, in .outputs order.
+  Circuit circuit{0};
 
   /// All primary-output tables, in .outputs order.
-  std::vector<TruthTable> output_tables() const;
+  std::vector<TruthTable> output_tables() const {
+    return circuit.to_truth_tables();
+  }
 };
 
-/// Parses BLIF text. Throws util::CheckError with a line number on
-/// malformed input.
+/// Parses BLIF text and compiles the cones of the primary outputs.
+/// Throws tt::ParseError with a line number on malformed input, more than
+/// TruthTable::kMaxVars inputs, or an undefined or cyclic signal that a
+/// cube in a cone tests (named at its `.names` or `.outputs` line).
+/// Signals outside every cone, and fanins whose every column is '-', are
+/// never resolved.
 BlifModel parse_blif(const std::string& text);
 
 }  // namespace ovo::tt

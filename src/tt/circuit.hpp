@@ -1,27 +1,34 @@
 #pragma once
-// Gate-level combinational circuits (netlists) — the remaining Corollary 2
-// input representation.  Signals are numbered 0..num_inputs-1 for primary
-// inputs, then one id per gate in topological order.
+// Gate-level combinational circuits (netlists): the one gate list every
+// input format lowers to (Corollary 2).  Signals are numbered
+// 0..num_inputs-1 for primary inputs, then one id per gate in topological
+// order.  One word-parallel simulator tabulates every output, and
+// bdd::build_from_circuit builds their BDDs.
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "tt/truth_table.hpp"
 
 namespace ovo::tt {
 
-enum class GateOp { kAnd, kOr, kXor, kNand, kNor, kXnor, kNot, kBuf };
+enum class GateOp {
+  kAnd, kOr, kXor, kNand, kNor, kXnor, kNot, kBuf, kConst0, kConst1
+};
 
 struct Gate {
   GateOp op = GateOp::kAnd;
-  int a = -1;  ///< first fanin signal id
-  int b = -1;  ///< second fanin signal id (-1 for kNot/kBuf)
+  int a = -1;  ///< first fanin signal id (-1 for constants)
+  int b = -1;  ///< second fanin signal id (-1 for kNot/kBuf and constants)
 };
 
-/// A single-output combinational circuit.
+/// A multi-output combinational circuit.
 class Circuit {
  public:
+  /// Simulation scratch budget in 64-bit words (1 MiB).  A block covers
+  /// max(1, kScratchWords / signals) words of every signal at once.
+  static constexpr std::size_t kScratchWords = (std::size_t{1} << 20) / 8;
+
   explicit Circuit(int num_inputs);
 
   int num_inputs() const { return num_inputs_; }
@@ -34,22 +41,29 @@ class Circuit {
   }
 
   /// Adds a gate; fanins must reference existing signals. Returns the new
-  /// signal id.
-  int add_gate(GateOp op, int a, int b = -1);
+  /// signal id. A negated signal gets one NOT gate, which every later kNot
+  /// of it returns.
+  int add_gate(GateOp op, int a = -1, int b = -1);
 
-  /// Marks the output signal (defaults to the last added gate).
-  void set_output(int signal);
-  int output() const;
+  /// `signal` itself, or its NOT gate.
+  int literal(int signal, bool positive) {
+    return positive ? signal : add_gate(GateOp::kNot, signal);
+  }
 
-  /// Evaluate under an input assignment (bit i = input i).
-  bool eval(std::uint64_t assignment) const;
+  /// The AND (op kAnd) or OR (op kOr) of `signals`, as a chain of
+  /// two-input gates: a constant when empty, the signal itself when one.
+  int add_nary(GateOp op, const std::vector<int>& signals);
 
-  /// O*(2^n) tabulation (Corollary 2).
+  /// Appends an output signal.
+  void add_output(int signal);
+  const std::vector<int>& outputs() const { return outputs_; }
+
+  /// O*(2^n) tabulation of every output in one pass, 64 assignments per
+  /// word (Corollary 2).
+  std::vector<TruthTable> to_truth_tables() const;
+
+  /// The table of a single-output circuit.
   TruthTable to_truth_table() const;
-
-  /// Builds a ripple-carry adder comparison circuit: true iff
-  /// u + v == w for (bits)-bit operands packed u | v<<bits | w<<(2*bits+1)?
-  /// See the factory functions below for concrete layouts.
 
   /// Factory: (half n)-bit ripple-carry adder carry-out, blocked operands.
   static Circuit ripple_carry_out(int operand_bits);
@@ -60,7 +74,8 @@ class Circuit {
  private:
   int num_inputs_;
   std::vector<Gate> gates_;
-  int output_ = -1;
+  std::vector<int> outputs_;
+  std::vector<int> negation_;  ///< per signal: its NOT gate, or -1
 };
 
 }  // namespace ovo::tt

@@ -170,25 +170,6 @@ class Parser {
 
 ExprPtr parse_expr(const std::string& text) { return Parser(text).parse(); }
 
-bool eval_expr(const Expr& e, std::uint64_t assignment) {
-  switch (e.op) {
-    case ExprOp::kVar:
-      return ((assignment >> e.var) & 1u) != 0;
-    case ExprOp::kConst:
-      return e.value;
-    case ExprOp::kNot:
-      return !eval_expr(*e.lhs, assignment);
-    case ExprOp::kAnd:
-      return eval_expr(*e.lhs, assignment) && eval_expr(*e.rhs, assignment);
-    case ExprOp::kOr:
-      return eval_expr(*e.lhs, assignment) || eval_expr(*e.rhs, assignment);
-    case ExprOp::kXor:
-      return eval_expr(*e.lhs, assignment) != eval_expr(*e.rhs, assignment);
-  }
-  OVO_CHECK(false);
-  return false;
-}
-
 int expr_num_vars(const Expr& e) {
   switch (e.op) {
     case ExprOp::kVar:
@@ -236,11 +217,29 @@ std::string expr_to_string(const Expr& e) {
   return {};
 }
 
-TruthTable expr_to_truth_table(const Expr& e, int n) {
+namespace {
+
+/// Post-order tree walk: one gate per operator node.
+int lower(const Expr& e, Circuit& c) {
+  if (e.op == ExprOp::kVar) return e.var;
+  if (e.op == ExprOp::kConst)
+    return c.add_gate(e.value ? GateOp::kConst1 : GateOp::kConst0);
+  const int a = lower(*e.lhs, c);
+  if (e.op == ExprOp::kNot) return c.add_gate(GateOp::kNot, a);
+  const GateOp op = e.op == ExprOp::kAnd  ? GateOp::kAnd
+                    : e.op == ExprOp::kOr ? GateOp::kOr
+                                          : GateOp::kXor;
+  return c.add_gate(op, a, lower(*e.rhs, c));
+}
+
+}  // namespace
+
+Circuit expr_to_circuit(const Expr& e, int n) {
   OVO_CHECK_MSG(n >= expr_num_vars(e),
-                "expr_to_truth_table: n smaller than expression support");
-  return TruthTable::tabulate(
-      n, [&e](std::uint64_t a) { return eval_expr(e, a); });
+                "expr_to_circuit: n smaller than expression support");
+  Circuit c(n);
+  c.add_output(lower(e, c));
+  return c;
 }
 
 }  // namespace ovo::tt

@@ -11,11 +11,11 @@
 //   factor := '!' factor | '(' expr ')' | '0' | '1' | var
 //   var    := 'x' digits        (1-based, paper style: x1 is variable 0)
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "tt/circuit.hpp"
 #include "tt/truth_table.hpp"
 
 namespace ovo::tt {
@@ -45,9 +45,6 @@ ExprPtr make_xor(ExprPtr a, ExprPtr b);
 /// naming the column on any syntax error.
 ExprPtr parse_expr(const std::string& text);
 
-/// Evaluate under assignment (bit i = variable i).
-bool eval_expr(const Expr& e, std::uint64_t assignment);
-
 /// Highest variable index used, plus one (0 for constant expressions).
 int expr_num_vars(const Expr& e);
 
@@ -57,7 +54,12 @@ std::size_t expr_size(const Expr& e);
 /// Render back to the parser's syntax.
 std::string expr_to_string(const Expr& e);
 
+/// Lowers to a single-output circuit on n inputs (n >= expr_num_vars).
+Circuit expr_to_circuit(const Expr& e, int n);
+
 /// Tabulate on n variables (n >= expr_num_vars).
-TruthTable expr_to_truth_table(const Expr& e, int n);
+inline TruthTable expr_to_truth_table(const Expr& e, int n) {
+  return expr_to_circuit(e, n).to_truth_table();
+}
 
 }  // namespace ovo::tt

@@ -6,9 +6,23 @@ namespace ovo::tt {
 
 namespace {
 
-bool literal_holds(const Literal& lit, std::uint64_t assignment) {
-  const bool v = ((assignment >> lit.var) & 1u) != 0;
-  return v == lit.positive;
+/// The `outer` of `inner`s of literals: OR of ANDs for a DNF, AND of ORs
+/// for a CNF.
+Circuit two_level(int n, const std::vector<Clause>& clauses, GateOp inner,
+                  GateOp outer) {
+  Circuit c(n);
+  std::vector<int> lits, parts;
+  for (const Clause& clause : clauses) {
+    lits.clear();
+    for (const Literal& lit : clause) {
+      OVO_CHECK_MSG(lit.var >= 0 && lit.var < n,
+                    "normal form: literal variable out of range");
+      lits.push_back(c.literal(lit.var, lit.positive));
+    }
+    parts.push_back(c.add_nary(inner, lits));
+  }
+  c.add_output(c.add_nary(outer, parts));
+  return c;
 }
 
 Clause random_clause(int n, int k, util::Xoshiro256& rng) {
@@ -30,32 +44,12 @@ Clause random_clause(int n, int k, util::Xoshiro256& rng) {
 
 }  // namespace
 
-bool Dnf::eval(std::uint64_t assignment) const {
-  for (const Clause& term : terms) {
-    bool all = true;
-    for (const Literal& lit : term) all = all && literal_holds(lit, assignment);
-    if (all) return true;
-  }
-  return false;
+Circuit Dnf::to_circuit() const {
+  return two_level(num_vars, terms, GateOp::kAnd, GateOp::kOr);
 }
 
-TruthTable Dnf::to_truth_table() const {
-  return TruthTable::tabulate(
-      num_vars, [this](std::uint64_t a) { return eval(a); });
-}
-
-bool Cnf::eval(std::uint64_t assignment) const {
-  for (const Clause& clause : clauses) {
-    bool any = false;
-    for (const Literal& lit : clause) any = any || literal_holds(lit, assignment);
-    if (!any) return false;
-  }
-  return true;
-}
-
-TruthTable Cnf::to_truth_table() const {
-  return TruthTable::tabulate(
-      num_vars, [this](std::uint64_t a) { return eval(a); });
+Circuit Cnf::to_circuit() const {
+  return two_level(num_vars, clauses, GateOp::kOr, GateOp::kAnd);
 }
 
 Dnf minterm_dnf(const TruthTable& t) {

@@ -1,11 +1,12 @@
 #pragma once
-// DNF / CNF representations (Corollary 2 input forms) with evaluation,
-// tabulation, random generation, and extraction from truth tables.
+// DNF / CNF representations (Corollary 2 input forms) with lowering to
+// circuits, tabulation, random generation, and extraction from truth
+// tables.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "tt/circuit.hpp"
 #include "tt/truth_table.hpp"
 #include "util/rng.hpp"
 
@@ -27,16 +28,16 @@ struct Dnf {
   int num_vars = 0;
   std::vector<Clause> terms;  ///< OR of ANDs; empty => constant false
 
-  bool eval(std::uint64_t assignment) const;
-  TruthTable to_truth_table() const;
+  Circuit to_circuit() const;
+  TruthTable to_truth_table() const { return to_circuit().to_truth_table(); }
 };
 
 struct Cnf {
   int num_vars = 0;
   std::vector<Clause> clauses;  ///< AND of ORs; empty => constant true
 
-  bool eval(std::uint64_t assignment) const;
-  TruthTable to_truth_table() const;
+  Circuit to_circuit() const;
+  TruthTable to_truth_table() const { return to_circuit().to_truth_table(); }
 };
 
 /// Canonical (minterm) DNF of a truth table — one term per satisfying

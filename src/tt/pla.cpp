@@ -38,50 +38,29 @@ long parse_count(int line_no, const std::string& tok,
 
 }  // namespace
 
-bool Pla::cube_covers(std::size_t product, std::uint64_t assignment) const {
-  OVO_DCHECK(product < cubes.size());
-  const std::string& cube = cubes[product];
-  for (int i = 0; i < num_inputs; ++i) {
-    const char c = cube[static_cast<std::size_t>(i)];
-    if (c == '-') continue;
-    const bool bit = ((assignment >> i) & 1u) != 0;
-    if (bit != (c == '1')) return false;
+Circuit Pla::to_circuit() const {
+  Circuit c(num_inputs);
+  std::vector<int> products, lits, terms;
+  for (const std::string& cube : cubes) {
+    lits.clear();
+    for (int i = 0; i < num_inputs; ++i) {
+      const char ch = cube[static_cast<std::size_t>(i)];
+      if (ch != '-') lits.push_back(c.literal(i, ch == '1'));
+    }
+    products.push_back(c.add_nary(GateOp::kAnd, lits));
   }
-  return true;
+  for (int o = 0; o < num_outputs; ++o) {
+    terms.clear();
+    for (std::size_t p = 0; p < cubes.size(); ++p)
+      if (outputs[p][static_cast<std::size_t>(o)]) terms.push_back(products[p]);
+    c.add_output(c.add_nary(GateOp::kOr, terms));
+  }
+  return c;
 }
 
 TruthTable Pla::output_table(int output) const {
   OVO_CHECK(output >= 0 && output < num_outputs);
-  return TruthTable::tabulate(num_inputs, [&](std::uint64_t a) {
-    for (std::size_t p = 0; p < cubes.size(); ++p)
-      if (outputs[p][static_cast<std::size_t>(output)] && cube_covers(p, a))
-        return true;
-    return false;
-  });
-}
-
-std::vector<TruthTable> Pla::output_tables() const {
-  std::vector<TruthTable> out;
-  out.reserve(static_cast<std::size_t>(num_outputs));
-  for (int o = 0; o < num_outputs; ++o) out.push_back(output_table(o));
-  return out;
-}
-
-Dnf Pla::output_dnf(int output) const {
-  OVO_CHECK(output >= 0 && output < num_outputs);
-  Dnf d;
-  d.num_vars = num_inputs;
-  for (std::size_t p = 0; p < cubes.size(); ++p) {
-    if (!outputs[p][static_cast<std::size_t>(output)]) continue;
-    Clause term;
-    for (int i = 0; i < num_inputs; ++i) {
-      const char c = cubes[p][static_cast<std::size_t>(i)];
-      if (c == '-') continue;
-      term.push_back(Literal{i, c == '1'});
-    }
-    d.terms.push_back(std::move(term));
-  }
-  return d;
+  return output_tables()[static_cast<std::size_t>(output)];
 }
 
 Pla parse_pla(const std::string& text) {

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "tt/normal_forms.hpp"
+#include "tt/circuit.hpp"
 #include "tt/truth_table.hpp"
 
 namespace ovo::tt {
@@ -29,18 +29,17 @@ struct Pla {
   /// outputs[p][o] = true iff product p asserts output o.
   std::vector<std::vector<bool>> outputs;
 
-  /// True if the cube covers the assignment (bit i of a = input i; the
-  /// cube's leftmost character is input 0).
-  bool cube_covers(std::size_t product, std::uint64_t assignment) const;
+  /// Lowers every output to one circuit: one AND per cube (the cube's
+  /// leftmost character is input 0), one OR of its cubes per output.
+  Circuit to_circuit() const;
 
   /// ON-set truth table of one output.
   TruthTable output_table(int output) const;
 
   /// All output tables.
-  std::vector<TruthTable> output_tables() const;
-
-  /// Single-output convenience: the DNF of output `output`.
-  Dnf output_dnf(int output) const;
+  std::vector<TruthTable> output_tables() const {
+    return to_circuit().to_truth_tables();
+  }
 };
 
 /// Parses PLA text. Throws util::CheckError with a line-numbered message

@@ -16,14 +16,20 @@ TruthTable TruthTable::from_bits(int n, const std::string& bits) {
   return t;
 }
 
+TruthTable TruthTable::from_words(int n, std::vector<std::uint64_t> words) {
+  TruthTable t(n);
+  OVO_CHECK_MSG(words.size() == t.words_.size(), "from_words: wrong length");
+  t.words_ = std::move(words);
+  // Cells past 2^n stay zero, so whole words compare equal exactly when
+  // the functions do.
+  if (n < 6) t.words_[0] &= util::full_mask(1 << n);
+  return t;
+}
+
 std::uint64_t TruthTable::count_ones() const {
   std::uint64_t total = 0;
-  const std::uint64_t cells = size();
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    if (n_ < 6 && w == 0) word &= util::full_mask(static_cast<int>(cells));
+  for (const std::uint64_t word : words_)
     total += static_cast<std::uint64_t>(std::popcount(word));
-  }
   return total;
 }
 
@@ -111,9 +117,9 @@ std::uint64_t TruthTable::count_distinct_subfunctions(util::Mask bottom) const {
 }
 
 TruthTable TruthTable::operator~() const {
-  TruthTable out(n_);
-  for (std::size_t w = 0; w < words_.size(); ++w) out.words_[w] = ~words_[w];
-  return out;
+  std::vector<std::uint64_t> words(words_.size());
+  for (std::size_t w = 0; w < words_.size(); ++w) words[w] = ~words_[w];
+  return from_words(n_, std::move(words));
 }
 
 TruthTable TruthTable::operator&(const TruthTable& o) const {
@@ -142,10 +148,7 @@ TruthTable TruthTable::operator^(const TruthTable& o) const {
 
 std::uint64_t TruthTable::hash() const {
   std::uint64_t h = 0xcbf29ce484222325ull ^ static_cast<std::uint64_t>(n_);
-  const std::uint64_t cells = size();
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    if (n_ < 6 && w == 0) word &= util::full_mask(static_cast<int>(cells));
+  for (const std::uint64_t word : words_) {
     h ^= word;
     h *= 0x100000001b3ull;
     h ^= h >> 29;

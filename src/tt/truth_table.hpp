@@ -40,6 +40,13 @@ class TruthTable {
   /// Parses a bitstring like "0110..." of length 2^n, cell 0 first.
   static TruthTable from_bits(int n, const std::string& bits);
 
+  /// Adopts word_count(n) packed words (cell a is bit a % 64 of word
+  /// a / 64), clearing the cells past 2^n when n < 6.
+  static TruthTable from_words(int n, std::vector<std::uint64_t> words);
+  static std::size_t word_count(int n) {
+    return n <= 6 ? 1 : (std::size_t{1} << (n - 6));
+  }
+
   int num_vars() const { return n_; }
 
   /// Number of cells, 2^n.
@@ -109,9 +116,6 @@ class TruthTable {
   std::string to_bit_string() const;
 
  private:
-  static std::size_t word_count(int n) {
-    return n <= 6 ? 1 : (std::size_t{1} << (n - 6));
-  }
   void check_same_shape(const TruthTable& o) const {
     OVO_CHECK_MSG(n_ == o.n_, "TruthTable: arity mismatch");
   }

@@ -9,7 +9,9 @@
 #include "bdd/algorithms.hpp"
 #include "bdd/builder.hpp"
 #include "bdd/serialize.hpp"
+#include "tt/expr.hpp"
 #include "tt/function_zoo.hpp"
+#include "tt/normal_forms.hpp"
 #include "tt/pla.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -29,7 +31,7 @@ TEST(Builder, ExprMatchesTabulation) {
     const tt::ExprPtr e = tt::parse_expr(s);
     const int n = std::max(1, tt::expr_num_vars(*e));
     Manager m(n);
-    const NodeId built = build_from_expr(m, *e);
+    const NodeId built = build_from_circuit(m, tt::expr_to_circuit(*e, n))[0];
     const NodeId reference =
         m.from_truth_table(tt::expr_to_truth_table(*e, n));
     EXPECT_EQ(built, reference) << s;  // canonicity: identical ids
@@ -42,8 +44,10 @@ TEST(Builder, DnfCnfMatchTabulation) {
     const tt::Dnf d = tt::random_dnf(6, 5, 3, rng);
     const tt::Cnf c = tt::random_cnf(6, 5, 3, rng);
     Manager m(6);
-    EXPECT_EQ(build_from_dnf(m, d), m.from_truth_table(d.to_truth_table()));
-    EXPECT_EQ(build_from_cnf(m, c), m.from_truth_table(c.to_truth_table()));
+    EXPECT_EQ(build_from_circuit(m, d.to_circuit())[0],
+              m.from_truth_table(d.to_truth_table()));
+    EXPECT_EQ(build_from_circuit(m, c.to_circuit())[0],
+              m.from_truth_table(c.to_truth_table()));
   }
 }
 
@@ -51,7 +55,7 @@ TEST(Builder, CircuitSymbolicSimulation) {
   const tt::Circuit ckt = tt::Circuit::ripple_carry_out(4);
   Manager m(8);
   EXPECT_EQ(build_from_circuit(m, ckt),
-            m.from_truth_table(ckt.to_truth_table()));
+            std::vector<NodeId>{m.from_truth_table(ckt.to_truth_table())});
 }
 
 TEST(Builder, CircuitAllGateOps) {
@@ -59,22 +63,27 @@ TEST(Builder, CircuitAllGateOps) {
        {tt::GateOp::kAnd, tt::GateOp::kOr, tt::GateOp::kXor,
         tt::GateOp::kNand, tt::GateOp::kNor, tt::GateOp::kXnor}) {
     tt::Circuit ckt(2);
-    ckt.add_gate(op, 0, 1);
+    ckt.add_output(ckt.add_gate(op, 0, 1));
     Manager m(2);
     EXPECT_EQ(build_from_circuit(m, ckt),
-              m.from_truth_table(ckt.to_truth_table()));
+              std::vector<NodeId>{m.from_truth_table(ckt.to_truth_table())});
   }
   tt::Circuit inv(1);
-  inv.add_gate(tt::GateOp::kNot, 0);
+  inv.add_output(inv.add_gate(tt::GateOp::kNot, 0));
+  inv.add_output(inv.add_gate(tt::GateOp::kBuf, 0));
+  inv.add_output(inv.add_gate(tt::GateOp::kConst0));
+  inv.add_output(inv.add_gate(tt::GateOp::kConst1));
   Manager m1(1);
-  EXPECT_EQ(build_from_circuit(m1, inv), m1.literal(0, false));
+  EXPECT_EQ(build_from_circuit(m1, inv),
+            (std::vector<NodeId>{m1.literal(0, false), m1.var_node(0), kFalse,
+                                 kTrue}));
 }
 
 TEST(Builder, PlaMultiOutput) {
   const tt::Pla p = tt::parse_pla(
       ".i 3\n.o 2\n11- 10\n--1 01\n111 11\n.e\n");
   Manager m(3);
-  const std::vector<NodeId> roots = build_from_pla(m, p);
+  const std::vector<NodeId> roots = build_from_circuit(m, p.to_circuit());
   ASSERT_EQ(roots.size(), 2u);
   for (int o = 0; o < 2; ++o)
     EXPECT_EQ(m.to_truth_table(roots[static_cast<std::size_t>(o)]),

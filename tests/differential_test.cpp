@@ -61,9 +61,12 @@ TEST_P(Differential, AllConstructionPathsAgree) {
 
   bdd::Manager m(n);
   const bdd::NodeId via_tt = m.from_truth_table(t);
-  const bdd::NodeId via_expr = bdd::build_from_expr(m, *e);
-  const bdd::NodeId via_dnf = bdd::build_from_dnf(m, tt::minterm_dnf(t));
-  const bdd::NodeId via_cnf = bdd::build_from_cnf(m, tt::maxterm_cnf(t));
+  const bdd::NodeId via_expr =
+      bdd::build_from_circuit(m, tt::expr_to_circuit(*e, n))[0];
+  const bdd::NodeId via_dnf =
+      bdd::build_from_circuit(m, tt::minterm_dnf(t).to_circuit())[0];
+  const bdd::NodeId via_cnf =
+      bdd::build_from_circuit(m, tt::maxterm_cnf(t).to_circuit())[0];
   EXPECT_EQ(via_tt, via_expr);
   EXPECT_EQ(via_tt, via_dnf);
   EXPECT_EQ(via_tt, via_cnf);

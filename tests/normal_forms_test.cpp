@@ -4,6 +4,7 @@
 
 #include "tt/function_zoo.hpp"
 #include "tt/normal_forms.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace ovo::tt {
@@ -26,10 +27,13 @@ TEST(Dnf, EvalBasic) {
   Dnf d;
   d.num_vars = 3;
   d.terms = {{Literal{0, true}, Literal{1, false}}, {Literal{2, true}}};
-  EXPECT_TRUE(d.eval(0b001));
-  EXPECT_FALSE(d.eval(0b011));
-  EXPECT_TRUE(d.eval(0b100));
-  EXPECT_FALSE(d.eval(0b010));
+  const TruthTable t = d.to_truth_table();
+  EXPECT_TRUE(t.get(0b001));
+  EXPECT_FALSE(t.get(0b011));
+  EXPECT_TRUE(t.get(0b100));
+  EXPECT_FALSE(t.get(0b010));
+  d.terms.push_back({Literal{3, true}});
+  EXPECT_THROW(d.to_truth_table(), util::CheckError);  // x4 of 3 variables
 }
 
 TEST(Cnf, EvalBasic) {
@@ -38,10 +42,11 @@ TEST(Cnf, EvalBasic) {
   c.num_vars = 3;
   c.clauses = {{Literal{0, true}, Literal{1, true}},
                {Literal{0, false}, Literal{2, true}}};
-  EXPECT_FALSE(c.eval(0b000));
-  EXPECT_TRUE(c.eval(0b010));
-  EXPECT_FALSE(c.eval(0b001));
-  EXPECT_TRUE(c.eval(0b101));
+  const TruthTable t = c.to_truth_table();
+  EXPECT_FALSE(t.get(0b000));
+  EXPECT_TRUE(t.get(0b010));
+  EXPECT_FALSE(t.get(0b001));
+  EXPECT_TRUE(t.get(0b101));
 }
 
 class NormalFormRoundtrip : public ::testing::TestWithParam<int> {};
@@ -86,8 +91,16 @@ TEST(NormalForms, RandomCnfTabulates) {
   util::Xoshiro256 rng(8);
   const Cnf c = random_cnf(6, 8, 3, rng);
   const TruthTable t = c.to_truth_table();
-  for (std::uint64_t a = 0; a < t.size(); ++a)
-    EXPECT_EQ(t.get(a), c.eval(a));
+  for (std::uint64_t a = 0; a < t.size(); ++a) {
+    bool all = true;
+    for (const Clause& clause : c.clauses) {
+      bool any = false;
+      for (const Literal& lit : clause)
+        any = any || (((a >> lit.var) & 1u) != 0) == lit.positive;
+      all = all && any;
+    }
+    EXPECT_EQ(t.get(a), all) << a;
+  }
 }
 
 TEST(NormalForms, ToString) {

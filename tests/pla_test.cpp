@@ -50,11 +50,6 @@ TEST(PlaParse, MultiOutput) {
   EXPECT_EQ(p.output_tables().size(), 2u);
 }
 
-TEST(PlaParse, OutputDnfMatchesTable) {
-  const Pla p = parse_pla(".i 3\n.o 1\n.p 2\n1-1 1\n010 1\n.e\n");
-  EXPECT_EQ(p.output_dnf(0).to_truth_table(), p.output_table(0));
-}
-
 TEST(PlaParse, Errors) {
   EXPECT_THROW(parse_pla(""), util::CheckError);
   EXPECT_THROW(parse_pla(".i 2\n01 1\n.e\n"), util::CheckError);  // no .o

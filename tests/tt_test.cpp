@@ -148,6 +148,20 @@ TEST(TruthTable, LogicOperators) {
   }
 }
 
+// Below 6 variables the complement must leave the word's unused cells
+// clear, or operator== (whole words) disagrees with hash()/count_ones().
+TEST(TruthTable, ComplementKeepsPaddingClear) {
+  for (int n = 0; n < 6; ++n) {
+    const TruthTable f(n);
+    const TruthTable g = ~f;
+    EXPECT_EQ(g.count_ones(), f.size());
+    EXPECT_EQ(~g, f) << n;
+    EXPECT_EQ(g, ~TruthTable(n)) << n;
+  }
+  EXPECT_EQ(~TruthTable::from_bits(2, "0110"), TruthTable::from_bits(2, "1001"));
+  EXPECT_EQ(~TruthTable::from_bits(0, "0"), TruthTable::from_bits(0, "1"));
+}
+
 TEST(TruthTable, HashDistinguishesAndMatches) {
   util::Xoshiro256 rng(9);
   const TruthTable a = random_function(6, rng);

@@ -18,9 +18,12 @@
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
 #      typed-CLI-error block (malformed formulas, a formula over 26
-#      variables, bad numeric flag values, an unknown --prune-seed name
-#      and a missing input file exit 1 or 2, a v2 snapshot exits 3 naming
-#      the version skew, never with internal-check text), plus the `ovo order --trace` Chrome trace-event smoke, plus
+#      variables, bad numeric flag values, an unknown --prune-seed name,
+#      a missing input file, and BLIF netlists with an undefined signal
+#      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
+#      signal and its line — a v2 snapshot exits 3 naming the version
+#      skew, never with internal-check text), plus the `ovo order
+#      --trace` Chrome trace-event smoke, plus
 #      the fuzz frontier smoke (each OVO_FUZZ target: fixed-seed random
 #      inputs + regression-corpus replay) and the trimmed CLI chaos sweep
 #      (tools/chaos.sh --quick: fault-injected runs must exit with typed

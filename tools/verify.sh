@@ -21,10 +21,11 @@
 # pruning ledger — and a CLI guard that a bound-pruned `ovo order` run
 # returns the identical order and size as the dense default.  It runs
 # malformed formulas, a formula over more than 26 variables, bad numeric
-# flag values, an unknown --prune-seed name, a missing input file and a
-# v2 snapshot through `ovo order` and checks each exit code (a v2
-# snapshot must name the version skew) and that no internal-check text
-# reaches stderr.  Quick mode also smokes
+# flag values, an unknown --prune-seed name, a missing input file, BLIF
+# netlists with an undefined signal or a combinational cycle, and a v2
+# snapshot through `ovo order` and checks each exit code (a v2 snapshot
+# must name the version skew, a BLIF error its line and signal) and that
+# no internal-check text reaches stderr.  Quick mode also smokes
 # `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
@@ -146,7 +147,8 @@ if [[ "${QUICK}" -eq 1 ]]; then
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
   echo "==== quick: typed CLI errors ==============================="
-  # A typo in a formula or a flag value, a missing input file, or a
+  # A typo in a formula or a flag value, a missing input file, a BLIF
+  # netlist with an undefined signal or a combinational cycle, or a
   # snapshot of an older payload version is the user's error: each must
   # exit with its documented code (1 input error, 2 usage error,
   # 3 checkpoint error) and never surface internal-check text.
@@ -173,12 +175,17 @@ if [[ "${QUICK}" -eq 1 ]]; then
   expect_cli_error 2 --threads abc "${smoke_fn}"
   expect_cli_error 1 "${smoke_dir}/missing.pla"
   expect_cli_error 1 x27
+  expect_cli_error 1 tests/data/corpus/blif/dangling_signal.blif
+  grep -q "BLIF line 4: undefined signal 'ghost'" "${smoke_dir}/cli_err.txt"
+  expect_cli_error 1 tests/data/corpus/blif/combinational_cycle.blif
+  grep -q "BLIF line 6: combinational cycle through 'f'" \
+    "${smoke_dir}/cli_err.txt"
   expect_cli_error 2 --prune-seed bogus "${smoke_fn}"
   expect_cli_error 2 --prune bounds --prune-seed bogus "${smoke_fn}"
   expect_cli_error 3 --resume \
     tests/data/corpus/snapshot/valid_dense_hwb6_layer3.bin "${smoke_fn}"
   grep -q 'version skew' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 13 invocations, no internal-check text"
+  echo "typed CLI errors: 15 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
