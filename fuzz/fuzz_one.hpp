@@ -2,8 +2,8 @@
 // Shared one-input harness bodies for the fuzzed input frontier.  Each
 // function feeds arbitrary bytes to one untrusted-input decoder and
 // absorbs exactly the *typed* rejection paths (tt::ParseError for the
-// PLA, BLIF and expression readers, rt::CheckpointError for the binary
-// decoders, util::CheckError for the diagram loaders).  The three text
+// PLA, BLIF and expression readers, rt::CheckpointError for the snapshot
+// decoder and the text and binary diagram loaders).  The three text
 // readers also tabulate what they accept, up to kMaxTabulatedInputs
 // inputs and kMaxTabulatedOutputs outputs, so the lowering to tt::Circuit
 // and its simulation are on the frontier too.  Anything else — a crash,
@@ -27,7 +27,6 @@
 #include "tt/expr.hpp"
 #include "tt/parse_error.hpp"
 #include "tt/pla.hpp"
-#include "util/check.hpp"
 #include "zdd/serialize.hpp"
 
 namespace ovo::fuzz {
@@ -102,7 +101,6 @@ inline int one_diagram(const std::uint8_t* data, std::size_t len) {
       else
         bdd::load_bdd(text);
     }
-  } catch (const util::CheckError&) {
   } catch (const rt::CheckpointError&) {
   }
   return 0;

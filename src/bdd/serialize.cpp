@@ -5,7 +5,7 @@
 
 #include "ds/unique_table.hpp"
 #include "rt/checkpoint.hpp"
-#include "util/check.hpp"
+#include "util/combinatorics.hpp"
 
 namespace ovo::bdd {
 
@@ -53,52 +53,53 @@ std::string save_bdd(const Manager& m, NodeId root) {
 }
 
 LoadedBdd load_bdd(const std::string& text) {
+  const auto malformed = [](const char* what) {
+    throw rt::CheckpointError(rt::CheckpointErrorKind::kMalformed,
+                              std::string("load_bdd: ") + what);
+  };
   std::istringstream is(text);
   std::string word;
   int version = 0;
-  OVO_CHECK_MSG((is >> word >> version) && word == "ovo-bdd" && version == 1,
-                "load_bdd: bad header");
+  if (!(is >> word >> version) || word != "ovo-bdd" || version != 1)
+    malformed("bad header");
   int n = 0;
-  // Bound n before the order vector exists: Manager would reject n > 63
-  // anyway, but a fuzzer-supplied n must not drive the allocation below.
-  OVO_CHECK_MSG((is >> word >> n) && word == "n" && n >= 0 && n <= 63,
-                "load_bdd: bad variable count");
-  OVO_CHECK_MSG((is >> word) && word == "order", "load_bdd: missing order");
+  // Bound n before the order vector exists: a fuzzer-supplied n must not
+  // drive the allocation below.
+  if (!(is >> word >> n) || word != "n" || n < 0 || n > 63)
+    malformed("bad variable count");
+  if (!(is >> word) || word != "order") malformed("missing order");
   std::vector<int> order(static_cast<std::size_t>(n));
-  for (int& v : order) OVO_CHECK_MSG(static_cast<bool>(is >> v),
-                                     "load_bdd: truncated order");
+  for (int& v : order)
+    if (!(is >> v)) malformed("truncated order");
+  if (!util::is_permutation(order)) malformed("order is not a permutation");
   std::size_t count = 0;
-  OVO_CHECK_MSG((is >> word >> count) && word == "nodes",
-                "load_bdd: missing node count");
+  if (!(is >> word >> count) || word != "nodes")
+    malformed("missing node count");
   // Every node line needs >= 8 characters ("2 0 0 1\n"), so a count the
   // input cannot possibly back is rejected before any growth.
-  OVO_CHECK_MSG(count <= text.size() / 8,
-                "load_bdd: node count exceeds input size");
+  if (count > text.size() / 8) malformed("node count exceeds input size");
 
-  LoadedBdd out{Manager(n, order), kFalse};
+  LoadedBdd out{Manager(n, std::move(order)), kFalse};
   std::vector<NodeId> id_map{kFalse, kTrue};
   id_map.reserve(count + 2);
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t idx = 0;
     int level = 0;
     std::size_t lo = 0, hi = 0;
-    OVO_CHECK_MSG(static_cast<bool>(is >> idx >> level >> lo >> hi),
-                  "load_bdd: truncated node table");
-    OVO_CHECK_MSG(idx == 2 + i, "load_bdd: node indices must be dense");
-    OVO_CHECK_MSG(lo < id_map.size() && hi < id_map.size(),
-                  "load_bdd: dangling child reference");
+    if (!(is >> idx >> level >> lo >> hi)) malformed("truncated node table");
+    if (idx != 2 + i) malformed("node indices must be dense");
+    if (lo >= id_map.size() || hi >= id_map.size())
+      malformed("dangling child reference");
     // make_node only OVO_DCHECKs the ordering invariant, so the loader
     // must enforce it on untrusted input (children strictly deeper).
-    OVO_CHECK_MSG(level >= 0 &&
-                      level < out.manager.node(id_map[lo]).level &&
-                      level < out.manager.node(id_map[hi]).level,
-                  "load_bdd: node level not above its children");
+    if (level < 0 || level >= out.manager.node(id_map[lo]).level ||
+        level >= out.manager.node(id_map[hi]).level)
+      malformed("node level not above its children");
     id_map.push_back(out.manager.make(level, id_map[lo], id_map[hi]));
   }
   std::size_t root_idx = 0;
-  OVO_CHECK_MSG((is >> word >> root_idx) && word == "root",
-                "load_bdd: missing root");
-  OVO_CHECK_MSG(root_idx < id_map.size(), "load_bdd: dangling root");
+  if (!(is >> word >> root_idx) || word != "root") malformed("missing root");
+  if (root_idx >= id_map.size()) malformed("dangling root");
   out.root = id_map[root_idx];
   return out;
 }

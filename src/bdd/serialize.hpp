@@ -27,16 +27,17 @@ struct LoadedBdd {
   NodeId root;
 };
 
-/// Parses a diagram saved by save_bdd. Throws util::CheckError on
-/// malformed input (bad header, dangling references, level violations).
+/// Parses a diagram saved by save_bdd. Throws
+/// rt::CheckpointError(kMalformed) on malformed input (bad header, an
+/// order that is not a permutation, dangling references, level
+/// violations).
 LoadedBdd load_bdd(const std::string& text);
 
 /// Compact binary form of the same diagram (tag 'B', version 1, dense
 /// post-order node table).  The decoder goes through the checkpoint
 /// layer's bounds-checked rt::ByteReader, so every field read is
-/// length-validated before any allocation; structural violations throw
-/// rt::CheckpointError(kMalformed) and level-ordering violations surface
-/// as util::CheckError from make() — both typed, fuzz-safe failures.
+/// length-validated before any allocation, and every violation (order,
+/// references, level ordering) throws rt::CheckpointError(kMalformed).
 std::vector<std::uint8_t> save_bdd_binary(const Manager& m, NodeId root);
 LoadedBdd load_bdd_binary(const std::uint8_t* data, std::size_t len);
 

@@ -1,47 +1,135 @@
 #include "core/prefix_table.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "ds/hash.hpp"
+#include "rt/fault.hpp"
 #include "util/check.hpp"
 
 namespace ovo::core {
 
 namespace {
 
-/// Dedup tables are sized for the incoming pair count but clamped so one
-/// compaction never pre-commits more than ~64K entries up front (the table
+/// Interning tables are sized for the incoming value count but clamped so
+/// one call never pre-commits more than ~64K entries up front (the table
 /// still grows on demand past the clamp).
-std::size_t dedup_reserve(std::uint64_t pairs) {
+std::size_t dedup_reserve(std::uint64_t entries) {
   constexpr std::uint64_t kCap = std::uint64_t{1} << 16;
-  return static_cast<std::size_t>(std::min(pairs, kCap));
+  return static_cast<std::size_t>(std::min(entries, kCap));
 }
 
-/// Shared cell sweep for compact() / compaction_width(). Emit receives
-/// (dense cell index in the new table, u0, u1) for every new-table cell.
-template <typename Emit>
-void sweep_pairs(const PrefixTable& t, int var, Emit&& emit) {
+/// COMPACT's pair table, (u0, u1) -> new id: open addressing with linear
+/// probing over a power-of-two slot count, key pack_pair(u0, u1), one per
+/// thread.  Both ids of a pair lie below the input's next_id, so a sweep
+/// of `half` pairs meets at most min(half, next_id^2) distinct ones; each
+/// call readies enough slots for that bound at load <= 0.7, and the table
+/// never fills mid-sweep.  The arrays are kept across calls and only
+/// grow: a thread retains 12 bytes per slot of the largest bound it has
+/// used.  A call never needs more slots than its input has cells (or
+/// 16), so that is at most 3x the bytes of the largest table the thread
+/// compacted.
+struct PairTable {
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> ids;  ///< kEmpty marks a free slot
+
+  /// Clears the slots `bound` distinct pairs need and returns their mask.
+  std::uint64_t reset(std::uint64_t bound) {
+    // The compaction's one allocation event, fired whether or not the
+    // arrays grow, so a fault schedule sees one kAlloc per compaction
+    // whatever ran on this thread before.
+    rt::fault_alloc_hook();
+    std::uint64_t slots = 16;
+    while (bound * 10 > slots * 7) slots *= 2;
+    if (slots > ids.size()) {
+      keys.resize(slots);
+      ids.resize(slots);
+    }
+    std::fill_n(ids.data(), slots, kEmpty);
+    return slots - 1;
+  }
+};
+
+thread_local PairTable t_pairs;
+
+/// What one sweep counted; the rest of the ledger follows from these.
+struct Sweep {
+  std::uint32_t next_id;  ///< first id the sweep did not hand out
+  std::uint64_t lookups;  ///< pairs looked up (cells not passed through)
+  std::uint64_t probes;   ///< slots those lookups inspected
+};
+
+/// The COMPACT loop.  New cell b pairs input cells idx0 (b with a 0
+/// spliced in at bit `pos`, var's rank among the free variables) and
+/// idx0 | 2^pos.  A pass-through pair (ZDD: u1 == 0, else u0 == u1)
+/// keeps u0; any other pair takes its id from the pair table, new ids
+/// numbered in sweep order from `next_id`.  kStore = false only counts
+/// (compaction_width).
+template <bool kZdd, bool kStore>
+Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
+            std::uint32_t next_id, std::uint32_t* out) {
+  PairTable& table = t_pairs;
+  const std::uint64_t mask =
+      table.reset(std::min(half, std::uint64_t{next_id} * next_id));
+  std::uint64_t* const keys = table.keys.data();
+  std::uint32_t* const ids = table.ids.data();
+  const std::uint64_t low = (std::uint64_t{1} << pos) - 1;
+  const std::uint64_t step = std::uint64_t{1} << pos;
+  std::uint64_t lookups = 0;
+  std::uint64_t probes = 0;
+  for (std::uint64_t b = 0; b < half; ++b) {
+    const std::uint64_t idx0 = ((b & ~low) << 1) | (b & low);
+    const std::uint32_t u0 = in[idx0];
+    const std::uint32_t u1 = in[idx0 | step];
+    std::uint32_t id = u0;
+    if (kZdd ? u1 != 0 : u0 != u1) {
+      const std::uint64_t key = ds::pack_pair(u0, u1);
+      std::uint64_t s = ds::mix64(key) & mask;
+      ++lookups;
+      ++probes;
+      while ((id = ids[s]) != PairTable::kEmpty && keys[s] != key) {
+        s = (s + 1) & mask;
+        ++probes;
+      }
+      if (id == PairTable::kEmpty) {
+        keys[s] = key;
+        ids[s] = id = next_id++;
+      }
+    }
+    if constexpr (kStore) out[b] = id;
+  }
+  return {next_id, lookups, probes};
+}
+
+/// Checks that `var` is free in `t`, then sweeps `t` with the kind's
+/// pass-through rule.  var's bit in the dense cell index is its rank among
+/// t's free variables (ascending index).
+template <bool kStore>
+Sweep sweep_table(const PrefixTable& t, int var, DiagramKind kind,
+                  std::uint32_t* out) {
   OVO_CHECK(var >= 0 && var < t.n);
   const util::Mask bit = util::Mask{1} << var;
   OVO_CHECK_MSG((t.vars & bit) == 0, "compact: variable already in prefix");
-  const util::Mask free = t.free_mask();
-  // Rank of `var` among the free variables (ascending index) = its bit
-  // position within the dense cell index.
-  const int pos = util::popcount(free & (bit - 1));
-  const std::uint64_t low = (std::uint64_t{1} << pos) - 1;
+  const int pos = util::popcount(t.free_mask() & (bit - 1));
   const std::uint64_t half = t.cells.size() >> 1;
-  for (std::uint64_t b = 0; b < half; ++b) {
-    const std::uint64_t idx0 = ((b & ~low) << 1) | (b & low);
-    const std::uint64_t idx1 = idx0 | (std::uint64_t{1} << pos);
-    emit(b, t.cells[idx0], t.cells[idx1]);
-  }
+  return kind == DiagramKind::kZdd
+             ? sweep<true, kStore>(t.cells.data(), half, pos, t.next_id, out)
+             : sweep<false, kStore>(t.cells.data(), half, pos, t.next_id,
+                                    out);
 }
 
-bool cell_passes_through(DiagramKind kind, std::uint32_t u0,
-                         std::uint32_t u1) {
-  // BDD/MTBDD reduction rule (a): equal children — no node.
-  // ZDD zero-suppression: 1-child is the false terminal (id 0) — no node.
-  return kind == DiagramKind::kZdd ? (u1 == 0) : (u0 == u1);
+/// Adds one compaction of `t` to `ops`: each new id is one insert, every
+/// other lookup a hit, and the sized-to-fit table never resizes.
+void add_counts(OpCounter* ops, const PrefixTable& t, const Sweep& s) {
+  if (ops == nullptr) return;
+  const std::uint64_t inserts = s.next_id - t.next_id;
+  ops->table_cells += t.cells.size();
+  ++ops->compactions;
+  ops->dedup.lookups += s.lookups;
+  ops->dedup.hits += s.lookups - inserts;
+  ops->dedup.inserts += inserts;
+  ops->dedup.probes += s.probes;
 }
 
 }  // namespace
@@ -96,45 +184,20 @@ void compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops, rt::Governor* gov) {
   OVO_DCHECK(&out != &t);
   if (gov != nullptr) gov->charge(t.cells.size());
+  out.cells.resize(t.cells.size() >> 1);
+  const Sweep s = sweep_table<true>(t, var, kind, out.cells.data());
   out.n = t.n;
   out.vars = t.vars | (util::Mask{1} << var);
   out.num_terminals = t.num_terminals;
-  out.next_id = t.next_id;
-  out.cells.resize(t.cells.size() >> 1);
-  ds::UniqueTable dedup(dedup_reserve(t.cells.size() >> 1));
-  sweep_pairs(t, var, [&](std::uint64_t b, std::uint32_t u0,
-                          std::uint32_t u1) {
-    if (cell_passes_through(kind, u0, u1)) {
-      out.cells[b] = u0;
-      return;
-    }
-    const auto [id, inserted] =
-        dedup.find_or_insert(ds::pack_pair(u0, u1), out.next_id);
-    if (inserted) ++out.next_id;
-    out.cells[b] = id;
-  });
-  if (ops != nullptr) {
-    ops->table_cells += t.cells.size();
-    ++ops->compactions;
-    ops->dedup += dedup.stats();
-  }
+  out.next_id = s.next_id;
+  add_counts(ops, t, s);
 }
 
 std::uint64_t compaction_width(const PrefixTable& t, int var,
                                DiagramKind kind, OpCounter* ops) {
-  ds::UniqueTable dedup(dedup_reserve(t.cells.size() >> 1));
-  sweep_pairs(t, var,
-              [&](std::uint64_t, std::uint32_t u0, std::uint32_t u1) {
-                if (cell_passes_through(kind, u0, u1)) return;
-                dedup.find_or_insert(ds::pack_pair(u0, u1),
-                                     static_cast<std::uint32_t>(dedup.size()));
-              });
-  if (ops != nullptr) {
-    ops->table_cells += t.cells.size();
-    ++ops->compactions;
-    ops->dedup += dedup.stats();
-  }
-  return dedup.size();
+  const Sweep s = sweep_table<false>(t, var, kind, nullptr);
+  add_counts(ops, t, s);
+  return s.next_id - t.next_id;
 }
 
 }  // namespace ovo::core

@@ -180,6 +180,11 @@ PrefixTable initial_table_values(const std::vector<std::int64_t>& values,
 /// (TABLE_I, MINCOST_I) by compacting with respect to variable `var`
 /// (which must be free in `t`).  Linear in |TABLE_I|.
 ///
+/// The (u0, u1) pairs are numbered through a pair table owned by the
+/// calling thread and kept across calls (docs/INTERNALS.md, "FS
+/// compaction kernel").  Each call is one rt kAlloc fault event and adds
+/// its counts to `*ops` once.
+///
 /// A non-null `gov` charges |TABLE_I| work units (one per cell read —
 /// the paper's own work measure) before the sweep.  The compaction
 /// always runs to completion either way; governed callers check the
@@ -191,7 +196,8 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
                     OpCounter* ops = nullptr, rt::Governor* gov = nullptr);
 
 /// compact() writing into `out`, reusing out's cells buffer (no
-/// allocation once out's capacity covers |TABLE_I| / 2).  The workhorse
+/// allocation once out's capacity covers |TABLE_I| / 2 and the thread's
+/// pair table has reached the call's size).  The workhorse
 /// of the DP inner loop and the chain evaluator, where a fresh table per
 /// compaction would churn the allocator.  `out` must not alias `t`.
 void compact_into(PrefixTable& out, const PrefixTable& t, int var,

@@ -1,7 +1,8 @@
 #pragma once
 // Open-addressed, power-of-two, linear-probing hash map from 64-bit keys
-// to 32-bit ids — the unique-table / dedup kernel under all three diagram
-// managers and the Friedman–Supowit COMPACT primitive.
+// to 32-bit ids — the unique-table kernel under all three diagram
+// managers, and the MTBDD value interning of core::initial_table_values.
+// (COMPACT keeps its own pair table in core/prefix_table.cpp.)
 //
 // Layout is two parallel flat arrays (keys, values); a slot is empty iff
 // its value is kEmptySlot, so values must stay below 0xffffffff (node ids
@@ -9,9 +10,9 @@
 // deletion — managers clear whole level tables (adjacent-level swap) or
 // rebuild them (garbage collection), both of which map to clear()/insert.
 //
-// Always-on counters (lookups, hits, probe-length histogram, resizes) are
-// cheap relative to the probe itself and are surfaced through each
-// manager's Stats; see docs/INTERNALS.md.
+// Always-on counters (lookups, hits, inserts, resizes, probes) are cheap
+// relative to the probe itself and are surfaced through each manager's
+// Stats; see docs/INTERNALS.md.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,8 +36,6 @@ struct TableStats {
   std::uint64_t inserts = 0;  ///< new entries created
   std::uint64_t resizes = 0;  ///< growth rehashes
   std::uint64_t probes = 0;   ///< total slots inspected by lookups
-  /// Probe-length histogram: 1, 2, 3, 4, 5-8, 9-16, 17-32, >32 slots.
-  std::uint64_t probe_hist[8] = {};
 
   /// Accumulates this struct into `l` under the ds.unique.* metric IDs.
   void to_ledger(obs::Ledger& l) const {
@@ -45,10 +44,6 @@ struct TableStats {
     l.record(obs::Metric::kDsUniqueInserts, inserts);
     l.record(obs::Metric::kDsUniqueResizes, resizes);
     l.record(obs::Metric::kDsUniqueProbes, probes);
-    for (int i = 0; i < 8; ++i)  // ds.unique.probe_hist.* are contiguous
-      l.record(static_cast<obs::Metric>(
-                   static_cast<int>(obs::Metric::kDsUniqueProbeHist0) + i),
-               probe_hist[i]);
   }
   /// Overwrites this struct from `l`'s ds.unique.* slots.
   void from_ledger(const obs::Ledger& l) {
@@ -57,9 +52,6 @@ struct TableStats {
     inserts = l.get(obs::Metric::kDsUniqueInserts);
     resizes = l.get(obs::Metric::kDsUniqueResizes);
     probes = l.get(obs::Metric::kDsUniqueProbes);
-    for (int i = 0; i < 8; ++i)
-      probe_hist[i] = l.get(static_cast<obs::Metric>(
-          static_cast<int>(obs::Metric::kDsUniqueProbeHist0) + i));
   }
 
   /// Shard merge, defined by the registry's aggregation policies.
@@ -180,15 +172,7 @@ class UniqueTable {
     return slots;
   }
 
-  void record_probes(std::uint64_t probes) const {
-    stats_.probes += probes;
-    const int bucket = probes <= 4    ? static_cast<int>(probes) - 1
-                       : probes <= 8  ? 4
-                       : probes <= 16 ? 5
-                       : probes <= 32 ? 6
-                                      : 7;
-    ++stats_.probe_hist[bucket];
-  }
+  void record_probes(std::uint64_t probes) const { stats_.probes += probes; }
 
   void rehash(std::size_t new_slots) {
     // Fault-injection point: growth is the only allocation this table

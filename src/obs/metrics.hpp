@@ -46,7 +46,7 @@ namespace ovo::obs {
 /// Version of the unified counter schema (metric set + JSON key names).
 /// Bump when a metric is renamed, removed, or re-keyed; emitted as
 /// "schema_version" in every JSON artifact.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 /// How two values of one metric combine under Ledger::merge.
 enum class Agg : std::uint8_t {
@@ -77,22 +77,6 @@ enum class Class : std::uint8_t {
     kSum, kMeasured)                                                         \
   X(kDsUniqueProbes, "ds.unique.probes", "ds_unique_probes",                 \
     kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist0, "ds.unique.probe_hist.1", "ds_unique_probe_hist_1", \
-    kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist1, "ds.unique.probe_hist.2", "ds_unique_probe_hist_2", \
-    kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist2, "ds.unique.probe_hist.3", "ds_unique_probe_hist_3", \
-    kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist3, "ds.unique.probe_hist.4", "ds_unique_probe_hist_4", \
-    kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist4, "ds.unique.probe_hist.8", "ds_unique_probe_hist_8", \
-    kSum, kMeasured)                                                         \
-  X(kDsUniqueProbeHist5, "ds.unique.probe_hist.16",                          \
-    "ds_unique_probe_hist_16", kSum, kMeasured)                              \
-  X(kDsUniqueProbeHist6, "ds.unique.probe_hist.32",                          \
-    "ds_unique_probe_hist_32", kSum, kMeasured)                              \
-  X(kDsUniqueProbeHist7, "ds.unique.probe_hist.over32",                      \
-    "ds_unique_probe_hist_over32", kSum, kMeasured)                          \
   /* fs: the DP / compaction work ledger (core::OpCounter) */                \
   X(kFsTableCells, "fs.table_cells", "table_cells", kSum, kPinned)           \
   X(kFsCompactions, "fs.compactions", "compactions", kSum, kPinned)          \

@@ -5,11 +5,14 @@
 
 #include "ds/unique_table.hpp"
 #include "rt/checkpoint.hpp"
-#include "util/check.hpp"
+#include "util/combinatorics.hpp"
 
 namespace ovo::zdd {
 
 namespace {
+
+/// zdd::Manager's variable limit; the loaders reject larger counts.
+constexpr int kMaxVars = tt::TruthTable::kMaxVars;
 
 std::vector<NodeId> post_order(const Manager& m, NodeId root,
                                ds::UniqueTable* index) {
@@ -51,52 +54,53 @@ std::string save_zdd(const Manager& m, NodeId root) {
 }
 
 LoadedZdd load_zdd(const std::string& text) {
+  const auto malformed = [](const char* what) {
+    throw rt::CheckpointError(rt::CheckpointErrorKind::kMalformed,
+                              std::string("load_zdd: ") + what);
+  };
   std::istringstream is(text);
   std::string word;
   int version = 0;
-  OVO_CHECK_MSG((is >> word >> version) && word == "ovo-zdd" && version == 1,
-                "load_zdd: bad header");
+  if (!(is >> word >> version) || word != "ovo-zdd" || version != 1)
+    malformed("bad header");
   int n = 0;
-  // Bound n before the order vector exists: Manager would reject n > 63
-  // anyway, but a fuzzer-supplied n must not drive the allocation below.
-  OVO_CHECK_MSG((is >> word >> n) && word == "n" && n >= 0 && n <= 63,
-                "load_zdd: bad variable count");
-  OVO_CHECK_MSG((is >> word) && word == "order", "load_zdd: missing order");
+  // Bound n before the order vector exists: a fuzzer-supplied n must not
+  // drive the allocation below, nor reach the Manager's own range check.
+  if (!(is >> word >> n) || word != "n" || n < 0 || n > kMaxVars)
+    malformed("bad variable count");
+  if (!(is >> word) || word != "order") malformed("missing order");
   std::vector<int> order(static_cast<std::size_t>(n));
   for (int& v : order)
-    OVO_CHECK_MSG(static_cast<bool>(is >> v), "load_zdd: truncated order");
+    if (!(is >> v)) malformed("truncated order");
+  if (!util::is_permutation(order)) malformed("order is not a permutation");
   std::size_t count = 0;
-  OVO_CHECK_MSG((is >> word >> count) && word == "nodes",
-                "load_zdd: missing node count");
+  if (!(is >> word >> count) || word != "nodes")
+    malformed("missing node count");
   // Every node line needs >= 8 characters ("2 0 0 1\n"), so a count the
   // input cannot possibly back is rejected before any growth.
-  OVO_CHECK_MSG(count <= text.size() / 8,
-                "load_zdd: node count exceeds input size");
+  if (count > text.size() / 8) malformed("node count exceeds input size");
 
-  LoadedZdd out{Manager(n, order), kEmpty};
+  LoadedZdd out{Manager(n, std::move(order)), kEmpty};
   std::vector<NodeId> id_map{kEmpty, kUnit};
   id_map.reserve(count + 2);
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t idx = 0;
     int level = 0;
     std::size_t lo = 0, hi = 0;
-    OVO_CHECK_MSG(static_cast<bool>(is >> idx >> level >> lo >> hi),
-                  "load_zdd: truncated node table");
-    OVO_CHECK_MSG(idx == 2 + i, "load_zdd: node indices must be dense");
-    OVO_CHECK_MSG(lo < id_map.size() && hi < id_map.size(),
-                  "load_zdd: dangling child reference");
+    if (!(is >> idx >> level >> lo >> hi)) malformed("truncated node table");
+    if (idx != 2 + i) malformed("node indices must be dense");
+    if (lo >= id_map.size() || hi >= id_map.size())
+      malformed("dangling child reference");
     // make_node only OVO_DCHECKs the ordering invariant, so the loader
     // must enforce it on untrusted input (children strictly deeper).
-    OVO_CHECK_MSG(level >= 0 &&
-                      level < out.manager.node(id_map[lo]).level &&
-                      level < out.manager.node(id_map[hi]).level,
-                  "load_zdd: node level not above its children");
+    if (level < 0 || level >= out.manager.node(id_map[lo]).level ||
+        level >= out.manager.node(id_map[hi]).level)
+      malformed("node level not above its children");
     id_map.push_back(out.manager.make(level, id_map[lo], id_map[hi]));
   }
   std::size_t root_idx = 0;
-  OVO_CHECK_MSG((is >> word >> root_idx) && word == "root",
-                "load_zdd: missing root");
-  OVO_CHECK_MSG(root_idx < id_map.size(), "load_zdd: dangling root");
+  if (!(is >> word >> root_idx) || word != "root") malformed("missing root");
+  if (root_idx >= id_map.size()) malformed("dangling root");
   out.root = id_map[root_idx];
   return out;
 }
@@ -132,7 +136,7 @@ LoadedZdd load_zdd_binary(const std::uint8_t* data, std::size_t len) {
   if (r.u8() != 'Z') malformed("wrong diagram tag");
   if (r.u8() != 1) malformed("unsupported format version");
   const std::uint32_t n = r.u32();
-  if (n > 63) malformed("variable count exceeds 63");
+  if (n > kMaxVars) malformed("variable count exceeds 26");
   std::vector<int> order(n);
   std::uint64_t seen = 0;
   for (int& v : order) {

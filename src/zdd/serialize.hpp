@@ -18,12 +18,13 @@ struct LoadedZdd {
   NodeId root;
 };
 
+/// Throws rt::CheckpointError(kMalformed) on malformed input, including a
+/// variable count above the Manager's limit (tt::TruthTable::kMaxVars).
 LoadedZdd load_zdd(const std::string& text);
 
 /// Compact binary form (tag 'Z', version 1); decode mirrors
 /// bdd/serialize.hpp's load_bdd_binary — every read bounds-checked via
-/// rt::ByteReader, structural violations typed as
-/// rt::CheckpointError(kMalformed) or util::CheckError.
+/// rt::ByteReader, every violation typed as rt::CheckpointError(kMalformed).
 std::vector<std::uint8_t> save_zdd_binary(const Manager& m, NodeId root);
 LoadedZdd load_zdd_binary(const std::uint8_t* data, std::size_t len);
 

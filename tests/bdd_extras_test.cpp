@@ -9,6 +9,7 @@
 #include "bdd/algorithms.hpp"
 #include "bdd/builder.hpp"
 #include "bdd/serialize.hpp"
+#include "rt/checkpoint.hpp"
 #include "tt/expr.hpp"
 #include "tt/function_zoo.hpp"
 #include "tt/normal_forms.hpp"
@@ -261,13 +262,13 @@ TEST(Serialize, Terminals) {
 }
 
 TEST(Serialize, RejectsMalformedInput) {
-  EXPECT_THROW(load_bdd(""), util::CheckError);
-  EXPECT_THROW(load_bdd("ovo-bdd 2\nn 1\n"), util::CheckError);
+  EXPECT_THROW(load_bdd(""), rt::CheckpointError);
+  EXPECT_THROW(load_bdd("ovo-bdd 2\nn 1\n"), rt::CheckpointError);
   EXPECT_THROW(load_bdd("ovo-bdd 1\nn 2\norder 0 1\nnodes 1\n2 0 9 1\n"
                         "root 2\n"),
-               util::CheckError);
+               rt::CheckpointError);
   EXPECT_THROW(load_bdd("ovo-bdd 1\nn 2\norder 0 1\nnodes 0\nroot 7\n"),
-               util::CheckError);
+               rt::CheckpointError);
 }
 
 }  // namespace

@@ -365,8 +365,8 @@ TEST(FsSnapshot, EncodeIsDeterministicAndRoundTrips) {
 }
 
 // Measured counters never reach the bytes: a fence encoded with other
-// dedup probe totals, resizes and probe histogram (what a differently
-// sized dedup table would record) is the identical payload.
+// dedup probe totals and resizes (what a differently sized dedup table
+// would record) is the identical payload.
 TEST(FsSnapshot, MeasuredCountersLeaveBytesUnchanged) {
   util::Xoshiro256 rng(15);
   const tt::TruthTable t = tt::adder_carry(6);
@@ -386,7 +386,6 @@ TEST(FsSnapshot, MeasuredCountersLeaveBytesUnchanged) {
       OpCounter noisy;
       noisy.dedup.probes = 1 + rng.below(1000);
       noisy.dedup.resizes = 1 + rng.below(10);
-      for (std::uint64_t& h : noisy.dedup.probe_hist) h = rng.below(100);
       noisy.to_ledger(*l);
     }
     EXPECT_EQ(reencode(s), payload);

@@ -168,13 +168,8 @@ TEST(ObsRegistry, MeasuredSetIsProbeDetailAndScheduler) {
   }
   EXPECT_EQ(measured,
             (std::vector<std::string>{
-                "ds.unique.resizes", "ds.unique.probes",
-                "ds.unique.probe_hist.1", "ds.unique.probe_hist.2",
-                "ds.unique.probe_hist.3", "ds.unique.probe_hist.4",
-                "ds.unique.probe_hist.8", "ds.unique.probe_hist.16",
-                "ds.unique.probe_hist.32", "ds.unique.probe_hist.over32",
-                "sched.graphs", "sched.tasks", "sched.chunks",
-                "sched.barrier_wait_ns"}));
+                "ds.unique.resizes", "ds.unique.probes", "sched.graphs",
+                "sched.tasks", "sched.chunks", "sched.barrier_wait_ns"}));
   EXPECT_EQ(pinned_count, 19u);
 
   // The pinned projection zeroes exactly the measured slots.
@@ -263,7 +258,7 @@ TEST(ObsJson, CounterBlockUsesRegistryKeys) {
 TEST(ObsJson, RunInfoBlockCarriesProvenance) {
   std::string s;
   append_run_info_json(s, 4);
-  EXPECT_NE(s.find("\"schema_version\":2"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"schema_version\":3"), std::string::npos) << s;
   EXPECT_NE(s.find("\"git\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"build\":\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"threads\":4"), std::string::npos) << s;

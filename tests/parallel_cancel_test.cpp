@@ -376,5 +376,29 @@ TEST(FsDpFaults, AllocFaultDrainsAndLeavesNoCorruption) {
   EXPECT_EQ(again.ops.table_cells, serial.ops.table_cells);
 }
 
+// A compaction is one allocation event however much its thread's pair
+// table has grown before: a dense n = 8 DP sees exactly ops.compactions
+// kAlloc events, and sees them again after an n = 12 DP on the same
+// threads, so fail-the-Nth-allocation schedules do not depend on what
+// ran earlier in the process.
+TEST(FsDpFaults, AllocEventsDoNotDependOnThreadHistory) {
+  util::Xoshiro256 rng(4243);
+  const tt::TruthTable small = tt::random_function(8, rng);
+  const tt::TruthTable large = tt::random_function(12, rng);
+  for (const int threads : {1, 4}) {
+    const auto small_dp_events = [&] {
+      rt::ScopedFaultPlan probe(rt::FaultPlan{});
+      const core::MinimizeResult r =
+          core::fs_minimize(small, core::DiagramKind::kBdd, policy(threads));
+      EXPECT_EQ(probe.allocations_seen(), r.ops.compactions)
+          << threads << " threads";
+      return probe.allocations_seen();
+    };
+    const std::uint64_t before = small_dp_events();
+    core::fs_minimize(large, core::DiagramKind::kBdd, policy(threads));
+    EXPECT_EQ(small_dp_events(), before) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace ovo::par

@@ -74,8 +74,8 @@ TEST(ZddSerialize, RoundtripPreservesFamily) {
 TEST(ZddSerialize, TerminalsAndErrors) {
   zdd::Manager m(2);
   EXPECT_EQ(zdd::load_zdd(zdd::save_zdd(m, zdd::kUnit)).root, zdd::kUnit);
-  EXPECT_THROW(zdd::load_zdd("ovo-bdd 1\nn 1\n"), util::CheckError);
-  EXPECT_THROW(zdd::load_zdd(""), util::CheckError);
+  EXPECT_THROW(zdd::load_zdd("ovo-bdd 1\nn 1\n"), rt::CheckpointError);
+  EXPECT_THROW(zdd::load_zdd(""), rt::CheckpointError);
 }
 
 // --- binary forms ----------------------------------------------------------

@@ -14,7 +14,10 @@
 #      rows carry the unified oracle ledger, the ovo::par scheduler
 #      counters, and the bound-pruning ledger (states_pruned /
 #      prune_ratio), plus the `ovo order --prune bounds` bit-identity
-#      guard against the dense default, plus the checkpoint round-trip
+#      guard against the dense default, plus the Theorem 5 ledger guard
+#      (a 12-variable dense `ovo order --json` reports 2n*3^(n-1) =
+#      4,251,528 table cells and the same output at --threads 1 and 4),
+#      plus the checkpoint round-trip
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
 #      typed-CLI-error block (malformed formulas, a formula over 26
@@ -31,9 +34,9 @@
 #      chaos grid runs at the end of step 1's full sweep.
 #   3. An end-to-end obs-registry counter check: one `ovo order --json`
 #      run must emit the registry's canonical keys — the table_cells /
-#      oracle_* fields and the schema_version run-info block — proving
-#      the CLI renders through the shared obs serializer, not a private
-#      formatter.
+#      oracle_* fields and the run-info block at schema_version 3 —
+#      proving the CLI renders through the shared obs serializer, not a
+#      private formatter.
 #
 # Any failure stops the script with a nonzero exit.
 #
@@ -62,12 +65,13 @@ tools/verify.sh --quick "${JOBS}"
 echo "#### ci: obs registry counter surface #########################"
 # The CLI's JSON must render through the shared obs serializer: registry
 # keys (table_cells — NOT the pre-refactor oracle_table_cells — and the
-# oracle ledger) plus the schema_version/git/build/threads run-info block.
+# oracle ledger) plus the schema_version/git/build/threads run-info block,
+# at the registry's current schema version.
 out="$(build/tools/ovo order --strategy sift --json 'x1 & x2 | x3')"
 echo "${out}" | grep -q '"table_cells":'
 echo "${out}" | grep -q '"oracle_queries":'
 echo "${out}" | grep -q '"oracle_memo_hits":'
-echo "${out}" | grep -q '"schema_version":'
+echo "${out}" | grep -q '"schema_version":3'
 if echo "${out}" | grep -q '"oracle_table_cells"'; then
   echo "FAIL: CLI emits the pre-obs key oracle_table_cells" >&2
   exit 1

@@ -19,7 +19,11 @@
 # the two scaling benches so the bench JSON surface is exercised too —
 # the FS bench runs with --prune bounds and its rows must carry the
 # pruning ledger — and a CLI guard that a bound-pruned `ovo order` run
-# returns the identical order and size as the dense default.  It runs
+# returns the identical order and size as the dense default.  A fixed
+# 12-variable formula runs through `ovo order --json` at --threads 1 and
+# 4: both must report Theorem 5's 2n*3^(n-1) = 4,251,528 table cells and
+# the same output apart from "threads", so the compaction kernel's
+# per-thread pair tables run on pool threads through the CLI.  It runs
 # malformed formulas, a formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed name, a missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, and a v2
@@ -120,6 +124,17 @@ if [[ "${QUICK}" -eq 1 ]]; then
   # ...and the pruned CLI run must surface its ledger.
   build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
     | grep -q '"states_pruned"'
+  echo "==== quick: Theorem 5 work ledger at every thread count ===="
+  # A dense DP over n variables compacts exactly 2n*3^(n-1) table cells
+  # whichever threads ran the compactions: 4,251,528 at n = 12, and the
+  # whole JSON output is the same at 1 and 4 threads but for "threads".
+  ledger_fn="x1 & x7 | x2 & x8 | x3 & x9 | (x4 ^ x10) & (x5 | !x11) | x6 & x12"
+  for t in 1 4; do
+    build/tools/ovo order --json --threads "${t}" "${ledger_fn}" \
+      | sed 's/"threads":[0-9]*/"threads":N/' > "${smoke_dir}/ledger${t}.json"
+    grep -q '"table_cells":4251528' "${smoke_dir}/ledger${t}.json"
+  done
+  diff "${smoke_dir}/ledger1.json" "${smoke_dir}/ledger4.json"
   echo "==== quick: checkpoint round-trip smoke ===================="
   # A run interrupted mid-DP (deterministic fault injection standing in
   # for SIGINT) must leave a resumable snapshot, and the resumed run's
