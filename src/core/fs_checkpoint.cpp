@@ -95,6 +95,14 @@ obs::Ledger decode_counters(ByteReader& r) {
   return l;
 }
 
+template <typename V>
+bool strictly_ascending(const std::vector<std::pair<util::Mask, V>>& map) {
+  return std::adjacent_find(map.begin(), map.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == map.end();
+}
+
 util::Mask spread_dense(util::Mask dense, const std::vector<int>& j_vars) {
   util::Mask K = 0;
   util::for_each_bit(dense, [&](int b) {
@@ -119,12 +127,14 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
   return fp;
 }
 
-std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
+void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   OVO_CHECK(view.fingerprint != nullptr && view.dense != nullptr &&
             view.tables != nullptr && view.best_last != nullptr &&
             view.mincost != nullptr && view.counters != nullptr &&
             view.seed_counters != nullptr);
   OVO_CHECK(view.dense->size() == view.tables->size());
+  OVO_DCHECK(strictly_ascending(*view.best_last) &&
+             strictly_ascending(*view.mincost));
   static const std::string kEmpty;
   static const std::vector<int> kNoOrder;
   const std::string& seed_name =
@@ -134,15 +144,15 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
 
   // Size the payload once: the layer's cells and the two maps are all
   // but a few hundred bytes of it, and one reservation keeps the encode
-  // a single pass over memory with no regrowth copies.
+  // a single pass over memory with no regrowth copies.  A writer reused
+  // across fences already holds the capacity and reserves nothing.
   std::size_t cells = 0;
   for (const PrefixTable& t : *view.tables) cells += t.cells.size();
   // Fixed fields plus both counter sections (names stay under 32 bytes).
   constexpr std::size_t kScalarBytes = 128 + 2 * 44 * obs::kMetricCount;
-  ByteWriter w;
-  w.reserve(kScalarBytes + seed_name.size() + 4 * seed_order.size() +
-            (8 + 4 + 8) * view.tables->size() + 4 * cells +
-            (8 + 4) * view.best_last->size() +
+  w.reserve(w.size() + kScalarBytes + seed_name.size() +
+            4 * seed_order.size() + (8 + 4 + 8) * view.tables->size() +
+            4 * cells + (8 + 4) * view.best_last->size() +
             (8 + 8) * view.mincost->size());
 
   const FsFingerprint& fp = *view.fingerprint;
@@ -173,24 +183,22 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
     w.u32_array(t.cells.data(), t.cells.size());
   }
 
-  // Map entries sorted by mask: deterministic bytes regardless of the
-  // unordered_map's iteration order.
-  std::vector<std::pair<util::Mask, int>> bl(view.best_last->begin(),
-                                             view.best_last->end());
-  std::sort(bl.begin(), bl.end());
-  w.u64(bl.size());
-  for (const auto& [mask, var] : bl) {
+  // The maps, in their stored ascending-mask order.
+  w.u64(view.best_last->size());
+  for (const auto& [mask, var] : *view.best_last) {
     w.u64(mask);
     w.u32(static_cast<std::uint32_t>(var));
   }
-  std::vector<std::pair<util::Mask, std::uint64_t>> mc(view.mincost->begin(),
-                                                       view.mincost->end());
-  std::sort(mc.begin(), mc.end());
-  w.u64(mc.size());
-  for (const auto& [mask, cost] : mc) {
+  w.u64(view.mincost->size());
+  for (const auto& [mask, cost] : *view.mincost) {
     w.u64(mask);
     w.u64(cost);
   }
+}
+
+std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view) {
+  ByteWriter w;
+  encode_snapshot_into(view, w);
   return w.take();
 }
 
@@ -315,11 +323,6 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
 
   if (!r.done()) malformed("trailing bytes after the snapshot payload");
   return s;
-}
-
-void save_snapshot(const std::string& path,
-                   const std::vector<std::uint8_t>& payload) {
-  rt::save_checkpoint(path, kFsSnapshotVersion, payload);
 }
 
 FsStarSnapshot load_snapshot(const std::string& path) {

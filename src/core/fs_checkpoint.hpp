@@ -25,10 +25,10 @@
 // Resuming against a non-matching fingerprint is a typed
 // CheckpointError(kWrongInstance), never silent corruption.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,6 +44,21 @@ namespace ovo::core {
 /// counters as two keyed sections of pinned metrics (see encode_snapshot);
 /// older files load as kVersionSkew.
 inline constexpr std::uint32_t kFsSnapshotVersion = 3;
+
+/// Binary search in one of the DP's mask-sorted maps (FsStarResult and
+/// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in
+/// strictly ascending mask order): the value stored at `mask`, or nullptr
+/// when the map has no entry for it (a pruned or never-built state).
+template <typename V>
+const V* find_mask(const std::vector<std::pair<util::Mask, V>>& map,
+                   util::Mask mask) {
+  const auto it = std::lower_bound(
+      map.begin(), map.end(), mask,
+      [](const std::pair<util::Mask, V>& e, util::Mask m) {
+        return e.first < m;
+      });
+  return it != map.end() && it->first == mask ? &it->second : nullptr;
+}
 
 /// Identity of the DP instance a snapshot belongs to.
 struct FsFingerprint {
@@ -106,17 +121,19 @@ struct FsStarSnapshot {
 };
 
 /// Borrowed view of fence state for zero-copy encoding: the engine points
-/// it at its live layer vectors instead of materializing an
-/// FsStarSnapshot.  Map entries are sorted by mask during encoding, so
-/// identical state always encodes to identical bytes.
+/// it at its live layer vectors and at FsStarResult's maps instead of
+/// materializing an FsStarSnapshot.  The maps must already be in strictly
+/// ascending mask order — the engine keeps them that way as it builds
+/// them — so the encoder writes them straight through, copying and
+/// sorting nothing, and identical state encodes to identical bytes.
 struct FsSnapshotView {
   const FsFingerprint* fingerprint = nullptr;
   std::uint32_t num_terminals = 2;
   int layer = 0;
   const std::vector<util::Mask>* dense = nullptr;
   const std::vector<PrefixTable>* tables = nullptr;
-  const std::unordered_map<util::Mask, int>* best_last = nullptr;
-  const std::unordered_map<util::Mask, std::uint64_t>* mincost = nullptr;
+  const std::vector<std::pair<util::Mask, int>>* best_last = nullptr;
+  const std::vector<std::pair<util::Mask, std::uint64_t>>* mincost = nullptr;
   std::uint64_t certified_lower_bound = 0;
   const obs::Ledger* counters = nullptr;
   const std::vector<int>* seed_order = nullptr;  ///< null encodes empty
@@ -125,10 +142,17 @@ struct FsSnapshotView {
   const obs::Ledger* seed_counters = nullptr;
 };
 
-/// Serializes a fence view to payload bytes (deterministic).  Each
-/// counter ledger becomes one keyed section: a u32 count, then
-/// (name, u64 bits) pairs for its nonzero pinned metrics in strictly
-/// ascending dotted-name order; measured slots are never written.
+/// Appends a fence view's payload bytes (deterministic) to `w`, in one
+/// pass: `w` is reserved once for the whole payload, the layer's cells go
+/// out in bulk and the maps in their stored order.  Each counter ledger
+/// becomes one keyed section: a u32 count, then (name, u64 bits) pairs
+/// for its nonzero pinned metrics in strictly ascending dotted-name
+/// order; measured slots are never written.  The engine appends into its
+/// run-long frame right after the container header (rt::begin_frame).
+void encode_snapshot_into(const FsSnapshotView& view, rt::ByteWriter& w);
+
+/// The payload bytes alone, in a fresh buffer: encode_snapshot_into on an
+/// empty writer.
 std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 
 /// Parses and *semantically validates* payload bytes: every structural
@@ -139,10 +163,6 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 /// registry) throws a typed CheckpointError — a decoded snapshot is safe
 /// to resume from without further bounds checks.
 FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len);
-
-/// Frames `payload` (see rt::save_checkpoint) and writes it atomically.
-void save_snapshot(const std::string& path,
-                   const std::vector<std::uint8_t>& payload);
 
 /// Loads, CRC-verifies, decodes, and validates a snapshot file.
 FsStarSnapshot load_snapshot(const std::string& path);
@@ -163,7 +183,10 @@ struct FsCheckpointOptions {
   bool on_trip = true;
   /// Resume from this decoded snapshot (fingerprint-checked in fs_star).
   const FsStarSnapshot* resume = nullptr;
-  /// Test/observer hook: receives every emitted payload (encoded bytes).
+  /// Test/observer hook: receives every emitted payload (encoded bytes),
+  /// before it is checksummed and written.  The engine encodes into one
+  /// frame buffer for the whole run, so a hook gets a copy of the payload;
+  /// without a hook nothing is copied.
   std::function<void(const std::vector<std::uint8_t>&)> on_bytes;
   /// Provenance recorded verbatim into written snapshots.
   std::vector<int> seed_order;

@@ -43,11 +43,16 @@ std::uint64_t engine_now_ns() {
 // Checkpoint/resume plumbing (see fs_checkpoint.hpp for the contract).
 
 /// Dispatch-resolved checkpoint plan handed to the engine: the caller's
-/// options plus the run's fingerprint.
+/// options, the run's fingerprint, and the one frame buffer every fence
+/// of the run encodes into.
 struct CkptPlan {
   const FsCheckpointOptions* opts = nullptr;
   FsFingerprint fp;
   std::uint32_t num_terminals = 2;
+  /// Container header + payload of the latest snapshot.  Cleared, never
+  /// freed, between fences: once the widest layer has been written it
+  /// stops growing.
+  rt::ByteWriter frame;
 
   bool writes() const { return opts != nullptr && opts->writes(); }
   const FsStarSnapshot* resume() const {
@@ -55,19 +60,54 @@ struct CkptPlan {
   }
 };
 
+/// Smallest piece of a payload whose CRC is worth a pool participant.
+constexpr std::size_t kCrcChunkBytes = std::size_t{1} << 20;
+
+/// rt::crc32 of `len` bytes, computed by the pool threads that sit idle
+/// at a fence: at most one chunk per thread and only as many chunks as
+/// each hold about kCrcChunkBytes, their CRCs folded in order with
+/// rt::crc32_combine — the same value bit for bit.  A payload under two
+/// chunks (or a serial run) is one chunk: it runs on the caller with no
+/// region, so no kTaskDispatch event fires.  Otherwise each chunk is one
+/// kTaskDispatch fault site, and an injected fault throws before the
+/// caller opens the temp file.
+std::uint32_t pooled_crc32(const std::uint8_t* data, std::size_t len,
+                           int threads) {
+  struct Piece {
+    std::uint32_t crc = 0;  // crc32 of the empty string
+    std::uint64_t len = 0;
+  };
+  const std::size_t chunks = std::max<std::size_t>(
+      1, std::min(static_cast<std::size_t>(threads), len / kCrcChunkBytes));
+  const std::uint64_t grain = (len + chunks - 1) / chunks;
+  return par::ThreadPool::shared()
+      .parallel_reduce(
+          0, len, grain, threads, Piece{},
+          [&](std::uint64_t lo, std::uint64_t hi) {
+            return Piece{rt::crc32(data + lo, hi - lo), hi - lo};
+          },
+          [](Piece a, Piece b) {
+            return Piece{rt::crc32_combine(a.crc, b.crc, b.len),
+                         a.len + b.len};
+          })
+      .crc;
+}
+
 /// Emits one layer-fence snapshot from live engine state.  Only called at
 /// a layer fence, where `dense`/`tables` hold the completed layer, the
 /// result maps and prune ledger are published through it, and
 /// `ops`/`gov` hold merged totals.  The counters stored are `*ops`, the
 /// run's prune ledger (its upper_bound is the effective incumbent) and
-/// the governor's work.
-void emit_fence_snapshot(const CkptPlan& plan, int layer,
+/// the governor's work.  The payload is encoded once, straight after a
+/// zeroed container header in the plan's frame; the header is filled in
+/// place and the whole frame goes to the file in one atomic write.
+void emit_fence_snapshot(CkptPlan& plan, int layer,
                          const std::vector<util::Mask>& dense,
                          const std::vector<PrefixTable>& tables,
                          const FsStarResult& result, const OpCounter* ops,
-                         const rt::Governor* gov) {
-  OVO_TRACE_SPAN_ARGS("fs.checkpoint", "rt", 0, "layer",
-                      static_cast<std::uint64_t>(layer), nullptr, 0);
+                         const rt::Governor* gov, int threads) {
+  OVO_TRACE_SPAN_NAMED(span, "fs.checkpoint", "rt", 0, "layer", layer,
+                       "bytes", 0);
   FsSnapshotView v;
   v.fingerprint = &plan.fp;
   v.num_terminals = plan.num_terminals;
@@ -87,9 +127,18 @@ void emit_fence_snapshot(const CkptPlan& plan, int layer,
   v.rng_seed = plan.opts->rng_seed;
   v.seed_name = &plan.opts->seed_name;
   v.seed_counters = &plan.opts->seed_counters;
-  const std::vector<std::uint8_t> payload = encode_snapshot(v);
-  if (plan.opts->on_bytes) plan.opts->on_bytes(payload);
-  if (!plan.opts->path.empty()) save_snapshot(plan.opts->path, payload);
+  rt::ByteWriter& frame = plan.frame;
+  rt::begin_frame(frame);
+  encode_snapshot_into(v, frame);
+  OVO_TRACE_SET_ARG_B(span, frame.size());
+  const std::uint8_t* payload = frame.data().data() + rt::kFrameHeaderSize;
+  const std::size_t len = frame.size() - rt::kFrameHeaderSize;
+  if (plan.opts->on_bytes)
+    plan.opts->on_bytes(std::vector<std::uint8_t>(payload, payload + len));
+  if (plan.opts->path.empty()) return;
+  rt::seal_frame(frame, kFsSnapshotVersion,
+                 pooled_crc32(payload, len, threads));
+  rt::write_file_atomic(plan.opts->path, frame.data().data(), frame.size());
 }
 
 /// True at a fence that should persist: the cadence hit (or a trip, which
@@ -103,13 +152,26 @@ bool fence_due(const CkptPlan& plan, int layer, int stop_k) {
 /// engine then replays layers `snapshot.layer + 1 ..` exactly as the
 /// uninterrupted run would have.
 void apply_resume(FsStarResult& result, const FsStarSnapshot& s) {
-  for (const auto& [mask, var] : s.best_last)
-    result.best_last.emplace(mask, var);
-  for (const auto& [mask, cost] : s.mincost)
-    result.mincost.emplace(mask, cost);
+  result.best_last = s.best_last;
+  result.mincost = s.mincost;
   result.prune.from_ledger(s.counters);
   result.certified_lower_bound = s.certified_lower_bound;
   result.completed_layers = s.layer;
+}
+
+/// Merges the entries appended since `old_size` — one layer's states,
+/// ascending by mask — into the ascending entries before them.  Two
+/// layers never share a mask, so the map stays strictly ascending; the
+/// merge is linear in the map's size, with no lookups and no sort.
+template <typename V>
+void merge_layer(std::vector<std::pair<util::Mask, V>>& map,
+                 std::size_t old_size) {
+  std::inplace_merge(
+      map.begin(), map.begin() + static_cast<std::ptrdiff_t>(old_size),
+      map.end(), [](const std::pair<util::Mask, V>& a,
+                    const std::pair<util::Mask, V>& b) {
+        return a.first < b.first;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +323,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                             int stop_k, DiagramKind kind, OpCounter* ops,
                             int threads, rt::Governor* gov,
                             std::optional<std::uint64_t> ub,
-                            const CkptPlan& plan) {
+                            CkptPlan& plan) {
   const bool prune = ub.has_value();
   const int j_size = util::popcount(J);
   const std::vector<int> j_vars = util::bits_of(J);
@@ -270,7 +332,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
 
   FsStarResult result;
   if (prune) result.prune.upper_bound = *ub;
-  result.mincost.emplace(util::Mask{0}, base.mincost());
+  result.mincost.emplace_back(util::Mask{0}, base.mincost());
 
   // Placement-invariant bound inputs, computed once per pruned run.
   const util::Mask base_support = prune ? table_support(base) & J : 0;
@@ -411,18 +473,22 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
 
     {
       // Serial epilogue (the layer fence): publish kept states in colex
-      // order and re-pack the layer in place.
+      // order — ascending K, since spreading dense positions over the
+      // ascending j_vars keeps their order — merge them into the maps,
+      // and re-pack the layer in place.
       OVO_TRACE_SPAN_ARGS("fs.fence", "fs", 0, "layer",
                           static_cast<std::uint64_t>(layer), nullptr, 0);
       std::size_t kept = 0;
       std::uint64_t cur_resident = 0;
       std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
+      const std::size_t old_best_last = result.best_last.size();
+      const std::size_t old_mincost = result.mincost.size();
       for (std::size_t i = 0; i < cand.size(); ++i) {
         OVO_CHECK(best_var[i] >= 0);
         if (keep[i] == 0) continue;
         const util::Mask K = spread_mask(cand[i], j_vars);
-        result.best_last.emplace(K, best_var[i]);
-        result.mincost.emplace(K, best_cost[i]);
+        result.best_last.emplace_back(K, best_var[i]);
+        result.mincost.emplace_back(K, best_cost[i]);
         if (prune && bound[i] < layer_lb_min) layer_lb_min = bound[i];
         cur_resident += cur[i].cells.size();
         cand[kept] = cand[i];
@@ -431,6 +497,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       }
       OVO_CHECK_MSG(kept > 0,
                     "fs_star: pruning incumbent below the true optimum");
+      merge_layer(result.best_last, old_best_last);
+      merge_layer(result.mincost, old_mincost);
       if (prune) {
         result.prune.states_generated += cand.size();
         result.prune.states_pruned += cand.size() - kept;
@@ -459,7 +527,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     // Snapshot IO happens after charging, so a resumed run's first
     // admit decision sees exactly the work total recorded here.
     if (fence_due(plan, layer, stop_k)) {
-      emit_fence_snapshot(plan, layer, prev_dense, prev, result, ops, gov);
+      emit_fence_snapshot(plan, layer, prev_dense, prev, result, ops, gov,
+                          threads);
       last_snapshot_layer = layer;
     }
   }
@@ -475,7 +544,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       result.completed_layers < stop_k &&
       result.completed_layers != last_snapshot_layer)
     emit_fence_snapshot(plan, result.completed_layers, prev_dense, prev,
-                        result, ops, gov);
+                        result, ops, gov, threads);
 
   const std::uint64_t extract_t0 = threads > 1 ? engine_now_ns() : 0;
   for (std::size_t r = 0; r < prev.size(); ++r)
@@ -623,11 +692,11 @@ std::vector<int> reconstruct_block_order(const FsStarResult& r,
   std::vector<int> top_down;
   util::Mask K = J;
   while (K != 0) {
-    const auto it = r.best_last.find(K);
-    OVO_CHECK_MSG(it != r.best_last.end(),
+    const int* var = find_mask(r.best_last, K);
+    OVO_CHECK_MSG(var != nullptr,
                   "reconstruct_block_order: missing back-pointer");
-    top_down.push_back(it->second);
-    K &= ~(util::Mask{1} << it->second);
+    top_down.push_back(*var);
+    K &= ~(util::Mask{1} << *var);
   }
   return {top_down.rbegin(), top_down.rend()};  // bottom-up
 }

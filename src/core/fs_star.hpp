@@ -36,6 +36,7 @@
 // mode is kOff: every state kept, the prune ledger all zero.
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/fs_checkpoint.hpp"
@@ -53,11 +54,16 @@ struct FsStarResult {
 
   /// For every K ⊆ J with 1 <= |K| <= stop_k: the variable placed at the
   /// top level of the block, i.e. pi_{<I,K>}[|I|+|K|] (Lemma 7's argmin).
-  std::unordered_map<util::Mask, int> best_last;
+  /// Entries (K, var) in strictly ascending mask order; look one up with
+  /// find_mask.  Each layer fence appends its states, which arrive in
+  /// ascending order, and merges them into the entries before it, so the
+  /// vector is sorted as it is built: a snapshot encodes it as it stands
+  /// (FsSnapshotView) and a resume copies the snapshot's vector back.
+  std::vector<std::pair<util::Mask, int>> best_last;
 
   /// MINCOST_{<I,K>} (chain totals, including the base's mincost) for every
-  /// K ⊆ J with |K| <= stop_k.
-  std::unordered_map<util::Mask, std::uint64_t> mincost;
+  /// K ⊆ J with |K| <= stop_k; kept like best_last.
+  std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
 
   /// Deepest fully built layer.  Equals the requested stop_k when the run
   /// completed; smaller iff a governor tripped, in which case `tables`

@@ -22,6 +22,14 @@
 //   OVO_TRACE_SPAN("fs.chunk", "sched", slot);
 //   OVO_TRACE_SPAN_ARGS("fs.group", "fs", slot, "layer", k, "chunk", c);
 //
+// A second arg known only once the region's work is done (the bytes it
+// wrote) goes on a named span, set before the span closes:
+//
+//   OVO_TRACE_SPAN_NAMED(span, "fs.checkpoint", "rt", 0, "layer", k,
+//                        "bytes", 0);
+//   ...
+//   OVO_TRACE_SET_ARG_B(span, frame.size());
+//
 // `name` and `category` must be string literals (or otherwise outlive the
 // trace session); they are stored as pointers.
 
@@ -93,6 +101,9 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Replaces the second arg's value (OVO_TRACE_SET_ARG_B).
+  void set_arg_b(std::uint64_t v) { bval_ = v; }
+
  private:
   const char* name_;
   const char* category_;
@@ -112,10 +123,15 @@ class Span {
   ::ovo::obs::Span OVO_TRACE_CONCAT(ovo_trace_span_, __LINE__)( \
       name, category, slot)
 #define OVO_TRACE_SPAN_ARGS(name, category, slot, akey, aval, bkey, bval) \
-  ::ovo::obs::Span OVO_TRACE_CONCAT(ovo_trace_span_, __LINE__)(           \
-      name, category, slot, akey,                                         \
-      static_cast<std::uint64_t>(aval), bkey,                             \
-      static_cast<std::uint64_t>(bval))
+  OVO_TRACE_SPAN_NAMED(OVO_TRACE_CONCAT(ovo_trace_span_, __LINE__), name,  \
+                       category, slot, akey, aval, bkey, bval)
+#define OVO_TRACE_SPAN_NAMED(var, name, category, slot, akey, aval, bkey, \
+                             bval)                                        \
+  ::ovo::obs::Span var(name, category, slot, akey,                        \
+                       static_cast<std::uint64_t>(aval), bkey,            \
+                       static_cast<std::uint64_t>(bval))
+#define OVO_TRACE_SET_ARG_B(var, value) \
+  var.set_arg_b(static_cast<std::uint64_t>(value))
 
 #else  // !OVO_TRACE_ENABLED — every macro compiles to nothing.
 
@@ -124,6 +140,13 @@ class Span {
   } while (false)
 #define OVO_TRACE_SPAN_ARGS(name, category, slot, akey, aval, bkey, bval) \
   do {                                                                    \
+  } while (false)
+#define OVO_TRACE_SPAN_NAMED(var, name, category, slot, akey, aval, bkey, \
+                             bval)                                        \
+  do {                                                                    \
+  } while (false)
+#define OVO_TRACE_SET_ARG_B(var, value) \
+  do {                                  \
   } while (false)
 
 #endif  // OVO_TRACE_ENABLED

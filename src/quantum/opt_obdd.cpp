@@ -136,11 +136,11 @@ class OptObddInstance {
   std::vector<int> reconstruct_prefix_order(Mask K) const {
     std::vector<int> top_down;
     while (K != 0) {
-      const auto it = preprocess_.best_last.find(K);
-      OVO_CHECK_MSG(it != preprocess_.best_last.end(),
+      const int* var = core::find_mask(preprocess_.best_last, K);
+      OVO_CHECK_MSG(var != nullptr,
                     "OptOBDD: missing preprocess back-pointer");
-      top_down.push_back(it->second);
-      K &= ~(Mask{1} << it->second);
+      top_down.push_back(*var);
+      K &= ~(Mask{1} << *var);
     }
     return {top_down.rbegin(), top_down.rend()};
   }

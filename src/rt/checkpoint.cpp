@@ -1,5 +1,6 @@
 #include "rt/checkpoint.hpp"
 
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdlib>
@@ -7,13 +8,13 @@
 
 #include "rt/fault.hpp"
 #include "rt/file_ops.hpp"
+#include "util/check.hpp"
 
 namespace ovo::rt {
 
 namespace {
 
 constexpr char kMagic[8] = {'O', 'V', 'O', 'C', 'K', 'P', 'T', '\0'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
 [[noreturn]] void io_error(const std::string& what) {
   throw CheckpointError(CheckpointErrorKind::kIo,
@@ -41,6 +42,38 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   for (int i = 0; i < 8; ++i)
     v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+/// a(x)·b(x) modulo the CRC polynomial, both in the reflected bit order
+/// crc32 uses (bit 31 holds x^0).
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = std::uint32_t{1} << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if ((a & m) != 0) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) != 0 ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
+
+/// x^(2^k) modulo the polynomial for k = 0..31.  The multiplicative
+/// order of x divides 2^32 − 1, so x^(2^(k+32)) = x^(2^k) and the table
+/// wraps.
+const std::uint32_t* x2n_table() {
+  static const std::array<std::uint32_t, 32> table = [] {
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = std::uint32_t{1} << 30;  // x^1
+    t[0] = p;
+    for (std::size_t k = 1; k < t.size(); ++k) t[k] = p = multmodp(p, p);
+    return t;
+  }();
+  return table.data();
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +192,7 @@ std::uint32_t crc32(const void* data, std::size_t len) {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t r = i;
       for (int k = 0; k < 8; ++k)
-        r = (r & 1) != 0 ? 0xEDB88320u ^ (r >> 1) : r >> 1;
+        r = (r & 1) != 0 ? kCrcPoly ^ (r >> 1) : r >> 1;
       c.t[0][i] = r;
     }
     for (std::uint32_t i = 0; i < 256; ++i)
@@ -181,6 +214,17 @@ std::uint32_t crc32(const void* data, std::size_t len) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  // x^(8·len_b) by square-and-multiply over len_b's bits, starting at
+  // x^(2^3) = x^8 for one byte.
+  const std::uint32_t* x2n = x2n_table();
+  std::uint32_t shift = std::uint32_t{1} << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k)
+    if ((len_b & 1) != 0) shift = multmodp(x2n[k & 31], shift);
+  return multmodp(shift, crc_a) ^ crc_b;
+}
+
 void ByteWriter::bytes(const void* data, std::size_t len) {
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + len);
@@ -197,6 +241,13 @@ void ByteWriter::u32_array(const std::uint32_t* values, std::size_t count) {
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   bytes(s.data(), s.size());
+}
+
+void ByteWriter::overwrite(std::size_t offset, const void* data,
+                           std::size_t len) {
+  OVO_CHECK_MSG(offset <= buf_.size() && len <= buf_.size() - offset,
+                "ByteWriter::overwrite past the written bytes");
+  std::memcpy(buf_.data() + offset, data, len);
 }
 
 void ByteReader::need(std::size_t n) {
@@ -284,22 +335,37 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return out;
 }
 
+void begin_frame(ByteWriter& frame) {
+  frame.clear();
+  frame.zeros(kFrameHeaderSize);
+}
+
+void seal_frame(ByteWriter& frame, std::uint32_t version,
+                std::uint32_t payload_crc) {
+  OVO_CHECK_MSG(frame.size() >= kFrameHeaderSize, "seal_frame: no frame begun");
+  ByteWriter header;
+  header.reserve(kFrameHeaderSize);
+  header.bytes(kMagic, sizeof(kMagic));
+  header.u32(version);
+  header.u64(frame.size() - kFrameHeaderSize);
+  header.u32(payload_crc);
+  frame.overwrite(0, header.data().data(), kFrameHeaderSize);
+}
+
 void save_checkpoint(const std::string& path, std::uint32_t version,
                      const std::vector<std::uint8_t>& payload) {
-  ByteWriter framed;
-  framed.reserve(kHeaderSize + payload.size());
-  framed.bytes(kMagic, sizeof(kMagic));
-  framed.u32(version);
-  framed.u64(payload.size());
-  framed.u32(crc32(payload.data(), payload.size()));
-  framed.bytes(payload.data(), payload.size());
-  write_file_atomic(path, framed.data().data(), framed.data().size());
+  ByteWriter frame;
+  frame.reserve(kFrameHeaderSize + payload.size());
+  begin_frame(frame);
+  frame.bytes(payload.data(), payload.size());
+  seal_frame(frame, version, crc32(payload.data(), payload.size()));
+  write_file_atomic(path, frame.data().data(), frame.size());
 }
 
 CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
                                 std::uint32_t min_version,
                                 std::uint32_t max_version) {
-  if (len < kHeaderSize)
+  if (len < kFrameHeaderSize)
     throw CheckpointError(CheckpointErrorKind::kTruncated,
                           "data shorter than the checkpoint header");
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
@@ -315,7 +381,7 @@ CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
             std::to_string(max_version) + "]");
   const std::uint64_t declared = get_u64(data + 12);
   const std::uint64_t actual =
-      static_cast<std::uint64_t>(len) - kHeaderSize;
+      static_cast<std::uint64_t>(len) - kFrameHeaderSize;
   // The length field must match the bytes present exactly: an oversized
   // field means truncation-or-corruption, an undersized one means trailing
   // garbage — both are rejected rather than guessed at.
@@ -326,11 +392,11 @@ CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
                               std::to_string(actual) + " bytes present");
   const std::uint32_t stored_crc = get_u32(data + 20);
   const std::uint32_t computed =
-      crc32(data + kHeaderSize, static_cast<std::size_t>(actual));
+      crc32(data + kFrameHeaderSize, static_cast<std::size_t>(actual));
   if (stored_crc != computed)
     throw CheckpointError(CheckpointErrorKind::kCrcMismatch,
                           "payload bytes fail the stored CRC-32");
-  out.payload.assign(data + kHeaderSize, data + len);
+  out.payload.assign(data + kFrameHeaderSize, data + len);
   return out;
 }
 

@@ -74,6 +74,14 @@ class CheckpointError : public std::runtime_error {
 /// bytewise table-driven algorithm.
 std::uint32_t crc32(const void* data, std::size_t len);
 
+/// CRC-32 of the concatenation A‖B from crc_a = crc32(A), crc_b =
+/// crc32(B) and len_b = |B| (zlib's GF(2) method: crc_a times x^(8·len_b)
+/// modulo the polynomial, then XOR crc_b), in O(log len_b) steps.  Lets
+/// independent pieces of one buffer be checksummed in parallel and folded
+/// in order to exactly crc32 of the whole.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
 /// Little-endian append-only payload builder.  Produced bytes are a pure
 /// function of the appended values (no map-iteration or pointer order
 /// leaks in), so identical state encodes to identical bytes — which makes
@@ -83,22 +91,36 @@ class ByteWriter {
   /// Pre-sizes the buffer for `total` bytes, so a caller that knows its
   /// payload size appends without regrowth.
   void reserve(std::size_t total) { buf_.reserve(total); }
+  /// Drops the contents and keeps the capacity, so a writer reused for
+  /// one frame after another stops allocating once it has held the
+  /// largest.
+  void clear() { buf_.clear(); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    const std::uint8_t b[4] = {
+        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+        static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 24)};
+    buf_.insert(buf_.end(), b, b + 4);
   }
   void u64(std::uint64_t v) {
+    std::uint8_t b[8];
     for (int i = 0; i < 8; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), b, b + 8);
   }
   void bytes(const void* data, std::size_t len);
+  /// Appends `len` zero bytes.
+  void zeros(std::size_t len) { buf_.resize(buf_.size() + len); }
   /// Appends `count` values as little-endian u32s — the bytes of `count`
   /// u32() calls, in one memcpy on a little-endian host.
   void u32_array(const std::uint32_t* values, std::size_t count);
   /// u32 length prefix + raw bytes.
   void str(const std::string& s);
+  /// Replaces the already-written bytes [offset, offset + len).
+  void overwrite(std::size_t offset, const void* data, std::size_t len);
 
+  std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -165,8 +187,26 @@ void write_file_atomic(const std::string& path, const void* data,
 /// opened or read.
 std::vector<std::uint8_t> read_file(const std::string& path);
 
+/// Bytes of the container header in front of every payload.
+inline constexpr std::size_t kFrameHeaderSize = 8 + 4 + 8 + 4;
+
+/// Starts a frame in place: clears `frame` (keeping its capacity) and
+/// appends kFrameHeaderSize zero bytes for seal_frame to fill.  The
+/// producer then appends its payload directly after them, so the payload
+/// is never copied into a second buffer.
+void begin_frame(ByteWriter& frame);
+
+/// Fills the header begun by begin_frame: magic, `version`, the payload
+/// length (everything after the header) and `payload_crc`, which must be
+/// crc32 of the payload — the caller computes it, serially or in
+/// crc32_combine-folded pieces.
+void seal_frame(ByteWriter& frame, std::uint32_t version,
+                std::uint32_t payload_crc);
+
 /// Frames `payload` (magic/version/length/CRC header) and writes it
-/// atomically to `path`.
+/// atomically to `path`.  A copying convenience over begin_frame /
+/// seal_frame / write_file_atomic; producers that write many large
+/// frames encode into one reused frame instead.
 void save_checkpoint(const std::string& path, std::uint32_t version,
                      const std::vector<std::uint8_t>& payload);
 

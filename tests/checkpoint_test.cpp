@@ -23,6 +23,8 @@
 #include "rt/budget.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/fault.hpp"
+#include "rt/file_ops.hpp"
+#include "rt/sim_fs.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/combinatorics.hpp"
 #include "util/rng.hpp"
@@ -107,6 +109,55 @@ TEST(RtCrc32, MatchesBytewiseReference) {
             reference_crc32(buf.data(), buf.size()));
   EXPECT_EQ(rt::crc32(buf.data() + 3, buf.size() - 3),
             reference_crc32(buf.data() + 3, buf.size() - 3));
+}
+
+// Folding the pieces' CRCs in order with crc32_combine gives crc32 of
+// the whole buffer, however it is cut: random buffers and cut points,
+// with empty pieces, odd lengths and pieces over 1 MiB all occurring.
+TEST(RtCrc32, CombineFoldsAnyCutToTheWhole) {
+  util::Xoshiro256 rng(43);
+  std::vector<std::uint8_t> buf((std::size_t{5} << 20) + 7);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng() >> 56);
+  int empty = 0, odd = 0, large = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    // Every fourth buffer is over 2 MiB, so some pieces exceed 1 MiB.
+    const std::size_t len = trial % 4 == 0
+                                ? buf.size() - rng.below(1 << 20)
+                                : static_cast<std::size_t>(rng.below(4096));
+    std::vector<std::size_t> cuts = {0, len};
+    const std::uint64_t pieces = 1 + rng.below(6);
+    for (std::uint64_t c = 1; c < pieces; ++c) {
+      const std::size_t at = static_cast<std::size_t>(rng.below(len + 1));
+      cuts.push_back(at);
+      if (c == 2) cuts.push_back(at);  // an empty piece
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint32_t folded = rt::crc32(nullptr, 0);
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const std::size_t piece = cuts[i + 1] - cuts[i];
+      empty += piece == 0;
+      odd += piece % 2 == 1;
+      large += piece > (std::size_t{1} << 20);
+      folded = rt::crc32_combine(
+          folded, rt::crc32(buf.data() + cuts[i], piece), piece);
+    }
+    EXPECT_EQ(folded, rt::crc32(buf.data(), len))
+        << "trial " << trial << " length " << len;
+  }
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(odd, 0);
+  EXPECT_GT(large, 0);
+}
+
+// Known answer: "123456789" split at every point folds back to the
+// check value.
+TEST(RtCrc32, CombineKnownAnswerAtEverySplit) {
+  const char kCheck[] = "123456789";
+  for (std::size_t cut = 0; cut <= 9; ++cut)
+    EXPECT_EQ(rt::crc32_combine(rt::crc32(kCheck, cut),
+                                rt::crc32(kCheck + cut, 9 - cut), 9 - cut),
+              0xCBF43926u)
+        << "cut " << cut;
 }
 
 TEST(RtByteWriter, BulkU32AppendMatchesPerValue) {
@@ -320,8 +371,17 @@ void expect_results_equal(const FsStarResult& a, const FsStarResult& b) {
   expect_tables_equal(a.tables, b.tables);
 }
 
+template <typename V>
+bool strictly_ascending_masks(
+    const std::vector<std::pair<util::Mask, V>>& map) {
+  for (std::size_t i = 1; i < map.size(); ++i)
+    if (map[i - 1].first >= map[i].first) return false;
+  return true;
+}
+
 /// Encodes a decoded snapshot again, through the same view the engines
-/// fill from live state (maps rebuilt as hash maps).
+/// fill from live state (the snapshot's sorted map vectors are the
+/// layout FsStarResult keeps).
 std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
   FsSnapshotView v;
   v.fingerprint = &s.fingerprint;
@@ -329,12 +389,8 @@ std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
   v.layer = s.layer;
   v.dense = &s.dense;
   v.tables = &s.tables;
-  const std::unordered_map<util::Mask, int> bl(s.best_last.begin(),
-                                               s.best_last.end());
-  const std::unordered_map<util::Mask, std::uint64_t> mc(s.mincost.begin(),
-                                                         s.mincost.end());
-  v.best_last = &bl;
-  v.mincost = &mc;
+  v.best_last = &s.best_last;
+  v.mincost = &s.mincost;
   v.certified_lower_bound = s.certified_lower_bound;
   v.counters = &s.counters;
   v.seed_order = &s.seed_order;
@@ -716,8 +772,9 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
   EXPECT_EQ(resumed_gov.stats().work_units, straight_gov.stats().work_units);
 }
 
-// File-based round trip through save_snapshot/load_snapshot, plus the
-// dd-a-byte corruption the verify script exercises.
+// File-based round trip through the engine's framed write and
+// load_snapshot, plus the dd-a-byte corruption the verify script
+// exercises.
 TEST(FsResume, FileRoundTripAndCorruption) {
   util::Xoshiro256 rng(25);
   const int n = 6;
@@ -775,6 +832,168 @@ TEST(FsResume, OldSnapshotVersionIsTyped) {
     FAIL() << "expected CheckpointError";
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kVersionSkew);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The engine's frame: one buffer per run, the CRC folded across the pool
+
+/// One fence of a checkpointed run: the payload its byte hook received
+/// and the file it committed.
+struct Fence {
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> file;
+  std::uint64_t dispatch_events = 0;  ///< kTaskDispatch events at the hook
+};
+
+/// Runs the n-variable DP over `t` with a snapshot at every fence into
+/// `path` on `sim`.  A fence's file is read at the next fence's hook
+/// (the hook runs before the frame is written) and the last one after
+/// the run.  With `plan`, each fence also records how many kTaskDispatch
+/// events the plan had seen when its hook ran.
+std::vector<Fence> capture_frames(const tt::TruthTable& t,
+                                  par::PruneMode prune, int threads,
+                                  rt::SimFs& sim, const std::string& path,
+                                  const rt::ScopedFaultPlan* plan = nullptr) {
+  std::vector<Fence> fences;
+  FsCheckpointOptions ckpt;
+  ckpt.path = path;
+  ckpt.every = 1;
+  ckpt.on_bytes = [&](const std::vector<std::uint8_t>& payload) {
+    if (!fences.empty()) fences.back().file = sim.get(path);
+    fences.push_back(Fence{payload, {}, 0});
+    if (plan != nullptr)
+      fences.back().dispatch_events =
+          plan->events_seen(rt::FaultSite::kTaskDispatch);
+  };
+  par::ExecPolicy exec;
+  exec.num_threads = threads;
+  exec.prune = prune;
+  rt::ScopedFileOps install(sim);
+  OpCounter ops;
+  const FsStarResult r =
+      fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
+              DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
+  if (!fences.empty()) fences.back().file = sim.get(path);
+  EXPECT_TRUE(strictly_ascending_masks(r.best_last));
+  EXPECT_TRUE(strictly_ascending_masks(r.mincost));
+  return fences;
+}
+
+/// Pieces the engine splits a payload's CRC into at `threads` threads:
+/// at most one per thread, each about 1 MiB or more.
+std::size_t crc_chunks(std::size_t payload_len, int threads) {
+  return std::max<std::size_t>(
+      1, std::min(static_cast<std::size_t>(threads),
+                  payload_len / (std::size_t{1} << 20)));
+}
+
+// Every file the engine commits is the reference encoder's payload in
+// the frame rt::save_checkpoint writes, dense and pruned, at 1 thread and
+// at 4 (where the larger fences fold several CRC pieces).  Fences grow
+// and then shrink, so the run-long frame buffer is reused at smaller
+// sizes too; both DP maps are strictly ascending at every fence.
+TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
+  const tt::TruthTable t = tt::hidden_weighted_bit(14);
+  for (const par::PruneMode prune :
+       {par::PruneMode::kOff, par::PruneMode::kBounds}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(prune == par::PruneMode::kBounds ? "pruned"
+                                                                : "dense") +
+                   " threads=" + std::to_string(threads));
+      rt::SimFs sim;
+      const std::string path = "/ckpt/frame.bin";
+      const std::vector<Fence> fences =
+          capture_frames(t, prune, threads, sim, path);
+      ASSERT_EQ(fences.size(), 13u);  // fences at layers 1..n-1
+      std::size_t widest = 0;
+      bool shrank = false, multi_chunk = false;
+      for (const Fence& f : fences) {
+        const FsStarSnapshot s =
+            decode_snapshot(f.payload.data(), f.payload.size());
+        EXPECT_TRUE(strictly_ascending_masks(s.best_last));
+        EXPECT_TRUE(strictly_ascending_masks(s.mincost));
+        EXPECT_EQ(reencode(s), f.payload) << "layer " << s.layer;
+        rt::SimFs ref;
+        {
+          rt::ScopedFileOps install(ref);
+          rt::save_checkpoint("/ref.bin", kFsSnapshotVersion, f.payload);
+        }
+        EXPECT_EQ(f.file, ref.get("/ref.bin")) << "layer " << s.layer;
+        EXPECT_EQ(f.file, build_valid_frame(kFsSnapshotVersion, f.payload))
+            << "layer " << s.layer;
+        shrank = shrank || f.file.size() < widest;
+        widest = std::max(widest, f.file.size());
+        multi_chunk = multi_chunk || crc_chunks(f.payload.size(), 4) > 1;
+      }
+      EXPECT_TRUE(shrank);
+      if (prune == par::PruneMode::kOff) {
+        EXPECT_TRUE(multi_chunk);
+      }
+      EXPECT_FALSE(sim.exists(path + ".tmp"));
+    }
+  }
+}
+
+// The CRC's pool chunks are the only kTaskDispatch events a snapshot
+// adds — none for a payload under 2 MiB — and a fault injected at any of
+// them throws rt::FaultInjected before the temp file is opened: no
+// `.tmp` is left, and the previous fence's snapshot stays whole.
+TEST(FsFrame, CrcChunkFaultKeepsThePreviousSnapshot) {
+  const tt::TruthTable t = tt::hidden_weighted_bit(14);
+  const std::string path = "/ckpt/frame.bin";
+  par::ExecPolicy exec;
+  exec.num_threads = 4;
+
+  // Probe: the dispatch events of the plain DP and of the checkpointed
+  // one, and where each fence's hook falls among them.
+  std::uint64_t plain_events = 0;
+  {
+    rt::ScopedFaultPlan probe{rt::FaultSchedule{}};
+    fs_star(initial_table(t), util::full_mask(14), 14, DiagramKind::kBdd,
+            nullptr, exec);
+    plain_events = probe.events_seen(rt::FaultSite::kTaskDispatch);
+  }
+  rt::SimFs probe_fs;
+  std::vector<Fence> fences;
+  std::uint64_t ckpt_events = 0;
+  {
+    rt::ScopedFaultPlan probe{rt::FaultSchedule{}};
+    fences = capture_frames(t, par::PruneMode::kOff, 4, probe_fs, path,
+                            &probe);
+    ckpt_events = probe.events_seen(rt::FaultSite::kTaskDispatch);
+  }
+  std::uint64_t crc_events = 0;
+  std::size_t target = 0;  // first fence whose CRC splits, after fence 1
+  for (std::size_t i = 0; i < fences.size(); ++i) {
+    const std::size_t chunks = crc_chunks(fences[i].payload.size(), 4);
+    if (chunks > 1) {
+      crc_events += chunks;
+      if (target == 0 && i > 0) target = i;
+    }
+  }
+  ASSERT_GT(target, 0u);
+  EXPECT_EQ(ckpt_events, plain_events + crc_events);
+
+  const std::size_t chunks = crc_chunks(fences[target].payload.size(), 4);
+  for (std::size_t c = 1; c <= chunks; ++c) {
+    SCOPED_TRACE("chunk " + std::to_string(c) + " of " +
+                 std::to_string(chunks));
+    rt::SimFs sim;
+    rt::FaultSchedule schedule;
+    schedule.fail_nth(rt::FaultSite::kTaskDispatch,
+                      fences[target].dispatch_events + c);
+    {
+      rt::ScopedFaultPlan plan(schedule);
+      EXPECT_THROW(capture_frames(t, par::PruneMode::kOff, 4, sim, path),
+                   rt::FaultInjected);
+      EXPECT_EQ(plan.injected(rt::FaultSite::kTaskDispatch), 1u);
+    }
+    EXPECT_FALSE(sim.exists(path + ".tmp"));
+    ASSERT_TRUE(sim.exists(path));
+    EXPECT_EQ(sim.get(path), fences[target - 1].file);
+    rt::ScopedFileOps install(sim);
+    EXPECT_EQ(load_snapshot(path).layer, static_cast<int>(target));
   }
 }
 

@@ -186,7 +186,10 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
       });
       const std::uint64_t w =
           compaction_width(p, k, DiagramKind::kBdd, nullptr);
-      best = std::min(best, r.mincost.at(I & ~(util::Mask{1} << k)) + w);
+      const std::uint64_t* pred =
+          find_mask(r.mincost, I & ~(util::Mask{1} << k));
+      ASSERT_NE(pred, nullptr) << "I=" << I << " k=" << k;
+      best = std::min(best, *pred + w);
     });
     EXPECT_EQ(cost, best) << "I=" << I;
   }

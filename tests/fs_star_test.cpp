@@ -141,8 +141,10 @@ TEST(FsStar, MincostMapIsMonotone) {
     if (I == 0) continue;
     std::uint64_t best_pred = std::numeric_limits<std::uint64_t>::max();
     util::for_each_bit(I, [&](int i) {
-      best_pred =
-          std::min(best_pred, r.mincost.at(I & ~(util::Mask{1} << i)));
+      const std::uint64_t* pred =
+          find_mask(r.mincost, I & ~(util::Mask{1} << i));
+      ASSERT_NE(pred, nullptr) << "I=" << I << " i=" << i;
+      best_pred = std::min(best_pred, *pred);
     });
     EXPECT_GE(cost, best_pred);
   }

@@ -105,12 +105,15 @@ TEST(PaperClaims, Lemma4Recurrence) {
     util::for_each_bit(I & ~(util::Mask{1} << k), [&](int v) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
-    best = std::min(best,
-                    r.mincost.at(I & ~(util::Mask{1} << k)) +
-                        core::compaction_width(p, k,
-                                               core::DiagramKind::kBdd));
+    const std::uint64_t* pred =
+        core::find_mask(r.mincost, I & ~(util::Mask{1} << k));
+    ASSERT_NE(pred, nullptr) << "k=" << k;
+    best = std::min(best, *pred + core::compaction_width(
+                                      p, k, core::DiagramKind::kBdd));
   });
-  EXPECT_EQ(r.mincost.at(I), best);
+  const std::uint64_t* cost = core::find_mask(r.mincost, I);
+  ASSERT_NE(cost, nullptr);
+  EXPECT_EQ(*cost, best);
 }
 
 // Theorem 5: O*(3^n) — exact operation counts match the closed form.
@@ -162,12 +165,15 @@ TEST(PaperClaims, Lemma7PrefixedRecurrence) {
     util::for_each_bit(J & ~(util::Mask{1} << k), [&](int v) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
-    best = std::min(best,
-                    r.mincost.at(J & ~(util::Mask{1} << k)) +
-                        core::compaction_width(p, k,
-                                               core::DiagramKind::kBdd));
+    const std::uint64_t* pred =
+        core::find_mask(r.mincost, J & ~(util::Mask{1} << k));
+    ASSERT_NE(pred, nullptr) << "k=" << k;
+    best = std::min(best, *pred + core::compaction_width(
+                                      p, k, core::DiagramKind::kBdd));
   });
-  EXPECT_EQ(r.mincost.at(J), best);
+  const std::uint64_t* cost = core::find_mask(r.mincost, J);
+  ASSERT_NE(cost, nullptr);
+  EXPECT_EQ(*cost, best);
 }
 
 // Lemma 8: FS* composes — FS(<I,J>) from FS(I) — at the claimed cost

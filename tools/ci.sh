@@ -20,13 +20,19 @@
 #      plus the checkpoint round-trip
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
+#      pooled-CRC guard (a 14-variable run cancelled mid-DP at --threads
+#      4 and 1 leaves byte-identical snapshots of at least 2 MiB, and
+#      each resumes at the other thread count to the straight run's
+#      JSON), plus the
 #      typed-CLI-error block (malformed formulas, a formula over 26
 #      variables, bad numeric flag values, an unknown --prune-seed name,
 #      a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
 #      signal and its line — a v2 snapshot exits 3 naming the version
-#      skew, never with internal-check text), plus the `ovo order
-#      --trace` Chrome trace-event smoke, plus
+#      skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
+#      runs, never with internal-check text), plus the `ovo order
+#      --trace` Chrome trace-event smoke (including a checkpointed run
+#      whose fs.checkpoint spans carry each frame's `bytes`), plus
 #      the fuzz frontier smoke (each OVO_FUZZ target: fixed-seed random
 #      inputs + regression-corpus replay) and the trimmed CLI chaos sweep
 #      (tools/chaos.sh --quick: fault-injected runs must exit with typed

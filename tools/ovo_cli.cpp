@@ -11,7 +11,7 @@
 //               [--fault-seed S] <input>
 //   ovo size    --order v1,v2,... [--zdd] <input>
 //   ovo compare [--threads N] <input>   # exact vs heuristics report
-//   ovo tables  [--k K] [--iters N]     # reproduce paper Tables 1 and 2
+//   ovo tables  [--k 1..12] [--iters N] # reproduce paper Tables 1 and 2
 //   ovo dot     <input>                 # minimum OBDD as Graphviz
 //   ovo --list-strategies               # registered ordering strategies
 //
@@ -614,11 +614,26 @@ int cmd_compare(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// Largest --k `tables` accepts.  quantum::solve_alphas runs a
+/// double-precision shooting chain that loses its digits beyond it: at
+/// k = 13 Table 2's tower and at k >= 14 Table 1's root finder stop
+/// converging.
+constexpr int kMaxTablesK = 12;
+
 int cmd_tables(const std::vector<std::string>& args) {
   int k = 6, iters = 10;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--k" && i + 1 < args.size())
-      k = parse_int_flag("--k", args[++i], 1);
+    if (args[i] == "--k" && i + 1 < args.size()) {
+      try {
+        k = static_cast<int>(
+            parse_u64_flag("--k", args[++i], 1, kMaxTablesK));
+      } catch (const UsageError& e) {
+        throw UsageError(std::string(e.what()) +
+                         " (Table 1's double-precision alpha chain loses "
+                         "its digits past k = " +
+                         std::to_string(kMaxTablesK) + ")");
+      }
+    }
     if (args[i] == "--iters" && i + 1 < args.size())
       iters = parse_int_flag("--iters", args[++i], 1);
   }
@@ -661,7 +676,7 @@ void usage() {
       "              [--fault-prob P] [--fault-seed S] <input>\n"
       "  ovo size    --order v1,v2,... [--zdd] <input>\n"
       "  ovo compare [--threads N] <input>\n"
-      "  ovo tables  [--k K] [--iters N]\n"
+      "  ovo tables  [--k 1..12] [--iters N]\n"
       "  ovo dot     <input>\n"
       "  ovo --list-strategies\n"
       "<input>: file.pla | file.blif | a formula like \"x1 & x2 | x3\"\n");

@@ -23,16 +23,24 @@
 # 12-variable formula runs through `ovo order --json` at --threads 1 and
 # 4: both must report Theorem 5's 2n*3^(n-1) = 4,251,528 table cells and
 # the same output apart from "threads", so the compaction kernel's
-# per-thread pair tables run on pool threads through the CLI.  It runs
+# per-thread pair tables run on pool threads through the CLI.  A
+# 14-variable formula cancelled mid-DP (--fault-cancel-at) at --threads 4
+# and at --threads 1 must leave byte-identical snapshots from a fence of
+# at least 2 MiB, whose CRC the 4-thread run folds from pool chunks, and
+# resuming each at the other thread count must print the straight run's
+# JSON apart from "threads".  It runs
 # malformed formulas, a formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed name, a missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, and a v2
-# snapshot through `ovo order` and checks each exit code (a v2 snapshot
-# must name the version skew, a BLIF error its line and signal) and that
-# no internal-check text reaches stderr.  Quick mode also smokes
-# `ovo order --trace` (the exported Chrome trace must be
+# snapshot through `ovo order`, and `ovo tables --k` at 12 (runs), 13 and
+# 40 (past Table 1's double-precision range), and checks each exit code
+# (a v2 snapshot must name the version skew, a BLIF error its line and
+# signal) and that no internal-check text reaches stderr.  Quick mode
+# also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
-# timestamps), builds the OVO_FUZZ targets for a fixed-seed random smoke
+# timestamps; with --checkpoint, every fs.checkpoint span carries a
+# positive `bytes` arg and the last equals the snapshot file's size),
+# builds the OVO_FUZZ targets for a fixed-seed random smoke
 # plus corpus replay, and runs the trimmed CLI chaos sweep
 # (tools/chaos.sh --quick): torn-write/fault injection through the CLI
 # with typed exit codes and resume-to-identical-bytes checks.
@@ -161,23 +169,52 @@ if [[ "${QUICK}" -eq 1 ]]; then
     || rc=$?
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
+  echo "==== quick: pooled snapshot CRC through the CLI ============"
+  # A 14-variable dense run cancelled in layer 5 leaves layer 4's
+  # snapshot, a 4 MB frame whose CRC the fence folds from three pool
+  # chunks at --threads 4 and computes in one piece at --threads 1: the
+  # two files must be the same bytes, and resuming either one at the
+  # other thread count must print the straight run's JSON apart from
+  # "threads".
+  crc_fn="x1 & x8 | x2 & x9 | x3 & x10 | (x4 ^ x11) & (x5 | !x12) | x6 & x13 | x7 & x14"
+  crc_run() {
+    build/tools/ovo order --strategy auto --prune off --json "$@" \
+      "${crc_fn}" | sed 's/"threads":[0-9]*/"threads":N/'
+  }
+  crc_run --threads 1 > "${smoke_dir}/crc_straight.json"
+  for t in 1 4; do
+    crc_run --threads "${t}" --checkpoint "${smoke_dir}/crc${t}.ckpt" \
+      --fault-cancel-at 3000 > "${smoke_dir}/crc_tripped${t}.json"
+    grep -q '"outcome":"cancelled"' "${smoke_dir}/crc_tripped${t}.json"
+  done
+  [[ "$(stat -c %s "${smoke_dir}/crc4.ckpt")" -ge $((2 << 20)) ]]
+  cmp "${smoke_dir}/crc1.ckpt" "${smoke_dir}/crc4.ckpt"
+  crc_run --threads 4 --resume "${smoke_dir}/crc1.ckpt" \
+    | diff "${smoke_dir}/crc_straight.json" -
+  crc_run --threads 1 --resume "${smoke_dir}/crc4.ckpt" \
+    | diff "${smoke_dir}/crc_straight.json" -
   echo "==== quick: typed CLI errors ==============================="
   # A typo in a formula or a flag value, a missing input file, a BLIF
-  # netlist with an undefined signal or a combinational cycle, or a
-  # snapshot of an older payload version is the user's error: each must
-  # exit with its documented code (1 input error, 2 usage error,
-  # 3 checkpoint error) and never surface internal-check text.
-  expect_cli_error() {
+  # netlist with an undefined signal or a combinational cycle, a
+  # snapshot of an older payload version, or a `tables --k` past the
+  # range Table 1's double-precision chain holds is the user's error:
+  # each must exit with its documented code (1 input error, 2 usage
+  # error, 3 checkpoint error) and never surface internal-check text.
+  expect_exit() {
     local want="$1" rc=0
     shift
-    build/tools/ovo order "$@" > /dev/null 2> "${smoke_dir}/cli_err.txt" \
-      || rc=$?
+    build/tools/ovo "$@" > /dev/null 2> "${smoke_dir}/cli_err.txt" || rc=$?
     if [[ "${rc}" -ne "${want}" ]] ||
        grep -q 'check failed' "${smoke_dir}/cli_err.txt"; then
-      echo "FAIL: ovo order $* exited ${rc} (want ${want}):" >&2
+      echo "FAIL: ovo $* exited ${rc} (want ${want}):" >&2
       cat "${smoke_dir}/cli_err.txt" >&2
       exit 1
     fi
+  }
+  expect_cli_error() {
+    local want="$1"
+    shift
+    expect_exit "${want}" order "$@"
   }
   expect_cli_error 1 "x1 & & x2"
   expect_cli_error 1 "x1 &"
@@ -200,7 +237,11 @@ if [[ "${QUICK}" -eq 1 ]]; then
   expect_cli_error 3 --resume \
     tests/data/corpus/snapshot/valid_dense_hwb6_layer3.bin "${smoke_fn}"
   grep -q 'version skew' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 15 invocations, no internal-check text"
+  expect_exit 0 tables --k 12
+  expect_exit 2 tables --k 13
+  grep -q 'from 1 to 12' "${smoke_dir}/cli_err.txt"
+  expect_exit 2 tables --k 40
+  echo "typed CLI errors: 18 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
@@ -221,6 +262,22 @@ for e in events:
     last[e["tid"]] = e["ts"]
 print(f"trace: {len(events)} events across {len(last)} thread lanes, "
       f"spans {sorted(names)}")
+PY
+  # With --checkpoint, each fence's fs.checkpoint span carries the frame's
+  # byte count, and the last one is the snapshot file left on disk.
+  build/tools/ovo order --strategy fs --threads 2 --json \
+    --trace "${smoke_dir}/ckpt_trace.json" \
+    --checkpoint "${smoke_dir}/traced.ckpt" "${smoke_fn}" > /dev/null
+  python3 - "${smoke_dir}/ckpt_trace.json" "${smoke_dir}/traced.ckpt" <<'PY'
+import json, os, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+ckpt = [e for e in events if e["name"] == "fs.checkpoint"]
+assert ckpt, "no fs.checkpoint spans"
+assert all(e["args"]["bytes"] > 0 for e in ckpt), ckpt
+last = max(ckpt, key=lambda e: e["ts"])
+size = os.path.getsize(sys.argv[2])
+assert last["args"]["bytes"] == size, (last, size)
+print(f"trace: {len(ckpt)} fs.checkpoint spans, last {size} bytes = file")
 PY
   echo "==== quick: fuzz-frontier smoke ============================"
   # Build the fuzz targets (standalone replay drivers under GCC,
