@@ -127,6 +127,19 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
   return fp;
 }
 
+std::uint64_t snapshot_payload_bound(std::uint64_t tables,
+                                     std::uint64_t cells,
+                                     std::uint64_t best_last,
+                                     std::uint64_t mincost,
+                                     std::uint64_t seed_name_len,
+                                     std::uint64_t seed_order_len) {
+  // Fixed fields plus both counter sections (names stay under 32 bytes).
+  constexpr std::uint64_t kScalarBytes = 128 + 2 * 44 * obs::kMetricCount;
+  return kScalarBytes + seed_name_len + 4 * seed_order_len +
+         (8 + 4 + 8) * tables + 4 * cells + (8 + 4) * best_last +
+         (8 + 8) * mincost;
+}
+
 void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   OVO_CHECK(view.fingerprint != nullptr && view.dense != nullptr &&
             view.tables != nullptr && view.best_last != nullptr &&
@@ -146,14 +159,12 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   // but a few hundred bytes of it, and one reservation keeps the encode
   // a single pass over memory with no regrowth copies.  A writer reused
   // across fences already holds the capacity and reserves nothing.
-  std::size_t cells = 0;
+  std::uint64_t cells = 0;
   for (const PrefixTable& t : *view.tables) cells += t.cells.size();
-  // Fixed fields plus both counter sections (names stay under 32 bytes).
-  constexpr std::size_t kScalarBytes = 128 + 2 * 44 * obs::kMetricCount;
-  w.reserve(w.size() + kScalarBytes + seed_name.size() +
-            4 * seed_order.size() + (8 + 4 + 8) * view.tables->size() +
-            4 * cells + (8 + 4) * view.best_last->size() +
-            (8 + 8) * view.mincost->size());
+  w.reserve(w.size() +
+            static_cast<std::size_t>(snapshot_payload_bound(
+                view.tables->size(), cells, view.best_last->size(),
+                view.mincost->size(), seed_name.size(), seed_order.size())));
 
   const FsFingerprint& fp = *view.fingerprint;
   w.u64(fp.base_hash);
@@ -286,12 +297,11 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     const std::uint64_t n_cells = r.array_count(4);
     if (n_cells != expected_cells)
       malformed("table cell count disagrees with the fingerprint");
-    t.cells.reserve(static_cast<std::size_t>(n_cells));
-    for (std::uint64_t c = 0; c < n_cells; ++c) {
-      const std::uint32_t cell = r.u32();
-      if (cell >= t.next_id) malformed("table cell id out of range");
-      t.cells.push_back(cell);
-    }
+    t.cells.resize(static_cast<std::size_t>(n_cells));
+    r.u32_array(t.cells.data(), t.cells.size());
+    std::uint32_t top = 0;
+    for (const std::uint32_t cell : t.cells) top = std::max(top, cell);
+    if (top >= t.next_id) malformed("table cell id out of range");
     s.dense.push_back(d);
     s.tables.push_back(std::move(t));
   }

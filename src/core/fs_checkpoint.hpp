@@ -142,6 +142,20 @@ struct FsSnapshotView {
   const obs::Ledger* seed_counters = nullptr;
 };
 
+/// Bytes encode_snapshot_into reserves for a fence of `tables` layer
+/// tables holding `cells` cells in all, maps of `best_last` and `mincost`
+/// entries, and seed provenance of `seed_name_len` bytes and
+/// `seed_order_len` variables.  Exact for those parts; the fixed fields
+/// and the two counter sections (at most one entry per registry metric)
+/// are bounded.  A writer that already holds this much beyond its
+/// contents encodes the fence without regrowth.
+std::uint64_t snapshot_payload_bound(std::uint64_t tables,
+                                     std::uint64_t cells,
+                                     std::uint64_t best_last,
+                                     std::uint64_t mincost,
+                                     std::uint64_t seed_name_len,
+                                     std::uint64_t seed_order_len);
+
 /// Appends a fence view's payload bytes (deterministic) to `w`, in one
 /// pass: `w` is reserved once for the whole payload, the layer's cells go
 /// out in bulk and the maps in their stored order.  Each counter ledger
@@ -184,8 +198,9 @@ struct FsCheckpointOptions {
   /// Resume from this decoded snapshot (fingerprint-checked in fs_star).
   const FsStarSnapshot* resume = nullptr;
   /// Test/observer hook: receives every emitted payload (encoded bytes),
-  /// before it is checksummed and written.  The engine encodes into one
-  /// frame buffer for the whole run, so a hook gets a copy of the payload;
+  /// before it is checksummed and written, and after the previous
+  /// fence's file was committed.  The engine encodes into one frame
+  /// buffer for the whole run, so a hook gets a copy of the payload;
   /// without a hook nothing is copied.
   std::function<void(const std::vector<std::uint8_t>&)> on_bytes;
   /// Provenance recorded verbatim into written snapshots.

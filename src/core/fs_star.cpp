@@ -4,8 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <future>
 #include <limits>
+#include <new>
 #include <optional>
+#include <system_error>
 #include <utility>
 
 #include "ds/sparse_index.hpp"
@@ -42,21 +45,47 @@ std::uint64_t engine_now_ns() {
 // ---------------------------------------------------------------------------
 // Checkpoint/resume plumbing (see fs_checkpoint.hpp for the contract).
 
+/// Trace slot of the commit thread: one past the last slot a parallel
+/// region's participants use, so its spans get a lane of their own.
+constexpr int kWriterLane = par::ThreadPool::kMaxThreads;
+
 /// Dispatch-resolved checkpoint plan handed to the engine: the caller's
-/// options, the run's fingerprint, and the one frame buffer every fence
-/// of the run encodes into.
+/// options, the run's fingerprint, the one frame buffer every fence of
+/// the run encodes into, and the commit of the last sealed frame.
 struct CkptPlan {
   const FsCheckpointOptions* opts = nullptr;
   FsFingerprint fp;
   std::uint32_t num_terminals = 2;
   /// Container header + payload of the latest snapshot.  Cleared, never
-  /// freed, between fences: once the widest layer has been written it
-  /// stops growing.
+  /// freed, between fences; a dense run sizes it once for its widest
+  /// fence (reserve_dense_frame).
   rt::ByteWriter frame;
+  /// The sealed frame's rt::write_file_atomic — temp write, fsync,
+  /// close, rename, directory fsync — on a thread of its own while the
+  /// next layer computes.  It only reads `frame`.
+  std::future<void> commit;
+  int commit_layer = 0;
+
+  CkptPlan() = default;
+  CkptPlan(const CkptPlan&) = delete;
+  CkptPlan& operator=(const CkptPlan&) = delete;
+  /// The engine joins every commit, on its exception paths too; waiting
+  /// here as well keeps the writer from outliving `frame` regardless.
+  ~CkptPlan() {
+    if (commit.valid()) commit.wait();
+  }
 
   bool writes() const { return opts != nullptr && opts->writes(); }
   const FsStarSnapshot* resume() const {
     return opts != nullptr ? opts->resume : nullptr;
+  }
+
+  /// Waits for the pending commit, if any, and rethrows its failure.
+  void join() {
+    if (!commit.valid()) return;
+    OVO_TRACE_SPAN_ARGS("fs.checkpoint.wait", "rt", 0, "layer",
+                        commit_layer, nullptr, 0);
+    commit.get();
   }
 };
 
@@ -98,47 +127,107 @@ std::uint32_t pooled_crc32(const std::uint8_t* data, std::size_t len,
 /// result maps and prune ledger are published through it, and
 /// `ops`/`gov` hold merged totals.  The counters stored are `*ops`, the
 /// run's prune ledger (its upper_bound is the effective incumbent) and
-/// the governor's work.  The payload is encoded once, straight after a
-/// zeroed container header in the plan's frame; the header is filled in
-/// place and the whole frame goes to the file in one atomic write.
+/// the governor's work.  The previous fence's commit is joined first:
+/// the frame is about to be reused, and a hook may read the committed
+/// file.  The payload is encoded once, straight after a zeroed container
+/// header in the plan's frame; the header is filled in place and the
+/// whole frame is committed by one atomic write, which runs on the
+/// plan's writer while the engine goes on to the next layer.
 void emit_fence_snapshot(CkptPlan& plan, int layer,
                          const std::vector<util::Mask>& dense,
                          const std::vector<PrefixTable>& tables,
                          const FsStarResult& result, const OpCounter* ops,
                          const rt::Governor* gov, int threads) {
-  OVO_TRACE_SPAN_NAMED(span, "fs.checkpoint", "rt", 0, "layer", layer,
-                       "bytes", 0);
-  FsSnapshotView v;
-  v.fingerprint = &plan.fp;
-  v.num_terminals = plan.num_terminals;
-  v.layer = layer;
-  v.dense = &dense;
-  v.tables = &tables;
-  v.best_last = &result.best_last;
-  v.mincost = &result.mincost;
-  v.certified_lower_bound = result.certified_lower_bound;
-  obs::Ledger counters;
-  if (ops != nullptr) ops->to_ledger(counters);
-  result.prune.to_ledger(counters);
-  if (gov != nullptr)
-    counters.record(obs::Metric::kRtWorkCharged, gov->stats().work_units);
-  v.counters = &counters;
-  v.seed_order = &plan.opts->seed_order;
-  v.rng_seed = plan.opts->rng_seed;
-  v.seed_name = &plan.opts->seed_name;
-  v.seed_counters = &plan.opts->seed_counters;
+  plan.join();
   rt::ByteWriter& frame = plan.frame;
-  rt::begin_frame(frame);
-  encode_snapshot_into(v, frame);
-  OVO_TRACE_SET_ARG_B(span, frame.size());
-  const std::uint8_t* payload = frame.data().data() + rt::kFrameHeaderSize;
-  const std::size_t len = frame.size() - rt::kFrameHeaderSize;
-  if (plan.opts->on_bytes)
-    plan.opts->on_bytes(std::vector<std::uint8_t>(payload, payload + len));
-  if (plan.opts->path.empty()) return;
-  rt::seal_frame(frame, kFsSnapshotVersion,
-                 pooled_crc32(payload, len, threads));
-  rt::write_file_atomic(plan.opts->path, frame.data().data(), frame.size());
+  {
+    OVO_TRACE_SPAN_NAMED(span, "fs.checkpoint", "rt", 0, "layer", layer,
+                         "bytes", 0);
+    FsSnapshotView v;
+    v.fingerprint = &plan.fp;
+    v.num_terminals = plan.num_terminals;
+    v.layer = layer;
+    v.dense = &dense;
+    v.tables = &tables;
+    v.best_last = &result.best_last;
+    v.mincost = &result.mincost;
+    v.certified_lower_bound = result.certified_lower_bound;
+    obs::Ledger counters;
+    if (ops != nullptr) ops->to_ledger(counters);
+    result.prune.to_ledger(counters);
+    if (gov != nullptr)
+      counters.record(obs::Metric::kRtWorkCharged, gov->stats().work_units);
+    v.counters = &counters;
+    v.seed_order = &plan.opts->seed_order;
+    v.rng_seed = plan.opts->rng_seed;
+    v.seed_name = &plan.opts->seed_name;
+    v.seed_counters = &plan.opts->seed_counters;
+    rt::begin_frame(frame);
+    encode_snapshot_into(v, frame);
+    OVO_TRACE_SET_ARG_B(span, frame.size());
+    const std::uint8_t* payload = frame.data().data() + rt::kFrameHeaderSize;
+    const std::size_t len = frame.size() - rt::kFrameHeaderSize;
+    if (plan.opts->on_bytes)
+      plan.opts->on_bytes(std::vector<std::uint8_t>(payload, payload + len));
+    if (plan.opts->path.empty()) return;
+    rt::seal_frame(frame, kFsSnapshotVersion,
+                   pooled_crc32(payload, len, threads));
+  }
+  const auto write = [path = &plan.opts->path, data = frame.data().data(),
+                      size = frame.size(), layer] {
+    OVO_TRACE_SPAN_ARGS("fs.checkpoint.write", "rt", kWriterLane, "layer",
+                        layer, "bytes", size);
+    rt::write_file_atomic(*path, data, size);
+  };
+  plan.commit_layer = layer;
+  try {
+    plan.commit = std::async(std::launch::async, write);
+  } catch (const std::system_error&) {
+    write();  // no thread to spare: commit in line
+  }
+}
+
+/// Sizes the plan's frame once for the widest fence a dense run's
+/// cadence will write, so the buffer is allocated, and its pages faulted
+/// in, once per run rather than at every new widest fence.  A dense
+/// layer k holds all C(|J|,k) states of (base cells >> k) cells each, and
+/// the maps hold every state of layers 0..k, so each fence's frame
+/// follows from closed forms (the base is resident and has at least
+/// 2^|J| cells, so none of them overflows).  Under a governor with a
+/// byte or node limit the reservation is capped at the byte limit and at
+/// 4 bytes per cell of the node limit; if the allocator refuses it, the
+/// frame grows fence by fence, as a pruned run's does.
+void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base, int j_size,
+                         int start_layer, int stop_k,
+                         const rt::Governor* gov) {
+  if (!plan.writes() || plan.opts->every <= 0) return;
+  const FsCheckpointOptions& o = *plan.opts;
+  const auto& binom = util::BinomialTable::instance();
+  std::uint64_t widest = 0;
+  std::uint64_t map_states = 1;  // layers 0..k; layer 0 is the empty set
+  for (int k = 1; k < stop_k; ++k) {
+    const std::uint64_t states = binom.choose(j_size, k);
+    map_states += states;
+    if (k <= start_layer || k % o.every != 0) continue;
+    const std::uint64_t cells =
+        states * (static_cast<std::uint64_t>(base.cells.size()) >> k);
+    widest = std::max<std::uint64_t>(
+        widest, rt::kFrameHeaderSize +
+                    snapshot_payload_bound(states, cells, map_states - 1,
+                                           map_states, o.seed_name.size(),
+                                           o.seed_order.size()));
+  }
+  if (gov != nullptr) {
+    const rt::Budget& b = gov->budget();
+    if (b.bytes_limit != 0) widest = std::min(widest, b.bytes_limit);
+    if (b.node_limit != 0 && b.node_limit < widest / 4)
+      widest = 4 * b.node_limit;
+  }
+  try {
+    plan.frame.reserve(static_cast<std::size_t>(widest));
+  } catch (const std::bad_alloc&) {
+    // The encoder grows the frame per fence instead.
+  }
 }
 
 /// True at a fence that should persist: the cadence hit (or a trip, which
@@ -346,6 +435,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   // lower bound) replaces the layer-0 certification below.
   const FsStarSnapshot* resume = plan.resume();
   const int start_layer = resume != nullptr ? resume->layer : 0;
+  if (!prune) reserve_dense_frame(plan, base, j_size, start_layer, stop_k, gov);
   std::vector<PrefixTable> prev;
   std::vector<util::Mask> prev_dense;
 
@@ -669,7 +759,19 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                     ? prune_upper_bound
                     : ascending_chain_bound(base, J, kind, ops));
   }
-  return fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub, plan);
+  // Fence k's commit runs while layer k+1 computes; it is joined at the
+  // next fence and here.  Its failure comes first in program order, so
+  // it is rethrown ahead of anything the layers after it threw: exit
+  // codes and files on disk are the serial writer's under any fault.
+  try {
+    FsStarResult result =
+        fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub, plan);
+    plan.join();
+    return result;
+  } catch (...) {
+    plan.join();
+    throw;
+  }
 }
 
 PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,

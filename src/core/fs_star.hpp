@@ -13,8 +13,9 @@
 // its states (the per-subset best-last-variable searches are
 // independent) followed by a serial publish epilogue — the layer fence —
 // that publishes back-pointers and costs in colex order, merges the
-// per-thread OpCounter shards, charges the governor, and may write a
-// checkpoint.  Every state writes to its own slot, so orders, sizes,
+// per-thread OpCounter shards, charges the governor, and may encode a
+// checkpoint, which a writer thread commits to disk while the next layer
+// runs.  Every state writes to its own slot, so orders, sizes,
 // tie-breaks, and merged OpCounter totals are bit-identical at every
 // thread count.  The default policy is serial and bit-identical to the
 // original single-threaded implementation.
@@ -113,7 +114,11 @@ struct FsStarResult {
 /// `ckpt` (optional) turns on durable checkpoint/resume (see
 /// fs_checkpoint.hpp): with a path (or byte hook), a snapshot of the full
 /// fence state is emitted at each qualifying layer fence and on a
-/// governor trip; with a resume snapshot, the DP restarts from that fence
+/// governor trip.  A fence's file is committed on a writer thread while
+/// the next layer computes, and is on disk before the next snapshot is
+/// encoded and before fs_star returns or throws; a failed commit is
+/// thrown ahead of any error raised after it.  With a resume snapshot,
+/// the DP restarts from that fence
 /// and replays the remaining layers bit-identically — same order, sizes,
 /// tie-breaks, ledgers (`*ops` gains the snapshot's fence totals, `gov`
 /// is credited the snapshot's charged work), at any thread count.  A

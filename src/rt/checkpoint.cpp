@@ -266,6 +266,19 @@ std::string ByteReader::str() {
   return s;
 }
 
+void ByteReader::u32_array(std::uint32_t* out, std::size_t count) {
+  if (count > remaining() / sizeof(std::uint32_t))
+    throw CheckpointError(CheckpointErrorKind::kTruncated,
+                          "payload field runs past the end of the data");
+  if (count == 0) return;  // `out` may be null
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, data_ + pos_, count * sizeof(std::uint32_t));
+    pos_ += count * sizeof(std::uint32_t);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) out[i] = u32();
+  }
+}
+
 std::uint64_t ByteReader::array_count(std::size_t elem_size) {
   const std::uint64_t count = u64();
   // Validate before any allocation: a corrupt count must not drive a

@@ -162,6 +162,10 @@ class ByteReader {
     return v;
   }
   std::string str();
+  /// Reads `count` little-endian u32s into `out` — the values of `count`
+  /// u32() calls, after one bounds check, in one memcpy on a
+  /// little-endian host (ByteWriter::u32_array's counterpart).
+  void u32_array(std::uint32_t* out, std::size_t count);
 
   /// Validates `count * elem_size <= remaining` and returns count.
   std::uint64_t array_count(std::size_t elem_size);

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -994,6 +996,94 @@ TEST(FsFrame, CrcChunkFaultKeepsThePreviousSnapshot) {
     EXPECT_EQ(sim.get(path), fences[target - 1].file);
     rt::ScopedFileOps install(sim);
     EXPECT_EQ(load_snapshot(path).layer, static_cast<int>(target));
+  }
+}
+
+// A fence's commit runs on the engine's writer while the next layer
+// computes, yet it fails as the serial write did.  A fault at fence 4's
+// temp-file open, write, fsync or close, or at its rename, throws
+// CheckpointError(kIo), leaves no `.tmp`, and leaves fence 3's frame on
+// disk byte for byte.  The write comes before layer 5 in program order,
+// so its error still surfaces when layer 5's first compaction fails too.
+TEST(FsFrame, WriterFaultSurfacesAsTheSerialWriteDid) {
+  util::Xoshiro256 rng(43);
+  const tt::TruthTable t = tt::random_function(10, rng);
+  const std::string path = "/ckpt/frame.bin";
+  constexpr int kFence = 4;  // the fence whose commit fails
+
+  for (const int threads : {1, 4}) {
+    par::ExecPolicy exec;
+    exec.num_threads = threads;
+    // A dense run with a snapshot at every fence.  Fence 4's hook runs
+    // after fence 3's commit and before its own: there it keeps the
+    // committed file and the events `plan` has seen at every site.
+    std::vector<std::uint8_t> committed;
+    std::array<std::uint64_t, rt::kFaultSiteCount> seen{};
+    const auto run = [&](rt::SimFs& sim, const rt::ScopedFaultPlan& plan) {
+      FsCheckpointOptions ckpt;
+      ckpt.path = path;
+      ckpt.every = 1;
+      int fence = 0;
+      ckpt.on_bytes = [&](const std::vector<std::uint8_t>&) {
+        if (++fence != kFence) return;
+        committed = sim.get(path);
+        for (std::size_t s = 0; s < rt::kFaultSiteCount; ++s)
+          seen[s] = plan.events_seen(static_cast<rt::FaultSite>(s));
+      };
+      rt::ScopedFileOps install(sim);
+      OpCounter ops;
+      fs_star(initial_table(t), util::full_mask(10), 10, DiagramKind::kBdd,
+              &ops, exec, nullptr, 0, &ckpt);
+    };
+    {
+      rt::SimFs sim;
+      rt::ScopedFaultPlan probe{rt::FaultSchedule{}};
+      run(sim, probe);
+    }
+    const std::vector<std::uint8_t> fence3 = committed;
+    const std::array<std::uint64_t, rt::kFaultSiteCount> before = seen;
+    ASSERT_FALSE(fence3.empty());
+
+    for (const rt::FaultSite site :
+         {rt::FaultSite::kFileOpen, rt::FaultSite::kFileWrite,
+          rt::FaultSite::kFileFsync, rt::FaultSite::kFileClose,
+          rt::FaultSite::kFileRename}) {
+      for (const bool layer5_fails : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " site " +
+                     rt::fault_site_name(site) +
+                     (layer5_fails ? " + layer 5 alloc" : ""));
+        // The site's next event after fence 4's hook is fence 4's own
+        // (for fsync, the temp file's; the directory's comes after the
+        // rename); the next allocation event is layer 5's first
+        // compaction.
+        rt::FaultSchedule schedule;
+        schedule.fail_nth(site, before[static_cast<std::size_t>(site)] + 1);
+        if (layer5_fails)
+          schedule.fail_nth(
+              rt::FaultSite::kAlloc,
+              before[static_cast<std::size_t>(rt::FaultSite::kAlloc)] + 1);
+        rt::SimFs sim;
+        {
+          rt::ScopedFaultPlan plan(schedule);
+          try {
+            run(sim, plan);
+            ADD_FAILURE() << "the run absorbed fence 4's write fault";
+          } catch (const rt::CheckpointError& e) {
+            EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kIo) << e.what();
+          } catch (const std::bad_alloc&) {
+            ADD_FAILURE() << "layer 5's error surfaced ahead of fence 4's";
+          }
+          EXPECT_EQ(plan.injected(site), 1u);
+          EXPECT_EQ(plan.injected(rt::FaultSite::kAlloc),
+                    layer5_fails ? 1u : 0u);
+        }
+        EXPECT_FALSE(sim.exists(path + ".tmp"));
+        ASSERT_TRUE(sim.exists(path));
+        EXPECT_EQ(sim.get(path), fence3);
+        rt::ScopedFileOps install(sim);
+        EXPECT_EQ(load_snapshot(path).layer, kFence - 1);
+      }
+    }
   }
 }
 

@@ -32,7 +32,9 @@
 #      skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
 #      runs, never with internal-check text), plus the `ovo order
 #      --trace` Chrome trace-event smoke (including a checkpointed run
-#      whose fs.checkpoint spans carry each frame's `bytes`), plus
+#      whose fs.checkpoint spans carry each frame's `bytes` and whose
+#      commits are fs.checkpoint.write spans on the writer's own lane),
+#      plus
 #      the fuzz frontier smoke (each OVO_FUZZ target: fixed-seed random
 #      inputs + regression-corpus replay) and the trimmed CLI chaos sweep
 #      (tools/chaos.sh --quick: fault-injected runs must exit with typed

@@ -4,7 +4,10 @@
 # Full mode (default): tier-1 tests on the default preset, then the whole
 # suite again under ASan+UBSan and TSan.  Each preset configures, builds,
 # and runs ctest (per-test timeout comes from the test registration:
-# 300 s).  Any failure stops the script.  The default preset builds with
+# 300 s).  On the TSan build it then repeats CrashSim.* and
+# FsFrame.WriterFaultSurfacesAsTheSerialWriteDid 20 times each, since a
+# fence's snapshot commits on a thread of its own while the next layer
+# computes.  Any failure stops the script.  The default preset builds with
 # -DOVO_WERROR=ON in both modes, so a new compiler warning fails the
 # sweep.
 #
@@ -39,7 +42,9 @@
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps; with --checkpoint, every fs.checkpoint span carries a
-# positive `bytes` arg and the last equals the snapshot file's size),
+# positive `bytes` arg and is committed by exactly one
+# fs.checkpoint.write of the same layer and bytes, on a lane that runs
+# no fs.group, whose last span equals the snapshot file's size),
 # builds the OVO_FUZZ targets for a fixed-seed random smoke
 # plus corpus replay, and runs the trimmed CLI chaos sweep
 # (tools/chaos.sh --quick): torn-write/fault injection through the CLI
@@ -263,21 +268,38 @@ for e in events:
 print(f"trace: {len(events)} events across {len(last)} thread lanes, "
       f"spans {sorted(names)}")
 PY
-  # With --checkpoint, each fence's fs.checkpoint span carries the frame's
-  # byte count, and the last one is the snapshot file left on disk.
+  # With --checkpoint, each fence's fs.checkpoint span (encode and CRC)
+  # carries the frame's byte count, and its commit is one
+  # fs.checkpoint.write span of the same layer and bytes on the writer's
+  # own lane, where no fs.group runs.  Each commit is joined once, as an
+  # fs.checkpoint.wait on the engine's lane, and the last write is the
+  # snapshot file left on disk.
   build/tools/ovo order --strategy fs --threads 2 --json \
     --trace "${smoke_dir}/ckpt_trace.json" \
     --checkpoint "${smoke_dir}/traced.ckpt" "${smoke_fn}" > /dev/null
   python3 - "${smoke_dir}/ckpt_trace.json" "${smoke_dir}/traced.ckpt" <<'PY'
 import json, os, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
-ckpt = [e for e in events if e["name"] == "fs.checkpoint"]
+def spans(name):
+    return [e for e in events if e["name"] == name]
+ckpt, writes, waits = (spans("fs.checkpoint"), spans("fs.checkpoint.write"),
+                       spans("fs.checkpoint.wait"))
+group_lanes = {e["tid"] for e in spans("fs.group")}
 assert ckpt, "no fs.checkpoint spans"
 assert all(e["args"]["bytes"] > 0 for e in ckpt), ckpt
-last = max(ckpt, key=lambda e: e["ts"])
+for c in ckpt:
+    mine = [w for w in writes if w["args"]["layer"] == c["args"]["layer"]]
+    assert len(mine) == 1, (c, mine)
+    assert mine[0]["args"]["bytes"] == c["args"]["bytes"], (c, mine)
+    assert mine[0]["tid"] not in group_lanes, (mine, group_lanes)
+assert len(writes) == len(ckpt), (len(writes), len(ckpt))
+assert len(waits) == len(writes), (len(waits), len(writes))
+assert {w["tid"] for w in waits} <= group_lanes, (waits, group_lanes)
+last = max(writes, key=lambda e: e["ts"])
 size = os.path.getsize(sys.argv[2])
 assert last["args"]["bytes"] == size, (last, size)
-print(f"trace: {len(ckpt)} fs.checkpoint spans, last {size} bytes = file")
+print(f"trace: {len(ckpt)} fs.checkpoint spans, each committed by one "
+      f"fs.checkpoint.write on its own lane; last {size} bytes = file")
 PY
   echo "==== quick: fuzz-frontier smoke ============================"
   # Build the fuzz targets (standalone replay drivers under GCC,
@@ -305,6 +327,16 @@ fi
 
 run_preset asan
 run_preset tsan
+
+echo "==== tsan: the fence writer, repeated ======================"
+# A fence's commit runs on its own thread while the next layer computes.
+# Repeat the tests that cut it mid-write and fail it under a failing
+# next layer, so TSan sees many interleavings of the two.
+build-tsan/tests/crash_sim_test --gtest_filter='CrashSim.*' \
+  --gtest_repeat=20 --gtest_brief=1
+build-tsan/tests/checkpoint_test \
+  --gtest_filter='FsFrame.WriterFaultSurfacesAsTheSerialWriteDid' \
+  --gtest_repeat=20 --gtest_brief=1
 
 echo "==== full: CLI chaos sweep ================================="
 # The deep event grid: every checkpoint filesystem site x event 1..12,
