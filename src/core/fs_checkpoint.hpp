@@ -41,9 +41,12 @@
 namespace ovo::core {
 
 /// Payload format version (the rt container carries it).  v3 stores the
-/// counters as two keyed sections of pinned metrics (see encode_snapshot);
-/// older files load as kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 3;
+/// counters as two keyed sections of pinned metrics (see encode_snapshot).
+/// v4 keeps that layout; its fence section holds fs.cut_cells, and its
+/// dedup counters count the lookups of the DP's bounded sweeps, so they
+/// differ from a v3 file's for the same fence.  Older files load as
+/// kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 4;
 
 /// Binary search in one of the DP's mask-sorted maps (FsStarResult and
 /// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in

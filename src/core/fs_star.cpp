@@ -351,6 +351,16 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
 /// state.  Candidates are visited in ascending bit order, so along any
 /// chain of surviving states the winner — and every tie-break — is the
 /// dense DP's.
+///
+/// Branch and bound: a candidate's cost is its predecessor's mincost plus
+/// the ids its sweep hands out, so it only grows as the sweep goes on.
+/// The first candidate is swept in full; every later one is swept with
+/// id limit best.next_id (best cost + num_terminals) and stopped once it
+/// reaches it — skipped before its first cell when the predecessor's
+/// mincost is already there.  A later candidate wins only with a strictly
+/// lower cost, i.e. a next_id below the limit, so a stopped candidate
+/// could never have won, the lowest bit still wins a tie, and the winner
+/// is never stopped: `best` and the costs are the full sweep's.
 void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
                           const ds::SparseIndex& prev_index,
                           bool prev_complete, const std::vector<int>& j_vars,
@@ -367,14 +377,15 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
       OVO_DCHECK(!prev_complete);
       return;  // predecessor pruned
     }
-    compact_into(cand, prev[pred], j_vars[static_cast<std::size_t>(b)], kind,
-                 shard);
-    const std::uint64_t cost = cand.mincost();
-    if (cost < bc) {
-      bc = cost;
-      bv = j_vars[static_cast<std::size_t>(b)];
-      std::swap(best, cand);
-    }
+    const int var = j_vars[static_cast<std::size_t>(b)];
+    if (bv < 0)
+      compact_into(cand, prev[pred], var, kind, shard);
+    else if (!compact_into_bounded(cand, prev[pred], var, kind, best.next_id,
+                                   shard))
+      return;  // cost >= bc: cannot win
+    bc = cand.mincost();
+    bv = var;
+    std::swap(best, cand);
   });
   *best_var_out = bv;
   *best_cost_out = bc;
@@ -566,8 +577,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       // order — ascending K, since spreading dense positions over the
       // ascending j_vars keeps their order — merge them into the maps,
       // and re-pack the layer in place.
-      OVO_TRACE_SPAN_ARGS("fs.fence", "fs", 0, "layer",
-                          static_cast<std::uint64_t>(layer), nullptr, 0);
+      OVO_TRACE_SPAN_NAMED(fence_span, "fs.fence", "fs", 0, "layer",
+                           static_cast<std::uint64_t>(layer), "cut_cells", 0);
       std::size_t kept = 0;
       std::uint64_t cur_resident = 0;
       std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
@@ -601,10 +612,12 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       cand.resize(kept);
       cur.resize(kept);
       if (ops != nullptr) {
+        [[maybe_unused]] const std::uint64_t cut_before = ops->cut_cells;
         for (OpCounter& shard : shards) {
           *ops += shard;
           shard.reset();
         }
+        OVO_TRACE_SET_ARG_B(fence_span, ops->cut_cells - cut_before);
         ops->observe_resident(prev_resident + cur_resident);
       }
       prev_resident = cur_resident;

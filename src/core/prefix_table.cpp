@@ -36,10 +36,6 @@ struct PairTable {
 
   /// Clears the slots `bound` distinct pairs need and returns their mask.
   std::uint64_t reset(std::uint64_t bound) {
-    // The compaction's one allocation event, fired whether or not the
-    // arrays grow, so a fault schedule sees one kAlloc per compaction
-    // whatever ran on this thread before.
-    rt::fault_alloc_hook();
     std::uint64_t slots = 16;
     while (bound * 10 > slots * 7) slots *= 2;
     if (slots > ids.size()) {
@@ -53,9 +49,14 @@ struct PairTable {
 
 thread_local PairTable t_pairs;
 
+/// The id limit of an unbounded sweep.  Ids are u32 and the pair table
+/// reserves this one to mark a free slot, so no sweep reaches it.
+constexpr std::uint32_t kNoLimit = PairTable::kEmpty;
+
 /// What one sweep counted; the rest of the ledger follows from these.
 struct Sweep {
   std::uint32_t next_id;  ///< first id the sweep did not hand out
+  std::uint64_t pairs;    ///< pairs read: all of them unless it stopped
   std::uint64_t lookups;  ///< pairs looked up (cells not passed through)
   std::uint64_t probes;   ///< slots those lookups inspected
 };
@@ -64,11 +65,19 @@ struct Sweep {
 /// spliced in at bit `pos`, var's rank among the free variables) and
 /// idx0 | 2^pos.  A pass-through pair (ZDD: u1 == 0, else u0 == u1)
 /// keeps u0; any other pair takes its id from the pair table, new ids
-/// numbered in sweep order from `next_id`.  kStore = false only counts
-/// (compaction_width).
+/// numbered in sweep order from `next_id`.  The sweep stops as soon as
+/// its next id reaches `limit` — one compare per new id, none per cell —
+/// and before reading a cell when `next_id` is there already.  kStore =
+/// false only counts (compaction_width).
 template <bool kZdd, bool kStore>
 Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
-            std::uint32_t next_id, std::uint32_t* out) {
+            std::uint32_t next_id, std::uint32_t limit, std::uint32_t* out) {
+  // The compaction's one allocation event, fired whether the sweep runs,
+  // stops or never starts and whether or not the pair table grows, so a
+  // fault schedule sees one kAlloc per compaction whatever ran on this
+  // thread before.
+  rt::fault_alloc_hook();
+  if (next_id >= limit) return {next_id, 0, 0, 0};
   PairTable& table = t_pairs;
   const std::uint64_t mask =
       table.reset(std::min(half, std::uint64_t{next_id} * next_id));
@@ -94,12 +103,13 @@ Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
       }
       if (id == PairTable::kEmpty) {
         keys[s] = key;
-        ids[s] = id = next_id++;
+        ids[s] = id = next_id;
+        if (++next_id == limit) return {next_id, b + 1, lookups, probes};
       }
     }
     if constexpr (kStore) out[b] = id;
   }
-  return {next_id, lookups, probes};
+  return {next_id, half, lookups, probes};
 }
 
 /// Checks that `var` is free in `t`, then sweeps `t` with the kind's
@@ -107,24 +117,28 @@ Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
 /// t's free variables (ascending index).
 template <bool kStore>
 Sweep sweep_table(const PrefixTable& t, int var, DiagramKind kind,
-                  std::uint32_t* out) {
+                  std::uint32_t limit, std::uint32_t* out) {
   OVO_CHECK(var >= 0 && var < t.n);
   const util::Mask bit = util::Mask{1} << var;
   OVO_CHECK_MSG((t.vars & bit) == 0, "compact: variable already in prefix");
   const int pos = util::popcount(t.free_mask() & (bit - 1));
   const std::uint64_t half = t.cells.size() >> 1;
   return kind == DiagramKind::kZdd
-             ? sweep<true, kStore>(t.cells.data(), half, pos, t.next_id, out)
+             ? sweep<true, kStore>(t.cells.data(), half, pos, t.next_id,
+                                   limit, out)
              : sweep<false, kStore>(t.cells.data(), half, pos, t.next_id,
-                                    out);
+                                    limit, out);
 }
 
-/// Adds one compaction of `t` to `ops`: each new id is one insert, every
-/// other lookup a hit, and the sized-to-fit table never resizes.
+/// Adds one compaction of `t` to `ops`: all of t's cells and one
+/// compaction however far the sweep got, the cells it did not read as
+/// cut, each new id one insert, every other lookup a hit, and the
+/// sized-to-fit table never resizes.
 void add_counts(OpCounter* ops, const PrefixTable& t, const Sweep& s) {
   if (ops == nullptr) return;
   const std::uint64_t inserts = s.next_id - t.next_id;
   ops->table_cells += t.cells.size();
+  ops->cut_cells += t.cells.size() - 2 * s.pairs;
   ++ops->compactions;
   ops->dedup.lookups += s.lookups;
   ops->dedup.hits += s.lookups - inserts;
@@ -182,20 +196,27 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
 
 void compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops, rt::Governor* gov) {
-  OVO_DCHECK(&out != &t);
   if (gov != nullptr) gov->charge(t.cells.size());
+  compact_into_bounded(out, t, var, kind, kNoLimit, ops);
+}
+
+bool compact_into_bounded(PrefixTable& out, const PrefixTable& t, int var,
+                          DiagramKind kind, std::uint32_t id_limit,
+                          OpCounter* ops) {
+  OVO_DCHECK(&out != &t);
   out.cells.resize(t.cells.size() >> 1);
-  const Sweep s = sweep_table<true>(t, var, kind, out.cells.data());
+  const Sweep s = sweep_table<true>(t, var, kind, id_limit, out.cells.data());
   out.n = t.n;
   out.vars = t.vars | (util::Mask{1} << var);
   out.num_terminals = t.num_terminals;
   out.next_id = s.next_id;
   add_counts(ops, t, s);
+  return s.next_id < id_limit;
 }
 
 std::uint64_t compaction_width(const PrefixTable& t, int var,
                                DiagramKind kind, OpCounter* ops) {
-  const Sweep s = sweep_table<false>(t, var, kind, nullptr);
+  const Sweep s = sweep_table<false>(t, var, kind, kNoLimit, nullptr);
   add_counts(ops, t, s);
   return s.next_id - t.next_id;
 }

@@ -109,8 +109,15 @@ struct PruneStats {
 /// compaction is linear in the table size up to log factors), and Remark 1
 /// observes that space is of the same order — peak_cells tracks the
 /// largest number of table cells simultaneously alive in the DP.
+///
+/// table_cells and compactions are the paper's logical counts: a sweep
+/// that stopped at its id limit (compact_into_bounded) still adds its
+/// whole input table and one compaction.  cut_cells counts the cells of
+/// table_cells that no sweep read, so cells swept = table_cells -
+/// cut_cells; the dedup counters count the lookups the sweeps made.
 struct OpCounter {
-  std::uint64_t table_cells = 0;  ///< cells read by compactions
+  std::uint64_t table_cells = 0;  ///< cells of the tables compacted
+  std::uint64_t cut_cells = 0;    ///< cells of table_cells never read
   std::uint64_t compactions = 0;  ///< number of COMPACT invocations
   std::uint64_t peak_cells = 0;   ///< max cells resident at once (Remark 1)
   ds::TableStats dedup;           ///< merged COMPACT dedup-table counters
@@ -125,6 +132,7 @@ struct OpCounter {
   /// into `l` under fs.* / ds.unique.* / fs.prune.*.
   void to_ledger(obs::Ledger& l) const {
     l.record(obs::Metric::kFsTableCells, table_cells);
+    l.record(obs::Metric::kFsCutCells, cut_cells);
     l.record(obs::Metric::kFsCompactions, compactions);
     l.record(obs::Metric::kFsPeakCells, peak_cells);
     dedup.to_ledger(l);
@@ -132,6 +140,7 @@ struct OpCounter {
   }
   void from_ledger(const obs::Ledger& l) {
     table_cells = l.get(obs::Metric::kFsTableCells);
+    cut_cells = l.get(obs::Metric::kFsCutCells);
     compactions = l.get(obs::Metric::kFsCompactions);
     peak_cells = l.get(obs::Metric::kFsPeakCells);
     dedup.from_ledger(l);
@@ -203,6 +212,19 @@ PrefixTable compact(const PrefixTable& t, int var, DiagramKind kind,
 void compact_into(PrefixTable& out, const PrefixTable& t, int var,
                   DiagramKind kind, OpCounter* ops = nullptr,
                   rt::Governor* gov = nullptr);
+
+/// compact_into with an id limit, for callers that only want the table
+/// if its next_id stays below `id_limit` (its mincost below id_limit -
+/// num_terminals).  The sweep stops as soon as the pair that hands out
+/// id id_limit - 1 is read, and before reading a cell if t.next_id >=
+/// id_limit; it returns false then, and out's cells are unspecified.
+/// Otherwise it returns true and `out` is compact_into's table.  Either
+/// way the call is one kAlloc fault event and adds t's whole table and
+/// one compaction to `*ops`, the cells it did not read to cut_cells and
+/// the lookups it made to the dedup counters.
+bool compact_into_bounded(PrefixTable& out, const PrefixTable& t, int var,
+                          DiagramKind kind, std::uint32_t id_limit,
+                          OpCounter* ops = nullptr);
 
 /// The width Cost_var(f, pi_{(I,var)}) this compaction would add, without
 /// materializing the new table (same cost; used when only the size matters).

@@ -66,7 +66,8 @@ void append_metrics_json(std::string& s, const Ledger& l,
 void append_counters_json(std::string& s, const Ledger& l) {
   append_metrics_json(s, l,
                       {Metric::kOracleQueries, Metric::kOracleEvals,
-                       Metric::kOracleMemoHits, Metric::kFsTableCells});
+                       Metric::kOracleMemoHits, Metric::kFsTableCells,
+                       Metric::kFsCutCells});
   // The bound-pruning ledger appears only when pruning actually ran
   // (same liveness rule as core::PruneStats::states_enumerated()).
   const std::uint64_t enumerated =

@@ -1179,7 +1179,7 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
   }
 }
 
-// Framed v3 snapshots checked in under the corpus: the format is pinned,
+// Framed v4 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
@@ -1190,13 +1190,13 @@ std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV3FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 3);
+TEST(FsSnapshot, CheckedInV4FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 4);
   {
     const std::string path =
-        corpus_snapshot("valid_v3_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v4_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 3, 3).payload;
+        rt::load_checkpoint(path, 4, 4).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
@@ -1216,9 +1216,9 @@ TEST(FsSnapshot, CheckedInV3FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v3_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v4_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 3, 3).payload;
+        rt::load_checkpoint(path, 4, 4).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
@@ -1247,13 +1247,20 @@ TEST(FsSnapshot, CheckedInV3FixturesStayCompatible) {
   }
 }
 
-// The v2 fixtures the previous encoder wrote stay in the corpus: they
-// load as a typed version skew, never as a misparsed v3 payload.
+// The v2 and v3 fixtures earlier encoders wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v4 payload.
 TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
-  for (const char* name :
-       {"valid_dense_hwb6_layer3.bin", "valid_pruned_adder6_layer3.bin"}) {
+  const struct {
+    const char* name;
+    std::uint32_t version;
+  } fixtures[] = {{"valid_dense_hwb6_layer3.bin", 2},
+                  {"valid_pruned_adder6_layer3.bin", 2},
+                  {"valid_v3_dense_hwb6_layer3.bin", 3},
+                  {"valid_v3_pruned_adder6_layer3.bin", 3}};
+  for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
-    EXPECT_EQ(rt::load_checkpoint(path, 2, 2).version, 2u) << name;
+    EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)
+        << name;
     try {
       load_snapshot(path);
       ADD_FAILURE() << name << " loaded";

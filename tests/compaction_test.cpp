@@ -7,7 +7,9 @@
 // n = 1..14: BDD and ZDD on random and function-zoo functions, MTBDD on
 // value tables with up to 2^n distinct values.  Every step compacts by
 // every free variable, so every variable position and both sides of the
-// pair bound occur.
+// pair bound occur.  compact_into_bounded runs at five id limits per
+// step, on both sides of the sweep's final next_id, against the
+// reference cut off where the limit stops it.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "core/prefix_table.hpp"
 #include "ds/hash.hpp"
 #include "ds/unique_table.hpp"
+#include "rt/fault.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -27,9 +30,13 @@ namespace {
 
 /// The reference COMPACT: walks the input cells in order, pairs each cell
 /// whose `var` bit is clear with its partner, and numbers every new
-/// (u0, u1) pair through a per-call ds::UniqueTable.
+/// (u0, u1) pair through a per-call ds::UniqueTable.  With an id limit it
+/// stops before the first pair if next_id is already there, and else
+/// right after the pair that hands out id limit - 1; the cells it did
+/// not read go to cut_cells.
 PrefixTable reference_compact(const PrefixTable& t, int var,
-                              DiagramKind kind, OpCounter* ops) {
+                              DiagramKind kind, OpCounter* ops,
+                              std::uint32_t limit = 0xffffffffu) {
   const util::Mask bit = util::Mask{1} << var;
   const int pos = util::popcount(t.free_mask() & (bit - 1));
   const std::uint64_t step = std::uint64_t{1} << pos;
@@ -41,8 +48,10 @@ PrefixTable reference_compact(const PrefixTable& t, int var,
   const std::uint64_t pairs = t.cells.size() / 2;
   ds::UniqueTable dedup(
       static_cast<std::size_t>(std::min(pairs, std::uint64_t{1} << 16)));
-  for (std::uint64_t i = 0; i < t.cells.size(); ++i) {
+  std::uint64_t read = 0;
+  for (std::uint64_t i = 0; i < t.cells.size() && out.next_id < limit; ++i) {
     if ((i & step) != 0) continue;
+    read += 2;
     const std::uint32_t u0 = t.cells[i];
     const std::uint32_t u1 = t.cells[i | step];
     const bool passes = kind == DiagramKind::kZdd ? u1 == 0 : u0 == u1;
@@ -56,6 +65,7 @@ PrefixTable reference_compact(const PrefixTable& t, int var,
     out.cells.push_back(id);
   }
   ops->table_cells += t.cells.size();
+  ops->cut_cells += t.cells.size() - read;
   ++ops->compactions;
   ops->dedup += dedup.stats();
   return out;
@@ -64,6 +74,7 @@ PrefixTable reference_compact(const PrefixTable& t, int var,
 /// The pinned part of a compaction's ledger.
 void expect_same_ledger(const OpCounter& got, const OpCounter& want) {
   EXPECT_EQ(got.table_cells, want.table_cells);
+  EXPECT_EQ(got.cut_cells, want.cut_cells);
   EXPECT_EQ(got.compactions, want.compactions);
   EXPECT_EQ(got.dedup.lookups, want.dedup.lookups);
   EXPECT_EQ(got.dedup.hits, want.dedup.hits);
@@ -80,8 +91,8 @@ struct BoundSides {
 
 /// Walks one random chain from `t` to the full prefix.  At every step it
 /// compacts by each free variable with the reference, compact_into (into
-/// one reused output table) and compaction_width, then moves on by a
-/// random one of them.
+/// one reused output table), compaction_width and compact_into_bounded,
+/// then moves on by a random one of them.
 void check_chain(PrefixTable t, DiagramKind kind, util::Xoshiro256& rng,
                  BoundSides* sides) {
   PrefixTable got;
@@ -111,6 +122,34 @@ void check_chain(PrefixTable t, DiagramKind kind, util::Xoshiro256& rng,
       EXPECT_EQ(compaction_width(t, v, kind, &width_ops),
                 want.next_id - t.next_id);
       expect_same_ledger(width_ops, want_ops);
+
+      // The bounded kernel stops exactly when the full sweep reaches the
+      // limit, with the reference's counts at the pair where it stopped
+      // (no cell at all at limit t.next_id), and is one kAlloc event
+      // either way.  Below the limit it is compact_into.
+      const std::uint32_t mid = t.next_id + (want.next_id - t.next_id) / 2;
+      for (const std::uint32_t limit :
+           {t.next_id, t.next_id + 1, mid, want.next_id, want.next_id + 1}) {
+        SCOPED_TRACE(::testing::Message() << "limit=" << limit);
+        OpCounter cut_want;
+        reference_compact(t, v, kind, &cut_want, limit);
+        OpCounter cut_ops;
+        bool done = false;
+        {
+          rt::ScopedFaultPlan probe(rt::FaultPlan{});
+          done = compact_into_bounded(got, t, v, kind, limit, &cut_ops);
+          EXPECT_EQ(probe.allocations_seen(), 1u);
+        }
+        ASSERT_EQ(done, want.next_id < limit);
+        expect_same_ledger(cut_ops, cut_want);
+        if (done) {
+          ASSERT_EQ(got.cells, want.cells);
+          ASSERT_EQ(got.next_id, want.next_id);
+          EXPECT_EQ(got.vars, want.vars);
+        } else {
+          EXPECT_EQ(got.next_id, limit);
+        }
+      }
     }
     t = compact(t, free_vars[rng.below(free_vars.size())], kind);
   }

@@ -1,7 +1,8 @@
 // The central correctness suite for the paper's algorithm FS:
 //   * compaction canonicity against the quasi-reduced subfunction counter;
 //   * Lemma 3 (level width depends only on the prefix *set*);
-//   * Lemma 4 (the DP recurrence);
+//   * Lemma 4 (the DP recurrence), and the engine's every mincost and
+//     best_last entry against a plain Lemma 4 DP at n = 11..13;
 //   * FS minimum == brute-force minimum over all n! orders, for BDD, ZDD
 //     and MTBDD kinds;
 //   * the returned order achieves the minimum when the diagram is rebuilt
@@ -15,6 +16,7 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 
 #include "bdd/manager.hpp"
 #include "core/fs_star.hpp"
@@ -192,6 +194,119 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
       best = std::min(best, *pred + w);
     });
     EXPECT_EQ(cost, best) << "I=" << I;
+  }
+}
+
+/// Every state's MINCOST and argmin by the plain Lemma 4 recurrence: one
+/// table per mask, each predecessor compacted in full, bits visited in
+/// ascending order and a later candidate kept only if strictly cheaper.
+/// No cut, no pruning, no threads; indexed by mask.
+struct ReferenceDp {
+  std::vector<std::uint64_t> mincost;
+  std::vector<int> best_last;
+};
+
+ReferenceDp reference_dp(const PrefixTable& base, DiagramKind kind) {
+  const int n = base.n;
+  const util::Mask full = util::full_mask(n);
+  ReferenceDp ref{std::vector<std::uint64_t>(full + 1),
+                  std::vector<int>(full + 1, -1)};
+  std::unordered_map<util::Mask, PrefixTable> prev{{0, base}};
+  for (int k = 1; k <= n; ++k) {
+    std::unordered_map<util::Mask, PrefixTable> cur;
+    for (util::Mask I = 1; I <= full; ++I) {
+      if (util::popcount(I) != k) continue;
+      PrefixTable best;
+      util::for_each_bit(I, [&](int v) {
+        PrefixTable t = compact(prev.at(I & ~(util::Mask{1} << v)), v, kind);
+        if (ref.best_last[I] < 0 || t.mincost() < best.mincost()) {
+          ref.best_last[I] = v;
+          best = std::move(t);
+        }
+      });
+      ref.mincost[I] = best.mincost();
+      cur.emplace(I, std::move(best));
+    }
+    prev = std::move(cur);
+  }
+  return ref;
+}
+
+// The engine cuts losing candidates short (Lemma 7's argmin by branch and
+// bound), prunes against an incumbent and fans layers out over threads.
+// None of that may move a single entry: at n = 11..13, out of brute
+// force's reach, every state's mincost and best_last must be the plain
+// recurrence's, tie-breaks included, dense and bound-pruned (the optimum
+// as incumbent, so that as many states as possible are pruned), at 1 and
+// 4 threads.
+TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
+  util::Xoshiro256 rng(1107);
+  struct Case {
+    const char* name;
+    DiagramKind kind;
+    PrefixTable base;
+  };
+  const auto values_of = [](const tt::TruthTable& f, const tt::TruthTable& g) {
+    std::vector<std::int64_t> v(f.size());
+    for (std::uint64_t a = 0; a < f.size(); ++a)
+      v[a] = (f.get(a) ? 1 : 0) + (g.get(a) ? 2 : 0);
+    return v;
+  };
+  constexpr DiagramKind kBdd = DiagramKind::kBdd;
+  constexpr DiagramKind kZdd = DiagramKind::kZdd;
+  constexpr DiagramKind kMtbdd = DiagramKind::kMtbdd;
+  std::vector<Case> cases{
+      {"random13", kBdd, initial_table(tt::random_function(13, rng))},
+      {"hwb12", kBdd, initial_table(tt::hidden_weighted_bit(12))},
+      {"mult12", kBdd, initial_table(tt::multiplier_middle_bit(12))},
+      {"adder12", kBdd, initial_table(tt::adder_carry(12))},
+      {"isa11", kBdd, initial_table(tt::indirect_storage_access(11))},
+      {"random11", kZdd, initial_table(tt::random_function(11, rng))},
+      {"hwb11", kZdd, initial_table(tt::hidden_weighted_bit(11))},
+      {"mult12", kZdd, initial_table(tt::multiplier_middle_bit(12))},
+      {"adder12", kZdd, initial_table(tt::adder_carry(12))},
+      {"isa11", kZdd, initial_table(tt::indirect_storage_access(11))},
+      {"random11", kMtbdd,
+       initial_table_values(values_of(tt::random_function(11, rng),
+                                      tt::random_function(11, rng)), 11)},
+      {"hwb+2*mult12", kMtbdd,
+       initial_table_values(values_of(tt::hidden_weighted_bit(12),
+                                      tt::multiplier_middle_bit(12)), 12)},
+      {"isa+2*random11", kMtbdd,
+       initial_table_values(values_of(tt::indirect_storage_access(11),
+                                      tt::random_function(11, rng)), 11)},
+  };
+  for (const Case& c : cases) {
+    const int n = c.base.n;
+    const util::Mask J = util::full_mask(n);
+    const ReferenceDp ref = reference_dp(c.base, c.kind);
+    for (const par::PruneMode prune :
+         {par::PruneMode::kOff, par::PruneMode::kBounds}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " kind=" << static_cast<int>(c.kind)
+                     << " prune=" << static_cast<int>(prune)
+                     << " threads=" << threads);
+        par::ExecPolicy exec;
+        exec.num_threads = threads;
+        exec.prune = prune;
+        OpCounter ops;
+        const FsStarResult r =
+            fs_star(c.base, J, n, c.kind, &ops, exec, nullptr, ref.mincost[J]);
+        if (prune == par::PruneMode::kOff) {
+          ASSERT_EQ(r.mincost.size(), std::size_t{J} + 1);
+          ASSERT_EQ(r.best_last.size(), std::size_t{J});
+        } else {
+          ASSERT_LT(r.mincost.size(), std::size_t{J} + 1);
+        }
+        for (const auto& [I, cost] : r.mincost)
+          ASSERT_EQ(cost, ref.mincost[I]) << "I=" << I;
+        for (const auto& [I, var] : r.best_last)
+          ASSERT_EQ(var, ref.best_last[I]) << "I=" << I;
+        EXPECT_GT(ops.cut_cells, 0u);
+        EXPECT_LT(ops.cut_cells, ops.table_cells);
+      }
+    }
   }
 }
 

@@ -16,7 +16,9 @@
 #      prune_ratio), plus the `ovo order --prune bounds` bit-identity
 #      guard against the dense default, plus the Theorem 5 ledger guard
 #      (a 12-variable dense `ovo order --json` reports 2n*3^(n-1) =
-#      4,251,528 table cells and the same output at --threads 1 and 4),
+#      4,251,528 table cells, the same positive cut_cells and the same
+#      output at --threads 1 and 4, and traced, its fs.fence spans'
+#      cut_cells args sum to the JSON's),
 #      plus the checkpoint round-trip
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
@@ -28,8 +30,8 @@
 #      variables, bad numeric flag values, an unknown --prune-seed name,
 #      a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
-#      signal and its line — a v2 snapshot exits 3 naming the version
-#      skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
+#      signal and its line — a v2 or v3 snapshot exits 3 naming the
+#      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
 #      runs, never with internal-check text), plus the `ovo order
 #      --trace` Chrome trace-event smoke (including a checkpointed run
 #      whose fs.checkpoint spans carry each frame's `bytes` and whose

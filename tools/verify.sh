@@ -24,9 +24,11 @@
 # pruning ledger — and a CLI guard that a bound-pruned `ovo order` run
 # returns the identical order and size as the dense default.  A fixed
 # 12-variable formula runs through `ovo order --json` at --threads 1 and
-# 4: both must report Theorem 5's 2n*3^(n-1) = 4,251,528 table cells and
-# the same output apart from "threads", so the compaction kernel's
-# per-thread pair tables run on pool threads through the CLI.  A
+# 4: both must report Theorem 5's 2n*3^(n-1) = 4,251,528 table cells, the
+# same positive cut_cells (cells the DP's cut sweeps never read) and the
+# same output apart from "threads", so the compaction kernel's
+# per-thread pair tables run on pool threads through the CLI; traced,
+# the fs.fence spans' cut_cells args must sum to the JSON's.  A
 # 14-variable formula cancelled mid-DP (--fault-cancel-at) at --threads 4
 # and at --threads 1 must leave byte-identical snapshots from a fence of
 # at least 2 MiB, whose CRC the 4-thread run folds from pool chunks, and
@@ -35,9 +37,10 @@
 # malformed formulas, a formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed name, a missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, and a v2
-# snapshot through `ovo order`, and `ovo tables --k` at 12 (runs), 13 and
-# 40 (past Table 1's double-precision range), and checks each exit code
-# (a v2 snapshot must name the version skew, a BLIF error its line and
+# and a v3 snapshot through `ovo order`, and `ovo tables --k` at 12
+# (runs), 13 and 40 (past Table 1's double-precision range), and checks
+# each exit code (an old snapshot must name the version skew, a BLIF
+# error its line and
 # signal) and that no internal-check text reaches stderr.  Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
@@ -146,8 +149,26 @@ if [[ "${QUICK}" -eq 1 ]]; then
     build/tools/ovo order --json --threads "${t}" "${ledger_fn}" \
       | sed 's/"threads":[0-9]*/"threads":N/' > "${smoke_dir}/ledger${t}.json"
     grep -q '"table_cells":4251528' "${smoke_dir}/ledger${t}.json"
+    grep -q '"cut_cells":[1-9]' "${smoke_dir}/ledger${t}.json"
   done
   diff "${smoke_dir}/ledger1.json" "${smoke_dir}/ledger4.json"
+  # The cut is counted once per layer: the fs.fence spans' cut_cells
+  # args add up to the run's cut_cells.
+  build/tools/ovo order --json --threads 4 \
+    --trace "${smoke_dir}/ledger_trace.json" "${ledger_fn}" \
+    > "${smoke_dir}/ledger_traced.json"
+  python3 - "${smoke_dir}/ledger_trace.json" \
+    "${smoke_dir}/ledger_traced.json" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+run = json.load(open(sys.argv[2]))
+fences = [e for e in events if e["name"] == "fs.fence"]
+assert len(fences) == 12, len(fences)
+cut = sum(e["args"]["cut_cells"] for e in fences)
+assert cut == run["cut_cells"] > 0, (cut, run["cut_cells"])
+print(f"ledger: {cut} of {run['table_cells']} cells cut, "
+      f"summed over {len(fences)} fs.fence spans")
+PY
   echo "==== quick: checkpoint round-trip smoke ===================="
   # A run interrupted mid-DP (deterministic fault injection standing in
   # for SIGINT) must leave a resumable snapshot, and the resumed run's
@@ -239,14 +260,17 @@ if [[ "${QUICK}" -eq 1 ]]; then
     "${smoke_dir}/cli_err.txt"
   expect_cli_error 2 --prune-seed bogus "${smoke_fn}"
   expect_cli_error 2 --prune bounds --prune-seed bogus "${smoke_fn}"
-  expect_cli_error 3 --resume \
-    tests/data/corpus/snapshot/valid_dense_hwb6_layer3.bin "${smoke_fn}"
-  grep -q 'version skew' "${smoke_dir}/cli_err.txt"
+  for old_snapshot in valid_dense_hwb6_layer3.bin \
+                      valid_v3_dense_hwb6_layer3.bin; do
+    expect_cli_error 3 --resume \
+      "tests/data/corpus/snapshot/${old_snapshot}" "${smoke_fn}"
+    grep -q 'version skew' "${smoke_dir}/cli_err.txt"
+  done
   expect_exit 0 tables --k 12
   expect_exit 2 tables --k 13
   grep -q 'from 1 to 12' "${smoke_dir}/cli_err.txt"
   expect_exit 2 tables --k 40
-  echo "typed CLI errors: 18 invocations, no internal-check text"
+  echo "typed CLI errors: 19 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
