@@ -8,13 +8,13 @@
 //
 // --json <path> writes the per-case rows as a JSON array, atomically
 // (temp file + fsync + rename), so an interrupted bench never leaves a
-// torn artifact.
+// torn artifact.  Every column is a count, the same on every run; time
+// belongs to the repo benchmark (perfbench/).
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <string>
 
 #include "core/minimize.hpp"
@@ -25,7 +25,6 @@
 #include "rt/checkpoint.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace ovo;
@@ -35,17 +34,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
-  std::optional<rt::AtomicFileWriter> writer;
-  if (!json_path.empty()) {
-    try {
-      writer.emplace(json_path);
-    } catch (const rt::CheckpointError& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::fprintf(writer->stream(), "[\n");
-  }
+  std::string json = "[\n";
 
   struct Case {
     const char* name;
@@ -59,9 +48,9 @@ int main(int argc, char** argv) {
   cases.push_back({"random(10)", tt::random_function(10, rng)});
 
   std::printf("Exact-engine agreement and work (n = 10)\n\n");
-  std::printf("%-20s %8s | %12s %10s | %12s %8s %10s | %12s %10s %10s\n",
-              "function", "opt", "FS cells", "FS ms", "FS* cells", "prune%",
-              "FS* ms", "BnB states", "BnB ms", "pruned");
+  std::printf("%-20s %8s | %12s | %12s %8s | %12s %10s\n", "function",
+              "opt", "FS cells", "FS* cells", "prune%", "BnB states",
+              "pruned");
 
   // The pruned FS* runs share the B&B warm start: one sift pass seeds
   // both incumbents, so the two pruning columns are an apples-to-apples
@@ -72,53 +61,50 @@ int main(int argc, char** argv) {
   bool agree = true;
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const Case& c = cases[ci];
-    util::Timer t1;
     const core::MinimizeResult fs = core::fs_minimize(c.t);
-    const double fs_ms = t1.millis();
 
     // Warm-start B&B and the pruned DP with sifting.
     std::vector<int> id(static_cast<std::size_t>(c.t.num_vars()));
     std::iota(id.begin(), id.end(), 0);
     const std::uint64_t incumbent = reorder::sift(c.t, id).internal_nodes;
 
-    util::Timer t3;
     const core::MinimizeResult fsp = core::fs_minimize(
         c.t, core::DiagramKind::kBdd, pruned_exec, incumbent);
-    const double fsp_ms = t3.millis();
-
-    util::Timer t2;
     const reorder::BnbResult bnb = reorder::branch_and_bound_minimize(
         c.t, core::DiagramKind::kBdd, incumbent);
-    const double bnb_ms = t2.millis();
 
     agree &= fs.min_internal_nodes == bnb.internal_nodes &&
              fsp.min_internal_nodes == fs.min_internal_nodes &&
              fsp.order_root_first == fs.order_root_first;
-    std::printf("%-20s %8" PRIu64 " | %12" PRIu64 " %10.1f | %12" PRIu64
-                " %7.2f%% %10.1f | %12" PRIu64 " %10.1f %10" PRIu64 "\n",
-                c.name, fs.min_internal_nodes, fs.ops.table_cells, fs_ms,
+    std::printf("%-20s %8" PRIu64 " | %12" PRIu64 " | %12" PRIu64
+                " %7.2f%% | %12" PRIu64 " %10" PRIu64 "\n",
+                c.name, fs.min_internal_nodes, fs.ops.table_cells,
                 fsp.ops.prune.sparse_cells,
-                100.0 * fsp.ops.prune.prune_ratio(), fsp_ms,
-                bnb.states_expanded, bnb_ms,
+                100.0 * fsp.ops.prune.prune_ratio(), bnb.states_expanded,
                 bnb.states_pruned_bound + bnb.states_pruned_dominance);
-    if (writer) {
-      std::fprintf(writer->stream(),
-                   "  {\"function\": \"%s\", \"optimum\": %" PRIu64
-                   ", \"fs_cells\": %" PRIu64 ", \"fs_ms\": %.3f"
-                   ", \"fs_star_sparse_cells\": %" PRIu64
-                   ", \"prune_ratio\": %.4f, \"fs_star_ms\": %.3f"
-                   ", \"bnb_states\": %" PRIu64 ", \"bnb_ms\": %.3f"
-                   ", \"bnb_pruned\": %" PRIu64 "}%s\n",
-                   c.name, fs.min_internal_nodes, fs.ops.table_cells, fs_ms,
-                   fsp.ops.prune.sparse_cells, fsp.ops.prune.prune_ratio(),
-                   fsp_ms, bnb.states_expanded, bnb_ms,
-                   bnb.states_pruned_bound + bnb.states_pruned_dominance,
-                   ci + 1 < cases.size() ? "," : "");
-    }
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "  {\"function\": \"%s\", \"optimum\": %" PRIu64
+                  ", \"fs_cells\": %" PRIu64
+                  ", \"fs_star_sparse_cells\": %" PRIu64
+                  ", \"prune_ratio\": %.4f, \"bnb_states\": %" PRIu64
+                  ", \"bnb_pruned\": %" PRIu64 "}%s\n",
+                  c.name, fs.min_internal_nodes, fs.ops.table_cells,
+                  fsp.ops.prune.sparse_cells, fsp.ops.prune.prune_ratio(),
+                  bnb.states_expanded,
+                  bnb.states_pruned_bound + bnb.states_pruned_dominance,
+                  ci + 1 < cases.size() ? "," : "");
+    json += row;
   }
-  if (writer) {
-    std::fprintf(writer->stream(), "]\n");
-    writer->commit();
+  json += "]\n";
+  if (!json_path.empty()) {
+    try {
+      rt::write_file_atomic(json_path, json.data(), json.size());
+    } catch (const rt::CheckpointError& e) {
+      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
+                   e.what());
+      return 2;
+    }
     std::printf("wrote %s\n", json_path.c_str());
   }
 

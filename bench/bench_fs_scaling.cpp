@@ -1,11 +1,13 @@
-// Theorem 5 claim: algorithm FS runs in O*(3^n), against the trivial
-// O*(n! 2^n) brute force.  We measure (a) table cells processed and
-// (b) wall-clock time for n = 2..N, fit the growth base, and compare with
-// the analytic operation counts.
+// Theorem 5 claim: algorithm FS runs in O*(3^n) time, and (Remark 1) in
+// space of the same order, against the trivial O*(n! 2^n) brute force.
+// For n = 2..N on random functions we count the table cells FS compacts
+// and its peak resident cells, check both against the closed forms,
+// and fit their growth bases.  Time belongs to the repo benchmark
+// (perfbench/), which takes medians over repeated runs; this bench
+// reports counts only, so its output is the same on every run.
 //
-// Flags: --threads N (re-time every FS run with N pool threads and report
-// the speedup over the serial run; results must agree exactly) and
-// --json <path> (emit the per-n rows as a JSON array).
+// Flags: --json <path> (emit the per-n rows as a JSON array, written
+// atomically: temp file + fsync + rename).
 //
 // Every ungoverned row also carries a bound-pruned ablation: the same
 // function re-run with ExecPolicy.prune = kBounds and a sift-seeded
@@ -30,15 +32,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <optional>
 #include <string>
 
 #include "core/minimize.hpp"
 #include "ds/unique_table.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
 #include "quantum/analysis.hpp"
 #include "reorder/baselines.hpp"
 #include "reorder/minimize_auto.hpp"
@@ -47,7 +46,6 @@
 #include "tt/function_zoo.hpp"
 #include "util/fit.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -60,31 +58,30 @@ void appendf(std::string& s, const char* fmt, ...) {
   s += buf;
 }
 
+/// Commits the whole artifact at once, so a killed bench never leaves a
+/// torn JSON array under `path`.
+bool write_json(const std::string& path, const std::string& text) {
+  try {
+    ovo::rt::write_file_atomic(path, text.data(), text.size());
+  } catch (const ovo::rt::CheckpointError& e) {
+    std::fprintf(stderr, "cannot write '%s': %s\n", path.c_str(), e.what());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ovo;
   util::Xoshiro256 rng(2024);
 
-#if OVO_TRACE_ENABLED
-  // Timing-fidelity guard: span collection on the DP hot path would
-  // contaminate the growth fits, so the bench never runs traced.
-  if (obs::trace::enabled()) {
-    std::fprintf(stderr,
-                 "note: trace collection was enabled; disabling for the "
-                 "timed sweep\n");
-    obs::trace::disable();
-  }
-#endif
-
-  int bench_threads = 1;
   std::string json_path;
   rt::Budget budget;
   par::PruneMode gov_prune = par::PruneMode::kOff;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      bench_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--prune") == 0 && i + 1 < argc) {
       // Governed mode only: the ungoverned sweep always A/Bs dense
@@ -108,134 +105,94 @@ int main(int argc, char** argv) {
       budget.work_limit = std::strtoull(argv[++i], nullptr, 10);
     } else {
       std::fprintf(stderr,
-                   "usage: bench_fs_scaling [--threads N] [--json path] "
+                   "usage: bench_fs_scaling [--json path] "
                    "[--prune off|bounds] [--timeout-ms N] [--node-limit N] "
                    "[--mem-limit-mb N] [--work-limit N]\n");
       return 2;
     }
   }
-  par::ExecPolicy exec;
-  exec.num_threads = bench_threads;
-  const int resolved_threads = exec.resolved_threads();
+  // Every run takes the default (serial) policy: the counts are the same
+  // at any thread count, which tests pin, so threads add nothing here.
+  const int kThreads = 1;
 
   if (!budget.unlimited()) {
     // Governed mode: every n runs the degradation ladder under a fresh
     // copy of the budget; rows report why each run stopped.
     util::Xoshiro256 grng(2024);
     std::printf("Governed FS (minimize_auto ladder, fresh budget per n)\n\n");
-    std::printf("%3s %12s %8s %6s %10s %14s %9s %9s %12s\n", "n", "nodes",
+    std::printf("%3s %12s %8s %6s %10s %14s %9s %9s\n", "n", "nodes",
                 "optimal", "layers", "outcome", "work units", "queries",
-                "memo hit", "time(s)");
-    // Atomic artifact: the rows stream to a temp file and only a
-    // committed run renames it over json_path, so a killed bench never
-    // leaves a torn JSON array.
-    std::optional<rt::AtomicFileWriter> writer;
-    std::FILE* out = nullptr;
-    if (!json_path.empty()) {
-      try {
-        writer.emplace(json_path);
-      } catch (const rt::CheckpointError& e) {
-        std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                     e.what());
-        return 2;
-      }
-      out = writer->stream();
-      std::fprintf(out, "[\n");
-    }
+                "memo hit");
+    std::string json = "[\n";
     const int kGovMaxN = 13;
     for (int n = 2; n <= kGovMaxN; ++n) {
       const tt::TruthTable t = tt::random_function(n, grng);
       reorder::AutoMinimizeOptions opt;
-      opt.exec = exec;
       opt.exec.prune = gov_prune;
-      util::Timer timer;
       const auto r = reorder::minimize_auto(t, budget, opt);
-      const double secs = timer.seconds();
       // The heuristic stages (sift + restarts) share one memoized cost
       // oracle, so revisited orders show up as memo hits rather than
       // repeated chain evaluations.
       const reorder::OracleStats& os = r.value.oracle;
-      const par::SchedStats& ss = r.value.sched;
       std::printf("%3d %12" PRIu64 " %8s %6d %10s %14" PRIu64 " %9" PRIu64
-                  " %9" PRIu64 " %12.4f\n",
+                  " %9" PRIu64 "\n",
                   n, r.value.internal_nodes, r.value.optimal ? "yes" : "no",
                   r.value.dp_layers_completed, rt::outcome_name(r.outcome),
-                  r.stats.work_units, os.queries, os.memo_hits, secs);
-      if (out != nullptr) {
-        // Every counter renders through the obs shared serializer, so
-        // the row's keys are the metric table's canonical json_keys —
-        // byte-identical to the CLI's --json fields.
-        obs::Ledger l;
-        os.to_ledger(l);           // oracle counters + heuristic-stage ops
-        r.value.ops.to_ledger(l);  // DP/salvage ledger (prune included)
-        ss.to_ledger(l);
-        l.record(obs::Metric::kRtWorkCharged, r.stats.work_units);
-        std::string row = "  {";
-        appendf(row, "\"n\":%d", n);
-        appendf(row, ",\"nodes\":%" PRIu64, r.value.internal_nodes);
-        appendf(row, ",\"optimal\":%s",
-                r.value.optimal ? "true" : "false");
-        appendf(row, ",\"dp_layers\":%d", r.value.dp_layers_completed);
-        obs::append_json_str(row, "outcome", rt::outcome_name(r.outcome));
-        obs::append_metric_json(row, l, obs::Metric::kRtWorkCharged);
-        obs::append_counters_json(row, l);
-        appendf(row, ",\"seconds\":%.6f", secs);
-        obs::append_metrics_json(
-            row, l,
-            {obs::Metric::kSchedTasks, obs::Metric::kSchedChunks,
-             obs::Metric::kSchedBarrierWaitNs});
-        obs::append_run_info_json(row, resolved_threads);
-        row += "}";
-        std::fprintf(out, "%s%s\n", row.c_str(),
-                     n < kGovMaxN ? "," : "");
-      }
+                  r.stats.work_units, os.queries, os.memo_hits);
+      // Every counter renders through the obs shared serializer, so the
+      // row's keys are the metric table's canonical json_keys —
+      // byte-identical to the CLI's --json fields.
+      obs::Ledger l;
+      os.to_ledger(l);           // oracle counters + heuristic-stage ops
+      r.value.ops.to_ledger(l);  // DP/salvage ledger (prune included)
+      l.record(obs::Metric::kRtWorkCharged, r.stats.work_units);
+      std::string row = "  {";
+      appendf(row, "\"n\":%d", n);
+      appendf(row, ",\"nodes\":%" PRIu64, r.value.internal_nodes);
+      appendf(row, ",\"optimal\":%s", r.value.optimal ? "true" : "false");
+      appendf(row, ",\"dp_layers\":%d", r.value.dp_layers_completed);
+      obs::append_json_str(row, "outcome", rt::outcome_name(r.outcome));
+      obs::append_metric_json(row, l, obs::Metric::kRtWorkCharged);
+      obs::append_counters_json(row, l);
+      obs::append_run_info_json(row, kThreads);
+      row += "}";
+      json += row + (n < kGovMaxN ? ",\n" : "\n");
     }
-    if (out != nullptr) {
-      std::fprintf(out, "]\n");
-      writer->commit();
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+    json += "]\n";
+    if (!json_path.empty() && !write_json(json_path, json)) return 2;
     std::printf("result: governed runs completed (growth fits skipped "
                 "under a budget)\n");
     return 0;
   }
 
-  std::printf("Theorem 5 + Remark 1 reproduction: FS time AND space vs "
+  std::printf("Theorem 5 + Remark 1 reproduction: FS work AND space vs "
               "brute force\n");
   std::printf("(random functions; cells = table cells)\n\n");
-  std::printf("%3s %14s %14s %12s %12s %12s %16s %12s\n", "n", "FS cells",
-              "FS cells(pred)", "peak cells", "peak(pred)", "FS time(s)",
-              "brute cells(prd)", "brute t(s)");
+  std::printf("%3s %14s %14s %12s %12s %16s\n", "n", "FS cells",
+              "FS cells(pred)", "peak cells", "peak(pred)",
+              "brute cells(prd)");
 
   std::vector<int> ns;
   std::vector<double> fs_cells, fs_space;
-  std::vector<double> serial_times, threaded_times;
-  std::vector<par::SchedStats> threaded_sched;
-  std::vector<double> pruned_times;
+  std::vector<obs::Ledger> dense_ledgers;
   std::vector<core::PruneStats> prune_rows;
   std::vector<std::uint64_t> pruned_peaks;
   ds::TableStats dedup_total;
   const int kMaxN = 13;
-  const int kMaxBruteN = 8;
   bool space_matches = true;
-  bool threads_match = true;
   bool prune_matches = true;
 
-  // Bound-pruned ablation: sift-seeded incumbent, sparse layers, same
-  // thread count as the threaded dense run.  Must reproduce `dense`
-  // bit-exactly.
-  par::ExecPolicy pruned_exec = exec;
+  // Bound-pruned ablation: sift-seeded incumbent, sparse layers.  Must
+  // reproduce `dense` bit-exactly.
+  par::ExecPolicy pruned_exec;
   pruned_exec.prune = par::PruneMode::kBounds;
   const auto run_pruned = [&](const tt::TruthTable& t,
-                              const core::MinimizeResult& dense,
-                              double* secs) {
+                              const core::MinimizeResult& dense) {
     std::vector<int> id(static_cast<std::size_t>(t.num_vars()));
     std::iota(id.begin(), id.end(), 0);
     const std::uint64_t ub = reorder::sift(t, id).internal_nodes;
-    util::Timer timer;
     const core::MinimizeResult rp =
         core::fs_minimize(t, core::DiagramKind::kBdd, pruned_exec, ub);
-    *secs = timer.seconds();
     prune_matches &= rp.min_internal_nodes == dense.min_internal_nodes &&
                      rp.order_root_first == dense.order_root_first;
     return rp;
@@ -243,39 +200,8 @@ int main(int argc, char** argv) {
 
   for (int n = 2; n <= kMaxN; ++n) {
     const tt::TruthTable t = tt::random_function(n, rng);
-    util::Timer timer;
     const core::MinimizeResult r = core::fs_minimize(t);
-    const double fs_time = timer.seconds();
-
-    double threaded_time = fs_time;
-    par::SchedStats sched;
-    if (resolved_threads > 1) {
-      // The threaded run must reproduce the serial results bit-exactly;
-      // the sched delta exposes its regions and barrier-wait time.
-      const par::SchedStats snap = par::sched_stats();
-      timer.reset();
-      const core::MinimizeResult rt =
-          core::fs_minimize(t, core::DiagramKind::kBdd, exec);
-      threaded_time = timer.seconds();
-      sched = par::sched_stats() - snap;
-      threads_match &= rt.min_internal_nodes == r.min_internal_nodes &&
-                       rt.order_root_first == r.order_root_first &&
-                       rt.ops.table_cells == r.ops.table_cells;
-    }
-    serial_times.push_back(fs_time);
-    threaded_times.push_back(threaded_time);
-    threaded_sched.push_back(sched);
-
-    double brute_time = -1.0;
-    if (n <= kMaxBruteN) {
-      timer.reset();
-      (void)reorder::brute_force_minimize(t);
-      brute_time = timer.seconds();
-    }
-
-    double pruned_time = 0.0;
-    const core::MinimizeResult rp = run_pruned(t, r, &pruned_time);
-    pruned_times.push_back(pruned_time);
+    const core::MinimizeResult rp = run_pruned(t, r);
     prune_rows.push_back(rp.ops.prune);
     pruned_peaks.push_back(rp.ops.peak_cells);
 
@@ -285,13 +211,12 @@ int main(int argc, char** argv) {
     ns.push_back(n);
     fs_cells.push_back(static_cast<double>(r.ops.table_cells));
     fs_space.push_back(static_cast<double>(r.ops.peak_cells));
+    r.ops.to_ledger(dense_ledgers.emplace_back());
     dedup_total += r.ops.dedup;
-    std::printf("%3d %14" PRIu64 " %14.0f %12" PRIu64 " %12.0f %12.4f "
-                "%16.0f %12s\n",
+    std::printf("%3d %14" PRIu64 " %14.0f %12" PRIu64 " %12.0f %16.0f\n",
                 n, r.ops.table_cells, quantum::fs_total_cells(n),
-                r.ops.peak_cells, peak_pred, fs_time,
-                quantum::brute_force_total_cells(n),
-                brute_time < 0 ? "-" : std::to_string(brute_time).c_str());
+                r.ops.peak_cells, peak_pred,
+                quantum::brute_force_total_cells(n));
   }
 
   // Fit growth bases on the tail (small n is polluted by constants).
@@ -322,14 +247,12 @@ int main(int argc, char** argv) {
   struct PruneRow {
     std::string function;
     int n;
-    double seconds;
     core::PruneStats p;
     std::uint64_t peak_cells;
   };
   std::vector<PruneRow> ablation;
   for (std::size_t i = 0; i < ns.size(); ++i)
-    ablation.push_back({"random", ns[i], pruned_times[i], prune_rows[i],
-                        pruned_peaks[i]});
+    ablation.push_back({"random", ns[i], prune_rows[i], pruned_peaks[i]});
   {
     struct Structured {
       const char* name;
@@ -342,27 +265,26 @@ int main(int argc, char** argv) {
     };
     for (const Structured& s : structured) {
       const core::MinimizeResult dense = core::fs_minimize(s.t);
-      double secs = 0.0;
-      const core::MinimizeResult rp = run_pruned(s.t, dense, &secs);
-      ablation.push_back({s.name, s.t.num_vars(), secs, rp.ops.prune,
-                          rp.ops.peak_cells});
+      const core::MinimizeResult rp = run_pruned(s.t, dense);
+      ablation.push_back(
+          {s.name, s.t.num_vars(), rp.ops.prune, rp.ops.peak_cells});
     }
   }
 
   std::printf("\nBound-pruned FS* (sift-seeded incumbent, sparse layers; "
               "dense equivalents in parentheses)\n");
-  std::printf("%-12s %3s %12s %12s %9s %8s %14s %18s %10s\n", "function",
-              "n", "states gen", "pruned+dead", "surviving", "prune%",
-              "sparse cells", "peak (dense eq.)", "time(s)");
+  std::printf("%-12s %3s %12s %12s %9s %8s %14s %18s\n", "function", "n",
+              "states gen", "pruned+dead", "surviving", "prune%",
+              "sparse cells", "peak (dense eq.)");
   bool prune_bites_at_max_n = false;
   for (const PruneRow& row : ablation) {
     const double dense_peak = quantum::fs_peak_cells(row.n);
     std::printf("%-12s %3d %12" PRIu64 " %12" PRIu64 " %9" PRIu64
-                " %7.2f%% %14" PRIu64 " %9" PRIu64 " (%8.0f) %10.4f\n",
+                " %7.2f%% %14" PRIu64 " %9" PRIu64 " (%8.0f)\n",
                 row.function.c_str(), row.n, row.p.states_enumerated(),
                 row.p.states_pruned + row.p.states_dead,
                 row.p.states_surviving, 100.0 * row.p.prune_ratio(),
-                row.p.sparse_cells, row.peak_cells, dense_peak, row.seconds);
+                row.p.sparse_cells, row.peak_cells, dense_peak);
     if (row.n == kMaxN) {
       prune_bites_at_max_n |=
           row.p.prune_ratio() > 0.0 &&
@@ -374,96 +296,50 @@ int main(int argc, char** argv) {
               prune_matches ? "yes" : "NO", kMaxN,
               prune_bites_at_max_n ? "yes" : "NO");
 
-  if (resolved_threads > 1) {
-    std::printf("\nparallel FS (%d threads): largest-n speedup %.2fx, "
-                "results identical to serial: %s\n",
-                resolved_threads,
-                serial_times.back() / threaded_times.back(),
-                threads_match ? "yes" : "NO");
-    par::SchedStats total;
-    for (const par::SchedStats& s : threaded_sched) total += s;
-    std::printf("scheduler: graphs=%" PRIu64 " tasks=%" PRIu64
-                " barrier_wait_ms=%.2f\n",
-                total.graphs, total.tasks, total.barrier_wait_ns / 1e6);
-  }
-
   if (!json_path.empty()) {
-    // Same crash-atomic discipline as the governed path: commit or
-    // nothing.
-    std::optional<rt::AtomicFileWriter> writer;
-    try {
-      writer.emplace(json_path);
-    } catch (const rt::CheckpointError& e) {
-      std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::FILE* out = writer->stream();
-    std::fprintf(out, "[\n");
-    // The bound-pruning surface of a row, keyed by the metric table.
-    const auto append_prune_json = [](std::string& row,
-                                      const core::PruneStats& p) {
+    std::string json = "[\n";
+    for (std::size_t i = 0; i < ablation.size(); ++i) {
+      const PruneRow& prow = ablation[i];
+      std::string row = "  {";
+      appendf(row, "\"n\":%d", prow.n);
+      obs::append_json_str(row, "function", prow.function.c_str());
+      // Random rows carry the dense DP's counts beside Theorem 5's closed
+      // form (peak_cells_dense_equiv below is Remark 1's); the structured
+      // rows carry only the pruning surface, so scaling-fit consumers key
+      // on "function" == "random".
+      if (i < dense_ledgers.size()) {
+        const obs::Ledger& dense = dense_ledgers[i];
+        obs::append_metric_json(row, dense, obs::Metric::kFsTableCells);
+        appendf(row, ",\"table_cells_pred\":%.0f",
+                quantum::fs_total_cells(prow.n));
+        obs::append_metric_json(row, dense, obs::Metric::kFsPeakCells);
+      }
+      // The bound-pruning surface, keyed by the metric table, and the
+      // measured sparse peak against the closed-form dense one.
       obs::Ledger l;
-      p.to_ledger(l);
+      prow.p.to_ledger(l);
       obs::append_metrics_json(
           row, l,
           {obs::Metric::kFsPruneUpperBound, obs::Metric::kFsPruneGenerated,
            obs::Metric::kFsPrunePruned, obs::Metric::kFsPruneDead,
            obs::Metric::kFsPruneSurviving});
-      obs::append_json_f64(row, "prune_ratio", p.prune_ratio());
+      obs::append_json_f64(row, "prune_ratio", prow.p.prune_ratio());
       obs::append_metrics_json(row, l,
                                {obs::Metric::kFsPruneSparseCells,
                                 obs::Metric::kFsPruneDenseCells});
-    };
-    for (std::size_t i = 0; i < ns.size(); ++i) {
-      obs::Ledger l;
-      threaded_sched[i].to_ledger(l);
-      l.record(obs::Metric::kFsTableCells,
-               static_cast<std::uint64_t>(fs_cells[i]));
-      std::string row = "  {";
-      appendf(row, "\"n\":%d", ns[i]);
-      obs::append_json_str(row, "function", "random");
-      appendf(row, ",\"seconds_serial\":%.6f", serial_times[i]);
-      appendf(row, ",\"seconds_threads\":%.6f", threaded_times[i]);
-      appendf(row, ",\"speedup\":%.4f",
-              serial_times[i] / threaded_times[i]);
-      obs::append_metric_json(row, l, obs::Metric::kFsTableCells);
-      obs::append_metrics_json(
-          row, l,
-          {obs::Metric::kSchedGraphs, obs::Metric::kSchedTasks,
-           obs::Metric::kSchedBarrierWaitNs});
-      appendf(row, ",\"seconds_pruned\":%.6f", pruned_times[i]);
-      append_prune_json(row, prune_rows[i]);
-      appendf(row, ",\"peak_cells_pruned\":%" PRIu64, pruned_peaks[i]);
-      appendf(row, ",\"peak_cells_dense_equiv\":%.0f",
-              quantum::fs_peak_cells(ns[i]));
-      obs::append_run_info_json(row, resolved_threads);
-      std::fprintf(out, "%s},\n", row.c_str());
-    }
-    // The structured-function ablation rows carry only the pruning
-    // surface; scaling-fit consumers key on "function" == "random".
-    for (std::size_t i = ns.size(); i < ablation.size(); ++i) {
-      const PruneRow& prow = ablation[i];
-      std::string row = "  {";
-      appendf(row, "\"n\":%d", prow.n);
-      obs::append_json_str(row, "function", prow.function.c_str());
-      appendf(row, ",\"seconds_pruned\":%.6f", prow.seconds);
-      append_prune_json(row, prow.p);
       appendf(row, ",\"peak_cells_pruned\":%" PRIu64, prow.peak_cells);
       appendf(row, ",\"peak_cells_dense_equiv\":%.0f",
               quantum::fs_peak_cells(prow.n));
-      obs::append_run_info_json(row, resolved_threads);
-      std::fprintf(out, "%s}%s\n", row.c_str(),
-                   i + 1 < ablation.size() ? "," : "");
+      obs::append_run_info_json(row, kThreads);
+      json += row + (i + 1 < ablation.size() ? "},\n" : "}\n");
     }
-    std::fprintf(out, "]\n");
-    writer->commit();
-    std::printf("wrote %s\n", json_path.c_str());
+    json += "]\n";
+    if (!write_json(json_path, json)) return 2;
   }
 
   const bool shape_ok = cell_fit.base > 2.6 && cell_fit.base < 3.4 &&
                         space_fit.base > 2.5 && space_fit.base < 3.4 &&
-                        space_matches && threads_match && prune_matches &&
+                        space_matches && prune_matches &&
                         prune_bites_at_max_n;
   std::printf("result: %s\n",
               shape_ok

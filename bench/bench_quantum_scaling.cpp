@@ -6,11 +6,12 @@
 // evaluated at large n, whose fitted growth base must land near the
 // paper's gamma and strictly below 3.
 
-// Flags: --threads N (re-run each OptOBDD simulation with N pool threads
-// and report the speedup; all statistics must agree exactly) and
-// --json <path> (emit the per-n simulation rows as a JSON array; each
-// row mirrors the run into the unified reorder cost-oracle ledger and
-// carries its queries / evals / memo-hits counters).
+// Flags: --json <path> (emit the per-n simulation rows as a JSON array,
+// written atomically; each row mirrors the run into the unified reorder
+// cost-oracle ledger and carries its queries / evals / memo-hits
+// counters).  Every count here is the same on every run and at every
+// thread count (MigrationPins.QuantumOptObdd pins the latter); time
+// belongs to the repo benchmark (perfbench/).
 //
 // Budget flags (--timeout-ms / --node-limit / --mem-limit-mb /
 // --work-limit) put one rt::Governor over the whole simulation sweep:
@@ -26,13 +27,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "core/minimize.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
 #include "quantum/analysis.hpp"
 #include "quantum/opt_obdd.hpp"
 #include "quantum/params.hpp"
@@ -41,7 +39,6 @@
 #include "tt/function_zoo.hpp"
 #include "util/fit.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -60,13 +57,10 @@ int main(int argc, char** argv) {
   using namespace ovo;
   util::Xoshiro256 rng(7);
 
-  int bench_threads = 1;
   std::string json_path;
   rt::Budget budget;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      bench_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
       budget.deadline_ms = std::strtoull(argv[++i], nullptr, 10);
@@ -80,16 +74,12 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(
           stderr,
-          "usage: bench_quantum_scaling [--threads N] [--json path] "
+          "usage: bench_quantum_scaling [--json path] "
           "[--timeout-ms N] [--node-limit N] [--mem-limit-mb N] "
           "[--work-limit N]\n");
       return 2;
     }
   }
-  par::ExecPolicy exec;
-  exec.num_threads = bench_threads;
-  const int resolved_threads = exec.resolved_threads();
-
   const bool budgeted = !budget.unlimited();
   rt::Governor gov(budget);
   if (budgeted) {
@@ -103,12 +93,7 @@ int main(int argc, char** argv) {
   std::printf("%3s %12s %16s %18s %10s\n", "n", "FS cells",
               "sim classical", "quantum charged", "min ok");
   bool all_optimal = true;
-  bool threads_match = true;
-  std::vector<int> sim_ns;
-  std::vector<double> sim_serial, sim_threaded;
-  std::vector<std::string> sim_outcomes;
-  std::vector<reorder::OracleStats> sim_oracle;
-  std::vector<par::SchedStats> sim_sched;
+  std::string rows;  // the JSON array's rows, comma-separated
   int rows_skipped = 0;
   for (int n = 5; n <= 11; ++n) {
     if (budgeted &&
@@ -126,47 +111,38 @@ int main(int argc, char** argv) {
     // carry the same queries/evals/memo-hits fields as the FS bench.
     reorder::OracleStats ostats;
     opt.oracle_stats = &ostats;
-    util::Timer timer;
     const quantum::OptObddResult q = quantum::opt_obdd_minimize(t, opt);
-    const double serial_time = timer.seconds();
-    double threaded_time = serial_time;
-    par::SchedStats row_sched;
-    if (resolved_threads > 1) {
-      quantum::AccountingMinimumFinder finder_t(static_cast<double>(n));
-      quantum::OptObddOptions opt_t = opt;
-      opt_t.finder = &finder_t;
-      opt_t.exec = exec;
-      reorder::OracleStats ostats_t;
-      opt_t.oracle_stats = &ostats_t;
-      const par::SchedStats snap = par::sched_stats();
-      timer.reset();
-      const quantum::OptObddResult qt = quantum::opt_obdd_minimize(t, opt_t);
-      threaded_time = timer.seconds();
-      row_sched = par::sched_stats() - snap;
-      threads_match &=
-          qt.min_internal_nodes == q.min_internal_nodes &&
-          qt.order_root_first == q.order_root_first &&
-          qt.classical_ops.table_cells == q.classical_ops.table_cells &&
-          ostats_t.queries == ostats.queries &&
-          ostats_t.evals == ostats.evals;
-    }
     if (budgeted) {
       // The row ran to completion before its cost is known, so charge it
-      // afterwards; the poll inside charge() also checks the wall clock.
+      // afterwards; the poll inside charge() also checks the deadline.
       gov.charge(q.classical_ops.table_cells);
     }
-    sim_ns.push_back(n);
-    sim_serial.push_back(serial_time);
-    sim_threaded.push_back(threaded_time);
-    sim_outcomes.push_back(rt::outcome_name(gov.outcome()));
-    sim_oracle.push_back(ostats);
-    sim_sched.push_back(row_sched);
     const bool ok = q.min_internal_nodes == fs.min_internal_nodes;
     all_optimal &= ok;
     std::printf("%3d %12llu %16llu %18.0f %10s\n", n,
                 static_cast<unsigned long long>(fs.ops.table_cells),
                 static_cast<unsigned long long>(q.classical_ops.table_cells),
                 q.quantum.quantum_charged_cells, ok ? "yes" : "NO");
+
+    // Counters render through the obs shared serializer, so the keys here
+    // are the metric table's — identical to the FS bench and CLI.  The
+    // oracle ledger's table_cells are the simulation's classical cells.
+    obs::Ledger l;
+    ostats.to_ledger(l);
+    std::string row = "  {";
+    appendf(row, "\"n\":%d", n);
+    appendf(row, ",\"fs_table_cells\":%" PRIu64, fs.ops.table_cells);
+    obs::append_json_f64(row, "quantum_charged_cells",
+                         q.quantum.quantum_charged_cells);
+    obs::append_json_str(row, "outcome", rt::outcome_name(gov.outcome()));
+    obs::append_metrics_json(
+        row, l,
+        {obs::Metric::kOracleQueries, obs::Metric::kOracleEvals,
+         obs::Metric::kOracleMemoHits, obs::Metric::kOracleMinFindCalls,
+         obs::Metric::kOracleMinFindQueries, obs::Metric::kFsTableCells});
+    obs::append_run_info_json(row, /*threads=*/1);
+    if (!rows.empty()) rows += ",\n";
+    rows += row + "}";
   }
   if (budgeted) {
     std::printf("\nbudget outcome: %s (%d of 7 rows skipped)\n",
@@ -204,49 +180,17 @@ int main(int argc, char** argv) {
               "quantum %.4f (paper gamma_6 = %.5f)\n",
               fs_fit.base, q_fit.base, k6.gamma);
 
-  if (resolved_threads > 1) {
-    std::printf("\nparallel OptOBDD (%d threads): largest-n speedup %.2fx, "
-                "results identical to serial: %s\n",
-                resolved_threads, sim_serial.back() / sim_threaded.back(),
-                threads_match ? "yes" : "NO");
-  }
-
   if (!json_path.empty()) {
-    // Same crash-atomic discipline as the FS bench: the rows stream to a
-    // temp file and only a committed run renames it over json_path.
-    std::optional<rt::AtomicFileWriter> writer;
+    // One atomic commit of the whole artifact: a killed bench never
+    // leaves a torn JSON array under json_path.
+    const std::string json = "[\n" + rows + "\n]\n";
     try {
-      writer.emplace(json_path);
+      rt::write_file_atomic(json_path, json.data(), json.size());
     } catch (const rt::CheckpointError& e) {
       std::fprintf(stderr, "cannot write '%s': %s\n", json_path.c_str(),
                    e.what());
       return 2;
     }
-    std::FILE* out = writer->stream();
-    std::fprintf(out, "[\n");
-    for (std::size_t i = 0; i < sim_ns.size(); ++i) {
-      // Counters render through the obs shared serializer, so the keys
-      // here are the metric table's — identical to the FS bench and CLI.
-      obs::Ledger l;
-      sim_oracle[i].to_ledger(l);
-      sim_sched[i].to_ledger(l);
-      std::string row = "  {";
-      appendf(row, "\"n\":%d", sim_ns[i]);
-      appendf(row, ",\"seconds_serial\":%.6f", sim_serial[i]);
-      appendf(row, ",\"seconds_threads\":%.6f", sim_threaded[i]);
-      appendf(row, ",\"speedup\":%.4f", sim_serial[i] / sim_threaded[i]);
-      obs::append_json_str(row, "outcome", sim_outcomes[i].c_str());
-      obs::append_metrics_json(
-          row, l,
-          {obs::Metric::kOracleQueries, obs::Metric::kOracleEvals,
-           obs::Metric::kOracleMemoHits, obs::Metric::kSchedTasks,
-           obs::Metric::kSchedChunks, obs::Metric::kSchedBarrierWaitNs});
-      obs::append_run_info_json(row, resolved_threads);
-      std::fprintf(out, "%s}%s\n", row.c_str(),
-                   i + 1 < sim_ns.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    writer->commit();
     std::printf("wrote %s\n", json_path.c_str());
   }
 
@@ -258,7 +202,7 @@ int main(int argc, char** argv) {
                 rt::outcome_name(gov.outcome()));
     return 0;
   }
-  const bool shape_ok = all_optimal && threads_match &&
+  const bool shape_ok = all_optimal &&
                         q_fit.base < fs_fit.base &&
                         std::fabs(q_fit.base - k6.gamma) < 0.05 &&
                         std::fabs(fs_fit.base - 3.0) < 0.02;

@@ -192,12 +192,10 @@ FsStarSnapshot load_snapshot(const std::string& path);
 struct FsCheckpointOptions {
   /// Non-empty: write a snapshot here (atomically) at qualifying fences.
   std::string path;
-  /// Snapshot at fences where layer is a multiple of `every` (and always
-  /// on a trip).
+  /// Snapshot at fences where layer is a multiple of `every`, and always
+  /// when the governor trips, so a budgeted run persists its salvage
+  /// state.
   int every = 1;
-  /// Also snapshot when the governor trips, so a budgeted run persists
-  /// its salvage state.
-  bool on_trip = true;
   /// Resume from this decoded snapshot (fingerprint-checked in fs_star).
   const FsStarSnapshot* resume = nullptr;
   /// Test/observer hook: receives every emitted payload (encoded bytes),

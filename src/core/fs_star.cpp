@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <future>
 #include <limits>
 #include <new>
@@ -11,7 +12,6 @@
 #include <system_error>
 #include <utility>
 
-#include "ds/sparse_index.hpp"
 #include "obs/trace.hpp"
 #include "parallel/task_graph.hpp"
 #include "parallel/thread_pool.hpp"
@@ -344,9 +344,10 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
 
 /// The per-subset kernel: finds the best last variable for dense subset
 /// `d` by compacting each predecessor table of the previous layer (packed
-/// states + sorted-mask index), writing the winner into `best` (Lemma 7's
-/// argmin; first-candidate-wins tie-break).  A predecessor missing from
-/// the index was pruned: every chain through it already exceeds the
+/// states, found by binary search in their strictly ascending masks
+/// `prev_dense`), writing the winner into `best` (Lemma 7's argmin;
+/// first-candidate-wins tie-break).  A predecessor missing from
+/// `prev_dense` was pruned: every chain through it already exceeds the
 /// incumbent, so skipping it never changes the argmin on a surviving
 /// state.  Candidates are visited in ascending bit order, so along any
 /// chain of surviving states the winner — and every tie-break — is the
@@ -362,7 +363,7 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
 /// could never have won, the lowest bit still wins a tie, and the winner
 /// is never stopped: `best` and the costs are the full sweep's.
 void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
-                          const ds::SparseIndex& prev_index,
+                          const std::vector<util::Mask>& prev_dense,
                           bool prev_complete, const std::vector<int>& j_vars,
                           DiagramKind kind, OpCounter* shard,
                           PrefixTable& cand, PrefixTable& best,
@@ -371,16 +372,18 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
   int bv = -1;
   util::for_each_bit(d, [&](int b) {
     const util::Mask pd = d & ~(util::Mask{1} << b);
-    const std::size_t pred = prev_index.rank(pd);
-    if (pred == ds::SparseIndex::npos) {
+    const auto it = std::lower_bound(prev_dense.begin(), prev_dense.end(), pd);
+    if (it == prev_dense.end() || *it != pd) {
       // A complete previous layer never misses a predecessor.
       OVO_DCHECK(!prev_complete);
       return;  // predecessor pruned
     }
+    const PrefixTable& pred =
+        prev[static_cast<std::size_t>(it - prev_dense.begin())];
     const int var = j_vars[static_cast<std::size_t>(b)];
     if (bv < 0)
-      compact_into(cand, prev[pred], var, kind, shard);
-    else if (!compact_into_bounded(cand, prev[pred], var, kind, best.next_id,
+      compact_into(cand, pred, var, kind, shard);
+    else if (!compact_into_bounded(cand, pred, var, kind, best.next_id,
                                    shard))
       return;  // cost >= bc: cannot win
     bc = cand.mincost();
@@ -393,8 +396,8 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
 
 /// The FS* engine: one parallel_for per layer over the layer's candidate
 /// states, then a serial publish epilogue (the layer fence).  Layers are
-/// stored packed — the kept states in colex order plus a sorted-mask
-/// ds::SparseIndex — so a dense run is the case that keeps every state:
+/// stored packed — the kept states in colex order, beside their strictly
+/// ascending masks — so a dense run is the case that keeps every state:
 /// with `ub` empty every candidate is kept, no bound is computed, and the
 /// prune ledger and certified bound stay zero.
 ///
@@ -491,7 +494,9 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     // predecessor, so its k lookups per state are skipped.
     const bool prev_complete =
         prev_dense.size() == binom.choose(j_size, layer - 1);
-    const ds::SparseIndex prev_index(prev_dense);
+    OVO_DCHECK(std::adjacent_find(prev_dense.begin(), prev_dense.end(),
+                                  std::greater_equal<>()) ==
+               prev_dense.end());
     std::vector<util::Mask> cand;
     cand.reserve(static_cast<std::size_t>(layer_size));
     std::uint64_t n_dead = 0;
@@ -501,7 +506,9 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       if (!prev_complete) {
         live = 0;
         util::for_each_bit(m, [&](int b) {
-          if (prev_index.contains(m & ~(util::Mask{1} << b))) ++live;
+          if (std::binary_search(prev_dense.begin(), prev_dense.end(),
+                                 m & ~(util::Mask{1} << b)))
+            ++live;
         });
       }
       if (live > 0) {
@@ -550,7 +557,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                 ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
                                : nullptr;
             const std::size_t s = static_cast<std::size_t>(i);
-            best_last_for_subset(cand[s], prev, prev_index, prev_complete,
+            best_last_for_subset(cand[s], prev, prev_dense, prev_complete,
                                  j_vars, kind, shard,
                                  scratch[static_cast<std::size_t>(slot)],
                                  cur[s], &best_var[s], &best_cost[s]);
@@ -643,8 +650,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   // once, at engine end), so a resumed run — which restores the stored
   // OpCounter and result.prune, then merges at its own end — reproduces
   // the uninterrupted run's final totals exactly.
-  if (plan.writes() && plan.opts->on_trip &&
-      result.completed_layers < stop_k &&
+  if (plan.writes() && result.completed_layers < stop_k &&
       result.completed_layers != last_snapshot_layer)
     emit_fence_snapshot(plan, result.completed_layers, prev_dense, prev,
                         result, ops, gov, threads);

@@ -70,7 +70,7 @@ class OptObddInstance {
       Partial p;
       if (use_preprocess_) {
         p.table = preprocess_.tables.at(L);
-        p.order_bottom_up = reconstruct_prefix_order(L);
+        p.order_bottom_up = core::reconstruct_block_order(preprocess_, L);
       } else {
         // gamma_0 regime: recompute FS of the leaf prefix on the fly; its
         // cost is incurred inside the quantum search.
@@ -131,20 +131,6 @@ class OptObddInstance {
     return winner;
   }
 
-  /// Order of a precomputed prefix K (t = 1): walk the preprocess DP
-  /// back-pointers from K down to the empty set.
-  std::vector<int> reconstruct_prefix_order(Mask K) const {
-    std::vector<int> top_down;
-    while (K != 0) {
-      const int* var = core::find_mask(preprocess_.best_last, K);
-      OVO_CHECK_MSG(var != nullptr,
-                    "OptOBDD: missing preprocess back-pointer");
-      top_down.push_back(*var);
-      K &= ~(Mask{1} << *var);
-    }
-    return {top_down.rbegin(), top_down.rend()};
-  }
-
   DiagramKind kind_;
   std::vector<int> boundaries_;
   MinimumFinder& finder_;
@@ -186,6 +172,32 @@ void mirror_oracle_stats(const OptObddResult& result,
   os->min_find_queries += result.quantum.quantum_queries;
 }
 
+/// Plain OptOBDD over the n primary variables of `base`: the extension
+/// subroutine is the deterministic FS*.  A shared multi-rooted base
+/// keeps its selector variables in the free part of every prefix table.
+OptObddResult minimize_from_base(const PrefixTable& base, int n,
+                                 const OptObddOptions& options) {
+  OVO_CHECK_MSG(options.finder != nullptr, "OptOBDD: finder required");
+  OptObddResult result;
+  result.boundaries = realize_boundaries(options.alphas, n);
+
+  const Extender fs_extender = [&](const PrefixTable& b, Mask J,
+                                   std::vector<int>* order) {
+    return core::fs_star_full(b, J, options.kind, &result.classical_ops,
+                              order, options.exec);
+  };
+  Partial top = run_instance(base, util::full_mask(n), options.kind,
+                             options.alphas, *options.finder, fs_extender,
+                             result.classical_ops, result.quantum,
+                             options.use_preprocess, options.exec);
+  result.min_internal_nodes = top.table.mincost();
+  result.quantum.quantum_charged_cells = top.quantum_cost;
+  result.order_root_first.assign(top.order_bottom_up.rbegin(),
+                                 top.order_bottom_up.rend());
+  mirror_oracle_stats(result, options.oracle_stats);
+  return result;
+}
+
 }  // namespace
 
 std::vector<int> realize_boundaries(const std::vector<double>& alphas,
@@ -212,57 +224,15 @@ std::vector<int> realize_boundaries(const std::vector<double>& alphas,
 
 OptObddResult opt_obdd_minimize(const tt::TruthTable& f,
                                 const OptObddOptions& options) {
-  OVO_CHECK_MSG(options.finder != nullptr, "OptOBDD: finder required");
-  OptObddResult result;
-  result.boundaries = realize_boundaries(options.alphas, f.num_vars());
-
-  const PrefixTable base = core::initial_table(f);
-  const Mask all = util::full_mask(f.num_vars());
-
-  // Plain OptOBDD: the extension subroutine is the deterministic FS*.
-  const Extender fs_extender = [&](const PrefixTable& b, Mask J,
-                                   std::vector<int>* order) {
-    return core::fs_star_full(b, J, options.kind, &result.classical_ops,
-                              order, options.exec);
-  };
-
-  Partial top =
-      run_instance(base, all, options.kind, options.alphas, *options.finder,
-                   fs_extender, result.classical_ops, result.quantum,
-                   options.use_preprocess, options.exec);
-  result.min_internal_nodes = top.table.mincost();
-  result.quantum.quantum_charged_cells = top.quantum_cost;
-  result.order_root_first.assign(top.order_bottom_up.rbegin(),
-                                 top.order_bottom_up.rend());
-  mirror_oracle_stats(result, options.oracle_stats);
-  return result;
+  return minimize_from_base(core::initial_table(f), f.num_vars(), options);
 }
 
 OptObddResult opt_obdd_minimize_shared(
     const std::vector<tt::TruthTable>& outputs,
     const OptObddOptions& options) {
-  OVO_CHECK_MSG(options.finder != nullptr, "OptOBDD: finder required");
-  OptObddResult result;
   int n = 0;
   const PrefixTable base = core::shared_initial_table(outputs, &n);
-  result.boundaries = realize_boundaries(options.alphas, n);
-  const Mask x_vars = util::full_mask(n);
-
-  const Extender fs_extender = [&](const PrefixTable& b, Mask J,
-                                   std::vector<int>* order) {
-    return core::fs_star_full(b, J, options.kind, &result.classical_ops,
-                              order, options.exec);
-  };
-  Partial top = run_instance(base, x_vars, options.kind, options.alphas,
-                             *options.finder, fs_extender,
-                             result.classical_ops, result.quantum,
-                             options.use_preprocess, options.exec);
-  result.min_internal_nodes = top.table.mincost();
-  result.quantum.quantum_charged_cells = top.quantum_cost;
-  result.order_root_first.assign(top.order_bottom_up.rbegin(),
-                                 top.order_bottom_up.rend());
-  mirror_oracle_stats(result, options.oracle_stats);
-  return result;
+  return minimize_from_base(base, n, options);
 }
 
 OptObddResult tower_minimize(const tt::TruthTable& f,

@@ -103,8 +103,9 @@ OrderSearchResult random_restart(const tt::TruthTable& f, int restarts,
 
 /// Oracle-based primary implementation of random_restart.  `rng` stays an
 /// explicit parameter: the draw stream is part of the determinism
-/// contract (ladder stages pass a seeded stream; ctx.seed is only used
-/// by the strategy registry to construct one).
+/// contract (ladder stages pass a stream seeded from
+/// AutoMinimizeOptions::restart_seed, the strategy registry one seeded
+/// from StrategyOptions::seed).
 OrderSearchResult random_restart(CostOracle& oracle, int restarts,
                                  util::Xoshiro256& rng,
                                  const EvalContext& ctx = {});

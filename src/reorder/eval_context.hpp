@@ -1,5 +1,5 @@
 #pragma once
-// The single way execution policy, budget, and seed reach an ordering
+// The single way execution policy and budget reach an ordering
 // algorithm, plus the unified cost-oracle counters every algorithm
 // reports through.  Header-only on purpose: the bdd and quantum layers
 // use these types without linking ovo_reorder (only ovo_rt, for the
@@ -63,14 +63,13 @@ struct OracleStats {
 };
 
 /// Everything an ordering algorithm needs from its caller.  Defaults
-/// reproduce the ungoverned serial path exactly: no governor, one thread,
-/// the library's canonical seed.
+/// reproduce the ungoverned serial path exactly: no governor, one thread.
+/// Stochastic strategies take their random stream as an explicit
+/// parameter.
 struct EvalContext {
   par::ExecPolicy exec{};
   /// Budget enforcement; nullptr = unlimited.  Not owned.
   rt::Governor* gov = nullptr;
-  /// Seed for stochastic strategies (annealing, restarts).
-  std::uint64_t seed = 0x5eed5eed5eedull;
   /// Optional external counter sink for algorithms that run without a
   /// CostOracle of their own (dynamic sifting, the quantum layer).
   OracleStats* stats = nullptr;

@@ -95,7 +95,6 @@ rt::Result<AutoMinimizeResult> minimize_auto(
 
   rt::Result<AutoMinimizeResult> out;
   AutoMinimizeResult& v = out.value;
-  const par::SchedStats sched_before = par::sched_stats();
 
   // One oracle for the whole ladder: its TABLE_{emptyset} feeds the DP,
   // and the heuristic stages share its memo, so an order sifting already
@@ -112,7 +111,12 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   // skips the stage entirely: the snapshot carries the seed order and
   // the effective incumbent (and the governor is credited the original
   // run's charges inside fs_star), so the replay stays bit-identical.
+  //
+  // A seed stage the governor cut short leaves a partial incumbent that
+  // the uninterrupted run never has, so a snapshot of the DP that follows
+  // would resume into a different ledger: such a run writes none.
   PruneSeedResult seeded;
+  bool seed_cut = false;
   const core::FsStarSnapshot* resume = options.ckpt.resume;
   if (resume != nullptr) {
     seeded.order_root_first = resume->seed_order;
@@ -122,6 +126,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     seeded = seed_prune_bound(oracle, options.prune_seed,
                               options.sift_max_passes, options.restarts,
                               options.restart_seed, ctx);
+    seed_cut = gov.outcome() != rt::Outcome::kComplete;
   }
 
   // Snapshots written from here carry the seed provenance, so a future
@@ -156,7 +161,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   core::FsStarResult dp =
       core::fs_star(oracle.base(), all, n, options.kind, &v.ops,
                     options.exec, &gov, seeded.upper_bound,
-                    ckpt.active() ? &ckpt : nullptr);
+                    ckpt.active() && !seed_cut ? &ckpt : nullptr);
   v.dp_layers_completed = dp.completed_layers;
 
   if (dp.completed_layers == n) {
@@ -167,7 +172,6 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     v.optimal = true;
     v.oracle = oracle.stats();
     restore_seed_ledger(&v.oracle);
-    v.sched = par::sched_stats() - sched_before;
     out.outcome = rt::Outcome::kComplete;
     out.stats = gov.stats();
     return out;
@@ -232,7 +236,6 @@ rt::Result<AutoMinimizeResult> minimize_auto(
 
   v.oracle = oracle.stats();
   restore_seed_ledger(&v.oracle);
-  v.sched = par::sched_stats() - sched_before;
   out.outcome = gov.outcome();
   out.stats = gov.stats();
   return out;

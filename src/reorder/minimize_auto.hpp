@@ -29,7 +29,6 @@
 
 #include "core/minimize.hpp"
 #include "parallel/exec_policy.hpp"
-#include "parallel/task_graph.hpp"
 #include "reorder/eval_context.hpp"
 #include "reorder/oracle.hpp"
 #include "rt/budget.hpp"
@@ -75,11 +74,6 @@ struct AutoMinimizeResult {
   /// sifting and restart stages share one memoized oracle, so an order
   /// both stages visit is evaluated once (`evals` < `queries`).
   OracleStats oracle;
-  /// ovo::par scheduler counters attributed to this run (delta of the
-  /// process-wide totals around the ladder): parallel regions, tasks and
-  /// chunks executed, and barrier-wait time.  All zero for a serial
-  /// policy.
-  par::SchedStats sched;
 };
 
 /// Minimizes under `budget` with graceful degradation (see file

@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "rt/fault.hpp"
@@ -426,30 +425,6 @@ CheckpointData load_checkpoint(const std::string& path,
                             "'" + path + "' is not a checkpoint file");
     throw;
   }
-}
-
-AtomicFileWriter::AtomicFileWriter(std::string path)
-    : path_(std::move(path)) {
-  // All content buffers in memory (g++ defines _GNU_SOURCE, so the POSIX
-  // memstream is always available); nothing touches the filesystem until
-  // commit(), which funnels through write_file_atomic — so every real
-  // syscall of the artifact write is hookable and crash-cuttable, and an
-  // uncommitted writer leaves zero on-disk state.
-  file_ = open_memstream(&buf_, &len_);
-  if (file_ == nullptr) io_error("open_memstream for '" + path_ + "'");
-}
-
-AtomicFileWriter::~AtomicFileWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-  std::free(buf_);
-}
-
-void AtomicFileWriter::commit() {
-  if (file_ == nullptr) return;
-  const int rc = std::fclose(file_);  // flushes the stream into buf_/len_
-  file_ = nullptr;
-  if (rc != 0) io_error("flush buffered artifact for '" + path_ + "'");
-  write_file_atomic(path_, buf_, len_);
 }
 
 }  // namespace ovo::rt

@@ -31,7 +31,6 @@
 // snapshot — it sees the old file or the new one.
 
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -232,30 +231,5 @@ CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
 CheckpointData load_checkpoint(const std::string& path,
                                std::uint32_t min_version,
                                std::uint32_t max_version);
-
-/// Streaming atomic writer for text artifacts (the benches' JSON files):
-/// exposes a FILE* that buffers in memory, and commit() persists the
-/// whole artifact through write_file_atomic (temp file, fsync, rename —
-/// every syscall through the rt::FileOps seam with fault-site hooks).
-/// Without commit() the destructor discards the buffer; on any commit
-/// failure the temp file is unlinked — an interrupted or failed writer
-/// never leaves a half-written artifact under the real name, and never
-/// leaks its `.tmp`.
-class AtomicFileWriter {
- public:
-  explicit AtomicFileWriter(std::string path);
-  ~AtomicFileWriter();
-  AtomicFileWriter(const AtomicFileWriter&) = delete;
-  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
-
-  std::FILE* stream() { return file_; }
-  void commit();
-
- private:
-  std::string path_;
-  std::FILE* file_ = nullptr;  ///< open_memstream over buf_/len_
-  char* buf_ = nullptr;
-  std::size_t len_ = 0;
-};
 
 }  // namespace ovo::rt

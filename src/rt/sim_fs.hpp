@@ -10,9 +10,8 @@
 // SimFs::CrashCut to abort the run the way a real crash aborts a process
 // — no unwind-side cleanup gets to repair anything, because after the
 // cut the image is FROZEN: every further operation is a successful no-op.
-// That freeze is load-bearing twice over — in-process destructors (e.g.
-// AtomicFileWriter's unlink-on-unwind) cannot mutate the crash image,
-// and they cannot throw during unwind either.
+// That freeze is load-bearing twice over — nothing that runs during
+// unwind can mutate the crash image, and it cannot throw either.
 //
 // A test then thaw()s the instance and re-runs the scenario with
 // --resume semantics against the crashed image.  Enumerating the cut

@@ -282,25 +282,6 @@ TEST(RtCheckpoint, LengthFieldLiesAreTyped) {
   }
 }
 
-TEST(RtCheckpoint, AtomicWriterDiscardsWithoutCommit) {
-  const std::string path = temp_path("artifact.json");
-  std::remove(path.c_str());
-  {
-    rt::AtomicFileWriter w(path);
-    std::fputs("{\"half\":", w.stream());
-    // No commit: destructor must discard the temp file.
-  }
-  EXPECT_EQ(std::fopen(path.c_str(), "r"), nullptr);
-  {
-    rt::AtomicFileWriter w(path);
-    std::fputs("{\"whole\":1}", w.stream());
-    w.commit();
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::fclose(f);
-}
-
 // ---------------------------------------------------------------------------
 // FS* snapshot payload
 
@@ -1123,8 +1104,8 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
 
   // Count the run's governor checkpoints with a plan that never fires, so
   // the injected cancellation can be aimed *inside the DP stage* — past
-  // the seed heuristic (a trip during seeding snapshots the partial
-  // seed's incumbent, a different run) and before completion.
+  // the seed heuristic (a trip there writes no snapshot, see
+  // SeedStageTripWritesNoSnapshot) and before completion.
   std::uint64_t total_checkpoints = 0;
   {
     rt::FaultPlan probe;
@@ -1176,6 +1157,71 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
         reorder::minimize_auto(t, rt::Budget(), topt);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_auto_equal(resumed, straight);
+  }
+}
+
+// A run whose seed stage is cut short — cancelled, or out of work —
+// holds a partial incumbent the uninterrupted run never has, so a resume
+// from its snapshot would replay a different ledger.  Such a run writes
+// no snapshot at all, and still returns a valid order.
+TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
+  util::Xoshiro256 rng(31);
+  const tt::TruthTable t = tt::random_function(8, rng);
+  reorder::AutoMinimizeOptions opt;
+  opt.exec.prune = par::PruneMode::kBounds;
+
+  // The seed stage alone, as the ladder runs it first under a fresh
+  // governor: its governor checkpoints and the work it charges.
+  std::uint64_t seed_checkpoints = 0;
+  std::uint64_t seed_work = 0;
+  {
+    rt::FaultPlan probe;
+    rt::ScopedFaultPlan scoped(probe);
+    rt::Governor gov{rt::Budget()};
+    reorder::CostOracle oracle(t, opt.kind);
+    reorder::EvalContext ctx;
+    ctx.exec = opt.exec;
+    ctx.gov = &gov;
+    reorder::seed_prune_bound(oracle, opt.prune_seed, opt.sift_max_passes,
+                              opt.restarts, opt.restart_seed, ctx);
+    seed_checkpoints = scoped.checkpoints_seen();
+    seed_work = gov.stats().work_units;
+  }
+  ASSERT_GT(seed_checkpoints, 1u);
+  ASSERT_GT(seed_work, 1u);
+
+  const auto expect_no_snapshot = [&](const rt::Budget& budget,
+                                      rt::Outcome want) {
+    reorder::AutoMinimizeOptions copt = opt;
+    copt.ckpt.every = 1;
+    int snapshots = 0;
+    copt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>&) {
+      ++snapshots;
+    };
+    const rt::Result<reorder::AutoMinimizeResult> r =
+        reorder::minimize_auto(t, budget, copt);
+    EXPECT_EQ(r.outcome, want);
+    EXPECT_EQ(snapshots, 0);
+    EXPECT_FALSE(r.value.optimal);
+    EXPECT_EQ(r.value.order_root_first.size(), 8u);
+    EXPECT_TRUE(util::is_permutation(r.value.order_root_first));
+  };
+  {
+    SCOPED_TRACE("cancelled inside the seed stage");
+    rt::CancelToken cancel;
+    rt::FaultPlan plan;
+    plan.cancel_at_checkpoint = seed_checkpoints / 2;
+    plan.cancel = &cancel;
+    rt::ScopedFaultPlan scoped(plan);
+    rt::Budget budget;
+    budget.cancel = &cancel;
+    expect_no_snapshot(budget, rt::Outcome::kCancelled);
+  }
+  {
+    SCOPED_TRACE("work limit inside the seed stage");
+    rt::Budget budget;
+    budget.work_limit = seed_work / 2;
+    expect_no_snapshot(budget, rt::Outcome::kDeadline);
   }
 }
 

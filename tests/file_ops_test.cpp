@@ -1,10 +1,9 @@
-// Tests for the rt::FileOps seam and the hardened atomic writers: every
+// Tests for the rt::FileOps seam and the hardened atomic writer: every
 // filesystem operation the checkpoint layer performs goes through one
 // injectable backend, every primary-path operation is a fault site, and
 // — the temp-file-leak regression — every failure path of
-// write_file_atomic and AtomicFileWriter unlinks its `.tmp`, so a failed
-// or interrupted write leaves the real path's old content and nothing
-// else.
+// write_file_atomic unlinks its `.tmp`, so a failed or interrupted write
+// leaves the real path's old content and nothing else.
 
 #include <gtest/gtest.h>
 
@@ -110,50 +109,6 @@ TEST(FileOps, EveryFailurePathUnlinksTheTempFile) {
       EXPECT_FALSE(sim.exists(path + ".tmp"))
           << "temp file leaked: " << fault_site_name(site) << " nth=" << nth;
     }
-  }
-}
-
-TEST(AtomicFileWriter, UncommittedWriterLeavesNothingOnDisk) {
-  const std::string path = temp_path("afw_uncommitted.json");
-  {
-    AtomicFileWriter writer(path);
-    std::fprintf(writer.stream(), "{\"partial\": true");
-    // destroyed without commit()
-  }
-  EXPECT_FALSE(on_disk(path));
-  EXPECT_FALSE(on_disk(path + ".tmp"));
-}
-
-TEST(AtomicFileWriter, CommitIsAtomicAndCleansUp) {
-  const std::string path = temp_path("afw_commit.json");
-  {
-    AtomicFileWriter writer(path);
-    std::fprintf(writer.stream(), "{\"x\": %d}", 42);
-    writer.commit();
-  }
-  EXPECT_EQ(read_file(path), bytes("{\"x\": 42}"));
-  EXPECT_FALSE(on_disk(path + ".tmp"));
-  std::remove(path.c_str());
-}
-
-TEST(AtomicFileWriter, FailedCommitUnlinksTempAndPreservesOld) {
-  const FaultSite sites[] = {FaultSite::kFileOpen, FaultSite::kFileWrite,
-                             FaultSite::kFileFsync, FaultSite::kFileRename,
-                             FaultSite::kFileClose};
-  for (const FaultSite site : sites) {
-    SimFs sim;
-    const std::string path = "/artifacts/report.json";
-    sim.put(path, bytes("old report"));
-    ScopedFileOps install(sim);
-    FaultSchedule schedule;
-    schedule.fail_nth(site, 1);
-    ScopedFaultPlan plan(schedule);
-    AtomicFileWriter writer(path);
-    std::fprintf(writer.stream(), "new report body");
-    EXPECT_THROW(writer.commit(), CheckpointError) << fault_site_name(site);
-    EXPECT_EQ(sim.get(path), bytes("old report")) << fault_site_name(site);
-    EXPECT_FALSE(sim.exists(path + ".tmp"))
-        << "temp file leaked: " << fault_site_name(site);
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include "core/fs_star.hpp"
 #include "core/minimize.hpp"
-#include "ds/sparse_index.hpp"
 #include "parallel/exec_policy.hpp"
 #include "parallel/task_graph.hpp"
 #include "reorder/minimize_auto.hpp"
@@ -41,25 +40,6 @@ void expect_consistent_ledger(const core::PruneStats& p) {
   EXPECT_EQ(p.states_generated, p.states_pruned + p.states_surviving);
   EXPECT_EQ(p.states_enumerated(), p.states_generated + p.states_dead);
   EXPECT_LE(p.sparse_cells, p.dense_cells);
-}
-
-// ------------------------------------------------------------ SparseIndex --
-
-TEST(SparseIndex, RankContainsAndNpos) {
-  const std::vector<std::uint64_t> keys = {0b001, 0b100, 0b110, 0b1011};
-  const ds::SparseIndex idx(keys);
-  EXPECT_EQ(idx.size(), 4u);
-  EXPECT_FALSE(idx.empty());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(idx.rank(keys[i]), i);
-    EXPECT_TRUE(idx.contains(keys[i]));
-  }
-  for (const std::uint64_t missing : {0ull, 0b010ull, 0b111ull, ~0ull}) {
-    EXPECT_EQ(idx.rank(missing), ds::SparseIndex::npos);
-    EXPECT_FALSE(idx.contains(missing));
-  }
-  const std::vector<std::uint64_t> none;
-  EXPECT_TRUE(ds::SparseIndex(none).empty());
 }
 
 // ----------------------------------------------------- differential sweeps --

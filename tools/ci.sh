@@ -11,9 +11,11 @@
 #      check that the span macros compile out of the CLI entirely.
 #   2. tools/verify.sh --quick: a governed smoke run of both scaling
 #      benches (the FS bench under --prune bounds), asserting the JSON
-#      rows carry the unified oracle ledger, the ovo::par scheduler
-#      counters, and the bound-pruning ledger (states_pruned /
-#      prune_ratio), plus the `ovo order --prune bounds` bit-identity
+#      rows carry the unified oracle ledger and the bound-pruning ledger
+#      (states_pruned / prune_ratio), plus an ungoverned run of each
+#      whose JSON must equal the checked-in BENCH_fs.json /
+#      BENCH_quantum.json apart from "git" (the paper's counts at
+#      n <= 13, pinned), plus the `ovo order --prune bounds` bit-identity
 #      guard against the dense default, plus the Theorem 5 ledger guard
 #      (a 12-variable dense `ovo order --json` reports 2n*3^(n-1) =
 #      4,251,528 table cells, the same positive cut_cells and the same
