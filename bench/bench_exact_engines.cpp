@@ -66,12 +66,13 @@ int main(int argc, char** argv) {
     // Warm-start B&B and the pruned DP with sifting.
     std::vector<int> id(static_cast<std::size_t>(c.t.num_vars()));
     std::iota(id.begin(), id.end(), 0);
-    const std::uint64_t incumbent = reorder::sift(c.t, id).internal_nodes;
+    reorder::CostOracle oracle(c.t, core::DiagramKind::kBdd);
+    const std::uint64_t incumbent = reorder::sift(oracle, id).internal_nodes;
 
     const core::MinimizeResult fsp = core::fs_minimize(
         c.t, core::DiagramKind::kBdd, pruned_exec, incumbent);
-    const reorder::BnbResult bnb = reorder::branch_and_bound_minimize(
-        c.t, core::DiagramKind::kBdd, incumbent);
+    const reorder::BnbResult bnb =
+        reorder::branch_and_bound_minimize(oracle, incumbent);
 
     agree &= fs.min_internal_nodes == bnb.internal_nodes &&
              fsp.min_internal_nodes == fs.min_internal_nodes &&
@@ -112,9 +113,10 @@ int main(int argc, char** argv) {
   const tt::TruthTable& hwb = cases[1].t;
   std::vector<int> id(10);
   std::iota(id.begin(), id.end(), 0);
-  const auto sa = reorder::simulated_annealing(hwb, id,
+  reorder::CostOracle oracle(hwb, core::DiagramKind::kBdd);
+  const auto sa = reorder::simulated_annealing(oracle, id,
                                                reorder::AnnealOptions{}, rng);
-  const auto rr = reorder::random_restart(hwb, 50, rng);
+  const auto rr = reorder::random_restart(oracle, 50, rng);
   std::printf("  annealing: %" PRIu64 " nodes (%" PRIu64
               " evals), random-restart(50): %" PRIu64 " nodes\n",
               sa.internal_nodes, sa.orders_evaluated, rr.internal_nodes);

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
                               const core::MinimizeResult& dense) {
     std::vector<int> id(static_cast<std::size_t>(t.num_vars()));
     std::iota(id.begin(), id.end(), 0);
-    const std::uint64_t ub = reorder::sift(t, id).internal_nodes;
+    reorder::CostOracle oracle(t, core::DiagramKind::kBdd);
+    const std::uint64_t ub = reorder::sift(oracle, id).internal_nodes;
     const core::MinimizeResult rp =
         core::fs_minimize(t, core::DiagramKind::kBdd, pruned_exec, ub);
     prune_matches &= rp.min_internal_nodes == dense.min_internal_nodes &&

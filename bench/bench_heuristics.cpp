@@ -45,19 +45,22 @@ int main() {
         core::fs_minimize(c.t).min_internal_nodes;
     std::vector<int> id(static_cast<std::size_t>(n));
     std::iota(id.begin(), id.end(), 0);
-    const std::uint64_t s = reorder::sift(c.t, id).internal_nodes;
+    // One oracle serves every search: its memo changes no result.
+    reorder::CostOracle oracle(c.t, core::DiagramKind::kBdd);
+    const std::uint64_t s = reorder::sift(oracle, id).internal_nodes;
     const std::uint64_t w =
-        reorder::window_permute(c.t, id, 3).internal_nodes;
+        reorder::window_permute(oracle, id, 3).internal_nodes;
     const std::uint64_t ew =
-        reorder::exact_window(c.t, id, 4).internal_nodes;
+        reorder::exact_window(oracle, id, 4).internal_nodes;
     const std::uint64_t sa =
-        reorder::simulated_annealing(c.t, id, reorder::AnnealOptions{}, rng)
+        reorder::simulated_annealing(oracle, id, reorder::AnnealOptions{},
+                                     rng)
             .internal_nodes;
     const std::uint64_t r =
-        reorder::random_restart(c.t, 20, rng).internal_nodes;
+        reorder::random_restart(oracle, 20, rng).internal_nodes;
     const std::uint64_t ident = core::diagram_size_for_order(c.t, id);
     const std::uint64_t worst =
-        reorder::brute_force_minimize(c.t).worst_internal_nodes;
+        reorder::brute_force_minimize(oracle).worst_internal_nodes;
     heuristics_sound &= s >= exact && w >= exact && r >= exact &&
                         ew >= exact && sa >= exact;
     std::printf("%-16s %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64

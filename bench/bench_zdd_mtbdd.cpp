@@ -46,8 +46,8 @@ int main() {
   for (int trial = 0; trial < 10; ++trial) {
     const tt::TruthTable t = tt::random_sparse_function(6, 5, rng);
     const auto z = core::fs_minimize(t, core::DiagramKind::kZdd);
-    const auto bf =
-        reorder::brute_force_minimize(t, core::DiagramKind::kZdd);
+    reorder::CostOracle oracle(t, core::DiagramKind::kZdd);
+    const auto bf = reorder::brute_force_minimize(oracle);
     zdd_exact &= z.min_internal_nodes == bf.internal_nodes;
   }
   std::printf("  ZDD FS == ZDD brute force on all trials: %s\n",

@@ -111,7 +111,10 @@ int main() {
   // Single-output engines on the carry-out for comparison.
   const tt::TruthTable& cout_table = outputs.back();
   const auto fs = core::fs_minimize(cout_table);
-  const auto bnb = reorder::branch_and_bound_minimize(cout_table);
+  // Every reorder search sizes orders through one cost oracle per
+  // function and diagram kind.
+  reorder::CostOracle oracle(cout_table, core::DiagramKind::kBdd);
+  const auto bnb = reorder::branch_and_bound_minimize(oracle);
   std::printf("\ncarry-out alone: FS %" PRIu64 " nodes; branch-and-bound %"
               PRIu64 " nodes (%" PRIu64 " states expanded)\n",
               fs.min_internal_nodes, bnb.internal_nodes,
@@ -119,10 +122,10 @@ int main() {
 
   // Heuristics on the carry-out.
   util::Xoshiro256 rng(41);
-  const auto sifted = reorder::sift(cout_table, id);
-  const auto windows = reorder::exact_window(cout_table, id, 4);
+  const auto sifted = reorder::sift(oracle, id);
+  const auto windows = reorder::exact_window(oracle, id, 4);
   const auto annealed = reorder::simulated_annealing(
-      cout_table, id, reorder::AnnealOptions{}, rng);
+      oracle, id, reorder::AnnealOptions{}, rng);
   std::printf("heuristics on carry-out: sifting %" PRIu64
               ", exact-window(4) %" PRIu64 ", annealing %" PRIu64
               " (optimum %" PRIu64 ")\n",

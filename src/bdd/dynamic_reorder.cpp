@@ -99,11 +99,6 @@ std::uint64_t shared_reachable_size(const Manager& m,
 }
 
 SiftResult sift_in_place(Manager& m, const std::vector<NodeId>& roots,
-                         int max_passes) {
-  return sift_in_place(m, roots, max_passes, reorder::EvalContext{});
-}
-
-SiftResult sift_in_place(Manager& m, const std::vector<NodeId>& roots,
                          int max_passes, const reorder::EvalContext& ctx) {
   const int n = m.num_vars();
   rt::Governor* gov = ctx.gov;

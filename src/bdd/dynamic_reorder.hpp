@@ -48,22 +48,20 @@ struct SiftResult {
 /// locally best level, measuring the union of nodes reachable from
 /// `roots` after every swap; stops at a fixpoint or `max_passes`.
 /// Root ids stay valid and keep denoting the same functions.
+///
+/// ctx.gov budgets the search: one variable's sweep (~2n swaps, each
+/// followed by a reachability scan over the live DAG) is admitted as a
+/// unit at the serial per-variable point, so a work-limit trip lands
+/// between sweeps and the result is identical at every thread count; a
+/// hard stop (deadline, cancel) is polled per swap and still settles the
+/// in-flight variable at its best level, keeping the DAG consistent.
+/// ctx.exec parallelizes the reachability scans on pools large enough to
+/// amortize the fan-out.  ctx.stats, when non-null, receives one
+/// query/eval plus the scanned live size per reachability measurement.
+/// The default context runs serially and ungoverned.
 SiftResult sift_in_place(Manager& m, const std::vector<NodeId>& roots,
-                         int max_passes = 4);
-
-/// Governed/parallel sifting.  ctx.gov budgets the search: one
-/// variable's sweep (~2n swaps, each followed by a reachability scan
-/// over the live DAG) is admitted as a unit at the serial per-variable
-/// point, so a work-limit trip lands between sweeps and the result is
-/// identical at every thread count; a hard stop (deadline, cancel) is
-/// polled per swap and still settles the in-flight variable at its best
-/// level, keeping the DAG consistent.  ctx.exec parallelizes the
-/// reachability scans on pools large enough to amortize the fan-out.
-/// ctx.stats, when non-null, receives one query/eval plus the scanned
-/// live size per reachability measurement.  The default context
-/// reproduces the legacy overload exactly.
-SiftResult sift_in_place(Manager& m, const std::vector<NodeId>& roots,
-                         int max_passes, const reorder::EvalContext& ctx);
+                         int max_passes = 4,
+                         const reorder::EvalContext& ctx = {});
 
 /// Union of non-terminal nodes reachable from all roots (the live size a
 /// multi-root application cares about).

@@ -41,12 +41,6 @@ MinimizeResult fs_minimize(const tt::TruthTable& f,
                            std::uint64_t prune_upper_bound = 0,
                            const FsCheckpointOptions* ckpt = nullptr);
 
-/// Exact minimum ZDD ordering (Appendix D adaptation).
-inline MinimizeResult fs_minimize_zdd(const tt::TruthTable& f,
-                                      const par::ExecPolicy& exec = {}) {
-  return fs_minimize(f, DiagramKind::kZdd, exec);
-}
-
 /// Exact minimum MTBDD ordering for a multi-valued function given as a
 /// value table of size 2^n (Remark 2).
 MinimizeResult fs_minimize_mtbdd(const std::vector<std::int64_t>& values,

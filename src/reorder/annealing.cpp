@@ -75,14 +75,4 @@ AnnealResult simulated_annealing(CostOracle& oracle, std::vector<int> order,
   return r;
 }
 
-AnnealResult simulated_annealing(const tt::TruthTable& f,
-                                 std::vector<int> order,
-                                 const AnnealOptions& options,
-                                 util::Xoshiro256& rng, rt::Governor* gov) {
-  CostOracle oracle(f, options.kind);
-  EvalContext ctx;
-  ctx.gov = gov;
-  return simulated_annealing(oracle, std::move(order), options, rng, ctx);
-}
-
 }  // namespace ovo::reorder

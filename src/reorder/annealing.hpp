@@ -8,10 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/prefix_table.hpp"
 #include "reorder/oracle.hpp"
-#include "rt/budget.hpp"
-#include "tt/truth_table.hpp"
 #include "util/rng.hpp"
 
 namespace ovo::reorder {
@@ -21,7 +18,6 @@ struct AnnealOptions {
   double cooling = 0.95;      ///< geometric per-epoch factor
   int epochs = 60;
   int moves_per_epoch = 20;   ///< proposed transpositions per epoch
-  core::DiagramKind kind = core::DiagramKind::kBdd;
 };
 
 struct AnnealResult {
@@ -31,19 +27,12 @@ struct AnnealResult {
   std::uint64_t moves_accepted = 0;
 };
 
-/// Anneals from `initial_order` (root first). Deterministic given `rng`.
-/// A non-null `gov` admits each move's evaluation cost before drawing it,
-/// so a work-limited run stops after the same move for any thread count
-/// and returns the best order seen so far.
-AnnealResult simulated_annealing(const tt::TruthTable& f,
-                                 std::vector<int> initial_order,
-                                 const AnnealOptions& options,
-                                 util::Xoshiro256& rng,
-                                 rt::Governor* gov = nullptr);
-
-/// Oracle-based primary implementation; the oracle's kind governs
-/// (options.kind is ignored here).  Re-proposed orders — a rejected move
-/// re-proposed later, or a revert-and-retry — hit the oracle's memo.
+/// Anneals from `initial_order` (root first) over the oracle's function
+/// and kind.  Deterministic given `rng`.  A non-null ctx.gov admits each
+/// move's evaluation cost before drawing it, so a work-limited run stops
+/// after the same move for any thread count and returns the best order
+/// seen so far.  Re-proposed orders — a rejected move re-proposed later,
+/// or a revert-and-retry — hit the oracle's memo.
 AnnealResult simulated_annealing(CostOracle& oracle,
                                  std::vector<int> initial_order,
                                  const AnnealOptions& options,

@@ -26,7 +26,8 @@ std::uint64_t evaluated_count(const std::vector<std::uint64_t>& sizes) {
 OrderSearchResult brute_force_minimize(CostOracle& oracle,
                                        const EvalContext& ctx) {
   const int n = oracle.num_vars();
-  OVO_CHECK_MSG(n >= 1 && n <= 10, "brute_force_minimize: n must be in [1,10]");
+  OVO_CHECK_MSG(n >= 1 && n <= kBruteForceMaxVars,
+                "brute_force_minimize: n must be in [1,10]");
   std::uint64_t total = 1;
   for (int i = 2; i <= n; ++i) total *= static_cast<std::uint64_t>(i);
 
@@ -82,15 +83,6 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
   best.worst_internal_nodes = agg.worst_size;
   best.order_root_first = util::permutation_unrank(n, agg.best_rank);
   return best;
-}
-
-OrderSearchResult brute_force_minimize(const tt::TruthTable& f,
-                                       core::DiagramKind kind,
-                                       const par::ExecPolicy& exec) {
-  CostOracle oracle(f, kind);
-  EvalContext ctx;
-  ctx.exec = exec;
-  return brute_force_minimize(oracle, ctx);
 }
 
 OrderSearchResult sift(CostOracle& oracle, std::vector<int> order,
@@ -150,17 +142,6 @@ OrderSearchResult sift(CostOracle& oracle, std::vector<int> order,
   }
   r.order_root_first = std::move(order);
   return r;
-}
-
-OrderSearchResult sift(const tt::TruthTable& f,
-                       std::vector<int> order,
-                       core::DiagramKind kind, int max_passes,
-                       const par::ExecPolicy& exec, rt::Governor* gov) {
-  CostOracle oracle(f, kind);
-  EvalContext ctx;
-  ctx.exec = exec;
-  ctx.gov = gov;
-  return sift(oracle, std::move(order), max_passes, ctx);
 }
 
 OrderSearchResult window_permute(CostOracle& oracle, std::vector<int> order,
@@ -224,18 +205,6 @@ OrderSearchResult window_permute(CostOracle& oracle, std::vector<int> order,
   return r;
 }
 
-OrderSearchResult window_permute(const tt::TruthTable& f,
-                                 std::vector<int> order, int window,
-                                 core::DiagramKind kind, int max_passes,
-                                 const par::ExecPolicy& exec,
-                                 rt::Governor* gov) {
-  CostOracle oracle(f, kind);
-  EvalContext ctx;
-  ctx.exec = exec;
-  ctx.gov = gov;
-  return window_permute(oracle, std::move(order), window, max_passes, ctx);
-}
-
 OrderSearchResult random_restart(CostOracle& oracle, int restarts,
                                  util::Xoshiro256& rng,
                                  const EvalContext& ctx) {
@@ -265,18 +234,6 @@ OrderSearchResult random_restart(CostOracle& oracle, int restarts,
     }
   }
   return best;
-}
-
-OrderSearchResult random_restart(const tt::TruthTable& f, int restarts,
-                                 util::Xoshiro256& rng,
-                                 core::DiagramKind kind,
-                                 const par::ExecPolicy& exec,
-                                 rt::Governor* gov) {
-  CostOracle oracle(f, kind);
-  EvalContext ctx;
-  ctx.exec = exec;
-  ctx.gov = gov;
-  return random_restart(oracle, restarts, rng, ctx);
 }
 
 }  // namespace ovo::reorder

@@ -41,7 +41,7 @@ class Search {
   static constexpr std::uint64_t kParallelCellThreshold = 1ull << 12;
 
   Search(DiagramKind kind, std::uint64_t upper, const par::ExecPolicy& exec,
-         rt::Governor* gov, core::OpCounter* ops = nullptr)
+         rt::Governor* gov, core::OpCounter& ops)
       : kind_(kind), best_(upper), exec_(exec), gov_(gov), ops_(ops) {}
 
   void run(const PrefixTable& root, BnbResult* out) {
@@ -101,13 +101,11 @@ class Search {
           children[static_cast<std::size_t>(i)] =
               Child{v, core::compact(state, v, kind_)};
         });
-    if (ops_ != nullptr) {
-      // Recorded serially after the fan-out (one compaction over the
-      // state's cells per free variable), so the ledger is identical at
-      // every thread count.
-      ops_->table_cells += free_vars.size() * state.cells.size();
-      ops_->compactions += free_vars.size();
-    }
+    // Recorded serially after the fan-out (one compaction over the
+    // state's cells per free variable), so the ledger is identical at
+    // every thread count.
+    ops_.table_cells += free_vars.size() * state.cells.size();
+    ops_.compactions += free_vars.size();
     std::sort(children.begin(), children.end(),
               [](const Child& a, const Child& b) {
                 return a.table.mincost() < b.table.mincost();
@@ -141,7 +139,7 @@ class Search {
   std::uint64_t best_;
   par::ExecPolicy exec_;
   rt::Governor* gov_ = nullptr;
-  core::OpCounter* ops_ = nullptr;
+  core::OpCounter& ops_;
   bool tripped_ = false;
   std::vector<int> chain_;        // bottom-up insertion order so far
   std::vector<int> best_chain_;
@@ -176,38 +174,6 @@ std::uint64_t greedy_descent(const PrefixTable& root, DiagramKind kind,
   return t.mincost();
 }
 
-/// Shared driver: greedy incumbent for governed cold starts, then the
-/// DFS itself.  `ops`, when non-null, receives the child-generation
-/// compaction work (the oracle entry points it at its ledger; the legacy
-/// truth-table entry keeps PR-era behavior and passes nullptr).
-BnbResult bnb_run(const PrefixTable& root, DiagramKind kind,
-                  std::uint64_t initial_upper_bound,
-                  const par::ExecPolicy& exec, rt::Governor* gov,
-                  core::OpCounter* ops) {
-  // A governed cold start seeds a greedy incumbent first, so even an
-  // immediately tripped search has a valid ordering to return.
-  std::vector<int> greedy_chain;
-  std::uint64_t greedy_cost = ~std::uint64_t{0};
-  if (gov != nullptr && initial_upper_bound == ~std::uint64_t{0}) {
-    greedy_cost = greedy_descent(root, kind, &greedy_chain);
-    initial_upper_bound = greedy_cost;
-  }
-
-  BnbResult out;
-  Search search(kind, initial_upper_bound, exec, gov, ops);
-  search.run(root, &out);
-  if (!search.found() && !greedy_chain.empty()) {
-    // The search never reached a leaf better than the greedy incumbent
-    // (tripped early, or proved it unbeatable): fall back to it.
-    out.internal_nodes = greedy_cost;
-    out.order_root_first.assign(greedy_chain.rbegin(), greedy_chain.rend());
-  }
-  OVO_CHECK_MSG(!out.order_root_first.empty(),
-                "branch_and_bound: initial upper bound excluded all "
-                "solutions");
-  return out;
-}
-
 }  // namespace
 
 std::uint64_t bnb_lower_bound(const PrefixTable& t, DiagramKind kind) {
@@ -227,22 +193,35 @@ std::uint64_t bnb_lower_bound(const PrefixTable& t, DiagramKind kind) {
   return bound;
 }
 
-BnbResult branch_and_bound_minimize(const tt::TruthTable& f,
-                                    DiagramKind kind,
-                                    std::uint64_t initial_upper_bound,
-                                    const par::ExecPolicy& exec,
-                                    rt::Governor* gov) {
-  OVO_CHECK_MSG(f.num_vars() >= 1, "branch_and_bound: need >= 1 variable");
-  const PrefixTable root = core::initial_table(f);
-  return bnb_run(root, kind, initial_upper_bound, exec, gov,
-                 /*ops=*/nullptr);
-}
-
 BnbResult branch_and_bound_minimize(CostOracle& oracle,
                                     std::uint64_t initial_upper_bound,
                                     const EvalContext& ctx) {
-  return bnb_run(oracle.base(), oracle.kind(), initial_upper_bound,
-                 ctx.exec, ctx.gov, &oracle.stats().ops);
+  OVO_CHECK_MSG(oracle.num_vars() >= 1,
+                "branch_and_bound: need >= 1 variable");
+  const PrefixTable& root = oracle.base();
+  // A governed cold start seeds a greedy incumbent first, so even an
+  // immediately tripped search has a valid ordering to return.
+  std::vector<int> greedy_chain;
+  std::uint64_t greedy_cost = ~std::uint64_t{0};
+  if (ctx.gov != nullptr && initial_upper_bound == ~std::uint64_t{0}) {
+    greedy_cost = greedy_descent(root, oracle.kind(), &greedy_chain);
+    initial_upper_bound = greedy_cost;
+  }
+
+  BnbResult out;
+  Search search(oracle.kind(), initial_upper_bound, ctx.exec, ctx.gov,
+                oracle.stats().ops);
+  search.run(root, &out);
+  if (!search.found() && !greedy_chain.empty()) {
+    // The search never reached a leaf better than the greedy incumbent
+    // (tripped early, or proved it unbeatable): fall back to it.
+    out.internal_nodes = greedy_cost;
+    out.order_root_first.assign(greedy_chain.rbegin(), greedy_chain.rend());
+  }
+  OVO_CHECK_MSG(!out.order_root_first.empty(),
+                "branch_and_bound: initial upper bound excluded all "
+                "solutions");
+  return out;
 }
 
 }  // namespace ovo::reorder

@@ -24,10 +24,7 @@
 #include <vector>
 
 #include "core/prefix_table.hpp"
-#include "parallel/exec_policy.hpp"
 #include "reorder/oracle.hpp"
-#include "rt/budget.hpp"
-#include "tt/truth_table.hpp"
 
 namespace ovo::reorder {
 
@@ -42,13 +39,18 @@ struct BnbResult {
   bool complete = true;
 };
 
-/// Exact minimization by branch and bound. `initial_upper_bound` is an
-/// incumbent size (e.g. from sifting); pass UINT64_MAX to start cold.
-/// `exec` parallelizes per-node child generation (one compaction per free
-/// variable) on states large enough to amortize dispatch; the DFS itself
-/// — and therefore every statistic — is unchanged by the thread count.
+/// Exact minimization by branch and bound over the oracle's function and
+/// kind (n >= 1).  `initial_upper_bound` is an incumbent size (e.g. from
+/// sifting); pass UINT64_MAX to start cold.  The search runs from
+/// oracle.base() (no second TABLE_{emptyset} build) and records its
+/// compaction work — child generation, free variables × table cells per
+/// expanded state — into oracle.stats().ops, the same ledger the chain
+/// evaluators use.  ctx.exec parallelizes per-node child generation (one
+/// compaction per free variable) on states large enough to amortize
+/// dispatch; the DFS itself — and therefore every statistic — is
+/// unchanged by the thread count.
 ///
-/// A non-null `gov` budgets the search: each state's child-generation
+/// A non-null ctx.gov budgets the search: each state's child-generation
 /// cost (free variables × table cells) is admitted and charged at the
 /// serial DFS entry, so a work-limit trip cuts the search at the same
 /// state for every thread count.  A cold-started governed run first
@@ -56,17 +58,6 @@ struct BnbResult {
 /// price of guaranteeing *some* valid answer), so the result always
 /// carries a valid ordering; `complete` reports whether the optimum was
 /// proven.
-BnbResult branch_and_bound_minimize(
-    const tt::TruthTable& f,
-    core::DiagramKind kind = core::DiagramKind::kBdd,
-    std::uint64_t initial_upper_bound = ~std::uint64_t{0},
-    const par::ExecPolicy& exec = {}, rt::Governor* gov = nullptr);
-
-/// Oracle-based primary implementation: the search runs from
-/// oracle.base() (no second TABLE_{emptyset} build) and records its
-/// compaction work — child generation, free variables × table cells per
-/// expanded state — into oracle.stats().ops, the same ledger the chain
-/// evaluators use.
 BnbResult branch_and_bound_minimize(
     CostOracle& oracle,
     std::uint64_t initial_upper_bound = ~std::uint64_t{0},

@@ -89,14 +89,4 @@ ExactWindowResult exact_window(CostOracle& oracle, std::vector<int> order,
   return r;
 }
 
-ExactWindowResult exact_window(const tt::TruthTable& f,
-                               std::vector<int> order, int window,
-                               core::DiagramKind kind, int max_passes,
-                               rt::Governor* gov) {
-  CostOracle oracle(f, kind);
-  EvalContext ctx;
-  ctx.gov = gov;
-  return exact_window(oracle, std::move(order), window, max_passes, ctx);
-}
-
 }  // namespace ovo::reorder

@@ -14,8 +14,6 @@
 
 #include "core/prefix_table.hpp"
 #include "reorder/oracle.hpp"
-#include "rt/budget.hpp"
-#include "tt/truth_table.hpp"
 
 namespace ovo::reorder {
 
@@ -32,21 +30,14 @@ struct ExactWindowResult {
 
 /// Optimizes `initial_order` (root first) with exact windows of size
 /// `window` (2..16), until a full pass makes no improvement or
-/// `max_passes` is reached.  A non-null `gov` charges every chain
-/// compaction and lets the per-window FS* DP pre-admit its layers; a
-/// window whose DP cannot complete under the remaining budget is skipped
-/// and the search stops, keeping the incumbent order.
-ExactWindowResult exact_window(const tt::TruthTable& f,
-                               std::vector<int> initial_order, int window,
-                               core::DiagramKind kind =
-                                   core::DiagramKind::kBdd,
-                               int max_passes = 8,
-                               rt::Governor* gov = nullptr);
-
-/// Oracle-based primary implementation: the initial full-chain evaluation
-/// goes through the (memoized) oracle and the per-window setup chains
-/// start from oracle.base(); the windowed FS* runs use ctx.exec.  The
-/// window DP/compaction work stays in ExactWindowResult::ops.
+/// `max_passes` is reached.  The initial full-chain evaluation goes
+/// through the (memoized) oracle, the per-window setup chains start from
+/// oracle.base(), and the windowed FS* runs use ctx.exec; the window
+/// DP/compaction work stays in ExactWindowResult::ops.  A non-null
+/// ctx.gov charges every chain compaction and lets the per-window FS* DP
+/// pre-admit its layers; a window whose DP cannot complete under the
+/// remaining budget is skipped and the search stops, keeping the
+/// incumbent order.
 ExactWindowResult exact_window(CostOracle& oracle,
                                std::vector<int> initial_order, int window,
                                int max_passes = 8,

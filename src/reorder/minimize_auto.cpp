@@ -124,8 +124,8 @@ rt::Result<AutoMinimizeResult> minimize_auto(
         resume->counters.get(obs::Metric::kFsPruneUpperBound);
   } else if (options.exec.prune == par::PruneMode::kBounds) {
     seeded = seed_prune_bound(oracle, options.prune_seed,
-                              options.sift_max_passes, options.restarts,
-                              options.restart_seed, ctx);
+                              options.sift_max_passes, kLadderRestarts,
+                              kLadderSeed, ctx);
     seed_cut = gov.outcome() != rt::Outcome::kComplete;
   }
 
@@ -141,7 +141,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     ckpt.seed_counters = resume->seed_counters;
   } else if (options.exec.prune == par::PruneMode::kBounds) {
     ckpt.seed_order = seeded.order_root_first;
-    ckpt.rng_seed = options.restart_seed;
+    ckpt.rng_seed = kLadderSeed;
     ckpt.seed_name = options.prune_seed;
     oracle.stats().to_ledger(ckpt.seed_counters);
   }
@@ -224,10 +224,10 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   }
 
   // Stage 4: random restarts with whatever is left.
-  if (options.restarts > 0 && !gov.stopped()) {
-    util::Xoshiro256 rng(options.restart_seed);
+  if (!gov.stopped()) {
+    util::Xoshiro256 rng(kLadderSeed);
     const OrderSearchResult rr =
-        random_restart(oracle, options.restarts, rng, ctx);
+        random_restart(oracle, kLadderRestarts, rng, ctx);
     if (rr.internal_nodes < v.internal_nodes) {
       v.order_root_first = rr.order_root_first;
       v.internal_nodes = rr.internal_nodes;

@@ -15,7 +15,12 @@
 //      deepest completed layer k.
 //   3. Rudell sifting seeded with that order, under the remaining
 //      budget.
-//   4. Random restarts under whatever budget still remains.
+//   4. Random restarts (kLadderRestarts orders from kLadderSeed) under
+//      whatever budget still remains.
+//
+// This is the library's one exact route: the strategy registry's `fs`
+// and `auto` both run it, so every exact run seeds, snapshots, honours
+// a budget and degrades the same way.
 //
 // Every stage makes its budget decisions at serial program points, so a
 // run with a fixed work-unit budget returns the same order, size, and
@@ -36,13 +41,17 @@
 
 namespace ovo::reorder {
 
+/// Random orders the ladder draws for its final stage (the budget
+/// truncates the evaluated prefix deterministically), and for a
+/// "restarts" prune seed.
+inline constexpr int kLadderRestarts = 64;
+/// Seed of the ladder's random stream: the final stage's restarts, and
+/// the "restarts" and "anneal" prune seeds.
+inline constexpr std::uint64_t kLadderSeed = 0x5eed5eed5eedull;
+
 struct AutoMinimizeOptions {
   core::DiagramKind kind = core::DiagramKind::kBdd;
   int sift_max_passes = 8;
-  /// Random orders drawn for the final stage (the budget truncates the
-  /// evaluated prefix deterministically).
-  int restarts = 64;
-  std::uint64_t restart_seed = 0x5eed5eed5eedull;
   /// Heuristic that seeds the DP's pruning incumbent when exec.prune ==
   /// PruneMode::kBounds (see seed_prune_bound); ignored in dense mode.
   std::string prune_seed = "sift";

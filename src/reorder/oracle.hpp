@@ -59,8 +59,6 @@ class CostOracle {
     return core::chain_eval_cost(base_.n);
   }
 
-  bool memo_enabled() const { return bits_per_var_ > 0; }
-
   /// Internal node count of the diagram under `order_root_first`.
   /// A non-null `gov` is polled for hard stops: a stopped query returns
   /// core::kAbortedSize (never memoized).  Work is NOT charged here —

@@ -1,11 +1,9 @@
 #include "reorder/strategy.hpp"
 
 #include <numeric>
-#include <utility>
 
 #include "bdd/dynamic_reorder.hpp"
 #include "bdd/manager.hpp"
-#include "core/minimize.hpp"
 #include "quantum/min_find.hpp"
 #include "quantum/opt_obdd.hpp"
 #include "reorder/annealing.hpp"
@@ -28,7 +26,7 @@ std::vector<int> identity_order(int n) {
 }
 
 /// Stamps the governed outcome/accounting and the trivial optimality
-/// certificate; every strategy (except `auto`, which has its own
+/// certificate; every strategy (except the ladder, which has its own
 /// partial-DP bound) ends here.
 void finish(StrategyResult* r, const EvalContext& ctx) {
   if (r->optimal) r->lower_bound = r->internal_nodes;
@@ -38,52 +36,10 @@ void finish(StrategyResult* r, const EvalContext& ctx) {
   }
 }
 
-StrategyResult run_fs(const tt::TruthTable& f, const StrategyOptions& o,
-                      const EvalContext& ctx) {
-  StrategyResult r;
-  // Bound-pruned runs seed the incumbent from the configured cheap
-  // heuristic; ungoverned like the DP itself (budgets are `auto`'s job).
-  // A resumed run skips seeding — the snapshot carries the effective
-  // incumbent and the original seed's provenance.
-  core::FsCheckpointOptions ckpt = o.ckpt;
-  std::uint64_t prune_ub = 0;
-  if (o.ckpt.resume != nullptr) {
-    ckpt.seed_order = o.ckpt.resume->seed_order;
-    ckpt.rng_seed = o.ckpt.resume->rng_seed;
-    ckpt.seed_name = o.ckpt.resume->seed_name;
-    ckpt.seed_counters = o.ckpt.resume->seed_counters;
-    // Report the skipped seed stage's ledger as if it had run.
-    r.oracle.from_ledger(ckpt.seed_counters);
-  } else if (ctx.exec.prune == par::PruneMode::kBounds &&
-             o.prune_seed != "none") {
-    CostOracle oracle(f, o.kind);
-    EvalContext seed_ctx;
-    seed_ctx.exec = ctx.exec;
-    const PruneSeedResult seeded =
-        seed_prune_bound(oracle, o.prune_seed, o.max_passes, o.restarts,
-                         o.seed, seed_ctx);
-    prune_ub = seeded.upper_bound;
-    ckpt.seed_order = seeded.order_root_first;
-    ckpt.rng_seed = o.seed;
-    ckpt.seed_name = o.prune_seed;
-    r.oracle = oracle.stats();
-    r.oracle.to_ledger(ckpt.seed_counters);
-  }
-  // The plain DP has no graceful degradation; `auto` is the governed
-  // exact path.  A budget on ctx is ignored here by design.
-  core::MinimizeResult m =
-      core::fs_minimize(f, o.kind, ctx.exec, prune_ub,
-                        ckpt.active() ? &ckpt : nullptr);
-  r.order_root_first = std::move(m.order_root_first);
-  r.internal_nodes = m.min_internal_nodes;
-  r.optimal = true;
-  r.oracle.ops += m.ops;
-  finish(&r, ctx);
-  return r;
-}
-
-StrategyResult run_auto(const tt::TruthTable& f, const StrategyOptions& o,
-                        const EvalContext& ctx) {
+/// `fs` and `auto`: the exact DP on the governed ladder, so every exact
+/// run seeds, snapshots, honours its budget and degrades in one way.
+StrategyResult run_ladder(const tt::TruthTable& f, const StrategyOptions& o,
+                          const EvalContext& ctx) {
   AutoMinimizeOptions ao;
   ao.kind = o.kind;
   ao.sift_max_passes = o.max_passes;
@@ -245,9 +201,10 @@ StrategyResult run_quantum(const tt::TruthTable& f,
 
 const std::vector<Strategy>& strategies() {
   static const std::vector<Strategy> kStrategies = {
-      {"fs", "exact Friedman-Supowit dynamic program (Theorem 5)", run_fs},
+      {"fs", "exact Friedman-Supowit DP (Theorem 5) on the auto ladder",
+       run_ladder},
       {"auto", "governed FS ladder: exact DP, salvage, sift, restarts",
-       run_auto},
+       run_ladder},
       {"bnb", "exact branch-and-bound prefix search with pruning", run_bnb},
       {"brute", "exhaustive sweep over all n! orders (n <= 10)", run_brute},
       {"sift", "Rudell sifting from the identity order", run_sift},

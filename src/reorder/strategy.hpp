@@ -1,11 +1,12 @@
 #pragma once
 // Name-keyed strategy registry — one front door for every variable-
 // ordering minimizer in the library: the classical reorder searches, the
-// exact engines (FS DP, branch-and-bound, the governed minimize_auto
-// ladder), in-place dynamic sifting on the live DAG, and the simulated
-// quantum OptOBDD.  The CLI's --strategy flag, the benches, and the
-// tests all resolve algorithms here, so adding a minimizer is one
-// registry entry — not a new flag plumbed through every consumer.
+// exact engines (the FS DP on the governed minimize_auto ladder, which
+// `fs` and `auto` both name, and branch-and-bound), in-place dynamic
+// sifting on the live DAG, and the simulated quantum OptOBDD.  The CLI's
+// --strategy flag, the benches, and the tests all resolve algorithms
+// here, so adding a minimizer is one registry entry — not a new flag
+// plumbed through every consumer.
 //
 // Every strategy reports through the same StrategyResult: the order
 // found, its exact size, whether optimality was proven, the governed
@@ -33,7 +34,8 @@ struct StrategyOptions {
   /// Block width for `window` and `exact-window`.
   int window = 3;
   /// Pass cap for the fixpoint heuristics (`sift`, `window`,
-  /// `exact-window`, `dynamic`) and the `auto` ladder's sifting stage.
+  /// `exact-window`, `dynamic`) and the `fs`/`auto` ladder's sifting
+  /// (its prune seed and its salvage stage).
   int max_passes = 8;
   /// Random orders drawn by `restarts`.
   int restarts = 16;
@@ -44,7 +46,9 @@ struct StrategyOptions {
   /// Heuristic seeding the bound-pruned DP's incumbent for `fs` and
   /// `auto` when EvalContext.exec.prune == PruneMode::kBounds: "sift"
   /// (default), "window", "restarts", "anneal", or "none" (self-seed).
-  /// Ignored when pruning is off.
+  /// "restarts" and "anneal" draw from the ladder's own stream
+  /// (kLadderRestarts orders from kLadderSeed), not from `restarts` and
+  /// `seed`.  Ignored when pruning is off.
   std::string prune_seed = "sift";
   /// Checkpoint/resume for the exact DP inside `fs` and `auto` (see
   /// core::FsCheckpointOptions); ignored by every other strategy.
@@ -59,8 +63,8 @@ struct StrategyResult {
   /// True iff the order is proven optimal for the requested kind.
   bool optimal = false;
   /// Certified lower bound on the optimal size: equals internal_nodes
-  /// when optimal; on a tripped `auto` run, the deepest completed DP
-  /// layer's proven bound; otherwise 0 (no certificate).
+  /// when optimal; on a tripped `fs`/`auto` run, the deepest completed
+  /// DP layer's proven bound; otherwise 0 (no certificate).
   std::uint64_t lower_bound = 0;
   /// Why the run ended (kComplete unless a governor intervened).
   rt::Outcome outcome = rt::Outcome::kComplete;

@@ -80,16 +80,6 @@ struct Budget {
            bytes_limit == 0 && cancel == nullptr;
   }
 
-  /// True iff any *deterministic* limit is set (work/nodes/bytes — the
-  /// ones decided by serial admit_*() calls).  Engines whose admission
-  /// inputs are only known as a run unfolds (the bound-pruned FS* DP's
-  /// sparse layer counts) must route to their serially-admitting variant
-  /// when this holds; deadline/cancel-only budgets need no admission and
-  /// may take any engine.
-  bool deterministic_limits() const {
-    return work_limit != 0 || node_limit != 0 || bytes_limit != 0;
-  }
-
   static Budget with_work_limit(std::uint64_t units) {
     Budget b;
     b.work_limit = units;
@@ -99,11 +89,8 @@ struct Budget {
 
 /// Accounting for one governed run (see Governor::stats).
 struct RunStats {
-  std::uint64_t work_units = 0;   ///< total charged work
-  std::uint64_t checkpoints = 0;  ///< charge() + poll() calls
-  std::uint64_t peak_nodes = 0;   ///< largest admitted node footprint
-  std::uint64_t peak_bytes = 0;   ///< largest admitted byte footprint
-  double elapsed_seconds = 0.0;
+  std::uint64_t work_units = 0;  ///< total charged work
+  std::uint64_t peak_nodes = 0;  ///< largest admitted node footprint
 };
 
 /// A governed result: the best-so-far value plus why the run stopped.
@@ -193,7 +180,6 @@ class Governor {
   std::atomic<std::uint64_t> work_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
   std::atomic<std::uint64_t> peak_nodes_{0};
-  std::atomic<std::uint64_t> peak_bytes_{0};
 };
 
 }  // namespace ovo::rt

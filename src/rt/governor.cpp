@@ -107,10 +107,6 @@ bool Governor::admit_nodes(std::uint64_t nodes) {
 }
 
 bool Governor::admit_bytes(std::uint64_t bytes) {
-  std::uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
-  while (bytes > peak && !peak_bytes_.compare_exchange_weak(
-                             peak, bytes, std::memory_order_relaxed)) {
-  }
   if (stopped()) return false;
   if (budget_.bytes_limit != 0 && bytes > budget_.bytes_limit) {
     note(Outcome::kMemLimit);
@@ -141,13 +137,7 @@ Outcome Governor::outcome() const {
 RunStats Governor::stats() const {
   RunStats s;
   s.work_units = work_.load(std::memory_order_relaxed);
-  s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.peak_nodes = peak_nodes_.load(std::memory_order_relaxed);
-  s.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  s.elapsed_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
-          .count();
   return s;
 }
 

@@ -62,7 +62,8 @@ TEST_P(BnbVsFs, ExactOnRandomFunctions) {
   util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 271 + 9);
   const tt::TruthTable f = tt::random_function(6, rng);
   const std::uint64_t opt = core::fs_minimize(f).min_internal_nodes;
-  const BnbResult cold = branch_and_bound_minimize(f);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  const BnbResult cold = branch_and_bound_minimize(oracle);
   EXPECT_EQ(cold.internal_nodes, opt);
   EXPECT_EQ(core::diagram_size_for_order(f, cold.order_root_first), opt);
 }
@@ -72,11 +73,11 @@ TEST_P(BnbVsFs, WarmStartFromSifting) {
   const tt::TruthTable f = tt::random_function(6, rng);
   std::vector<int> id(6);
   std::iota(id.begin(), id.end(), 0);
-  const std::uint64_t incumbent = sift(f, id).internal_nodes;
-  const BnbResult warm = branch_and_bound_minimize(
-      f, core::DiagramKind::kBdd, incumbent);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  const std::uint64_t incumbent = sift(oracle, id).internal_nodes;
+  const BnbResult warm = branch_and_bound_minimize(oracle, incumbent);
   EXPECT_EQ(warm.internal_nodes, core::fs_minimize(f).min_internal_nodes);
-  const BnbResult cold = branch_and_bound_minimize(f);
+  const BnbResult cold = branch_and_bound_minimize(oracle);
   EXPECT_LE(warm.states_expanded, cold.states_expanded);
 }
 
@@ -86,8 +87,9 @@ TEST(Bnb, ZddKindExact) {
   util::Xoshiro256 rng(7);
   for (int trial = 0; trial < 5; ++trial) {
     const tt::TruthTable f = tt::random_sparse_function(5, 6, rng);
+    CostOracle oracle(f, core::DiagramKind::kZdd);
     EXPECT_EQ(
-        branch_and_bound_minimize(f, core::DiagramKind::kZdd).internal_nodes,
+        branch_and_bound_minimize(oracle).internal_nodes,
         core::fs_minimize(f, core::DiagramKind::kZdd).min_internal_nodes);
   }
 }
@@ -95,8 +97,8 @@ TEST(Bnb, ZddKindExact) {
 TEST(Bnb, PruningIsEffectiveOnStructuredFunctions) {
   // pair_sum has huge order spread; B&B should expand far fewer states
   // than the full prefix lattice (3^n chains / 2^n subsets).
-  const tt::TruthTable f = tt::pair_sum(4);  // n = 8
-  const BnbResult r = branch_and_bound_minimize(f);
+  CostOracle oracle(tt::pair_sum(4), core::DiagramKind::kBdd);  // n = 8
+  const BnbResult r = branch_and_bound_minimize(oracle);
   EXPECT_EQ(r.internal_nodes, 8u);
   EXPECT_GT(r.states_pruned_bound + r.states_pruned_dominance, 0u);
   EXPECT_LT(r.states_expanded, 6561u);  // lattice has 2^8=256 subsets but
@@ -106,7 +108,8 @@ TEST(Bnb, PruningIsEffectiveOnStructuredFunctions) {
 TEST(Bnb, SingleVariable) {
   const auto t =
       tt::TruthTable::tabulate(1, [](std::uint64_t a) { return a == 1; });
-  const BnbResult r = branch_and_bound_minimize(t);
+  CostOracle oracle(t, core::DiagramKind::kBdd);
+  const BnbResult r = branch_and_bound_minimize(oracle);
   EXPECT_EQ(r.internal_nodes, 1u);
   EXPECT_EQ(r.order_root_first, (std::vector<int>{0}));
 }
@@ -120,7 +123,9 @@ TEST(Annealing, NeverWorseThanStart) {
     std::vector<int> id(6);
     std::iota(id.begin(), id.end(), 0);
     const std::uint64_t start = core::diagram_size_for_order(f, id);
-    const AnnealResult r = simulated_annealing(f, id, AnnealOptions{}, rng);
+    CostOracle oracle(f, core::DiagramKind::kBdd);
+    const AnnealResult r =
+        simulated_annealing(oracle, id, AnnealOptions{}, rng);
     EXPECT_LE(r.internal_nodes, start);
     EXPECT_TRUE(util::is_permutation(r.order_root_first));
     EXPECT_EQ(core::diagram_size_for_order(f, r.order_root_first),
@@ -132,22 +137,22 @@ TEST(Annealing, NeverWorseThanStart) {
 
 TEST(Annealing, SolvesPairSumFromPessimalOrder) {
   util::Xoshiro256 rng(13);
-  const tt::TruthTable f = tt::pair_sum(3);
+  CostOracle oracle(tt::pair_sum(3), core::DiagramKind::kBdd);
   AnnealOptions opt;
   opt.epochs = 80;
   const AnnealResult r = simulated_annealing(
-      f, tt::pair_sum_interleaved_order(3), opt, rng);
+      oracle, tt::pair_sum_interleaved_order(3), opt, rng);
   EXPECT_EQ(r.internal_nodes, 6u);
 }
 
 TEST(Annealing, ValidatesInputs) {
   util::Xoshiro256 rng(1);
-  EXPECT_THROW(simulated_annealing(tt::parity(3), {0, 1}, AnnealOptions{},
-                                   rng),
+  CostOracle oracle(tt::parity(3), core::DiagramKind::kBdd);
+  EXPECT_THROW(simulated_annealing(oracle, {0, 1}, AnnealOptions{}, rng),
                util::CheckError);
   AnnealOptions bad;
   bad.cooling = 1.5;
-  EXPECT_THROW(simulated_annealing(tt::parity(3), {0, 1, 2}, bad, rng),
+  EXPECT_THROW(simulated_annealing(oracle, {0, 1, 2}, bad, rng),
                util::CheckError);
 }
 

@@ -1183,7 +1183,8 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
     ctx.exec = opt.exec;
     ctx.gov = &gov;
     reorder::seed_prune_bound(oracle, opt.prune_seed, opt.sift_max_passes,
-                              opt.restarts, opt.restart_seed, ctx);
+                              reorder::kLadderRestarts, reorder::kLadderSeed,
+                              ctx);
     seed_checkpoints = scoped.checkpoints_seen();
     seed_work = gov.stats().work_units;
   }

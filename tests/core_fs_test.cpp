@@ -348,8 +348,9 @@ class FsVsBruteForce : public ::testing::TestWithParam<int> {};
 TEST_P(FsVsBruteForce, BddMinimumMatches) {
   const FsCase c = fs_cases()[static_cast<std::size_t>(GetParam())];
   const MinimizeResult fs = fs_minimize(c.table, DiagramKind::kBdd);
+  reorder::CostOracle oracle(c.table, DiagramKind::kBdd);
   const reorder::OrderSearchResult bf =
-      reorder::brute_force_minimize(c.table, DiagramKind::kBdd);
+      reorder::brute_force_minimize(oracle);
   EXPECT_EQ(fs.min_internal_nodes, bf.internal_nodes) << c.name;
   // The FS order must achieve the claimed size.
   EXPECT_EQ(diagram_size_for_order(c.table, fs.order_root_first,
@@ -363,8 +364,9 @@ TEST_P(FsVsBruteForce, BddMinimumMatches) {
 TEST_P(FsVsBruteForce, ZddMinimumMatches) {
   const FsCase c = fs_cases()[static_cast<std::size_t>(GetParam())];
   const MinimizeResult fs = fs_minimize(c.table, DiagramKind::kZdd);
+  reorder::CostOracle oracle(c.table, DiagramKind::kZdd);
   const reorder::OrderSearchResult bf =
-      reorder::brute_force_minimize(c.table, DiagramKind::kZdd);
+      reorder::brute_force_minimize(oracle);
   EXPECT_EQ(fs.min_internal_nodes, bf.internal_nodes) << c.name;
   zdd::Manager m(c.table.num_vars(), fs.order_root_first);
   EXPECT_EQ(m.size(m.from_truth_table(c.table)), fs.min_internal_nodes);

@@ -112,8 +112,9 @@ TEST_P(Differential, ExactEnginesAgree) {
   const int n = 5;
   const tt::TruthTable t = tt::random_function(n, rng_);
   const std::uint64_t fs = core::fs_minimize(t).min_internal_nodes;
+  reorder::CostOracle oracle(t, core::DiagramKind::kBdd);
   const std::uint64_t bnb =
-      reorder::branch_and_bound_minimize(t).internal_nodes;
+      reorder::branch_and_bound_minimize(oracle).internal_nodes;
   quantum::AccountingMinimumFinder finder(static_cast<double>(n));
   quantum::OptObddOptions opt;
   opt.alphas = {0.3};

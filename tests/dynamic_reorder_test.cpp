@@ -282,7 +282,8 @@ TEST(SiftInPlace, QualityComparableToOracleSifting) {
     const SiftResult dag = sift_in_place(m, {root});
     std::vector<int> id(n);
     std::iota(id.begin(), id.end(), 0);
-    const auto oracle = reorder::sift(t, id);
+    reorder::CostOracle cost(t, core::DiagramKind::kBdd);
+    const auto oracle = reorder::sift(cost, id);
     EXPECT_LE(static_cast<double>(dag.final_nodes),
               1.35 * static_cast<double>(oracle.internal_nodes));
     EXPECT_LE(static_cast<double>(oracle.internal_nodes),

@@ -21,7 +21,8 @@ TEST(ExactWindow, ReportedSizeIsTrueSize) {
     const tt::TruthTable f = tt::random_function(7, rng);
     std::vector<int> id(7);
     std::iota(id.begin(), id.end(), 0);
-    const ExactWindowResult r = exact_window(f, id, 3);
+    CostOracle oracle(f, core::DiagramKind::kBdd);
+    const ExactWindowResult r = exact_window(oracle, id, 3);
     EXPECT_TRUE(util::is_permutation(r.order_root_first));
     EXPECT_EQ(core::diagram_size_for_order(f, r.order_root_first),
               r.internal_nodes);
@@ -36,7 +37,8 @@ TEST(ExactWindow, NeverWorseNeverBelowOptimum) {
     std::iota(id.begin(), id.end(), 0);
     const std::uint64_t start = core::diagram_size_for_order(f, id);
     const std::uint64_t opt = core::fs_minimize(f).min_internal_nodes;
-    const ExactWindowResult r = exact_window(f, id, 3);
+    CostOracle oracle(f, core::DiagramKind::kBdd);
+    const ExactWindowResult r = exact_window(oracle, id, 3);
     EXPECT_LE(r.internal_nodes, start);
     EXPECT_GE(r.internal_nodes, opt);
   }
@@ -50,8 +52,9 @@ TEST(ExactWindow, MatchesFactorialWindowPermutation) {
     const tt::TruthTable f = tt::random_function(6, rng);
     std::vector<int> id(6);
     std::iota(id.begin(), id.end(), 0);
-    const ExactWindowResult ew = exact_window(f, id, 3);
-    const OrderSearchResult wp = window_permute(f, id, 3);
+    CostOracle oracle(f, core::DiagramKind::kBdd);
+    const ExactWindowResult ew = exact_window(oracle, id, 3);
+    const OrderSearchResult wp = window_permute(oracle, id, 3);
     EXPECT_LE(ew.internal_nodes, wp.internal_nodes);
   }
 }
@@ -63,16 +66,17 @@ TEST(ExactWindow, FullWidthWindowIsGloballyExact) {
   const tt::TruthTable f = tt::random_function(6, rng);
   std::vector<int> id(6);
   std::iota(id.begin(), id.end(), 0);
-  const ExactWindowResult r = exact_window(f, id, 6);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  const ExactWindowResult r = exact_window(oracle, id, 6);
   EXPECT_EQ(r.internal_nodes, core::fs_minimize(f).min_internal_nodes);
 }
 
 TEST(ExactWindow, SolvesPairSumWithModestWindow) {
   // Interleaved pair_sum needs long-range moves; window 4 suffices for
   // m = 3 after a few passes.
-  const tt::TruthTable f = tt::pair_sum(3);
+  CostOracle oracle(tt::pair_sum(3), core::DiagramKind::kBdd);
   const ExactWindowResult r =
-      exact_window(f, tt::pair_sum_interleaved_order(3), 4);
+      exact_window(oracle, tt::pair_sum_interleaved_order(3), 4);
   EXPECT_EQ(r.internal_nodes, 6u);
   EXPECT_GE(r.windows_optimized, 1u);
 }
@@ -82,18 +86,18 @@ TEST(ExactWindow, ZddKind) {
   const tt::TruthTable f = tt::random_sparse_function(6, 8, rng);
   std::vector<int> id(6);
   std::iota(id.begin(), id.end(), 0);
-  const ExactWindowResult r =
-      exact_window(f, id, 3, core::DiagramKind::kZdd);
+  CostOracle oracle(f, core::DiagramKind::kZdd);
+  const ExactWindowResult r = exact_window(oracle, id, 3);
   EXPECT_EQ(core::diagram_size_for_order(f, r.order_root_first,
                                          core::DiagramKind::kZdd),
             r.internal_nodes);
 }
 
 TEST(ExactWindow, Validation) {
-  const tt::TruthTable f = tt::parity(4);
-  EXPECT_THROW(exact_window(f, {0, 1, 2}, 3), util::CheckError);
-  EXPECT_THROW(exact_window(f, {0, 1, 2, 3}, 1), util::CheckError);
-  EXPECT_THROW(exact_window(f, {0, 0, 2, 3}, 3), util::CheckError);
+  CostOracle oracle(tt::parity(4), core::DiagramKind::kBdd);
+  EXPECT_THROW(exact_window(oracle, {0, 1, 2}, 3), util::CheckError);
+  EXPECT_THROW(exact_window(oracle, {0, 1, 2, 3}, 1), util::CheckError);
+  EXPECT_THROW(exact_window(oracle, {0, 0, 2, 3}, 3), util::CheckError);
 }
 
 }  // namespace

@@ -82,8 +82,9 @@ TEST(Integration, AllEnginesAgreeOnOptimum) {
   for (int trial = 0; trial < 4; ++trial) {
     const tt::TruthTable t = tt::random_function(6, rng);
     const std::uint64_t fs = core::fs_minimize(t).min_internal_nodes;
+    reorder::CostOracle oracle(t, core::DiagramKind::kBdd);
     const std::uint64_t bf =
-        reorder::brute_force_minimize(t).internal_nodes;
+        reorder::brute_force_minimize(oracle).internal_nodes;
     quantum::AccountingMinimumFinder finder(6.0);
     quantum::OptObddOptions opt;
     opt.alphas = {0.27};
@@ -144,10 +145,11 @@ TEST(Integration, OrderingQualityReportAcrossMethods) {
   const std::uint64_t opt = core::fs_minimize(t).min_internal_nodes;
   std::vector<int> id(7);
   std::iota(id.begin(), id.end(), 0);
-  const auto sifted = reorder::sift(t, id);
+  reorder::CostOracle oracle(t, core::DiagramKind::kBdd);
+  const auto sifted = reorder::sift(oracle, id);
   EXPECT_LE(opt, sifted.internal_nodes);
   util::Xoshiro256 rng(3);
-  const auto rnd = reorder::random_restart(t, 20, rng);
+  const auto rnd = reorder::random_restart(oracle, 20, rng);
   EXPECT_LE(opt, rnd.internal_nodes);
 }
 

@@ -42,8 +42,9 @@ TEST(PaperClaims, Theorem1MinimumObddWithOrdering) {
   opt.alphas = {0.27};
   opt.finder = &finder;
   const auto q = quantum::opt_obdd_minimize(f, opt);
+  reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
   EXPECT_EQ(q.min_internal_nodes,
-            reorder::brute_force_minimize(f).internal_nodes);
+            reorder::brute_force_minimize(oracle).internal_nodes);
   bdd::Manager m(6, q.order_root_first);
   EXPECT_EQ(m.to_truth_table(m.from_truth_table(f)), f);
 }
@@ -244,10 +245,10 @@ TEST(PaperClaims, Remark1SpaceOrder) {
 TEST(PaperClaims, Remark2Variants) {
   util::Xoshiro256 rng(12);
   const tt::TruthTable f = tt::random_sparse_function(5, 6, rng);
+  reorder::CostOracle oracle(f, core::DiagramKind::kZdd);
   EXPECT_EQ(core::fs_minimize(f, core::DiagramKind::kZdd)
                 .min_internal_nodes,
-            reorder::brute_force_minimize(f, core::DiagramKind::kZdd)
-                .internal_nodes);
+            reorder::brute_force_minimize(oracle).internal_nodes);
   std::vector<std::int64_t> values(32);
   for (auto& v : values) v = static_cast<std::int64_t>(rng.below(3));
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();

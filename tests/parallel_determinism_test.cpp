@@ -188,10 +188,12 @@ TEST(FsDeterminism, BddIdenticalAcrossThreadCountsUpToN13) {
 TEST(FsDeterminism, ZddIdenticalAcrossThreadCounts) {
   util::Xoshiro256 rng(7);
   const tt::TruthTable f = tt::random_function(10, rng);
-  const core::MinimizeResult serial = core::fs_minimize_zdd(f);
+  const core::MinimizeResult serial =
+      core::fs_minimize(f, core::DiagramKind::kZdd);
   for (const int threads : {2, 4, 8}) {
-    expect_same_minimize(serial, core::fs_minimize_zdd(f, policy(threads)),
-                         threads);
+    expect_same_minimize(
+        serial, core::fs_minimize(f, core::DiagramKind::kZdd, policy(threads)),
+        threads);
   }
 }
 
@@ -251,10 +253,13 @@ TEST(FsDeterminism, FsStarLayerTablesBitIdentical) {
 TEST(BaselineDeterminism, BruteForceIdenticalAcrossThreadCounts) {
   util::Xoshiro256 rng(11);
   const tt::TruthTable f = tt::random_function(6, rng);
-  const reorder::OrderSearchResult serial = reorder::brute_force_minimize(f);
+  reorder::CostOracle serial_oracle(f, core::DiagramKind::kBdd);
+  const reorder::OrderSearchResult serial =
+      reorder::brute_force_minimize(serial_oracle);
   for (const int threads : {2, 4, 8}) {
-    const reorder::OrderSearchResult par_r = reorder::brute_force_minimize(
-        f, core::DiagramKind::kBdd, policy(threads));
+    reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
+    const reorder::OrderSearchResult par_r =
+        reorder::brute_force_minimize(oracle, {policy(threads)});
     EXPECT_EQ(par_r.order_root_first, serial.order_root_first);
     EXPECT_EQ(par_r.internal_nodes, serial.internal_nodes);
     EXPECT_EQ(par_r.worst_internal_nodes, serial.worst_internal_nodes);
@@ -267,17 +272,22 @@ TEST(BaselineDeterminism, SiftAndWindowIdenticalAcrossThreadCounts) {
   const tt::TruthTable f = tt::random_function(8, rng);
   std::vector<int> id(8);
   std::iota(id.begin(), id.end(), 0);
-  const reorder::OrderSearchResult sift_serial = reorder::sift(f, id);
+  reorder::CostOracle sift_oracle(f, core::DiagramKind::kBdd);
+  const reorder::OrderSearchResult sift_serial =
+      reorder::sift(sift_oracle, id);
+  reorder::CostOracle window_oracle(f, core::DiagramKind::kBdd);
   const reorder::OrderSearchResult window_serial =
-      reorder::window_permute(f, id, 3);
+      reorder::window_permute(window_oracle, id, 3);
   for (const int threads : {2, 8}) {
+    reorder::CostOracle sift_par_oracle(f, core::DiagramKind::kBdd);
     const reorder::OrderSearchResult sift_par =
-        reorder::sift(f, id, core::DiagramKind::kBdd, 8, policy(threads));
+        reorder::sift(sift_par_oracle, id, 8, {policy(threads)});
     EXPECT_EQ(sift_par.order_root_first, sift_serial.order_root_first);
     EXPECT_EQ(sift_par.internal_nodes, sift_serial.internal_nodes);
     EXPECT_EQ(sift_par.orders_evaluated, sift_serial.orders_evaluated);
+    reorder::CostOracle window_par_oracle(f, core::DiagramKind::kBdd);
     const reorder::OrderSearchResult window_par = reorder::window_permute(
-        f, id, 3, core::DiagramKind::kBdd, 8, policy(threads));
+        window_par_oracle, id, 3, 8, {policy(threads)});
     EXPECT_EQ(window_par.order_root_first, window_serial.order_root_first);
     EXPECT_EQ(window_par.internal_nodes, window_serial.internal_nodes);
     EXPECT_EQ(window_par.orders_evaluated, window_serial.orders_evaluated);
@@ -289,10 +299,12 @@ TEST(BaselineDeterminism, RandomRestartSameRngStreamAndResult) {
   const tt::TruthTable f = tt::random_function(8, rng_serial);
   util::Xoshiro256 rng_par_f(13);
   const tt::TruthTable f2 = tt::random_function(8, rng_par_f);
+  reorder::CostOracle serial_oracle(f, core::DiagramKind::kBdd);
   const reorder::OrderSearchResult serial =
-      reorder::random_restart(f, 20, rng_serial);
+      reorder::random_restart(serial_oracle, 20, rng_serial);
+  reorder::CostOracle par_oracle(f2, core::DiagramKind::kBdd);
   const reorder::OrderSearchResult par_r = reorder::random_restart(
-      f2, 20, rng_par_f, core::DiagramKind::kBdd, policy(4));
+      par_oracle, 20, rng_par_f, {policy(4)});
   EXPECT_EQ(par_r.order_root_first, serial.order_root_first);
   EXPECT_EQ(par_r.internal_nodes, serial.internal_nodes);
   // The RNG streams must end in the same state (same draws in order).
@@ -303,10 +315,13 @@ TEST(BaselineDeterminism, RandomRestartSameRngStreamAndResult) {
 TEST(BaselineDeterminism, BranchAndBoundStatsIdenticalAcrossThreadCounts) {
   util::Xoshiro256 rng(14);
   const tt::TruthTable f = tt::random_function(8, rng);
-  const reorder::BnbResult serial = reorder::branch_and_bound_minimize(f);
+  reorder::CostOracle serial_oracle(f, core::DiagramKind::kBdd);
+  const reorder::BnbResult serial =
+      reorder::branch_and_bound_minimize(serial_oracle);
   for (const int threads : {2, 8}) {
+    reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
     const reorder::BnbResult par_r = reorder::branch_and_bound_minimize(
-        f, core::DiagramKind::kBdd, ~std::uint64_t{0}, policy(threads));
+        oracle, ~std::uint64_t{0}, {policy(threads)});
     EXPECT_EQ(par_r.order_root_first, serial.order_root_first);
     EXPECT_EQ(par_r.internal_nodes, serial.internal_nodes);
     EXPECT_EQ(par_r.states_expanded, serial.states_expanded);

@@ -16,20 +16,23 @@ namespace ovo::reorder {
 namespace {
 
 TEST(BruteForce, EvaluatesAllOrders) {
-  const auto r = brute_force_minimize(tt::parity(4));
+  CostOracle oracle(tt::parity(4), core::DiagramKind::kBdd);
+  const auto r = brute_force_minimize(oracle);
   EXPECT_EQ(r.orders_evaluated, 24u);
   EXPECT_EQ(r.internal_nodes, 7u);         // 2n - 1
   EXPECT_EQ(r.worst_internal_nodes, 7u);   // parity is order-insensitive
 }
 
 TEST(BruteForce, FindsTheFig1Gap) {
-  const auto r = brute_force_minimize(tt::pair_sum(3));
+  CostOracle oracle(tt::pair_sum(3), core::DiagramKind::kBdd);
+  const auto r = brute_force_minimize(oracle);
   EXPECT_EQ(r.internal_nodes, 6u);
   EXPECT_EQ(r.worst_internal_nodes, 14u);  // 2^{m+1} - 2 at m = 3
 }
 
 TEST(BruteForce, GuardsLargeN) {
-  EXPECT_THROW(brute_force_minimize(tt::TruthTable(11)), util::CheckError);
+  CostOracle oracle(tt::TruthTable(11), core::DiagramKind::kBdd);
+  EXPECT_THROW(brute_force_minimize(oracle), util::CheckError);
 }
 
 class BaselineVsExact : public ::testing::TestWithParam<int> {};
@@ -37,7 +40,8 @@ class BaselineVsExact : public ::testing::TestWithParam<int> {};
 TEST_P(BaselineVsExact, BruteForceMatchesFs) {
   util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 997 + 3);
   const tt::TruthTable t = tt::random_function(5, rng);
-  EXPECT_EQ(brute_force_minimize(t).internal_nodes,
+  CostOracle oracle(t, core::DiagramKind::kBdd);
+  EXPECT_EQ(brute_force_minimize(oracle).internal_nodes,
             core::fs_minimize(t).min_internal_nodes);
 }
 
@@ -47,9 +51,10 @@ TEST_P(BaselineVsExact, HeuristicsNeverBeatExact) {
   const std::uint64_t opt = core::fs_minimize(t).min_internal_nodes;
   std::vector<int> id(6);
   std::iota(id.begin(), id.end(), 0);
-  EXPECT_GE(sift(t, id).internal_nodes, opt);
-  EXPECT_GE(window_permute(t, id, 3).internal_nodes, opt);
-  EXPECT_GE(random_restart(t, 10, rng).internal_nodes, opt);
+  CostOracle oracle(t, core::DiagramKind::kBdd);
+  EXPECT_GE(sift(oracle, id).internal_nodes, opt);
+  EXPECT_GE(window_permute(oracle, id, 3).internal_nodes, opt);
+  EXPECT_GE(random_restart(oracle, 10, rng).internal_nodes, opt);
 }
 
 TEST_P(BaselineVsExact, SiftingImprovesOrNeverWorsens) {
@@ -58,7 +63,8 @@ TEST_P(BaselineVsExact, SiftingImprovesOrNeverWorsens) {
   std::vector<int> id(6);
   std::iota(id.begin(), id.end(), 0);
   const std::uint64_t initial = core::diagram_size_for_order(t, id);
-  const auto s = sift(t, id);
+  CostOracle oracle(t, core::DiagramKind::kBdd);
+  const auto s = sift(oracle, id);
   EXPECT_LE(s.internal_nodes, initial);
   EXPECT_TRUE(util::is_permutation(s.order_root_first));
   EXPECT_EQ(core::diagram_size_for_order(t, s.order_root_first),
@@ -72,32 +78,33 @@ TEST(Sifting, SolvesPairSumFromInterleaved) {
   // interleaved start for the Fig. 1 function (it is a separable function,
   // the friendly case for sifting).
   const int m = 4;
-  const tt::TruthTable f = tt::pair_sum(m);
-  const auto s = sift(f, tt::pair_sum_interleaved_order(m));
+  CostOracle oracle(tt::pair_sum(m), core::DiagramKind::kBdd);
+  const auto s = sift(oracle, tt::pair_sum_interleaved_order(m));
   EXPECT_EQ(s.internal_nodes, static_cast<std::uint64_t>(2 * m));
 }
 
 TEST(Window, FixesLocalInversions) {
   // An order with one adjacent transposition from optimal is fixed by a
   // window-2 pass.
-  const tt::TruthTable f = tt::pair_sum(3);
+  CostOracle oracle(tt::pair_sum(3), core::DiagramKind::kBdd);
   std::vector<int> nearly{1, 0, 2, 3, 4, 5};
-  const auto w = window_permute(f, nearly, 2);
+  const auto w = window_permute(oracle, nearly, 2);
   EXPECT_EQ(w.internal_nodes, 6u);
 }
 
 TEST(Window, ValidatesParameters) {
-  const tt::TruthTable f = tt::parity(4);
+  CostOracle oracle(tt::parity(4), core::DiagramKind::kBdd);
   std::vector<int> id{0, 1, 2, 3};
-  EXPECT_THROW(window_permute(f, id, 1), util::CheckError);
-  EXPECT_THROW(window_permute(f, id, 6), util::CheckError);
-  EXPECT_THROW(window_permute(f, {0, 1, 2}, 2), util::CheckError);
+  EXPECT_THROW(window_permute(oracle, id, 1), util::CheckError);
+  EXPECT_THROW(window_permute(oracle, id, 6), util::CheckError);
+  EXPECT_THROW(window_permute(oracle, {0, 1, 2}, 2), util::CheckError);
 }
 
 TEST(RandomRestart, FindsOptimumOfEasyFunction) {
   util::Xoshiro256 rng(4);
   // Parity: every order optimal, so one restart suffices.
-  const auto r = random_restart(tt::parity(5), 1, rng);
+  CostOracle oracle(tt::parity(5), core::DiagramKind::kBdd);
+  const auto r = random_restart(oracle, 1, rng);
   EXPECT_EQ(r.internal_nodes, 9u);
   EXPECT_EQ(r.orders_evaluated, 1u);
 }

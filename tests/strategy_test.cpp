@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bdd/dynamic_reorder.hpp"
@@ -25,7 +27,9 @@
 #include "reorder/minimize_auto.hpp"
 #include "reorder/oracle.hpp"
 #include "reorder/strategy.hpp"
+#include "rt/fault.hpp"
 #include "tt/function_zoo.hpp"
+#include "util/combinatorics.hpp"
 #include "util/rng.hpp"
 
 namespace ovo::reorder {
@@ -55,36 +59,36 @@ class MigrationPins : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(MigrationPins, Sift) {
-  const tt::TruthTable f = pin_function();
-  const auto r = sift(f, identity(7), core::DiagramKind::kBdd, 8, exec());
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
+  const auto r = sift(oracle, identity(7), 8, {exec()});
   EXPECT_EQ(r.internal_nodes, 38u);
   EXPECT_EQ(r.order_root_first, (Order{1, 2, 3, 0, 5, 4, 6}));
   EXPECT_EQ(r.orders_evaluated, 99u);
 }
 
 TEST_P(MigrationPins, WindowPermute) {
-  const tt::TruthTable f = pin_function();
-  const auto r =
-      window_permute(f, identity(7), 3, core::DiagramKind::kBdd, 8, exec());
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
+  const auto r = window_permute(oracle, identity(7), 3, 8, {exec()});
   EXPECT_EQ(r.internal_nodes, 39u);
   EXPECT_EQ(r.order_root_first, (Order{0, 1, 2, 3, 5, 4, 6}));
 }
 
 TEST_P(MigrationPins, BruteForce) {
-  const tt::TruthTable f = pin_function();
-  const auto r = brute_force_minimize(f, core::DiagramKind::kBdd, exec());
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
+  const auto r = brute_force_minimize(oracle, {exec()});
   EXPECT_EQ(r.internal_nodes, 36u);
   EXPECT_EQ(r.order_root_first, (Order{1, 3, 5, 4, 6, 0, 2}));
   EXPECT_EQ(r.orders_evaluated, 5040u);
 }
 
 TEST_P(MigrationPins, Annealing) {
-  const tt::TruthTable f = pin_function();
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
   util::Xoshiro256 rng(42);
-  // The legacy entry has no exec parameter (candidates are sequential by
-  // nature); run it at every MigrationPins instantiation anyway so the
-  // suite shape stays uniform.
-  const auto r = simulated_annealing(f, identity(7), AnnealOptions{}, rng);
+  // Annealing evaluates one candidate at a time and reads no ctx.exec;
+  // run it at every MigrationPins instantiation anyway so the suite
+  // shape stays uniform.
+  const auto r =
+      simulated_annealing(oracle, identity(7), AnnealOptions{}, rng);
   EXPECT_EQ(r.internal_nodes, 36u);
   EXPECT_EQ(r.order_root_first, (Order{5, 3, 1, 4, 6, 0, 2}));
   EXPECT_EQ(r.orders_evaluated, 1201u);
@@ -92,18 +96,17 @@ TEST_P(MigrationPins, Annealing) {
 }
 
 TEST_P(MigrationPins, RandomRestart) {
-  const tt::TruthTable f = pin_function();
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
   util::Xoshiro256 rng(42);
-  const auto r =
-      random_restart(f, 16, rng, core::DiagramKind::kBdd, exec());
+  const auto r = random_restart(oracle, 16, rng, {exec()});
   EXPECT_EQ(r.internal_nodes, 38u);
   EXPECT_EQ(r.order_root_first, (Order{3, 1, 5, 4, 2, 6, 0}));
 }
 
 TEST_P(MigrationPins, BranchAndBound) {
-  const tt::TruthTable f = pin_function();
-  const auto r = branch_and_bound_minimize(f, core::DiagramKind::kBdd,
-                                           ~std::uint64_t{0}, exec());
+  CostOracle oracle(pin_function(), core::DiagramKind::kBdd);
+  const auto r =
+      branch_and_bound_minimize(oracle, ~std::uint64_t{0}, {exec()});
   EXPECT_EQ(r.internal_nodes, 36u);
   EXPECT_EQ(r.order_root_first, (Order{5, 3, 1, 4, 6, 0, 2}));
   EXPECT_EQ(r.states_expanded, 61u);
@@ -115,7 +118,8 @@ TEST_P(MigrationPins, FsAndExactWindow) {
   const auto fs = core::fs_minimize(f, core::DiagramKind::kBdd, exec());
   EXPECT_EQ(fs.min_internal_nodes, 36u);
   EXPECT_EQ(fs.order_root_first, (Order{1, 3, 5, 4, 6, 0, 2}));
-  const auto ew = exact_window(f, identity(7), 3);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  const auto ew = exact_window(oracle, identity(7), 3);
   EXPECT_EQ(ew.internal_nodes, 39u);
   EXPECT_EQ(ew.order_root_first, (Order{0, 1, 2, 3, 5, 4, 6}));
 }
@@ -226,6 +230,118 @@ TEST(StrategyRegistry, EveryStrategyMatchesItsDirectCall) {
     EXPECT_EQ(r.oracle.queries, r.oracle.evals + r.oracle.memo_hits)
         << s.name;
     EXPECT_FALSE(r.order_root_first.empty()) << s.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// `fs` and `auto` name one exact route, the governed ladder: the same
+// seeding, budgets, cancellation and salvage, and the same result.
+
+/// Runs the registered strategy `name` under a fresh governor for
+/// `budget` (and ctx.exec = `exec`).
+StrategyResult run_governed(const char* name, const tt::TruthTable& f,
+                            const StrategyOptions& opt,
+                            const par::ExecPolicy& exec,
+                            const rt::Budget& budget) {
+  rt::Governor gov(budget);
+  return find_strategy(name)->run(f, opt, EvalContext{exec, &gov});
+}
+
+/// Every field a caller reads, the oracle counters through their ledger.
+void expect_same_result(const StrategyResult& a, const StrategyResult& b) {
+  EXPECT_EQ(a.order_root_first, b.order_root_first);
+  EXPECT_EQ(a.internal_nodes, b.internal_nodes);
+  EXPECT_EQ(a.optimal, b.optimal);
+  EXPECT_EQ(a.lower_bound, b.lower_bound);
+  EXPECT_EQ(a.outcome, b.outcome);
+  obs::Ledger la, lb;
+  a.oracle.to_ledger(la);
+  b.oracle.to_ledger(lb);
+  for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+    const auto m = static_cast<obs::Metric>(i);
+    EXPECT_EQ(la.get(m), lb.get(m)) << obs::kMetricInfo[i].name;
+  }
+  EXPECT_EQ(a.run.work_units, b.run.work_units);
+}
+
+TEST(FsIsTheLadder, BothNamesRunOneFunction) {
+  EXPECT_EQ(find_strategy("fs")->run, find_strategy("auto")->run);
+}
+
+TEST(FsIsTheLadder, WorkLimitTripsAndSalvages) {
+  const tt::TruthTable f = pin_function();
+  const StrategyOptions opt;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    par::ExecPolicy exec;
+    exec.num_threads = threads;
+    // Below the dense DP's 2n·3^(n-1) = 10,206 cells at n = 7.
+    const rt::Budget budget = rt::Budget::with_work_limit(3000);
+    const StrategyResult fs = run_governed("fs", f, opt, exec, budget);
+    EXPECT_EQ(fs.outcome, rt::Outcome::kDeadline);
+    EXPECT_FALSE(fs.optimal);
+    ASSERT_TRUE(util::is_permutation(fs.order_root_first));
+    ASSERT_EQ(fs.order_root_first.size(), 7u);
+    EXPECT_EQ(core::diagram_size_for_order(f, fs.order_root_first),
+              fs.internal_nodes);
+    EXPECT_LE(fs.lower_bound, fs.internal_nodes);
+    expect_same_result(fs, run_governed("auto", f, opt, exec, budget));
+  }
+}
+
+TEST(FsIsTheLadder, CancelAtAGovernorPollEndsCancelled) {
+  const tt::TruthTable f = tt::hidden_weighted_bit(10);
+  const StrategyOptions opt;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    rt::CancelToken token;
+    rt::FaultPlan plan;
+    plan.cancel_at_checkpoint = 3;
+    plan.cancel = &token;
+    rt::ScopedFaultPlan scoped(plan);
+    rt::Budget budget;
+    budget.cancel = &token;
+    par::ExecPolicy exec;
+    exec.num_threads = threads;
+    const StrategyResult fs = run_governed("fs", f, opt, exec, budget);
+    EXPECT_EQ(fs.outcome, rt::Outcome::kCancelled);
+    EXPECT_FALSE(fs.optimal);
+    ASSERT_TRUE(util::is_permutation(fs.order_root_first));
+    ASSERT_EQ(fs.order_root_first.size(), 10u);
+    EXPECT_EQ(core::diagram_size_for_order(f, fs.order_root_first),
+              fs.internal_nodes);
+    EXPECT_LE(fs.lower_bound, fs.internal_nodes);
+  }
+}
+
+TEST(FsIsTheLadder, SameResultAsAutoForEveryPruneSeedKindAndThreadCount) {
+  const tt::TruthTable f = pin_function();
+  for (const core::DiagramKind kind :
+       {core::DiagramKind::kBdd, core::DiagramKind::kZdd}) {
+    for (const int threads : {1, 4}) {
+      // Prune off, then bound pruning seeded by each heuristic.
+      std::vector<std::string> seeds = {""};
+      for (const std::string_view s : kPruneSeeds) seeds.emplace_back(s);
+      for (const std::string& seed : seeds) {
+        SCOPED_TRACE(std::string(kind == core::DiagramKind::kZdd ? "zdd"
+                                                                 : "bdd") +
+                     " threads " + std::to_string(threads) + " seed '" +
+                     seed + "'");
+        StrategyOptions opt;
+        opt.kind = kind;
+        EvalContext ctx;
+        ctx.exec.num_threads = threads;
+        if (!seed.empty()) {
+          opt.prune_seed = seed;
+          ctx.exec.prune = par::PruneMode::kBounds;
+        }
+        const StrategyResult fs = find_strategy("fs")->run(f, opt, ctx);
+        EXPECT_EQ(fs.outcome, rt::Outcome::kComplete);
+        EXPECT_TRUE(fs.optimal);
+        EXPECT_GT(fs.run.work_units, 0u);
+        expect_same_result(fs, find_strategy("auto")->run(f, opt, ctx));
+      }
+    }
   }
 }
 

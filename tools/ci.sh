@@ -27,14 +27,19 @@
 #      pooled-CRC guard (a 14-variable run cancelled mid-DP at --threads
 #      4 and 1 leaves byte-identical snapshots of at least 2 MiB, and
 #      each resumes at the other thread count to the straight run's
-#      JSON), plus the
+#      JSON), plus the default-route guard (`fs`, the default, is the
+#      governed ladder: --fault-cancel-at 3 ends it cancelled,
+#      --work-limit 100000 at the deadline, and --checkpoint leaves a
+#      `--prune-seed restarts` run's JSON unchanged), plus the
 #      typed-CLI-error block (malformed formulas, a formula over 26
 #      variables, bad numeric flag values, an unknown --prune-seed name,
 #      a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
 #      signal and its line — a v2 or v3 snapshot exits 3 naming the
 #      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
-#      runs, never with internal-check text), plus the `ovo order
+#      runs, and `--strategy brute` over 11 variables, `--strategy
+#      dynamic --zdd` and `--shared` on a 26-input, 2-output PLA exit 2
+#      naming the limit, never with internal-check text), plus the `ovo order
 #      --trace` Chrome trace-event smoke (including a checkpointed run
 #      whose fs.checkpoint spans carry each frame's `bytes` and whose
 #      commits are fs.checkpoint.write spans on the writer's own lane),

@@ -16,12 +16,12 @@
 //   ovo --list-strategies               # registered ordering strategies
 //
 // Every minimizer is a named strategy in the reorder::strategies()
-// registry; --strategy selects one directly, and the legacy --engine
-// flag is an alias (fs → "fs", or "auto" when budget or checkpoint flags
-// are present; bnb → "bnb"; quantum → "quantum").  The budget flags
-// bound a run (see docs/INTERNALS.md, "Resource governance"); every
-// strategy then returns its best incumbent plus why it stopped.  --json
-// emits one machine-readable object including the outcome, the certified
+// registry; --strategy selects one directly, and the --engine flag is a
+// plain alias of it (fs, bnb, quantum).  The default, `fs`, runs the
+// exact DP on the governed ladder that `auto` names too.  The budget
+// flags bound a run (see docs/INTERNALS.md, "Resource governance");
+// every strategy then returns its best incumbent plus why it stopped.
+// --json emits one machine-readable object including the outcome, the certified
 // lower bound, and the unified oracle counters — rendered through the
 // obs shared serializer, so its field names match BENCH_fs.json /
 // BENCH_quantum.json exactly; --json-out additionally writes that object
@@ -33,9 +33,10 @@
 // Crash safety: --checkpoint snapshots the exact DP's state at layer
 // fences (and when a budget/cancel trips); --resume restarts from such a
 // snapshot and replays the remaining layers bit-identically.  SIGINT or
-// SIGTERM trips the run's CancelToken: the run winds down through the
-// normal cancelled path — best-so-far order, certified lower bound,
-// final snapshot — and a second signal exits immediately (status 130).
+// SIGTERM trips the run's CancelToken: the run, the default route
+// included, winds down through the normal cancelled path — best-so-far
+// order, certified lower bound, final snapshot — and a second signal
+// exits immediately (status 130).
 //
 // Fault injection (deterministic chaos, see rt/fault.hpp): the --fault-*
 // flags install a FaultSchedule for the run.  --fault-cancel-at N trips
@@ -48,8 +49,11 @@
 // given seed.  Exit codes: 0 success, 1 error, 2 usage, 3 checkpoint
 // error, 4 injected fault (std::bad_alloc / rt::FaultInjected), 130
 // second signal.  Numeric flag values must be whole, in-range strings of
-// digits ("-5", "4x", "abc" are usage errors naming the flag), and an
-// input that cannot be read or parsed is a typed error (exit 1).
+// digits ("-5", "4x", "abc" are usage errors naming the flag), an input
+// past an engine's limit (`--strategy brute` over more than 10
+// variables, `--strategy dynamic --zdd`, `--shared` needing more than 26
+// variables) is a usage error naming the limit, and an input that cannot
+// be read or parsed is a typed error (exit 1).
 //
 // <input> is one of:
 //   - a path ending in .pla  (Berkeley PLA; first output used unless
@@ -59,6 +63,7 @@
 //     e.g.  ovo order "x1 & x2 | x3 & x4"
 
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cinttypes>
 #include <climits>
@@ -275,6 +280,33 @@ void emit_json(const std::string& text, const std::string& json_out) {
     rt::write_file_atomic(json_out, text.data(), text.size());
 }
 
+/// Inputs past an engine's limit are usage errors, raised before the
+/// library call whose internal check would otherwise fire.
+void check_engine_limits(const LoadedInput& in, bool shared,
+                         const std::string& strategy,
+                         core::DiagramKind kind) {
+  const int n = in.outputs.front().num_vars();
+  if (shared) {
+    // fs_minimize_shared tabulates the outputs as one function over the
+    // inputs plus ceil(log2 m) selector variables (core/multi_output.hpp).
+    const int vars = n + std::bit_width(in.outputs.size() - 1);
+    if (vars > tt::TruthTable::kMaxVars)
+      throw UsageError(
+          "--shared: " + std::to_string(n) + " inputs and " +
+          std::to_string(in.outputs.size()) + " outputs need " +
+          std::to_string(vars) + " variables, at most " +
+          std::to_string(tt::TruthTable::kMaxVars) + " are supported");
+    return;
+  }
+  if (strategy == "brute" && n > reorder::kBruteForceMaxVars)
+    throw UsageError("--strategy brute: sweeps all n! orders of at most " +
+                     std::to_string(reorder::kBruteForceMaxVars) +
+                     " variables, the input has " + std::to_string(n));
+  if (strategy == "dynamic" && kind == core::DiagramKind::kZdd)
+    throw UsageError("--strategy dynamic: sifts a live BDD only, so it "
+                     "takes no --zdd");
+}
+
 void print_strategy_list() {
   for (const reorder::Strategy& s : reorder::strategies())
     std::printf("%-13s %s\n", s.name, s.description);
@@ -423,12 +455,10 @@ int cmd_order(const std::vector<std::string>& args) {
                  "note: --trace ignored (built with -DOVO_TRACE=OFF)\n");
 #endif
   }
-  // `budgeted` reflects the user's explicit limit flags only; the
-  // signal-driven CancelToken attached below must not reroute an
-  // unbudgeted `--engine fs` run onto the governed ladder.
+  // `budgeted` reflects the user's explicit limit flags only (the
+  // signal-driven CancelToken is attached below), for the note that
+  // --shared runs ignore them.
   const bool budgeted = !budget.unlimited();
-  const bool checkpointing =
-      !checkpoint_path.empty() || !resume_path.empty();
 
   // Graceful interruption: Ctrl-C / SIGTERM trips the CancelToken and
   // the run winds down through the normal cancelled path (snapshot,
@@ -446,13 +476,33 @@ int cmd_order(const std::vector<std::string>& args) {
   if (fault_requested) fault.emplace(fault_schedule);
 
   const LoadedInput loaded = load_input(input);
+  // --engine is a plain alias of --strategy; --strategy wins when both
+  // are given.
+  const reorder::Strategy* strategy = nullptr;
+  if (!shared) {
+    if (strategy_name.empty()) {
+      if (engine != "fs" && engine != "bnb" && engine != "quantum") {
+        std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
+        return 2;
+      }
+      strategy_name = engine;
+    }
+    strategy = reorder::find_strategy(strategy_name);
+    if (strategy == nullptr) {
+      std::fprintf(stderr,
+                   "unknown strategy '%s' (see ovo --list-strategies)\n",
+                   strategy_name.c_str());
+      return 2;
+    }
+  }
+  check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
 
   if (shared) {
     if (budgeted)
       std::fprintf(stderr,
                    "note: budget flags are not supported with --shared\n");
-    if (checkpointing)
+    if (!checkpoint_path.empty() || !resume_path.empty())
       std::fprintf(
           stderr,
           "note: checkpoint/resume is not supported with --shared\n");
@@ -477,28 +527,6 @@ int cmd_order(const std::vector<std::string>& args) {
     std::printf("note: %zu outputs; optimizing the first (use --shared "
                 "for all)\n",
                 loaded.outputs.size());
-  // --engine is an alias into the strategy registry; --strategy wins
-  // when both are given.  Checkpoint flags route `fs` onto the governed
-  // `auto` ladder too: only it degrades gracefully on a trip, and a
-  // snapshot's provenance (seed order, incumbent) is its contract.
-  if (strategy_name.empty()) {
-    if (engine == "fs") {
-      strategy_name = (budgeted || checkpointing) ? "auto" : "fs";
-    } else if (engine == "bnb" || engine == "quantum") {
-      strategy_name = engine;
-    } else {
-      std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
-      return 2;
-    }
-  }
-  const reorder::Strategy* strategy = reorder::find_strategy(strategy_name);
-  if (strategy == nullptr) {
-    std::fprintf(stderr,
-                 "unknown strategy '%s' (see ovo --list-strategies)\n",
-                 strategy_name.c_str());
-    return 2;
-  }
-
   // A resumed run must replay the original run's configuration; the
   // snapshot's fingerprint pins the prune mode, so adopt it rather than
   // fail on a forgotten --prune flag (an actually different instance
@@ -599,16 +627,16 @@ int cmd_compare(const std::vector<std::string>& args) {
   const auto exact = core::fs_minimize(f, core::DiagramKind::kBdd, exec);
   std::vector<int> id(static_cast<std::size_t>(f.num_vars()));
   std::iota(id.begin(), id.end(), 0);
-  const auto sifted =
-      reorder::sift(f, id, core::DiagramKind::kBdd, /*max_passes=*/8, exec);
+  reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
+  const reorder::EvalContext ctx{exec};
+  const auto sifted = reorder::sift(oracle, id, /*max_passes=*/8, ctx);
   const std::uint64_t identity = core::diagram_size_for_order(f, id);
   std::printf("exact optimum : %" PRIu64 " internal nodes\n",
               exact.min_internal_nodes);
   std::printf("sifting       : %" PRIu64 "\n", sifted.internal_nodes);
   std::printf("identity order: %" PRIu64 "\n", identity);
   if (f.num_vars() <= 8) {
-    const auto bf =
-        reorder::brute_force_minimize(f, core::DiagramKind::kBdd, exec);
+    const auto bf = reorder::brute_force_minimize(oracle, ctx);
     std::printf("pessimal order: %" PRIu64 "\n", bf.worst_internal_nodes);
   }
   return 0;

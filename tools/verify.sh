@@ -36,15 +36,21 @@
 # and at --threads 1 must leave byte-identical snapshots from a fence of
 # at least 2 MiB, whose CRC the 4-thread run folds from pool chunks, and
 # resuming each at the other thread count must print the straight run's
-# JSON apart from "threads".  It runs
+# JSON apart from "threads".  The default strategy (`fs`, the same
+# governed ladder as `auto`) must end cancelled on --fault-cancel-at 3,
+# end at the deadline under --work-limit 100000 on the 14-variable
+# formula, and print the same JSON for a `--prune bounds --prune-seed
+# restarts` run with and without --checkpoint.  It runs
 # malformed formulas, a formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed name, a missing input file, BLIF
-# netlists with an undefined signal or a combinational cycle, and a v2
-# and a v3 snapshot through `ovo order`, and `ovo tables --k` at 12
+# netlists with an undefined signal or a combinational cycle, a v2
+# and a v3 snapshot, and inputs past an engine's limit (`--strategy
+# brute` over 11 variables, `--strategy dynamic --zdd`, `--shared` on a
+# 26-input, 2-output PLA) through `ovo order`, and `ovo tables --k` at 12
 # (runs), 13 and 40 (past Table 1's double-precision range), and checks
 # each exit code (an old snapshot must name the version skew, a BLIF
-# error its line and
-# signal) and that no internal-check text reaches stderr.  Quick mode
+# error its line and signal, an engine limit the limit) and that no
+# internal-check text reaches stderr.  Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps; with --checkpoint, every fs.checkpoint span carries a
@@ -240,13 +246,32 @@ PY
     | diff "${smoke_dir}/crc_straight.json" -
   crc_run --threads 1 --resume "${smoke_dir}/crc4.ckpt" \
     | diff "${smoke_dir}/crc_straight.json" -
+  echo "==== quick: the default route is the governed ladder ======="
+  # `fs`, the default strategy, runs the exact DP on the same governed
+  # ladder as `auto`: a cancel at a governor poll ends the run cancelled,
+  # a work limit ends it at the deadline, and a checkpoint never changes
+  # what it prints (the prune seed's ledger included).
+  build/tools/ovo order --json --fault-cancel-at 3 "${smoke_fn}" \
+    | grep -q '"outcome":"cancelled"'
+  build/tools/ovo order --strategy fs --work-limit 100000 --json \
+    "${crc_fn}" | grep -q '"outcome":"deadline"'
+  seeded_run() {
+    build/tools/ovo order --json --prune bounds --prune-seed restarts \
+      "$@" "${crc_fn}"
+  }
+  seeded_run > "${smoke_dir}/seeded.json"
+  seeded_run --checkpoint "${smoke_dir}/seeded.ckpt" \
+    | diff "${smoke_dir}/seeded.json" -
   echo "==== quick: typed CLI errors ==============================="
   # A typo in a formula or a flag value, a missing input file, a BLIF
   # netlist with an undefined signal or a combinational cycle, a
-  # snapshot of an older payload version, or a `tables --k` past the
-  # range Table 1's double-precision chain holds is the user's error:
-  # each must exit with its documented code (1 input error, 2 usage
-  # error, 3 checkpoint error) and never surface internal-check text.
+  # snapshot of an older payload version, a `tables --k` past the
+  # range Table 1's double-precision chain holds, or an input past an
+  # engine's limit (`--strategy brute` over 11 variables, `--strategy
+  # dynamic --zdd`, `--shared` on 26 inputs and 2 outputs) is the user's
+  # error: each must exit with its documented code (1 input error, 2
+  # usage error, 3 checkpoint error) and never surface internal-check
+  # text.
   expect_exit() {
     local want="$1" rc=0
     shift
@@ -291,7 +316,15 @@ PY
   expect_exit 2 tables --k 13
   grep -q 'from 1 to 12' "${smoke_dir}/cli_err.txt"
   expect_exit 2 tables --k 40
-  echo "typed CLI errors: 19 invocations, no internal-check text"
+  expect_cli_error 2 --zdd --strategy dynamic "x1 & x2 | x3"
+  grep -q 'takes no --zdd' "${smoke_dir}/cli_err.txt"
+  expect_cli_error 2 --strategy brute "${crc_fn}"
+  grep -q 'at most 10 variables' "${smoke_dir}/cli_err.txt"
+  printf '.i 26\n.o 2\n.p 1\n11111111111111111111111111 11\n.e\n' \
+    > "${smoke_dir}/wide.pla"
+  expect_cli_error 2 --shared "${smoke_dir}/wide.pla"
+  grep -q 'at most 26 are supported' "${smoke_dir}/cli_err.txt"
+  echo "typed CLI errors: 22 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
