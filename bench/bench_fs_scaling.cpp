@@ -1,8 +1,11 @@
 // Theorem 5 claim: algorithm FS runs in O*(3^n) time, and (Remark 1) in
 // space of the same order, against the trivial O*(n! 2^n) brute force.
 // For n = 2..N on random functions we count the table cells FS compacts
-// and its peak resident cells, check both against the closed forms,
-// and fit their growth bases.  Time belongs to the repo benchmark
+// and its peak resident cells, check both against the closed forms for
+// the row's own symmetry classes (util::orbit_total_cells and
+// orbit_peak_cells, which are Theorem 5's and Remark 1's forms when no two
+// inputs are symmetric, as at every n the fits use), and fit their
+// growth bases.  Time belongs to the repo benchmark
 // (perfbench/), which takes medians over repeated runs; this bench
 // reports counts only, so its output is the same on every run.
 //
@@ -14,7 +17,7 @@
 // incumbent.  The pruned run must reproduce the dense optimum and order
 // bit-exactly; the row reports states_pruned / prune_ratio and the
 // measured sparse peak against peak_cells_dense_equiv (the closed-form
-// dense peak from quantum::fs_peak_cells).  Random functions prune
+// dense peak for the row's symmetry classes).  Random functions prune
 // weakly at large n, so two structured functions (hwb, adder_carry) are
 // ablated at the largest n as well.
 //
@@ -34,6 +37,7 @@
 #include <numeric>
 #include <string>
 
+#include "core/fs_star.hpp"
 #include "core/minimize.hpp"
 #include "ds/unique_table.hpp"
 #include "obs/metrics.hpp"
@@ -44,6 +48,7 @@
 #include "rt/budget.hpp"
 #include "rt/checkpoint.hpp"
 #include "tt/function_zoo.hpp"
+#include "util/combinatorics.hpp"
 #include "util/fit.hpp"
 #include "util/rng.hpp"
 
@@ -69,6 +74,15 @@ bool write_json(const std::string& path, const std::string& text) {
   }
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+/// Sizes of t's symmetry classes, which fix the dense DP's closed forms.
+std::vector<int> class_sizes(const ovo::tt::TruthTable& t) {
+  std::vector<int> sizes;
+  for (const ovo::util::Mask c : ovo::core::symmetry_classes(
+           ovo::core::initial_table(t), ovo::util::full_mask(t.num_vars())))
+    sizes.push_back(ovo::util::popcount(c));
+  return sizes;
 }
 
 }  // namespace
@@ -177,9 +191,10 @@ int main(int argc, char** argv) {
   std::vector<obs::Ledger> dense_ledgers;
   std::vector<core::PruneStats> prune_rows;
   std::vector<std::uint64_t> pruned_peaks;
+  std::vector<std::vector<int>> row_sizes;
   ds::TableStats dedup_total;
   const int kMaxN = 13;
-  bool space_matches = true;
+  bool counts_match = true;
   bool prune_matches = true;
 
   // Bound-pruned ablation: sift-seeded incumbent, sparse layers.  Must
@@ -206,18 +221,20 @@ int main(int argc, char** argv) {
     prune_rows.push_back(rp.ops.prune);
     pruned_peaks.push_back(rp.ops.peak_cells);
 
-    const double peak_pred = quantum::fs_peak_cells(n);
-    space_matches &=
-        static_cast<double>(r.ops.peak_cells) == peak_pred;
+    const std::vector<int>& sizes = row_sizes.emplace_back(class_sizes(t));
+    const std::uint64_t cells_pred = util::orbit_total_cells(sizes);
+    const std::uint64_t peak_pred = util::orbit_peak_cells(sizes);
+    counts_match &= r.ops.table_cells == cells_pred &&
+                    r.ops.peak_cells == peak_pred;
     ns.push_back(n);
     fs_cells.push_back(static_cast<double>(r.ops.table_cells));
     fs_space.push_back(static_cast<double>(r.ops.peak_cells));
     r.ops.to_ledger(dense_ledgers.emplace_back());
     dedup_total += r.ops.dedup;
-    std::printf("%3d %14" PRIu64 " %14.0f %12" PRIu64 " %12.0f %16.0f\n",
-                n, r.ops.table_cells, quantum::fs_total_cells(n),
-                r.ops.peak_cells, peak_pred,
-                quantum::brute_force_total_cells(n));
+    std::printf("%3d %14" PRIu64 " %14" PRIu64 " %12" PRIu64 " %12" PRIu64
+                " %16.0f\n",
+                n, r.ops.table_cells, cells_pred, r.ops.peak_cells,
+                peak_pred, quantum::brute_force_total_cells(n));
   }
 
   // Fit growth bases on the tail (small n is polluted by constants).
@@ -235,8 +252,9 @@ int main(int argc, char** argv) {
               space_fit.base);
   std::printf("fit R^2 (log scale): time %.4f, space %.4f\n",
               cell_fit.r_squared, space_fit.r_squared);
-  std::printf("measured peak space == closed form on every n: %s\n",
-              space_matches ? "yes" : "NO");
+  std::printf("measured cells and peak space == closed forms on every n: "
+              "%s\n",
+              counts_match ? "yes" : "NO");
   std::printf("\nCOMPACT dedup tables (ovo::ds, all runs): lookups=%" PRIu64
               "  hit rate=%.3f  avg probe=%.2f  resizes=%" PRIu64 "\n",
               dedup_total.lookups, dedup_total.hit_rate(),
@@ -250,10 +268,12 @@ int main(int argc, char** argv) {
     int n;
     core::PruneStats p;
     std::uint64_t peak_cells;
+    std::vector<int> class_sizes;
   };
   std::vector<PruneRow> ablation;
   for (std::size_t i = 0; i < ns.size(); ++i)
-    ablation.push_back({"random", ns[i], prune_rows[i], pruned_peaks[i]});
+    ablation.push_back(
+        {"random", ns[i], prune_rows[i], pruned_peaks[i], row_sizes[i]});
   {
     struct Structured {
       const char* name;
@@ -267,8 +287,8 @@ int main(int argc, char** argv) {
     for (const Structured& s : structured) {
       const core::MinimizeResult dense = core::fs_minimize(s.t);
       const core::MinimizeResult rp = run_pruned(s.t, dense);
-      ablation.push_back(
-          {s.name, s.t.num_vars(), rp.ops.prune, rp.ops.peak_cells});
+      ablation.push_back({s.name, s.t.num_vars(), rp.ops.prune,
+                          rp.ops.peak_cells, class_sizes(s.t)});
     }
   }
 
@@ -279,17 +299,16 @@ int main(int argc, char** argv) {
               "sparse cells", "peak (dense eq.)");
   bool prune_bites_at_max_n = false;
   for (const PruneRow& row : ablation) {
-    const double dense_peak = quantum::fs_peak_cells(row.n);
+    const std::uint64_t dense_peak = util::orbit_peak_cells(row.class_sizes);
     std::printf("%-12s %3d %12" PRIu64 " %12" PRIu64 " %9" PRIu64
-                " %7.2f%% %14" PRIu64 " %9" PRIu64 " (%8.0f)\n",
+                " %7.2f%% %14" PRIu64 " %9" PRIu64 " (%8" PRIu64 ")\n",
                 row.function.c_str(), row.n, row.p.states_enumerated(),
                 row.p.states_pruned + row.p.states_dead,
                 row.p.states_surviving, 100.0 * row.p.prune_ratio(),
                 row.p.sparse_cells, row.peak_cells, dense_peak);
     if (row.n == kMaxN) {
       prune_bites_at_max_n |=
-          row.p.prune_ratio() > 0.0 &&
-          static_cast<double>(row.peak_cells) < dense_peak;
+          row.p.prune_ratio() > 0.0 && row.peak_cells < dense_peak;
     }
   }
   std::printf("pruned runs identical to dense: %s;  prune engaged at "
@@ -305,14 +324,14 @@ int main(int argc, char** argv) {
       appendf(row, "\"n\":%d", prow.n);
       obs::append_json_str(row, "function", prow.function.c_str());
       // Random rows carry the dense DP's counts beside Theorem 5's closed
-      // form (peak_cells_dense_equiv below is Remark 1's); the structured
-      // rows carry only the pruning surface, so scaling-fit consumers key
-      // on "function" == "random".
+      // form for the row's classes (peak_cells_dense_equiv below is
+      // Remark 1's); the structured rows carry only the pruning surface,
+      // so scaling-fit consumers key on "function" == "random".
       if (i < dense_ledgers.size()) {
         const obs::Ledger& dense = dense_ledgers[i];
         obs::append_metric_json(row, dense, obs::Metric::kFsTableCells);
-        appendf(row, ",\"table_cells_pred\":%.0f",
-                quantum::fs_total_cells(prow.n));
+        appendf(row, ",\"table_cells_pred\":%" PRIu64,
+                util::orbit_total_cells(prow.class_sizes));
         obs::append_metric_json(row, dense, obs::Metric::kFsPeakCells);
       }
       // The bound-pruning surface, keyed by the metric table, and the
@@ -329,8 +348,8 @@ int main(int argc, char** argv) {
                                {obs::Metric::kFsPruneSparseCells,
                                 obs::Metric::kFsPruneDenseCells});
       appendf(row, ",\"peak_cells_pruned\":%" PRIu64, prow.peak_cells);
-      appendf(row, ",\"peak_cells_dense_equiv\":%.0f",
-              quantum::fs_peak_cells(prow.n));
+      appendf(row, ",\"peak_cells_dense_equiv\":%" PRIu64,
+              util::orbit_peak_cells(prow.class_sizes));
       obs::append_run_info_json(row, kThreads);
       json += row + (i + 1 < ablation.size() ? "},\n" : "}\n");
     }
@@ -340,7 +359,7 @@ int main(int argc, char** argv) {
 
   const bool shape_ok = cell_fit.base > 2.6 && cell_fit.base < 3.4 &&
                         space_fit.base > 2.5 && space_fit.base < 3.4 &&
-                        space_matches && prune_matches &&
+                        counts_match && prune_matches &&
                         prune_bites_at_max_n;
   std::printf("result: %s\n",
               shape_ok

@@ -133,19 +133,23 @@ std::uint64_t snapshot_payload_bound(std::uint64_t tables,
                                      std::uint64_t mincost,
                                      std::uint64_t seed_name_len,
                                      std::uint64_t seed_order_len) {
-  // Fixed fields plus both counter sections (names stay under 32 bytes).
-  constexpr std::uint64_t kScalarBytes = 128 + 2 * 44 * obs::kMetricCount;
+  // Fixed fields, at most 64 classes, and both counter sections (names
+  // stay under 32 bytes).
+  constexpr std::uint64_t kScalarBytes =
+      128 + 8 * 64 + 2 * 44 * obs::kMetricCount;
   return kScalarBytes + seed_name_len + 4 * seed_order_len +
-         (8 + 4 + 8) * tables + 4 * cells + (8 + 4) * best_last +
+         (8 + 4 + 8) * tables + 4 * cells + (8 + 4 + 8) * best_last +
          (8 + 8) * mincost;
 }
 
 void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   OVO_CHECK(view.fingerprint != nullptr && view.dense != nullptr &&
-            view.tables != nullptr && view.best_last != nullptr &&
+            view.tables != nullptr && view.classes != nullptr &&
+            view.best_last != nullptr && view.ties != nullptr &&
             view.mincost != nullptr && view.counters != nullptr &&
             view.seed_counters != nullptr);
   OVO_CHECK(view.dense->size() == view.tables->size());
+  OVO_CHECK(view.best_last->size() == view.ties->size());
   OVO_DCHECK(strictly_ascending(*view.best_last) &&
              strictly_ascending(*view.mincost));
   static const std::string kEmpty;
@@ -183,6 +187,8 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   for (const int v : seed_order) w.u32(static_cast<std::uint32_t>(v));
   encode_counters(w, *view.counters);
   encode_counters(w, *view.seed_counters);
+  w.u64(view.classes->size());
+  for (const util::Mask c : *view.classes) w.u64(c);
 
   // Layer tables, already in colex (ascending-mask) order in the engine.
   w.u64(view.dense->size());
@@ -194,11 +200,15 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
     w.u32_array(t.cells.data(), t.cells.size());
   }
 
-  // The maps, in their stored ascending-mask order.
+  // The maps, in their stored ascending-mask order; each best_last
+  // entry carries its state's tie set.
   w.u64(view.best_last->size());
-  for (const auto& [mask, var] : *view.best_last) {
+  for (std::size_t i = 0; i < view.best_last->size(); ++i) {
+    const auto& [mask, var] = (*view.best_last)[i];
+    OVO_DCHECK((*view.ties)[i].first == mask);
     w.u64(mask);
     w.u32(static_cast<std::uint32_t>(var));
+    w.u64((*view.ties)[i].second);
   }
   w.u64(view.mincost->size());
   for (const auto& [mask, cost] : *view.mincost) {
@@ -257,9 +267,31 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
   s.counters = decode_counters(r);
   s.seed_counters = decode_counters(r);
 
-  const auto& binom = util::BinomialTable::instance();
+  // J's symmetry classes: a partition of the block, ascending by lowest
+  // member, and all singletons on a stop-early run.
+  const std::uint64_t n_classes = r.array_count(8);
+  if (n_classes > static_cast<std::uint64_t>(j_size))
+    malformed("more symmetry classes than block variables");
+  util::Mask covered = 0;
+  std::vector<int> class_sizes;
+  for (std::uint64_t i = 0; i < n_classes; ++i) {
+    const util::Mask c = r.u64();
+    if (c == 0 || (c & ~fp.block) != 0 || (c & covered) != 0)
+      malformed("symmetry class empty, outside the block or overlapping");
+    if (!s.classes.empty() &&
+        util::lowest_bit(c) <= util::lowest_bit(s.classes.back()))
+      malformed("symmetry classes not ascending by lowest member");
+    if (fp.stop_k < static_cast<std::uint32_t>(j_size) &&
+        util::popcount(c) != 1)
+      malformed("stop-early snapshot with a symmetric class");
+    covered |= c;
+    class_sizes.push_back(util::popcount(c));
+    s.classes.push_back(c);
+  }
+  if (covered != fp.block) malformed("symmetry classes do not cover the block");
+
   const std::uint64_t layer_card =
-      binom.choose(j_size, static_cast<int>(layer));
+      util::orbit_counts(class_sizes).states[layer];
   const std::vector<int> j_vars = util::bits_of(fp.block);
   const int free_count =
       static_cast<int>(fp.n) - util::popcount(fp.prefix_vars);
@@ -269,11 +301,11 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
       std::uint64_t{1} << (free_count - static_cast<int>(layer));
 
   const std::uint64_t n_tables = r.array_count(8 + 4 + 8);
-  // A dense snapshot must carry the *whole* layer; a pruned one carries
-  // at least one survivor (an empty layer would have tripped the
+  // A dense snapshot must carry the *whole* canonical layer; a pruned one
+  // carries at least one survivor (an empty layer would have tripped the
   // incumbent-below-optimum check before any fence).
   if (fp.prune == 0 && n_tables != layer_card)
-    malformed("dense snapshot does not cover its whole layer");
+    malformed("dense snapshot does not cover its whole canonical layer");
   if (n_tables == 0 || n_tables > layer_card)
     malformed("snapshot table count outside the layer's cardinality");
   s.dense.reserve(static_cast<std::size_t>(n_tables));
@@ -287,9 +319,12 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
       malformed("layer mask cardinality disagrees with the layer");
     if (!s.dense.empty() && d <= s.dense.back())
       malformed("layer masks not strictly ascending");
+    const util::Mask K = spread_dense(d, j_vars);
+    if (canonical_mask(s.classes, K) != K)
+      malformed("layer mask not canonical");
     PrefixTable t;
     t.n = static_cast<int>(fp.n);
-    t.vars = fp.prefix_vars | spread_dense(d, j_vars);
+    t.vars = fp.prefix_vars | K;
     t.num_terminals = s.num_terminals;
     t.next_id = r.u32();
     if (t.next_id < t.num_terminals)
@@ -306,18 +341,29 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     s.tables.push_back(std::move(t));
   }
 
-  const std::uint64_t n_bl = r.array_count(8 + 4);
+  const std::uint64_t n_bl = r.array_count(8 + 4 + 8);
   s.best_last.reserve(static_cast<std::size_t>(n_bl));
+  s.ties.reserve(static_cast<std::size_t>(n_bl));
   for (std::uint64_t i = 0; i < n_bl; ++i) {
     const util::Mask mask = r.u64();
     const std::uint32_t var = r.u32();
+    const util::Mask tied = r.u64();
     if (mask == 0 || (mask & ~fp.block) != 0)
       malformed("best-last mask outside the block");
     if (!s.best_last.empty() && mask <= s.best_last.back().first)
       malformed("best-last masks not strictly ascending");
+    if (canonical_mask(s.classes, mask) != mask)
+      malformed("best-last mask not canonical");
     if (var >= fp.n || (mask & (util::Mask{1} << var)) == 0)
       malformed("best-last variable not a member of its mask");
+    for (const util::Mask c : s.classes)
+      if ((tied & c) != 0 && (tied & c) != c)
+        malformed("tie set not a union of symmetry classes");
+    if ((tied & ~fp.block) != 0 || (mask & tied) == 0 ||
+        util::lowest_bit(mask & tied) != static_cast<int>(var))
+      malformed("tie set disagrees with its best-last variable");
     s.best_last.emplace_back(mask, static_cast<int>(var));
+    s.ties.emplace_back(mask, tied);
   }
 
   const std::uint64_t n_mc = r.array_count(8 + 8);
@@ -328,6 +374,8 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     if ((mask & ~fp.block) != 0) malformed("mincost mask outside the block");
     if (!s.mincost.empty() && mask <= s.mincost.back().first)
       malformed("mincost masks not strictly ascending");
+    if (canonical_mask(s.classes, mask) != mask)
+      malformed("mincost mask not canonical");
     s.mincost.emplace_back(mask, cost);
   }
 

@@ -6,8 +6,9 @@
 // A snapshot is taken only at a *layer fence*: every layer up to `layer`
 // is fully published, nothing deeper exists.  That is the one program
 // point where the DP's state is a pure value — the layer's tables (dense:
-// all C(|J|,k) of them; pruned: the packed survivors), the accumulated
-// back-pointer/mincost maps, the certified lower bound, and the fence's
+// all its canonical states; pruned: the packed survivors), J's symmetry
+// classes, the accumulated back-pointer/tie/mincost maps, the certified
+// lower bound, and the fence's
 // pinned counters (obs/metrics.hpp), each stored once by dotted name.
 // Resuming re-seeds the engine with exactly that state, so the remaining
 // layers — and every tie-break, pinned counter, and budget-trip decision
@@ -44,9 +45,13 @@ namespace ovo::core {
 /// counters as two keyed sections of pinned metrics (see encode_snapshot).
 /// v4 keeps that layout; its fence section holds fs.cut_cells, and its
 /// dedup counters count the lookups of the DP's bounded sweeps, so they
-/// differ from a v3 file's for the same fence.  Older files load as
+/// differ from a v3 file's for the same fence.  v5 runs the DP over
+/// symmetry orbits: it stores J's symmetry classes and each state's tie
+/// set, every mask in it is canonical, and a dense layer holds the
+/// canonical states only; its fence section holds fs.states, and a ZDD
+/// pruned run prunes against the ZDD bound.  Older files load as
 /// kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 4;
+inline constexpr std::uint32_t kFsSnapshotVersion = 5;
 
 /// Binary search in one of the DP's mask-sorted maps (FsStarResult and
 /// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in
@@ -61,6 +66,22 @@ const V* find_mask(const std::vector<std::pair<util::Mask, V>>& map,
         return e.first < m;
       });
   return it != map.end() && it->first == mask ? &it->second : nullptr;
+}
+
+/// The canonical state of K's symmetry orbit under `classes` (disjoint
+/// masks): K with its members of each class replaced by as many of the
+/// class's lowest members — the numerically smallest mask in the orbit.
+/// K is canonical iff canonical_mask(classes, K) == K.
+inline util::Mask canonical_mask(const std::vector<util::Mask>& classes,
+                                 util::Mask K) {
+  for (const util::Mask c : classes) {
+    util::Mask low = 0;
+    util::Mask rest = c;
+    for (int m = util::popcount(K & c); m > 0; --m, rest &= rest - 1)
+      low |= rest & (~rest + 1);
+    K = (K & ~c) | low;
+  }
+  return K;
 }
 
 /// Identity of the DP instance a snapshot belongs to.
@@ -81,11 +102,11 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
                              int stop_k, DiagramKind kind,
                              par::PruneMode prune);
 
-/// One decoded layer-fence snapshot.  `dense` holds the layer's subsets
-/// as dense masks over J's bit positions in colex (== ascending numeric)
-/// order; `tables[i]` is the table at `dense[i]`.  In dense mode the
-/// vectors cover the whole layer; in pruned mode they hold the packed
-/// survivors.
+/// One decoded layer-fence snapshot.  `dense` holds the layer's canonical
+/// subsets as dense masks over J's bit positions in colex (== ascending
+/// numeric) order; `tables[i]` is the table at `dense[i]`.  In dense mode
+/// the vectors cover the whole canonical layer; in pruned mode they hold
+/// the packed survivors.
 struct FsStarSnapshot {
   FsFingerprint fingerprint;
   std::uint32_t num_terminals = 2;
@@ -94,8 +115,13 @@ struct FsStarSnapshot {
   std::vector<util::Mask> dense;
   std::vector<PrefixTable> tables;
 
+  /// J's symmetry classes (FsStarResult::classes), which fix the
+  /// canonical states.
+  std::vector<util::Mask> classes;
+
   /// Accumulated DP maps through `layer`, sorted by variable mask.
   std::vector<std::pair<util::Mask, int>> best_last;
+  std::vector<std::pair<util::Mask, util::Mask>> ties;
   std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
 
   std::uint64_t certified_lower_bound = 0;
@@ -135,7 +161,9 @@ struct FsSnapshotView {
   int layer = 0;
   const std::vector<util::Mask>* dense = nullptr;
   const std::vector<PrefixTable>* tables = nullptr;
+  const std::vector<util::Mask>* classes = nullptr;
   const std::vector<std::pair<util::Mask, int>>* best_last = nullptr;
+  const std::vector<std::pair<util::Mask, util::Mask>>* ties = nullptr;
   const std::vector<std::pair<util::Mask, std::uint64_t>>* mincost = nullptr;
   std::uint64_t certified_lower_bound = 0;
   const obs::Ledger* counters = nullptr;
@@ -146,11 +174,11 @@ struct FsSnapshotView {
 };
 
 /// Bytes encode_snapshot_into reserves for a fence of `tables` layer
-/// tables holding `cells` cells in all, maps of `best_last` and `mincost`
-/// entries, and seed provenance of `seed_name_len` bytes and
-/// `seed_order_len` variables.  Exact for those parts; the fixed fields
-/// and the two counter sections (at most one entry per registry metric)
-/// are bounded.  A writer that already holds this much beyond its
+/// tables holding `cells` cells in all, maps of `best_last` (and as many
+/// tie) and `mincost` entries, and seed provenance of `seed_name_len`
+/// bytes and `seed_order_len` variables.  Exact for those parts; the
+/// fixed fields, the classes (at most 64) and the two counter sections
+/// (at most one entry per registry metric) are bounded.  A writer that already holds this much beyond its
 /// contents encodes the fence without regrowth.
 std::uint64_t snapshot_payload_bound(std::uint64_t tables,
                                      std::uint64_t cells,
@@ -174,6 +202,9 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 
 /// Parses and *semantically validates* payload bytes: every structural
 /// inconsistency the CRC cannot catch (mask order, layer cardinality,
+/// classes that do not partition the block, a mask that is not canonical,
+/// a dense layer short of its canonical states, a tie set that is not a
+/// union of classes or disagrees with best_last,
 /// cell ids out of range, table sizes that disagree with the fingerprint,
 /// a keyed section naming an unknown or measured metric, repeating or
 /// misordering a name, storing a zero, or holding more entries than the

@@ -149,7 +149,9 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
     v.layer = layer;
     v.dense = &dense;
     v.tables = &tables;
+    v.classes = &result.classes;
     v.best_last = &result.best_last;
+    v.ties = &result.ties;
     v.mincost = &result.mincost;
     v.certified_lower_bound = result.certified_lower_bound;
     obs::Ledger counters;
@@ -190,23 +192,23 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
 /// Sizes the plan's frame once for the widest fence a dense run's
 /// cadence will write, so the buffer is allocated, and its pages faulted
 /// in, once per run rather than at every new widest fence.  A dense
-/// layer k holds all C(|J|,k) states of (base cells >> k) cells each, and
-/// the maps hold every state of layers 0..k, so each fence's frame
-/// follows from closed forms (the base is resident and has at least
-/// 2^|J| cells, so none of them overflows).  Under a governor with a
-/// byte or node limit the reservation is capped at the byte limit and at
-/// 4 bytes per cell of the node limit; if the allocator refuses it, the
-/// frame grows fence by fence, as a pruned run's does.
-void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base, int j_size,
-                         int start_layer, int stop_k,
-                         const rt::Governor* gov) {
+/// layer k holds all its canonical states (C(|J|,k) without a symmetric
+/// pair) of (base cells >> k) cells each, and the maps hold every state
+/// of layers 0..k, so each fence's frame follows from closed forms (the
+/// base is resident and has at least 2^|J| cells, so none of them
+/// overflows).  Under a governor with a byte or node limit the
+/// reservation is capped at the byte limit and at 4 bytes per cell of
+/// the node limit; if the allocator refuses it, the frame grows fence by
+/// fence, as a pruned run's does.
+void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
+                         const util::OrbitCounts& counts, int start_layer,
+                         int stop_k, const rt::Governor* gov) {
   if (!plan.writes() || plan.opts->every <= 0) return;
   const FsCheckpointOptions& o = *plan.opts;
-  const auto& binom = util::BinomialTable::instance();
   std::uint64_t widest = 0;
   std::uint64_t map_states = 1;  // layers 0..k; layer 0 is the empty set
   for (int k = 1; k < stop_k; ++k) {
-    const std::uint64_t states = binom.choose(j_size, k);
+    const std::uint64_t states = counts.states[static_cast<std::size_t>(k)];
     map_states += states;
     if (k <= start_layer || k % o.every != 0) continue;
     const std::uint64_t cells =
@@ -242,6 +244,7 @@ bool fence_due(const CkptPlan& plan, int layer, int stop_k) {
 /// uninterrupted run would have.
 void apply_resume(FsStarResult& result, const FsStarSnapshot& s) {
   result.best_last = s.best_last;
+  result.ties = s.ties;
   result.mincost = s.mincost;
   result.prune.from_ledger(s.counters);
   result.certified_lower_bound = s.certified_lower_bound;
@@ -266,13 +269,20 @@ void merge_layer(std::vector<std::pair<util::Mask, V>>& map,
 // ---------------------------------------------------------------------------
 // Bound-pruned mode: admissible per-state lower bounds.
 
-/// Free variables of `t` whose assignment can change a cell id.  Because
-/// ids are canonical per table, v is in the support iff two cells
-/// differing only in v's coordinate differ — i.e. some pair of
-/// subfunctions over the placed variables differs, a property invariant
-/// under compacting *other* variables.  So the support computed once on
-/// the base table is each DP state's exact remaining-dependence set.
-util::Mask table_support(const PrefixTable& t) {
+/// Free variables of `t` that label a node in every diagram of the
+/// remaining block, computed once per run on the base table.
+///  * BDD and MTBDD: the variables whose assignment can change a cell id.
+///    Because ids are canonical per table, v is in the support iff two
+///    cells differing only in v's coordinate differ — i.e. some pair of
+///    subfunctions over the placed variables differs, a property
+///    invariant under compacting *other* variables.  So the support on
+///    the base table is each DP state's exact remaining-dependence set.
+///  * ZDD: a variable that no satisfying assignment sets is suppressed at
+///    every level, whatever it depends on (f = ¬x1 ∧ g), while one that
+///    some assignment sets lies on that assignment's path.  So the
+///    support is the variables with a cell whose coordinate is 1 and
+///    whose id is not the 0-terminal — also placement-invariant.
+util::Mask table_support(const PrefixTable& t, DiagramKind kind) {
   util::Mask support = 0;
   const std::vector<int> free_vars = util::bits_of(t.free_mask());
   for (std::size_t p = 0; p < free_vars.size(); ++p) {
@@ -281,7 +291,8 @@ util::Mask table_support(const PrefixTable& t) {
     for (std::size_t lo = 0; lo < t.cells.size() && !depends;
          lo += 2 * stride) {
       for (std::size_t i = lo; i < lo + stride; ++i) {
-        if (t.cells[i] != t.cells[i + stride]) {
+        if (kind == DiagramKind::kZdd ? t.cells[i + stride] != 0
+                                      : t.cells[i] != t.cells[i + stride]) {
           depends = true;
           break;
         }
@@ -300,14 +311,17 @@ struct BoundScratch {
 };
 
 /// Number of distinct ids among t.cells — the distinct subfunctions any
-/// completion of the block must still reach.
-std::uint64_t distinct_cell_count(const PrefixTable& t, BoundScratch& bs) {
+/// completion of the block must still reach — leaving id 0 out when
+/// `skip_zero`.
+std::uint64_t distinct_cell_count(const PrefixTable& t, bool skip_zero,
+                                  BoundScratch& bs) {
   if (bs.stamp.size() < t.next_id)
     bs.stamp.resize(static_cast<std::size_t>(t.next_id), 0);
   if (++bs.gen == 0) {  // generation wrap: clear once, restart at 1
     std::fill(bs.stamp.begin(), bs.stamp.end(), 0);
     bs.gen = 1;
   }
+  if (skip_zero) bs.stamp[0] = bs.gen;
   std::uint64_t d = 0;
   for (std::uint32_t id : t.cells) {
     if (bs.stamp[static_cast<std::size_t>(id)] != bs.gen) {
@@ -324,15 +338,18 @@ std::uint64_t distinct_cell_count(const PrefixTable& t, BoundScratch& bs) {
 ///    pointers, the finished block's table contributes `final_cells`
 ///    root pointers, and each of the q nodes plus each of t's d distinct
 ///    cell ids needs at least one incoming pointer — so 2q + final_cells
-///    >= q + d, i.e. q >= d - final_cells.
-///  * Dependence bound: every remaining block variable in the function's
-///    support labels at least one created node (support is placement-
-///    invariant, see table_support).
+///    >= q + d, i.e. q >= d - final_cells.  A ZDD reaches the 0-terminal
+///    through suppressed hi edges, which need no pointer, so for ZDDs d
+///    leaves id 0 out.
+///  * Dependence bound: every remaining block variable in `base_support`
+///    labels at least one created node (see table_support).
 /// Both hold for every completion order, so their max is admissible.
 std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
                                util::Mask base_support,
-                               std::uint64_t final_cells, BoundScratch& bs) {
-  const std::uint64_t d = distinct_cell_count(t, bs);
+                               std::uint64_t final_cells, DiagramKind kind,
+                               BoundScratch& bs) {
+  const std::uint64_t d =
+      distinct_cell_count(t, kind == DiagramKind::kZdd, bs);
   const std::uint64_t sinks = d > final_cells ? d - final_cells : 0;
   const std::uint64_t dep =
       static_cast<std::uint64_t>(util::popcount(base_support & remaining));
@@ -340,37 +357,123 @@ std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
 }
 
 // ---------------------------------------------------------------------------
+// Symmetry orbits (see FsStarResult::classes).
+
+/// Whether swapping the free-variable coordinates of strides `si` and
+/// `sj` leaves every cell unchanged; stops at the first mismatch.
+bool swap_invariant(const std::vector<std::uint32_t>& cells, std::size_t si,
+                    std::size_t sj) {
+  for (std::size_t a = 0; a < cells.size(); ++a)
+    if ((a & si) != 0 && (a & sj) == 0 && cells[a] != cells[a ^ si ^ sj])
+      return false;
+  return true;
+}
+
+/// The engine's view of J's classes, over dense positions into j_vars.
+/// A canonical state holds the lowest members of each class, and its
+/// transitions are the tops of the classes present in it (each class's
+/// highest member in the state).  When every class is a singleton every
+/// subset is canonical and every member a top: the dense DP.
+struct Orbits {
+  /// Classes of two or more members, as dense masks.
+  std::vector<util::Mask> multi;
+  /// Per position: its whole class, and the next higher member of its
+  /// class (0 at the class's highest member).
+  std::vector<util::Mask> whole;
+  std::vector<util::Mask> next;
+
+  Orbits(const std::vector<util::Mask>& classes, util::Mask J) {
+    const int j_size = util::popcount(J);
+    whole.assign(static_cast<std::size_t>(j_size), 0);
+    next.assign(static_cast<std::size_t>(j_size), 0);
+    for (const util::Mask c : classes) {
+      const util::Mask dc = util::gather_bits(c, J);
+      if (util::popcount(dc) > 1) multi.push_back(dc);
+      util::for_each_bit(dc, [&](int b) {
+        whole[static_cast<std::size_t>(b)] = dc;
+        const util::Mask above = dc & ~util::full_mask(b + 1);
+        next[static_cast<std::size_t>(b)] = above & (~above + 1);
+      });
+    }
+  }
+
+  bool symmetric() const { return !multi.empty(); }
+
+  bool canonical(util::Mask d) const {
+    return canonical_mask(multi, d) == d;
+  }
+
+  /// The transitions of canonical d: its members whose class has no
+  /// higher member in d.
+  util::Mask tops(util::Mask d) const {
+    if (!symmetric()) return d;
+    util::Mask t = 0;
+    util::for_each_bit(d, [&](int b) {
+      if ((d & next[static_cast<std::size_t>(b)]) == 0)
+        t |= util::Mask{1} << b;
+    });
+    return t;
+  }
+};
+
+/// All of J's variables as singleton classes: a stop-early run's.
+std::vector<util::Mask> singleton_classes(util::Mask J) {
+  std::vector<util::Mask> classes;
+  util::for_each_bit(J, [&](int v) { classes.push_back(util::Mask{1} << v); });
+  return classes;
+}
+
+/// The layer counts of the DP over `classes`.
+util::OrbitCounts class_counts(const std::vector<util::Mask>& classes) {
+  std::vector<int> sizes;
+  for (const util::Mask c : classes) sizes.push_back(util::popcount(c));
+  return util::orbit_counts(sizes);
+}
+
+// ---------------------------------------------------------------------------
 // The engine.
 
-/// The per-subset kernel: finds the best last variable for dense subset
-/// `d` by compacting each predecessor table of the previous layer (packed
-/// states, found by binary search in their strictly ascending masks
-/// `prev_dense`), writing the winner into `best` (Lemma 7's argmin;
-/// first-candidate-wins tie-break).  A predecessor missing from
-/// `prev_dense` was pruned: every chain through it already exceeds the
-/// incumbent, so skipping it never changes the argmin on a surviving
-/// state.  Candidates are visited in ascending bit order, so along any
-/// chain of surviving states the winner — and every tie-break — is the
-/// dense DP's.
+/// The per-state kernel: finds the best last variable for canonical
+/// dense state `d` by compacting, for each class top b of d, the
+/// predecessor table of d \ b in the previous layer (packed states, found
+/// by binary search in their strictly ascending masks `prev_dense`),
+/// writing the winner into `best` (Lemma 7's argmin).  A predecessor
+/// missing from `prev_dense` was pruned: every chain through it already
+/// exceeds the incumbent, so skipping it never changes the argmin on a
+/// surviving state.  Candidates are visited in ascending bit order, and
+/// the first to reach the minimum keeps its table.
+///
+/// Every member of a class yields the same cost (the swap maps one
+/// candidate onto the other), so K's argmin over its variables is an
+/// argmin over its classes.  `*ties_out` collects the whole classes whose
+/// candidate reaches the minimum, and `*best_var_out` is the dense DP's
+/// choice: the lowest member of d in them.
 ///
 /// Branch and bound: a candidate's cost is its predecessor's mincost plus
 /// the ids its sweep hands out, so it only grows as the sweep goes on.
-/// The first candidate is swept in full; every later one is swept with
-/// id limit best.next_id (best cost + num_terminals) and stopped once it
-/// reaches it — skipped before its first cell when the predecessor's
-/// mincost is already there.  A later candidate wins only with a strictly
-/// lower cost, i.e. a next_id below the limit, so a stopped candidate
-/// could never have won, the lowest bit still wins a tie, and the winner
-/// is never stopped: `best` and the costs are the full sweep's.
+/// The first candidate is swept in full; every later one is swept with an
+/// id limit and stopped once it reaches it — skipped before its first
+/// cell when the predecessor's mincost is already there.  Without a
+/// symmetric class the limit is best.next_id (best cost +
+/// num_terminals): a later candidate wins only with a strictly lower
+/// cost, so a stopped one could never have won, and the lowest bit wins a
+/// tie.  With one the limit is best.next_id + 1, so a tying candidate is
+/// swept to its end and joins the ties; it never replaces `best`, since
+/// every minimum-cost table of K has the same partition and next_id.
+/// Either way the winner is never stopped: `best` and the costs are the
+/// full sweep's.
 void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
                           const std::vector<util::Mask>& prev_dense,
                           bool prev_complete, const std::vector<int>& j_vars,
-                          DiagramKind kind, OpCounter* shard,
-                          PrefixTable& cand, PrefixTable& best,
-                          int* best_var_out, std::uint64_t* best_cost_out) {
+                          const Orbits& orbits, DiagramKind kind,
+                          OpCounter* shard, PrefixTable& cand,
+                          PrefixTable& best, int* best_var_out,
+                          std::uint64_t* best_cost_out,
+                          util::Mask* ties_out) {
+  const std::uint32_t slack = orbits.symmetric() ? 1 : 0;
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
-  int bv = -1;
-  util::for_each_bit(d, [&](int b) {
+  util::Mask tied = 0;  // tops whose candidate reaches bc
+  util::for_each_bit(orbits.tops(d), [&](int b) {
     const util::Mask pd = d & ~(util::Mask{1} << b);
     const auto it = std::lower_bound(prev_dense.begin(), prev_dense.end(), pd);
     if (it == prev_dense.end() || *it != pd) {
@@ -381,17 +484,28 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
     const PrefixTable& pred =
         prev[static_cast<std::size_t>(it - prev_dense.begin())];
     const int var = j_vars[static_cast<std::size_t>(b)];
-    if (bv < 0)
+    if (tied == 0) {
       compact_into(cand, pred, var, kind, shard);
-    else if (!compact_into_bounded(cand, pred, var, kind, best.next_id,
-                                   shard))
-      return;  // cost >= bc: cannot win
+    } else if (!compact_into_bounded(cand, pred, var, kind,
+                                     best.next_id + slack, shard)) {
+      return;  // cost > bc, or >= bc without a symmetric class
+    } else if (cand.next_id == best.next_id) {
+      tied |= util::Mask{1} << b;
+      return;
+    }
     bc = cand.mincost();
-    bv = var;
+    tied = util::Mask{1} << b;
     std::swap(best, cand);
   });
-  *best_var_out = bv;
+  util::Mask ties = 0;
+  util::for_each_bit(tied, [&](int b) {
+    ties |= orbits.whole[static_cast<std::size_t>(b)];
+  });
+  *best_var_out = tied == 0 ? -1
+                            : j_vars[static_cast<std::size_t>(
+                                  util::lowest_bit(d & ties))];
   *best_cost_out = bc;
+  *ties_out = ties;
 }
 
 /// The FS* engine: one parallel_for per layer over the layer's candidate
@@ -401,20 +515,27 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
 /// with `ub` empty every candidate is kept, no bound is computed, and the
 /// prune ledger and certified bound stay zero.
 ///
+/// Symmetry orbits: the candidates are the canonical states of `orbits`,
+/// and each state's transitions its class tops (see Orbits); without a
+/// symmetric class that is every subset and every member.  The layer
+/// counts come from `counts`, the closed form for `classes`.
+///
 /// Bound pruning (`ub` set): each state's admissible bound is tested
 /// against the fixed incumbent *ub.  The incumbent never moves during the
 /// DP and each bound depends only on its own state's table, so the
 /// surviving set is a pure function of (base, J, ub) — identical at every
-/// thread count — and the kernel sees the dense DP's candidates in the
-/// same order along every surviving chain, so the optimal order, size,
-/// and every tie-break match the dense run bit for bit.
+/// thread count.  The bound is invariant under the symmetry, so the
+/// survivors are closed under it.  The kernel sees the dense DP's
+/// candidates in the same order along every surviving chain, so the
+/// optimal order, size, and every tie-break match the dense run bit for
+/// bit.
 ///
-/// Determinism: every candidate writes its table/best-var/best-cost into
-/// its own slot, shards merge at each fence, and governor admission is
-/// made serially per layer from the layer's exact work — surviving
-/// predecessors × predecessor cells, the dense closed form C(|J|,k)·k·
-/// cells when nothing was pruned — so trips, orders, sizes, tie-breaks,
-/// and merged OpCounter totals are identical at every thread count.
+/// Determinism: every candidate writes its table/best-var/best-cost/ties
+/// into its own slot, shards merge at each fence, and governor admission
+/// is made serially per layer from the layer's exact work — surviving
+/// predecessors × predecessor cells, the closed form transitions[k]·cells
+/// when nothing was pruned — so trips, orders, sizes, tie-breaks, and
+/// merged OpCounter totals are identical at every thread count.
 ///
 /// Barrier-wait accounting: charged time is the layer-boundary
 /// serialization the per-layer barrier imposes — the publish epilogue
@@ -426,19 +547,21 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                             int stop_k, DiagramKind kind, OpCounter* ops,
                             int threads, rt::Governor* gov,
                             std::optional<std::uint64_t> ub,
-                            CkptPlan& plan) {
+                            std::vector<util::Mask> classes,
+                            const util::OrbitCounts& counts, CkptPlan& plan) {
   const bool prune = ub.has_value();
   const int j_size = util::popcount(J);
   const std::vector<int> j_vars = util::bits_of(J);
-  const auto& binom = util::BinomialTable::instance();
+  const Orbits orbits(classes, J);
   par::ThreadPool& pool = par::ThreadPool::shared();
 
   FsStarResult result;
+  result.classes = std::move(classes);
   if (prune) result.prune.upper_bound = *ub;
   result.mincost.emplace_back(util::Mask{0}, base.mincost());
 
   // Placement-invariant bound inputs, computed once per pruned run.
-  const util::Mask base_support = prune ? table_support(base) & J : 0;
+  const util::Mask base_support = prune ? table_support(base, kind) & J : 0;
   const std::uint64_t final_cells =
       static_cast<std::uint64_t>(base.cells.size()) >> j_size;
 
@@ -449,7 +572,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   // lower bound) replaces the layer-0 certification below.
   const FsStarSnapshot* resume = plan.resume();
   const int start_layer = resume != nullptr ? resume->layer : 0;
-  if (!prune) reserve_dense_frame(plan, base, j_size, start_layer, stop_k, gov);
+  if (!prune) reserve_dense_frame(plan, base, counts, start_layer, stop_k, gov);
   std::vector<PrefixTable> prev;
   std::vector<util::Mask> prev_dense;
 
@@ -472,7 +595,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     if (prune)
       result.certified_lower_bound =
           base.mincost() +
-          completion_bound(base, J, base_support, final_cells, bounds[0]);
+          completion_bound(base, J, base_support, final_cells, kind,
+                           bounds[0]);
   }
 
   const std::atomic<bool>* stop_flag =
@@ -482,18 +606,20 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   std::uint64_t serial_ns = 0;
   int last_snapshot_layer = -1;
   for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
-    const std::uint64_t layer_size = binom.choose(j_size, layer);
+    const std::uint64_t layer_size =
+        counts.states[static_cast<std::size_t>(layer)];
     const std::uint64_t pred_cells =
         static_cast<std::uint64_t>(base.cells.size()) >> (layer - 1);
 
-    // Serial candidate enumeration: states with at least one kept
-    // predecessor, in colex order (Gosper enumeration yields masks in
-    // increasing numeric order, which for fixed popcount IS colex rank
-    // order).  The kept-predecessor total is the layer's exact compaction
-    // work.  A complete previous layer — every dense layer — keeps every
-    // predecessor, so its k lookups per state are skipped.
+    // Serial candidate enumeration: canonical states with at least one
+    // kept predecessor, in colex order (Gosper enumeration yields masks
+    // in increasing numeric order, which for fixed popcount IS colex rank
+    // order; without a symmetric class every state is canonical).  The
+    // kept-predecessor total is the layer's exact compaction work.  A
+    // complete previous layer — every dense layer — keeps every
+    // predecessor, so its lookups per state are skipped.
     const bool prev_complete =
-        prev_dense.size() == binom.choose(j_size, layer - 1);
+        prev_dense.size() == counts.states[static_cast<std::size_t>(layer) - 1];
     OVO_DCHECK(std::adjacent_find(prev_dense.begin(), prev_dense.end(),
                                   std::greater_equal<>()) ==
                prev_dense.end());
@@ -502,10 +628,12 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     std::uint64_t n_dead = 0;
     std::uint64_t n_comp = 0;
     util::for_each_subset_of_size(j_size, layer, [&](util::Mask m) {
-      int live = layer;
+      if (!orbits.canonical(m)) return;
+      const util::Mask tops = orbits.tops(m);
+      int live = util::popcount(tops);
       if (!prev_complete) {
         live = 0;
-        util::for_each_bit(m, [&](int b) {
+        util::for_each_bit(tops, [&](int b) {
           if (std::binary_search(prev_dense.begin(), prev_dense.end(),
                                  m & ~(util::Mask{1} << b)))
             ++live;
@@ -540,6 +668,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     std::vector<PrefixTable> cur(cand.size());
     std::vector<int> best_var(cand.size(), -1);
     std::vector<std::uint64_t> best_cost(cand.size());
+    std::vector<util::Mask> ties(cand.size());
     std::vector<std::uint64_t> bound(prune ? cand.size() : 0);
     std::vector<std::uint8_t> keep(cand.size(), prune ? 0 : 1);
 
@@ -558,9 +687,10 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                                : nullptr;
             const std::size_t s = static_cast<std::size_t>(i);
             best_last_for_subset(cand[s], prev, prev_dense, prev_complete,
-                                 j_vars, kind, shard,
+                                 j_vars, orbits, kind, shard,
                                  scratch[static_cast<std::size_t>(slot)],
-                                 cur[s], &best_var[s], &best_cost[s]);
+                                 cur[s], &best_var[s], &best_cost[s],
+                                 &ties[s]);
             if (!prune) return;
             // The prune decision is state-local and the incumbent is
             // fixed, so deciding it inside the parallel body is safe and
@@ -568,7 +698,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
             const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
             bound[s] = best_cost[s] +
                        completion_bound(cur[s], rest, base_support,
-                                        final_cells,
+                                        final_cells, kind,
                                         bounds[static_cast<std::size_t>(slot)]);
             if (bound[s] <= *ub)
               keep[s] = 1;
@@ -590,12 +720,14 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       std::uint64_t cur_resident = 0;
       std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
       const std::size_t old_best_last = result.best_last.size();
+      const std::size_t old_ties = result.ties.size();
       const std::size_t old_mincost = result.mincost.size();
       for (std::size_t i = 0; i < cand.size(); ++i) {
         OVO_CHECK(best_var[i] >= 0);
         if (keep[i] == 0) continue;
         const util::Mask K = spread_mask(cand[i], j_vars);
         result.best_last.emplace_back(K, best_var[i]);
+        result.ties.emplace_back(K, spread_mask(ties[i], j_vars));
         result.mincost.emplace_back(K, best_cost[i]);
         if (prune && bound[i] < layer_lb_min) layer_lb_min = bound[i];
         cur_resident += cur[i].cells.size();
@@ -606,10 +738,12 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       OVO_CHECK_MSG(kept > 0,
                     "fs_star: pruning incumbent below the true optimum");
       merge_layer(result.best_last, old_best_last);
+      merge_layer(result.ties, old_ties);
       merge_layer(result.mincost, old_mincost);
+      const std::uint64_t generated = cand.size();
       if (prune) {
-        result.prune.states_generated += cand.size();
-        result.prune.states_pruned += cand.size() - kept;
+        result.prune.states_generated += generated;
+        result.prune.states_pruned += generated - kept;
         result.prune.states_dead += n_dead;
         result.prune.states_surviving += kept;
         result.prune.dense_cells += layer_size * (pred_cells >> 1);
@@ -619,6 +753,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       cand.resize(kept);
       cur.resize(kept);
       if (ops != nullptr) {
+        ops->states += generated;
         [[maybe_unused]] const std::uint64_t cut_before = ops->cut_cells;
         for (OpCounter& shard : shards) {
           *ops += shard;
@@ -668,17 +803,16 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   return result;
 }
 
-/// Closed-form total compaction work of a dense full-depth run: each
-/// layer-k state costs k compactions over base_cells >> (k-1) predecessor
-/// cells.  Used by the small-n serial fallback — below this threshold the
-/// whole DP is cheaper than the fan-out it would buy (BENCH_fs.json shows
-/// speedup < 0.5 for n <= 6 on this structure).
-std::uint64_t dense_dp_work(int j_size, std::uint64_t base_cells,
-                            int stop_k) {
-  const auto& binom = util::BinomialTable::instance();
+/// Closed-form total compaction work of a dense run to layer stop_k:
+/// each layer-k transition costs one compaction over base_cells >> (k-1)
+/// predecessor cells.  Used by the small-n serial fallback — below this
+/// threshold the whole DP is cheaper than the fan-out it would buy
+/// (BENCH_fs.json shows speedup < 0.5 for n <= 6 on this structure).
+std::uint64_t dense_dp_work(const util::OrbitCounts& counts,
+                            std::uint64_t base_cells, int stop_k) {
   std::uint64_t total = 0;
   for (int k = 1; k <= stop_k; ++k)
-    total += binom.choose(j_size, k) * static_cast<std::uint64_t>(k) *
+    total += counts.transitions[static_cast<std::size_t>(k)] *
              (base_cells >> (k - 1));
   return total;
 }
@@ -716,15 +850,20 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
 
   int threads = par::ThreadPool::clamp_threads(exec.resolved_threads());
 
+  // Symmetry orbits, detected once per full-block run; a stop-early run
+  // keeps every subset of its stop layer.
+  std::vector<util::Mask> classes = stop_k == j_size
+                                        ? symmetry_classes(base, J)
+                                        : singleton_classes(J);
+  const util::OrbitCounts counts = class_counts(classes);
+
   // Small-n serial fallback: when the whole DP's closed-form work is
   // below the fan-out's break-even, or no layer even fills one chunk,
   // run serially — same engine, same results, no pool round-trip.
   if (threads > 1 && stop_k > 0) {
-    const auto& binom = util::BinomialTable::instance();
-    std::uint64_t widest = 0;
-    for (int k = 1; k <= stop_k; ++k)
-      if (binom.choose(j_size, k) > widest) widest = binom.choose(j_size, k);
-    if (dense_dp_work(j_size, base.cells.size(), stop_k) <
+    const std::uint64_t widest = *std::max_element(
+        counts.states.begin() + 1, counts.states.begin() + stop_k + 1);
+    if (dense_dp_work(counts, base.cells.size(), stop_k) <
             kSerialFallbackWork ||
         widest <= kGrain)
       threads = 1;
@@ -754,6 +893,11 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
             rt::CheckpointErrorKind::kWrongInstance,
             "checkpoint: snapshot fingerprint does not match this run "
             "(different function, block, stop layer, kind, or prune mode)");
+      if (ckpt->resume->classes != classes)
+        throw rt::CheckpointError(
+            rt::CheckpointErrorKind::kMalformed,
+            "checkpoint: snapshot symmetry classes disagree with the base "
+            "table");
       const obs::Ledger& stored = ckpt->resume->counters;
       if (ops != nullptr) {
         OpCounter restored;  // the stored fs.prune.* are the run's own
@@ -784,7 +928,8 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
   // codes and files on disk are the serial writer's under any fault.
   try {
     FsStarResult result =
-        fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub, plan);
+        fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub,
+                       std::move(classes), counts, plan);
     plan.join();
     return result;
   } catch (...) {
@@ -813,13 +958,48 @@ std::vector<int> reconstruct_block_order(const FsStarResult& r,
   std::vector<int> top_down;
   util::Mask K = J;
   while (K != 0) {
-    const int* var = find_mask(r.best_last, K);
-    OVO_CHECK_MSG(var != nullptr,
-                  "reconstruct_block_order: missing back-pointer");
-    top_down.push_back(*var);
-    K &= ~(util::Mask{1} << *var);
+    const int var = r.choice(K);
+    top_down.push_back(var);
+    K &= ~(util::Mask{1} << var);
   }
   return {top_down.rbegin(), top_down.rend()};  // bottom-up
+}
+
+util::Mask FsStarResult::canonical(util::Mask K) const {
+  return canonical_mask(classes, K);
+}
+
+int FsStarResult::choice(util::Mask K) const {
+  const util::Mask* tied = find_mask(ties, canonical(K));
+  OVO_CHECK_MSG(tied != nullptr && (K & *tied) != 0,
+                "reconstruct_block_order: missing back-pointer");
+  return util::lowest_bit(K & *tied);
+}
+
+std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
+                                         util::Mask J) {
+  OVO_CHECK_MSG(util::is_subset(J, base.free_mask()),
+                "symmetry_classes: J not free in the base table");
+  // Cell-index stride of a free variable: 2^(its rank among the free).
+  const auto stride = [&](int v) {
+    return std::size_t{1}
+           << util::popcount(base.free_mask() & util::full_mask(v));
+  };
+  std::vector<util::Mask> classes;
+  util::Mask classed = 0;
+  util::for_each_bit(J, [&](int i) {
+    if ((classed >> i) & 1) return;
+    // Pairwise symmetry is transitive, so testing each later unclassed
+    // variable against the class's first member is enough.
+    util::Mask c = util::Mask{1} << i;
+    util::for_each_bit(J & ~classed & ~util::full_mask(i + 1), [&](int j) {
+      if (swap_invariant(base.cells, stride(i), stride(j)))
+        c |= util::Mask{1} << j;
+    });
+    classed |= c;
+    classes.push_back(c);
+  });
+  return classes;
 }
 
 }  // namespace ovo::core

@@ -35,6 +35,18 @@
 // arguments).  Stop-early runs (stop_k < |J|) ignore the prune flag:
 // their contract is one table per subset at the stop layer.  The default
 // mode is kOff: every state kept, the prune ledger all zero.
+//
+// Symmetry orbits: when swapping two inputs of J leaves the base table
+// unchanged, MINCOST(K) depends only on how many members of each such
+// symmetry class K holds.  So a full-block run detects J's classes on the
+// base and builds canonical states only — the sets holding the
+// lowest-index members of each class — each with one transition per
+// class present (remove that class's highest member in K).  Each state
+// also records the classes whose candidates tie at its minimum, which
+// recovers the dense DP's back-pointer for any K ⊆ J (FsStarResult::
+// choice).  Orders, sizes and tie-breaks are the dense DP's for every
+// function; a function without a symmetric pair runs the dense DP state
+// for state (docs/INTERNALS.md, "A DP over symmetry orbits").
 
 #include <unordered_map>
 #include <utility>
@@ -48,22 +60,39 @@
 namespace ovo::core {
 
 struct FsStarResult {
-  /// Tables at the stop layer: one entry per K ⊆ J with |K| = stop_k
-  /// (a single entry with key J when run to completion). Keys are variable
-  /// masks; each table's chain cost is table.mincost().
+  /// Tables at the stop layer: one entry per canonical K ⊆ J with
+  /// |K| = stop_k (a single entry with key J when run to completion).
+  /// Keys are variable masks; each table's chain cost is table.mincost().
   std::unordered_map<util::Mask, PrefixTable> tables;
 
-  /// For every K ⊆ J with 1 <= |K| <= stop_k: the variable placed at the
-  /// top level of the block, i.e. pi_{<I,K>}[|I|+|K|] (Lemma 7's argmin).
+  /// J's symmetry classes: every variable of J in exactly one class, as
+  /// variable masks ascending by lowest member.  Two variables share a
+  /// class iff swapping them leaves the base table unchanged; stop-early
+  /// runs (stop_k < |J|) keep every subset, so their classes are
+  /// singletons.
+  std::vector<util::Mask> classes;
+
+  /// For every canonical K ⊆ J with 1 <= |K| <= stop_k: the variable the
+  /// dense DP places at the top level of the block, i.e.
+  /// pi_{<I,K>}[|I|+|K|] (Lemma 7's argmin, lowest index among the tied).
   /// Entries (K, var) in strictly ascending mask order; look one up with
-  /// find_mask.  Each layer fence appends its states, which arrive in
-  /// ascending order, and merges them into the entries before it, so the
-  /// vector is sorted as it is built: a snapshot encodes it as it stands
-  /// (FsSnapshotView) and a resume copies the snapshot's vector back.
+  /// find_mask, or use choice() for any K.  Each layer fence appends its
+  /// states, which arrive in ascending order, and merges them into the
+  /// entries before it, so the vector is sorted as it is built: a
+  /// snapshot encodes it as it stands (FsSnapshotView) and a resume
+  /// copies the snapshot's vector back.
   std::vector<std::pair<util::Mask, int>> best_last;
 
+  /// For the same states as best_last, kept like it: the union of the
+  /// classes whose candidates reach K's minimum, as a variable mask.  A
+  /// run without a symmetric pair never sweeps a tying candidate to its
+  /// end, so there it is the winner's class alone — the lowest-index
+  /// tied variable, which is all choice() reads.
+  std::vector<std::pair<util::Mask, util::Mask>> ties;
+
   /// MINCOST_{<I,K>} (chain totals, including the base's mincost) for every
-  /// K ⊆ J with |K| <= stop_k; kept like best_last.
+  /// canonical K ⊆ J with |K| <= stop_k; kept like best_last.  A set in
+  /// the same orbit has the same cost: look it up at canonical(K).
   std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
 
   /// Deepest fully built layer.  Equals the requested stop_k when the run
@@ -84,18 +113,34 @@ struct FsStarResult {
   /// the optimal mincost when the pruned DP completed.  0 in dense mode —
   /// dense callers derive bounds from the tables themselves.
   std::uint64_t certified_lower_bound = 0;
+
+  /// The state of K's orbit the DP built, canonical_mask(classes, K).
+  /// Every lookup of an arbitrary K ⊆ J in the maps goes through it.
+  util::Mask canonical(util::Mask K) const;
+
+  /// The variable the dense DP places on top of K ⊆ J (its best_last[K]):
+  /// the lowest-index member of K among the classes tied at canonical(K).
+  int choice(util::Mask K) const;
 };
+
+/// J's symmetry classes on `base` (see FsStarResult::classes): x_i and x_j
+/// share a class iff every cell equals the cell with their coordinates
+/// swapped.  Equal ids mean equal subfunctions, so the test holds for
+/// BDD, ZDD and MTBDD tables alike, and over any prefix.
+std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
+                                         util::Mask J);
 
 /// Runs the FS* DP from `base` over block J (disjoint from base.vars),
 /// stopping after layer `stop_k` (0 <= stop_k <= |J|).  `exec` controls
 /// the per-layer fan-out over subsets; the default is serial.  Results
 /// and merged OpCounter totals are identical for every thread count.
 ///
-/// When `gov` is non-null the run is budgeted: each layer's work
-/// (C(|J|,k) subsets × k compactions × predecessor cells) and projected
-/// residency are admitted *before* the layer is built — a deterministic
-/// decision independent of thread count — and cancellation/deadline are
-/// polled per subset, discarding any partially built layer.  In pruned
+/// When `gov` is non-null the run is budgeted: each layer's work (its
+/// canonical states' transitions — C(|J|,k)·k without a symmetric pair —
+/// × predecessor cells) and projected residency are admitted *before* the
+/// layer is built — a deterministic decision independent of thread count
+/// — and cancellation/deadline are polled per state, discarding any
+/// partially built layer.  In pruned
 /// mode the admission estimate uses the *running sparse counts* (actual
 /// surviving predecessors and candidate states) instead of the dense
 /// closed form; the two agree while no state has been pruned.  On a trip
@@ -139,10 +184,10 @@ PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
                          std::uint64_t prune_upper_bound = 0,
                          const FsCheckpointOptions* ckpt = nullptr);
 
-/// Recovers the optimal within-block variable order of J from the DP
-/// back-pointers: result[0] is the variable at the lowest level of the
-/// block, result[|J|-1] the one at its top (the paper's pi restricted to
-/// the block, bottom-up).
+/// Recovers the optimal within-block variable order of K ⊆ J (J itself
+/// after a completed run) from the DP back-pointers, by r.choice: result[0]
+/// is the variable at the lowest level of the block, result[|K|-1] the
+/// one at its top (the paper's pi restricted to the block, bottom-up).
 std::vector<int> reconstruct_block_order(const FsStarResult& r, util::Mask J);
 
 }  // namespace ovo::core

@@ -115,9 +115,12 @@ struct PruneStats {
 /// whole input table and one compaction.  cut_cells counts the cells of
 /// table_cells that no sweep read, so cells swept = table_cells -
 /// cut_cells; the dedup counters count the lookups the sweeps made.
+/// states counts the FS* DP states whose table was built: every
+/// canonical state of a dense run but the empty set.
 struct OpCounter {
   std::uint64_t table_cells = 0;  ///< cells of the tables compacted
   std::uint64_t cut_cells = 0;    ///< cells of table_cells never read
+  std::uint64_t states = 0;       ///< DP states whose table was built
   std::uint64_t compactions = 0;  ///< number of COMPACT invocations
   std::uint64_t peak_cells = 0;   ///< max cells resident at once (Remark 1)
   ds::TableStats dedup;           ///< merged COMPACT dedup-table counters
@@ -133,6 +136,7 @@ struct OpCounter {
   void to_ledger(obs::Ledger& l) const {
     l.record(obs::Metric::kFsTableCells, table_cells);
     l.record(obs::Metric::kFsCutCells, cut_cells);
+    l.record(obs::Metric::kFsStates, states);
     l.record(obs::Metric::kFsCompactions, compactions);
     l.record(obs::Metric::kFsPeakCells, peak_cells);
     dedup.to_ledger(l);
@@ -141,6 +145,7 @@ struct OpCounter {
   void from_ledger(const obs::Ledger& l) {
     table_cells = l.get(obs::Metric::kFsTableCells);
     cut_cells = l.get(obs::Metric::kFsCutCells);
+    states = l.get(obs::Metric::kFsStates);
     compactions = l.get(obs::Metric::kFsCompactions);
     peak_cells = l.get(obs::Metric::kFsPeakCells);
     dedup.from_ledger(l);

@@ -67,7 +67,7 @@ void append_counters_json(std::string& s, const Ledger& l) {
   append_metrics_json(s, l,
                       {Metric::kOracleQueries, Metric::kOracleEvals,
                        Metric::kOracleMemoHits, Metric::kFsTableCells,
-                       Metric::kFsCutCells});
+                       Metric::kFsCutCells, Metric::kFsStates});
   // The bound-pruning ledger appears only when pruning actually ran
   // (same liveness rule as core::PruneStats::states_enumerated()).
   const std::uint64_t enumerated =

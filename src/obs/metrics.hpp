@@ -80,6 +80,7 @@ enum class Class : std::uint8_t {
   /* fs: the DP / compaction work ledger (core::OpCounter) */                \
   X(kFsTableCells, "fs.table_cells", "table_cells", kSum, kPinned)           \
   X(kFsCutCells, "fs.cut_cells", "cut_cells", kSum, kPinned)                 \
+  X(kFsStates, "fs.states", "states", kSum, kPinned)                         \
   X(kFsCompactions, "fs.compactions", "compactions", kSum, kPinned)          \
   X(kFsPeakCells, "fs.peak_cells", "peak_cells", kMax, kPinned)              \
   /* fs.prune: the bound-pruned DP ledger (core::PruneStats) */              \
@@ -276,7 +277,7 @@ void append_metrics_json(std::string& s, const Ledger& l,
 
 /// The canonical unified-counter block shared by the CLI and both scaling
 /// benches: oracle queries/evals/memo-hits plus the DP work ledger
-/// (table_cells, cut_cells), and — when the prune ledger is live
+/// (table_cells, cut_cells, states), and — when the prune ledger is live
 /// (generated + dead > 0) — the full bound-pruning block including the
 /// derived "prune_ratio".
 void append_counters_json(std::string& s, const Ledger& l);

@@ -163,6 +163,8 @@ rt::Result<AutoMinimizeResult> minimize_auto(
                     options.exec, &gov, seeded.upper_bound,
                     ckpt.active() && !seed_cut ? &ckpt : nullptr);
   v.dp_layers_completed = dp.completed_layers;
+  for (const util::Mask c : dp.classes)
+    if (util::popcount(c) > 1) v.sym_classes.push_back(c);
 
   if (dp.completed_layers == n) {
     const std::vector<int> bottom_up = core::reconstruct_block_order(dp, all);
@@ -181,10 +183,12 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   // (ties to the numerically smallest mask, for determinism) seeds the
   // fallback, and its cost over the layer is a proven lower bound: any
   // complete order's bottom block of this size costs at least this much.
-  // In pruned mode the layer holds *surviving* states only, but the
-  // bound stands — the optimal order's bottom-k state always survives
-  // with its true cost — and the DP's certified completion-aware bound
-  // can only tighten it.
+  // The layer holds canonical states only, but every orbit's smallest
+  // mask is its canonical state and the orbit shares one cost, so the
+  // pick is the one a layer of every subset would give.  In pruned mode
+  // the layer holds *surviving* states only, but the bound stands — the
+  // optimal order's bottom-k state always survives with its true cost —
+  // and the DP's certified completion-aware bound can only tighten it.
   util::Mask seed_mask = 0;
   std::uint64_t seed_cost = ~std::uint64_t{0};
   std::uint64_t layer_min = ~std::uint64_t{0};

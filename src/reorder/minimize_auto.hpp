@@ -79,6 +79,10 @@ struct AutoMinimizeResult {
   std::uint64_t lower_bound = 0;
   /// DP + salvage compaction work (stages 1–2).
   core::OpCounter ops;
+  /// The symmetry classes of two or more inputs the DP ran its orbits
+  /// over (core::FsStarResult::classes), as variable masks ascending by
+  /// lowest member; empty when no two inputs are symmetric.
+  std::vector<util::Mask> sym_classes;
   /// Chain-evaluation oracle stats for the heuristic stages (3–4): the
   /// sifting and restart stages share one memoized oracle, so an order
   /// both stages visit is evaluated once (`evals` < `queries`).

@@ -57,6 +57,7 @@ StrategyResult run_ladder(const tt::TruthTable& f, const StrategyOptions& o,
   r.outcome = res.outcome;
   r.oracle = res.value.oracle;
   r.oracle.ops += res.value.ops;  // DP + salvage work joins the ledger
+  r.sym_classes = res.value.sym_classes;
   r.run = res.stats;
   return r;
 }
@@ -201,7 +202,7 @@ StrategyResult run_quantum(const tt::TruthTable& f,
 
 const std::vector<Strategy>& strategies() {
   static const std::vector<Strategy> kStrategies = {
-      {"fs", "exact Friedman-Supowit DP (Theorem 5) on the auto ladder",
+      {"fs", "exact Friedman-Supowit DP over symmetry orbits, auto ladder",
        run_ladder},
       {"auto", "governed FS ladder: exact DP, salvage, sift, restarts",
        run_ladder},

@@ -70,6 +70,9 @@ struct StrategyResult {
   rt::Outcome outcome = rt::Outcome::kComplete;
   /// Unified cost-oracle counters (see eval_context.hpp).
   OracleStats oracle;
+  /// `fs`/`auto`: the symmetry classes of two or more inputs the exact
+  /// DP ran over (AutoMinimizeResult::sym_classes); empty otherwise.
+  std::vector<util::Mask> sym_classes;
   /// Governor accounting when ctx.gov was non-null.
   rt::RunStats run;
 };

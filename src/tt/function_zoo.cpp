@@ -154,4 +154,16 @@ TruthTable random_read_once(int n, util::Xoshiro256& rng) {
   });
 }
 
+TruthTable random_negated_conjunction(int n, int negated,
+                                      util::Xoshiro256& rng) {
+  OVO_CHECK_MSG(negated >= 0 && negated <= n,
+                "random_negated_conjunction: negated outside [0, n]");
+  util::Mask zeros = 0;
+  while (util::popcount(zeros) < negated)
+    zeros |= util::Mask{1} << rng.below(static_cast<std::uint64_t>(n));
+  const TruthTable g = random_function(n, rng);
+  return TruthTable::tabulate(
+      n, [&](std::uint64_t a) { return (a & zeros) == 0 && g.get(a); });
+}
+
 }  // namespace ovo::tt

@@ -72,4 +72,11 @@ TruthTable random_sparse_function(int n, std::uint64_t ones,
 /// for the gap between optimal and pessimal orderings.
 TruthTable random_read_once(int n, util::Xoshiro256& rng);
 
+/// ¬x_{i1} ∧ … ∧ ¬x_{ik} ∧ g: k = `negated` inputs at random positions
+/// forced to 0, and g a uniformly random function of the others.  A ZDD
+/// suppresses every negated input in every order, and the negated inputs
+/// are pairwise symmetric.
+TruthTable random_negated_conjunction(int n, int negated,
+                                      util::Xoshiro256& rng);
+
 }  // namespace ovo::tt

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -103,6 +104,65 @@ Mask BinomialTable::unrank(int n, int k, std::uint64_t rank) const {
 const BinomialTable& BinomialTable::instance() {
   static const BinomialTable table;
   return table;
+}
+
+namespace {
+
+/// Coefficients of Π_c (1 + x + … + x^{s_c}) over the given sizes.
+std::vector<std::uint64_t> orbit_polynomial(const std::vector<int>& sizes,
+                                            std::size_t skip) {
+  std::vector<std::uint64_t> poly{1};
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    if (c == skip) continue;
+    std::vector<std::uint64_t> next(poly.size() +
+                                    static_cast<std::size_t>(sizes[c]));
+    for (std::size_t i = 0; i < poly.size(); ++i)
+      for (int m = 0; m <= sizes[c]; ++m)
+        next[i + static_cast<std::size_t>(m)] += poly[i];
+    poly = std::move(next);
+  }
+  return poly;
+}
+
+}  // namespace
+
+OrbitCounts orbit_counts(const std::vector<int>& class_sizes) {
+  OVO_CHECK(std::all_of(class_sizes.begin(), class_sizes.end(),
+                        [](int s) { return s >= 1; }));
+  OrbitCounts out;
+  out.states = orbit_polynomial(class_sizes, class_sizes.size());
+  out.transitions.assign(out.states.size(), 0);
+  // A k-set in which class c is present holds m >= 1 of its members and
+  // a canonical (k−m)-set of the other classes.
+  for (std::size_t c = 0; c < class_sizes.size(); ++c) {
+    const std::vector<std::uint64_t> others = orbit_polynomial(class_sizes, c);
+    for (std::size_t i = 0; i < others.size(); ++i)
+      for (int m = 1; m <= class_sizes[c]; ++m)
+        out.transitions[i + static_cast<std::size_t>(m)] += others[i];
+  }
+  return out;
+}
+
+std::uint64_t orbit_total_cells(const std::vector<int>& class_sizes) {
+  const OrbitCounts o = orbit_counts(class_sizes);
+  const int n = static_cast<int>(o.states.size()) - 1;
+  std::uint64_t total = 0;
+  for (int k = 1; k <= n; ++k)
+    total += o.transitions[static_cast<std::size_t>(k)] *
+             (std::uint64_t{1} << (n - k + 1));
+  return total;
+}
+
+std::uint64_t orbit_peak_cells(const std::vector<int>& class_sizes) {
+  const OrbitCounts o = orbit_counts(class_sizes);
+  const int n = static_cast<int>(o.states.size()) - 1;
+  std::uint64_t peak = 0;
+  for (int k = 1; k <= n; ++k)
+    peak = std::max(peak, o.states[static_cast<std::size_t>(k) - 1] *
+                                  (std::uint64_t{1} << (n - k + 1)) +
+                              o.states[static_cast<std::size_t>(k)] *
+                                  (std::uint64_t{1} << (n - k)));
+  return peak;
 }
 
 double factorial(int n) {

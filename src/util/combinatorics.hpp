@@ -78,6 +78,28 @@ class BinomialTable {
   std::uint64_t c_[kMaxN + 1][kMaxN + 1];
 };
 
+/// Layer counts of the Friedman–Supowit DP over symmetry orbits, for
+/// classes of sizes `class_sizes` (n = their sum; docs/ALGORITHMS.md §2).
+/// A canonical k-set holds the lowest m_c members of each class c, with
+/// Σ m_c = k, so `states[k]` is the coefficient of x^k in
+/// Π_c (1 + x + … + x^{|c|}), and `transitions[k]` counts the pairs
+/// (canonical k-set, class present in it): one compaction each.  With
+/// every class a singleton they are C(n,k) and k·C(n,k).
+struct OrbitCounts {
+  std::vector<std::uint64_t> states;       ///< index k = 0..n
+  std::vector<std::uint64_t> transitions;  ///< index k = 0..n
+};
+OrbitCounts orbit_counts(const std::vector<int>& class_sizes);
+
+/// Theorem 5's cell count for the orbit DP over the whole variable set:
+/// Σ_k transitions[k]·2^(n−k+1).  Equals 2n·3^(n−1) when every class is
+/// a singleton.
+std::uint64_t orbit_total_cells(const std::vector<int>& class_sizes);
+
+/// Remark 1's peak for the orbit DP: the most cells two adjacent layers
+/// hold, max_k states[k−1]·2^(n−k+1) + states[k]·2^(n−k).
+std::uint64_t orbit_peak_cells(const std::vector<int>& class_sizes);
+
 /// n! as a double.
 double factorial(int n);
 

@@ -347,7 +347,9 @@ void expect_ops_equal(const OpCounter& a, const OpCounter& b) {
 
 void expect_results_equal(const FsStarResult& a, const FsStarResult& b) {
   EXPECT_EQ(a.completed_layers, b.completed_layers);
+  EXPECT_EQ(a.classes, b.classes);
   EXPECT_EQ(a.best_last, b.best_last);
+  EXPECT_EQ(a.ties, b.ties);
   EXPECT_EQ(a.mincost, b.mincost);
   EXPECT_EQ(a.certified_lower_bound, b.certified_lower_bound);
   expect_prune_equal(a.prune, b.prune);
@@ -372,7 +374,9 @@ std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
   v.layer = s.layer;
   v.dense = &s.dense;
   v.tables = &s.tables;
+  v.classes = &s.classes;
   v.best_last = &s.best_last;
+  v.ties = &s.ties;
   v.mincost = &s.mincost;
   v.certified_lower_bound = s.certified_lower_bound;
   v.counters = &s.counters;
@@ -631,6 +635,75 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
                rt::CheckpointError);
 }
 
+// The orbit fields are validated like every other: on adder carry(6),
+// whose three symmetric pairs {x1,x2}, {x3,x4}, {x5,x6} leave layer 1
+// the canonical states {x1}, {x3}, {x5}, each lie is a typed kMalformed.
+// A snapshot whose classes decode but are not the base's is refused by
+// the resumed run.
+TEST(FsSnapshot, OrbitFieldsAreValidated) {
+  const tt::TruthTable t = tt::adder_carry(6);
+  const CapturedRun run = capture_run(t, par::PruneMode::kOff);
+  ASSERT_EQ(run.fences.size(), 5u);
+  const FsStarSnapshot layer1 =
+      decode_snapshot(run.fences[0].data(), run.fences[0].size());
+  ASSERT_EQ(layer1.classes,
+            (std::vector<util::Mask>{0b000011, 0b001100, 0b110000}));
+  ASSERT_EQ(layer1.dense, (std::vector<util::Mask>{0b000001, 0b000100,
+                                                   0b010000}));
+  const auto expect_malformed = [](const FsStarSnapshot& s,
+                                   const char* what) {
+    const std::vector<std::uint8_t> bytes = reencode(s);
+    try {
+      decode_snapshot(bytes.data(), bytes.size());
+      ADD_FAILURE() << what << ": decoded";
+    } catch (const rt::CheckpointError& e) {
+      EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed) << what;
+    }
+  };
+  FsStarSnapshot s = layer1;
+  s.classes.pop_back();
+  expect_malformed(s, "classes short of the block");
+  s = layer1;
+  s.classes.push_back(0b100000);
+  expect_malformed(s, "overlapping classes");
+  s = layer1;
+  s.dense[0] = 0b000010;  // {x2}: its class's second member
+  expect_malformed(s, "non-canonical layer mask");
+  s = layer1;
+  s.dense.pop_back();
+  s.tables.pop_back();
+  expect_malformed(s, "dense layer short of its canonical states");
+  s = layer1;
+  s.ties[0].second = 0b000001;
+  expect_malformed(s, "tie set not a union of classes");
+  s = layer1;
+  s.ties[0].second = 0b110000;
+  expect_malformed(s, "tie set without its best-last variable");
+  s = layer1;
+  s.mincost[1].first = 0b000010;
+  expect_malformed(s, "non-canonical mincost mask");
+
+  // Valid classes that are not the base's: {x5} and {x6} apart.  The
+  // pruned fence holds fewer states than the layer allows, so it decodes.
+  const CapturedRun pruned = capture_run(t, par::PruneMode::kBounds);
+  FsStarSnapshot split =
+      decode_snapshot(pruned.fences[0].data(), pruned.fences[0].size());
+  split.classes = {0b000011, 0b001100, 0b010000, 0b100000};
+  const std::vector<std::uint8_t> bytes = reencode(split);
+  const FsStarSnapshot decoded = decode_snapshot(bytes.data(), bytes.size());
+  FsCheckpointOptions resume;
+  resume.resume = &decoded;
+  par::ExecPolicy exec;
+  exec.prune = par::PruneMode::kBounds;
+  try {
+    fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
+            nullptr, exec, nullptr, 0, &resume);
+    ADD_FAILURE() << "resumed against classes the base does not have";
+  } catch (const rt::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Resume determinism differential
 
@@ -859,6 +932,7 @@ std::vector<Fence> capture_frames(const tt::TruthTable& t,
               DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
   if (!fences.empty()) fences.back().file = sim.get(path);
   EXPECT_TRUE(strictly_ascending_masks(r.best_last));
+  EXPECT_TRUE(strictly_ascending_masks(r.ties));
   EXPECT_TRUE(strictly_ascending_masks(r.mincost));
   return fences;
 }
@@ -875,7 +949,7 @@ std::size_t crc_chunks(std::size_t payload_len, int threads) {
 // the frame rt::save_checkpoint writes, dense and pruned, at 1 thread and
 // at 4 (where the larger fences fold several CRC pieces).  Fences grow
 // and then shrink, so the run-long frame buffer is reused at smaller
-// sizes too; both DP maps are strictly ascending at every fence.
+// sizes too; the DP maps are strictly ascending at every fence.
 TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
   const tt::TruthTable t = tt::hidden_weighted_bit(14);
   for (const par::PruneMode prune :
@@ -895,6 +969,7 @@ TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
         const FsStarSnapshot s =
             decode_snapshot(f.payload.data(), f.payload.size());
         EXPECT_TRUE(strictly_ascending_masks(s.best_last));
+        EXPECT_TRUE(strictly_ascending_masks(s.ties));
         EXPECT_TRUE(strictly_ascending_masks(s.mincost));
         EXPECT_EQ(reencode(s), f.payload) << "layer " << s.layer;
         rt::SimFs ref;
@@ -1226,24 +1301,26 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
   }
 }
 
-// Framed v4 snapshots checked in under the corpus: the format is pinned,
+// Framed v5 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
 // direct fs_star run.  Pruned: adder carry(6) at fence 3 of a
 // minimize_auto run with a sift seed, so the seed provenance fields
-// (order, name, oracle counters) are covered too.
+// (order, name, oracle counters) are covered too.  Adder carry(6) has
+// three symmetric pairs, so that fixture holds canonical states, their
+// tie sets and its classes.
 std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV4FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 4);
+TEST(FsSnapshot, CheckedInV5FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 5);
   {
     const std::string path =
-        corpus_snapshot("valid_v4_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v5_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 4, 4).payload;
+        rt::load_checkpoint(path, 5, 5).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
@@ -1263,14 +1340,16 @@ TEST(FsSnapshot, CheckedInV4FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v4_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v5_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 4, 4).payload;
+        rt::load_checkpoint(path, 5, 5).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
     EXPECT_EQ(snap.seed_order.size(), 6u);
-    EXPECT_LT(snap.tables.size(), 20u) << "fence 3 should be pruned";
+    EXPECT_EQ(snap.classes.size(), 3u) << "three symmetric pairs";
+    EXPECT_LT(snap.tables.size(), 7u)
+        << "fence 3 should be pruned below its 7 canonical states";
     EXPECT_EQ(reencode(snap), payload);
 
     const tt::TruthTable t = tt::adder_carry(6);
@@ -1294,8 +1373,8 @@ TEST(FsSnapshot, CheckedInV4FixturesStayCompatible) {
   }
 }
 
-// The v2 and v3 fixtures earlier encoders wrote stay in the corpus: they
-// load as a typed version skew, never as a misparsed v4 payload.
+// The v2, v3 and v4 fixtures earlier encoders wrote stay in the corpus:
+// they load as a typed version skew, never as a misparsed v5 payload.
 TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
   const struct {
     const char* name;
@@ -1303,7 +1382,9 @@ TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
   } fixtures[] = {{"valid_dense_hwb6_layer3.bin", 2},
                   {"valid_pruned_adder6_layer3.bin", 2},
                   {"valid_v3_dense_hwb6_layer3.bin", 3},
-                  {"valid_v3_pruned_adder6_layer3.bin", 3}};
+                  {"valid_v3_pruned_adder6_layer3.bin", 3},
+                  {"valid_v4_dense_hwb6_layer3.bin", 4},
+                  {"valid_v4_pruned_adder6_layer3.bin", 4}};
   for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
     EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)

@@ -1,8 +1,8 @@
 // The central correctness suite for the paper's algorithm FS:
 //   * compaction canonicity against the quasi-reduced subfunction counter;
 //   * Lemma 3 (level width depends only on the prefix *set*);
-//   * Lemma 4 (the DP recurrence), and the engine's every mincost and
-//     best_last entry against a plain Lemma 4 DP at n = 11..13;
+//   * Lemma 4 (the DP recurrence), and the engine's mincost and choice for
+//     every subset against a plain Lemma 4 DP at n = 11..13;
 //   * FS minimum == brute-force minimum over all n! orders, for BDD, ZDD
 //     and MTBDD kinds;
 //   * the returned order achieves the minimum when the diagram is rebuilt
@@ -22,6 +22,7 @@
 #include "core/fs_star.hpp"
 #include "core/minimize.hpp"
 #include "mtbdd/manager.hpp"
+#include "reference_dp.hpp"
 #include "reorder/baselines.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/combinatorics.hpp"
@@ -176,9 +177,12 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
   const tt::TruthTable t = tt::random_function(n, rng);
   const FsStarResult r =
       fs_star(initial_table(t), util::full_mask(n), n, DiagramKind::kBdd);
-  // MINCOST_I = min_{k in I} (MINCOST_{I\k} + Cost_k(pi_{(I\k, k)})).
-  for (const auto& [I, cost] : r.mincost) {
-    if (I == 0) continue;
+  // MINCOST_I = min_{k in I} (MINCOST_{I\k} + Cost_k(pi_{(I\k, k)})), for
+  // every I: the DP holds one state per symmetry orbit, so each lookup
+  // goes through its canonical state.
+  for (util::Mask I = 1; I <= util::full_mask(n); ++I) {
+    const std::uint64_t* cost = find_mask(r.mincost, r.canonical(I));
+    ASSERT_NE(cost, nullptr) << "I=" << I;
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
     util::for_each_bit(I, [&](int k) {
       // Rebuild the width of k over I\k from scratch.
@@ -189,56 +193,24 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
       const std::uint64_t w =
           compaction_width(p, k, DiagramKind::kBdd, nullptr);
       const std::uint64_t* pred =
-          find_mask(r.mincost, I & ~(util::Mask{1} << k));
+          find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << k)));
       ASSERT_NE(pred, nullptr) << "I=" << I << " k=" << k;
       best = std::min(best, *pred + w);
     });
-    EXPECT_EQ(cost, best) << "I=" << I;
+    EXPECT_EQ(*cost, best) << "I=" << I;
   }
 }
 
-/// Every state's MINCOST and argmin by the plain Lemma 4 recurrence: one
-/// table per mask, each predecessor compacted in full, bits visited in
-/// ascending order and a later candidate kept only if strictly cheaper.
-/// No cut, no pruning, no threads; indexed by mask.
-struct ReferenceDp {
-  std::vector<std::uint64_t> mincost;
-  std::vector<int> best_last;
-};
-
-ReferenceDp reference_dp(const PrefixTable& base, DiagramKind kind) {
-  const int n = base.n;
-  const util::Mask full = util::full_mask(n);
-  ReferenceDp ref{std::vector<std::uint64_t>(full + 1),
-                  std::vector<int>(full + 1, -1)};
-  std::unordered_map<util::Mask, PrefixTable> prev{{0, base}};
-  for (int k = 1; k <= n; ++k) {
-    std::unordered_map<util::Mask, PrefixTable> cur;
-    for (util::Mask I = 1; I <= full; ++I) {
-      if (util::popcount(I) != k) continue;
-      PrefixTable best;
-      util::for_each_bit(I, [&](int v) {
-        PrefixTable t = compact(prev.at(I & ~(util::Mask{1} << v)), v, kind);
-        if (ref.best_last[I] < 0 || t.mincost() < best.mincost()) {
-          ref.best_last[I] = v;
-          best = std::move(t);
-        }
-      });
-      ref.mincost[I] = best.mincost();
-      cur.emplace(I, std::move(best));
-    }
-    prev = std::move(cur);
-  }
-  return ref;
-}
-
-// The engine cuts losing candidates short (Lemma 7's argmin by branch and
-// bound), prunes against an incumbent and fans layers out over threads.
-// None of that may move a single entry: at n = 11..13, out of brute
-// force's reach, every state's mincost and best_last must be the plain
-// recurrence's, tie-breaks included, dense and bound-pruned (the optimum
-// as incumbent, so that as many states as possible are pruned), at 1 and
-// 4 threads.
+// The engine runs over symmetry orbits, cuts losing candidates short
+// (Lemma 7's argmin by branch and bound), prunes against an incumbent and
+// fans layers out over threads.  None of that may move a single answer:
+// at n = 11..13, out of brute force's reach, every subset's canonicalized
+// mincost and reconstructed choice must be the plain recurrence's
+// mincost and best_last, tie-breaks included, dense and bound-pruned (the
+// optimum as incumbent, so that as many states as possible are pruned),
+// at 1 and 4 threads.  A dense run builds exactly the canonical states.
+// The ZDD cases include ¬a ∧ ¬b ∧ … ∧ g functions, which a ZDD bound that
+// counted suppressed variables or the 0-terminal would over-prune.
 TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
   util::Xoshiro256 rng(1107);
   struct Case {
@@ -266,6 +238,10 @@ TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
       {"mult12", kZdd, initial_table(tt::multiplier_middle_bit(12))},
       {"adder12", kZdd, initial_table(tt::adder_carry(12))},
       {"isa11", kZdd, initial_table(tt::indirect_storage_access(11))},
+      {"negconj3of11", kZdd,
+       initial_table(tt::random_negated_conjunction(11, 3, rng))},
+      {"negconj5of12", kZdd,
+       initial_table(tt::random_negated_conjunction(12, 5, rng))},
       {"random11", kMtbdd,
        initial_table_values(values_of(tt::random_function(11, rng),
                                       tt::random_function(11, rng)), 11)},
@@ -293,14 +269,27 @@ TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
         OpCounter ops;
         const FsStarResult r =
             fs_star(c.base, J, n, c.kind, &ops, exec, nullptr, ref.mincost[J]);
+        std::uint64_t orbit_states = 1;
+        for (const util::Mask cls : r.classes)
+          orbit_states *= static_cast<std::uint64_t>(util::popcount(cls)) + 1;
         if (prune == par::PruneMode::kOff) {
-          ASSERT_EQ(r.mincost.size(), std::size_t{J} + 1);
-          ASSERT_EQ(r.best_last.size(), std::size_t{J});
+          ASSERT_EQ(r.mincost.size(), orbit_states);
+          ASSERT_EQ(r.best_last.size(), orbit_states - 1);
+          ASSERT_EQ(ops.states, orbit_states - 1);
         } else {
-          ASSERT_LT(r.mincost.size(), std::size_t{J} + 1);
+          ASSERT_LT(r.mincost.size(), orbit_states);
         }
-        for (const auto& [I, cost] : r.mincost)
-          ASSERT_EQ(cost, ref.mincost[I]) << "I=" << I;
+        for (util::Mask K = 0; K <= J; ++K) {
+          const std::uint64_t* cost = find_mask(r.mincost, r.canonical(K));
+          if (cost == nullptr) {
+            ASSERT_EQ(prune, par::PruneMode::kBounds) << "K=" << K;
+            continue;  // a pruned orbit
+          }
+          ASSERT_EQ(*cost, ref.mincost[K]) << "K=" << K;
+          if (K != 0) {
+            ASSERT_EQ(r.choice(K), ref.best_last[K]) << "K=" << K;
+          }
+        }
         for (const auto& [I, var] : r.best_last)
           ASSERT_EQ(var, ref.best_last[I]) << "I=" << I;
         EXPECT_GT(ops.cut_cells, 0u);

@@ -20,6 +20,7 @@
 #include "reorder/minimize_auto.hpp"
 #include "rt/budget.hpp"
 #include "rt/fault.hpp"
+#include "tt/expr.hpp"
 #include "tt/function_zoo.hpp"
 #include "util/combinatorics.hpp"
 #include "util/rng.hpp"
@@ -115,6 +116,33 @@ TEST(FsPruneDifferential, ZddKindMatchesDense) {
   }
 }
 
+// A ZDD suppresses every input no satisfying assignment sets, and reaches
+// the 0-terminal through suppressed hi edges, so its bound counts
+// neither.  On ¬a ∧ ¬b ∧ … ∧ g a bound that did would exceed the optimum
+// and prune the optimal chain: with the optimum as incumbent, the pruned
+// run must keep the dense run's order and size.
+TEST(FsPruneDifferential, ZddNegatedConjunctionsKeepTheOptimum) {
+  util::Xoshiro256 rng(0x2dd);
+  for (int n = 7; n <= 11; ++n) {
+    for (const int negated : {1, 3, n / 2 + 1}) {
+      const tt::TruthTable f = tt::random_negated_conjunction(n, negated, rng);
+      const core::MinimizeResult dense =
+          core::fs_minimize(f, core::DiagramKind::kZdd);
+      for (const int threads : {1, 4}) {
+        const core::MinimizeResult pruned = core::fs_minimize(
+            f, core::DiagramKind::kZdd,
+            policy(threads, par::PruneMode::kBounds),
+            dense.min_internal_nodes);
+        ASSERT_EQ(pruned.min_internal_nodes, dense.min_internal_nodes)
+            << "n=" << n << " negated=" << negated << " threads=" << threads;
+        ASSERT_EQ(pruned.order_root_first, dense.order_root_first)
+            << "n=" << n << " negated=" << negated << " threads=" << threads;
+        EXPECT_EQ(pruned.ops.prune.upper_bound, dense.min_internal_nodes);
+      }
+    }
+  }
+}
+
 // The tightest admissible incumbent — the exact optimum — must keep the
 // optimal chain alive (pruning cuts strictly-greater bounds only).
 TEST(FsPruneDifferential, TightUpperBoundKeepsTheOptimum) {
@@ -156,6 +184,62 @@ TEST(FsPruneLedger, CountsCoverTheSubsetLatticeAndBoundIsExact) {
   EXPECT_EQ(ops.prune.states_generated, r.prune.states_generated);
   // The self-seeded incumbent is a real chain cost: optimum <= ub.
   EXPECT_GE(r.prune.upper_bound, r.certified_lower_bound);
+}
+
+// A run the budget trips still certifies a lower bound, which must never
+// exceed the size the run returns — nor the optimum — for any kind.  The
+// ZDD cases include negated conjunctions, on which a bound that counted
+// suppressed inputs or the 0-terminal certified above the optimum.
+TEST(FsPruneLedger, TrippedRunsCertifyAtMostTheirSize) {
+  util::Xoshiro256 rng(0x1b);
+  constexpr core::DiagramKind kBdd = core::DiagramKind::kBdd;
+  constexpr core::DiagramKind kZdd = core::DiagramKind::kZdd;
+  const std::vector<std::pair<core::DiagramKind, tt::TruthTable>> cases{
+      {kZdd, tt::expr_to_truth_table(
+                 *tt::parse_expr("!x1 & !x2 & !x3 & (x4 | x5) & (x6 ^ x7)"),
+                 7)},
+      {kZdd, tt::random_negated_conjunction(9, 3, rng)},
+      {kZdd, tt::random_negated_conjunction(10, 5, rng)},
+      {kZdd, tt::random_sparse_function(9, 40, rng)},
+      {kBdd, tt::random_function(9, rng)},
+      {kBdd, tt::adder_carry(10)}};
+  int tripped = 0;
+  for (const auto& [kind, f] : cases) {
+    const std::uint64_t optimum = core::fs_minimize(f, kind).min_internal_nodes;
+    for (const std::uint64_t limit : {100u, 1000u, 10000u, 100000u}) {
+      reorder::AutoMinimizeOptions opt;
+      opt.kind = kind;
+      opt.exec.prune = par::PruneMode::kBounds;
+      rt::Budget budget;
+      budget.work_limit = limit;
+      const auto r = reorder::minimize_auto(f, budget, opt);
+      SCOPED_TRACE(::testing::Message()
+                   << "kind=" << static_cast<int>(kind) << " n="
+                   << f.num_vars() << " limit=" << limit);
+      tripped += r.outcome != rt::Outcome::kComplete;
+      EXPECT_LE(r.value.lower_bound, optimum);
+      EXPECT_LE(r.value.lower_bound, r.value.internal_nodes);
+    }
+  }
+  EXPECT_GT(tripped, 12);
+  // MTBDD, through the engine: a tripped run's certified bound.
+  std::vector<std::int64_t> values(std::size_t{1} << 9);
+  for (std::int64_t& v : values) v = static_cast<std::int64_t>(rng.below(3));
+  const core::PrefixTable base = core::initial_table_values(values, 9);
+  const std::uint64_t optimum =
+      core::fs_minimize_mtbdd(values, 9).min_internal_nodes;
+  int mtbdd_tripped = 0;
+  for (const std::uint64_t limit : {1000u, 10000u, 100000u}) {
+    rt::Budget budget;
+    budget.work_limit = limit;
+    rt::Governor gov(budget);
+    const core::FsStarResult r =
+        core::fs_star(base, util::full_mask(9), 9, core::DiagramKind::kMtbdd,
+                      nullptr, policy(1, par::PruneMode::kBounds), &gov);
+    mtbdd_tripped += r.completed_layers < 9;
+    EXPECT_LE(r.certified_lower_bound, optimum) << "limit=" << limit;
+  }
+  EXPECT_GT(mtbdd_tripped, 0);
 }
 
 // A dense run is the engine's unpruned case: serially and fanned out

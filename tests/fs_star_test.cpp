@@ -142,7 +142,7 @@ TEST(FsStar, MincostMapIsMonotone) {
     std::uint64_t best_pred = std::numeric_limits<std::uint64_t>::max();
     util::for_each_bit(I, [&](int i) {
       const std::uint64_t* pred =
-          find_mask(r.mincost, I & ~(util::Mask{1} << i));
+          find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << i)));
       ASSERT_NE(pred, nullptr) << "I=" << I << " i=" << i;
       best_pred = std::min(best_pred, *pred);
     });

@@ -170,7 +170,7 @@ TEST(ObsRegistry, MeasuredSetIsProbeDetailAndScheduler) {
             (std::vector<std::string>{
                 "ds.unique.resizes", "ds.unique.probes", "sched.graphs",
                 "sched.tasks", "sched.chunks", "sched.barrier_wait_ns"}));
-  EXPECT_EQ(pinned_count, 20u);
+  EXPECT_EQ(pinned_count, 21u);
 
   // The pinned projection zeroes exactly the measured slots.
   const Ledger a = sample_ledger(3);

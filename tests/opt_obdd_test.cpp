@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bdd/manager.hpp"
+#include "core/fs_star.hpp"
 #include "core/minimize.hpp"
 #include "quantum/analysis.hpp"
 #include "quantum/opt_obdd.hpp"
@@ -208,13 +209,30 @@ TEST(OptObdd, LedgerChargesLessThanClassicalSimulation) {
 
 TEST(Analysis, PeakSpaceMatchesClosedForm) {
   // Remark 1: the DP's resident table cells peak exactly at the
-  // two-adjacent-layers maximum.
+  // two-adjacent-layers maximum — over every subset on a function with no
+  // symmetric pair of inputs, and over one state per symmetry orbit on
+  // any function (the two forms agree when every class is a singleton).
   util::Xoshiro256 rng(3);
+  util::Xoshiro256 asym_rng(33);
   for (int n = 3; n <= 9; ++n) {
-    const core::MinimizeResult r =
-        core::fs_minimize(tt::random_function(n, rng));
-    EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.peak_cells),
-                     fs_peak_cells(n))
+    const std::vector<int> singletons(static_cast<std::size_t>(n), 1);
+    EXPECT_DOUBLE_EQ(static_cast<double>(util::orbit_peak_cells(singletons)),
+                     fs_peak_cells(n));
+    const tt::TruthTable f = tt::random_function(n, rng);
+    std::vector<int> sizes;
+    for (const util::Mask c :
+         core::symmetry_classes(core::initial_table(f), util::full_mask(n)))
+      sizes.push_back(util::popcount(c));
+    EXPECT_EQ(core::fs_minimize(f).ops.peak_cells,
+              util::orbit_peak_cells(sizes))
+        << "n=" << n;
+    tt::TruthTable g = tt::random_function(n, asym_rng);
+    while (core::symmetry_classes(core::initial_table(g), util::full_mask(n))
+               .size() != static_cast<std::size_t>(n))
+      g = tt::random_function(n, asym_rng);
+    EXPECT_DOUBLE_EQ(
+        static_cast<double>(core::fs_minimize(g).ops.peak_cells),
+        fs_peak_cells(n))
         << "n=" << n;
   }
 }

@@ -107,27 +107,58 @@ TEST(PaperClaims, Lemma4Recurrence) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
     const std::uint64_t* pred =
-        core::find_mask(r.mincost, I & ~(util::Mask{1} << k));
+        core::find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << k)));
     ASSERT_NE(pred, nullptr) << "k=" << k;
     best = std::min(best, *pred + core::compaction_width(
                                       p, k, core::DiagramKind::kBdd));
   });
-  const std::uint64_t* cost = core::find_mask(r.mincost, I);
+  const std::uint64_t* cost = core::find_mask(r.mincost, r.canonical(I));
   ASSERT_NE(cost, nullptr);
   EXPECT_EQ(*cost, best);
 }
 
-// Theorem 5: O*(3^n) — exact operation counts match the closed form.
+/// Sizes of f's symmetry classes, which fix the orbit DP's counts.
+std::vector<int> class_sizes(const tt::TruthTable& f) {
+  std::vector<int> sizes;
+  for (const util::Mask c : core::symmetry_classes(
+           core::initial_table(f), util::full_mask(f.num_vars())))
+    sizes.push_back(util::popcount(c));
+  return sizes;
+}
+
+/// A random function on n inputs no two of which are symmetric, so the DP
+/// builds every subset.
+tt::TruthTable random_asymmetric_function(int n, util::Xoshiro256& rng) {
+  while (true) {
+    tt::TruthTable f = tt::random_function(n, rng);
+    if (class_sizes(f) == std::vector<int>(static_cast<std::size_t>(n), 1))
+      return f;
+  }
+}
+
+// Theorem 5: O*(3^n) — exact operation counts match the closed form:
+// 2n·3^(n-1) cells on a function without a symmetric pair of inputs, and
+// its orbit form (one state per symmetry orbit) on any function; the two
+// agree when every class is a singleton.
 TEST(PaperClaims, Theorem5OperationCount) {
   util::Xoshiro256 rng(5);
+  util::Xoshiro256 asym_rng(55);
   for (int n = 3; n <= 8; ++n) {
+    EXPECT_DOUBLE_EQ(static_cast<double>(util::orbit_total_cells(
+                         std::vector<int>(static_cast<std::size_t>(n), 1))),
+                     quantum::fs_total_cells(n));
     const tt::TruthTable f = tt::random_function(n, rng);
+    const tt::TruthTable g = random_asymmetric_function(n, asym_rng);
     // threads = 4 fans the layers out from n = 7 on (below that the
     // small-n serial fallback applies); the count is the same.
     for (const int threads : {1, 4}) {
       const auto r =
           core::fs_minimize(f, core::DiagramKind::kBdd, exec_threads(threads));
-      EXPECT_DOUBLE_EQ(static_cast<double>(r.ops.table_cells),
+      EXPECT_EQ(r.ops.table_cells, util::orbit_total_cells(class_sizes(f)))
+          << "n=" << n << " threads=" << threads;
+      const auto dense =
+          core::fs_minimize(g, core::DiagramKind::kBdd, exec_threads(threads));
+      EXPECT_DOUBLE_EQ(static_cast<double>(dense.ops.table_cells),
                        quantum::fs_total_cells(n))
           << "n=" << n << " threads=" << threads;
     }
@@ -167,7 +198,7 @@ TEST(PaperClaims, Lemma7PrefixedRecurrence) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
     const std::uint64_t* pred =
-        core::find_mask(r.mincost, J & ~(util::Mask{1} << k));
+        core::find_mask(r.mincost, r.canonical(J & ~(util::Mask{1} << k)));
     ASSERT_NE(pred, nullptr) << "k=" << k;
     best = std::min(best, *pred + core::compaction_width(
                                       p, k, core::DiagramKind::kBdd));

@@ -17,23 +17,29 @@
 #      BENCH_quantum.json apart from "git" (the paper's counts at
 #      n <= 13, pinned), plus the `ovo order --prune bounds` bit-identity
 #      guard against the dense default, plus the Theorem 5 ledger guard
-#      (a 12-variable dense `ovo order --json` reports 2n*3^(n-1) =
-#      4,251,528 table cells, the same positive cut_cells and the same
-#      output at --threads 1 and 4, and traced, its fs.fence spans'
-#      cut_cells args sum to the JSON's),
+#      (a 12-variable dense `ovo order --json` with no symmetric pair of
+#      inputs reports 2n*3^(n-1) = 4,251,528 table cells, the same
+#      positive cut_cells and the same output at --threads 1 and 4, and
+#      traced, its fs.fence spans' cut_cells args sum to the JSON's; one
+#      with five symmetric pairs reports the orbit DP's 849,954 cells
+#      over 971 states),
 #      plus the checkpoint round-trip
 #      smoke: interrupt mid-DP, resume, require byte-identical JSON, and
 #      require a corrupted snapshot to be rejected with exit 3, plus the
-#      pooled-CRC guard (a 14-variable run cancelled mid-DP at --threads
-#      4 and 1 leaves byte-identical snapshots of at least 2 MiB, and
-#      each resumes at the other thread count to the straight run's
-#      JSON), plus the default-route guard (`fs`, the default, is the
+#      pooled-CRC guard (a 14-variable run with no symmetric pair
+#      cancelled mid-DP at --threads 4 and 1 leaves byte-identical
+#      snapshots of at least 2 MiB, and each resumes at the other thread
+#      count to the straight run's JSON; a symmetric one makes the same
+#      round trip through its canonical states), plus the ZDD bound
+#      guard (a pruned ZDD of negated conjuncts returns the dense
+#      optimum, and a tripped run certifies no more than its size), plus
+#      the default-route guard (`fs`, the default, is the
 #      governed ladder: --fault-cancel-at 3 ends it cancelled,
 #      --work-limit 100000 at the deadline, and --checkpoint leaves a
 #      `--prune-seed restarts` run's JSON unchanged), plus the
 #      typed-CLI-error block (malformed formulas, a formula over 26
-#      variables, bad numeric flag values, an unknown --prune-seed name,
-#      a missing input file, and BLIF netlists with an undefined signal
+#      variables, bad numeric flag values, an unknown --prune-seed,
+#      --strategy or --engine name, a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
 #      signal and its line — a v2 or v3 snapshot exits 3 naming the
 #      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`

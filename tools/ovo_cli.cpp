@@ -225,14 +225,17 @@ void appendf(std::string& s, const char* fmt, ...) {
 /// print it and persist it atomically (--json-out).  Every counter field
 /// is rendered through the obs shared serializer: the keys here are the
 /// metric table's canonical json_keys, byte-identical to the ones the
-/// scaling benches emit.
+/// scaling benches emit.  `sym_classes`, the exact DP's symmetry classes
+/// of two or more inputs, prints as 1-based variable lists and is left
+/// out when there are none.
 std::string json_order_string(const std::string& strategy,
                               core::DiagramKind kind, std::uint64_t nodes,
                               bool optimal, std::uint64_t lower_bound,
                               const std::string& outcome,
                               std::uint64_t work_units, int threads,
                               const std::vector<int>& order,
-                              const reorder::OracleStats* oracle = nullptr) {
+                              const reorder::OracleStats* oracle = nullptr,
+                              const std::vector<util::Mask>& sym_classes = {}) {
   std::string s;
   appendf(s, "{\"strategy\":\"%s\"", strategy.c_str());
   obs::append_json_str(s, "kind",
@@ -247,6 +250,19 @@ std::string json_order_string(const std::string& strategy,
   if (oracle != nullptr) {
     oracle->to_ledger(l);
     obs::append_counters_json(s, l);
+  }
+  if (!sym_classes.empty()) {
+    s += ",\"sym_classes\":[";
+    for (std::size_t c = 0; c < sym_classes.size(); ++c) {
+      s += c == 0 ? "[" : ",[";
+      bool first = true;
+      util::for_each_bit(sym_classes[c], [&](int v) {
+        appendf(s, "%s%d", first ? "" : ",", v + 1);
+        first = false;
+      });
+      s += "]";
+    }
+    s += "]";
   }
   obs::append_run_info_json(s, threads);
   s += ",\"order\":[";
@@ -475,26 +491,23 @@ int cmd_order(const std::vector<std::string>& args) {
   }
   if (fault_requested) fault.emplace(fault_schedule);
 
-  const LoadedInput loaded = load_input(input);
   // --engine is a plain alias of --strategy; --strategy wins when both
-  // are given.
+  // are given.  An unknown name is the user's error, found before the
+  // input is read.
   const reorder::Strategy* strategy = nullptr;
   if (!shared) {
     if (strategy_name.empty()) {
-      if (engine != "fs" && engine != "bnb" && engine != "quantum") {
-        std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
-        return 2;
-      }
+      if (engine != "fs" && engine != "bnb" && engine != "quantum")
+        throw UsageError("--engine: expected fs, bnb or quantum, got '" +
+                         engine + "'");
       strategy_name = engine;
     }
     strategy = reorder::find_strategy(strategy_name);
-    if (strategy == nullptr) {
-      std::fprintf(stderr,
-                   "unknown strategy '%s' (see ovo --list-strategies)\n",
-                   strategy_name.c_str());
-      return 2;
-    }
+    if (strategy == nullptr)
+      throw UsageError("--strategy: unknown strategy '" + strategy_name +
+                       "' (see ovo --list-strategies)");
   }
+  const LoadedInput loaded = load_input(input);
   check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
 
@@ -563,7 +576,8 @@ int cmd_order(const std::vector<std::string>& args) {
     emit_json(json_order_string(strategy->name, kind, r.internal_nodes,
                                 r.optimal, r.lower_bound, outcome,
                                 r.run.work_units, exec.resolved_threads(),
-                                r.order_root_first, &r.oracle),
+                                r.order_root_first, &r.oracle,
+                                r.sym_classes),
               json_out);
     return 0;
   }

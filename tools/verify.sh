@@ -26,23 +26,31 @@
 # apart from "git" (the benches report the paper's counts only, so the
 # artifacts are pinned), and a CLI guard that a bound-pruned `ovo order`
 # run returns the identical order and size as the dense default.  A fixed
-# 12-variable formula runs through `ovo order --json` at --threads 1 and
-# 4: both must report Theorem 5's 2n*3^(n-1) = 4,251,528 table cells, the
-# same positive cut_cells (cells the DP's cut sweeps never read) and the
-# same output apart from "threads", so the compaction kernel's
-# per-thread pair tables run on pool threads through the CLI; traced,
-# the fs.fence spans' cut_cells args must sum to the JSON's.  A
-# 14-variable formula cancelled mid-DP (--fault-cancel-at) at --threads 4
-# and at --threads 1 must leave byte-identical snapshots from a fence of
-# at least 2 MiB, whose CRC the 4-thread run folds from pool chunks, and
-# resuming each at the other thread count must print the straight run's
-# JSON apart from "threads".  The default strategy (`fs`, the same
+# 12-variable formula with no symmetric pair of inputs runs through
+# `ovo order --json` at --threads 1 and 4: both must report Theorem 5's
+# 2n*3^(n-1) = 4,251,528 table cells, the same positive cut_cells (cells
+# the DP's cut sweeps never read) and the same output apart from
+# "threads", so the compaction kernel's per-thread pair tables run on
+# pool threads through the CLI; traced, the fs.fence spans' cut_cells
+# args must sum to the JSON's.  A 12-variable formula with five symmetric
+# pairs must report its orbit count (849,954 cells over 971 states) at
+# both thread counts.  A 14-variable formula with no symmetric pair
+# cancelled mid-DP (--fault-cancel-at) at --threads 4 and at --threads 1
+# must leave byte-identical snapshots from a fence of at least 2 MiB,
+# whose CRC the 4-thread run folds from pool chunks, and resuming each at
+# the other thread count must print the straight run's JSON apart from
+# "threads"; a 14-variable formula with six symmetric pairs makes the same
+# round trip through its canonical states and tie sets.  A pruned ZDD of
+# a function with negated conjuncts must return the dense optimum with
+# `optimal` true, and a tripped run of it a lower bound no larger than
+# its size.  The default strategy (`fs`, the same
 # governed ladder as `auto`) must end cancelled on --fault-cancel-at 3,
 # end at the deadline under --work-limit 100000 on the 14-variable
 # formula, and print the same JSON for a `--prune bounds --prune-seed
 # restarts` run with and without --checkpoint.  It runs
 # malformed formulas, a formula over more than 26 variables, bad numeric
-# flag values, an unknown --prune-seed name, a missing input file, BLIF
+# flag values, an unknown --prune-seed, --strategy or --engine name, a
+# missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, a v2
 # and a v3 snapshot, and inputs past an engine's limit (`--strategy
 # brute` over 11 variables, `--strategy dynamic --zdd`, `--shared` on a
@@ -168,21 +176,40 @@ PY
   build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
     | grep -q '"states_pruned"'
   echo "==== quick: Theorem 5 work ledger at every thread count ===="
-  # A dense DP over n variables compacts exactly 2n*3^(n-1) table cells
-  # whichever threads ran the compactions: 4,251,528 at n = 12, and the
-  # whole JSON output is the same at 1 and 4 threads but for "threads".
+  # A dense DP over n variables, no two of them symmetric, compacts
+  # exactly 2n*3^(n-1) table cells whichever threads ran the
+  # compactions: 4,251,528 at n = 12, and the whole JSON output is the
+  # same at 1 and 4 threads but for "threads".
+  dense_fn="x1 & !x7 | x2 & (x8 | x3) | x3 & !x9 & x4 | (x4 ^ x10) & (x5 | !x11) | x6 & !x12 & x1"
+  for t in 1 4; do
+    build/tools/ovo order --json --threads "${t}" "${dense_fn}" \
+      | sed 's/"threads":[0-9]*/"threads":N/' > "${smoke_dir}/dense${t}.json"
+    grep -q '"table_cells":4251528' "${smoke_dir}/dense${t}.json"
+    grep -q '"cut_cells":[1-9]' "${smoke_dir}/dense${t}.json"
+    grep -q '"states":4095' "${smoke_dir}/dense${t}.json"
+    if grep -q '"sym_classes"' "${smoke_dir}/dense${t}.json"; then
+      echo "FAIL: ${dense_fn} reported symmetric inputs" >&2
+      exit 1
+    fi
+  done
+  diff "${smoke_dir}/dense1.json" "${smoke_dir}/dense4.json"
+  # With symmetric pairs the DP builds one state per symmetry orbit:
+  # five pairs and two singletons give 3^5*2^2 - 1 = 971 states and the
+  # orbit closed form's 849,954 cells, at every thread count.
   ledger_fn="x1 & x7 | x2 & x8 | x3 & x9 | (x4 ^ x10) & (x5 | !x11) | x6 & x12"
   for t in 1 4; do
     build/tools/ovo order --json --threads "${t}" "${ledger_fn}" \
       | sed 's/"threads":[0-9]*/"threads":N/' > "${smoke_dir}/ledger${t}.json"
-    grep -q '"table_cells":4251528' "${smoke_dir}/ledger${t}.json"
-    grep -q '"cut_cells":[1-9]' "${smoke_dir}/ledger${t}.json"
+    grep -q '"table_cells":849954' "${smoke_dir}/ledger${t}.json"
+    grep -q '"states":971' "${smoke_dir}/ledger${t}.json"
+    grep -q '"sym_classes":\[\[1,7\],\[2,8\],\[3,9\],\[4,10\],\[6,12\]\]' \
+      "${smoke_dir}/ledger${t}.json"
   done
   diff "${smoke_dir}/ledger1.json" "${smoke_dir}/ledger4.json"
   # The cut is counted once per layer: the fs.fence spans' cut_cells
   # args add up to the run's cut_cells.
   build/tools/ovo order --json --threads 4 \
-    --trace "${smoke_dir}/ledger_trace.json" "${ledger_fn}" \
+    --trace "${smoke_dir}/ledger_trace.json" "${dense_fn}" \
     > "${smoke_dir}/ledger_traced.json"
   python3 - "${smoke_dir}/ledger_trace.json" \
     "${smoke_dir}/ledger_traced.json" <<'PY'
@@ -223,29 +250,57 @@ PY
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
   echo "==== quick: pooled snapshot CRC through the CLI ============"
-  # A 14-variable dense run cancelled in layer 5 leaves layer 4's
-  # snapshot, a 4 MB frame whose CRC the fence folds from three pool
-  # chunks at --threads 4 and computes in one piece at --threads 1: the
-  # two files must be the same bytes, and resuming either one at the
-  # other thread count must print the straight run's JSON apart from
-  # "threads".
+  # A 14-variable dense run with no symmetric pair, cancelled in layer 5,
+  # leaves layer 4's snapshot, a 4 MB frame whose CRC the fence folds
+  # from three pool chunks at --threads 4 and computes in one piece at
+  # --threads 1: the two files must be the same bytes, and resuming
+  # either one at the other thread count must print the straight run's
+  # JSON apart from "threads".  The 14-variable formula with six
+  # symmetric pairs makes the same round trip from a fence of canonical
+  # states, whose snapshot carries its classes and tie sets.
+  crc_dense_fn="x1 & !x8 | x2 & (x9 | x3) | x3 & !x10 & x4 | (x4 ^ x11) & (x5 | !x12) | x6 & !x13 & x1 | x7 & !x14 & x2"
   crc_fn="x1 & x8 | x2 & x9 | x3 & x10 | (x4 ^ x11) & (x5 | !x12) | x6 & x13 | x7 & x14"
-  crc_run() {
-    build/tools/ovo order --strategy auto --prune off --json "$@" \
-      "${crc_fn}" | sed 's/"threads":[0-9]*/"threads":N/'
+  crc_round_trip() {
+    local fn="$1" cancel_at="$2" name="$3"
+    crc_run() {
+      build/tools/ovo order --strategy auto --prune off --json "$@" \
+        "${fn}" | sed 's/"threads":[0-9]*/"threads":N/'
+    }
+    crc_run --threads 1 > "${smoke_dir}/${name}_straight.json"
+    for t in 1 4; do
+      crc_run --threads "${t}" --checkpoint "${smoke_dir}/${name}${t}.ckpt" \
+        --fault-cancel-at "${cancel_at}" > "${smoke_dir}/${name}_tripped${t}.json"
+      grep -q '"outcome":"cancelled"' "${smoke_dir}/${name}_tripped${t}.json"
+    done
+    cmp "${smoke_dir}/${name}1.ckpt" "${smoke_dir}/${name}4.ckpt"
+    crc_run --threads 4 --resume "${smoke_dir}/${name}1.ckpt" \
+      | diff "${smoke_dir}/${name}_straight.json" -
+    crc_run --threads 1 --resume "${smoke_dir}/${name}4.ckpt" \
+      | diff "${smoke_dir}/${name}_straight.json" -
   }
-  crc_run --threads 1 > "${smoke_dir}/crc_straight.json"
-  for t in 1 4; do
-    crc_run --threads "${t}" --checkpoint "${smoke_dir}/crc${t}.ckpt" \
-      --fault-cancel-at 3000 > "${smoke_dir}/crc_tripped${t}.json"
-    grep -q '"outcome":"cancelled"' "${smoke_dir}/crc_tripped${t}.json"
-  done
+  crc_round_trip "${crc_dense_fn}" 3000 crc
   [[ "$(stat -c %s "${smoke_dir}/crc4.ckpt")" -ge $((2 << 20)) ]]
-  cmp "${smoke_dir}/crc1.ckpt" "${smoke_dir}/crc4.ckpt"
-  crc_run --threads 4 --resume "${smoke_dir}/crc1.ckpt" \
-    | diff "${smoke_dir}/crc_straight.json" -
-  crc_run --threads 1 --resume "${smoke_dir}/crc4.ckpt" \
-    | diff "${smoke_dir}/crc_straight.json" -
+  crc_round_trip "${crc_fn}" 1500 crc_sym
+  grep -q '"sym_classes"' "${smoke_dir}/crc_sym_straight.json"
+  echo "==== quick: the ZDD pruning bound is admissible ============="
+  # A ZDD suppresses the inputs no satisfying assignment sets and reaches
+  # the 0-terminal through suppressed hi edges, so its pruning bound
+  # counts neither: the pruned run returns the dense optimum, 5 nodes,
+  # and a run the budget trips certifies no more than the size it
+  # returns.
+  zdd_fn="!x1 & !x2 & !x3 & (x4 | x5) & (x6 ^ x7)"
+  build/tools/ovo order --zdd --prune bounds --json "${zdd_fn}" \
+    > "${smoke_dir}/zdd.json"
+  grep -q '"nodes":5,"optimal":true' "${smoke_dir}/zdd.json"
+  build/tools/ovo order --zdd --prune bounds --json --work-limit 100 \
+    "${zdd_fn}" > "${smoke_dir}/zdd_tripped.json"
+  python3 - "${smoke_dir}/zdd_tripped.json" <<'PY'
+import json, sys
+run = json.load(open(sys.argv[1]))
+assert run["outcome"] != "complete", run
+assert run["lower_bound"] <= run["nodes"], run
+print(f"zdd: tripped run certifies {run['lower_bound']} <= {run['nodes']}")
+PY
   echo "==== quick: the default route is the governed ladder ======="
   # `fs`, the default strategy, runs the exact DP on the same governed
   # ladder as `auto`: a cancel at a governor poll ends the run cancelled,
@@ -306,6 +361,11 @@ PY
     "${smoke_dir}/cli_err.txt"
   expect_cli_error 2 --prune-seed bogus "${smoke_fn}"
   expect_cli_error 2 --prune bounds --prune-seed bogus "${smoke_fn}"
+  expect_cli_error 2 --strategy bogus "${smoke_fn}"
+  grep -q "usage error: --strategy: unknown strategy 'bogus'" \
+    "${smoke_dir}/cli_err.txt"
+  expect_cli_error 2 --engine bogus "${smoke_fn}"
+  grep -q 'usage error: --engine' "${smoke_dir}/cli_err.txt"
   for old_snapshot in valid_dense_hwb6_layer3.bin \
                       valid_v3_dense_hwb6_layer3.bin; do
     expect_cli_error 3 --resume \
@@ -324,7 +384,7 @@ PY
     > "${smoke_dir}/wide.pla"
   expect_cli_error 2 --shared "${smoke_dir}/wide.pla"
   grep -q 'at most 26 are supported' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 22 invocations, no internal-check text"
+  echo "typed CLI errors: 24 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
