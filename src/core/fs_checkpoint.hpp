@@ -49,9 +49,11 @@ namespace ovo::core {
 /// symmetry orbits: it stores J's symmetry classes and each state's tie
 /// set, every mask in it is canonical, and a dense layer holds the
 /// canonical states only; its fence section holds fs.states, and a ZDD
-/// pruned run prunes against the ZDD bound.  Older files load as
-/// kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 5;
+/// pruned run prunes against the ZDD bound.  v6 keeps v5's layout; its
+/// seed section holds the counters of a sift seed that sizes each step's
+/// insertion positions from one prefix chain, so they differ from a v5
+/// file's for the same fence.  Older files load as kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 6;
 
 /// Binary search in one of the DP's mask-sorted maps (FsStarResult and
 /// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in

@@ -77,6 +77,70 @@ std::uint64_t diagram_size_from_base(const PrefixTable& base,
                                      OpCounter* ops = nullptr,
                                      const rt::Governor* gov = nullptr);
 
+/// Sizes every insertion position of one variable into an order of the
+/// others, sifting's question, from one prefix chain (docs/ALGORITHMS.md,
+/// "Sifting by level deltas").  Let w_0..w_{n-2} be the other variables
+/// bottom-up, P_q the base compacted by w_0..w_{q-1}, Q_q = compact(P_q,
+/// var) and R_q = compact(Q_q, w_q).  By Lemma 3 a level's width depends
+/// only on its variable and the set below it, so var at bottom-up position
+/// q gives the diagram size
+///
+///     mincost(Q_q) + sum_{j >= q} [mincost(R_j) - mincost(Q_j)]
+///
+/// for about 5·2^n cells over all n positions, where n chains cost
+/// n·2^{n+1}.  The sizer keeps its tables between calls (the chain, and
+/// one Q table per pool slot) and rebuilds the chain only above the
+/// longest bottom-up prefix a call shares with the one it holds, so a
+/// caller keeps one for a search and no longer.  It also keeps the sizes
+/// of each variable's last call that sized every position, and answers a
+/// call that repeats it (same variable, same order of the others) from
+/// them without a compaction.  `base` must outlive the sizer.
+class InsertionSizer {
+ public:
+  InsertionSizer(const PrefixTable& base, DiagramKind kind);
+
+  /// diagram_size_from_base's answer for `order_root_first`, from the
+  /// chain, which then holds that order's prefix chain.  A non-null `gov`
+  /// is polled for hard stops between compactions: a stopped call
+  /// returns kAbortedSize.
+  std::uint64_t size(const std::vector<int>& order_root_first,
+                     OpCounter* ops = nullptr,
+                     const rt::Governor* gov = nullptr);
+
+  /// Sizes of the orders that insert `var` into `rest_root_first` (the
+  /// other n - 1 variables, root first), into `*out` resized to n: entry
+  /// p is var at root-first position p for p < `positions`, and the rest
+  /// hold kAbortedSize.  `exec` fans the (Q_q, R_q) pairs out over the
+  /// pool, and every thread count gives the same sizes and counts.  A
+  /// non-null `gov` is polled for hard stops, and a call it stops holds
+  /// kAbortedSize everywhere.  Work is not charged.  Returns true iff
+  /// the sizes are a repeated call's, answered without a compaction.
+  bool sizes(const std::vector<int>& rest_root_first, int var,
+             std::size_t positions, const par::ExecPolicy& exec,
+             std::vector<std::uint64_t>* out, OpCounter* ops = nullptr,
+             const rt::Governor* gov = nullptr);
+
+ private:
+  /// Makes level(q) the base compacted by bottom_up[0..q-1] for every
+  /// q <= len, reusing the levels the chain already holds for a common
+  /// prefix.  False when `gov` stopped it.
+  bool extend(const std::vector<int>& bottom_up, std::size_t len,
+              OpCounter* ops, const rt::Governor* gov);
+  const PrefixTable& level(std::size_t q) const {
+    return q == 0 ? base_ : chain_[q];
+  }
+
+  const PrefixTable& base_;
+  DiagramKind kind_;
+  std::vector<PrefixTable> chain_;  ///< chain_[q], q >= 1: see extend
+  std::vector<int> chain_vars_;     ///< bottom-up vars of the valid levels
+  std::vector<PrefixTable> slot_q_;  ///< per pool slot: Q_q
+  /// Per variable: the order of the others and the sizes of its last call
+  /// that sized every position.
+  std::vector<std::vector<int>> last_rest_;
+  std::vector<std::vector<std::uint64_t>> last_sizes_;
+};
+
 /// MTBDD variant of diagram_size_for_order.
 std::uint64_t diagram_size_for_order_values(
     const std::vector<std::int64_t>& values, int n,

@@ -92,34 +92,27 @@ OrderSearchResult sift(CostOracle& oracle, std::vector<int> order,
   OVO_CHECK_MSG(util::is_permutation(order), "sift: not a permutation");
   rt::Governor* gov = ctx.gov;
   OrderSearchResult r;
+  // The search's prefix chain: its tables live for this call only.
+  core::InsertionSizer sizer(oracle.base(), oracle.kind());
   // The initial evaluation is charged but never skipped: a governed sift
   // must know its incumbent's size to improve on it.
   if (gov != nullptr) gov->charge(oracle.chain_eval_cost());
-  r.internal_nodes = oracle.size_for_order(order);
+  r.internal_nodes = oracle.size_for_order(sizer, order);
   ++r.orders_evaluated;
   bool out_of_budget = false;
   for (int pass = 0; pass < max_passes && !out_of_budget; ++pass) {
     bool improved = false;
     for (int v = 0; v < n; ++v) {
-      // Current position of variable v.
+      // Size every insertion position of v from one prefix chain, then
+      // pick the best in ascending position order (first best wins).
       const auto it = std::find(order.begin(), order.end(), v);
-      std::size_t pos = static_cast<std::size_t>(it - order.begin());
       std::vector<int> work = order;
-      work.erase(work.begin() + static_cast<std::ptrdiff_t>(pos));
-      // Evaluate every insertion position in parallel, then pick the best
-      // in ascending position order (first best wins, as serially).
-      std::vector<std::vector<int>> cands;
-      cands.reserve(work.size() + 1);
-      for (std::size_t p = 0; p <= work.size(); ++p) {
-        std::vector<int> cand = work;
-        cand.insert(cand.begin() + static_cast<std::ptrdiff_t>(p), v);
-        cands.push_back(std::move(cand));
-      }
+      work.erase(work.begin() + (it - order.begin()));
       const std::vector<std::uint64_t> sizes =
-          oracle.sizes_for_orders(cands, ctx);
+          oracle.insertion_sizes(sizer, work, v, ctx);
       const std::uint64_t evaluated = evaluated_count(sizes);
       r.orders_evaluated += evaluated;
-      std::size_t best_pos = pos;
+      std::size_t best_pos = 0;
       std::uint64_t best_size = r.internal_nodes;
       for (std::size_t p = 0; p < sizes.size(); ++p) {
         if (sizes[p] < best_size) {

@@ -41,10 +41,14 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
                                        const EvalContext& ctx = {});
 
 /// Rudell sifting: repeatedly move each variable to its locally best
-/// position, until a fixpoint or `max_passes`.  Candidate batches go
-/// through oracle.sizes_for_orders (memoized); ctx.exec parallelizes the
-/// per-position size evaluations, and the chosen position (first best,
-/// ties to the smallest index) is thread-count-independent.
+/// position, until a fixpoint or `max_passes`.  Each step sizes every
+/// position of its variable with one oracle.insertion_sizes call over a
+/// core::InsertionSizer that lives for this call (one prefix chain per
+/// step; a step whose other variables' order has not changed since that
+/// variable's last step is answered from its kept sizes).  The memo is
+/// neither read nor written.  ctx.exec parallelizes the per-position
+/// compactions, and the chosen position (first strict best, ties to the
+/// smallest root-first index) is thread-count-independent.
 ///
 /// A non-null ctx.gov budgets the search: every candidate batch is
 /// deterministically truncated to what the remaining work budget admits

@@ -16,13 +16,14 @@ namespace ovo::reorder {
 
 /// Unified per-search statistics, replacing the per-algorithm
 /// orders_evaluated / chain-cost counters.  Every size query an algorithm
-/// makes is either answered from the memo (memo_hits) or actually
+/// makes is either answered without computing (memo_hits: from the memo,
+/// or for sift from the sizes a repeated step kept) or actually
 /// evaluated (evals); queries == memo_hits + evals always holds, and
-/// evals < queries is the observable proof that memoization is live.
+/// evals < queries is the observable proof that reuse is live.
 struct OracleStats {
   std::uint64_t queries = 0;    ///< size queries answered
-  std::uint64_t evals = 0;      ///< chain evaluations actually performed
-  std::uint64_t memo_hits = 0;  ///< queries served from the memo cache
+  std::uint64_t evals = 0;      ///< size queries actually computed
+  std::uint64_t memo_hits = 0;  ///< queries answered without evaluating
   /// Table cells processed by the evaluations (the paper's work measure);
   /// also collects DP/compaction work for the non-chain engines.
   core::OpCounter ops;

@@ -97,8 +97,9 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   AutoMinimizeResult& v = out.value;
 
   // One oracle for the whole ladder: its TABLE_{emptyset} feeds the DP,
-  // and the heuristic stages share its memo, so an order sifting already
-  // evaluated costs the restarts stage a lookup, not a chain.
+  // and every stage counts into its ledger.  Its memo serves the
+  // whole-order searches (the restarts stage, a window, restarts or
+  // anneal seed); sift sizes positions from a prefix chain of its own.
   CostOracle oracle(f, options.kind);
   EvalContext ctx;
   ctx.exec = options.exec;
@@ -106,8 +107,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
 
   // Stage 0 (pruned mode only): seed the DP's pruning incumbent by
   // running the configured cheap heuristic through the shared governed
-  // oracle.  Its order is also a salvage candidate, and its evaluations
-  // land in the memo the later heuristic stages reuse.  A resumed run
+  // oracle.  Its order is also a salvage candidate.  A resumed run
   // skips the stage entirely: the snapshot carries the seed order and
   // the effective incumbent (and the governor is credited the original
   // run's charges inside fs_star), so the replay stays bit-identical.

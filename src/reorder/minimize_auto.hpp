@@ -83,9 +83,10 @@ struct AutoMinimizeResult {
   /// over (core::FsStarResult::classes), as variable masks ascending by
   /// lowest member; empty when no two inputs are symmetric.
   std::vector<util::Mask> sym_classes;
-  /// Chain-evaluation oracle stats for the heuristic stages (3–4): the
-  /// sifting and restart stages share one memoized oracle, so an order
-  /// both stages visit is evaluated once (`evals` < `queries`).
+  /// Oracle stats of the seed stage and the heuristic stages (3–4),
+  /// which share one oracle: its memo serves the restarts stage and a
+  /// window, restarts or anneal seed, while sift sizes positions from a
+  /// prefix chain of its own and counts a repeated step as memo hits.
   OracleStats oracle;
 };
 
@@ -123,8 +124,9 @@ bool is_prune_seed(std::string_view name);
 
 /// Runs the cheap strategy named `seed` (one of kPruneSeeds) through
 /// `oracle` and returns the best order it found plus its exact size.  The
-/// evaluations go through the shared memoized oracle, so a later
-/// heuristic stage revisiting an order pays a lookup, not a chain.
+/// evaluations count into the shared oracle; those of a window, restarts
+/// or anneal seed land in its memo, where a later heuristic stage
+/// revisiting an order pays a lookup, not a chain.
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,
                                  int max_passes, int restarts,
                                  std::uint64_t rng_seed,

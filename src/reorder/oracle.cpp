@@ -61,14 +61,40 @@ std::uint64_t CostOracle::size_for_order(
   }
   OVO_TRACE_SPAN_ARGS("oracle.eval", "oracle", 0, "vars",
                       base_.n, nullptr, 0);
+  core::PrefixTable cur, next;
   const std::uint64_t s = core::diagram_size_from_base(
-      base_, order_root_first, kind_, scratch_cur_, scratch_next_,
-      &stats_.ops, gov);
+      base_, order_root_first, kind_, cur, next, &stats_.ops, gov);
   if (s == core::kAbortedSize) return s;  // hard stop: do not memoize
   ++stats_.evals;
   if (keyed && s <= std::numeric_limits<std::uint32_t>::max())
     memo_.store(a, b, static_cast<std::uint32_t>(s));
   return s;
+}
+
+std::uint64_t CostOracle::size_for_order(
+    core::InsertionSizer& sizer, const std::vector<int>& order_root_first) {
+  ++stats_.queries;
+  ++stats_.evals;
+  return sizer.size(order_root_first, &stats_.ops);
+}
+
+std::vector<std::uint64_t> CostOracle::insertion_sizes(
+    core::InsertionSizer& sizer, const std::vector<int>& rest_root_first,
+    int var, const EvalContext& ctx) {
+  const std::uint64_t n = rest_root_first.size() + 1;
+  std::uint64_t count = n;
+  if (ctx.gov != nullptr)
+    count = ctx.gov->admit_charge_batch(chain_eval_cost(), count);
+  stats_.queries += count;
+  OVO_TRACE_SPAN_ARGS("oracle.insertions", "oracle", 0, "var", var,
+                      "positions", static_cast<std::int64_t>(count));
+  std::vector<std::uint64_t> sizes;
+  const bool repeat =
+      sizer.sizes(rest_root_first, var, static_cast<std::size_t>(count),
+                  ctx.exec, &sizes, &stats_.ops, ctx.gov);
+  if (count > 0 && sizes.front() != core::kAbortedSize)
+    (repeat ? stats_.memo_hits : stats_.evals) += count;
+  return sizes;
 }
 
 std::vector<std::uint64_t> CostOracle::sizes_for_orders(

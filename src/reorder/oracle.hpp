@@ -3,19 +3,29 @@
 // candidate reading orders through one CostOracle, which owns
 //
 //  * the base prefix table TABLE_{emptyset} (built once per function),
-//  * the compact_into ping-pong scratch buffers (no allocation per
-//    evaluation once their capacity covers one chain),
 //  * an order-keyed memo cache (ovo::ds::ComputedCache) so repeated
-//    candidates across sift passes, windows, restarts, and ladder stages
-//    are evaluated once, and
+//    candidates across windows, annealing moves, restarts, and ladder
+//    stages are evaluated once, and
 //  * the unified OracleStats counters.
+//
+// It holds no chain-sized scratch: every evaluation's tables belong to
+// its call, or to the search that asked (sift's core::InsertionSizer),
+// so an oracle kept alive beside the exact DP costs the base table and
+// the memo only.
+//
+// Sifting asks a different question — the sizes of every insertion
+// position of one variable — and gets it from the search's own
+// InsertionSizer, one prefix chain per step (insertion_sizes).  Those
+// queries neither read nor write the memo.
 //
 // Determinism and budget contract: memoization never changes results or
 // governor accounting.  A memo hit returns exactly the size a fresh
 // evaluation would have computed (keys are lossless, see below), and the
 // governor is charged per *query* — identically to the pre-oracle code —
 // so a governed run trips at the same point whether or not the cache is
-// warm.  Memoization only skips the computation.
+// warm.  Memoization only skips the computation.  insertion_sizes admits
+// and charges each position exactly as sizes_for_orders would the order
+// it sizes.
 //
 // Memo keying: an order is packed into ceil(log2 n) bits per variable,
 // root first, into the cache's 96-bit (uint64, uint32) key.  The packing
@@ -67,6 +77,28 @@ class CostOracle {
   std::uint64_t size_for_order(const std::vector<int>& order_root_first,
                                const rt::Governor* gov = nullptr);
 
+  /// The same size from `sizer`, the searching caller's prefix chain
+  /// over base(): one query and one eval, with the memo neither read nor
+  /// written.  Work is not charged.
+  std::uint64_t size_for_order(core::InsertionSizer& sizer,
+                               const std::vector<int>& order_root_first);
+
+  /// Sizes of the n orders that insert `var` into `rest_root_first` (the
+  /// other variables, root first) at root-first positions 0..n-1 — the
+  /// batch sizes_for_orders would return for those orders, taken from
+  /// one prefix chain of `sizer` (core::InsertionSizer), which the caller
+  /// keeps for one search over base().  With ctx.gov the batch is first
+  /// truncated, serially, to the root-first prefix the work budget
+  /// admits at chain_eval_cost() units per position, as
+  /// sizes_for_orders truncates; positions not admitted, and every
+  /// position of a call a hard stop cut short, hold core::kAbortedSize.
+  /// Each admitted position counts as one query, and as one eval, or as
+  /// one memo hit when the sizer answers a repeated call from the sizes
+  /// it kept.  The memo is neither read nor written.
+  std::vector<std::uint64_t> insertion_sizes(
+      core::InsertionSizer& sizer, const std::vector<int>& rest_root_first,
+      int var, const EvalContext& ctx);
+
   /// Batch evaluation of candidate orders, fanned out as one parallel
   /// region on the ovo::par thread pool, preserving the pre-oracle
   /// semantics bit for bit: with ctx.gov the batch is first
@@ -92,7 +124,6 @@ class CostOracle {
   core::PrefixTable base_;
   int bits_per_var_ = 0;  ///< 0 = memo disabled (packed order > 96 bits)
   ds::ComputedCache memo_;
-  core::PrefixTable scratch_cur_, scratch_next_;
   OracleStats stats_;
 };
 

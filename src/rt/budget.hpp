@@ -90,7 +90,6 @@ struct Budget {
 /// Accounting for one governed run (see Governor::stats).
 struct RunStats {
   std::uint64_t work_units = 0;  ///< total charged work
-  std::uint64_t peak_nodes = 0;  ///< largest admitted node footprint
 };
 
 /// A governed result: the best-so-far value plus why the run stopped.
@@ -179,7 +178,6 @@ class Governor {
   std::atomic<std::uint8_t> soft_outcome_{0};  ///< 0 = none
   std::atomic<std::uint64_t> work_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<std::uint64_t> peak_nodes_{0};
 };
 
 }  // namespace ovo::rt

@@ -325,22 +325,103 @@ void write_file_atomic(const std::string& path, const void* data,
     fs.fsync_dir(dir_of(path).c_str());
 }
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  FileOps& fs = file_ops();
+namespace {
+
+/// Opens `path` for reading and returns the fd; *size gets the file's
+/// size.  Either failure is kIo.
+int open_sized(FileOps& fs, const std::string& path, std::size_t* size) {
   const int fd = hooked_open_read(fs, path.c_str());
   if (fd < 0) io_error("open '" + path + "'");
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const ::ssize_t r = hooked_read(fs, fd, buf, sizeof(buf));
+  const ::off_t bytes = fs.file_size(fd);
+  if (bytes < 0) {
+    fs.close(fd);
+    io_error("stat '" + path + "'");
+  }
+  *size = static_cast<std::size_t>(bytes);
+  return fd;
+}
+
+/// Reads from `fd` into dst[0, len) until it is full or the file ends;
+/// returns the bytes read.  A failed read closes the fd and is kIo.
+std::size_t read_some(FileOps& fs, int fd, const std::string& path,
+                      std::uint8_t* dst, std::size_t len) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ::ssize_t r = hooked_read(fs, fd, dst + got, len - got);
     if (r < 0) {
       if (errno == EINTR) continue;
       fs.close(fd);
       io_error("read '" + path + "'");
     }
     if (r == 0) break;
-    out.insert(out.end(), buf, buf + r);
+    got += static_cast<std::size_t>(r);
   }
+  return got;
+}
+
+/// Fills `out`, sized by the caller to the bytes the file's size
+/// promises, and reads on to the file's end: `out` is shrunk if the file
+/// ends early and grows only if it holds more, so a file that keeps its
+/// size is read into the one buffer, with one read past the end.
+void read_to_end(FileOps& fs, int fd, const std::string& path,
+                 std::vector<std::uint8_t>& out) {
+  const std::size_t got = read_some(fs, fd, path, out.data(), out.size());
+  if (got < out.size()) {
+    out.resize(got);
+    return;
+  }
+  std::uint8_t more[1 << 12];
+  while (const std::size_t r = read_some(fs, fd, path, more, sizeof(more))) {
+    out.insert(out.end(), more, more + r);
+    if (r < sizeof(more)) break;
+  }
+}
+
+/// Validates a frame's header and payload — magic, version within
+/// [min_version, max_version], exact length, CRC — and returns the
+/// version.  Every violation is a typed CheckpointError.
+std::uint32_t check_frame(const std::uint8_t* header,
+                          const std::uint8_t* payload, std::size_t len,
+                          std::uint32_t min_version,
+                          std::uint32_t max_version) {
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
+    throw CheckpointError(CheckpointErrorKind::kBadMagic,
+                          "data does not start with the checkpoint magic");
+  const std::uint32_t version = get_u32(header + 8);
+  if (version < min_version || version > max_version)
+    throw CheckpointError(
+        CheckpointErrorKind::kVersionSkew,
+        "payload version " + std::to_string(version) +
+            " outside supported [" + std::to_string(min_version) + ", " +
+            std::to_string(max_version) + "]");
+  const std::uint64_t declared = get_u64(header + 12);
+  // The length field must match the bytes present exactly: an oversized
+  // field means truncation-or-corruption, an undersized one means trailing
+  // garbage — both are rejected rather than guessed at.
+  if (declared != len)
+    throw CheckpointError(CheckpointErrorKind::kBadLength,
+                          "declared payload length " +
+                              std::to_string(declared) + " != " +
+                              std::to_string(len) + " bytes present");
+  if (get_u32(header + 20) != crc32(payload, len))
+    throw CheckpointError(CheckpointErrorKind::kCrcMismatch,
+                          "payload bytes fail the stored CRC-32");
+  return version;
+}
+
+[[noreturn]] void short_header() {
+  throw CheckpointError(CheckpointErrorKind::kTruncated,
+                        "data shorter than the checkpoint header");
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  FileOps& fs = file_ops();
+  std::size_t size = 0;
+  const int fd = open_sized(fs, path, &size);
+  std::vector<std::uint8_t> out(size);
+  read_to_end(fs, fd, path, out);
   // A close failure after a complete read cannot invalidate the bytes
   // already in memory; report nothing (the fd really is closed).
   hooked_close(fs, fd);
@@ -377,37 +458,10 @@ void save_checkpoint(const std::string& path, std::uint32_t version,
 CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
                                 std::uint32_t min_version,
                                 std::uint32_t max_version) {
-  if (len < kFrameHeaderSize)
-    throw CheckpointError(CheckpointErrorKind::kTruncated,
-                          "data shorter than the checkpoint header");
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
-    throw CheckpointError(CheckpointErrorKind::kBadMagic,
-                          "data does not start with the checkpoint magic");
+  if (len < kFrameHeaderSize) short_header();
   CheckpointData out;
-  out.version = get_u32(data + 8);
-  if (out.version < min_version || out.version > max_version)
-    throw CheckpointError(
-        CheckpointErrorKind::kVersionSkew,
-        "payload version " + std::to_string(out.version) +
-            " outside supported [" + std::to_string(min_version) + ", " +
-            std::to_string(max_version) + "]");
-  const std::uint64_t declared = get_u64(data + 12);
-  const std::uint64_t actual =
-      static_cast<std::uint64_t>(len) - kFrameHeaderSize;
-  // The length field must match the bytes present exactly: an oversized
-  // field means truncation-or-corruption, an undersized one means trailing
-  // garbage — both are rejected rather than guessed at.
-  if (declared != actual)
-    throw CheckpointError(CheckpointErrorKind::kBadLength,
-                          "declared payload length " +
-                              std::to_string(declared) + " != " +
-                              std::to_string(actual) + " bytes present");
-  const std::uint32_t stored_crc = get_u32(data + 20);
-  const std::uint32_t computed =
-      crc32(data + kFrameHeaderSize, static_cast<std::size_t>(actual));
-  if (stored_crc != computed)
-    throw CheckpointError(CheckpointErrorKind::kCrcMismatch,
-                          "payload bytes fail the stored CRC-32");
+  out.version = check_frame(data, data + kFrameHeaderSize,
+                            len - kFrameHeaderSize, min_version, max_version);
   out.payload.assign(data + kFrameHeaderSize, data + len);
   return out;
 }
@@ -415,16 +469,31 @@ CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
 CheckpointData load_checkpoint(const std::string& path,
                                std::uint32_t min_version,
                                std::uint32_t max_version) {
-  const std::vector<std::uint8_t> framed = read_file(path);
+  // The header and the payload are read into buffers of their own, so
+  // the payload lands in the one vector the caller receives: no second
+  // copy, and no regrowth while reading.
+  FileOps& fs = file_ops();
+  std::size_t size = 0;
+  const int fd = open_sized(fs, path, &size);
+  std::uint8_t header[kFrameHeaderSize];
+  if (read_some(fs, fd, path, header, sizeof(header)) < sizeof(header)) {
+    hooked_close(fs, fd);
+    short_header();
+  }
+  CheckpointData out;
+  out.payload.resize(size > kFrameHeaderSize ? size - kFrameHeaderSize : 0);
+  read_to_end(fs, fd, path, out.payload);
+  hooked_close(fs, fd);
   try {
-    return parse_checkpoint(framed.data(), framed.size(), min_version,
-                            max_version);
+    out.version = check_frame(header, out.payload.data(), out.payload.size(),
+                              min_version, max_version);
   } catch (const CheckpointError& e) {
     if (e.kind() == CheckpointErrorKind::kBadMagic)
       throw CheckpointError(CheckpointErrorKind::kBadMagic,
                             "'" + path + "' is not a checkpoint file");
     throw;
   }
+  return out;
 }
 
 }  // namespace ovo::rt

@@ -186,8 +186,8 @@ class ByteReader {
 void write_file_atomic(const std::string& path, const void* data,
                        std::size_t len);
 
-/// Whole-file read; throws CheckpointError(kIo) when the file cannot be
-/// opened or read.
+/// Whole-file read into a buffer sized once from the file's size; throws
+/// CheckpointError(kIo) when the file cannot be opened or read.
 std::vector<std::uint8_t> read_file(const std::string& path);
 
 /// Bytes of the container header in front of every payload.
@@ -227,7 +227,10 @@ CheckpointData parse_checkpoint(const std::uint8_t* data, std::size_t len,
                                 std::uint32_t min_version,
                                 std::uint32_t max_version);
 
-/// Reads `path` and parse_checkpoint()s it.
+/// Reads `path` and validates it as parse_checkpoint does, with the same
+/// errors.  The file is read once: its header into a buffer of its own
+/// and its payload into CheckpointData::payload, sized from the file's
+/// size, so the payload is never copied.
 CheckpointData load_checkpoint(const std::string& path,
                                std::uint32_t min_version,
                                std::uint32_t max_version);

@@ -1,6 +1,7 @@
 #include "rt/file_ops.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +26,10 @@ class RealFileOps final : public FileOps {
   }
   ::ssize_t read(int fd, void* buf, std::size_t len) override {
     return ::read(fd, buf, len);
+  }
+  ::off_t file_size(int fd) override {
+    struct stat st;
+    return ::fstat(fd, &st) == 0 ? st.st_size : -1;
   }
   int fsync(int fd) override { return ::fsync(fd); }
   int close(int fd) override { return ::close(fd); }

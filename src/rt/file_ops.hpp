@@ -30,6 +30,10 @@ class FileOps {
   virtual int open_read(const char* path) = 0;
   virtual ::ssize_t write(int fd, const void* data, std::size_t len) = 0;
   virtual ::ssize_t read(int fd, void* buf, std::size_t len) = 0;
+  /// Size in bytes of the open file `fd` (fstat's st_size), or -1.
+  /// Readers size their buffer from it once; it moves no data, so it is
+  /// no fault site.
+  virtual ::off_t file_size(int fd) = 0;
   virtual int fsync(int fd) = 0;
   virtual int close(int fd) = 0;
   virtual int rename(const char* from, const char* to) = 0;

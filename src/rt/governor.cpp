@@ -94,10 +94,6 @@ std::uint64_t Governor::admit_charge_batch(std::uint64_t per_item,
 }
 
 bool Governor::admit_nodes(std::uint64_t nodes) {
-  std::uint64_t peak = peak_nodes_.load(std::memory_order_relaxed);
-  while (nodes > peak && !peak_nodes_.compare_exchange_weak(
-                             peak, nodes, std::memory_order_relaxed)) {
-  }
   if (stopped()) return false;
   if (budget_.node_limit != 0 && nodes > budget_.node_limit) {
     note(Outcome::kNodeLimit);
@@ -137,7 +133,6 @@ Outcome Governor::outcome() const {
 RunStats Governor::stats() const {
   RunStats s;
   s.work_units = work_.load(std::memory_order_relaxed);
-  s.peak_nodes = peak_nodes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -137,6 +137,18 @@ int SimFs::open_read(const char* path) {
   return static_cast<::ssize_t>(take);
 }
 
+::off_t SimFs::file_size(int fd) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (crashed_) return 0;  // frozen: reads see EOF
+  const auto it = fds_.find(fd);
+  if (it == fds_.end()) {
+    errno = EBADF;
+    return -1;
+  }
+  const auto fit = files_.find(it->second.path);
+  return fit == files_.end() ? 0 : static_cast<::off_t>(fit->second.size());
+}
+
 int SimFs::fsync(int fd) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!alive_op()) return 0;

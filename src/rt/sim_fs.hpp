@@ -82,6 +82,8 @@ class SimFs final : public FileOps {
   int open_read(const char* path) override;
   ::ssize_t write(int fd, const void* data, std::size_t len) override;
   ::ssize_t read(int fd, void* buf, std::size_t len) override;
+  /// A query, not an operation: never counted, never a cut point.
+  ::off_t file_size(int fd) override;
   int fsync(int fd) override;
   int close(int fd) override;
   int rename(const char* from, const char* to) override;

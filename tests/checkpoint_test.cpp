@@ -1235,6 +1235,43 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
   }
 }
 
+// Every fence of a sift-seeded `--prune bounds` ladder resumes to the
+// straight run at the other thread count, the seed section's counters
+// included: they are what a sift that sizes each step from one prefix
+// chain spent, and the resumed run reports them without re-running it.
+TEST(MinimizeAutoResume, EveryFenceOfASiftSeededRunResumes) {
+  const tt::TruthTable t = tt::adder_carry(10).permute_inputs(
+      {3, 8, 1, 6, 9, 0, 4, 7, 2, 5});
+  for (const int threads : {1, 4}) {
+    reorder::AutoMinimizeOptions opt;
+    opt.exec.prune = par::PruneMode::kBounds;
+    opt.exec.num_threads = threads;
+    std::vector<std::vector<std::uint8_t>> fences;
+    reorder::AutoMinimizeOptions wopt = opt;
+    wopt.ckpt.every = 1;
+    wopt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+      fences.push_back(p);
+    };
+    const rt::Result<reorder::AutoMinimizeResult> straight =
+        reorder::minimize_auto(t, rt::Budget(), wopt);
+    ASSERT_TRUE(straight.value.optimal);
+    ASSERT_GT(straight.value.oracle.evals, 0u);
+    ASSERT_GE(fences.size(), 2u);
+    for (const std::vector<std::uint8_t>& payload : fences) {
+      const FsStarSnapshot snap =
+          decode_snapshot(payload.data(), payload.size());
+      SCOPED_TRACE(::testing::Message() << "threads " << threads << " fence "
+                                        << snap.layer);
+      EXPECT_EQ(snap.seed_name, "sift");
+      reorder::AutoMinimizeOptions ropt = opt;
+      ropt.exec.num_threads = 5 - threads;
+      ropt.ckpt.resume = &snap;
+      expect_auto_equal(reorder::minimize_auto(t, rt::Budget(), ropt),
+                        straight);
+    }
+  }
+}
+
 // A run whose seed stage is cut short — cancelled, or out of work —
 // holds a partial incumbent the uninterrupted run never has, so a resume
 // from its snapshot would replay a different ledger.  Such a run writes
@@ -1301,7 +1338,7 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
   }
 }
 
-// Framed v5 snapshots checked in under the corpus: the format is pinned,
+// Framed v6 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
@@ -1314,13 +1351,13 @@ std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV5FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 5);
+TEST(FsSnapshot, CheckedInV6FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 6);
   {
     const std::string path =
-        corpus_snapshot("valid_v5_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v6_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 5, 5).payload;
+        rt::load_checkpoint(path, 6, 6).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
@@ -1340,9 +1377,9 @@ TEST(FsSnapshot, CheckedInV5FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v5_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v6_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 5, 5).payload;
+        rt::load_checkpoint(path, 6, 6).payload;
     const FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
@@ -1373,8 +1410,8 @@ TEST(FsSnapshot, CheckedInV5FixturesStayCompatible) {
   }
 }
 
-// The v2, v3 and v4 fixtures earlier encoders wrote stay in the corpus:
-// they load as a typed version skew, never as a misparsed v5 payload.
+// The v2 to v5 fixtures earlier encoders wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v6 payload.
 TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
   const struct {
     const char* name;
@@ -1384,7 +1421,9 @@ TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
                   {"valid_v3_dense_hwb6_layer3.bin", 3},
                   {"valid_v3_pruned_adder6_layer3.bin", 3},
                   {"valid_v4_dense_hwb6_layer3.bin", 4},
-                  {"valid_v4_pruned_adder6_layer3.bin", 4}};
+                  {"valid_v4_pruned_adder6_layer3.bin", 4},
+                  {"valid_v5_dense_hwb6_layer3.bin", 5},
+                  {"valid_v5_pruned_adder6_layer3.bin", 5}};
   for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
     EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)

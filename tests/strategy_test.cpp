@@ -391,16 +391,190 @@ TEST(CostOracle, MemoNeverLies) {
   EXPECT_GE(memoized.stats().memo_hits, 50u);
 }
 
-TEST(LadderMemoization, SharedOracleSavesChainEvals) {
-  // The budgeted ladder runs sifting then restarts on one oracle: some
-  // orders recur, so strictly fewer chains run than queries are made,
-  // and the memo hits are observable in the result.
+// Sifting's insertion sizes come from one prefix chain and the level
+// deltas of Lemma 3.  Each must equal a whole chain of the order it
+// sizes, for every kind, every variable and random orders, at one and at
+// four threads (from n = 12 on the positions fan out over the pool;
+// smaller n size them on the calling thread), and a governed call sizes
+// exactly the admitted root-first prefix.
+TEST(CostOracle, InsertionSizesEqualWholeChains) {
+  util::Xoshiro256 rng(27);
+  const auto shuffled = [&](int n) {
+    Order o = identity(n);
+    for (int i = n - 1; i > 0; --i)
+      std::swap(o[static_cast<std::size_t>(i)],
+                o[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+    return o;
+  };
+  for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15}) {
+    for (const core::DiagramKind kind :
+         {core::DiagramKind::kBdd, core::DiagramKind::kZdd,
+          core::DiagramKind::kMtbdd}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " kind "
+                                      << static_cast<int>(kind));
+      std::vector<std::int64_t> values(std::size_t{1} << n);
+      for (std::int64_t& x : values)
+        x = static_cast<std::int64_t>(rng.below(4));
+      CostOracle oracle = kind == core::DiagramKind::kMtbdd
+                              ? CostOracle(values, n)
+                              : CostOracle(tt::random_function(n, rng), kind);
+      // One sizer per thread count, kept across the orders below so that
+      // calls reuse chain prefixes and repeat whole calls.
+      core::InsertionSizer sizers[2] = {{oracle.base(), kind},
+                                        {oracle.base(), kind}};
+      core::PrefixTable cur, next;
+      const int orders = n <= 12 ? 3 : 1;
+      for (int trial = 0; trial < orders; ++trial) {
+        const Order order = shuffled(n);
+        for (int v = 0; v < n; ++v) {
+          Order rest = order;
+          rest.erase(std::find(rest.begin(), rest.end(), v));
+          std::vector<std::uint64_t> sizes[2];
+          for (int t = 0; t < 2; ++t) {
+            EvalContext ctx;
+            ctx.exec.num_threads = t == 0 ? 1 : 4;
+            sizes[t] = oracle.insertion_sizes(sizers[t], rest, v, ctx);
+          }
+          ASSERT_EQ(sizes[0], sizes[1]) << "v " << v;
+          ASSERT_EQ(sizes[0].size(), static_cast<std::size_t>(n));
+          for (int p = 0; p < n; ++p) {
+            Order cand = rest;
+            cand.insert(cand.begin() + p, v);
+            ASSERT_EQ(sizes[0][static_cast<std::size_t>(p)],
+                      core::diagram_size_from_base(oracle.base(), cand, kind,
+                                                   cur, next))
+                << "v " << v << " position " << p;
+          }
+          // A repeated call is answered from the sizes the sizer kept.
+          const OracleStats before = oracle.stats();
+          EXPECT_EQ(oracle.insertion_sizes(sizers[0], rest, v, {}), sizes[0]);
+          EXPECT_EQ(oracle.stats().memo_hits, before.memo_hits + n);
+          EXPECT_EQ(oracle.stats().evals, before.evals);
+          // A budget that admits c positions sizes the first c.
+          const std::uint64_t c = static_cast<std::uint64_t>(v) % n + 1;
+          rt::Governor gov(rt::Budget::with_work_limit(
+              c * oracle.chain_eval_cost() + oracle.chain_eval_cost() - 1));
+          core::InsertionSizer fresh(oracle.base(), kind);
+          const std::vector<std::uint64_t> cut =
+              oracle.insertion_sizes(fresh, rest, v, EvalContext{{}, &gov});
+          for (std::size_t p = 0; p < cut.size(); ++p)
+            EXPECT_EQ(cut[p], p < c ? sizes[0][p] : core::kAbortedSize);
+        }
+      }
+      const OracleStats& st = oracle.stats();
+      EXPECT_EQ(st.queries, st.evals + st.memo_hits);
+    }
+  }
+}
+
+// Sift is governed exactly as before it sized positions from one chain:
+// each step admits and charges n whole chains at the same serial point
+// and sizes the same root-first prefix, and the governor polls at the
+// same points.  On adder carry(16) with scrambled inputs, sift under
+// work limits that cut a step mid-batch, the pruned ladder cancelled
+// inside its sift seed, and the ladder's stage-3 sift on what a tripped
+// DP leaves all return the order, size, outcome and work of the memoized
+// chain-per-candidate sift, at one and at four threads.
+TEST(SiftGoverned, TripsWhereChainPerCandidateSiftTripped) {
+  Order perm = identity(16);
+  util::Xoshiro256 rng(27);
+  for (int i = 15; i > 0; --i)
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  const tt::TruthTable f = tt::adder_carry(16).permute_inputs(perm);
+  const std::uint64_t chain = core::chain_eval_cost(16);
+  struct Pin {
+    std::uint64_t nodes, work;
+    Order order;
+  };
+  const Order salvaged = {9, 8, 5, 2, 14, 11, 12, 7, 13, 3, 15, 4, 10, 6, 1, 0};
+  const struct {
+    std::uint64_t limit;
+    Pin pin;
+  } sift_pins[] = {
+      {chain * 8, {147, 1048560, {1, 2, 3, 4, 5, 6, 0, 7, 8, 9, 10, 11, 12,
+                                  13, 14, 15}}},
+      {chain * 41, {135, 5373870, {2, 3, 4, 5, 1, 6, 0, 7, 8, 9, 10, 11,
+                                   12, 13, 14, 15}}},
+      {chain * 100, {65, 13107000, {2, 5, 1, 6, 0, 7, 8, 9, 10, 11, 12, 4,
+                                    3, 13, 14, 15}}},
+      {chain * 300, {32, 39321000, {2, 5, 1, 6, 0, 10, 9, 8, 7, 12, 15, 4,
+                                    3, 13, 14, 11}}}};
+  const struct {
+    std::uint64_t poll;
+    std::uint64_t work;
+  } cancel_pins[] = {
+      {2, 262140}, {5, 6553500}, {9, 14941980}, {30, 58981500}};
+  const struct {
+    std::uint64_t limit;
+    Pin pin;
+  } ladder_pins[] = {
+      {3000000, {23, 2883580, {9, 8, 5, 2, 14, 11, 12, 7, 13, 3, 15, 4, 10,
+                               0, 1, 6}}},
+      {9000000, {23, 8912870, {9, 8, 14, 11, 12, 7, 13, 3, 15, 4, 0, 10, 6,
+                               1, 2, 5}}}};
+  const auto expect_pin = [](const StrategyResult& r, const Pin& pin,
+                             rt::Outcome outcome) {
+    EXPECT_EQ(r.internal_nodes, pin.nodes);
+    EXPECT_EQ(r.run.work_units, pin.work);
+    EXPECT_EQ(r.order_root_first, pin.order);
+    EXPECT_EQ(r.outcome, outcome);
+  };
+  const StrategyOptions opt;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    par::ExecPolicy exec;
+    exec.num_threads = threads;
+    for (const auto& [limit, pin] : sift_pins)
+      expect_pin(run_governed("sift", f, opt, exec,
+                              rt::Budget::with_work_limit(limit)),
+                 pin, rt::Outcome::kDeadline);
+    for (const auto& [poll, work] : cancel_pins) {
+      SCOPED_TRACE(poll);
+      rt::CancelToken token;
+      rt::FaultPlan plan;
+      plan.cancel_at_checkpoint = poll;
+      plan.cancel = &token;
+      rt::ScopedFaultPlan scoped(plan);
+      rt::Budget budget;
+      budget.cancel = &token;
+      par::ExecPolicy pruned = exec;
+      pruned.prune = par::PruneMode::kBounds;
+      expect_pin(run_governed("fs", f, opt, pruned, budget),
+                 {24, work, salvaged}, rt::Outcome::kCancelled);
+    }
+    for (const auto& [limit, pin] : ladder_pins)
+      expect_pin(run_governed("fs", f, opt, exec,
+                              rt::Budget::with_work_limit(limit)),
+                 pin, rt::Outcome::kDeadline);
+  }
+}
+
+TEST(LadderMemoization, SiftStepsCountAdmittedPositions) {
+  // Sift sizes each step's n insertion positions from one prefix chain
+  // and never touches the memo.  Every admitted position is one query:
+  // an eval when the step compacts, a memo hit when the variable's
+  // other-variable order is unchanged since its last step (the sizes it
+  // kept answer it).  The incumbent is one query and one eval.
   const tt::TruthTable f = pin_function();
-  const auto r = minimize_auto(f, rt::Budget::with_work_limit(3000));
-  EXPECT_GT(r.value.oracle.memo_hits, 0u);
-  EXPECT_LT(r.value.oracle.evals, r.value.oracle.queries);
-  EXPECT_EQ(r.value.oracle.evals + r.value.oracle.memo_hits,
-            r.value.oracle.queries);
+  CostOracle oracle(f, core::DiagramKind::kBdd);
+  const auto r = sift(oracle, identity(7), 8, {});
+  const OracleStats& st = oracle.stats();
+  EXPECT_EQ(st.queries, 1u + 14u * 7u);
+  EXPECT_EQ(st.evals, 1u + 11u * 7u);
+  EXPECT_EQ(st.memo_hits, 3u * 7u);
+  EXPECT_EQ(st.queries, st.evals + st.memo_hits);
+  EXPECT_EQ(r.orders_evaluated, st.queries);
+  EXPECT_EQ(st.ops.table_cells, 5210u);  // 14,732 as 99 memoized chains
+
+  // The budgeted ladder's stage-3 sift: its incumbent and one whole step
+  // fit the budget, the next step is admitted nothing, and the restarts
+  // stage gets no work; no position reaches the memo.
+  const auto a = minimize_auto(f, rt::Budget::with_work_limit(3000));
+  EXPECT_EQ(a.stats.work_units, 2928u);
+  EXPECT_EQ(a.value.oracle.queries, 1u + 7u);
+  EXPECT_EQ(a.value.oracle.evals, a.value.oracle.queries);
+  EXPECT_EQ(a.value.oracle.memo_hits, 0u);
 }
 
 TEST(DynamicSiftGoverned, HonorsWorkLimitDeterministically) {

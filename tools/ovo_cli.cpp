@@ -59,6 +59,8 @@
 //   - a path ending in .pla  (Berkeley PLA; first output used unless
 //     --shared, which optimizes all outputs as one shared diagram),
 //   - a path ending in .blif (combinational BLIF subset),
+//   - `-`: a Boolean formula read from standard input (for formulas
+//     longer than the 128 KiB one argument may hold),
 //   - anything else: parsed as a Boolean formula over x1, x2, ...
 //     e.g.  ovo order "x1 & x2 | x3 & x4"
 
@@ -73,6 +75,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <new>
 #include <numeric>
 #include <optional>
@@ -152,6 +155,16 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+/// The whole of standard input: the formula of a `-` input, which is how
+/// a formula longer than the 128 KiB one argument may hold gets in.
+/// Empty input yields "", which the formula parser rejects like any
+/// other malformed formula.
+std::string read_stdin() {
+  std::ostringstream os;
+  os << std::cin.rdbuf();
+  return os.str();
+}
+
 LoadedInput load_input(const std::string& spec) {
   LoadedInput out;
   if (ends_with(spec, ".pla")) {
@@ -167,7 +180,7 @@ LoadedInput load_input(const std::string& spec) {
                       std::to_string(m.inputs.size()) + " inputs, " +
                       std::to_string(m.outputs.size()) + " outputs)";
   } else {
-    const tt::ExprPtr e = tt::parse_expr(spec);
+    const tt::ExprPtr e = tt::parse_expr(spec == "-" ? read_stdin() : spec);
     const int n = std::max(1, tt::expr_num_vars(*e));
     out.outputs.push_back(tt::expr_to_truth_table(*e, n));
     out.description =
@@ -721,7 +734,8 @@ void usage() {
       "  ovo tables  [--k 1..12] [--iters N]\n"
       "  ovo dot     <input>\n"
       "  ovo --list-strategies\n"
-      "<input>: file.pla | file.blif | a formula like \"x1 & x2 | x3\"\n");
+      "<input>: file.pla | file.blif | a formula like \"x1 & x2 | x3\" |\n"
+      "         - (a formula on standard input)\n");
 }
 
 }  // namespace

@@ -47,8 +47,15 @@
 # governed ladder as `auto`) must end cancelled on --fault-cancel-at 3,
 # end at the deadline under --work-limit 100000 on the 14-variable
 # formula, and print the same JSON for a `--prune bounds --prune-seed
-# restarts` run with and without --checkpoint.  It runs
-# malformed formulas, a formula over more than 26 variables, bad numeric
+# restarts` run with and without --checkpoint.  `--strategy sift` and
+# the sift-seeded `--prune bounds` run on the 14-variable formula with six
+# symmetric pairs must print their pinned order, nodes and work_units at
+# --threads 1 and 4 (sift sizes each step's positions from one prefix
+# chain; its results and governor work are those of one chain per
+# position), and a formula of more than 128 KiB read from standard input
+# (`-`) must print what its short equivalent prints.  It runs
+# malformed formulas (also on standard input, and an empty one), a
+# formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed, --strategy or --engine name, a
 # missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, a v2
@@ -317,6 +324,34 @@ PY
   seeded_run > "${smoke_dir}/seeded.json"
   seeded_run --checkpoint "${smoke_dir}/seeded.ckpt" \
     | diff "${smoke_dir}/seeded.json" -
+  echo "==== quick: sift by level deltas keeps its results ========="
+  # Sift sizes every insertion position of a variable from one prefix
+  # chain, where it used to run one memoized chain per position.  Its
+  # orders, sizes and governor work must not move: `--strategy sift` and
+  # the sift-seeded `--prune bounds` run on the 14-variable crc_fn print
+  # the pinned order, nodes and work_units at threads 1 and 4.
+  sift_pin='"nodes":15.*"work_units":12877038,'
+  sift_pin+='.*"order":\[1,8,2,9,3,10,5,12,11,4,6,13,7,14\]'
+  pruned_pin='"nodes":15.*"work_units":16034038,'
+  pruned_pin+='.*"order":\[1,8,2,9,3,10,4,11,5,12,6,13,7,14\]'
+  for t in 1 4; do
+    build/tools/ovo order --json --threads "${t}" --strategy sift \
+      "${crc_fn}" | grep -q "${sift_pin}"
+    build/tools/ovo order --json --threads "${t}" --prune bounds \
+      "${crc_fn}" | grep -q "${pruned_pin}"
+  done
+  echo "sift: crc_fn's sift and pruned runs match their pins at 1 and 4 threads"
+  echo "==== quick: a formula on standard input ===================="
+  # `-` reads the formula from standard input, so a formula longer than
+  # the 128 KiB one argument may hold reaches the CLI: 11,000 copies of
+  # (x1 & x2) joined by | must print what x1 & x2 prints.
+  python3 -c "print(' | '.join(['(x1 & x2)'] * 11000))" \
+    > "${smoke_dir}/long_formula.txt"
+  [[ "$(stat -c %s "${smoke_dir}/long_formula.txt")" -gt $((128 << 10)) ]]
+  build/tools/ovo order --json - < "${smoke_dir}/long_formula.txt" \
+    | diff <(build/tools/ovo order --json "x1 & x2") -
+  echo "stdin: a $(stat -c %s "${smoke_dir}/long_formula.txt")-byte" \
+    "formula matches x1 & x2"
   echo "==== quick: typed CLI errors ==============================="
   # A typo in a formula or a flag value, a missing input file, a BLIF
   # netlist with an undefined signal or a combinational cycle, a
@@ -346,6 +381,10 @@ PY
   expect_cli_error 1 "x1 & & x2"
   expect_cli_error 1 "x1 &"
   expect_cli_error 1 "(x1"
+  expect_cli_error 1 - < /dev/null
+  grep -q 'column 1: unexpected end of input' "${smoke_dir}/cli_err.txt"
+  printf 'x1 & & x2' | expect_cli_error 1 -
+  grep -q 'column 6' "${smoke_dir}/cli_err.txt"
   expect_cli_error 2 --node-limit -5 "${smoke_fn}"
   expect_cli_error 2 --timeout-ms -1 "${smoke_fn}"
   expect_cli_error 2 --checkpoint "${smoke_dir}/bad.ckpt" \
@@ -384,7 +423,7 @@ PY
     > "${smoke_dir}/wide.pla"
   expect_cli_error 2 --shared "${smoke_dir}/wide.pla"
   grep -q 'at most 26 are supported' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 24 invocations, no internal-check text"
+  echo "typed CLI errors: 26 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
