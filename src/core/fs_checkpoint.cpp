@@ -128,7 +128,7 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
 }
 
 std::uint64_t snapshot_payload_bound(std::uint64_t tables,
-                                     std::uint64_t cells,
+                                     std::uint64_t cell_bytes,
                                      std::uint64_t best_last,
                                      std::uint64_t mincost,
                                      std::uint64_t seed_name_len,
@@ -138,7 +138,7 @@ std::uint64_t snapshot_payload_bound(std::uint64_t tables,
   constexpr std::uint64_t kScalarBytes =
       128 + 8 * 64 + 2 * 44 * obs::kMetricCount;
   return kScalarBytes + seed_name_len + 4 * seed_order_len +
-         (8 + 4 + 8) * tables + 4 * cells + (8 + 4 + 8) * best_last +
+         (8 + 4 + 8) * tables + cell_bytes + (8 + 4 + 8) * best_last +
          (8 + 8) * mincost;
 }
 
@@ -163,11 +163,11 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   // but a few hundred bytes of it, and one reservation keeps the encode
   // a single pass over memory with no regrowth copies.  A writer reused
   // across fences already holds the capacity and reserves nothing.
-  std::uint64_t cells = 0;
-  for (const PrefixTable& t : *view.tables) cells += t.cells.size();
+  std::uint64_t cell_bytes = 0;
+  for (const NarrowTable& t : *view.tables) cell_bytes += t.cells.bytes();
   w.reserve(w.size() +
             static_cast<std::size_t>(snapshot_payload_bound(
-                view.tables->size(), cells, view.best_last->size(),
+                view.tables->size(), cell_bytes, view.best_last->size(),
                 view.mincost->size(), seed_name.size(), seed_order.size())));
 
   const FsFingerprint& fp = *view.fingerprint;
@@ -190,14 +190,18 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   w.u64(view.classes->size());
   for (const util::Mask c : *view.classes) w.u64(c);
 
-  // Layer tables, already in colex (ascending-mask) order in the engine.
+  // Layer tables, already in colex (ascending-mask) order in the engine,
+  // each table's cells at its width.
   w.u64(view.dense->size());
   for (std::size_t i = 0; i < view.dense->size(); ++i) {
-    const PrefixTable& t = (*view.tables)[i];
+    const NarrowTable& t = (*view.tables)[i];
+    OVO_DCHECK(t.cells.width() == cell_width(t.next_id));
     w.u64((*view.dense)[i]);
     w.u32(t.next_id);
     w.u64(t.cells.size());
-    w.u32_array(t.cells.data(), t.cells.size());
+    t.cells.visit([&](const auto* cells, std::size_t size) {
+      w.uint_array(cells, size);
+    });
   }
 
   // The maps, in their stored ascending-mask order; each best_last
@@ -322,20 +326,26 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     const util::Mask K = spread_dense(d, j_vars);
     if (canonical_mask(s.classes, K) != K)
       malformed("layer mask not canonical");
-    PrefixTable t;
+    NarrowTable t;
     t.n = static_cast<int>(fp.n);
     t.vars = fp.prefix_vars | K;
     t.num_terminals = s.num_terminals;
     t.next_id = r.u32();
     if (t.next_id < t.num_terminals)
       malformed("table next_id below its terminal count");
-    const std::uint64_t n_cells = r.array_count(4);
+    const int width = cell_width(t.next_id);
+    const std::uint64_t n_cells =
+        r.array_count(static_cast<std::size_t>(width));
     if (n_cells != expected_cells)
       malformed("table cell count disagrees with the fingerprint");
-    t.cells.resize(static_cast<std::size_t>(n_cells));
-    r.u32_array(t.cells.data(), t.cells.size());
-    std::uint32_t top = 0;
-    for (const std::uint32_t cell : t.cells) top = std::max(top, cell);
+    t.cells.resize(static_cast<std::size_t>(n_cells), width);
+    // expected_cells >= 1, so the table has a largest cell.
+    const std::uint32_t top =
+        t.cells.visit([&](auto* cells, std::size_t size) {
+          r.uint_array(cells, size);
+          return static_cast<std::uint32_t>(
+              *std::max_element(cells, cells + size));
+        });
     if (top >= t.next_id) malformed("table cell id out of range");
     s.dense.push_back(d);
     s.tables.push_back(std::move(t));

@@ -52,8 +52,10 @@ namespace ovo::core {
 /// pruned run prunes against the ZDD bound.  v6 keeps v5's layout; its
 /// seed section holds the counters of a sift seed that sizes each step's
 /// insertion positions from one prefix chain, so they differ from a v5
-/// file's for the same fence.  Older files load as kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 6;
+/// file's for the same fence.  v7 stores each table's cells at
+/// cell_width(next_id) bytes (prefix_table.hpp), with no width field.
+/// Older files load as kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 7;
 
 /// Binary search in one of the DP's mask-sorted maps (FsStarResult and
 /// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in
@@ -106,16 +108,17 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
 
 /// One decoded layer-fence snapshot.  `dense` holds the layer's canonical
 /// subsets as dense masks over J's bit positions in colex (== ascending
-/// numeric) order; `tables[i]` is the table at `dense[i]`.  In dense mode
-/// the vectors cover the whole canonical layer; in pruned mode they hold
-/// the packed survivors.
+/// numeric) order; `tables[i]` is the table at `dense[i]`, at its width.
+/// In dense mode the vectors cover the whole canonical layer; in pruned
+/// mode they hold the packed survivors.  A run that resumes from the
+/// snapshot moves `dense` and `tables` out of it.
 struct FsStarSnapshot {
   FsFingerprint fingerprint;
   std::uint32_t num_terminals = 2;
   int layer = 0;  ///< deepest completed layer at the fence
 
   std::vector<util::Mask> dense;
-  std::vector<PrefixTable> tables;
+  std::vector<NarrowTable> tables;
 
   /// J's symmetry classes (FsStarResult::classes), which fix the
   /// canonical states.
@@ -162,7 +165,7 @@ struct FsSnapshotView {
   std::uint32_t num_terminals = 2;
   int layer = 0;
   const std::vector<util::Mask>* dense = nullptr;
-  const std::vector<PrefixTable>* tables = nullptr;
+  const std::vector<NarrowTable>* tables = nullptr;
   const std::vector<util::Mask>* classes = nullptr;
   const std::vector<std::pair<util::Mask, int>>* best_last = nullptr;
   const std::vector<std::pair<util::Mask, util::Mask>>* ties = nullptr;
@@ -176,14 +179,15 @@ struct FsSnapshotView {
 };
 
 /// Bytes encode_snapshot_into reserves for a fence of `tables` layer
-/// tables holding `cells` cells in all, maps of `best_last` (and as many
-/// tie) and `mincost` entries, and seed provenance of `seed_name_len`
-/// bytes and `seed_order_len` variables.  Exact for those parts; the
-/// fixed fields, the classes (at most 64) and the two counter sections
-/// (at most one entry per registry metric) are bounded.  A writer that already holds this much beyond its
-/// contents encodes the fence without regrowth.
+/// tables whose cells take `cell_bytes` bytes in all at their widths,
+/// maps of `best_last` (and as many tie) and `mincost` entries, and seed
+/// provenance of `seed_name_len` bytes and `seed_order_len` variables.
+/// Exact for those parts; the fixed fields, the classes (at most 64) and
+/// the two counter sections (at most one entry per registry metric) are
+/// bounded.  A writer that already holds this much beyond its contents
+/// encodes the fence without regrowth.
 std::uint64_t snapshot_payload_bound(std::uint64_t tables,
-                                     std::uint64_t cells,
+                                     std::uint64_t cell_bytes,
                                      std::uint64_t best_last,
                                      std::uint64_t mincost,
                                      std::uint64_t seed_name_len,
@@ -206,8 +210,9 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 /// inconsistency the CRC cannot catch (mask order, layer cardinality,
 /// classes that do not partition the block, a mask that is not canonical,
 /// a dense layer short of its canonical states, a tie set that is not a
-/// union of classes or disagrees with best_last,
-/// cell ids out of range, table sizes that disagree with the fingerprint,
+/// union of classes or disagrees with best_last, a cell array shorter
+/// than its count at its table's width, a cell id at or past its table's
+/// next_id, table sizes that disagree with the fingerprint,
 /// a keyed section naming an unknown or measured metric, repeating or
 /// misordering a name, storing a zero, or holding more entries than the
 /// registry) throws a typed CheckpointError — a decoded snapshot is safe
@@ -230,7 +235,9 @@ struct FsCheckpointOptions {
   /// state.
   int every = 1;
   /// Resume from this decoded snapshot (fingerprint-checked in fs_star).
-  const FsStarSnapshot* resume = nullptr;
+  /// The run moves the snapshot's layer out of it: a snapshot seeds one
+  /// run, and a caller that resumes twice decodes or copies it per run.
+  FsStarSnapshot* resume = nullptr;
   /// Test/observer hook: receives every emitted payload (encoded bytes),
   /// before it is checksummed and written, and after the previous
   /// fence's file was committed.  The engine encodes into one frame

@@ -76,7 +76,7 @@ struct CkptPlan {
   }
 
   bool writes() const { return opts != nullptr && opts->writes(); }
-  const FsStarSnapshot* resume() const {
+  FsStarSnapshot* resume() const {
     return opts != nullptr ? opts->resume : nullptr;
   }
 
@@ -135,7 +135,7 @@ std::uint32_t pooled_crc32(const std::uint8_t* data, std::size_t len,
 /// plan's writer while the engine goes on to the next layer.
 void emit_fence_snapshot(CkptPlan& plan, int layer,
                          const std::vector<util::Mask>& dense,
-                         const std::vector<PrefixTable>& tables,
+                         const std::vector<NarrowTable>& tables,
                          const FsStarResult& result, const OpCounter* ops,
                          const rt::Governor* gov, int threads) {
   plan.join();
@@ -189,17 +189,26 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
   }
 }
 
+/// Bound on the next_id of a compaction of a table whose ids lie below
+/// `next_id` and whose sweep reads `pairs` cell pairs: each new id is a
+/// distinct pair of old ids, so at most min(pairs, next_id^2) are handed
+/// out.  next_id >= 1, and the test avoids the square's overflow.
+std::uint64_t compacted_id_bound(std::uint64_t next_id, std::uint64_t pairs) {
+  return next_id + (next_id > pairs / next_id ? pairs : next_id * next_id);
+}
+
 /// Sizes the plan's frame once for the widest fence a dense run's
 /// cadence will write, so the buffer is allocated, and its pages faulted
 /// in, once per run rather than at every new widest fence.  A dense
 /// layer k holds all its canonical states (C(|J|,k) without a symmetric
-/// pair) of (base cells >> k) cells each, and the maps hold every state
-/// of layers 0..k, so each fence's frame follows from closed forms (the
-/// base is resident and has at least 2^|J| cells, so none of them
-/// overflows).  Under a governor with a byte or node limit the
-/// reservation is capped at the byte limit and at 4 bytes per cell of
-/// the node limit; if the allocator refuses it, the frame grows fence by
-/// fence, as a pruned run's does.
+/// pair) of (base cells >> k) cells each, stored at no more than the
+/// width of compacted_id_bound applied k times to the base's next_id,
+/// and the maps hold every state of layers 0..k, so each fence's frame
+/// follows from closed forms (the base is resident and has at least
+/// 2^|J| cells, so none of them overflows).  Under a governor with a
+/// byte or node limit the reservation is capped at the byte limit and at
+/// 4 bytes per cell of the node limit; if the allocator refuses it, the
+/// frame grows fence by fence, as a pruned run's does.
 void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
                          const util::OrbitCounts& counts, int start_layer,
                          int stop_k, const rt::Governor* gov) {
@@ -207,16 +216,22 @@ void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
   const FsCheckpointOptions& o = *plan.opts;
   std::uint64_t widest = 0;
   std::uint64_t map_states = 1;  // layers 0..k; layer 0 is the empty set
+  std::uint64_t id_bound = base.next_id;
   for (int k = 1; k < stop_k; ++k) {
     const std::uint64_t states = counts.states[static_cast<std::size_t>(k)];
+    const std::uint64_t cells_per_table =
+        static_cast<std::uint64_t>(base.cells.size()) >> k;
     map_states += states;
+    id_bound = compacted_id_bound(id_bound, cells_per_table);
     if (k <= start_layer || k % o.every != 0) continue;
-    const std::uint64_t cells =
-        states * (static_cast<std::uint64_t>(base.cells.size()) >> k);
+    const std::uint64_t cell_bytes =
+        states * cells_per_table *
+        static_cast<std::uint64_t>(cell_width(id_bound));
     widest = std::max<std::uint64_t>(
         widest, rt::kFrameHeaderSize +
-                    snapshot_payload_bound(states, cells, map_states - 1,
-                                           map_states, o.seed_name.size(),
+                    snapshot_payload_bound(states, cell_bytes,
+                                           map_states - 1, map_states,
+                                           o.seed_name.size(),
                                            o.seed_order.size()));
   }
   if (gov != nullptr) {
@@ -436,8 +451,10 @@ util::OrbitCounts class_counts(const std::vector<util::Mask>& classes) {
 /// The per-state kernel: finds the best last variable for canonical
 /// dense state `d` by compacting, for each class top b of d, the
 /// predecessor table of d \ b in the previous layer (packed states, found
-/// by binary search in their strictly ascending masks `prev_dense`),
-/// writing the winner into `best` (Lemma 7's argmin).  A predecessor
+/// by binary search in their strictly ascending masks `prev_dense`, and
+/// read at their stored widths), writing the winner into `best` (Lemma
+/// 7's argmin).  `cand` and `best` are the calling thread's u32 tables;
+/// the caller narrows the winner into the state's slot.  A predecessor
 /// missing from `prev_dense` was pruned: every chain through it already
 /// exceeds the incumbent, so skipping it never changes the argmin on a
 /// surviving state.  Candidates are visited in ascending bit order, and
@@ -462,7 +479,7 @@ util::OrbitCounts class_counts(const std::vector<util::Mask>& classes) {
 /// every minimum-cost table of K has the same partition and next_id.
 /// Either way the winner is never stopped: `best` and the costs are the
 /// full sweep's.
-void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
+void best_last_for_subset(util::Mask d, const std::vector<NarrowTable>& prev,
                           const std::vector<util::Mask>& prev_dense,
                           bool prev_complete, const std::vector<int>& j_vars,
                           const Orbits& orbits, DiagramKind kind,
@@ -481,7 +498,7 @@ void best_last_for_subset(util::Mask d, const std::vector<PrefixTable>& prev,
       OVO_DCHECK(!prev_complete);
       return;  // predecessor pruned
     }
-    const PrefixTable& pred =
+    const NarrowTable& pred =
         prev[static_cast<std::size_t>(it - prev_dense.begin())];
     const int var = j_vars[static_cast<std::size_t>(b)];
     if (tied == 0) {
@@ -566,29 +583,36 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       static_cast<std::uint64_t>(base.cells.size()) >> j_size;
 
   // Layer k holds the kept k-subsets of J (over dense positions into
-  // j_vars) in colex order, with one PrefixTable each.  Layer 0 is the
+  // j_vars) in colex order, with one NarrowTable each.  Layer 0 is the
   // base.  A resume snapshot's layer stands in for layers
-  // 0..snapshot.layer; its ledger (including the restored layer-fence
-  // lower bound) replaces the layer-0 certification below.
-  const FsStarSnapshot* resume = plan.resume();
+  // 0..snapshot.layer, moved out of the snapshot; its ledger (including
+  // the restored layer-fence lower bound) replaces the layer-0
+  // certification below.
+  FsStarSnapshot* resume = plan.resume();
   const int start_layer = resume != nullptr ? resume->layer : 0;
   if (!prune) reserve_dense_frame(plan, base, counts, start_layer, stop_k, gov);
-  std::vector<PrefixTable> prev;
+  std::vector<NarrowTable> prev;
   std::vector<util::Mask> prev_dense;
 
-  // Per-thread-slot state: scratch tables so the inner loop's candidate
-  // compaction reuses one buffer per thread, OpCounter shards merged
-  // after each layer (exact: all fields commute), bound scratch.
-  std::vector<PrefixTable> scratch(static_cast<std::size_t>(threads));
+  // Per-thread-slot state: two u32 tables the kernel sweeps candidates
+  // into, so the inner loop reuses the same buffers on every state and
+  // only the winner is stored, once, at its width; OpCounter shards
+  // merged after each layer (exact: all fields commute); bound scratch.
+  struct SweepScratch {
+    PrefixTable cand, best;
+  };
+  std::vector<SweepScratch> scratch(static_cast<std::size_t>(threads));
   std::vector<OpCounter> shards(static_cast<std::size_t>(threads));
   std::vector<BoundScratch> bounds(static_cast<std::size_t>(threads));
 
   if (resume != nullptr) {
     apply_resume(result, *resume);
-    prev = resume->tables;  // copies: one snapshot may seed many runs
-    prev_dense = resume->dense;
+    prev = std::move(resume->tables);
+    prev_dense = std::move(resume->dense);
+    resume->tables.clear();
+    resume->dense.clear();
   } else {
-    prev.push_back(base);
+    prev.push_back(narrow(base));
     prev_dense.push_back(util::Mask{0});
     // The run may trip before layer 1: layer 0's bound is still
     // certified.
@@ -601,8 +625,16 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
 
   const std::atomic<bool>* stop_flag =
       gov != nullptr ? gov->stop_flag() : nullptr;
+  // The previous layer's cells, its bytes at their widths, and the
+  // largest next_id among its tables, which bounds the next layer's.
   std::uint64_t prev_resident = 0;
-  for (const PrefixTable& t : prev) prev_resident += t.cells.size();
+  std::uint64_t prev_bytes = 0;
+  std::uint64_t prev_top_id = 0;
+  for (const NarrowTable& t : prev) {
+    prev_resident += t.cells.size();
+    prev_bytes += t.cells.bytes();
+    prev_top_id = std::max<std::uint64_t>(prev_top_id, t.next_id);
+  }
   std::uint64_t serial_ns = 0;
   int last_snapshot_layer = -1;
   for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
@@ -653,19 +685,22 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     if (gov != nullptr) {
       // Deterministic pre-admission from the layer's exact cost, made
       // before any allocation.  Both layers are resident while the next
-      // one is built (Remark 1).  Live candidates stand in for the dense
+      // one is built (Remark 1): the previous layer at its actual bytes,
+      // the next at the width its ids can reach from the previous
+      // layer's largest next_id.  Live candidates stand in for the dense
       // closed form, so a pruned run fits budgets a dense run of the same
       // n would trip.
-      const std::uint64_t resident =
-          prev_resident +
+      const std::uint64_t cur_cells =
           static_cast<std::uint64_t>(cand.size()) * (pred_cells >> 1);
-      if (!gov->admit_nodes(resident) ||
-          !gov->admit_bytes(resident * sizeof(base.cells[0])) ||
+      const std::uint64_t cur_width = static_cast<std::uint64_t>(
+          cell_width(compacted_id_bound(prev_top_id, pred_cells >> 1)));
+      if (!gov->admit_nodes(prev_resident + cur_cells) ||
+          !gov->admit_bytes(prev_bytes + cur_cells * cur_width) ||
           !gov->admit_work(layer_work))
         break;
     }
 
-    std::vector<PrefixTable> cur(cand.size());
+    std::vector<NarrowTable> cur(cand.size());
     std::vector<int> best_var(cand.size(), -1);
     std::vector<std::uint64_t> best_cost(cand.size());
     std::vector<util::Mask> ties(cand.size());
@@ -686,24 +721,24 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                 ops != nullptr ? &shards[static_cast<std::size_t>(slot)]
                                : nullptr;
             const std::size_t s = static_cast<std::size_t>(i);
+            SweepScratch& sc = scratch[static_cast<std::size_t>(slot)];
             best_last_for_subset(cand[s], prev, prev_dense, prev_complete,
-                                 j_vars, orbits, kind, shard,
-                                 scratch[static_cast<std::size_t>(slot)],
-                                 cur[s], &best_var[s], &best_cost[s],
+                                 j_vars, orbits, kind, shard, sc.cand,
+                                 sc.best, &best_var[s], &best_cost[s],
                                  &ties[s]);
-            if (!prune) return;
-            // The prune decision is state-local and the incumbent is
-            // fixed, so deciding it inside the parallel body is safe and
-            // deterministic; a pruned state's cells are freed on the spot.
-            const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
-            bound[s] = best_cost[s] +
-                       completion_bound(cur[s], rest, base_support,
-                                        final_cells, kind,
-                                        bounds[static_cast<std::size_t>(slot)]);
-            if (bound[s] <= *ub)
+            if (prune) {
+              // The prune decision is state-local and the incumbent is
+              // fixed, so deciding it inside the parallel body is safe
+              // and deterministic; a pruned state is never stored.
+              const util::Mask rest = J & ~spread_mask(cand[s], j_vars);
+              BoundScratch& bs = bounds[static_cast<std::size_t>(slot)];
+              bound[s] = best_cost[s] + completion_bound(sc.best, rest,
+                                                         base_support,
+                                                         final_cells, kind, bs);
+              if (bound[s] > *ub) return;
               keep[s] = 1;
-            else
-              std::vector<std::uint32_t>().swap(cur[s].cells);
+            }
+            narrow_into(cur[s], sc.best);
           });
     }
     const std::uint64_t epilogue_t0 = fans_out ? engine_now_ns() : 0;
@@ -718,6 +753,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                            static_cast<std::uint64_t>(layer), "cut_cells", 0);
       std::size_t kept = 0;
       std::uint64_t cur_resident = 0;
+      std::uint64_t cur_bytes = 0;
+      std::uint64_t cur_top_id = 0;
       std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
       const std::size_t old_best_last = result.best_last.size();
       const std::size_t old_ties = result.ties.size();
@@ -731,6 +768,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
         result.mincost.emplace_back(K, best_cost[i]);
         if (prune && bound[i] < layer_lb_min) layer_lb_min = bound[i];
         cur_resident += cur[i].cells.size();
+        cur_bytes += cur[i].cells.bytes();
+        cur_top_id = std::max<std::uint64_t>(cur_top_id, cur[i].next_id);
         cand[kept] = cand[i];
         if (kept != i) cur[kept] = std::move(cur[i]);
         ++kept;
@@ -763,6 +802,8 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
         ops->observe_resident(prev_resident + cur_resident);
       }
       prev_resident = cur_resident;
+      prev_bytes = cur_bytes;
+      prev_top_id = cur_top_id;
       prev = std::move(cur);
       prev_dense = std::move(cand);
       result.completed_layers = layer;
@@ -898,6 +939,8 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
             rt::CheckpointErrorKind::kMalformed,
             "checkpoint: snapshot symmetry classes disagree with the base "
             "table");
+      OVO_CHECK_MSG(!ckpt->resume->tables.empty(),
+                    "fs_star: resume snapshot already consumed by a run");
       const obs::Ledger& stored = ckpt->resume->counters;
       if (ops != nullptr) {
         OpCounter restored;  // the stored fs.prune.* are the run's own
@@ -950,7 +993,7 @@ PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
     *block_order_bottom_up = reconstruct_block_order(r, J);
   auto it = r.tables.find(J);
   OVO_CHECK(it != r.tables.end());
-  return std::move(it->second);
+  return it->second.widen();
 }
 
 std::vector<int> reconstruct_block_order(const FsStarResult& r,

@@ -63,7 +63,10 @@ struct FsStarResult {
   /// Tables at the stop layer: one entry per canonical K ⊆ J with
   /// |K| = stop_k (a single entry with key J when run to completion).
   /// Keys are variable masks; each table's chain cost is table.mincost().
-  std::unordered_map<util::Mask, PrefixTable> tables;
+  /// They stay at the widths the layer stored them at, so a tripped or
+  /// stop-early run returns its layer in the bytes it was admitted at; a
+  /// caller that compacts one further widens that one.
+  std::unordered_map<util::Mask, NarrowTable> tables;
 
   /// J's symmetry classes: every variable of J in exactly one class, as
   /// variable masks ascending by lowest member.  Two variables share a
@@ -140,7 +143,10 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// × predecessor cells) and projected residency are admitted *before* the
 /// layer is built — a deterministic decision independent of thread count
 /// — and cancellation/deadline are polled per state, discarding any
-/// partially built layer.  In pruned
+/// partially built layer.  Residency is admitted in cells against the
+/// node limit and in bytes against the byte limit: the previous layer's
+/// tables at their stored widths, the next layer's at the width of the
+/// largest id it can reach.  In pruned
 /// mode the admission estimate uses the *running sparse counts* (actual
 /// surviving predecessors and candidate states) instead of the dense
 /// closed form; the two agree while no state has been pruned.  On a trip
@@ -166,7 +172,9 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// the DP restarts from that fence
 /// and replays the remaining layers bit-identically — same order, sizes,
 /// tie-breaks, ledgers (`*ops` gains the snapshot's fence totals, `gov`
-/// is credited the snapshot's charged work), at any thread count.  A
+/// is credited the snapshot's charged work), at any thread count.  The
+/// run moves the snapshot's layer out of it, so one decoded snapshot
+/// seeds one run; resuming it again is a contract violation (OVO_CHECK).  A
 /// snapshot whose fingerprint does not match (base, J, stop_k, kind,
 /// effective prune mode) throws rt::CheckpointError(kWrongInstance).
 FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,

@@ -1,6 +1,7 @@
 #include "core/prefix_table.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "ds/hash.hpp"
@@ -68,10 +69,11 @@ struct Sweep {
 /// numbered in sweep order from `next_id`.  The sweep stops as soon as
 /// its next id reaches `limit` — one compare per new id, none per cell —
 /// and before reading a cell when `next_id` is there already.  kStore =
-/// false only counts (compaction_width).
-template <bool kZdd, bool kStore>
-Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
-            std::uint32_t next_id, std::uint32_t limit, std::uint32_t* out) {
+/// false only counts (compaction_width).  `In` is the input's cell type:
+/// u32 for a PrefixTable, u8, u16 or u32 for a NarrowTable.
+template <bool kZdd, bool kStore, typename In>
+Sweep sweep(const In* in, std::uint64_t half, int pos, std::uint32_t next_id,
+            std::uint32_t limit, std::uint32_t* out) {
   // The compaction's one allocation event, fired whether the sweep runs,
   // stops or never starts and whether or not the pair table grows, so a
   // fault schedule sees one kAlloc per compaction whatever ran on this
@@ -112,29 +114,40 @@ Sweep sweep(const std::uint32_t* in, std::uint64_t half, int pos,
   return {next_id, half, lookups, probes};
 }
 
+/// Returns f(data) over a table's cells at their stored type.
+template <typename F>
+decltype(auto) with_cells(const PrefixTable& t, F&& f) {
+  return f(t.cells.data());
+}
+template <typename F>
+decltype(auto) with_cells(const NarrowTable& t, F&& f) {
+  return t.cells.visit([&](const auto* data, std::size_t) { return f(data); });
+}
+
 /// Checks that `var` is free in `t`, then sweeps `t` with the kind's
 /// pass-through rule.  var's bit in the dense cell index is its rank among
 /// t's free variables (ascending index).
-template <bool kStore>
-Sweep sweep_table(const PrefixTable& t, int var, DiagramKind kind,
+template <bool kStore, typename Table>
+Sweep sweep_table(const Table& t, int var, DiagramKind kind,
                   std::uint32_t limit, std::uint32_t* out) {
   OVO_CHECK(var >= 0 && var < t.n);
   const util::Mask bit = util::Mask{1} << var;
   OVO_CHECK_MSG((t.vars & bit) == 0, "compact: variable already in prefix");
-  const int pos = util::popcount(t.free_mask() & (bit - 1));
+  const int pos = util::popcount(util::full_mask(t.n) & ~t.vars & (bit - 1));
   const std::uint64_t half = t.cells.size() >> 1;
-  return kind == DiagramKind::kZdd
-             ? sweep<true, kStore>(t.cells.data(), half, pos, t.next_id,
-                                   limit, out)
-             : sweep<false, kStore>(t.cells.data(), half, pos, t.next_id,
-                                    limit, out);
+  return with_cells(t, [&](const auto* in) {
+    return kind == DiagramKind::kZdd
+               ? sweep<true, kStore>(in, half, pos, t.next_id, limit, out)
+               : sweep<false, kStore>(in, half, pos, t.next_id, limit, out);
+  });
 }
 
 /// Adds one compaction of `t` to `ops`: all of t's cells and one
 /// compaction however far the sweep got, the cells it did not read as
 /// cut, each new id one insert, every other lookup a hit, and the
 /// sized-to-fit table never resizes.
-void add_counts(OpCounter* ops, const PrefixTable& t, const Sweep& s) {
+template <typename Table>
+void add_counts(OpCounter* ops, const Table& t, const Sweep& s) {
   if (ops == nullptr) return;
   const std::uint64_t inserts = s.next_id - t.next_id;
   ops->table_cells += t.cells.size();
@@ -144,6 +157,21 @@ void add_counts(OpCounter* ops, const PrefixTable& t, const Sweep& s) {
   ops->dedup.hits += s.lookups - inserts;
   ops->dedup.inserts += inserts;
   ops->dedup.probes += s.probes;
+}
+
+/// The compaction of `t` by `var` into `out`, bounded by `id_limit`
+/// (compact_into_bounded's contract, for either table type).
+template <typename Table>
+bool compact_table(PrefixTable& out, const Table& t, int var,
+                   DiagramKind kind, std::uint32_t id_limit, OpCounter* ops) {
+  out.cells.resize(t.cells.size() >> 1);
+  const Sweep s = sweep_table<true>(t, var, kind, id_limit, out.cells.data());
+  out.n = t.n;
+  out.vars = t.vars | (util::Mask{1} << var);
+  out.num_terminals = t.num_terminals;
+  out.next_id = s.next_id;
+  add_counts(ops, t, s);
+  return s.next_id < id_limit;
 }
 
 }  // namespace
@@ -204,14 +232,59 @@ bool compact_into_bounded(PrefixTable& out, const PrefixTable& t, int var,
                           DiagramKind kind, std::uint32_t id_limit,
                           OpCounter* ops) {
   OVO_DCHECK(&out != &t);
-  out.cells.resize(t.cells.size() >> 1);
-  const Sweep s = sweep_table<true>(t, var, kind, id_limit, out.cells.data());
+  return compact_table(out, t, var, kind, id_limit, ops);
+}
+
+void compact_into(PrefixTable& out, const NarrowTable& t, int var,
+                  DiagramKind kind, OpCounter* ops) {
+  compact_table(out, t, var, kind, kNoLimit, ops);
+}
+
+bool compact_into_bounded(PrefixTable& out, const NarrowTable& t, int var,
+                          DiagramKind kind, std::uint32_t id_limit,
+                          OpCounter* ops) {
+  return compact_table(out, t, var, kind, id_limit, ops);
+}
+
+void NarrowCells::resize(std::size_t count, int width) {
+  OVO_DCHECK(width == 1 || width == 2 || width == 4);
+  if (width == 1)
+    cells_.emplace<std::vector<std::uint8_t>>(count);
+  else if (width == 2)
+    cells_.emplace<std::vector<std::uint16_t>>(count);
+  else
+    cells_.emplace<std::vector<std::uint32_t>>(count);
+}
+
+PrefixTable NarrowTable::widen() const {
+  PrefixTable t;
+  t.n = n;
+  t.vars = vars;
+  t.num_terminals = num_terminals;
+  t.next_id = next_id;
+  cells.visit([&](const auto* data, std::size_t size) {
+    t.cells.assign(data, data + size);
+  });
+  return t;
+}
+
+void narrow_into(NarrowTable& out, const PrefixTable& t) {
   out.n = t.n;
-  out.vars = t.vars | (util::Mask{1} << var);
+  out.vars = t.vars;
   out.num_terminals = t.num_terminals;
-  out.next_id = s.next_id;
-  add_counts(ops, t, s);
-  return s.next_id < id_limit;
+  out.next_id = t.next_id;
+  out.cells.resize(t.cells.size(), cell_width(t.next_id));
+  out.cells.visit([&](auto* data, std::size_t size) {
+    using Cell = std::remove_pointer_t<decltype(data)>;
+    for (std::size_t i = 0; i < size; ++i)
+      data[i] = static_cast<Cell>(t.cells[i]);
+  });
+}
+
+NarrowTable narrow(const PrefixTable& t) {
+  NarrowTable out;
+  narrow_into(out, t);
+  return out;
 }
 
 std::uint64_t compaction_width(const PrefixTable& t, int var,

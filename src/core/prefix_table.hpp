@@ -27,7 +27,9 @@
 // (x1 xor x3 at x4=1) makes the pair (id(x1), id(!x1)) appear under both
 // x2 and x3 — distinct functions that must not be merged.)
 
+#include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "ds/unique_table.hpp"
@@ -179,6 +181,69 @@ struct PrefixTable {
   util::Mask free_mask() const { return util::full_mask(n) & ~vars; }
 };
 
+/// Bytes per cell of a table whose ids all lie below `next_id`: 1 for up
+/// to 256 ids, 2 for up to 65,536, else 4.  The one width rule: the FS*
+/// layers store each table at it, the governor admits a layer at it, and
+/// a snapshot encodes each table's cells at it.
+constexpr int cell_width(std::uint64_t next_id) {
+  return next_id <= (std::uint64_t{1} << 8)    ? 1
+         : next_id <= (std::uint64_t{1} << 16) ? 2
+                                                : 4;
+}
+
+/// Cells stored at 1, 2 or 4 bytes each (see NarrowTable).
+class NarrowCells {
+ public:
+  /// `count` zero cells of `width` bytes (1, 2 or 4).
+  void resize(std::size_t count, int width);
+  std::size_t size() const {
+    return std::visit([](const auto& v) { return v.size(); }, cells_);
+  }
+  int width() const { return 1 << cells_.index(); }
+  std::uint64_t bytes() const {
+    return static_cast<std::uint64_t>(size()) *
+           static_cast<std::uint64_t>(width());
+  }
+  /// Returns f(data, size) over the cells at their stored type.
+  template <typename F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit([&](const auto& v) { return f(v.data(), v.size()); },
+                      cells_);
+  }
+  template <typename F>
+  decltype(auto) visit(F&& f) {
+    return std::visit([&](auto& v) { return f(v.data(), v.size()); },
+                      cells_);
+  }
+  bool operator==(const NarrowCells&) const = default;
+
+ private:
+  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+               std::vector<std::uint32_t>>
+      cells_;
+};
+
+/// A PrefixTable stored at cell_width(next_id) bytes per cell: the form
+/// in which the FS* DP keeps its layers, returns its stop layer and
+/// snapshots a fence.  Compacting one reads it at its width and writes a
+/// PrefixTable; a caller that compacts a result table further widens it.
+struct NarrowTable {
+  int n = 0;
+  util::Mask vars = 0;
+  std::uint32_t num_terminals = 2;
+  std::uint32_t next_id = 2;
+  NarrowCells cells;
+
+  std::uint64_t mincost() const { return next_id - num_terminals; }
+
+  /// The same table with u32 cells.
+  PrefixTable widen() const;
+};
+
+/// Stores `t` into `out` at cell_width(t.next_id).
+void narrow_into(NarrowTable& out, const PrefixTable& t);
+NarrowTable narrow(const PrefixTable& t);
+
 /// TABLE_{emptyset}: the truth table itself (paper Sec. 2.3.1).
 PrefixTable initial_table(const tt::TruthTable& f);
 
@@ -228,6 +293,14 @@ void compact_into(PrefixTable& out, const PrefixTable& t, int var,
 /// one compaction to `*ops`, the cells it did not read to cut_cells and
 /// the lookups it made to the dedup counters.
 bool compact_into_bounded(PrefixTable& out, const PrefixTable& t, int var,
+                          DiagramKind kind, std::uint32_t id_limit,
+                          OpCounter* ops = nullptr);
+
+/// compact_into and compact_into_bounded reading a narrow table: the same
+/// kernel, instantiated for the table's cell width.
+void compact_into(PrefixTable& out, const NarrowTable& t, int var,
+                  DiagramKind kind, OpCounter* ops = nullptr);
+bool compact_into_bounded(PrefixTable& out, const NarrowTable& t, int var,
                           DiagramKind kind, std::uint32_t id_limit,
                           OpCounter* ops = nullptr);
 

@@ -69,7 +69,7 @@ class OptObddInstance {
     if (t == 1) {
       Partial p;
       if (use_preprocess_) {
-        p.table = preprocess_.tables.at(L);
+        p.table = preprocess_.tables.at(L).widen();
         p.order_bottom_up = core::reconstruct_block_order(preprocess_, L);
       } else {
         // gamma_0 regime: recompute FS of the leaf prefix on the fly; its

@@ -62,7 +62,7 @@ ExactWindowResult exact_window(CostOracle& oracle, std::vector<int> order,
         break;
       }
       std::vector<int> block_bottom_up = core::reconstruct_block_order(dp, J);
-      const core::PrefixTable& best = dp.tables.at(J);
+      const core::NarrowTable& best = dp.tables.at(J);
       ++r.windows_optimized;
       if (best.mincost() < current.mincost()) {
         for (int i = 0; i < window; ++i)

@@ -206,7 +206,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
       dp.completed_layers > 0
           ? core::reconstruct_block_order(dp, seed_mask)
           : std::vector<int>{};
-  core::PrefixTable table = std::move(dp.tables.at(seed_mask));
+  core::PrefixTable table = dp.tables.at(seed_mask).widen();
   greedy_complete(table, options.kind, &bottom_up, &v.ops);
   v.order_root_first.assign(bottom_up.rbegin(), bottom_up.rend());
   v.internal_nodes = table.mincost();
@@ -238,6 +238,9 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     }
   }
 
+  // A certified lower bound that meets the size found proves that size
+  // optimal, whatever stopped the run; the outcome still says what did.
+  v.optimal = v.lower_bound == v.internal_nodes;
   v.oracle = oracle.stats();
   restore_seed_ledger(&v.oracle);
   out.outcome = gov.outcome();

@@ -69,13 +69,14 @@ struct AutoMinimizeResult {
   std::vector<int> order_root_first;
   /// Exact internal node count of the diagram under that order.
   std::uint64_t internal_nodes = 0;
-  /// True iff the exact DP completed (the order is proven optimal).
+  /// True iff the order is proven optimal: the exact DP completed, or
+  /// lower_bound meets internal_nodes whatever stopped the run.
   bool optimal = false;
-  /// DP layers fully built before the budget intervened (== n if
-  /// optimal).
+  /// DP layers fully built before the budget intervened (== n when the
+  /// DP completed).
   int dp_layers_completed = 0;
   /// Proven lower bound on the optimal size, from the deepest completed
-  /// DP layer (equals internal_nodes when optimal).
+  /// DP layer (equals internal_nodes iff optimal).
   std::uint64_t lower_bound = 0;
   /// DP + salvage compaction work (stages 1–2).
   core::OpCounter ops;

@@ -229,14 +229,6 @@ void ByteWriter::bytes(const void* data, std::size_t len) {
   buf_.insert(buf_.end(), p, p + len);
 }
 
-void ByteWriter::u32_array(const std::uint32_t* values, std::size_t count) {
-  if constexpr (std::endian::native == std::endian::little) {
-    bytes(values, count * sizeof(std::uint32_t));
-  } else {
-    for (std::size_t i = 0; i < count; ++i) u32(values[i]);
-  }
-}
-
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   bytes(s.data(), s.size());
@@ -265,17 +257,10 @@ std::string ByteReader::str() {
   return s;
 }
 
-void ByteReader::u32_array(std::uint32_t* out, std::size_t count) {
-  if (count > remaining() / sizeof(std::uint32_t))
+void ByteReader::need_array(std::size_t count, std::size_t elem_size) {
+  if (count > remaining() / elem_size)
     throw CheckpointError(CheckpointErrorKind::kTruncated,
                           "payload field runs past the end of the data");
-  if (count == 0) return;  // `out` may be null
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, data_ + pos_, count * sizeof(std::uint32_t));
-    pos_ += count * sizeof(std::uint32_t);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) out[i] = u32();
-  }
 }
 
 std::uint64_t ByteReader::array_count(std::size_t elem_size) {

@@ -30,9 +30,13 @@
 // `path`, fsync the directory.  A reader never observes a half-written
 // snapshot — it sees the old file or the new one.
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ovo::rt {
@@ -111,9 +115,19 @@ class ByteWriter {
   void bytes(const void* data, std::size_t len);
   /// Appends `len` zero bytes.
   void zeros(std::size_t len) { buf_.resize(buf_.size() + len); }
-  /// Appends `count` values as little-endian u32s — the bytes of `count`
-  /// u32() calls, in one memcpy on a little-endian host.
-  void u32_array(const std::uint32_t* values, std::size_t count);
+  /// Appends `count` unsigned values of sizeof(T) bytes each (u8, u16 or
+  /// u32), little-endian — in one memcpy on a little-endian host.
+  template <typename T>
+  void uint_array(const T* values, std::size_t count) {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) <= 4);
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(values, count * sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < count; ++i)
+        for (std::size_t b = 0; b < sizeof(T); ++b)
+          u8(static_cast<std::uint8_t>(values[i] >> (8 * b)));
+    }
+  }
   /// u32 length prefix + raw bytes.
   void str(const std::string& s);
   /// Replaces the already-written bytes [offset, offset + len).
@@ -161,10 +175,26 @@ class ByteReader {
     return v;
   }
   std::string str();
-  /// Reads `count` little-endian u32s into `out` — the values of `count`
-  /// u32() calls, after one bounds check, in one memcpy on a
-  /// little-endian host (ByteWriter::u32_array's counterpart).
-  void u32_array(std::uint32_t* out, std::size_t count);
+  /// Reads `count` little-endian unsigned values of sizeof(T) bytes into
+  /// `out`, after one bounds check (kTruncated), in one memcpy on a
+  /// little-endian host (ByteWriter::uint_array's counterpart).
+  template <typename T>
+  void uint_array(T* out, std::size_t count) {
+    static_assert(std::is_unsigned_v<T> && sizeof(T) <= 4);
+    need_array(count, sizeof(T));
+    if (count == 0) return;  // `out` may be null
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, data_ + pos_, count * sizeof(T));
+      pos_ += count * sizeof(T);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) {
+        T v = 0;
+        for (std::size_t b = 0; b < sizeof(T); ++b)
+          v = static_cast<T>(v | static_cast<T>(data_[pos_++]) << (8 * b));
+        out[i] = v;
+      }
+    }
+  }
 
   /// Validates `count * elem_size <= remaining` and returns count.
   std::uint64_t array_count(std::size_t elem_size);
@@ -174,6 +204,8 @@ class ByteReader {
 
  private:
   void need(std::size_t n);
+  /// Throws kTruncated unless `count` elements of `elem_size` remain.
+  void need_array(std::size_t count, std::size_t elem_size);
 
   const std::uint8_t* data_;
   std::size_t len_;

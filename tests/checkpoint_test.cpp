@@ -171,14 +171,26 @@ TEST(RtByteWriter, BulkU32AppendMatchesPerValue) {
   bulk.u8(9);
   single.u8(9);
   bulk.reserve(64);
-  bulk.u32_array(values.data(), values.size());
+  bulk.uint_array(values.data(), values.size());
   for (const std::uint32_t v : values) single.u32(v);
   EXPECT_EQ(bulk.data(), single.data());
   // Little-endian on the wire, whatever the host.
   const std::vector<std::uint8_t> want = {4, 3, 2, 1};
   EXPECT_TRUE(std::equal(want.begin(), want.end(), bulk.data().begin() + 9));
-  bulk.u32_array(nullptr, 0);
+  bulk.uint_array(static_cast<const std::uint32_t*>(nullptr), 0);
   EXPECT_EQ(bulk.data().size(), 1 + 4 * values.size());
+  // Narrow cells go out at their own width, little-endian too, and read
+  // back through the reader's counterpart.
+  const std::vector<std::uint16_t> narrow = {0x0102u, 0xFFFFu, 5u};
+  bulk.uint_array(narrow.data(), narrow.size());
+  const std::vector<std::uint8_t> want16 = {2, 1, 0xFF, 0xFF, 5, 0};
+  EXPECT_TRUE(std::equal(want16.begin(), want16.end(),
+                         bulk.data().begin() + 1 + 4 * values.size()));
+  rt::ByteReader r(bulk.data().data() + 1 + 4 * values.size(), 6);
+  std::vector<std::uint16_t> back(3);
+  r.uint_array(back.data(), back.size());
+  EXPECT_EQ(back, narrow);
+  EXPECT_TRUE(r.done());
 }
 
 TEST(RtCheckpoint, FramingRoundTrip) {
@@ -309,8 +321,8 @@ CapturedRun capture_run(const tt::TruthTable& t, par::PruneMode prune) {
 }
 
 void expect_tables_equal(
-    const std::unordered_map<util::Mask, PrefixTable>& a,
-    const std::unordered_map<util::Mask, PrefixTable>& b) {
+    const std::unordered_map<util::Mask, NarrowTable>& a,
+    const std::unordered_map<util::Mask, NarrowTable>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (const auto& [mask, ta] : a) {
     const auto it = b.find(mask);
@@ -515,7 +527,7 @@ TEST(FsSnapshot, KeyedSectionRejectsMalformedEntries) {
 /// resumed from `resume`.
 std::map<int, std::vector<std::uint8_t>> fence_payloads(
     const tt::TruthTable& t, par::PruneMode prune, int threads, int every,
-    const FsStarSnapshot* resume) {
+    FsStarSnapshot* resume) {
   std::map<int, std::vector<std::uint8_t>> out;
   FsCheckpointOptions ckpt;
   ckpt.every = every;
@@ -560,7 +572,7 @@ TEST(FsSnapshot, BytesIndependentOfCadenceAndResume) {
           }
         }
         for (const auto& [from, payload] : straight) {
-          const FsStarSnapshot snap =
+          FsStarSnapshot snap =
               decode_snapshot(payload.data(), payload.size());
           const auto resumed = fence_payloads(t, prune, threads, 1, &snap);
           EXPECT_EQ(resumed.size(), static_cast<std::size_t>(n - 1 - from));
@@ -610,7 +622,7 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
   const tt::TruthTable other = tt::random_function(5, rng);
   const CapturedRun run = capture_run(t, par::PruneMode::kOff);
   ASSERT_FALSE(run.fences.empty());
-  const FsStarSnapshot snap =
+  FsStarSnapshot snap =
       decode_snapshot(run.fences.back().data(), run.fences.back().size());
   FsCheckpointOptions resume;
   resume.resume = &snap;
@@ -690,7 +702,7 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
       decode_snapshot(pruned.fences[0].data(), pruned.fences[0].size());
   split.classes = {0b000011, 0b001100, 0b010000, 0b100000};
   const std::vector<std::uint8_t> bytes = reencode(split);
-  const FsStarSnapshot decoded = decode_snapshot(bytes.data(), bytes.size());
+  FsStarSnapshot decoded = decode_snapshot(bytes.data(), bytes.size());
   FsCheckpointOptions resume;
   resume.resume = &decoded;
   par::ExecPolicy exec;
@@ -720,12 +732,14 @@ TEST(FsResume, EveryFenceBitIdentical) {
          {par::PruneMode::kOff, par::PruneMode::kBounds}) {
       const CapturedRun straight = capture_run(t, prune);
       for (const auto& payload : straight.fences) {
-        const FsStarSnapshot snap =
+        const FsStarSnapshot decoded =
             decode_snapshot(payload.data(), payload.size());
         for (const int threads : {1, 2, 4, 8}) {
           par::ExecPolicy exec;
           exec.num_threads = threads;
           exec.prune = prune;
+          // A run consumes the snapshot it resumes: one copy per run.
+          FsStarSnapshot snap = decoded;
           FsCheckpointOptions resume;
           resume.resume = &snap;
           OpCounter ops;
@@ -754,7 +768,7 @@ TEST(FsResume, ReconstructedOrderMatches) {
   const CapturedRun straight = capture_run(t, par::PruneMode::kOff);
   const std::vector<int> want = reconstruct_block_order(straight.result, all);
   for (const auto& payload : straight.fences) {
-    const FsStarSnapshot snap =
+    FsStarSnapshot snap =
         decode_snapshot(payload.data(), payload.size());
     FsCheckpointOptions resume;
     resume.resume = &snap;
@@ -815,7 +829,7 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
 
   // Resume under an unlimited budget: identical results, and the resumed
   // governor's total equals the straight run's (ledger continuity).
-  const FsStarSnapshot snap = decode_snapshot(last.data(), last.size());
+  FsStarSnapshot snap = decode_snapshot(last.data(), last.size());
   FsCheckpointOptions resume;
   resume.resume = &snap;
   rt::Governor resumed_gov((rt::Budget()));
@@ -847,7 +861,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
               nullptr, 0, &ckpt);
 
   // The file holds the last fence (layer n-1); resuming completes the run.
-  const FsStarSnapshot snap = load_snapshot(path);
+  FsStarSnapshot snap = load_snapshot(path);
   EXPECT_EQ(snap.layer, n - 1);
   FsCheckpointOptions resume;
   resume.resume = &snap;
@@ -947,11 +961,12 @@ std::size_t crc_chunks(std::size_t payload_len, int threads) {
 
 // Every file the engine commits is the reference encoder's payload in
 // the frame rt::save_checkpoint writes, dense and pruned, at 1 thread and
-// at 4 (where the larger fences fold several CRC pieces).  Fences grow
+// at 4 (where the larger fences fold several CRC pieces: hwb(15)'s
+// widest dense fences exceed 2 MiB at their cell widths).  Fences grow
 // and then shrink, so the run-long frame buffer is reused at smaller
 // sizes too; the DP maps are strictly ascending at every fence.
 TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
-  const tt::TruthTable t = tt::hidden_weighted_bit(14);
+  const tt::TruthTable t = tt::hidden_weighted_bit(15);
   for (const par::PruneMode prune :
        {par::PruneMode::kOff, par::PruneMode::kBounds}) {
     for (const int threads : {1, 4}) {
@@ -962,7 +977,7 @@ TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
       const std::string path = "/ckpt/frame.bin";
       const std::vector<Fence> fences =
           capture_frames(t, prune, threads, sim, path);
-      ASSERT_EQ(fences.size(), 13u);  // fences at layers 1..n-1
+      ASSERT_EQ(fences.size(), 14u);  // fences at layers 1..n-1
       std::size_t widest = 0;
       bool shrank = false, multi_chunk = false;
       for (const Fence& f : fences) {
@@ -998,7 +1013,7 @@ TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
 // them throws rt::FaultInjected before the temp file is opened: no
 // `.tmp` is left, and the previous fence's snapshot stays whole.
 TEST(FsFrame, CrcChunkFaultKeepsThePreviousSnapshot) {
-  const tt::TruthTable t = tt::hidden_weighted_bit(14);
+  const tt::TruthTable t = tt::hidden_weighted_bit(15);
   const std::string path = "/ckpt/frame.bin";
   par::ExecPolicy exec;
   exec.num_threads = 4;
@@ -1008,7 +1023,7 @@ TEST(FsFrame, CrcChunkFaultKeepsThePreviousSnapshot) {
   std::uint64_t plain_events = 0;
   {
     rt::ScopedFaultPlan probe{rt::FaultSchedule{}};
-    fs_star(initial_table(t), util::full_mask(14), 14, DiagramKind::kBdd,
+    fs_star(initial_table(t), util::full_mask(15), 15, DiagramKind::kBdd,
             nullptr, exec);
     plain_events = probe.events_seen(rt::FaultSite::kTaskDispatch);
   }
@@ -1222,11 +1237,12 @@ TEST(MinimizeAutoResume, CancelledRunResumesBitIdentical) {
   EXPECT_GT(tripped.value.lower_bound, 0u);
   EXPECT_LE(tripped.value.lower_bound, straight.value.internal_nodes);
 
-  const FsStarSnapshot snap = decode_snapshot(last.data(), last.size());
-  reorder::AutoMinimizeOptions ropt = opt;
-  ropt.ckpt.resume = &snap;
+  const FsStarSnapshot decoded = decode_snapshot(last.data(), last.size());
   for (const int threads : {1, 2, 4, 8}) {
-    reorder::AutoMinimizeOptions topt = ropt;
+    // A run consumes the snapshot it resumes: one copy per run.
+    FsStarSnapshot snap = decoded;
+    reorder::AutoMinimizeOptions topt = opt;
+    topt.ckpt.resume = &snap;
     topt.exec.num_threads = threads;
     const rt::Result<reorder::AutoMinimizeResult> resumed =
         reorder::minimize_auto(t, rt::Budget(), topt);
@@ -1258,7 +1274,7 @@ TEST(MinimizeAutoResume, EveryFenceOfASiftSeededRunResumes) {
     ASSERT_GT(straight.value.oracle.evals, 0u);
     ASSERT_GE(fences.size(), 2u);
     for (const std::vector<std::uint8_t>& payload : fences) {
-      const FsStarSnapshot snap =
+      FsStarSnapshot snap =
           decode_snapshot(payload.data(), payload.size());
       SCOPED_TRACE(::testing::Message() << "threads " << threads << " fence "
                                         << snap.layer);
@@ -1338,7 +1354,7 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
   }
 }
 
-// Framed v6 snapshots checked in under the corpus: the format is pinned,
+// Framed v7 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
@@ -1351,14 +1367,14 @@ std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV6FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 6);
+TEST(FsSnapshot, CheckedInV7FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 7);
   {
     const std::string path =
-        corpus_snapshot("valid_v6_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v7_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 6, 6).payload;
-    const FsStarSnapshot snap = load_snapshot(path);
+        rt::load_checkpoint(path, 7, 7).payload;
+    FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
 
@@ -1377,10 +1393,10 @@ TEST(FsSnapshot, CheckedInV6FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v6_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v7_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 6, 6).payload;
-    const FsStarSnapshot snap = load_snapshot(path);
+        rt::load_checkpoint(path, 7, 7).payload;
+    FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
     EXPECT_EQ(snap.seed_order.size(), 6u);
@@ -1410,8 +1426,8 @@ TEST(FsSnapshot, CheckedInV6FixturesStayCompatible) {
   }
 }
 
-// The v2 to v5 fixtures earlier encoders wrote stay in the corpus: they
-// load as a typed version skew, never as a misparsed v6 payload.
+// The v2 to v6 fixtures earlier encoders wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v7 payload.
 TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
   const struct {
     const char* name;
@@ -1423,7 +1439,9 @@ TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
                   {"valid_v4_dense_hwb6_layer3.bin", 4},
                   {"valid_v4_pruned_adder6_layer3.bin", 4},
                   {"valid_v5_dense_hwb6_layer3.bin", 5},
-                  {"valid_v5_pruned_adder6_layer3.bin", 5}};
+                  {"valid_v5_pruned_adder6_layer3.bin", 5},
+                  {"valid_v6_dense_hwb6_layer3.bin", 6},
+                  {"valid_v6_pruned_adder6_layer3.bin", 6}};
   for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
     EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)
@@ -1447,7 +1465,7 @@ TEST(MinimizeResume, FsMinimizeRoundTrip) {
   ckpt.every = 1;
   const MinimizeResult straight =
       fs_minimize(t, DiagramKind::kBdd, {}, 0, &ckpt);
-  const FsStarSnapshot snap = load_snapshot(path);
+  FsStarSnapshot snap = load_snapshot(path);
   FsCheckpointOptions resume;
   resume.resume = &snap;
   const MinimizeResult resumed =

@@ -161,7 +161,7 @@ TEST(CrashSim, FsStarResumeAfterAnyCutIsByteIdentical) {
     sim.thaw();
     if (!sim.exists(path)) continue;  // crashed before the first commit
     // Invariant (1): whatever survived decodes and validates cleanly.
-    const FsStarSnapshot snap = load_snapshot(path);
+    FsStarSnapshot snap = load_snapshot(path);
     // Invariant (2): resuming from it reproduces the straight run.
     FsCheckpointOptions resume;
     resume.path = path;

@@ -275,7 +275,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
                     policy(threads, prune), nullptr, 0, &write);
         ASSERT_EQ(fences.size(), static_cast<std::size_t>(n - 1));
         for (const std::vector<std::uint8_t>& payload : fences) {
-          const FsStarSnapshot snap =
+          FsStarSnapshot snap =
               decode_snapshot(payload.data(), payload.size());
           SCOPED_TRACE(::testing::Message()
                        << c.name << " prune=" << static_cast<int>(prune)

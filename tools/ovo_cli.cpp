@@ -359,7 +359,7 @@ int cmd_order(const std::vector<std::string>& args) {
   std::uint64_t fault_cancel_at = 0;
   rt::FaultSchedule fault_schedule;
   bool fault_requested = false;
-  std::string input;
+  std::optional<std::string> input;  // "" is an empty formula
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--zdd") {
       kind = core::DiagramKind::kZdd;
@@ -469,7 +469,7 @@ int cmd_order(const std::vector<std::string>& args) {
       input = args[i];
     }
   }
-  if (input.empty()) throw UsageError("order: missing input");
+  if (!input) throw UsageError("order: missing input");
   exec.prune = prune;  // after the loop: --threads rebuilds ExecPolicy
 
   // --trace: start span collection now so strategy setup (seeding, base
@@ -520,7 +520,7 @@ int cmd_order(const std::vector<std::string>& args) {
       throw UsageError("--strategy: unknown strategy '" + strategy_name +
                        "' (see ovo --list-strategies)");
   }
-  const LoadedInput loaded = load_input(input);
+  const LoadedInput loaded = load_input(*input);
   check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
 
@@ -608,7 +608,8 @@ int cmd_order(const std::vector<std::string>& args) {
 
 int cmd_size(const std::vector<std::string>& args) {
   core::DiagramKind kind = core::DiagramKind::kBdd;
-  std::string order_spec, input;
+  std::string order_spec;
+  std::optional<std::string> input;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--zdd") {
       kind = core::DiagramKind::kZdd;
@@ -618,9 +619,9 @@ int cmd_size(const std::vector<std::string>& args) {
       input = args[i];
     }
   }
-  if (input.empty() || order_spec.empty())
+  if (!input || order_spec.empty())
     throw UsageError("size: need --order and an input");
-  const LoadedInput loaded = load_input(input);
+  const LoadedInput loaded = load_input(*input);
   std::vector<int> order;
   std::stringstream ss(order_spec);
   std::string item;
@@ -639,7 +640,7 @@ int cmd_size(const std::vector<std::string>& args) {
 
 int cmd_compare(const std::vector<std::string>& args) {
   par::ExecPolicy exec;
-  std::string input;
+  std::optional<std::string> input;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
       exec = parse_threads(args[++i]);
@@ -647,8 +648,8 @@ int cmd_compare(const std::vector<std::string>& args) {
       input = args[i];
     }
   }
-  if (input.empty()) throw UsageError("compare: missing input");
-  const LoadedInput loaded = load_input(input);
+  if (!input) throw UsageError("compare: missing input");
+  const LoadedInput loaded = load_input(*input);
   const tt::TruthTable& f = loaded.outputs.front();
   std::printf("input: %s\n\n", loaded.description.c_str());
   const auto exact = core::fs_minimize(f, core::DiagramKind::kBdd, exec);

@@ -34,16 +34,21 @@
 # pool threads through the CLI; traced, the fs.fence spans' cut_cells
 # args must sum to the JSON's.  A 12-variable formula with five symmetric
 # pairs must report its orbit count (849,954 cells over 971 states) at
-# both thread counts.  A 14-variable formula with no symmetric pair
+# both thread counts.  A 15-variable formula with no symmetric pair
 # cancelled mid-DP (--fault-cancel-at) at --threads 4 and at --threads 1
-# must leave byte-identical snapshots from a fence of at least 2 MiB,
-# whose CRC the 4-thread run folds from pool chunks, and resuming each at
-# the other thread count must print the straight run's JSON apart from
-# "threads"; a 14-variable formula with six symmetric pairs makes the same
-# round trip through its canonical states and tie sets.  A pruned ZDD of
+# must leave byte-identical snapshots from a fence of at least 2 MiB at
+# one byte per cell, whose CRC the 4-thread run folds from pool chunks,
+# and resuming each at the other thread count must print the straight
+# run's JSON apart from "threads"; a 14-variable formula with six
+# symmetric pairs makes the same round trip through its canonical states
+# and tie sets.  A pruned ZDD of
 # a function with negated conjuncts must return the dense optimum with
 # `optimal` true, and a tripped run of it a lower bound no larger than
-# its size.  The default strategy (`fs`, the same
+# its size.  exact-dense's 16-input multiplier text must complete with
+# its optimum under --mem-limit-mb 48, which tripped it when every cell
+# was a u32, and peak below that limit plus a one-variable run's
+# resident size; a v6 snapshot must be refused as a version skew.  The
+# default strategy (`fs`, the same
 # governed ladder as `auto`) must end cancelled on --fault-cancel-at 3,
 # end at the deadline under --work-limit 100000 on the 14-variable
 # formula, and print the same JSON for a `--prune bounds --prune-seed
@@ -257,15 +262,16 @@ PY
   [[ "${rc}" -eq 3 ]]
   grep -q 'checkpoint error' "${smoke_dir}/err.txt"
   echo "==== quick: pooled snapshot CRC through the CLI ============"
-  # A 14-variable dense run with no symmetric pair, cancelled in layer 5,
-  # leaves layer 4's snapshot, a 4 MB frame whose CRC the fence folds
-  # from three pool chunks at --threads 4 and computes in one piece at
-  # --threads 1: the two files must be the same bytes, and resuming
-  # either one at the other thread count must print the straight run's
-  # JSON apart from "threads".  The 14-variable formula with six
-  # symmetric pairs makes the same round trip from a fence of canonical
-  # states, whose snapshot carries its classes and tie sets.
-  crc_dense_fn="x1 & !x8 | x2 & (x9 | x3) | x3 & !x10 & x4 | (x4 ^ x11) & (x5 | !x12) | x6 & !x13 & x1 | x7 & !x14 & x2"
+  # A 15-variable dense run with no symmetric pair, cancelled in layer 5,
+  # leaves layer 4's snapshot, a 2.9 MB frame (1,365 tables of 2,048
+  # one-byte cells) whose CRC the fence folds from two pool chunks at
+  # --threads 4 and computes in one piece at --threads 1: the two files
+  # must be the same bytes, and resuming either one at the other thread
+  # count must print the straight run's JSON apart from "threads".  The
+  # 14-variable formula with six symmetric pairs makes the same round trip
+  # from a fence of canonical states, whose snapshot carries its classes
+  # and tie sets.
+  crc_dense_fn="x1 & !x8 | x2 & (x9 | x3) | x3 & !x10 & x4 | (x4 ^ x11) & (x5 | !x12) | x6 & !x13 & x1 | x7 & !x14 & x2 | x15 & !x5 & x9"
   crc_fn="x1 & x8 | x2 & x9 | x3 & x10 | (x4 ^ x11) & (x5 | !x12) | x6 & x13 | x7 & x14"
   crc_round_trip() {
     local fn="$1" cancel_at="$2" name="$3"
@@ -308,6 +314,52 @@ assert run["outcome"] != "complete", run
 assert run["lower_bound"] <= run["nodes"], run
 print(f"zdd: tripped run certifies {run['lower_bound']} <= {run['nodes']}")
 PY
+  echo "==== quick: narrow cells fit a byte limit u32 cells trip ==="
+  # The DP stores each layer's tables at the width their ids need, and
+  # --mem-limit-mb admits a layer at those widths.  exact-dense's 16-input
+  # multiplier text (perfbench/workloads.py, seed 5, cycle 0; no
+  # symmetric pair) ended mem_limit at 767 nodes under 48 MB when every
+  # cell was a u32: it must now complete with its optimum, 754 nodes, and
+  # peak below the limit plus the resident size of a one-variable run.
+  python3 - build/tools/ovo <<'PY'
+import json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import workloads
+ovo = sys.argv[1]
+text = next(i["text"] for i in workloads.exact_dense(5, 0, "full")
+            if i["family"] == "multiplier_mid")
+def run(args, stdin=""):
+    """The JSON of one ovo run and the run's peak resident MiB."""
+    with tempfile.TemporaryFile() as fin, tempfile.TemporaryFile() as fout:
+        fin.write(stdin.encode())
+        fin.seek(0)
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(fin.fileno(), 0)
+            os.dup2(fout.fileno(), 1)
+            os.execv(ovo, [ovo, "order", "--json", "--threads", "4"] + args)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, args
+        fout.seek(0)
+        return json.loads(fout.read()), usage.ru_maxrss / 1024
+baseline = run(["x1"])[1]
+limit = 48
+got, peak = run(["--mem-limit-mb", str(limit), "-"], text)
+assert got["outcome"] == "complete", got
+assert got["nodes"] == 754 and got["optimal"] is True, got
+assert peak < limit + baseline, (peak, baseline)
+print(f"narrow cells: multiplier(16) completes at 754 nodes under "
+      f"--mem-limit-mb {limit}, peak {peak:.1f} MiB "
+      f"(one-variable run {baseline:.1f} MiB)")
+PY
+  # A v6 snapshot stores every cell as a u32: it must be refused as a
+  # version skew, never misread as v7's narrow cells.
+  rc=0
+  build/tools/ovo order --json --resume \
+    tests/data/corpus/snapshot/valid_v6_dense_hwb6_layer3.bin "${smoke_fn}" \
+    > /dev/null 2> "${smoke_dir}/v6_err.txt" || rc=$?
+  [[ "${rc}" -eq 3 ]]
+  grep -q 'version skew' "${smoke_dir}/v6_err.txt"
   echo "==== quick: the default route is the governed ladder ======="
   # `fs`, the default strategy, runs the exact DP on the same governed
   # ladder as `auto`: a cancel at a governor poll ends the run cancelled,
@@ -381,6 +433,10 @@ PY
   expect_cli_error 1 "x1 & & x2"
   expect_cli_error 1 "x1 &"
   expect_cli_error 1 "(x1"
+  # An empty formula is a parse error however it arrives: as an argument
+  # or on standard input.
+  expect_cli_error 1 ""
+  grep -q 'column 1: unexpected end of input' "${smoke_dir}/cli_err.txt"
   expect_cli_error 1 - < /dev/null
   grep -q 'column 1: unexpected end of input' "${smoke_dir}/cli_err.txt"
   printf 'x1 & & x2' | expect_cli_error 1 -
@@ -423,7 +479,7 @@ PY
     > "${smoke_dir}/wide.pla"
   expect_cli_error 2 --shared "${smoke_dir}/wide.pla"
   grep -q 'at most 26 are supported' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 26 invocations, no internal-check text"
+  echo "typed CLI errors: 27 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
