@@ -282,96 +282,6 @@ void merge_layer(std::vector<std::pair<util::Mask, V>>& map,
 }
 
 // ---------------------------------------------------------------------------
-// Bound-pruned mode: admissible per-state lower bounds.
-
-/// Free variables of `t` that label a node in every diagram of the
-/// remaining block, computed once per run on the base table.
-///  * BDD and MTBDD: the variables whose assignment can change a cell id.
-///    Because ids are canonical per table, v is in the support iff two
-///    cells differing only in v's coordinate differ — i.e. some pair of
-///    subfunctions over the placed variables differs, a property
-///    invariant under compacting *other* variables.  So the support on
-///    the base table is each DP state's exact remaining-dependence set.
-///  * ZDD: a variable that no satisfying assignment sets is suppressed at
-///    every level, whatever it depends on (f = ¬x1 ∧ g), while one that
-///    some assignment sets lies on that assignment's path.  So the
-///    support is the variables with a cell whose coordinate is 1 and
-///    whose id is not the 0-terminal — also placement-invariant.
-util::Mask table_support(const PrefixTable& t, DiagramKind kind) {
-  util::Mask support = 0;
-  const std::vector<int> free_vars = util::bits_of(t.free_mask());
-  for (std::size_t p = 0; p < free_vars.size(); ++p) {
-    const std::size_t stride = std::size_t{1} << p;
-    bool depends = false;
-    for (std::size_t lo = 0; lo < t.cells.size() && !depends;
-         lo += 2 * stride) {
-      for (std::size_t i = lo; i < lo + stride; ++i) {
-        if (kind == DiagramKind::kZdd ? t.cells[i + stride] != 0
-                                      : t.cells[i] != t.cells[i + stride]) {
-          depends = true;
-          break;
-        }
-      }
-    }
-    if (depends) support |= util::Mask{1} << free_vars[p];
-  }
-  return support;
-}
-
-/// Per-slot scratch for the distinct-id count: a generation-stamped array
-/// over node ids — O(|cells|) per count, no clearing between states.
-struct BoundScratch {
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t gen = 0;
-};
-
-/// Number of distinct ids among t.cells — the distinct subfunctions any
-/// completion of the block must still reach — leaving id 0 out when
-/// `skip_zero`.
-std::uint64_t distinct_cell_count(const PrefixTable& t, bool skip_zero,
-                                  BoundScratch& bs) {
-  if (bs.stamp.size() < t.next_id)
-    bs.stamp.resize(static_cast<std::size_t>(t.next_id), 0);
-  if (++bs.gen == 0) {  // generation wrap: clear once, restart at 1
-    std::fill(bs.stamp.begin(), bs.stamp.end(), 0);
-    bs.gen = 1;
-  }
-  if (skip_zero) bs.stamp[0] = bs.gen;
-  std::uint64_t d = 0;
-  for (std::uint32_t id : t.cells) {
-    if (bs.stamp[static_cast<std::size_t>(id)] != bs.gen) {
-      bs.stamp[static_cast<std::size_t>(id)] = bs.gen;
-      ++d;
-    }
-  }
-  return d;
-}
-
-/// Admissible completion bound: nodes ANY placement of the remaining
-/// block variables must still create from a state with table `t`.
-///  * Sink bound: the q nodes the completed block adds carry 2q outgoing
-///    pointers, the finished block's table contributes `final_cells`
-///    root pointers, and each of the q nodes plus each of t's d distinct
-///    cell ids needs at least one incoming pointer — so 2q + final_cells
-///    >= q + d, i.e. q >= d - final_cells.  A ZDD reaches the 0-terminal
-///    through suppressed hi edges, which need no pointer, so for ZDDs d
-///    leaves id 0 out.
-///  * Dependence bound: every remaining block variable in `base_support`
-///    labels at least one created node (see table_support).
-/// Both hold for every completion order, so their max is admissible.
-std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
-                               util::Mask base_support,
-                               std::uint64_t final_cells, DiagramKind kind,
-                               BoundScratch& bs) {
-  const std::uint64_t d =
-      distinct_cell_count(t, kind == DiagramKind::kZdd, bs);
-  const std::uint64_t sinks = d > final_cells ? d - final_cells : 0;
-  const std::uint64_t dep =
-      static_cast<std::uint64_t>(util::popcount(base_support & remaining));
-  return sinks > dep ? sinks : dep;
-}
-
-// ---------------------------------------------------------------------------
 // Symmetry orbits (see FsStarResult::classes).
 
 /// Whether swapping the free-variable coordinates of strides `si` and
@@ -578,7 +488,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   result.mincost.emplace_back(util::Mask{0}, base.mincost());
 
   // Placement-invariant bound inputs, computed once per pruned run.
-  const util::Mask base_support = prune ? table_support(base, kind) & J : 0;
+  const util::Mask base_support = prune ? bound_support(base, kind) & J : 0;
   const std::uint64_t final_cells =
       static_cast<std::uint64_t>(base.cells.size()) >> j_size;
 

@@ -23,8 +23,9 @@
 // A dense run is the case that keeps every state.  Bound-pruned mode
 // (ExecPolicy.prune = PruneMode::kBounds): full-block runs (stop_k ==
 // |J|) additionally compute an admissible per-state lower bound — cost
-// so far plus a completion bound from the table's distinct-subfunction
-// count and the block variables the function still depends on — and
+// so far plus core::completion_bound, from the table's distinct-
+// subfunction count and the block variables the function still depends
+// on (the bound branch and bound prunes with too) — and
 // drop every state whose bound exceeds a seeded upper bound (callers
 // pass one from a cheap heuristic; 0 self-seeds from one ascending chain
 // over J).  Dropped states cost zero bytes.  Because the incumbent is

@@ -294,4 +294,67 @@ std::uint64_t compaction_width(const PrefixTable& t, int var,
   return s.next_id - t.next_id;
 }
 
+util::Mask bound_support(const PrefixTable& base, DiagramKind kind) {
+  util::Mask support = 0;
+  const std::vector<int> free_vars = util::bits_of(base.free_mask());
+  for (std::size_t p = 0; p < free_vars.size(); ++p) {
+    const std::size_t stride = std::size_t{1} << p;
+    bool depends = false;
+    for (std::size_t lo = 0; lo < base.cells.size() && !depends;
+         lo += 2 * stride) {
+      for (std::size_t i = lo; i < lo + stride; ++i) {
+        if (kind == DiagramKind::kZdd
+                ? base.cells[i + stride] != 0
+                : base.cells[i] != base.cells[i + stride]) {
+          depends = true;
+          break;
+        }
+      }
+    }
+    if (depends) support |= util::Mask{1} << free_vars[p];
+  }
+  return support;
+}
+
+std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
+                               util::Mask support, std::uint64_t final_cells,
+                               DiagramKind kind, BoundScratch& scratch) {
+  // d: the distinct ids among t's cells, id 0 left out for ZDDs.
+  if (scratch.stamp.size() < t.next_id)
+    scratch.stamp.resize(static_cast<std::size_t>(t.next_id), 0);
+  if (++scratch.gen == 0) {  // generation wrap: clear once, restart at 1
+    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
+    scratch.gen = 1;
+  }
+  if (kind == DiagramKind::kZdd) scratch.stamp[0] = scratch.gen;
+  std::uint64_t d = 0;
+  for (const std::uint32_t id : t.cells) {
+    if (scratch.stamp[id] != scratch.gen) {
+      scratch.stamp[id] = scratch.gen;
+      ++d;
+    }
+  }
+  const std::uint64_t sinks = d > final_cells ? d - final_cells : 0;
+  const std::uint64_t dep =
+      static_cast<std::uint64_t>(util::popcount(support & remaining));
+  return std::max(sinks, dep);
+}
+
+void greedy_complete(PrefixTable& t, DiagramKind kind,
+                     std::vector<int>* order_bottom_up, OpCounter* ops) {
+  while (t.free_count() > 0) {
+    std::uint64_t best_width = ~std::uint64_t{0};
+    int best_var = -1;
+    util::for_each_bit(t.free_mask(), [&](int v) {
+      const std::uint64_t w = compaction_width(t, v, kind, ops);
+      if (w < best_width) {
+        best_width = w;
+        best_var = v;
+      }
+    });
+    t = compact(t, best_var, kind, ops);
+    order_bottom_up->push_back(best_var);
+  }
+}
+
 }  // namespace ovo::core

@@ -309,4 +309,58 @@ bool compact_into_bounded(PrefixTable& out, const NarrowTable& t, int var,
 std::uint64_t compaction_width(const PrefixTable& t, int var,
                                DiagramKind kind, OpCounter* ops = nullptr);
 
+// ---------------------------------------------------------------------------
+// The admissible completion bound both exact searches prune with: the
+// bound-pruned FS* DP per state, branch and bound per child.  By Lemma 3
+// a state's completion cost depends on its table alone, so one bound
+// serves any chain's table.
+
+/// Free variables of `base` that label a node in every diagram of the
+/// remaining block, computed once per search on the base table.
+///  * BDD and MTBDD: the variables whose assignment can change a cell id.
+///    Because ids are canonical per table, v is in the support iff two
+///    cells differing only in v's coordinate differ — i.e. some pair of
+///    subfunctions over the placed variables differs, a property
+///    invariant under compacting *other* variables.  So the support on
+///    the base table is each later state's exact remaining-dependence set.
+///  * ZDD: a variable that no satisfying assignment sets is suppressed at
+///    every level, whatever it depends on (f = ¬x1 ∧ g), while one that
+///    some assignment sets lies on that assignment's path.  So the
+///    support is the variables with a cell whose coordinate is 1 and
+///    whose id is not the 0-terminal — also placement-invariant.
+util::Mask bound_support(const PrefixTable& base, DiagramKind kind);
+
+/// completion_bound's scratch, one per thread: a generation-stamped
+/// array over node ids, so a count is O(|cells|) with no clearing
+/// between states.
+struct BoundScratch {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t gen = 0;
+};
+
+/// Admissible completion bound: the nodes ANY placement of `remaining`
+/// (free in `t`) must still create from a state with table `t`, the max
+/// of two terms that hold for every completion order.
+///  * Sink bound: the q nodes the completed block adds carry 2q outgoing
+///    pointers, the finished block's table contributes `final_cells`
+///    root pointers, and each of the q nodes plus each of t's d distinct
+///    cell ids needs at least one incoming pointer — so 2q + final_cells
+///    >= q + d, i.e. q >= d - final_cells.  A ZDD reaches the 0-terminal
+///    through suppressed hi edges, which need no pointer, so for ZDDs d
+///    leaves id 0 out.
+///  * Dependence bound: every variable of `remaining` in `support`
+///    (bound_support of the search's base) labels at least one node.
+std::uint64_t completion_bound(const PrefixTable& t, util::Mask remaining,
+                               util::Mask support, std::uint64_t final_cells,
+                               DiagramKind kind, BoundScratch& scratch);
+
+/// Completes `t` upward greedily: repeatedly compacts the free variable
+/// whose compaction adds the fewest nodes (ties to the smallest index),
+/// appending each to `order_bottom_up`, until no variable is free.
+/// Deterministic and O(n^2 · |cells|); each width probe and each
+/// compaction counts into `*ops`.
+void greedy_complete(PrefixTable& t, DiagramKind kind,
+                     std::vector<int>* order_bottom_up,
+                     OpCounter* ops = nullptr);
+
 }  // namespace ovo::core

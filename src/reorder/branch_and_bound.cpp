@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "parallel/thread_pool.hpp"
 #include "util/check.hpp"
@@ -13,26 +12,6 @@ namespace {
 
 using core::DiagramKind;
 using core::PrefixTable;
-
-/// Number of distinct non-terminal boundary subfunctions of `t`.
-std::uint64_t boundary_width(const PrefixTable& t) {
-  std::unordered_set<std::uint32_t> distinct;
-  for (const std::uint32_t c : t.cells)
-    if (c >= t.num_terminals) distinct.insert(c);
-  return distinct.size();
-}
-
-/// True if the residual function-set still depends on free variable v.
-bool residual_depends_on(const PrefixTable& t, int v) {
-  const util::Mask free = t.free_mask();
-  const int pos = util::popcount(free & ((util::Mask{1} << v) - 1));
-  const std::uint64_t step = std::uint64_t{1} << pos;
-  for (std::uint64_t b = 0; b < t.cells.size(); ++b) {
-    if ((b & step) != 0) continue;
-    if (t.cells[b] != t.cells[b | step]) return true;
-  }
-  return false;
-}
 
 class Search {
  public:
@@ -46,6 +25,7 @@ class Search {
 
   void run(const PrefixTable& root, BnbResult* out) {
     chain_.clear();
+    support_ = core::bound_support(root, kind_);
     dfs(root);
     out->internal_nodes = best_;
     out->order_root_first.assign(best_chain_.rbegin(), best_chain_.rend());
@@ -116,7 +96,10 @@ class Search {
       // Until an incumbent *order* exists the bound may stem from an
       // external estimate that some optimal chain meets with equality, so
       // prune strictly; afterwards prune ties too.
-      const std::uint64_t projected = cost + bnb_lower_bound(c.table, kind_);
+      const std::uint64_t projected =
+          cost + core::completion_bound(c.table, c.table.free_mask(),
+                                        support_, /*final_cells=*/1, kind_,
+                                        bound_scratch_);
       if (best_chain_.empty() ? projected > best_ : projected >= best_) {
         ++pruned_bound_;
         continue;
@@ -140,6 +123,8 @@ class Search {
   par::ExecPolicy exec_;
   rt::Governor* gov_ = nullptr;
   core::OpCounter& ops_;
+  util::Mask support_ = 0;  // core::bound_support of the root
+  core::BoundScratch bound_scratch_;
   bool tripped_ = false;
   std::vector<int> chain_;        // bottom-up insertion order so far
   std::vector<int> best_chain_;
@@ -149,49 +134,7 @@ class Search {
   std::uint64_t pruned_dominance_ = 0;
 };
 
-/// Greedy descent (min child mincost, ties to the first free variable):
-/// the incumbent a governed cold start falls back on.  Returns the chain
-/// bottom-up and the final table's mincost.
-std::uint64_t greedy_descent(const PrefixTable& root, DiagramKind kind,
-                             std::vector<int>* chain_bottom_up) {
-  PrefixTable t = root;
-  PrefixTable cand, best_child;
-  chain_bottom_up->clear();
-  while (t.free_count() > 0) {
-    std::uint64_t best_cost = ~std::uint64_t{0};
-    int best_var = -1;
-    util::for_each_bit(t.free_mask(), [&](int v) {
-      compact_into(cand, t, v, kind);
-      if (cand.mincost() < best_cost) {
-        best_cost = cand.mincost();
-        best_var = v;
-        std::swap(best_child, cand);
-      }
-    });
-    chain_bottom_up->push_back(best_var);
-    std::swap(t, best_child);
-  }
-  return t.mincost();
-}
-
 }  // namespace
-
-std::uint64_t bnb_lower_bound(const PrefixTable& t, DiagramKind kind) {
-  // A binary DAG hanging from one root with u internal nodes has at most
-  // u + 1 edges leaving it (2u edges minus >= u-1 needed for internal
-  // connectivity), so reaching w distinct boundary nodes needs
-  // u >= w - 1. At w <= 1 the boundary node can itself be the root: 0.
-  const std::uint64_t w = boundary_width(t);
-  std::uint64_t bound = w > 0 ? w - 1 : 0;
-  if (kind != DiagramKind::kZdd) {
-    std::uint64_t dependent = 0;
-    util::for_each_bit(t.free_mask(), [&](int v) {
-      if (residual_depends_on(t, v)) ++dependent;
-    });
-    bound = std::max(bound, dependent);
-  }
-  return bound;
-}
 
 BnbResult branch_and_bound_minimize(CostOracle& oracle,
                                     std::uint64_t initial_upper_bound,
@@ -204,7 +147,9 @@ BnbResult branch_and_bound_minimize(CostOracle& oracle,
   std::vector<int> greedy_chain;
   std::uint64_t greedy_cost = ~std::uint64_t{0};
   if (ctx.gov != nullptr && initial_upper_bound == ~std::uint64_t{0}) {
-    greedy_cost = greedy_descent(root, oracle.kind(), &greedy_chain);
+    PrefixTable greedy = root;
+    core::greedy_complete(greedy, oracle.kind(), &greedy_chain);
+    greedy_cost = greedy.mincost();
     initial_upper_bound = greedy_cost;
   }
 

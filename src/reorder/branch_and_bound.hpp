@@ -8,13 +8,12 @@
 //   * dominance: reaching a prefix *set* with a cost no better than a
 //     previously recorded chain is futile (Lemma 3 makes per-set costs
 //     chain-invariant going forward);
-//   * an admissible lower bound on the remaining upper part: with w
-//     distinct non-terminal boundary subfunctions, the upper part needs
-//     at least w - 1 nodes (a binary DAG hanging from one root with u
-//     nodes has at most u + 1 edges leaving it), and — for BDDs/MTBDDs —
-//     at least one node per remaining variable the residual still depends
-//     on (not valid for ZDDs, where zero-suppression can elide a
-//     depended-on variable's nodes).
+//   * the bound-pruned DP's admissible completion bound
+//     (core::completion_bound, with the root's core::bound_support
+//     computed once per run): the distinct cell ids the upper part must
+//     still reach, minus its one root pointer, and one node per free
+//     variable in the support — both kind-aware, so they hold for ZDDs
+//     too.
 //
 // Worst case matches FS's O*(3^n); with a good initial incumbent
 // (sifting) it typically expands a small fraction of the lattice.  Used
@@ -54,18 +53,13 @@ struct BnbResult {
 /// cost (free variables × table cells) is admitted and charged at the
 /// serial DFS entry, so a work-limit trip cuts the search at the same
 /// state for every thread count.  A cold-started governed run first
-/// seeds a greedy-descent incumbent (charged outside the budget, the
-/// price of guaranteeing *some* valid answer), so the result always
-/// carries a valid ordering; `complete` reports whether the optimum was
-/// proven.
+/// seeds a core::greedy_complete incumbent (charged outside the budget
+/// and the ledger, the price of guaranteeing *some* valid answer), so
+/// the result always carries a valid ordering; `complete` reports
+/// whether the optimum was proven.
 BnbResult branch_and_bound_minimize(
     CostOracle& oracle,
     std::uint64_t initial_upper_bound = ~std::uint64_t{0},
     const EvalContext& ctx = {});
-
-/// The admissible lower bound used by the search (exposed for tests):
-/// minimum extra nodes any completion of prefix state `t` must add.
-std::uint64_t bnb_lower_bound(const core::PrefixTable& t,
-                              core::DiagramKind kind);
 
 }  // namespace ovo::reorder

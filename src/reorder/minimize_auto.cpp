@@ -14,33 +14,6 @@
 
 namespace ovo::reorder {
 
-namespace {
-
-/// Completes a partial DP chain upward: repeatedly compacts the free
-/// variable with the smallest resulting width (ties to the smallest
-/// variable index).  Deterministic, and cheap relative to the DP —
-/// O(n^2 · |cells|) — so it is not charged against the budget: it is the
-/// fixed cost of guaranteeing *some* valid answer.
-void greedy_complete(core::PrefixTable& t, core::DiagramKind kind,
-                     std::vector<int>* order_bottom_up,
-                     core::OpCounter* ops) {
-  while (t.free_count() > 0) {
-    std::uint64_t best_width = ~std::uint64_t{0};
-    int best_var = -1;
-    util::for_each_bit(t.free_mask(), [&](int v) {
-      const std::uint64_t w = core::compaction_width(t, v, kind, ops);
-      if (w < best_width) {
-        best_width = w;
-        best_var = v;
-      }
-    });
-    t = core::compact(t, best_var, kind, ops);
-    order_bottom_up->push_back(best_var);
-  }
-}
-
-}  // namespace
-
 bool is_prune_seed(std::string_view name) {
   return std::find(kPruneSeeds.begin(), kPruneSeeds.end(), name) !=
          kPruneSeeds.end();
@@ -206,8 +179,11 @@ rt::Result<AutoMinimizeResult> minimize_auto(
       dp.completed_layers > 0
           ? core::reconstruct_block_order(dp, seed_mask)
           : std::vector<int>{};
+  // Greedy completion is cheap next to the DP, O(n^2 · |cells|), and is
+  // not charged against the budget: it is the fixed cost of
+  // guaranteeing *some* valid answer.
   core::PrefixTable table = dp.tables.at(seed_mask).widen();
-  greedy_complete(table, options.kind, &bottom_up, &v.ops);
+  core::greedy_complete(table, options.kind, &bottom_up, &v.ops);
   v.order_root_first.assign(bottom_up.rbegin(), bottom_up.rend());
   v.internal_nodes = table.mincost();
 

@@ -5,7 +5,6 @@
 
 #include <numeric>
 
-#include "core/fs_star.hpp"
 #include "core/minimize.hpp"
 #include "reorder/annealing.hpp"
 #include "reorder/baselines.hpp"
@@ -16,45 +15,6 @@
 
 namespace ovo::reorder {
 namespace {
-
-TEST(LowerBound, ZeroAtCompletion) {
-  core::PrefixTable t = core::initial_table(tt::parity(3));
-  for (const int v : {0, 1, 2})
-    t = core::compact(t, v, core::DiagramKind::kBdd);
-  EXPECT_EQ(bnb_lower_bound(t, core::DiagramKind::kBdd), 0u);
-}
-
-TEST(LowerBound, IsAdmissibleAtTheRoot) {
-  // At the empty prefix the bound must not exceed the true optimum.
-  util::Xoshiro256 rng(3);
-  for (int trial = 0; trial < 8; ++trial) {
-    const tt::TruthTable f = tt::random_function(5, rng);
-    const std::uint64_t opt = core::fs_minimize(f).min_internal_nodes;
-    const core::PrefixTable root = core::initial_table(f);
-    EXPECT_LE(bnb_lower_bound(root, core::DiagramKind::kBdd), opt);
-  }
-}
-
-TEST(LowerBound, CompletionRespectsBoundEverywhere) {
-  // Stronger admissibility check: for random chains, the nodes added by
-  // the *best* completion of the prefix is >= the bound.
-  util::Xoshiro256 rng(5);
-  for (int trial = 0; trial < 6; ++trial) {
-    const tt::TruthTable f = tt::random_function(5, rng);
-    core::PrefixTable t = core::initial_table(f);
-    std::vector<int> free{0, 1, 2, 3, 4};
-    for (int step = 0; step < 3; ++step) {
-      const std::size_t pick = rng.below(free.size());
-      t = core::compact(t, free[pick], core::DiagramKind::kBdd);
-      free.erase(free.begin() + static_cast<std::ptrdiff_t>(pick));
-      // Optimal completion cost via FS* on the remaining block.
-      const core::PrefixTable done = core::fs_star_full(
-          t, util::mask_of(free), core::DiagramKind::kBdd);
-      const std::uint64_t added = done.mincost() - t.mincost();
-      EXPECT_GE(added, bnb_lower_bound(t, core::DiagramKind::kBdd));
-    }
-  }
-}
 
 class BnbVsFs : public ::testing::TestWithParam<int> {};
 
@@ -79,6 +39,62 @@ TEST_P(BnbVsFs, WarmStartFromSifting) {
   EXPECT_EQ(warm.internal_nodes, core::fs_minimize(f).min_internal_nodes);
   const BnbResult cold = branch_and_bound_minimize(oracle);
   EXPECT_LE(warm.states_expanded, cold.states_expanded);
+}
+
+/// Cold and sift-warm BnB over `oracle`, at threads 1 and 4, must both
+/// return `opt` with an order of that size.
+void expect_bnb_finds(CostOracle& oracle, std::uint64_t opt) {
+  std::vector<int> id(static_cast<std::size_t>(oracle.num_vars()));
+  std::iota(id.begin(), id.end(), 0);
+  for (const int threads : {1, 4}) {
+    EvalContext ctx;
+    ctx.exec.num_threads = threads;
+    const std::uint64_t incumbent = sift(oracle, id, 8, ctx).internal_nodes;
+    for (const std::uint64_t upper : {~std::uint64_t{0}, incumbent}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " upper=" << upper);
+      const BnbResult r = branch_and_bound_minimize(oracle, upper, ctx);
+      EXPECT_TRUE(r.complete);
+      EXPECT_EQ(r.internal_nodes, opt);
+      EXPECT_EQ(oracle.size_for_order(r.order_root_first), opt);
+    }
+  }
+}
+
+// BnB prunes with the DP's completion bound, whose ZDD terms leave the
+// 0-terminal and the inputs no satisfying assignment sets out; on
+// ¬a ∧ ¬b ∧ … ∧ g a bound that counted either would cut the optimum.
+TEST_P(BnbVsFs, ZddColdAndSiftWarm) {
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 97 + 5);
+  const int n = 7 + GetParam() % 5;
+  const std::vector<tt::TruthTable> inputs{
+      tt::random_negated_conjunction(n, 1 + GetParam() % 4, rng),
+      tt::random_negated_conjunction(n, n / 2 + 1, rng),
+      tt::random_sparse_function(n - 1, std::uint64_t{1} << (n - 4), rng)};
+  for (const tt::TruthTable& f : inputs) {
+    SCOPED_TRACE(::testing::Message() << "n=" << f.num_vars());
+    CostOracle oracle(f, core::DiagramKind::kZdd);
+    expect_bnb_finds(
+        oracle,
+        core::fs_minimize(f, core::DiagramKind::kZdd).min_internal_nodes);
+  }
+}
+
+// MTBDD value tables at n = 3-9, with two to five terminals.
+TEST_P(BnbVsFs, MtbddColdAndSiftWarm) {
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 53 + 1);
+  for (int j = 0; j < 3; ++j) {
+    const int n = 3 + (3 * GetParam() + j) % 7;
+    const std::uint64_t range =
+        2 + static_cast<std::uint64_t>(j + GetParam()) % 4;
+    std::vector<std::int64_t> values(std::size_t{1} << n);
+    for (std::int64_t& v : values)
+      v = static_cast<std::int64_t>(rng.below(range));
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " range=" << range);
+    CostOracle oracle(values, n);
+    expect_bnb_finds(oracle,
+                     core::fs_minimize_mtbdd(values, n).min_internal_nodes);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BnbVsFs, ::testing::Range(0, 8));

@@ -109,7 +109,7 @@ TEST_P(MigrationPins, BranchAndBound) {
       branch_and_bound_minimize(oracle, ~std::uint64_t{0}, {exec()});
   EXPECT_EQ(r.internal_nodes, 36u);
   EXPECT_EQ(r.order_root_first, (Order{5, 3, 1, 4, 6, 0, 2}));
-  EXPECT_EQ(r.states_expanded, 61u);
+  EXPECT_EQ(r.states_expanded, 56u);
   EXPECT_TRUE(r.complete);
 }
 

@@ -32,7 +32,9 @@
 #      count to the straight run's JSON; a symmetric one makes the same
 #      round trip through its canonical states), plus the ZDD bound
 #      guard (a pruned ZDD of negated conjuncts returns the dense
-#      optimum, and a tripped run certifies no more than its size), plus
+#      optimum, and a tripped run certifies no more than its size; branch
+#      and bound, which prunes with the same bound, returns fs's node
+#      count on it and on a 14-variable BDD and ZDD), plus
 #      the default-route guard (`fs`, the default, is the
 #      governed ladder: --fault-cancel-at 3 ends it cancelled,
 #      --work-limit 100000 at the deadline, and --checkpoint leaves a
@@ -45,7 +47,9 @@
 #      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
 #      runs, and `--strategy brute` over 11 variables, `--strategy
 #      dynamic --zdd` and `--shared` on a 26-input, 2-output PLA exit 2
-#      naming the limit, never with internal-check text), plus the `ovo order
+#      naming the limit, and --resume or --checkpoint with `--strategy
+#      sift`, `--strategy bnb` or `--shared` exits 2 naming the route and
+#      writes no file, never with internal-check text), plus the `ovo order
 #      --trace` Chrome trace-event smoke (including a checkpointed run
 #      whose fs.checkpoint spans carry each frame's `bytes` and whose
 #      commits are fs.checkpoint.write spans on the writer's own lane),

@@ -52,8 +52,10 @@
 // digits ("-5", "4x", "abc" are usage errors naming the flag), an input
 // past an engine's limit (`--strategy brute` over more than 10
 // variables, `--strategy dynamic --zdd`, `--shared` needing more than 26
-// variables) is a usage error naming the limit, and an input that cannot
-// be read or parsed is a typed error (exit 1).
+// variables) is a usage error naming the limit, and so is --checkpoint
+// or --resume with --shared or a strategy other than fs and auto, which
+// keep no snapshot.  An input that cannot be read or parsed is a typed
+// error (exit 1).
 //
 // <input> is one of:
 //   - a path ending in .pla  (Berkeley PLA; first output used unless
@@ -505,7 +507,8 @@ int cmd_order(const std::vector<std::string>& args) {
   if (fault_requested) fault.emplace(fault_schedule);
 
   // --engine is a plain alias of --strategy; --strategy wins when both
-  // are given.  An unknown name is the user's error, found before the
+  // are given.  An unknown name, or a checkpoint flag on a route that
+  // writes and reads no snapshot, is the user's error, found before the
   // input is read.
   const reorder::Strategy* strategy = nullptr;
   if (!shared) {
@@ -520,6 +523,12 @@ int cmd_order(const std::vector<std::string>& args) {
       throw UsageError("--strategy: unknown strategy '" + strategy_name +
                        "' (see ovo --list-strategies)");
   }
+  if ((!checkpoint_path.empty() || !resume_path.empty()) &&
+      (shared || (strategy_name != "fs" && strategy_name != "auto")))
+    throw UsageError(
+        std::string(checkpoint_path.empty() ? "--resume" : "--checkpoint") +
+        ": " + (shared ? "--shared" : "strategy '" + strategy_name + "'") +
+        " takes no snapshot; only the fs and auto strategies checkpoint");
   const LoadedInput loaded = load_input(*input);
   check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
@@ -528,10 +537,6 @@ int cmd_order(const std::vector<std::string>& args) {
     if (budgeted)
       std::fprintf(stderr,
                    "note: budget flags are not supported with --shared\n");
-    if (!checkpoint_path.empty() || !resume_path.empty())
-      std::fprintf(
-          stderr,
-          "note: checkpoint/resume is not supported with --shared\n");
     const auto r = core::fs_minimize_shared(loaded.outputs, kind, exec);
     if (json) {
       emit_json(json_order_string("fs-shared", kind, r.min_internal_nodes,

@@ -44,7 +44,9 @@
 # and tie sets.  A pruned ZDD of
 # a function with negated conjuncts must return the dense optimum with
 # `optimal` true, and a tripped run of it a lower bound no larger than
-# its size.  exact-dense's 16-input multiplier text must complete with
+# its size; `--strategy bnb`, which prunes with the same bound, must
+# return fs's node count on it and on the 14-variable formula with six
+# symmetric pairs as a BDD and as a ZDD.  exact-dense's 16-input multiplier text must complete with
 # its optimum under --mem-limit-mb 48, which tripped it when every cell
 # was a u32, and peak below that limit plus a one-variable run's
 # resident size; a v6 snapshot must be refused as a version skew.  The
@@ -66,10 +68,13 @@
 # netlists with an undefined signal or a combinational cycle, a v2
 # and a v3 snapshot, and inputs past an engine's limit (`--strategy
 # brute` over 11 variables, `--strategy dynamic --zdd`, `--shared` on a
-# 26-input, 2-output PLA) through `ovo order`, and `ovo tables --k` at 12
+# 26-input, 2-output PLA), and --resume or --checkpoint on a route that
+# keeps no snapshot (`--strategy sift`, `--strategy bnb`, `--shared`)
+# through `ovo order`, and `ovo tables --k` at 12
 # (runs), 13 and 40 (past Table 1's double-precision range), and checks
 # each exit code (an old snapshot must name the version skew, a BLIF
-# error its line and signal, an engine limit the limit) and that no
+# error its line and signal, an engine limit the limit, a refused
+# checkpoint flag the route, with no file written) and that no
 # internal-check text reaches stderr.  Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
@@ -314,6 +319,19 @@ assert run["outcome"] != "complete", run
 assert run["lower_bound"] <= run["nodes"], run
 print(f"zdd: tripped run certifies {run['lower_bound']} <= {run['nodes']}")
 PY
+  # Branch and bound prunes with the same bound (core::completion_bound),
+  # ZDD terms included: it must return fs's node count on the ZDD probe
+  # and on crc_fn as a BDD and as a ZDD.
+  bnb_nodes() {
+    build/tools/ovo order --json "$@" | grep -o '"nodes":[0-9]*,"optimal":true'
+  }
+  [[ "$(bnb_nodes --zdd --strategy bnb "${zdd_fn}")" == '"nodes":5,"optimal":true' ]]
+  for kind_flag in "" --zdd; do
+    want="$(bnb_nodes ${kind_flag} --strategy fs "${crc_fn}")"
+    [[ -n "${want}" ]]
+    [[ "$(bnb_nodes ${kind_flag} --strategy bnb "${crc_fn}")" == "${want}" ]]
+  done
+  echo "bnb: zdd_fn and crc_fn (BDD and ZDD) match fs's node counts"
   echo "==== quick: narrow cells fit a byte limit u32 cells trip ==="
   # The DP stores each layer's tables at the width their ids need, and
   # --mem-limit-mb admits a layer at those widths.  exact-dense's 16-input
@@ -479,7 +497,22 @@ PY
     > "${smoke_dir}/wide.pla"
   expect_cli_error 2 --shared "${smoke_dir}/wide.pla"
   grep -q 'at most 26 are supported' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 27 invocations, no internal-check text"
+  # Only fs and auto snapshot the exact DP: a checkpoint flag on any
+  # other route is a usage error naming it, raised before anything is
+  # written.
+  ckpt_probe="${smoke_dir}/refused.ckpt"
+  expect_refused_ckpt() {
+    local route="$1"
+    shift
+    expect_cli_error 2 "$@" "${smoke_fn}"
+    grep -q "usage error: --[a-z]*: ${route} takes no snapshot" \
+      "${smoke_dir}/cli_err.txt"
+    [[ ! -e "${ckpt_probe}" ]]
+  }
+  expect_refused_ckpt "strategy 'sift'" --strategy sift --resume "${ckpt_probe}"
+  expect_refused_ckpt "strategy 'bnb'" --strategy bnb --checkpoint "${ckpt_probe}"
+  expect_refused_ckpt "--shared" --shared --checkpoint "${ckpt_probe}"
+  echo "typed CLI errors: 30 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
