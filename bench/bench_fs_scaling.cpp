@@ -144,9 +144,9 @@ int main(int argc, char** argv) {
       reorder::AutoMinimizeOptions opt;
       opt.exec.prune = gov_prune;
       const auto r = reorder::minimize_auto(t, budget, opt);
-      // The heuristic stages (sift + restarts) share one memoized cost
-      // oracle, so revisited orders show up as memo hits rather than
-      // repeated chain evaluations.
+      // The heuristic stages (sift + restarts) share one cost oracle; a
+      // sift step that repeats a variable's last step is answered from
+      // the sizes it kept and shows up as memo hits.
       const reorder::OracleStats& os = r.value.oracle;
       std::printf("%3d %12" PRIu64 " %8s %6d %10s %14" PRIu64 " %9" PRIu64
                   " %9" PRIu64 "\n",

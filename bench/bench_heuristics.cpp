@@ -45,7 +45,8 @@ int main() {
         core::fs_minimize(c.t).min_internal_nodes;
     std::vector<int> id(static_cast<std::size_t>(n));
     std::iota(id.begin(), id.end(), 0);
-    // One oracle serves every search: its memo changes no result.
+    // One oracle serves every search; each sizes its candidates from a
+    // prefix chain of its own, so sharing the oracle changes no result.
     reorder::CostOracle oracle(c.t, core::DiagramKind::kBdd);
     const std::uint64_t s = reorder::sift(oracle, id).internal_nodes;
     const std::uint64_t w =

@@ -54,8 +54,11 @@ namespace ovo::core {
 /// insertion positions from one prefix chain, so they differ from a v5
 /// file's for the same fence.  v7 stores each table's cells at
 /// cell_width(next_id) bytes (prefix_table.hpp), with no width field.
-/// Older files load as kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 7;
+/// v8 keeps v7's layout; its seed section holds the counters of a window,
+/// restarts or anneal seed that sizes its candidates from one prefix
+/// chain, with no order memo, so they differ from a v7 file's for the
+/// same fence.  Older files load as kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 8;
 
 /// Binary search in one of the DP's mask-sorted maps (FsStarResult and
 /// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in

@@ -91,7 +91,10 @@ std::uint64_t diagram_size_from_base(const PrefixTable& base,
 /// n·2^{n+1}.  The sizer keeps its tables between calls (the chain, and
 /// one Q table per pool slot) and rebuilds the chain only above the
 /// longest bottom-up prefix a call shares with the one it holds, so a
-/// caller keeps one for a search and no longer.  It also keeps the sizes
+/// caller keeps one for a search and no longer.  The same holds for
+/// whole orders (size): an order that differs from the chain's only at
+/// and above bottom-up level q, such as a window permutation or a
+/// transposition, recompacts only from level q.  It also keeps the sizes
 /// of each variable's last call that sized every position, and answers a
 /// call that repeats it (same variable, same order of the others) from
 /// them without a compaction.  `base` must outlive the sizer.
@@ -106,6 +109,13 @@ class InsertionSizer {
   std::uint64_t size(const std::vector<int>& order_root_first,
                      OpCounter* ops = nullptr,
                      const rt::Governor* gov = nullptr);
+
+  /// The base compacted by the first q variables, bottom-up, of the
+  /// order the last size() call completed (q <= n), or of the other
+  /// variables of the last sizes() call (q <= n - 1).
+  const PrefixTable& level(std::size_t q) const {
+    return q == 0 ? base_ : chain_[q];
+  }
 
   /// Sizes of the orders that insert `var` into `rest_root_first` (the
   /// other n - 1 variables, root first), into `*out` resized to n: entry
@@ -126,9 +136,6 @@ class InsertionSizer {
   /// prefix.  False when `gov` stopped it.
   bool extend(const std::vector<int>& bottom_up, std::size_t len,
               OpCounter* ops, const rt::Governor* gov);
-  const PrefixTable& level(std::size_t q) const {
-    return q == 0 ? base_ : chain_[q];
-  }
 
   const PrefixTable& base_;
   DiagramKind kind_;

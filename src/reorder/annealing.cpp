@@ -22,8 +22,12 @@ AnnealResult simulated_annealing(CostOracle& oracle, std::vector<int> order,
   rt::Governor* gov = ctx.gov;
 
   AnnealResult r;
+  // The search's prefix chain over its latest candidate: a transposition
+  // recompacts only from the lowest level where it differs from that
+  // candidate.
+  core::InsertionSizer sizer(oracle.base(), oracle.kind());
   if (gov != nullptr) gov->charge(oracle.chain_eval_cost());
-  std::uint64_t current = oracle.size_for_order(order);
+  std::uint64_t current = oracle.size_for_order(sizer, order);
   ++r.orders_evaluated;
   r.internal_nodes = current;
   r.order_root_first = order;
@@ -35,9 +39,8 @@ AnnealResult simulated_annealing(CostOracle& oracle, std::vector<int> order,
       if (n < 2) break;
       // Admit the move's evaluation before drawing it, so the RNG
       // stream of a budget-tripped run is a prefix of the unbudgeted
-      // one and the stopping move is deterministic.  The charge happens
-      // whether or not the candidate then hits the memo — memoization
-      // must not change governed outcomes.
+      // one and the stopping move is deterministic.  The charge is a
+      // whole chain's, however few levels the move recompacts.
       if (gov != nullptr && (gov->stopped() ||
                              !gov->admit_work(oracle.chain_eval_cost()))) {
         out_of_budget = true;
@@ -48,7 +51,7 @@ AnnealResult simulated_annealing(CostOracle& oracle, std::vector<int> order,
       std::size_t j = rng.below(static_cast<std::uint64_t>(n));
       if (i == j) j = (j + 1) % static_cast<std::size_t>(n);
       std::swap(order[i], order[j]);
-      const std::uint64_t cand = oracle.size_for_order(order, gov);
+      const std::uint64_t cand = oracle.size_for_order(sizer, order, gov);
       if (cand == core::kAbortedSize) {  // hard stop mid-chain
         std::swap(order[i], order[j]);
         out_of_budget = true;

@@ -28,11 +28,13 @@ struct AnnealResult {
 };
 
 /// Anneals from `initial_order` (root first) over the oracle's function
-/// and kind.  Deterministic given `rng`.  A non-null ctx.gov admits each
-/// move's evaluation cost before drawing it, so a work-limited run stops
-/// after the same move for any thread count and returns the best order
-/// seen so far.  Re-proposed orders — a rejected move re-proposed later,
-/// or a revert-and-retry — hit the oracle's memo.
+/// and kind.  Deterministic given `rng`.  A non-null ctx.gov admits and
+/// charges each move's whole-chain cost before drawing it, so a
+/// work-limited run stops after the same move for any thread count and
+/// returns the best order seen so far.  Each candidate is sized through
+/// oracle.size_for_order over a core::InsertionSizer that lives for this
+/// call, so a transposition recompacts only from the lowest level where
+/// it differs from the last candidate sized.
 AnnealResult simulated_annealing(CostOracle& oracle,
                                  std::vector<int> initial_order,
                                  const AnnealOptions& options,

@@ -13,7 +13,7 @@ namespace ovo::reorder {
 
 namespace {
 
-/// Candidates actually evaluated (or memo-resolved) in a batch.
+/// Candidates actually sized in a batch.
 std::uint64_t evaluated_count(const std::vector<std::uint64_t>& sizes) {
   std::uint64_t c = 0;
   for (const std::uint64_t s : sizes)
@@ -35,8 +35,8 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
   // permutation and advances with next_permutation.  Strict-< folds (both
   // inside a chunk and across chunks, which combine in rank order) keep
   // the first lexicographic minimizer, matching the serial sweep exactly.
-  // The memo is bypassed — all n! orders are distinct — but every chunk
-  // shares the oracle's base table and keeps its own scratch pair.
+  // Every chunk shares the oracle's base table and keeps its own scratch
+  // pair.
   struct ChunkBest {
     std::uint64_t best_rank = 0;
     std::uint64_t best_size = std::numeric_limits<std::uint64_t>::max();
@@ -146,48 +146,46 @@ OrderSearchResult window_permute(CostOracle& oracle, std::vector<int> order,
   OVO_CHECK_MSG(window >= 2 && window <= 5, "window: size must be in [2,5]");
   rt::Governor* gov = ctx.gov;
   OrderSearchResult r;
+  // The search's prefix chain over its latest candidate: a permutation
+  // of root-first positions s..s+window-1 recompacts only the levels
+  // from the window's bottom up.
+  core::InsertionSizer sizer(oracle.base(), oracle.kind());
   if (gov != nullptr) gov->charge(oracle.chain_eval_cost());
-  r.internal_nodes = oracle.size_for_order(order);
+  r.internal_nodes = oracle.size_for_order(sizer, order);
   ++r.orders_evaluated;
   if (window > n) window = n;
+  std::uint64_t perms = 1;
+  for (int i = 2; i <= window; ++i) perms *= static_cast<std::uint64_t>(i);
   bool out_of_budget = false;
   for (int pass = 0; pass < max_passes && !out_of_budget; ++pass) {
     bool improved = false;
     for (int s = 0; s + window <= n; ++s) {
-      // Materialize the window's permutations in lexicographic order,
-      // evaluate them in parallel, and scan serially (first best wins).
-      std::vector<int> slot(order.begin() + s, order.begin() + s + window);
-      std::sort(slot.begin(), slot.end());
-      std::vector<std::vector<int>> slots;
-      do {
-        slots.push_back(slot);
-      } while (std::next_permutation(slot.begin(), slot.end()));
-      std::vector<std::vector<int>> cands;
-      cands.reserve(slots.size());
-      for (const std::vector<int>& sl : slots) {
-        std::vector<int> cand = order;
-        std::copy(sl.begin(), sl.end(), cand.begin() + s);
-        cands.push_back(std::move(cand));
-      }
-      const std::vector<std::uint64_t> sizes =
-          oracle.sizes_for_orders(cands, ctx);
-      const std::uint64_t evaluated = evaluated_count(sizes);
-      r.orders_evaluated += evaluated;
-      std::vector<int> best_slot(order.begin() + s,
-                                 order.begin() + s + window);
+      // Size the window's permutations in lexicographic order, admitted
+      // as whole chains at the window's serial point (first best wins).
+      std::uint64_t admitted = perms;
+      if (gov != nullptr)
+        admitted = gov->admit_charge_batch(oracle.chain_eval_cost(), perms);
+      std::vector<int> cand = order;
+      std::sort(cand.begin() + s, cand.begin() + s + window);
+      std::vector<int> best = order;
       std::uint64_t best_size = r.internal_nodes;
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        if (sizes[i] < best_size) {
-          best_size = sizes[i];
-          best_slot = slots[i];
+      std::uint64_t evaluated = 0;
+      for (; evaluated < admitted; ++evaluated) {
+        const std::uint64_t size = oracle.size_for_order(sizer, cand, gov);
+        if (size == core::kAbortedSize) break;
+        if (size < best_size) {
+          best_size = size;
+          best = cand;
         }
+        std::next_permutation(cand.begin() + s, cand.begin() + s + window);
       }
+      r.orders_evaluated += evaluated;
       if (best_size < r.internal_nodes) {
-        std::copy(best_slot.begin(), best_slot.end(), order.begin() + s);
+        order = std::move(best);
         r.internal_nodes = best_size;
         improved = true;
       }
-      if (gov != nullptr && (gov->stopped() || evaluated < sizes.size())) {
+      if (gov != nullptr && (gov->stopped() || evaluated < perms)) {
         out_of_budget = true;
         break;
       }

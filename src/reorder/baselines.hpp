@@ -34,9 +34,8 @@ inline constexpr int kBruteForceMaxVars = 10;
 /// guarded to n <= kBruteForceMaxVars.  ctx.exec fans the permutation
 /// sweep over the ovo::par pool (chunked by lexicographic rank); the
 /// result is the first lexicographic minimizer for every thread count.
-/// Chains run against oracle.base() with per-chunk scratch buffers (the
-/// memo is bypassed — all n! orders are distinct), and the sweep's work
-/// is recorded in oracle.stats().
+/// Chains run against oracle.base() with per-chunk scratch buffers, and
+/// the sweep's work is recorded in oracle.stats().
 OrderSearchResult brute_force_minimize(CostOracle& oracle,
                                        const EvalContext& ctx = {});
 
@@ -45,9 +44,8 @@ OrderSearchResult brute_force_minimize(CostOracle& oracle,
 /// position of its variable with one oracle.insertion_sizes call over a
 /// core::InsertionSizer that lives for this call (one prefix chain per
 /// step; a step whose other variables' order has not changed since that
-/// variable's last step is answered from its kept sizes).  The memo is
-/// neither read nor written.  ctx.exec parallelizes the per-position
-/// compactions, and the chosen position (first strict best, ties to the
+/// variable's last step is answered from its kept sizes).  ctx.exec
+/// parallelizes the per-position compactions, and the chosen position (first strict best, ties to the
 /// smallest root-first index) is thread-count-independent.
 ///
 /// A non-null ctx.gov budgets the search: every candidate batch is
@@ -61,9 +59,12 @@ OrderSearchResult sift(CostOracle& oracle,
                        int max_passes = 8, const EvalContext& ctx = {});
 
 /// Window permutation: exhaustively permute every window of `window`
-/// adjacent levels, sliding left to right, until a fixpoint.  ctx.exec
-/// parallelizes the per-window candidate evaluations deterministically,
-/// and ctx.gov budgets the search exactly as in sift().
+/// adjacent levels, sliding left to right, until a fixpoint.  Candidates
+/// are sized one after another through oracle.size_for_order over a
+/// core::InsertionSizer that lives for this call, so each recompacts only
+/// from its window's bottom level up; ctx.exec is not read.  ctx.gov
+/// admits each window's batch of window! whole chains at once, exactly as
+/// in sift().
 OrderSearchResult window_permute(CostOracle& oracle,
                                  std::vector<int> initial_order_root_first,
                                  int window, int max_passes = 8,

@@ -16,10 +16,10 @@ namespace ovo::reorder {
 
 /// Unified per-search statistics, replacing the per-algorithm
 /// orders_evaluated / chain-cost counters.  Every size query an algorithm
-/// makes is either answered without computing (memo_hits: from the memo,
-/// or for sift from the sizes a repeated step kept) or actually
-/// evaluated (evals); queries == memo_hits + evals always holds, and
-/// evals < queries is the observable proof that reuse is live.
+/// makes is either answered without computing (memo_hits: sift's
+/// repeated steps, answered from the sizes the step kept) or actually
+/// evaluated (evals); queries == memo_hits + evals holds unless a hard
+/// stop cut an evaluation short.
 struct OracleStats {
   std::uint64_t queries = 0;    ///< size queries answered
   std::uint64_t evals = 0;      ///< size queries actually computed

@@ -22,53 +22,57 @@ ExactWindowResult exact_window(CostOracle& oracle, std::vector<int> order,
   rt::Governor* gov = ctx.gov;
 
   ExactWindowResult r;
+  // The search's prefix chain over its current order: each window reads
+  // the table below it and its current cost from the chain, which
+  // recompacts only from the lowest level an improvement changed.
+  core::InsertionSizer sizer(oracle.base(), oracle.kind());
   if (gov != nullptr) gov->charge(oracle.chain_eval_cost());
-  r.internal_nodes = oracle.size_for_order(order);
+  r.internal_nodes = oracle.size_for_order(sizer, order);
 
   bool out_of_budget = false;
   for (int pass = 0; pass < max_passes && !out_of_budget; ++pass) {
     ++r.passes;
     bool improved = false;
     for (int s = 0; s + window <= n; ++s) {
-      // The setup chains below charge per compaction; the windowed FS*
-      // run pre-admits each DP layer itself.  Either refusal aborts the
-      // window before the order is touched, so the incumbent stays
+      // The window and the levels below it are charged one charge per
+      // level, of the cells compacting that level from oracle.base()
+      // reads, however few levels the chain recompacts, so a budget
+      // trips at the same point whatever the chain reuses; the windowed
+      // FS* run pre-admits each DP layer itself.  Either refusal aborts
+      // the window before the order is touched, so the incumbent stays
       // consistent.
       if (gov != nullptr &&
           (gov->stopped() || !gov->admit_work(oracle.chain_eval_cost()))) {
         out_of_budget = true;
         break;
       }
-      // Prefix table of the levels strictly below the window.
-      core::PrefixTable base = oracle.base();
-      for (int p = n - 1; p >= s + window; --p)
-        base = core::compact(base, order[static_cast<std::size_t>(p)],
-                             oracle.kind(), &r.ops, gov);
-      // Cost of the current arrangement of the window.
-      core::PrefixTable current = base;
-      for (int p = s + window - 1; p >= s; --p)
-        current = core::compact(current,
-                                order[static_cast<std::size_t>(p)],
-                                oracle.kind(), &r.ops, gov);
+      sizer.size(order, &r.ops);
+      const std::size_t below = static_cast<std::size_t>(n - s - window);
+      const std::size_t top = static_cast<std::size_t>(n - s);
+      if (gov != nullptr)
+        for (std::size_t q = 0; q < top; ++q)
+          gov->charge(sizer.level(q).cells.size());
       // Exact optimum over the window's variable set (Lemma 3: levels
       // above the window are unaffected by the within-window order).
       util::Mask J = 0;
       for (int p = s; p < s + window; ++p)
         J |= util::Mask{1} << order[static_cast<std::size_t>(p)];
-      core::FsStarResult dp = core::fs_star(base, J, window, oracle.kind(),
-                                            &r.ops, ctx.exec, gov);
+      core::FsStarResult dp =
+          core::fs_star(sizer.level(below), J, window, oracle.kind(), &r.ops,
+                        ctx.exec, gov);
       if (dp.completed_layers < window) {
         out_of_budget = true;  // budget can no longer fit a window DP
         break;
       }
       std::vector<int> block_bottom_up = core::reconstruct_block_order(dp, J);
-      const core::NarrowTable& best = dp.tables.at(J);
+      const std::uint64_t best = dp.tables.at(J).mincost();
+      const std::uint64_t current = sizer.level(top).mincost();
       ++r.windows_optimized;
-      if (best.mincost() < current.mincost()) {
+      if (best < current) {
         for (int i = 0; i < window; ++i)
           order[static_cast<std::size_t>(s + i)] =
               block_bottom_up[static_cast<std::size_t>(window - 1 - i)];
-        r.internal_nodes -= current.mincost() - best.mincost();
+        r.internal_nodes -= current - best;
         improved = true;
       }
     }

@@ -30,11 +30,14 @@ struct ExactWindowResult {
 
 /// Optimizes `initial_order` (root first) with exact windows of size
 /// `window` (2..16), until a full pass makes no improvement or
-/// `max_passes` is reached.  The initial full-chain evaluation goes
-/// through the (memoized) oracle, the per-window setup chains start from
-/// oracle.base(), and the windowed FS* runs use ctx.exec; the window
-/// DP/compaction work stays in ExactWindowResult::ops.  A non-null
-/// ctx.gov charges every chain compaction and lets the per-window FS* DP
+/// `max_passes` is reached.  The search keeps one core::InsertionSizer
+/// over its current order: the initial evaluation sizes it through the
+/// oracle, each window reads the table below it and its current cost
+/// from the chain, and an improvement recompacts the chain only from the
+/// window's bottom level up.  The windowed FS* runs use ctx.exec; the
+/// window DP and chain work stays in ExactWindowResult::ops.  A non-null
+/// ctx.gov charges each window's setup levels their cells, as compacting
+/// them from oracle.base() would, and lets the per-window FS* DP
 /// pre-admit its layers; a window whose DP cannot complete under the
 /// remaining budget is skipped and the search stops, keeping the
 /// incumbent order.

@@ -70,9 +70,7 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   AutoMinimizeResult& v = out.value;
 
   // One oracle for the whole ladder: its TABLE_{emptyset} feeds the DP,
-  // and every stage counts into its ledger.  Its memo serves the
-  // whole-order searches (the restarts stage, a window, restarts or
-  // anneal seed); sift sizes positions from a prefix chain of its own.
+  // and every stage counts into its ledger.
   CostOracle oracle(f, options.kind);
   EvalContext ctx;
   ctx.exec = options.exec;

@@ -85,9 +85,9 @@ struct AutoMinimizeResult {
   /// lowest member; empty when no two inputs are symmetric.
   std::vector<util::Mask> sym_classes;
   /// Oracle stats of the seed stage and the heuristic stages (3–4),
-  /// which share one oracle: its memo serves the restarts stage and a
-  /// window, restarts or anneal seed, while sift sizes positions from a
-  /// prefix chain of its own and counts a repeated step as memo hits.
+  /// which share one oracle.  Each search sizes its candidates from a
+  /// prefix chain of its own (sift counts a repeated step as memo hits);
+  /// the restarts stage runs one whole chain per order.
   OracleStats oracle;
 };
 
@@ -125,9 +125,7 @@ bool is_prune_seed(std::string_view name);
 
 /// Runs the cheap strategy named `seed` (one of kPruneSeeds) through
 /// `oracle` and returns the best order it found plus its exact size.  The
-/// evaluations count into the shared oracle; those of a window, restarts
-/// or anneal seed land in its memo, where a later heuristic stage
-/// revisiting an order pays a lookup, not a chain.
+/// evaluations count into the shared oracle's stats.
 PruneSeedResult seed_prune_bound(CostOracle& oracle, const std::string& seed,
                                  int max_passes, int restarts,
                                  std::uint64_t rng_seed,

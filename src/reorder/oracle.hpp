@@ -1,45 +1,31 @@
 #pragma once
 // The shared order-cost oracle: every classical ordering search evaluates
-// candidate reading orders through one CostOracle, which owns
+// candidate reading orders through one CostOracle, which owns the base
+// prefix table TABLE_{emptyset} (built once per function) and the
+// unified OracleStats counters.
 //
-//  * the base prefix table TABLE_{emptyset} (built once per function),
-//  * an order-keyed memo cache (ovo::ds::ComputedCache) so repeated
-//    candidates across windows, annealing moves, restarts, and ladder
-//    stages are evaluated once, and
-//  * the unified OracleStats counters.
+// It holds no chain-sized scratch and no memo: every evaluation's tables
+// belong to its call, or to the search that asked.  A local search keeps
+// one core::InsertionSizer over base() for its run, and sizes its
+// neighbours from that prefix chain: sift every insertion position of a
+// variable at once (insertion_sizes), window permutation, annealing and
+// exact windows one whole order at a time (size_for_order), each
+// recompacting only from the lowest level the candidate changes (Lemma
+// 3).  An oracle kept alive beside the exact DP costs the base table
+// only.
 //
-// It holds no chain-sized scratch: every evaluation's tables belong to
-// its call, or to the search that asked (sift's core::InsertionSizer),
-// so an oracle kept alive beside the exact DP costs the base table and
-// the memo only.
-//
-// Sifting asks a different question — the sizes of every insertion
-// position of one variable — and gets it from the search's own
-// InsertionSizer, one prefix chain per step (insertion_sizes).  Those
-// queries neither read nor write the memo.
-//
-// Determinism and budget contract: memoization never changes results or
-// governor accounting.  A memo hit returns exactly the size a fresh
-// evaluation would have computed (keys are lossless, see below), and the
-// governor is charged per *query* — identically to the pre-oracle code —
-// so a governed run trips at the same point whether or not the cache is
-// warm.  Memoization only skips the computation.  insertion_sizes admits
-// and charges each position exactly as sizes_for_orders would the order
-// it sizes.
-//
-// Memo keying: an order is packed into ceil(log2 n) bits per variable,
-// root first, into the cache's 96-bit (uint64, uint32) key.  The packing
-// is injective and the cache compares full keys, so a hit is never a
-// collision.  For n where the packed order exceeds 96 bits (n >= 20 —
-// beyond any practical chain evaluation) the memo silently disables and
-// every query evaluates.
+// Determinism and budget contract: the governor is charged per *query*,
+// at the caller's serial program points, exactly as when every query ran
+// a whole chain, so a governed run admits, charges and polls at the same
+// points whatever the chain reuses.  Reuse only skips computation.
+// insertion_sizes admits and charges each position exactly as
+// sizes_for_orders would the order it sizes.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/minimize.hpp"
 #include "core/prefix_table.hpp"
-#include "ds/computed_cache.hpp"
 #include "reorder/eval_context.hpp"
 #include "rt/budget.hpp"
 #include "tt/truth_table.hpp"
@@ -69,19 +55,16 @@ class CostOracle {
     return core::chain_eval_cost(base_.n);
   }
 
-  /// Internal node count of the diagram under `order_root_first`.
-  /// A non-null `gov` is polled for hard stops: a stopped query returns
-  /// core::kAbortedSize (never memoized).  Work is NOT charged here —
-  /// callers admit/charge at their serial program points, exactly as
-  /// before the oracle existed.
-  std::uint64_t size_for_order(const std::vector<int>& order_root_first,
-                               const rt::Governor* gov = nullptr);
-
-  /// The same size from `sizer`, the searching caller's prefix chain
-  /// over base(): one query and one eval, with the memo neither read nor
-  /// written.  Work is not charged.
+  /// Internal node count of the diagram under `order_root_first`, from
+  /// `sizer`, the searching caller's prefix chain over base(), which then
+  /// holds that order's chain.  A non-null `gov` is polled for hard
+  /// stops: a call made stopped, or stopped mid-chain, returns
+  /// core::kAbortedSize and is no eval; one made stopped is no query
+  /// either.  Work is not charged: callers admit and charge at their
+  /// serial program points.
   std::uint64_t size_for_order(core::InsertionSizer& sizer,
-                               const std::vector<int>& order_root_first);
+                               const std::vector<int>& order_root_first,
+                               const rt::Governor* gov = nullptr);
 
   /// Sizes of the n orders that insert `var` into `rest_root_first` (the
   /// other variables, root first) at root-first positions 0..n-1 — the
@@ -94,20 +77,19 @@ class CostOracle {
   /// position of a call a hard stop cut short, hold core::kAbortedSize.
   /// Each admitted position counts as one query, and as one eval, or as
   /// one memo hit when the sizer answers a repeated call from the sizes
-  /// it kept.  The memo is neither read nor written.
+  /// it kept.
   std::vector<std::uint64_t> insertion_sizes(
       core::InsertionSizer& sizer, const std::vector<int>& rest_root_first,
       int var, const EvalContext& ctx);
 
-  /// Batch evaluation of candidate orders, fanned out as one parallel
-  /// region on the ovo::par thread pool, preserving the pre-oracle
-  /// semantics bit for bit: with ctx.gov the batch is first
-  /// truncated — serially — to the prefix the remaining work budget
-  /// admits (chain_eval_cost() units per candidate, charged whether or
-  /// not the candidate later hits the memo), then memo hits are resolved
-  /// serially and only the misses fan out (one candidate per chunk).
-  /// Entries not admitted or hard-stopped mid-chain hold
-  /// core::kAbortedSize, which no selection scan can pick as a best.
+  /// Batch evaluation of unrelated candidate orders (random restarts),
+  /// fanned out as one parallel region on the ovo::par thread pool, one
+  /// whole chain per candidate: with ctx.gov the batch is first
+  /// truncated, serially, to the prefix the remaining work budget admits
+  /// (chain_eval_cost() units per candidate).  Every admitted candidate
+  /// is one query, and one eval when its chain completes.  Entries not
+  /// admitted or hard-stopped mid-chain hold core::kAbortedSize, which
+  /// no selection scan can pick as a best.
   std::vector<std::uint64_t> sizes_for_orders(
       const std::vector<std::vector<int>>& candidates,
       const EvalContext& ctx);
@@ -116,14 +98,8 @@ class CostOracle {
   const OracleStats& stats() const { return stats_; }
 
  private:
-  /// Packs an order into the memo key; false when the memo is disabled.
-  bool pack_key(const std::vector<int>& order, std::uint64_t* a,
-                std::uint32_t* b) const;
-
   core::DiagramKind kind_;
   core::PrefixTable base_;
-  int bits_per_var_ = 0;  ///< 0 = memo disabled (packed order > 96 bits)
-  ds::ComputedCache memo_;
   OracleStats stats_;
 };
 

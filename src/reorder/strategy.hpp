@@ -11,8 +11,8 @@
 // Every strategy reports through the same StrategyResult: the order
 // found, its exact size, whether optimality was proven, the governed
 // outcome, and the unified OracleStats counters (size queries, actual
-// chain evaluations, memo hits, table cells — plus the quantum
-// minimum-finder mirror).
+// evaluations, queries answered without one, table cells — plus the
+// quantum minimum-finder mirror).
 
 #include <cstdint>
 #include <string>

@@ -46,6 +46,7 @@ TEST_P(BnbVsFs, WarmStartFromSifting) {
 void expect_bnb_finds(CostOracle& oracle, std::uint64_t opt) {
   std::vector<int> id(static_cast<std::size_t>(oracle.num_vars()));
   std::iota(id.begin(), id.end(), 0);
+  core::InsertionSizer sizer(oracle.base(), oracle.kind());
   for (const int threads : {1, 4}) {
     EvalContext ctx;
     ctx.exec.num_threads = threads;
@@ -56,7 +57,7 @@ void expect_bnb_finds(CostOracle& oracle, std::uint64_t opt) {
       const BnbResult r = branch_and_bound_minimize(oracle, upper, ctx);
       EXPECT_TRUE(r.complete);
       EXPECT_EQ(r.internal_nodes, opt);
-      EXPECT_EQ(oracle.size_for_order(r.order_root_first), opt);
+      EXPECT_EQ(oracle.size_for_order(sizer, r.order_root_first), opt);
     }
   }
 }

@@ -1354,7 +1354,7 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
   }
 }
 
-// Framed v7 snapshots checked in under the corpus: the format is pinned,
+// Framed v8 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
@@ -1367,13 +1367,13 @@ std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV7FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 7);
+TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 8);
   {
     const std::string path =
-        corpus_snapshot("valid_v7_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v8_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 7, 7).payload;
+        rt::load_checkpoint(path, 8, 8).payload;
     FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(reencode(snap), payload);
@@ -1393,9 +1393,9 @@ TEST(FsSnapshot, CheckedInV7FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v7_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v8_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 7, 7).payload;
+        rt::load_checkpoint(path, 8, 8).payload;
     FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
     EXPECT_EQ(snap.seed_name, "sift");
@@ -1426,8 +1426,8 @@ TEST(FsSnapshot, CheckedInV7FixturesStayCompatible) {
   }
 }
 
-// The v2 to v6 fixtures earlier encoders wrote stay in the corpus: they
-// load as a typed version skew, never as a misparsed v7 payload.
+// The v2 to v7 fixtures earlier encoders wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v8 payload.
 TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
   const struct {
     const char* name;
@@ -1441,7 +1441,9 @@ TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
                   {"valid_v5_dense_hwb6_layer3.bin", 5},
                   {"valid_v5_pruned_adder6_layer3.bin", 5},
                   {"valid_v6_dense_hwb6_layer3.bin", 6},
-                  {"valid_v6_pruned_adder6_layer3.bin", 6}};
+                  {"valid_v6_pruned_adder6_layer3.bin", 6},
+                  {"valid_v7_dense_hwb6_layer3.bin", 7},
+                  {"valid_v7_pruned_adder6_layer3.bin", 7}};
   for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
     EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)

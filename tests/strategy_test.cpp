@@ -4,13 +4,14 @@
 // The pins hard-code the results every algorithm produced *before* the
 // CostOracle refactor (same function, same seeds), at thread counts 1
 // and 4: the refactor's contract is bit-identical orders, sizes, and
-// tie-breaks, with memoization changing only how much work runs, never
-// what comes out.
+// tie-breaks, with reuse (the kept prefix chains) changing only how much
+// work runs, never what comes out.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -373,30 +374,16 @@ TEST(CostOracle, MemoDeterminismAcrossThreadCounts) {
   }
 }
 
-TEST(CostOracle, MemoNeverLies) {
-  // Every memoized answer must equal a fresh evaluation.
-  const tt::TruthTable f = pin_function();
-  CostOracle memoized(f, core::DiagramKind::kBdd);
-  std::vector<Order> orders;
-  Order o = identity(7);
-  for (int i = 0; i < 50; ++i) {  // successive permutations: all distinct
-    orders.push_back(o);
-    std::next_permutation(o.begin(), o.end());
-  }
-  for (int round = 0; round < 2; ++round)  // second round is all hits
-    for (const Order& o : orders)
-      EXPECT_EQ(memoized.size_for_order(o),
-                core::diagram_size_for_order(f, o));
-  EXPECT_EQ(memoized.stats().evals, memoized.stats().queries / 2);
-  EXPECT_GE(memoized.stats().memo_hits, 50u);
-}
-
 // Sifting's insertion sizes come from one prefix chain and the level
 // deltas of Lemma 3.  Each must equal a whole chain of the order it
 // sizes, for every kind, every variable and random orders, at one and at
 // four threads (from n = 12 on the positions fan out over the pool;
 // smaller n size them on the calling thread), and a governed call sizes
-// exactly the admitted root-first prefix.
+// exactly the admitted root-first prefix.  Window permutation, annealing
+// and exact windows size whole orders through one kept chain, which
+// recompacts only above the lowest level a candidate changes: every
+// window-3 permutation of each order and a walk of random transpositions
+// from it, sized through one sizer, must equal whole chains too.
 TEST(CostOracle, InsertionSizesEqualWholeChains) {
   util::Xoshiro256 rng(27);
   const auto shuffled = [&](int n) {
@@ -422,10 +409,38 @@ TEST(CostOracle, InsertionSizesEqualWholeChains) {
       // calls reuse chain prefixes and repeat whole calls.
       core::InsertionSizer sizers[2] = {{oracle.base(), kind},
                                         {oracle.base(), kind}};
+      core::InsertionSizer whole(oracle.base(), kind);
       core::PrefixTable cur, next;
+      const auto expect_whole_chain = [&](const Order& cand) {
+        const OracleStats before = oracle.stats();
+        ASSERT_EQ(oracle.size_for_order(whole, cand),
+                  core::diagram_size_from_base(oracle.base(), cand, kind,
+                                               cur, next))
+            << testing::PrintToString(cand);
+        EXPECT_EQ(oracle.stats().queries, before.queries + 1);
+        EXPECT_EQ(oracle.stats().evals, before.evals + 1);
+      };
       const int orders = n <= 12 ? 3 : 1;
       for (int trial = 0; trial < orders; ++trial) {
         const Order order = shuffled(n);
+        const int w = std::min(n, 3);
+        for (int s = 0; s + w <= n; ++s) {
+          Order cand = order;
+          std::sort(cand.begin() + s, cand.begin() + s + w);
+          do {
+            expect_whole_chain(cand);
+          } while (std::next_permutation(cand.begin() + s,
+                                         cand.begin() + s + w));
+        }
+        Order walk = order;
+        for (int move = 0; move < 2 * n && n > 1; ++move) {
+          const std::size_t i = rng.below(static_cast<std::uint64_t>(n));
+          const std::size_t j =
+              (i + 1 + rng.below(static_cast<std::uint64_t>(n - 1))) %
+              static_cast<std::size_t>(n);
+          std::swap(walk[i], walk[j]);
+          expect_whole_chain(walk);
+        }
         for (int v = 0; v < n; ++v) {
           Order rest = order;
           rest.erase(std::find(rest.begin(), rest.end(), v));
@@ -550,9 +565,87 @@ TEST(SiftGoverned, TripsWhereChainPerCandidateSiftTripped) {
   }
 }
 
+// Window permutation, annealing and exact windows are governed exactly as
+// before they sized candidates from one kept prefix chain: window admits
+// and charges each window's batch of whole chains at one serial point,
+// annealing admits and charges each move before drawing it, and exact
+// windows charge each setup level its cells.  On the scrambled adder
+// carry(16) above, work limits that cut a window's batch mid-way, refuse
+// an anneal move or leave no room for a window DP, and cancels at
+// governor polls, return the order, size, outcome and work of the
+// chain-per-candidate searches, at one and at four threads.
+TEST(LocalSearchGoverned, TripsWhereChainPerCandidateSearchTripped) {
+  Order perm = identity(16);
+  util::Xoshiro256 rng(27);
+  for (int i = 15; i > 0; --i)
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  const tt::TruthTable f = tt::adder_carry(16).permute_inputs(perm);
+  const std::uint64_t chain = core::chain_eval_cost(16);
+  const Order start = identity(16);
+  const struct {
+    const char* strategy;
+    std::uint64_t limit;  ///< work limit, or 0 for a cancel at `poll`
+    std::uint64_t poll;
+    std::uint64_t nodes, work;
+    Order order;
+  } pins[] = {
+      {"window", chain * 8, 0, 175, 1048560, start},
+      {"window", chain * 41, 0, 129, 5373870,
+       {0, 1, 2, 5, 6, 4, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+      {"window", 0, 5, 175, 2490330, start},
+      {"window", 0, 9, 129, 5636010,
+       {0, 1, 2, 5, 6, 4, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+      {"window", 0, 30, 41, 22150830,
+       {0, 2, 5, 1, 6, 4, 10, 8, 9, 3, 13, 15, 7, 12, 11, 14}},
+      {"anneal", chain * 50 + 7, 0, 41, 6553500,
+       {5, 2, 12, 3, 13, 7, 1, 0, 10, 6, 9, 8, 15, 4, 14, 11}},
+      {"anneal", chain * 300, 0, 38, 39321000,
+       {2, 5, 7, 12, 13, 3, 1, 6, 8, 9, 15, 10, 0, 4, 14, 11}},
+      {"anneal", 0, 9, 164, 655350,
+       {0, 6, 2, 3, 4, 5, 1, 7, 8, 9, 10, 12, 11, 13, 14, 15}},
+      {"anneal", 0, 30, 89, 1966050,
+       {0, 12, 2, 3, 13, 7, 1, 5, 8, 10, 9, 6, 4, 15, 14, 11}},
+      {"exact-window", 1000000, 0, 129, 920778,
+       {0, 1, 2, 5, 6, 4, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+      {"exact-window", 6000000, 0, 32, 5916896,
+       {2, 5, 1, 6, 0, 10, 8, 9, 4, 3, 13, 15, 7, 12, 11, 14}},
+      {"exact-window", 0, 5, 175, 262140, start},
+      {"exact-window", 0, 200, 129, 1185994,
+       {0, 1, 2, 5, 6, 4, 3, 7, 8, 9, 10, 11, 12, 13, 14, 15}}};
+  const StrategyOptions opt;
+  for (const int threads : {1, 4}) {
+    par::ExecPolicy exec;
+    exec.num_threads = threads;
+    for (const auto& pin : pins) {
+      SCOPED_TRACE(testing::Message()
+                   << pin.strategy << " threads " << threads << " limit "
+                   << pin.limit << " poll " << pin.poll);
+      rt::CancelToken token;
+      rt::FaultPlan plan;
+      plan.cancel_at_checkpoint = pin.poll;
+      plan.cancel = &token;
+      std::optional<rt::ScopedFaultPlan> scoped;
+      rt::Budget budget = rt::Budget::with_work_limit(pin.limit);
+      if (pin.limit == 0) {
+        scoped.emplace(plan);
+        budget.cancel = &token;
+      }
+      const StrategyResult r =
+          run_governed(pin.strategy, f, opt, exec, budget);
+      EXPECT_EQ(r.internal_nodes, pin.nodes);
+      EXPECT_EQ(r.run.work_units, pin.work);
+      EXPECT_EQ(r.order_root_first, pin.order);
+      EXPECT_EQ(r.outcome, pin.limit == 0 ? rt::Outcome::kCancelled
+                                          : rt::Outcome::kDeadline);
+      EXPECT_EQ(r.oracle.memo_hits, 0u);
+    }
+  }
+}
+
 TEST(LadderMemoization, SiftStepsCountAdmittedPositions) {
-  // Sift sizes each step's n insertion positions from one prefix chain
-  // and never touches the memo.  Every admitted position is one query:
+  // Sift sizes each step's n insertion positions from one prefix chain.
+  // Every admitted position is one query:
   // an eval when the step compacts, a memo hit when the variable's
   // other-variable order is unchanged since its last step (the sizes it
   // kept answer it).  The incumbent is one query and one eval.
@@ -569,7 +662,7 @@ TEST(LadderMemoization, SiftStepsCountAdmittedPositions) {
 
   // The budgeted ladder's stage-3 sift: its incumbent and one whole step
   // fit the budget, the next step is admitted nothing, and the restarts
-  // stage gets no work; no position reaches the memo.
+  // stage gets no work; no position is a memo hit.
   const auto a = minimize_auto(f, rt::Budget::with_work_limit(3000));
   EXPECT_EQ(a.stats.work_units, 2928u);
   EXPECT_EQ(a.value.oracle.queries, 1u + 7u);

@@ -43,13 +43,20 @@
 #      variables, bad numeric flag values, an unknown --prune-seed,
 #      --strategy or --engine name, a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
-#      signal and its line — a v2 or v3 snapshot exits 3 naming the
+#      signal and its line — a v2, v3 or v7 snapshot exits 3 naming the
 #      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
 #      runs, and `--strategy brute` over 11 variables, `--strategy
 #      dynamic --zdd` and `--shared` on a 26-input, 2-output PLA exit 2
-#      naming the limit, and --resume or --checkpoint with `--strategy
-#      sift`, `--strategy bnb` or `--shared` exits 2 naming the route and
-#      writes no file, never with internal-check text), plus the `ovo order
+#      naming the limit, --resume, --checkpoint, --checkpoint-every or
+#      --prune-seed with `--strategy sift`, `--strategy bnb`, `--strategy
+#      quantum` or `--shared`, and --prune with a strategy that runs no
+#      FS* DP, exit 2 naming the flag and the route and write no file,
+#      and an unknown flag of `size`, `compare`, `tables` or `dot` exits
+#      2, never with internal-check text), plus the window, anneal and
+#      exact-window pins (each sizes candidates from one kept prefix
+#      chain: a 14-variable formula as a BDD and a ZDD prints the pinned
+#      nodes, work and order with no memo hit at --threads 1 and 4),
+#      plus the `ovo order
 #      --trace` Chrome trace-event smoke (including a checkpointed run
 #      whose fs.checkpoint spans carry each frame's `bytes` and whose
 #      commits are fs.checkpoint.write spans on the writer's own lane),

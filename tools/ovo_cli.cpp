@@ -52,10 +52,14 @@
 // digits ("-5", "4x", "abc" are usage errors naming the flag), an input
 // past an engine's limit (`--strategy brute` over more than 10
 // variables, `--strategy dynamic --zdd`, `--shared` needing more than 26
-// variables) is a usage error naming the limit, and so is --checkpoint
-// or --resume with --shared or a strategy other than fs and auto, which
-// keep no snapshot.  An input that cannot be read or parsed is a typed
-// error (exit 1).
+// variables) is a usage error naming the limit.  So is a flag only the
+// exact DP reads on a route that runs none, named with the route:
+// --checkpoint, --checkpoint-every, --resume or --prune-seed with
+// --shared or a strategy other than fs and auto, and --prune with a
+// strategy that runs no FS* DP (all but fs, auto, exact-window and
+// quantum; --shared prunes too).  An unknown flag, or a flag missing its
+// value, is a usage error in every subcommand.  An input that cannot be
+// read or parsed is a typed error (exit 1).
 //
 // <input> is one of:
 //   - a path ending in .pla  (Berkeley PLA; first output used unless
@@ -353,6 +357,11 @@ int cmd_order(const std::vector<std::string>& args) {
   par::ExecPolicy exec;
   par::PruneMode prune = par::PruneMode::kOff;
   std::string prune_seed = "sift";
+  // The flags only the exact DP reads, when given: a route that runs no
+  // DP refuses them.
+  bool prune_given = false;
+  bool prune_seed_given = false;
+  bool checkpoint_every_given = false;
   std::string json_out;
   std::string trace_path;
   std::string checkpoint_path;
@@ -385,12 +394,12 @@ int cmd_order(const std::vector<std::string>& args) {
       } else if (mode == "bounds") {
         prune = par::PruneMode::kBounds;
       } else {
-        std::fprintf(stderr, "--prune: expected off|bounds, got '%s'\n",
-                     mode.c_str());
-        return 2;
+        throw UsageError("--prune: expected off|bounds, got '" + mode + "'");
       }
+      prune_given = true;
     } else if (args[i] == "--prune-seed" && i + 1 < args.size()) {
       prune_seed = args[++i];
+      prune_seed_given = true;
       if (!reorder::is_prune_seed(prune_seed)) {
         std::string names;
         for (const std::string_view s : reorder::kPruneSeeds)
@@ -416,6 +425,7 @@ int cmd_order(const std::vector<std::string>& args) {
       checkpoint_path = args[++i];
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
       checkpoint_every = parse_int_flag("--checkpoint-every", args[++i], 1);
+      checkpoint_every_given = true;
     } else if (args[i] == "--resume" && i + 1 < args.size()) {
       resume_path = args[++i];
     } else if (args[i] == "--fault-cancel-at" && i + 1 < args.size()) {
@@ -430,14 +440,11 @@ int cmd_order(const std::vector<std::string>& args) {
       const std::size_t colon = spec.find(':');
       rt::FaultSite site = rt::FaultSite::kCount;
       if (colon == std::string::npos ||
-          !rt::parse_fault_site(spec.substr(0, colon).c_str(), &site)) {
-        std::fprintf(stderr,
-                     "--fault-fileop: expected SITE:N (sites: file_open, "
-                     "file_read, file_write, file_fsync, file_rename, "
-                     "file_close, file_unlink), got '%s'\n",
-                     spec.c_str());
-        return 2;
-      }
+          !rt::parse_fault_site(spec.substr(0, colon).c_str(), &site))
+        throw UsageError(
+            "--fault-fileop: expected SITE:N (sites: file_open, file_read, "
+            "file_write, file_fsync, file_rename, file_close, "
+            "file_unlink), got '" + spec + "'");
       fault_schedule.fail_nth(
           site, parse_u64_flag("--fault-fileop", spec.substr(colon + 1)));
       fault_requested = true;
@@ -507,9 +514,10 @@ int cmd_order(const std::vector<std::string>& args) {
   if (fault_requested) fault.emplace(fault_schedule);
 
   // --engine is a plain alias of --strategy; --strategy wins when both
-  // are given.  An unknown name, or a checkpoint flag on a route that
-  // writes and reads no snapshot, is the user's error, found before the
-  // input is read.
+  // are given.  An unknown name, or a flag only the exact DP reads on a
+  // route that runs none (a checkpoint flag where no snapshot is kept, a
+  // prune seed where no pruned ladder runs, --prune where no FS* DP
+  // runs), is the user's error, found before the input is read.
   const reorder::Strategy* strategy = nullptr;
   if (!shared) {
     if (strategy_name.empty()) {
@@ -523,12 +531,27 @@ int cmd_order(const std::vector<std::string>& args) {
       throw UsageError("--strategy: unknown strategy '" + strategy_name +
                        "' (see ovo --list-strategies)");
   }
-  if ((!checkpoint_path.empty() || !resume_path.empty()) &&
-      (shared || (strategy_name != "fs" && strategy_name != "auto")))
-    throw UsageError(
-        std::string(checkpoint_path.empty() ? "--resume" : "--checkpoint") +
-        ": " + (shared ? "--shared" : "strategy '" + strategy_name + "'") +
-        " takes no snapshot; only the fs and auto strategies checkpoint");
+  const std::string route =
+      shared ? "--shared" : "strategy '" + strategy_name + "'";
+  const bool ladder =
+      !shared && (strategy_name == "fs" || strategy_name == "auto");
+  const char* snapshot_flag = !checkpoint_path.empty() ? "--checkpoint"
+                              : !resume_path.empty()   ? "--resume"
+                              : checkpoint_every_given ? "--checkpoint-every"
+                                                       : nullptr;
+  if (!ladder && snapshot_flag != nullptr)
+    throw UsageError(std::string(snapshot_flag) + ": " + route +
+                     " takes no snapshot; only the fs and auto strategies "
+                     "checkpoint");
+  if (!ladder && prune_seed_given)
+    throw UsageError("--prune-seed: " + route +
+                     " takes no prune seed; only the fs and auto strategies "
+                     "seed a pruned DP");
+  if (prune_given && !ladder && !shared && strategy_name != "exact-window" &&
+      strategy_name != "quantum")
+    throw UsageError("--prune: " + route +
+                     " runs no FS* DP; only fs, auto, exact-window, quantum "
+                     "and --shared prune");
   const LoadedInput loaded = load_input(*input);
   check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());
@@ -620,6 +643,8 @@ int cmd_size(const std::vector<std::string>& args) {
       kind = core::DiagramKind::kZdd;
     } else if (args[i] == "--order" && i + 1 < args.size()) {
       order_spec = args[++i];
+    } else if (args[i].rfind("--", 0) == 0) {
+      throw UsageError("size: unknown flag or missing value: " + args[i]);
     } else {
       input = args[i];
     }
@@ -649,6 +674,8 @@ int cmd_compare(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
       exec = parse_threads(args[++i]);
+    } else if (args[i].rfind("--", 0) == 0) {
+      throw UsageError("compare: unknown flag or missing value: " + args[i]);
     } else {
       input = args[i];
     }
@@ -694,9 +721,11 @@ int cmd_tables(const std::vector<std::string>& args) {
                          "its digits past k = " +
                          std::to_string(kMaxTablesK) + ")");
       }
-    }
-    if (args[i] == "--iters" && i + 1 < args.size())
+    } else if (args[i] == "--iters" && i + 1 < args.size()) {
       iters = parse_int_flag("--iters", args[++i], 1);
+    } else {
+      throw UsageError("tables: unknown flag or missing value: " + args[i]);
+    }
   }
   std::printf("Table 1 (gamma_k):\n");
   for (int kk = 1; kk <= k; ++kk) {
@@ -712,6 +741,9 @@ int cmd_tables(const std::vector<std::string>& args) {
 }
 
 int cmd_dot(const std::vector<std::string>& args) {
+  for (const std::string& a : args)
+    if (a.rfind("--", 0) == 0)
+      throw UsageError("dot: unknown flag: " + a);
   if (args.size() != 1) throw UsageError("dot: exactly one input");
   const LoadedInput loaded = load_input(args[0]);
   const tt::TruthTable& f = loaded.outputs.front();

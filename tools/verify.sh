@@ -59,23 +59,29 @@
 # symmetric pairs must print their pinned order, nodes and work_units at
 # --threads 1 and 4 (sift sizes each step's positions from one prefix
 # chain; its results and governor work are those of one chain per
-# position), and a formula of more than 128 KiB read from standard input
-# (`-`) must print what its short equivalent prints.  It runs
+# position), and so must `--strategy window`, `anneal` and
+# `exact-window` on it, as a BDD and as a ZDD, with no memo hit (each
+# sizes its candidates from one kept prefix chain), and a formula of
+# more than 128 KiB read from standard input (`-`) must print what its
+# short equivalent prints.  It runs
 # malformed formulas (also on standard input, and an empty one), a
 # formula over more than 26 variables, bad numeric
 # flag values, an unknown --prune-seed, --strategy or --engine name, a
 # missing input file, BLIF
-# netlists with an undefined signal or a combinational cycle, a v2
-# and a v3 snapshot, and inputs past an engine's limit (`--strategy
+# netlists with an undefined signal or a combinational cycle, a v2, a
+# v3 and a v7 snapshot, and inputs past an engine's limit (`--strategy
 # brute` over 11 variables, `--strategy dynamic --zdd`, `--shared` on a
-# 26-input, 2-output PLA), and --resume or --checkpoint on a route that
-# keeps no snapshot (`--strategy sift`, `--strategy bnb`, `--shared`)
-# through `ovo order`, and `ovo tables --k` at 12
+# 26-input, 2-output PLA), --resume, --checkpoint or --checkpoint-every
+# on a route that keeps no snapshot (`--strategy sift`, `--strategy
+# bnb`, `--shared`), --prune-seed on a route other than fs and auto,
+# --prune on a strategy that runs no FS* DP, and malformed --prune and
+# --fault-fileop values through `ovo order`, an unknown flag of `ovo
+# size`, `compare`, `tables` and `dot`, and `ovo tables --k` at 12
 # (runs), 13 and 40 (past Table 1's double-precision range), and checks
 # each exit code (an old snapshot must name the version skew, a BLIF
 # error its line and signal, an engine limit the limit, a refused
-# checkpoint flag the route, with no file written) and that no
-# internal-check text reaches stderr.  Quick mode
+# DP-only flag the flag and the route, with no file written) and that
+# no internal-check text reaches stderr.  Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps; with --checkpoint, every fs.checkpoint span carries a
@@ -411,6 +417,28 @@ PY
       "${crc_fn}" | grep -q "${pruned_pin}"
   done
   echo "sift: crc_fn's sift and pruned runs match their pins at 1 and 4 threads"
+  echo "==== quick: window, anneal and exact windows keep results ="
+  # Window permutation, annealing and exact windows size their candidates
+  # from one kept prefix chain, where each candidate used to run a whole
+  # chain through an order memo.  Their orders, sizes and governor work
+  # must not move, and no query is a memo hit: each strategy on crc_fn,
+  # as a BDD and as a ZDD, prints its pinned nodes, work_units and order
+  # with "oracle_memo_hits":0 at threads 1 and 4.
+  pin_order='"order":\[1,8,2,9,3,10,4,11,5,12,6,13,7,14\]'
+  for pin in "window||15|9469374|${pin_order}" \
+             "window|--zdd|33|9469374|${pin_order}" \
+             "anneal||15|39351966|\"order\":\[2,9,1,8,7,14,11,4,12,5,10,3,13,6\]" \
+             "anneal|--zdd|33|39351966|\"order\":\[13,6,8,1,3,10,11,4,5,12,14,7,9,2\]" \
+             "exact-window||15|2146332|${pin_order}" \
+             "exact-window|--zdd|33|2146332|${pin_order}"; do
+    IFS='|' read -r strategy kind_flag nodes work order <<< "${pin}"
+    for t in 1 4; do
+      build/tools/ovo order --json --threads "${t}" --strategy "${strategy}" \
+        ${kind_flag} "${crc_fn}" \
+        | grep -q "\"nodes\":${nodes},.*\"work_units\":${work},.*\"oracle_memo_hits\":0,.*${order}"
+    done
+  done
+  echo "window, anneal, exact-window: crc_fn (BDD and ZDD) match their pins"
   echo "==== quick: a formula on standard input ===================="
   # `-` reads the formula from standard input, so a formula longer than
   # the 128 KiB one argument may hold reaches the CLI: 11,000 copies of
@@ -480,7 +508,8 @@ PY
   expect_cli_error 2 --engine bogus "${smoke_fn}"
   grep -q 'usage error: --engine' "${smoke_dir}/cli_err.txt"
   for old_snapshot in valid_dense_hwb6_layer3.bin \
-                      valid_v3_dense_hwb6_layer3.bin; do
+                      valid_v3_dense_hwb6_layer3.bin \
+                      valid_v7_dense_hwb6_layer3.bin; do
     expect_cli_error 3 --resume \
       "tests/data/corpus/snapshot/${old_snapshot}" "${smoke_fn}"
     grep -q 'version skew' "${smoke_dir}/cli_err.txt"
@@ -512,7 +541,45 @@ PY
   expect_refused_ckpt "strategy 'sift'" --strategy sift --resume "${ckpt_probe}"
   expect_refused_ckpt "strategy 'bnb'" --strategy bnb --checkpoint "${ckpt_probe}"
   expect_refused_ckpt "--shared" --shared --checkpoint "${ckpt_probe}"
-  echo "typed CLI errors: 30 invocations, no internal-check text"
+  # The other flags only the exact DP reads are refused the same way on a
+  # route that runs none: --checkpoint-every and --prune-seed on any
+  # route but fs and auto, --prune where no FS* DP runs.  Each names the
+  # flag and the route, and writes no --json-out file.
+  json_probe="${smoke_dir}/refused.json"
+  expect_refused_flag() {
+    local flag="$1" route="$2"
+    shift 2
+    expect_cli_error 2 --json-out "${json_probe}" "$@" "${smoke_fn}"
+    grep -q "usage error: ${flag}: ${route} " "${smoke_dir}/cli_err.txt"
+    [[ ! -e "${json_probe}" ]]
+  }
+  expect_refused_flag --prune-seed "strategy 'sift'" \
+    --strategy sift --prune bounds --prune-seed anneal
+  expect_refused_flag --checkpoint-every "strategy 'bnb'" \
+    --strategy bnb --checkpoint-every 3
+  expect_refused_flag --prune-seed "strategy 'quantum'" \
+    --strategy quantum --prune-seed window
+  expect_refused_flag --prune-seed --shared --shared --prune-seed anneal
+  expect_refused_flag --checkpoint-every --shared --shared --checkpoint-every 2
+  expect_refused_flag --prune "strategy 'window'" --strategy window --prune bounds
+  expect_refused_flag --prune "strategy 'dynamic'" --strategy dynamic --prune off
+  # Malformed --prune and --fault-fileop values, and an unknown flag of
+  # any subcommand, print the usage error and the usage text.
+  expect_cli_error 2 --prune bogus "${smoke_fn}"
+  grep -q "usage error: --prune: expected off|bounds" "${smoke_dir}/cli_err.txt"
+  expect_cli_error 2 --fault-fileop bogus:1 "${smoke_fn}"
+  grep -q "usage error: --fault-fileop: expected SITE:N" \
+    "${smoke_dir}/cli_err.txt"
+  expect_exit 2 size --order 1,2 --bogus "x1 & x2"
+  grep -q "usage error: size: unknown flag" "${smoke_dir}/cli_err.txt"
+  expect_exit 2 compare --bogus "x1 & x2"
+  grep -q "usage error: compare: unknown flag" "${smoke_dir}/cli_err.txt"
+  expect_exit 2 tables --bogus 3
+  grep -q "usage error: tables: unknown flag" "${smoke_dir}/cli_err.txt"
+  expect_exit 2 dot --zdd
+  grep -q "usage error: dot: unknown flag" "${smoke_dir}/cli_err.txt"
+  grep -q '^usage:' "${smoke_dir}/cli_err.txt"
+  echo "typed CLI errors: 44 invocations, no internal-check text"
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
