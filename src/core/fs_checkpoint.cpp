@@ -263,11 +263,17 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
   const std::uint64_t seed_len = r.array_count(4);
   if (seed_len > 64) malformed("seed order longer than 64 variables");
   s.seed_order.reserve(static_cast<std::size_t>(seed_len));
+  util::Mask seeded = 0;
   for (std::uint64_t i = 0; i < seed_len; ++i) {
     const std::uint32_t v = r.u32();
     if (v >= fp.n) malformed("seed order variable out of range");
+    seeded |= util::Mask{1} << v;
     s.seed_order.push_back(static_cast<int>(v));
   }
+  // A resumed pruned run may return its seed order as the answer.
+  if (seed_len != 0 &&
+      (seeded != fp.block || seed_len != static_cast<std::uint64_t>(j_size)))
+    malformed("seed order is not a permutation of the block");
   s.counters = decode_counters(r);
   s.seed_counters = decode_counters(r);
 

@@ -145,10 +145,13 @@ struct FsStarSnapshot {
   /// one fs.prune.* group here is exactly the run's prune ledger.
   obs::Ledger counters;
 
-  /// Provenance: the heuristic order that seeded the incumbent (root
-  /// first; empty in dense mode), its RNG seed, and the seed strategy
-  /// name.  Lets a resumed ladder skip its seeding stage yet keep the
-  /// seed order as a salvage candidate.
+  /// Provenance: the heuristic order that seeded the incumbent (the
+  /// order fs_star was handed, root first; empty in dense mode and for a
+  /// self-seeded incumbent, else a permutation of the block), its RNG
+  /// seed, and the seed strategy name.  Lets a resumed ladder skip its
+  /// seeding stage yet hand the DP the same order, so the resumed run
+  /// stops at the straight run's fence and keeps the order as a salvage
+  /// candidate.
   std::vector<int> seed_order;
   std::uint64_t rng_seed = 0;
   std::string seed_name;
@@ -215,8 +218,8 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 /// a dense layer short of its canonical states, a tie set that is not a
 /// union of classes or disagrees with best_last, a cell array shorter
 /// than its count at its table's width, a cell id at or past its table's
-/// next_id, table sizes that disagree with the fingerprint,
-/// a keyed section naming an unknown or measured metric, repeating or
+/// next_id, table sizes that disagree with the fingerprint, a seed order
+/// that is neither empty nor a permutation of the block, a keyed section naming an unknown or measured metric, repeating or
 /// misordering a name, storing a zero, or holding more entries than the
 /// registry) throws a typed CheckpointError — a decoded snapshot is safe
 /// to resume from without further bounds checks.
@@ -247,8 +250,8 @@ struct FsCheckpointOptions {
   /// buffer for the whole run, so a hook gets a copy of the payload;
   /// without a hook nothing is copied.
   std::function<void(const std::vector<std::uint8_t>&)> on_bytes;
-  /// Provenance recorded verbatim into written snapshots.
-  std::vector<int> seed_order;
+  /// Provenance recorded verbatim into written snapshots, beside the
+  /// incumbent order fs_star was handed (FsStarSnapshot::seed_order).
   std::uint64_t rng_seed = 0;
   std::string seed_name;
   obs::Ledger seed_counters;

@@ -50,11 +50,13 @@ std::uint64_t engine_now_ns() {
 constexpr int kWriterLane = par::ThreadPool::kMaxThreads;
 
 /// Dispatch-resolved checkpoint plan handed to the engine: the caller's
-/// options, the run's fingerprint, the one frame buffer every fence of
-/// the run encodes into, and the commit of the last sealed frame.
+/// options, the run's fingerprint, the incumbent's order (the snapshots'
+/// seed provenance), the one frame buffer every fence of the run encodes
+/// into, and the commit of the last sealed frame.
 struct CkptPlan {
   const FsCheckpointOptions* opts = nullptr;
   FsFingerprint fp;
+  const std::vector<int>* seed_order = nullptr;  ///< null encodes empty
   std::uint32_t num_terminals = 2;
   /// Container header + payload of the latest snapshot.  Cleared, never
   /// freed, between fences; a dense run sizes it once for its widest
@@ -160,7 +162,7 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
     if (gov != nullptr)
       counters.record(obs::Metric::kRtWorkCharged, gov->stats().work_units);
     v.counters = &counters;
-    v.seed_order = &plan.opts->seed_order;
+    v.seed_order = plan.seed_order;
     v.rng_seed = plan.opts->rng_seed;
     v.seed_name = &plan.opts->seed_name;
     v.seed_counters = &plan.opts->seed_counters;
@@ -203,8 +205,8 @@ std::uint64_t compacted_id_bound(std::uint64_t next_id, std::uint64_t pairs) {
 /// layer k holds all its canonical states (C(|J|,k) without a symmetric
 /// pair) of (base cells >> k) cells each, stored at no more than the
 /// width of compacted_id_bound applied k times to the base's next_id,
-/// and the maps hold every state of layers 0..k, so each fence's frame
-/// follows from closed forms (the base is resident and has at least
+/// and the maps hold every state of layers 0..k (a dense run records no
+/// seed order), so each fence's frame follows from closed forms (the base is resident and has at least
 /// 2^|J| cells, so none of them overflows).  Under a governor with a
 /// byte or node limit the reservation is capped at the byte limit and at
 /// 4 bytes per cell of the node limit; if the allocator refuses it, the
@@ -231,8 +233,7 @@ void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
         widest, rt::kFrameHeaderSize +
                     snapshot_payload_bound(states, cell_bytes,
                                            map_states - 1, map_states,
-                                           o.seed_name.size(),
-                                           o.seed_order.size()));
+                                           o.seed_name.size(), 0));
   }
   if (gov != nullptr) {
     const rt::Budget& b = gov->budget();
@@ -457,6 +458,15 @@ void best_last_for_subset(util::Mask d, const std::vector<NarrowTable>& prev,
 /// optimal order, size, and every tie-break match the dense run bit for
 /// bit.
 ///
+/// Proof stop (`stop_on_proof`, pruned runs whose caller holds the
+/// incumbent's order): the run ends at the first fence — layer 0, or the
+/// resumed fence, included — whose certified bound equals *ub.  Every
+/// completion costs at least that bound, so the incumbent's order is
+/// optimal (Lemma 4), and the layers after it would only rebuild the
+/// dense DP's tie-break.  The bound is serial fence state, tested after
+/// the fence's snapshot, so the run stops at the same fence at every
+/// thread count and on a resume, and a proof writes no trip snapshot.
+///
 /// Determinism: every candidate writes its table/best-var/best-cost/ties
 /// into its own slot, shards merge at each fence, and governor admission
 /// is made serially per layer from the layer's exact work — surviving
@@ -474,6 +484,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
                             int stop_k, DiagramKind kind, OpCounter* ops,
                             int threads, rt::Governor* gov,
                             std::optional<std::uint64_t> ub,
+                            bool stop_on_proof,
                             std::vector<util::Mask> classes,
                             const util::OrbitCounts& counts, CkptPlan& plan) {
   const bool prune = ub.has_value();
@@ -547,7 +558,10 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   }
   std::uint64_t serial_ns = 0;
   int last_snapshot_layer = -1;
-  for (int layer = start_layer + 1; layer <= stop_k; ++layer) {
+  const auto proved = [&] {
+    return stop_on_proof && result.certified_lower_bound == *ub;
+  };
+  for (int layer = start_layer + 1; layer <= stop_k && !proved(); ++layer) {
     const std::uint64_t layer_size =
         counts.states[static_cast<std::size_t>(layer)];
     const std::uint64_t pred_cells =
@@ -730,14 +744,15 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   }
 
   // Trip snapshot: persist the deepest completed layer even off-cadence,
-  // so a budget/cancel trip never loses fence state.  Must run before
+  // so a budget/cancel trip never loses fence state (a proof stop is no
+  // trip: its fence is as far as the run goes).  Must run before
   // extraction moves the tables out, and before the final prune-ledger
   // merge into `ops`: fence-time ops never include the merge (it happens
   // once, at engine end), so a resumed run — which restores the stored
   // OpCounter and result.prune, then merges at its own end — reproduces
   // the uninterrupted run's final totals exactly.
   if (plan.writes() && result.completed_layers < stop_k &&
-      result.completed_layers != last_snapshot_layer)
+      result.completed_layers != last_snapshot_layer && !proved())
     emit_fence_snapshot(plan, result.completed_layers, prev_dense, prev,
                         result, ops, gov, threads);
 
@@ -792,6 +807,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                      DiagramKind kind, OpCounter* ops,
                      const par::ExecPolicy& exec, rt::Governor* gov,
                      std::uint64_t prune_upper_bound,
+                     const std::vector<int>* incumbent_order,
                      const FsCheckpointOptions* ckpt) {
   OVO_CHECK_MSG((base.vars & J) == 0, "fs_star: J overlaps prefix I");
   OVO_CHECK_MSG(util::is_subset(J, util::full_mask(base.n)),
@@ -825,6 +841,11 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
   // stop-layer subset, which pruning deliberately violates.
   const bool prune = exec.prune == par::PruneMode::kBounds &&
                      stop_k == j_size && j_size > 0;
+  // The incumbent's order, like its size, means nothing to a dense run.
+  const std::vector<int>* order =
+      prune && incumbent_order != nullptr && !incumbent_order->empty()
+          ? incumbent_order
+          : nullptr;
 
   // Checkpoint plan: fingerprint the run, validate a resume snapshot
   // against it (a mismatch is the *caller's* instance error, so it is a
@@ -838,6 +859,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
     plan.fp = fs_fingerprint(
         base, J, stop_k, kind,
         prune ? par::PruneMode::kBounds : par::PruneMode::kOff);
+    plan.seed_order = order;
     if (ckpt->resume != nullptr) {
       if (!(ckpt->resume->fingerprint == plan.fp))
         throw rt::CheckpointError(
@@ -863,6 +885,15 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
     }
   }
 
+  if (order != nullptr) {
+    util::Mask placed = 0;
+    for (const int v : *order)
+      if (v >= 0 && v < base.n) placed |= util::Mask{1} << v;
+    OVO_CHECK_MSG(order->size() == static_cast<std::size_t>(j_size) &&
+                      placed == J,
+                  "fs_star: incumbent order is not a permutation of J");
+  }
+
   std::optional<std::uint64_t> ub;
   if (prune) {
     // A resume snapshot carries the *effective* incumbent of the original
@@ -882,7 +913,7 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
   try {
     FsStarResult result =
         fs_star_layers(base, J, stop_k, kind, ops, threads, gov, ub,
-                       std::move(classes), counts, plan);
+                       order != nullptr, std::move(classes), counts, plan);
     plan.join();
     return result;
   } catch (...) {
@@ -898,7 +929,7 @@ PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
                          std::uint64_t prune_upper_bound,
                          const FsCheckpointOptions* ckpt) {
   FsStarResult r = fs_star(base, J, util::popcount(J), kind, ops, exec,
-                           nullptr, prune_upper_bound, ckpt);
+                           nullptr, prune_upper_bound, nullptr, ckpt);
   if (block_order_bottom_up != nullptr)
     *block_order_bottom_up = reconstruct_block_order(r, J);
   auto it = r.tables.find(J);

@@ -33,7 +33,12 @@
 // surviving set — and therefore the optimal order, size, and every
 // tie-break — is bit-identical to the dense run at every thread count
 // (see docs/INTERNALS.md for the admissibility and determinism
-// arguments).  Stop-early runs (stop_k < |J|) ignore the prune flag:
+// arguments).  A caller that also hands over the incumbent's order asks
+// for less: the run stops at the first layer fence (layer 0 included)
+// whose certified lower bound equals the incumbent, since from there the
+// order is proven optimal (Lemma 4) and the later layers would only
+// rebuild the dense DP's tie-break; the caller answers with its own
+// order, which has the dense optimum's size.  Stop-early runs (stop_k < |J|) ignore the prune flag:
 // their contract is one table per subset at the stop layer.  The default
 // mode is kOff: every state kept, the prune ledger all zero.
 //
@@ -100,8 +105,12 @@ struct FsStarResult {
   std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
 
   /// Deepest fully built layer.  Equals the requested stop_k when the run
-  /// completed; smaller iff a governor tripped, in which case `tables`
-  /// holds the last *completed* layer (partial layers are discarded).
+  /// completed; smaller iff a governor tripped or the certified bound
+  /// proved the incumbent order optimal, in which case `tables` holds the
+  /// last *completed* layer (partial layers are discarded).  The two are
+  /// told apart by the bound: a run handed an incumbent order stops on a
+  /// proof exactly when certified_lower_bound == prune.upper_bound, and
+  /// every trip leaves the bound below the incumbent.
   int completed_layers = 0;
 
   /// Bound-pruned runs only (all-zero otherwise).  In pruned mode,
@@ -114,7 +123,8 @@ struct FsStarResult {
   /// deepest completed layer's surviving states, of cost-so-far plus the
   /// admissible completion bound.  Valid even when a budget interrupted
   /// the run (the optimal chain's bottom-k state always survives); equals
-  /// the optimal mincost when the pruned DP completed.  0 in dense mode —
+  /// the optimal mincost when the pruned DP completed or stopped on a
+  /// proof.  0 in dense mode —
   /// dense callers derive bounds from the tables themselves.
   std::uint64_t certified_lower_bound = 0;
 
@@ -163,10 +173,20 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// mode.  Passing a bound below the true optimum is a contract violation
 /// (every state could be pruned) and is caught by an OVO_CHECK.
 ///
+/// `incumbent_order` (optional; null or empty: none) is that completion:
+/// J's variables, root first, whose chain costs prune_upper_bound.  A
+/// pruned full-block run that holds it stops at the first fence whose
+/// certified bound equals the incumbent (FsStarResult::completed_layers),
+/// writes it into its snapshots as their seed provenance
+/// (FsStarSnapshot::seed_order), and needs no more of the order than
+/// that.  Callers that read the DP's J table or its back-pointers pass
+/// none and run every layer.  Ignored in dense mode; an order that is not
+/// a permutation of J is caught by an OVO_CHECK.
+///
 /// `ckpt` (optional) turns on durable checkpoint/resume (see
 /// fs_checkpoint.hpp): with a path (or byte hook), a snapshot of the full
 /// fence state is emitted at each qualifying layer fence and on a
-/// governor trip.  A fence's file is committed on a writer thread while
+/// governor trip (a proof stop is none).  A fence's file is committed on a writer thread while
 /// the next layer computes, and is on disk before the next snapshot is
 /// encoded and before fs_star returns or throws; a failed commit is
 /// thrown ahead of any error raised after it.  With a resume snapshot,
@@ -183,9 +203,12 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                      const par::ExecPolicy& exec = {},
                      rt::Governor* gov = nullptr,
                      std::uint64_t prune_upper_bound = 0,
+                     const std::vector<int>* incumbent_order = nullptr,
                      const FsCheckpointOptions* ckpt = nullptr);
 
-/// Convenience: run to completion and return the single FS(<I, J>) table.
+/// Convenience: run to completion and return the single FS(<I, J>) table
+/// (it hands fs_star no incumbent order, so a pruned run builds every
+/// layer).
 PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
                          DiagramKind kind, OpCounter* ops = nullptr,
                          std::vector<int>* block_order_bottom_up = nullptr,

@@ -68,18 +68,23 @@ void append_counters_json(std::string& s, const Ledger& l) {
                       {Metric::kOracleQueries, Metric::kOracleEvals,
                        Metric::kOracleMemoHits, Metric::kFsTableCells,
                        Metric::kFsCutCells, Metric::kFsStates});
-  // The bound-pruning ledger appears only when pruning actually ran
-  // (same liveness rule as core::PruneStats::states_enumerated()).
+  // The bound-pruning ledger appears whenever the run pruned against an
+  // incumbent or enumerated a state, so a run whose bound proved the
+  // incumbent before its first layer still prints what it pruned
+  // against (and a prune_ratio of 0).
   const std::uint64_t enumerated =
       l.get(Metric::kFsPruneGenerated) + l.get(Metric::kFsPruneDead);
-  if (enumerated > 0) {
+  if (enumerated > 0 || l.get(Metric::kFsPruneUpperBound) > 0) {
     append_metrics_json(s, l,
                         {Metric::kFsPruneUpperBound, Metric::kFsPruneGenerated,
                          Metric::kFsPrunePruned, Metric::kFsPruneDead,
                          Metric::kFsPruneSurviving});
-    const double ratio = static_cast<double>(l.get(Metric::kFsPrunePruned) +
-                                             l.get(Metric::kFsPruneDead)) /
-                         static_cast<double>(enumerated);
+    const double ratio =
+        enumerated == 0
+            ? 0.0
+            : static_cast<double>(l.get(Metric::kFsPrunePruned) +
+                                  l.get(Metric::kFsPruneDead)) /
+                  static_cast<double>(enumerated);
     append_json_f64(s, "prune_ratio", ratio);
     append_metrics_json(
         s, l, {Metric::kFsPruneDenseCells, Metric::kFsPruneSparseCells});

@@ -278,8 +278,9 @@ void append_metrics_json(std::string& s, const Ledger& l,
 /// The canonical unified-counter block shared by the CLI and both scaling
 /// benches: oracle queries/evals/memo-hits plus the DP work ledger
 /// (table_cells, cut_cells, states), and — when the prune ledger is live
-/// (generated + dead > 0) — the full bound-pruning block including the
-/// derived "prune_ratio".
+/// (an incumbent was pruned against, or generated + dead > 0) — the full
+/// bound-pruning block including the derived "prune_ratio" (0 when no
+/// state was enumerated).
 void append_counters_json(std::string& s, const Ledger& l);
 
 /// Run-context block: `,"schema_version":N,"git":"...","build":"...",

@@ -100,18 +100,16 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     seed_cut = gov.outcome() != rt::Outcome::kComplete;
   }
 
-  // Snapshots written from here carry the seed provenance, so a future
-  // resume can skip stage 0 yet keep the seed order as a salvage
-  // candidate.  A resumed writing run propagates the original
-  // provenance.
+  // Snapshots written from here carry the seed provenance (the DP writes
+  // the seed order it is handed), so a future resume can skip stage 0 yet
+  // hand the DP the same order.  A resumed writing run propagates the
+  // original provenance.
   core::FsCheckpointOptions ckpt = options.ckpt;
   if (resume != nullptr) {
-    ckpt.seed_order = resume->seed_order;
     ckpt.rng_seed = resume->rng_seed;
     ckpt.seed_name = resume->seed_name;
     ckpt.seed_counters = resume->seed_counters;
   } else if (options.exec.prune == par::PruneMode::kBounds) {
-    ckpt.seed_order = seeded.order_root_first;
     ckpt.rng_seed = kLadderSeed;
     ckpt.seed_name = options.prune_seed;
     oracle.stats().to_ledger(ckpt.seed_counters);
@@ -127,26 +125,44 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     *st += seed;
   };
 
-  // Stage 1: the exact DP, layer-admitted against the budget.
+  // Stage 1: the exact DP, layer-admitted against the budget.  Handed
+  // the seed's order, a pruned DP stops at the first fence whose
+  // certified bound meets the seed's size.
   const util::Mask all = util::full_mask(n);
   core::FsStarResult dp =
       core::fs_star(oracle.base(), all, n, options.kind, &v.ops,
                     options.exec, &gov, seeded.upper_bound,
+                    &seeded.order_root_first,
                     ckpt.active() && !seed_cut ? &ckpt : nullptr);
   v.dp_layers_completed = dp.completed_layers;
   for (const util::Mask c : dp.classes)
     if (util::popcount(c) > 1) v.sym_classes.push_back(c);
 
-  if (dp.completed_layers == n) {
-    const std::vector<int> bottom_up = core::reconstruct_block_order(dp, all);
-    v.order_root_first.assign(bottom_up.rbegin(), bottom_up.rend());
-    v.internal_nodes = dp.tables.at(all).mincost();
-    v.lower_bound = v.internal_nodes;
+  // A proven order: the DP's own when it completed, else the seed's when
+  // the certified bound met the seed's size.  Neither salvage nor a
+  // heuristic stage can beat it.
+  const auto prove = [&](std::vector<int> order, std::uint64_t size,
+                         rt::Outcome outcome) {
+    v.order_root_first = std::move(order);
+    v.internal_nodes = size;
+    v.lower_bound = size;
     v.optimal = true;
     v.oracle = oracle.stats();
     restore_seed_ledger(&v.oracle);
-    out.outcome = rt::Outcome::kComplete;
+    out.outcome = outcome;
     out.stats = gov.stats();
+  };
+  if (dp.completed_layers == n) {
+    const std::vector<int> bottom_up = core::reconstruct_block_order(dp, all);
+    prove({bottom_up.rbegin(), bottom_up.rend()},
+          dp.tables.at(all).mincost(), rt::Outcome::kComplete);
+    return out;
+  }
+  // The outcome of a proof stop stays the governor's: complete, unless
+  // the seed stage was cut short.
+  if (!seeded.order_root_first.empty() &&
+      dp.certified_lower_bound == seeded.upper_bound) {
+    prove(seeded.order_root_first, seeded.upper_bound, gov.outcome());
     return out;
   }
 
@@ -193,16 +209,20 @@ rt::Result<AutoMinimizeResult> minimize_auto(
     v.internal_nodes = seeded.upper_bound;
   }
 
+  // Stages 3–4 run only while the certified bound leaves room: once the
+  // size found meets it, no order can be smaller.
   // Stage 3: sifting from the salvaged order, on the remaining budget.
-  const OrderSearchResult sifted =
-      sift(oracle, v.order_root_first, options.sift_max_passes, ctx);
-  if (sifted.internal_nodes < v.internal_nodes) {
-    v.order_root_first = sifted.order_root_first;
-    v.internal_nodes = sifted.internal_nodes;
+  if (v.lower_bound < v.internal_nodes) {
+    const OrderSearchResult sifted =
+        sift(oracle, v.order_root_first, options.sift_max_passes, ctx);
+    if (sifted.internal_nodes < v.internal_nodes) {
+      v.order_root_first = sifted.order_root_first;
+      v.internal_nodes = sifted.internal_nodes;
+    }
   }
 
   // Stage 4: random restarts with whatever is left.
-  if (!gov.stopped()) {
+  if (v.lower_bound < v.internal_nodes && !gov.stopped()) {
     util::Xoshiro256 rng(kLadderSeed);
     const OrderSearchResult rr =
         random_restart(oracle, kLadderRestarts, rng, ctx);

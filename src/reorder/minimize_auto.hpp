@@ -5,7 +5,12 @@
 //
 // The ladder:
 //   1. Exact FS* DP, layer by layer, each layer pre-admitted against the
-//      budget (work, nodes, bytes — see core::fs_star).
+//      budget (work, nodes, bytes — see core::fs_star).  A bound-pruned
+//      DP is handed the seed's order and stops at the first fence whose
+//      certified bound meets the seed's size: the ladder then returns
+//      the seed's order, proven optimal, and skips stages 2–4.  So a
+//      pruned run returns the dense DP's order only when its DP reaches
+//      the last layer; an order it returns has the dense size either way.
 //   2. On a trip: pick the cheapest subset of the deepest completed
 //      layer, reconstruct its within-block order from the DP
 //      back-pointers, and complete it upward greedily (smallest
@@ -17,6 +22,8 @@
 //      budget.
 //   4. Random restarts (kLadderRestarts orders from kLadderSeed) under
 //      whatever budget still remains.
+//   Stages 3–4 run only while the certified lower bound is below the
+//   size found: once the two meet, no order can be smaller.
 //
 // This is the library's one exact route: the strategy registry's `fs`
 // and `auto` both run it, so every exact run seeds, snapshots, honours
@@ -72,8 +79,8 @@ struct AutoMinimizeResult {
   /// True iff the order is proven optimal: the exact DP completed, or
   /// lower_bound meets internal_nodes whatever stopped the run.
   bool optimal = false;
-  /// DP layers fully built before the budget intervened (== n when the
-  /// DP completed).
+  /// DP layers fully built before the budget intervened or the bound
+  /// proved the seed (== n when the DP completed).
   int dp_layers_completed = 0;
   /// Proven lower bound on the optimal size, from the deepest completed
   /// DP layer (equals internal_nodes iff optimal).

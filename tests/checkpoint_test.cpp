@@ -316,7 +316,7 @@ CapturedRun capture_run(const tt::TruthTable& t, par::PruneMode prune) {
   exec.prune = prune;
   out.result =
       fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-              DiagramKind::kBdd, &out.ops, exec, nullptr, 0, &ckpt);
+              DiagramKind::kBdd, &out.ops, exec, nullptr, 0, nullptr, &ckpt);
   return out;
 }
 
@@ -541,7 +541,7 @@ std::map<int, std::vector<std::uint8_t>> fence_payloads(
   exec.prune = prune;
   OpCounter ops;
   fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-          DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
+          DiagramKind::kBdd, &ops, exec, nullptr, 0, nullptr, &ckpt);
   return out;
 }
 
@@ -630,20 +630,20 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
   // Different function, same shape.
   try {
     fs_star(initial_table(other), all, 5, DiagramKind::kBdd, nullptr, {},
-            nullptr, 0, &resume);
+            nullptr, 0, nullptr, &resume);
     FAIL() << "expected kWrongInstance";
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kWrongInstance);
   }
   // Same function, different diagram kind.
   EXPECT_THROW(fs_star(initial_table(t), all, 5, DiagramKind::kZdd, nullptr,
-                       {}, nullptr, 0, &resume),
+                       {}, nullptr, 0, nullptr, &resume),
                rt::CheckpointError);
   // Same function, different prune mode.
   par::ExecPolicy pruned;
   pruned.prune = par::PruneMode::kBounds;
   EXPECT_THROW(fs_star(initial_table(t), all, 5, DiagramKind::kBdd, nullptr,
-                       pruned, nullptr, 0, &resume),
+                       pruned, nullptr, 0, nullptr, &resume),
                rt::CheckpointError);
 }
 
@@ -709,7 +709,7 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
   exec.prune = par::PruneMode::kBounds;
   try {
     fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-            nullptr, exec, nullptr, 0, &resume);
+            nullptr, exec, nullptr, 0, nullptr, &resume);
     ADD_FAILURE() << "resumed against classes the base does not have";
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed);
@@ -745,7 +745,7 @@ TEST(FsResume, EveryFenceBitIdentical) {
           OpCounter ops;
           const FsStarResult r =
               fs_star(initial_table(t), all, n, DiagramKind::kBdd, &ops,
-                      exec, nullptr, 0, &resume);
+                      exec, nullptr, 0, nullptr, &resume);
           SCOPED_TRACE("n=" + std::to_string(n) + " layer=" +
                        std::to_string(snap.layer) + " threads=" +
                        std::to_string(threads) +
@@ -774,7 +774,7 @@ TEST(FsResume, ReconstructedOrderMatches) {
     resume.resume = &snap;
     const FsStarResult r = fs_star(initial_table(t), all, n,
                                    DiagramKind::kBdd, nullptr, {}, nullptr,
-                                   0, &resume);
+                                   0, nullptr, &resume);
     EXPECT_EQ(reconstruct_block_order(r, all), want);
   }
 }
@@ -791,7 +791,7 @@ TEST(FsResume, CadenceSkipsOddFences) {
     layers.push_back(decode_snapshot(payload.data(), payload.size()).layer);
   };
   fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-          nullptr, {}, nullptr, 0, &ckpt);
+          nullptr, {}, nullptr, 0, nullptr, &ckpt);
   EXPECT_EQ(layers, (std::vector<int>{2, 4}));
 }
 
@@ -823,7 +823,7 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
   OpCounter tripped_ops;
   const FsStarResult tripped =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &tripped_ops, {},
-              &tripped_gov, 0, &ckpt);
+              &tripped_gov, 0, nullptr, &ckpt);
   ASSERT_LT(tripped.completed_layers, n);
   ASSERT_FALSE(last.empty());
 
@@ -836,7 +836,7 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
   OpCounter resumed_ops;
   const FsStarResult resumed =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &resumed_ops, {},
-              &resumed_gov, 0, &resume);
+              &resumed_gov, 0, nullptr, &resume);
   expect_results_equal(resumed, straight);
   expect_ops_equal(resumed_ops, straight_ops);
   EXPECT_EQ(resumed_gov.stats().work_units, straight_gov.stats().work_units);
@@ -858,7 +858,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
   OpCounter straight_ops;
   const FsStarResult straight =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &straight_ops, {},
-              nullptr, 0, &ckpt);
+              nullptr, 0, nullptr, &ckpt);
 
   // The file holds the last fence (layer n-1); resuming completes the run.
   FsStarSnapshot snap = load_snapshot(path);
@@ -868,7 +868,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
   OpCounter resumed_ops;
   const FsStarResult resumed =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &resumed_ops, {},
-              nullptr, 0, &resume);
+              nullptr, 0, nullptr, &resume);
   expect_results_equal(resumed, straight);
   expect_ops_equal(resumed_ops, straight_ops);
 
@@ -943,7 +943,7 @@ std::vector<Fence> capture_frames(const tt::TruthTable& t,
   OpCounter ops;
   const FsStarResult r =
       fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-              DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
+              DiagramKind::kBdd, &ops, exec, nullptr, 0, nullptr, &ckpt);
   if (!fences.empty()) fences.back().file = sim.get(path);
   EXPECT_TRUE(strictly_ascending_masks(r.best_last));
   EXPECT_TRUE(strictly_ascending_masks(r.ties));
@@ -1104,7 +1104,7 @@ TEST(FsFrame, WriterFaultSurfacesAsTheSerialWriteDid) {
       rt::ScopedFileOps install(sim);
       OpCounter ops;
       fs_star(initial_table(t), util::full_mask(10), 10, DiagramKind::kBdd,
-              &ops, exec, nullptr, 0, &ckpt);
+              &ops, exec, nullptr, 0, nullptr, &ckpt);
     };
     {
       rt::SimFs sim;
@@ -1175,6 +1175,43 @@ void expect_auto_equal(const rt::Result<reorder::AutoMinimizeResult>& resumed,
   EXPECT_EQ(pinned_ledger(resumed.value.oracle),
             pinned_ledger(straight.value.oracle));
   EXPECT_EQ(resumed.stats.work_units, straight.stats.work_units);
+}
+
+// A pruned ladder run that stops on a proof (adder carry(6): its sift
+// seed is certified at fence 5 of 6) writes fences 1..5 and no trip
+// snapshot; resumed from each of them at the other thread count, it stops
+// at the same fence with the straight run's order, size, ledgers and
+// work.
+TEST(MinimizeAutoResume, ProofStopResumesFromEveryFence) {
+  const tt::TruthTable t = tt::adder_carry(6);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    reorder::AutoMinimizeOptions opt;
+    opt.exec.prune = par::PruneMode::kBounds;
+    opt.exec.num_threads = threads;
+    std::vector<std::vector<std::uint8_t>> fences;
+    reorder::AutoMinimizeOptions wopt = opt;
+    wopt.ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+      fences.push_back(p);
+    };
+    const rt::Result<reorder::AutoMinimizeResult> straight =
+        reorder::minimize_auto(t, rt::Budget(), wopt);
+    ASSERT_TRUE(straight.value.optimal);
+    ASSERT_EQ(straight.value.dp_layers_completed, 5);
+    ASSERT_EQ(fences.size(), 5u);
+    for (std::size_t k = 0; k < fences.size(); ++k) {
+      SCOPED_TRACE(k + 1);
+      FsStarSnapshot snap =
+          decode_snapshot(fences[k].data(), fences[k].size());
+      reorder::AutoMinimizeOptions ropt = opt;
+      ropt.exec.num_threads = 5 - threads;
+      ropt.ckpt.resume = &snap;
+      const rt::Result<reorder::AutoMinimizeResult> resumed =
+          reorder::minimize_auto(t, rt::Budget(), ropt);
+      expect_auto_equal(resumed, straight);
+      EXPECT_EQ(resumed.value.dp_layers_completed, 5);
+    }
+  }
 }
 
 // A minimize_auto run cancelled mid-DP (deterministically, via fault
@@ -1387,7 +1424,7 @@ TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
     OpCounter ops;
     const FsStarResult r =
         fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-                &ops, {}, nullptr, 0, &resume);
+                &ops, {}, nullptr, 0, nullptr, &resume);
     expect_results_equal(r, straight.result);
     expect_ops_equal(ops, straight.ops);
   }

@@ -272,7 +272,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
         OpCounter straight_ops;
         const FsStarResult straight =
             fs_star(c.base, J, n, c.kind, &straight_ops,
-                    policy(threads, prune), nullptr, 0, &write);
+                    policy(threads, prune), nullptr, 0, nullptr, &write);
         ASSERT_EQ(fences.size(), static_cast<std::size_t>(n - 1));
         for (const std::vector<std::uint8_t>& payload : fences) {
           FsStarSnapshot snap =
@@ -286,7 +286,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
           OpCounter ops;
           const FsStarResult r =
               fs_star(c.base, J, n, c.kind, &ops, policy(5 - threads, prune),
-                      nullptr, 0, &resume);
+                      nullptr, 0, nullptr, &resume);
           EXPECT_EQ(r.best_last, straight.best_last);
           EXPECT_EQ(r.ties, straight.ties);
           EXPECT_EQ(r.mincost, straight.mincost);
@@ -327,16 +327,24 @@ MinimizeResult exact(const std::vector<std::int64_t>& values, int n,
                      policy(threads, par::PruneMode::kOff));
 }
 
-/// Checks `auto`'s answer on `values` against the reference optimum: a
-/// run that claims optimality must have its size.
+/// Checks `auto`'s answer on `values` against the reference optimum,
+/// dense and bound-pruned: a run that claims optimality must have its
+/// size, and its order must build a diagram of that size.
 void expect_auto_agrees(const std::vector<std::int64_t>& values, int n,
                         DiagramKind kind, std::uint64_t optimum) {
   if (kind == kMtbdd) return;  // the ladder takes Boolean functions
-  reorder::AutoMinimizeOptions opt;
-  opt.kind = kind;
-  const auto r = reorder::minimize_auto(boolean(values, n), rt::Budget(), opt);
-  ASSERT_TRUE(r.value.optimal);
-  EXPECT_EQ(r.value.internal_nodes, optimum);
+  const tt::TruthTable f = boolean(values, n);
+  for (const par::PruneMode prune :
+       {par::PruneMode::kOff, par::PruneMode::kBounds}) {
+    reorder::AutoMinimizeOptions opt;
+    opt.kind = kind;
+    opt.exec.prune = prune;
+    const auto r = reorder::minimize_auto(f, rt::Budget(), opt);
+    ASSERT_TRUE(r.value.optimal);
+    EXPECT_EQ(r.value.internal_nodes, optimum);
+    EXPECT_EQ(diagram_size_for_order(f, r.value.order_root_first, kind),
+              optimum);
+  }
 }
 
 // Relabelling the inputs moves the classes with them and keeps the
@@ -425,6 +433,30 @@ TEST(FsMetamorphic, NegatingOneInputOfAPairKeepsTheBddOptimum) {
         reference_dp(fb, kBdd).mincost[util::full_mask(n)];
     EXPECT_EQ(exact(f, n, kBdd, 4).min_internal_nodes, optimum);
     EXPECT_EQ(exact(g, n, kBdd, 4).min_internal_nodes, optimum);
+    expect_auto_agrees(g, n, kBdd, optimum);
+  }
+}
+
+// Complementing the output keeps the BDD optimum: this repo's BDDs have
+// no complement edges, but swapping the two terminals maps every
+// diagram of f onto one of !f with the same internal nodes, under every
+// order.  n = 12..14, with and without symmetric classes.
+TEST(FsMetamorphic, ComplementingTheOutputKeepsTheBddOptimum) {
+  util::Xoshiro256 rng(79);
+  const std::vector<int> shapes[] = {{3, 3, 2, 2, 1, 1},
+                                     {2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+                                     {4, 2, 2, 2, 1, 1, 1, 1}};
+  for (const std::vector<int>& blocks : shapes) {
+    const int n = std::accumulate(blocks.begin(), blocks.end(), 0);
+    const std::vector<std::int64_t> f = planted(blocks, 2, rng);
+    std::vector<std::int64_t> g(f.size());
+    for (std::size_t a = 0; a < f.size(); ++a) g[a] = 1 - f[a];
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const std::uint64_t optimum =
+        reference_dp(base_of(f, n, kBdd), kBdd).mincost[util::full_mask(n)];
+    EXPECT_EQ(exact(f, n, kBdd, 4).min_internal_nodes, optimum);
+    EXPECT_EQ(exact(g, n, kBdd, 1).min_internal_nodes, optimum);
+    expect_auto_agrees(f, n, kBdd, optimum);
     expect_auto_agrees(g, n, kBdd, optimum);
   }
 }

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <new>
 #include <string>
 #include <vector>
 
 #include "core/fs_star.hpp"
+#include "core/fs_checkpoint.hpp"
 #include "core/minimize.hpp"
 #include "parallel/exec_policy.hpp"
 #include "parallel/task_graph.hpp"
@@ -545,6 +547,164 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
   EXPECT_EQ(r.value.lower_bound, optimal);
   expect_consistent_ledger(r.value.ops.prune);
   EXPECT_GT(r.value.ops.prune.states_surviving, 0u);
+}
+
+// ------------------------------------------------------------ proof stop --
+
+/// The sift seed the ladder prunes against on `f` (serial, ungoverned).
+reorder::PruneSeedResult sift_seed(const tt::TruthTable& f) {
+  reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
+  return reorder::seed_prune_bound(oracle, "sift", 8, reorder::kLadderRestarts,
+                                   reorder::kLadderSeed, reorder::EvalContext{});
+}
+
+/// Everything a ladder run reports, ledgers included.
+void expect_same_run(const rt::Result<reorder::AutoMinimizeResult>& a,
+                     const rt::Result<reorder::AutoMinimizeResult>& b) {
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.value.order_root_first, b.value.order_root_first);
+  EXPECT_EQ(a.value.internal_nodes, b.value.internal_nodes);
+  EXPECT_EQ(a.value.optimal, b.value.optimal);
+  EXPECT_EQ(a.value.lower_bound, b.value.lower_bound);
+  EXPECT_EQ(a.value.dp_layers_completed, b.value.dp_layers_completed);
+  obs::Ledger la, lb;
+  a.value.ops.to_ledger(la);
+  b.value.ops.to_ledger(lb);
+  EXPECT_EQ(la.pinned(), lb.pinned());
+  obs::Ledger oa, ob;
+  a.value.oracle.to_ledger(oa);
+  b.value.oracle.to_ledger(ob);
+  EXPECT_EQ(oa.pinned(), ob.pinned());
+  EXPECT_EQ(a.stats.work_units, b.stats.work_units);
+}
+
+// Pair-sum's sift seed is its optimum n, and layer 0's certified bound
+// already meets it: the pruned ladder builds no layer and returns the
+// seed's order, proven, identically at 1 and 4 threads.
+TEST(FsPruneProof, PairSumIsProvenAtLayerZero) {
+  for (int pairs = 3; pairs <= 7; ++pairs) {
+    const tt::TruthTable f = tt::pair_sum(pairs);
+    const std::uint64_t n = static_cast<std::uint64_t>(2 * pairs);
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    ASSERT_EQ(sift_seed(f).upper_bound, n);
+    rt::Result<reorder::AutoMinimizeResult> serial;
+    for (const int threads : {1, 4}) {
+      reorder::AutoMinimizeOptions opt;
+      opt.exec = policy(threads, par::PruneMode::kBounds);
+      const auto r = reorder::minimize_auto(f, rt::Budget{}, opt);
+      EXPECT_EQ(r.outcome, rt::Outcome::kComplete);
+      EXPECT_EQ(r.value.ops.states, 0u);
+      EXPECT_EQ(r.value.dp_layers_completed, 0);
+      EXPECT_EQ(r.value.ops.prune.upper_bound, n);
+      EXPECT_TRUE(r.value.optimal);
+      EXPECT_EQ(r.value.internal_nodes, n);
+      EXPECT_EQ(r.value.lower_bound, n);
+      core::PrefixTable cur, next;
+      EXPECT_EQ(core::diagram_size_from_base(core::initial_table(f),
+                                             r.value.order_root_first,
+                                             core::DiagramKind::kBdd, cur,
+                                             next),
+                n);
+      if (threads == 1)
+        serial = r;
+      else
+        expect_same_run(r, serial);
+    }
+  }
+}
+
+// Adder carry(6)'s sift seed is certified at fence 5 of 6: the run stops
+// at the first fence whose bound meets the seed, with the dense size.
+TEST(FsPruneProof, AdderCarryStopsAtTheFirstFenceThatMeetsTheSeed) {
+  const tt::TruthTable f = tt::adder_carry(6);
+  const std::uint64_t seed = sift_seed(f).upper_bound;
+  const std::uint64_t dense = core::fs_minimize(f).min_internal_nodes;
+  ASSERT_EQ(seed, dense);
+
+  // Every fence's certified bound, from a pruned DP of every layer.
+  std::vector<std::uint64_t> bounds;
+  core::FsCheckpointOptions ckpt;
+  ckpt.on_bytes = [&](const std::vector<std::uint8_t>& p) {
+    bounds.push_back(
+        core::decode_snapshot(p.data(), p.size()).certified_lower_bound);
+  };
+  core::fs_star(core::initial_table(f), util::full_mask(6), 6,
+                core::DiagramKind::kBdd, nullptr,
+                policy(1, par::PruneMode::kBounds), nullptr, seed, nullptr,
+                &ckpt);
+  ASSERT_EQ(bounds.size(), 5u);  // fences 1..5
+  const int first = static_cast<int>(
+      std::find(bounds.begin(), bounds.end(), seed) - bounds.begin()) + 1;
+  EXPECT_EQ(first, 5);
+
+  reorder::AutoMinimizeOptions opt;
+  opt.exec = policy(4, par::PruneMode::kBounds);
+  const auto r = reorder::minimize_auto(f, rt::Budget{}, opt);
+  EXPECT_EQ(r.outcome, rt::Outcome::kComplete);
+  EXPECT_EQ(r.value.dp_layers_completed, first);
+  EXPECT_TRUE(r.value.optimal);
+  EXPECT_EQ(r.value.internal_nodes, dense);
+  EXPECT_EQ(r.value.order_root_first, sift_seed(f).order_root_first);
+  EXPECT_EQ(core::diagram_size_for_order(f, r.value.order_root_first), dense);
+}
+
+// A seed above the optimum is never certified, so the DP reaches its
+// last layer and returns the dense DP's order, as does a self-seeded
+// (`none`) run, which holds no order to prove.
+TEST(FsPruneProof, UnprovenSeedsReturnTheDenseOrder) {
+  const tt::TruthTable above = tt::expr_to_truth_table(
+      *tt::parse_expr("(x1 ^ x5) & (x2 | x6) | x3 & !x7 & x4 | x8 & (x2 ^ x7)"),
+      8);
+  ASSERT_GT(sift_seed(above).upper_bound,
+            core::fs_minimize(above).min_internal_nodes);
+  const struct {
+    tt::TruthTable f;
+    const char* seed;
+  } cases[] = {{above, "sift"}, {above, "none"}, {tt::pair_sum(4), "none"}};
+  for (const auto& c : cases) {
+    const core::MinimizeResult dense = core::fs_minimize(c.f);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << c.seed << " threads=" << threads);
+      reorder::AutoMinimizeOptions opt;
+      opt.exec = policy(threads, par::PruneMode::kBounds);
+      opt.prune_seed = c.seed;
+      const auto r = reorder::minimize_auto(c.f, rt::Budget{}, opt);
+      EXPECT_EQ(r.value.dp_layers_completed, c.f.num_vars());
+      EXPECT_EQ(r.value.order_root_first, dense.order_root_first);
+      EXPECT_EQ(r.value.internal_nodes, dense.min_internal_nodes);
+      EXPECT_TRUE(r.value.optimal);
+    }
+  }
+}
+
+// A run that trips after its salvage already meets the certified bound
+// runs neither sift nor restarts: exact-pruned's pair-sum(18) text,
+// self-seeded under a 2 MiB byte limit, ends mem_limit with its optimum
+// proven before stage 3, at 1 and at 4 threads.
+TEST(FsPruneProof, NoHeuristicStageAfterTheBoundMeetsTheSalvage) {
+  // The pairs of that text's 18 inputs (0-based), in its cube order.
+  const int pairs[9][2] = {{6, 13}, {0, 9},   {11, 17}, {3, 12}, {1, 2},
+                           {4, 16}, {14, 15}, {5, 8},   {7, 10}};
+  const tt::TruthTable f = tt::TruthTable::tabulate(18, [&](std::uint64_t a) {
+    for (const auto& p : pairs)
+      if (((a >> p[0]) & (a >> p[1]) & 1u) != 0) return true;
+    return false;
+  });
+  rt::Budget b;
+  b.bytes_limit = std::uint64_t{2} << 20;
+  for (const int threads : {1, 4}) {
+    reorder::AutoMinimizeOptions opt;
+    opt.exec = policy(threads, par::PruneMode::kBounds);
+    opt.prune_seed = "none";
+    const auto r = reorder::minimize_auto(f, b, opt);
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(r.outcome, rt::Outcome::kMemLimit);
+    EXPECT_EQ(r.value.internal_nodes, 18u);
+    EXPECT_EQ(r.value.lower_bound, 18u);
+    EXPECT_TRUE(r.value.optimal);
+    EXPECT_EQ(r.value.oracle.queries, 0u);
+    EXPECT_EQ(r.stats.work_units, 2359296u);
+  }
 }
 
 // ---------------------------------------------------------------- faults --

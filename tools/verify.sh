@@ -24,8 +24,12 @@
 # pruning ledger — and an ungoverned run of each whose --json output must
 # equal the checked-in BENCH_fs.json / BENCH_quantum.json byte for byte
 # apart from "git" (the benches report the paper's counts only, so the
-# artifacts are pinned), and a CLI guard that a bound-pruned `ovo order`
-# run returns the identical order and size as the dense default.  A fixed
+# artifacts are pinned), and a CLI guard on bound-pruned `ovo order`
+# runs: on pair-sum(8), whose sift seed is proven at layer 0, the pruned
+# run prints the dense nodes, "optimal":true, "states":0 and the
+# incumbent it proved, and `ovo size --order` of its order rebuilds its
+# nodes; on a formula whose seed is above its optimum (asserted from the
+# JSON) the DP reaches its last layer and prints the dense order.  A fixed
 # 12-variable formula with no symmetric pair of inputs runs through
 # `ovo order --json` at --threads 1 and 4: both must report Theorem 5's
 # 2n*3^(n-1) = 4,251,528 table cells, the same positive cut_cells (cells
@@ -56,8 +60,9 @@
 # formula, and print the same JSON for a `--prune bounds --prune-seed
 # restarts` run with and without --checkpoint.  `--strategy sift` and
 # the sift-seeded `--prune bounds` run on the 14-variable formula with six
-# symmetric pairs must print their pinned order, nodes and work_units at
-# --threads 1 and 4 (sift sizes each step's positions from one prefix
+# symmetric pairs (which proves sift's order at fence 13 of 14) must
+# print their pinned order, nodes and work_units at --threads 1 and 4
+# (sift sizes each step's positions from one prefix
 # chain; its results and governor work are those of one chain per
 # position), and so must `--strategy window`, `anneal` and
 # `exact-window` on it, as a BDD and as a ZDD, with no memo hit (each
@@ -183,21 +188,41 @@ for pinned, fresh in zip(sys.argv[1::2], sys.argv[2::2]):
     assert len(want) == len(got), (pinned, len(want), len(got))
     print(f"{pinned}: {len(want) - 2} rows match a fresh run")
 PY
-  echo "==== quick: bound-pruned bit-identity guard ================"
-  # `--prune bounds` must return the identical order and size as the
-  # dense default (`--prune off`); only the work ledger may differ.
+  echo "==== quick: bound-pruned runs against the dense DP ========"
+  # On pair-sum(8) the sift seed's size (8) is certified at layer 0, so
+  # `--prune bounds` builds no layer: it must print the dense run's
+  # nodes, "optimal":true, "states":0 and the incumbent it proved, and
+  # `ovo size --order` of its order must rebuild its nodes.
   smoke_fn="x1 & x2 | x3 & x4 | x5 & x6 | x7 & x8"
+  field() { grep -o "\"$1\":[^,]*" | head -n 1 | cut -d: -f2; }
+  build/tools/ovo order --strategy fs --prune off --json "${smoke_fn}" \
+    > "${smoke_dir}/dense.json"
+  build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
+    > "${smoke_dir}/pruned.json"
+  dense_nodes="$(field nodes < "${smoke_dir}/dense.json")"
+  [[ "$(field nodes < "${smoke_dir}/pruned.json")" == "${dense_nodes}" ]]
+  grep -q '"optimal":true' "${smoke_dir}/pruned.json"
+  grep -q '"states":0,' "${smoke_dir}/pruned.json"
+  grep -q "\"prune_upper_bound\":${dense_nodes}," "${smoke_dir}/pruned.json"
+  proof_order="$(grep -o '"order":\[[0-9,]*\]' "${smoke_dir}/pruned.json" \
+    | tr -dc '0-9,')"
+  build/tools/ovo size --order "${proof_order}" "${smoke_fn}" \
+    | grep -q "${dense_nodes} internal"
+  # Where the seed is above the optimum the DP must reach its last layer,
+  # and there the pruned order is the dense DP's, bit for bit.
+  above_fn="(x1 ^ x5) & (x2 | x6) | x3 & !x7 & x4 | x8 & (x2 ^ x7)"
   result_fields() {
     grep -o '"nodes":[0-9]*\|"optimal":[a-z]*\|"order":\[[0-9,]*\]'
   }
-  build/tools/ovo order --strategy fs --prune off --json "${smoke_fn}" \
+  build/tools/ovo order --strategy fs --prune bounds --json "${above_fn}" \
+    > "${smoke_dir}/above.json"
+  (( $(field prune_upper_bound < "${smoke_dir}/above.json") > \
+     $(field nodes < "${smoke_dir}/above.json") ))
+  grep -q '"states_pruned"' "${smoke_dir}/above.json"
+  build/tools/ovo order --strategy fs --prune off --json "${above_fn}" \
     | result_fields > "${smoke_dir}/dense.txt"
-  build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
-    | result_fields > "${smoke_dir}/pruned.txt"
+  result_fields < "${smoke_dir}/above.json" > "${smoke_dir}/pruned.txt"
   diff "${smoke_dir}/dense.txt" "${smoke_dir}/pruned.txt"
-  # ...and the pruned CLI run must surface its ledger.
-  build/tools/ovo order --strategy fs --prune bounds --json "${smoke_fn}" \
-    | grep -q '"states_pruned"'
   echo "==== quick: Theorem 5 work ledger at every thread count ===="
   # A dense DP over n variables, no two of them symmetric, compacts
   # exactly 2n*3^(n-1) table cells whichever threads ran the
@@ -405,11 +430,13 @@ PY
   # chain, where it used to run one memoized chain per position.  Its
   # orders, sizes and governor work must not move: `--strategy sift` and
   # the sift-seeded `--prune bounds` run on the 14-variable crc_fn print
-  # the pinned order, nodes and work_units at threads 1 and 4.
+  # the pinned order, nodes and work_units at threads 1 and 4.  The
+  # pruned run certifies sift's 15 nodes at fence 13 of 14, so it prints
+  # sift's order and one layer's less work than a run of every layer.
   sift_pin='"nodes":15.*"work_units":12877038,'
   sift_pin+='.*"order":\[1,8,2,9,3,10,5,12,11,4,6,13,7,14\]'
-  pruned_pin='"nodes":15.*"work_units":16034038,'
-  pruned_pin+='.*"order":\[1,8,2,9,3,10,4,11,5,12,6,13,7,14\]'
+  pruned_pin='"nodes":15,"optimal":true.*"work_units":16034022,'
+  pruned_pin+='.*"order":\[1,8,2,9,3,10,5,12,11,4,6,13,7,14\]'
   for t in 1 4; do
     build/tools/ovo order --json --threads "${t}" --strategy sift \
       "${crc_fn}" | grep -q "${sift_pin}"
