@@ -716,6 +716,35 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
   }
 }
 
+// A resumed pruned ladder may return its snapshot's seed order as the
+// answer, so a seed order that is neither empty nor a permutation of the
+// block is a typed kMalformed: a repeated variable, a missing one, or one
+// too many.
+TEST(FsSnapshot, SeedOrderMustPermuteTheBlock) {
+  const tt::TruthTable t = tt::adder_carry(6);
+  const CapturedRun pruned = capture_run(t, par::PruneMode::kBounds);
+  ASSERT_FALSE(pruned.fences.empty());
+  const FsStarSnapshot s =
+      decode_snapshot(pruned.fences[0].data(), pruned.fences[0].size());
+  const std::vector<std::vector<int>> lies = {
+      {0, 0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 5, 5}};
+  for (const std::vector<int>& order : lies) {
+    FsStarSnapshot bad = s;
+    bad.seed_order = order;
+    const std::vector<std::uint8_t> bytes = reencode(bad);
+    try {
+      decode_snapshot(bytes.data(), bytes.size());
+      ADD_FAILURE() << "seed order of " << order.size() << " accepted";
+    } catch (const rt::CheckpointError& e) {
+      EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed);
+    }
+  }
+  FsStarSnapshot none = s;
+  none.seed_order.clear();
+  const std::vector<std::uint8_t> bytes = reencode(none);
+  EXPECT_TRUE(decode_snapshot(bytes.data(), bytes.size()).seed_order.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Resume determinism differential
 
