@@ -219,9 +219,9 @@ std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 /// union of classes or disagrees with best_last, a cell array shorter
 /// than its count at its table's width, a cell id at or past its table's
 /// next_id, table sizes that disagree with the fingerprint, a seed order
-/// that is neither empty nor a permutation of the block, a keyed section naming an unknown or measured metric, repeating or
-/// misordering a name, storing a zero, or holding more entries than the
-/// registry) throws a typed CheckpointError — a decoded snapshot is safe
+/// that is neither empty nor a permutation of the block, a keyed section
+/// naming an unknown or measured metric, repeating or misordering a
+/// name, storing a zero, or holding more entries than the registry) throws a typed CheckpointError — a decoded snapshot is safe
 /// to resume from without further bounds checks.
 FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len);
 

@@ -206,8 +206,9 @@ std::uint64_t compacted_id_bound(std::uint64_t next_id, std::uint64_t pairs) {
 /// pair) of (base cells >> k) cells each, stored at no more than the
 /// width of compacted_id_bound applied k times to the base's next_id,
 /// and the maps hold every state of layers 0..k (a dense run records no
-/// seed order), so each fence's frame follows from closed forms (the base is resident and has at least
-/// 2^|J| cells, so none of them overflows).  Under a governor with a
+/// seed order), so each fence's frame follows from closed forms (the
+/// base is resident and has at least 2^|J| cells, so none of them
+/// overflows).  Under a governor with a
 /// byte or node limit the reservation is capped at the byte limit and at
 /// 4 bytes per cell of the node limit; if the allocator refuses it, the
 /// frame grows fence by fence, as a pruned run's does.

@@ -38,8 +38,9 @@
 // whose certified lower bound equals the incumbent, since from there the
 // order is proven optimal (Lemma 4) and the later layers would only
 // rebuild the dense DP's tie-break; the caller answers with its own
-// order, which has the dense optimum's size.  Stop-early runs (stop_k < |J|) ignore the prune flag:
-// their contract is one table per subset at the stop layer.  The default
+// order, which has the dense optimum's size.  Stop-early runs
+// (stop_k < |J|) ignore the prune flag: their contract is one table per
+// subset at the stop layer.  The default
 // mode is kOff: every state kept, the prune ledger all zero.
 //
 // Symmetry orbits: when swapping two inputs of J leaves the base table
@@ -186,8 +187,8 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// `ckpt` (optional) turns on durable checkpoint/resume (see
 /// fs_checkpoint.hpp): with a path (or byte hook), a snapshot of the full
 /// fence state is emitted at each qualifying layer fence and on a
-/// governor trip (a proof stop is none).  A fence's file is committed on a writer thread while
-/// the next layer computes, and is on disk before the next snapshot is
+/// governor trip (a proof stop is none).  A fence's file is committed on
+/// a writer thread while the next layer computes, and is on disk before the next snapshot is
 /// encoded and before fs_star returns or throws; a failed commit is
 /// thrown ahead of any error raised after it.  With a resume snapshot,
 /// the DP restarts from that fence

@@ -554,8 +554,10 @@ TEST(FsPruneGoverned, RoomyBudgetCompletesOptimally) {
 /// The sift seed the ladder prunes against on `f` (serial, ungoverned).
 reorder::PruneSeedResult sift_seed(const tt::TruthTable& f) {
   reorder::CostOracle oracle(f, core::DiagramKind::kBdd);
-  return reorder::seed_prune_bound(oracle, "sift", 8, reorder::kLadderRestarts,
-                                   reorder::kLadderSeed, reorder::EvalContext{});
+  return reorder::seed_prune_bound(oracle, "sift", 8,
+                                   reorder::kLadderRestarts,
+                                   reorder::kLadderSeed,
+                                   reorder::EvalContext{});
 }
 
 /// Everything a ladder run reports, ledgers included.

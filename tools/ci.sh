@@ -18,7 +18,8 @@
 #      n <= 13, pinned), plus the `ovo order --prune bounds` guard
 #      against the dense default (a run proven at layer 0 prints the
 #      dense size, "states":0 and a rebuildable order; a run whose seed
-#      is above the optimum prints the dense order), plus the Theorem 5 ledger guard
+#      is above the optimum prints the dense order), plus the Theorem 5
+#      ledger guard
 #      (a 12-variable dense `ovo order --json` with no symmetric pair of
 #      inputs reports 2n*3^(n-1) = 4,251,528 table cells, the same
 #      positive cut_cells and the same output at --threads 1 and 4, and
