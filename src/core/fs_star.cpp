@@ -808,8 +808,8 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                      DiagramKind kind, OpCounter* ops,
                      const par::ExecPolicy& exec, rt::Governor* gov,
                      std::uint64_t prune_upper_bound,
-                     const std::vector<int>* incumbent_order,
-                     const FsCheckpointOptions* ckpt) {
+                     const FsCheckpointOptions* ckpt,
+                     const std::vector<int>* incumbent_order) {
   OVO_CHECK_MSG((base.vars & J) == 0, "fs_star: J overlaps prefix I");
   OVO_CHECK_MSG(util::is_subset(J, util::full_mask(base.n)),
                 "fs_star: J outside variable universe");
@@ -930,7 +930,7 @@ PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
                          std::uint64_t prune_upper_bound,
                          const FsCheckpointOptions* ckpt) {
   FsStarResult r = fs_star(base, J, util::popcount(J), kind, ops, exec,
-                           nullptr, prune_upper_bound, nullptr, ckpt);
+                           nullptr, prune_upper_bound, ckpt);
   if (block_order_bottom_up != nullptr)
     *block_order_bottom_up = reconstruct_block_order(r, J);
   auto it = r.tables.find(J);

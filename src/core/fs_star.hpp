@@ -174,13 +174,13 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// mode.  Passing a bound below the true optimum is a contract violation
 /// (every state could be pruned) and is caught by an OVO_CHECK.
 ///
-/// `incumbent_order` (optional; null or empty: none) is that completion:
-/// J's variables, root first, whose chain costs prune_upper_bound.  A
-/// pruned full-block run that holds it stops at the first fence whose
-/// certified bound equals the incumbent (FsStarResult::completed_layers),
-/// writes it into its snapshots as their seed provenance
-/// (FsStarSnapshot::seed_order), and needs no more of the order than
-/// that.  Callers that read the DP's J table or its back-pointers pass
+/// `incumbent_order` (the last argument; optional; null or empty: none)
+/// is that completion: J's variables, root first, whose chain costs
+/// prune_upper_bound.  A pruned full-block run that holds it stops at the
+/// first fence whose certified bound equals the incumbent
+/// (FsStarResult::completed_layers), writes it into its snapshots as
+/// their seed provenance (FsStarSnapshot::seed_order), and needs no more
+/// of the order than that.  Callers that read the DP's J table or its back-pointers pass
 /// none and run every layer.  Ignored in dense mode; an order that is not
 /// a permutation of J is caught by an OVO_CHECK.
 ///
@@ -204,8 +204,8 @@ FsStarResult fs_star(const PrefixTable& base, util::Mask J, int stop_k,
                      const par::ExecPolicy& exec = {},
                      rt::Governor* gov = nullptr,
                      std::uint64_t prune_upper_bound = 0,
-                     const std::vector<int>* incumbent_order = nullptr,
-                     const FsCheckpointOptions* ckpt = nullptr);
+                     const FsCheckpointOptions* ckpt = nullptr,
+                     const std::vector<int>* incumbent_order = nullptr);
 
 /// Convenience: run to completion and return the single FS(<I, J>) table
 /// (it hands fs_star no incumbent order, so a pruned run builds every

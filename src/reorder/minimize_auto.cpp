@@ -132,8 +132,8 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   core::FsStarResult dp =
       core::fs_star(oracle.base(), all, n, options.kind, &v.ops,
                     options.exec, &gov, seeded.upper_bound,
-                    &seeded.order_root_first,
-                    ckpt.active() && !seed_cut ? &ckpt : nullptr);
+                    ckpt.active() && !seed_cut ? &ckpt : nullptr,
+                    &seeded.order_root_first);
   v.dp_layers_completed = dp.completed_layers;
   for (const util::Mask c : dp.classes)
     if (util::popcount(c) > 1) v.sym_classes.push_back(c);

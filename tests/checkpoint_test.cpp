@@ -316,7 +316,7 @@ CapturedRun capture_run(const tt::TruthTable& t, par::PruneMode prune) {
   exec.prune = prune;
   out.result =
       fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-              DiagramKind::kBdd, &out.ops, exec, nullptr, 0, nullptr, &ckpt);
+              DiagramKind::kBdd, &out.ops, exec, nullptr, 0, &ckpt);
   return out;
 }
 
@@ -541,7 +541,7 @@ std::map<int, std::vector<std::uint8_t>> fence_payloads(
   exec.prune = prune;
   OpCounter ops;
   fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-          DiagramKind::kBdd, &ops, exec, nullptr, 0, nullptr, &ckpt);
+          DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
   return out;
 }
 
@@ -630,20 +630,20 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
   // Different function, same shape.
   try {
     fs_star(initial_table(other), all, 5, DiagramKind::kBdd, nullptr, {},
-            nullptr, 0, nullptr, &resume);
+            nullptr, 0, &resume);
     FAIL() << "expected kWrongInstance";
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kWrongInstance);
   }
   // Same function, different diagram kind.
   EXPECT_THROW(fs_star(initial_table(t), all, 5, DiagramKind::kZdd, nullptr,
-                       {}, nullptr, 0, nullptr, &resume),
+                       {}, nullptr, 0, &resume),
                rt::CheckpointError);
   // Same function, different prune mode.
   par::ExecPolicy pruned;
   pruned.prune = par::PruneMode::kBounds;
   EXPECT_THROW(fs_star(initial_table(t), all, 5, DiagramKind::kBdd, nullptr,
-                       pruned, nullptr, 0, nullptr, &resume),
+                       pruned, nullptr, 0, &resume),
                rt::CheckpointError);
 }
 
@@ -709,7 +709,7 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
   exec.prune = par::PruneMode::kBounds;
   try {
     fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-            nullptr, exec, nullptr, 0, nullptr, &resume);
+            nullptr, exec, nullptr, 0, &resume);
     ADD_FAILURE() << "resumed against classes the base does not have";
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed);
@@ -774,7 +774,7 @@ TEST(FsResume, EveryFenceBitIdentical) {
           OpCounter ops;
           const FsStarResult r =
               fs_star(initial_table(t), all, n, DiagramKind::kBdd, &ops,
-                      exec, nullptr, 0, nullptr, &resume);
+                      exec, nullptr, 0, &resume);
           SCOPED_TRACE("n=" + std::to_string(n) + " layer=" +
                        std::to_string(snap.layer) + " threads=" +
                        std::to_string(threads) +
@@ -803,7 +803,7 @@ TEST(FsResume, ReconstructedOrderMatches) {
     resume.resume = &snap;
     const FsStarResult r = fs_star(initial_table(t), all, n,
                                    DiagramKind::kBdd, nullptr, {}, nullptr,
-                                   0, nullptr, &resume);
+                                   0, &resume);
     EXPECT_EQ(reconstruct_block_order(r, all), want);
   }
 }
@@ -820,7 +820,7 @@ TEST(FsResume, CadenceSkipsOddFences) {
     layers.push_back(decode_snapshot(payload.data(), payload.size()).layer);
   };
   fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-          nullptr, {}, nullptr, 0, nullptr, &ckpt);
+          nullptr, {}, nullptr, 0, &ckpt);
   EXPECT_EQ(layers, (std::vector<int>{2, 4}));
 }
 
@@ -852,7 +852,7 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
   OpCounter tripped_ops;
   const FsStarResult tripped =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &tripped_ops, {},
-              &tripped_gov, 0, nullptr, &ckpt);
+              &tripped_gov, 0, &ckpt);
   ASSERT_LT(tripped.completed_layers, n);
   ASSERT_FALSE(last.empty());
 
@@ -865,7 +865,7 @@ TEST(FsResume, TripSnapshotResumesWithLedgerContinuity) {
   OpCounter resumed_ops;
   const FsStarResult resumed =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &resumed_ops, {},
-              &resumed_gov, 0, nullptr, &resume);
+              &resumed_gov, 0, &resume);
   expect_results_equal(resumed, straight);
   expect_ops_equal(resumed_ops, straight_ops);
   EXPECT_EQ(resumed_gov.stats().work_units, straight_gov.stats().work_units);
@@ -887,7 +887,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
   OpCounter straight_ops;
   const FsStarResult straight =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &straight_ops, {},
-              nullptr, 0, nullptr, &ckpt);
+              nullptr, 0, &ckpt);
 
   // The file holds the last fence (layer n-1); resuming completes the run.
   FsStarSnapshot snap = load_snapshot(path);
@@ -897,7 +897,7 @@ TEST(FsResume, FileRoundTripAndCorruption) {
   OpCounter resumed_ops;
   const FsStarResult resumed =
       fs_star(initial_table(t), all, n, DiagramKind::kBdd, &resumed_ops, {},
-              nullptr, 0, nullptr, &resume);
+              nullptr, 0, &resume);
   expect_results_equal(resumed, straight);
   expect_ops_equal(resumed_ops, straight_ops);
 
@@ -972,7 +972,7 @@ std::vector<Fence> capture_frames(const tt::TruthTable& t,
   OpCounter ops;
   const FsStarResult r =
       fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
-              DiagramKind::kBdd, &ops, exec, nullptr, 0, nullptr, &ckpt);
+              DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
   if (!fences.empty()) fences.back().file = sim.get(path);
   EXPECT_TRUE(strictly_ascending_masks(r.best_last));
   EXPECT_TRUE(strictly_ascending_masks(r.ties));
@@ -1133,7 +1133,7 @@ TEST(FsFrame, WriterFaultSurfacesAsTheSerialWriteDid) {
       rt::ScopedFileOps install(sim);
       OpCounter ops;
       fs_star(initial_table(t), util::full_mask(10), 10, DiagramKind::kBdd,
-              &ops, exec, nullptr, 0, nullptr, &ckpt);
+              &ops, exec, nullptr, 0, &ckpt);
     };
     {
       rt::SimFs sim;
@@ -1453,7 +1453,7 @@ TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
     OpCounter ops;
     const FsStarResult r =
         fs_star(initial_table(t), util::full_mask(6), 6, DiagramKind::kBdd,
-                &ops, {}, nullptr, 0, nullptr, &resume);
+                &ops, {}, nullptr, 0, &resume);
     expect_results_equal(r, straight.result);
     expect_ops_equal(ops, straight.ops);
   }

@@ -136,7 +136,7 @@ TEST(CrashSim, FsStarResumeAfterAnyCutIsByteIdentical) {
     OpCounter ops;
     const FsStarResult probed =
         fs_star(initial_table(t), all, kN, DiagramKind::kBdd, &ops, {},
-                nullptr, 0, nullptr, &ckpt);
+                nullptr, 0, &ckpt);
     expect_results_equal(probed, straight);
     n_ops = sim.ops_seen();
   }
@@ -153,7 +153,7 @@ TEST(CrashSim, FsStarResumeAfterAnyCutIsByteIdentical) {
     bool crashed = false;
     try {
       fs_star(initial_table(t), all, kN, DiagramKind::kBdd, &ops, {},
-              nullptr, 0, nullptr, &ckpt);
+              nullptr, 0, &ckpt);
     } catch (const rt::SimFs::CrashCut&) {
       crashed = true;
     }
@@ -170,7 +170,7 @@ TEST(CrashSim, FsStarResumeAfterAnyCutIsByteIdentical) {
     OpCounter resumed_ops;
     const FsStarResult resumed =
         fs_star(initial_table(t), all, kN, DiagramKind::kBdd, &resumed_ops,
-                {}, nullptr, 0, nullptr, &resume);
+                {}, nullptr, 0, &resume);
     expect_results_equal(resumed, straight);
     ++resumed_runs;
   }

@@ -272,7 +272,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
         OpCounter straight_ops;
         const FsStarResult straight =
             fs_star(c.base, J, n, c.kind, &straight_ops,
-                    policy(threads, prune), nullptr, 0, nullptr, &write);
+                    policy(threads, prune), nullptr, 0, &write);
         ASSERT_EQ(fences.size(), static_cast<std::size_t>(n - 1));
         for (const std::vector<std::uint8_t>& payload : fences) {
           FsStarSnapshot snap =
@@ -286,7 +286,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
           OpCounter ops;
           const FsStarResult r =
               fs_star(c.base, J, n, c.kind, &ops, policy(5 - threads, prune),
-                      nullptr, 0, nullptr, &resume);
+                      nullptr, 0, &resume);
           EXPECT_EQ(r.best_last, straight.best_last);
           EXPECT_EQ(r.ties, straight.ties);
           EXPECT_EQ(r.mincost, straight.mincost);

@@ -632,8 +632,7 @@ TEST(FsPruneProof, AdderCarryStopsAtTheFirstFenceThatMeetsTheSeed) {
   };
   core::fs_star(core::initial_table(f), util::full_mask(6), 6,
                 core::DiagramKind::kBdd, nullptr,
-                policy(1, par::PruneMode::kBounds), nullptr, seed, nullptr,
-                &ckpt);
+                policy(1, par::PruneMode::kBounds), nullptr, seed, &ckpt);
   ASSERT_EQ(bounds.size(), 5u);  // fences 1..5
   const int first = static_cast<int>(
       std::find(bounds.begin(), bounds.end(), seed) - bounds.begin()) + 1;

@@ -48,7 +48,7 @@ std::vector<std::vector<std::uint8_t>> fence_payloads(const PrefixTable& base,
     fences.push_back(p);
   };
   fs_star(base, util::full_mask(base.n), base.n, kind, nullptr, {}, nullptr,
-          0, nullptr, &ckpt);
+          0, &ckpt);
   return fences;
 }
 
