@@ -95,12 +95,11 @@ obs::Ledger decode_counters(ByteReader& r) {
   return l;
 }
 
-template <typename V>
-bool strictly_ascending(const std::vector<std::pair<util::Mask, V>>& map) {
-  return std::adjacent_find(map.begin(), map.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first >= b.first;
-                            }) == map.end();
+bool strictly_ascending(const std::vector<FsState>& states) {
+  return std::adjacent_find(states.begin(), states.end(),
+                            [](const FsState& a, const FsState& b) {
+                              return a.mask >= b.mask;
+                            }) == states.end();
 }
 
 util::Mask spread_dense(util::Mask dense, const std::vector<int>& j_vars) {
@@ -129,46 +128,36 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
 
 std::uint64_t snapshot_payload_bound(std::uint64_t tables,
                                      std::uint64_t cell_bytes,
-                                     std::uint64_t best_last,
-                                     std::uint64_t mincost,
-                                     std::uint64_t seed_name_len,
+                                     std::uint64_t states,
                                      std::uint64_t seed_order_len) {
   // Fixed fields, at most 64 classes, and both counter sections (names
   // stay under 32 bytes).
   constexpr std::uint64_t kScalarBytes =
       128 + 8 * 64 + 2 * 44 * obs::kMetricCount;
-  return kScalarBytes + seed_name_len + 4 * seed_order_len +
-         (8 + 4 + 8) * tables + cell_bytes + (8 + 4 + 8) * best_last +
-         (8 + 8) * mincost;
+  return kScalarBytes + 4 * seed_order_len + (8 + 4 + 8) * tables +
+         cell_bytes + (8 + 8 + 8) * states;
 }
 
 void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   OVO_CHECK(view.fingerprint != nullptr && view.dense != nullptr &&
             view.tables != nullptr && view.classes != nullptr &&
-            view.best_last != nullptr && view.ties != nullptr &&
-            view.mincost != nullptr && view.counters != nullptr &&
+            view.states != nullptr && view.counters != nullptr &&
             view.seed_counters != nullptr);
   OVO_CHECK(view.dense->size() == view.tables->size());
-  OVO_CHECK(view.best_last->size() == view.ties->size());
-  OVO_DCHECK(strictly_ascending(*view.best_last) &&
-             strictly_ascending(*view.mincost));
-  static const std::string kEmpty;
+  OVO_DCHECK(strictly_ascending(*view.states));
   static const std::vector<int> kNoOrder;
-  const std::string& seed_name =
-      view.seed_name != nullptr ? *view.seed_name : kEmpty;
   const std::vector<int>& seed_order =
       view.seed_order != nullptr ? *view.seed_order : kNoOrder;
 
-  // Size the payload once: the layer's cells and the two maps are all
+  // Size the payload once: the layer's cells and the records are all
   // but a few hundred bytes of it, and one reservation keeps the encode
   // a single pass over memory with no regrowth copies.  A writer reused
   // across fences already holds the capacity and reserves nothing.
   std::uint64_t cell_bytes = 0;
   for (const NarrowTable& t : *view.tables) cell_bytes += t.cells.bytes();
-  w.reserve(w.size() +
-            static_cast<std::size_t>(snapshot_payload_bound(
-                view.tables->size(), cell_bytes, view.best_last->size(),
-                view.mincost->size(), seed_name.size(), seed_order.size())));
+  w.reserve(w.size() + static_cast<std::size_t>(snapshot_payload_bound(
+                           view.tables->size(), cell_bytes,
+                           view.states->size(), seed_order.size())));
 
   const FsFingerprint& fp = *view.fingerprint;
   w.u64(fp.base_hash);
@@ -181,8 +170,6 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
   w.u32(view.num_terminals);
   w.u32(static_cast<std::uint32_t>(view.layer));
   w.u64(view.certified_lower_bound);
-  w.u64(view.rng_seed);
-  w.str(seed_name);
   w.u64(seed_order.size());
   for (const int v : seed_order) w.u32(static_cast<std::uint32_t>(v));
   encode_counters(w, *view.counters);
@@ -204,20 +191,12 @@ void encode_snapshot_into(const FsSnapshotView& view, ByteWriter& w) {
     });
   }
 
-  // The maps, in their stored ascending-mask order; each best_last
-  // entry carries its state's tie set.
-  w.u64(view.best_last->size());
-  for (std::size_t i = 0; i < view.best_last->size(); ++i) {
-    const auto& [mask, var] = (*view.best_last)[i];
-    OVO_DCHECK((*view.ties)[i].first == mask);
-    w.u64(mask);
-    w.u32(static_cast<std::uint32_t>(var));
-    w.u64((*view.ties)[i].second);
-  }
-  w.u64(view.mincost->size());
-  for (const auto& [mask, cost] : *view.mincost) {
-    w.u64(mask);
-    w.u64(cost);
+  // The records, in their stored ascending-mask order.
+  w.u64(view.states->size());
+  for (const FsState& st : *view.states) {
+    w.u64(st.mask);
+    w.u64(st.ties);
+    w.u64(st.mincost);
   }
 }
 
@@ -258,8 +237,6 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
   if (layer > fp.stop_k) malformed("snapshot layer exceeds the stop layer");
   s.layer = static_cast<int>(layer);
   s.certified_lower_bound = r.u64();
-  s.rng_seed = r.u64();
-  s.seed_name = r.str();
   const std::uint64_t seed_len = r.array_count(4);
   if (seed_len > 64) malformed("seed order longer than 64 variables");
   s.seed_order.reserve(static_cast<std::size_t>(seed_len));
@@ -357,42 +334,28 @@ FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len) {
     s.tables.push_back(std::move(t));
   }
 
-  const std::uint64_t n_bl = r.array_count(8 + 4 + 8);
-  s.best_last.reserve(static_cast<std::size_t>(n_bl));
-  s.ties.reserve(static_cast<std::size_t>(n_bl));
-  for (std::uint64_t i = 0; i < n_bl; ++i) {
-    const util::Mask mask = r.u64();
-    const std::uint32_t var = r.u32();
-    const util::Mask tied = r.u64();
-    if (mask == 0 || (mask & ~fp.block) != 0)
-      malformed("best-last mask outside the block");
-    if (!s.best_last.empty() && mask <= s.best_last.back().first)
-      malformed("best-last masks not strictly ascending");
-    if (canonical_mask(s.classes, mask) != mask)
-      malformed("best-last mask not canonical");
-    if (var >= fp.n || (mask & (util::Mask{1} << var)) == 0)
-      malformed("best-last variable not a member of its mask");
+  // One record per published state: the empty set with no ties, every
+  // other state with ties that meet it.
+  const std::uint64_t n_states = r.array_count(8 + 8 + 8);
+  s.states.reserve(static_cast<std::size_t>(n_states));
+  for (std::uint64_t i = 0; i < n_states; ++i) {
+    FsState st;
+    st.mask = r.u64();
+    st.ties = r.u64();
+    st.mincost = r.u64();
+    if (!s.states.empty() && st.mask <= s.states.back().mask)
+      malformed("state masks not strictly ascending");
+    if ((st.mask & ~fp.block) != 0) malformed("state mask outside the block");
+    if (canonical_mask(s.classes, st.mask) != st.mask)
+      malformed("state mask not canonical");
+    bool classes_only = (st.ties & ~fp.block) == 0;
     for (const util::Mask c : s.classes)
-      if ((tied & c) != 0 && (tied & c) != c)
-        malformed("tie set not a union of symmetry classes");
-    if ((tied & ~fp.block) != 0 || (mask & tied) == 0 ||
-        util::lowest_bit(mask & tied) != static_cast<int>(var))
-      malformed("tie set disagrees with its best-last variable");
-    s.best_last.emplace_back(mask, static_cast<int>(var));
-    s.ties.emplace_back(mask, tied);
-  }
-
-  const std::uint64_t n_mc = r.array_count(8 + 8);
-  s.mincost.reserve(static_cast<std::size_t>(n_mc));
-  for (std::uint64_t i = 0; i < n_mc; ++i) {
-    const util::Mask mask = r.u64();
-    const std::uint64_t cost = r.u64();
-    if ((mask & ~fp.block) != 0) malformed("mincost mask outside the block");
-    if (!s.mincost.empty() && mask <= s.mincost.back().first)
-      malformed("mincost masks not strictly ascending");
-    if (canonical_mask(s.classes, mask) != mask)
-      malformed("mincost mask not canonical");
-    s.mincost.emplace_back(mask, cost);
+      classes_only &= (st.ties & c) == 0 || (st.ties & c) == c;
+    if (!classes_only) malformed("tie set not a union of symmetry classes");
+    if (st.mask == 0 && st.ties != 0) malformed("empty set with a tie set");
+    if (st.mask != 0 && (st.mask & st.ties) == 0)
+      malformed("tie set misses its state");
+    s.states.push_back(st);
   }
 
   if (!r.done()) malformed("trailing bytes after the snapshot payload");

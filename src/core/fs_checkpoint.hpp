@@ -7,9 +7,9 @@
 // is fully published, nothing deeper exists.  That is the one program
 // point where the DP's state is a pure value — the layer's tables (dense:
 // all its canonical states; pruned: the packed survivors), J's symmetry
-// classes, the accumulated back-pointer/tie/mincost maps, the certified
-// lower bound, and the fence's
-// pinned counters (obs/metrics.hpp), each stored once by dotted name.
+// classes, one record per state published so far (its tie set and
+// MINCOST), the certified lower bound, and the fence's pinned counters
+// (obs/metrics.hpp), each stored once by dotted name.
 // Resuming re-seeds the engine with exactly that state, so the remaining
 // layers — and every tie-break, pinned counter, and budget-trip decision
 // after them — replay as if the run had never stopped, at any thread
@@ -26,11 +26,9 @@
 // Resuming against a non-matching fingerprint is a typed
 // CheckpointError(kWrongInstance), never silent corruption.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/prefix_table.hpp"
@@ -57,23 +55,26 @@ namespace ovo::core {
 /// v8 keeps v7's layout; its seed section holds the counters of a window,
 /// restarts or anneal seed that sizes its candidates from one prefix
 /// chain, with no order memo, so they differ from a v7 file's for the
-/// same fence.  Older files load as kVersionSkew.
-inline constexpr std::uint32_t kFsSnapshotVersion = 8;
+/// same fence.  v9 stores each state once, as one 24-byte FsState record,
+/// where v8 wrote a best-last entry with its tie set and a separate
+/// mincost entry, and it drops v8's RNG seed and seed name.  Older files
+/// load as kVersionSkew.
+inline constexpr std::uint32_t kFsSnapshotVersion = 9;
 
-/// Binary search in one of the DP's mask-sorted maps (FsStarResult and
-/// FsStarSnapshot keep best_last and mincost as (mask, value) vectors in
-/// strictly ascending mask order): the value stored at `mask`, or nullptr
-/// when the map has no entry for it (a pruned or never-built state).
-template <typename V>
-const V* find_mask(const std::vector<std::pair<util::Mask, V>>& map,
-                   util::Mask mask) {
-  const auto it = std::lower_bound(
-      map.begin(), map.end(), mask,
-      [](const std::pair<util::Mask, V>& e, util::Mask m) {
-        return e.first < m;
-      });
-  return it != map.end() && it->first == mask ? &it->second : nullptr;
-}
+/// What the DP keeps of one canonical state K ⊆ J it published: the
+/// union of the classes whose candidates reach K's minimum (`ties`, as a
+/// variable mask; the lowest member of K in it is the variable the dense
+/// DP places on top of K, FsStarResult::choice) and MINCOST_{<I,K>}
+/// (chain totals, including the base's mincost).  The empty set, layer
+/// 0, has no ties.  FsStarResult and FsStarSnapshot keep their records
+/// in strictly ascending mask order.
+struct FsState {
+  util::Mask mask = 0;
+  util::Mask ties = 0;
+  std::uint64_t mincost = 0;
+
+  bool operator==(const FsState&) const = default;
+};
 
 /// The canonical state of K's symmetry orbit under `classes` (disjoint
 /// masks): K with its members of each class replaced by as many of the
@@ -114,7 +115,7 @@ FsFingerprint fs_fingerprint(const PrefixTable& base, util::Mask J,
 /// numeric) order; `tables[i]` is the table at `dense[i]`, at its width.
 /// In dense mode the vectors cover the whole canonical layer; in pruned
 /// mode they hold the packed survivors.  A run that resumes from the
-/// snapshot moves `dense` and `tables` out of it.
+/// snapshot moves `dense`, `tables` and `states` out of it.
 struct FsStarSnapshot {
   FsFingerprint fingerprint;
   std::uint32_t num_terminals = 2;
@@ -127,10 +128,9 @@ struct FsStarSnapshot {
   /// canonical states.
   std::vector<util::Mask> classes;
 
-  /// Accumulated DP maps through `layer`, sorted by variable mask.
-  std::vector<std::pair<util::Mask, int>> best_last;
-  std::vector<std::pair<util::Mask, util::Mask>> ties;
-  std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
+  /// The records of every state published through `layer`
+  /// (FsStarResult::states), in strictly ascending mask order.
+  std::vector<FsState> states;
 
   std::uint64_t certified_lower_bound = 0;
 
@@ -147,25 +147,22 @@ struct FsStarSnapshot {
 
   /// Provenance: the heuristic order that seeded the incumbent (the
   /// order fs_star was handed, root first; empty in dense mode and for a
-  /// self-seeded incumbent, else a permutation of the block), its RNG
-  /// seed, and the seed strategy name.  Lets a resumed ladder skip its
-  /// seeding stage yet hand the DP the same order, so the resumed run
-  /// stops at the straight run's fence and keeps the order as a salvage
-  /// candidate.
+  /// self-seeded incumbent, else a permutation of the block).  Lets a
+  /// resumed ladder skip its seeding stage yet hand the DP the same
+  /// order, so the resumed run stops at the straight run's fence and
+  /// keeps the order as a salvage candidate.
   std::vector<int> seed_order;
-  std::uint64_t rng_seed = 0;
-  std::string seed_name;
   /// The seed stage's pinned oracle ledger (reorder::OracleStats::
   /// to_ledger), restored into the resumed run's reported ledger.
   obs::Ledger seed_counters;
 };
 
 /// Borrowed view of fence state for zero-copy encoding: the engine points
-/// it at its live layer vectors and at FsStarResult's maps instead of
-/// materializing an FsStarSnapshot.  The maps must already be in strictly
-/// ascending mask order — the engine keeps them that way as it builds
-/// them — so the encoder writes them straight through, copying and
-/// sorting nothing, and identical state encodes to identical bytes.
+/// it at its live layer vectors and at FsStarResult's records instead of
+/// materializing an FsStarSnapshot.  The records must already be in
+/// strictly ascending mask order — the engine keeps them that way as it
+/// builds them — so the encoder writes them straight through, copying
+/// and sorting nothing, and identical state encodes to identical bytes.
 struct FsSnapshotView {
   const FsFingerprint* fingerprint = nullptr;
   std::uint32_t num_terminals = 2;
@@ -173,35 +170,28 @@ struct FsSnapshotView {
   const std::vector<util::Mask>* dense = nullptr;
   const std::vector<NarrowTable>* tables = nullptr;
   const std::vector<util::Mask>* classes = nullptr;
-  const std::vector<std::pair<util::Mask, int>>* best_last = nullptr;
-  const std::vector<std::pair<util::Mask, util::Mask>>* ties = nullptr;
-  const std::vector<std::pair<util::Mask, std::uint64_t>>* mincost = nullptr;
+  const std::vector<FsState>* states = nullptr;
   std::uint64_t certified_lower_bound = 0;
   const obs::Ledger* counters = nullptr;
   const std::vector<int>* seed_order = nullptr;  ///< null encodes empty
-  std::uint64_t rng_seed = 0;
-  const std::string* seed_name = nullptr;      ///< null encodes empty
   const obs::Ledger* seed_counters = nullptr;
 };
 
 /// Bytes encode_snapshot_into reserves for a fence of `tables` layer
 /// tables whose cells take `cell_bytes` bytes in all at their widths,
-/// maps of `best_last` (and as many tie) and `mincost` entries, and seed
-/// provenance of `seed_name_len` bytes and `seed_order_len` variables.
+/// `states` records, and a seed order of `seed_order_len` variables.
 /// Exact for those parts; the fixed fields, the classes (at most 64) and
 /// the two counter sections (at most one entry per registry metric) are
 /// bounded.  A writer that already holds this much beyond its contents
 /// encodes the fence without regrowth.
 std::uint64_t snapshot_payload_bound(std::uint64_t tables,
                                      std::uint64_t cell_bytes,
-                                     std::uint64_t best_last,
-                                     std::uint64_t mincost,
-                                     std::uint64_t seed_name_len,
+                                     std::uint64_t states,
                                      std::uint64_t seed_order_len);
 
 /// Appends a fence view's payload bytes (deterministic) to `w`, in one
 /// pass: `w` is reserved once for the whole payload, the layer's cells go
-/// out in bulk and the maps in their stored order.  Each counter ledger
+/// out in bulk and the records in their stored order.  Each counter ledger
 /// becomes one keyed section: a u32 count, then (name, u64 bits) pairs
 /// for its nonzero pinned metrics in strictly ascending dotted-name
 /// order; measured slots are never written.  The engine appends into its
@@ -213,16 +203,18 @@ void encode_snapshot_into(const FsSnapshotView& view, rt::ByteWriter& w);
 std::vector<std::uint8_t> encode_snapshot(const FsSnapshotView& view);
 
 /// Parses and *semantically validates* payload bytes: every structural
-/// inconsistency the CRC cannot catch (mask order, layer cardinality,
-/// classes that do not partition the block, a mask that is not canonical,
-/// a dense layer short of its canonical states, a tie set that is not a
-/// union of classes or disagrees with best_last, a cell array shorter
-/// than its count at its table's width, a cell id at or past its table's
-/// next_id, table sizes that disagree with the fingerprint, a seed order
-/// that is neither empty nor a permutation of the block, a keyed section
-/// naming an unknown or measured metric, repeating or misordering a
-/// name, storing a zero, or holding more entries than the registry) throws a typed CheckpointError — a decoded snapshot is safe
-/// to resume from without further bounds checks.
+/// inconsistency the CRC cannot catch (mask order, a mask outside the
+/// block, layer cardinality, classes that do not partition the block, a
+/// mask that is not canonical, a dense layer short of its canonical
+/// states, a tie set that is not a union of classes or misses its mask,
+/// an empty set with ties, a cell array shorter than its count at its
+/// table's width, a cell id at or past its table's next_id, table sizes
+/// that disagree with the fingerprint, a seed order that is neither
+/// empty nor a permutation of the block, a keyed section naming an
+/// unknown or measured metric, repeating or misordering a name, storing
+/// a zero, or holding more entries than the registry) throws a typed
+/// CheckpointError — a decoded snapshot is safe to resume from without
+/// further bounds checks.
 FsStarSnapshot decode_snapshot(const std::uint8_t* data, std::size_t len);
 
 /// Loads, CRC-verifies, decodes, and validates a snapshot file.
@@ -250,10 +242,9 @@ struct FsCheckpointOptions {
   /// buffer for the whole run, so a hook gets a copy of the payload;
   /// without a hook nothing is copied.
   std::function<void(const std::vector<std::uint8_t>&)> on_bytes;
-  /// Provenance recorded verbatim into written snapshots, beside the
-  /// incumbent order fs_star was handed (FsStarSnapshot::seed_order).
-  std::uint64_t rng_seed = 0;
-  std::string seed_name;
+  /// The seed stage's ledger, recorded verbatim into written snapshots
+  /// beside the incumbent order fs_star was handed
+  /// (FsStarSnapshot::seed_order).
   obs::Ledger seed_counters;
 
   bool writes() const {

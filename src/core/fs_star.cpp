@@ -126,7 +126,7 @@ std::uint32_t pooled_crc32(const std::uint8_t* data, std::size_t len,
 
 /// Emits one layer-fence snapshot from live engine state.  Only called at
 /// a layer fence, where `dense`/`tables` hold the completed layer, the
-/// result maps and prune ledger are published through it, and
+/// result's records and prune ledger are published through it, and
 /// `ops`/`gov` hold merged totals.  The counters stored are `*ops`, the
 /// run's prune ledger (its upper_bound is the effective incumbent) and
 /// the governor's work.  The previous fence's commit is joined first:
@@ -152,9 +152,7 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
     v.dense = &dense;
     v.tables = &tables;
     v.classes = &result.classes;
-    v.best_last = &result.best_last;
-    v.ties = &result.ties;
-    v.mincost = &result.mincost;
+    v.states = &result.states;
     v.certified_lower_bound = result.certified_lower_bound;
     obs::Ledger counters;
     if (ops != nullptr) ops->to_ledger(counters);
@@ -163,8 +161,6 @@ void emit_fence_snapshot(CkptPlan& plan, int layer,
       counters.record(obs::Metric::kRtWorkCharged, gov->stats().work_units);
     v.counters = &counters;
     v.seed_order = plan.seed_order;
-    v.rng_seed = plan.opts->rng_seed;
-    v.seed_name = &plan.opts->seed_name;
     v.seed_counters = &plan.opts->seed_counters;
     rt::begin_frame(frame);
     encode_snapshot_into(v, frame);
@@ -205,8 +201,8 @@ std::uint64_t compacted_id_bound(std::uint64_t next_id, std::uint64_t pairs) {
 /// layer k holds all its canonical states (C(|J|,k) without a symmetric
 /// pair) of (base cells >> k) cells each, stored at no more than the
 /// width of compacted_id_bound applied k times to the base's next_id,
-/// and the maps hold every state of layers 0..k (a dense run records no
-/// seed order), so each fence's frame follows from closed forms (the
+/// and the records cover every state of layers 0..k (a dense run records
+/// no seed order), so each fence's frame follows from closed forms (the
 /// base is resident and has at least 2^|J| cells, so none of them
 /// overflows).  Under a governor with a
 /// byte or node limit the reservation is capped at the byte limit and at
@@ -218,13 +214,13 @@ void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
   if (!plan.writes() || plan.opts->every <= 0) return;
   const FsCheckpointOptions& o = *plan.opts;
   std::uint64_t widest = 0;
-  std::uint64_t map_states = 1;  // layers 0..k; layer 0 is the empty set
+  std::uint64_t records = 1;  // layers 0..k; layer 0 is the empty set
   std::uint64_t id_bound = base.next_id;
   for (int k = 1; k < stop_k; ++k) {
     const std::uint64_t states = counts.states[static_cast<std::size_t>(k)];
     const std::uint64_t cells_per_table =
         static_cast<std::uint64_t>(base.cells.size()) >> k;
-    map_states += states;
+    records += states;
     id_bound = compacted_id_bound(id_bound, cells_per_table);
     if (k <= start_layer || k % o.every != 0) continue;
     const std::uint64_t cell_bytes =
@@ -232,9 +228,7 @@ void reserve_dense_frame(CkptPlan& plan, const PrefixTable& base,
         static_cast<std::uint64_t>(cell_width(id_bound));
     widest = std::max<std::uint64_t>(
         widest, rt::kFrameHeaderSize +
-                    snapshot_payload_bound(states, cell_bytes,
-                                           map_states - 1, map_states,
-                                           o.seed_name.size(), 0));
+                    snapshot_payload_bound(states, cell_bytes, records, 0));
   }
   if (gov != nullptr) {
     const rt::Budget& b = gov->budget();
@@ -256,31 +250,26 @@ bool fence_due(const CkptPlan& plan, int layer, int stop_k) {
          layer % plan.opts->every == 0;
 }
 
-/// Seeds a result with a snapshot's accumulated maps and ledgers.  The
-/// engine then replays layers `snapshot.layer + 1 ..` exactly as the
-/// uninterrupted run would have.
-void apply_resume(FsStarResult& result, const FsStarSnapshot& s) {
-  result.best_last = s.best_last;
-  result.ties = s.ties;
-  result.mincost = s.mincost;
+/// Seeds a result with a snapshot's records, moved out of it, and its
+/// ledgers.  The engine then replays layers `snapshot.layer + 1 ..`
+/// exactly as the uninterrupted run would have.
+void apply_resume(FsStarResult& result, FsStarSnapshot& s) {
+  result.states = std::move(s.states);
+  s.states.clear();
   result.prune.from_ledger(s.counters);
   result.certified_lower_bound = s.certified_lower_bound;
   result.completed_layers = s.layer;
 }
 
-/// Merges the entries appended since `old_size` — one layer's states,
-/// ascending by mask — into the ascending entries before them.  Two
-/// layers never share a mask, so the map stays strictly ascending; the
-/// merge is linear in the map's size, with no lookups and no sort.
-template <typename V>
-void merge_layer(std::vector<std::pair<util::Mask, V>>& map,
-                 std::size_t old_size) {
+/// Merges the records appended since `old_size` — one layer's states,
+/// ascending by mask — into the ascending records before them.  Two
+/// layers never share a mask, so the vector stays strictly ascending;
+/// the merge is linear in its size, with no lookups and no sort.
+void merge_layer(std::vector<FsState>& states, std::size_t old_size) {
   std::inplace_merge(
-      map.begin(), map.begin() + static_cast<std::ptrdiff_t>(old_size),
-      map.end(), [](const std::pair<util::Mask, V>& a,
-                    const std::pair<util::Mask, V>& b) {
-        return a.first < b.first;
-      });
+      states.begin(), states.begin() + static_cast<std::ptrdiff_t>(old_size),
+      states.end(),
+      [](const FsState& a, const FsState& b) { return a.mask < b.mask; });
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +349,7 @@ util::OrbitCounts class_counts(const std::vector<util::Mask>& classes) {
 // ---------------------------------------------------------------------------
 // The engine.
 
-/// The per-state kernel: finds the best last variable for canonical
+/// The per-state kernel: finds the best last variables for canonical
 /// dense state `d` by compacting, for each class top b of d, the
 /// predecessor table of d \ b in the previous layer (packed states, found
 /// by binary search in their strictly ascending masks `prev_dense`, and
@@ -375,8 +364,8 @@ util::OrbitCounts class_counts(const std::vector<util::Mask>& classes) {
 /// Every member of a class yields the same cost (the swap maps one
 /// candidate onto the other), so K's argmin over its variables is an
 /// argmin over its classes.  `*ties_out` collects the whole classes whose
-/// candidate reaches the minimum, and `*best_var_out` is the dense DP's
-/// choice: the lowest member of d in them.
+/// candidate reaches the minimum, over dense positions; the lowest member
+/// of d in them is the dense DP's choice.
 ///
 /// Branch and bound: a candidate's cost is its predecessor's mincost plus
 /// the ids its sweep hands out, so it only grows as the sweep goes on.
@@ -396,8 +385,7 @@ void best_last_for_subset(util::Mask d, const std::vector<NarrowTable>& prev,
                           bool prev_complete, const std::vector<int>& j_vars,
                           const Orbits& orbits, DiagramKind kind,
                           OpCounter* shard, PrefixTable& cand,
-                          PrefixTable& best, int* best_var_out,
-                          std::uint64_t* best_cost_out,
+                          PrefixTable& best, std::uint64_t* best_cost_out,
                           util::Mask* ties_out) {
   const std::uint32_t slack = orbits.symmetric() ? 1 : 0;
   std::uint64_t bc = std::numeric_limits<std::uint64_t>::max();
@@ -430,9 +418,6 @@ void best_last_for_subset(util::Mask d, const std::vector<NarrowTable>& prev,
   util::for_each_bit(tied, [&](int b) {
     ties |= orbits.whole[static_cast<std::size_t>(b)];
   });
-  *best_var_out = tied == 0 ? -1
-                            : j_vars[static_cast<std::size_t>(
-                                  util::lowest_bit(d & ties))];
   *best_cost_out = bc;
   *ties_out = ties;
 }
@@ -468,8 +453,8 @@ void best_last_for_subset(util::Mask d, const std::vector<NarrowTable>& prev,
 /// the fence's snapshot, so the run stops at the same fence at every
 /// thread count and on a resume, and a proof writes no trip snapshot.
 ///
-/// Determinism: every candidate writes its table/best-var/best-cost/ties
-/// into its own slot, shards merge at each fence, and governor admission
+/// Determinism: every candidate writes its table/best-cost/ties into its
+/// own slot, shards merge at each fence, and governor admission
 /// is made serially per layer from the layer's exact work — surviving
 /// predecessors × predecessor cells, the closed form transitions[k]·cells
 /// when nothing was pruned — so trips, orders, sizes, tie-breaks, and
@@ -497,7 +482,6 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
   FsStarResult result;
   result.classes = std::move(classes);
   if (prune) result.prune.upper_bound = *ub;
-  result.mincost.emplace_back(util::Mask{0}, base.mincost());
 
   // Placement-invariant bound inputs, computed once per pruned run.
   const util::Mask base_support = prune ? bound_support(base, kind) & J : 0;
@@ -534,6 +518,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     resume->tables.clear();
     resume->dense.clear();
   } else {
+    result.states.push_back({util::Mask{0}, util::Mask{0}, base.mincost()});
     prev.push_back(narrow(base));
     prev_dense.push_back(util::Mask{0});
     // The run may trip before layer 1: layer 0's bound is still
@@ -626,7 +611,6 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     }
 
     std::vector<NarrowTable> cur(cand.size());
-    std::vector<int> best_var(cand.size(), -1);
     std::vector<std::uint64_t> best_cost(cand.size());
     std::vector<util::Mask> ties(cand.size());
     std::vector<std::uint64_t> bound(prune ? cand.size() : 0);
@@ -649,8 +633,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
             SweepScratch& sc = scratch[static_cast<std::size_t>(slot)];
             best_last_for_subset(cand[s], prev, prev_dense, prev_complete,
                                  j_vars, orbits, kind, shard, sc.cand,
-                                 sc.best, &best_var[s], &best_cost[s],
-                                 &ties[s]);
+                                 sc.best, &best_cost[s], &ties[s]);
             if (prune) {
               // The prune decision is state-local and the incumbent is
               // fixed, so deciding it inside the parallel body is safe
@@ -670,10 +653,10 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
     if (gov != nullptr && gov->stopped()) break;  // discard partial layer
 
     {
-      // Serial epilogue (the layer fence): publish kept states in colex
-      // order — ascending K, since spreading dense positions over the
-      // ascending j_vars keeps their order — merge them into the maps,
-      // and re-pack the layer in place.
+      // Serial epilogue (the layer fence): publish kept states' records
+      // in colex order — ascending K, since spreading dense positions
+      // over the ascending j_vars keeps their order — merge them into
+      // the records before them, and re-pack the layer in place.
       OVO_TRACE_SPAN_NAMED(fence_span, "fs.fence", "fs", 0, "layer",
                            static_cast<std::uint64_t>(layer), "cut_cells", 0);
       std::size_t kept = 0;
@@ -681,16 +664,12 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       std::uint64_t cur_bytes = 0;
       std::uint64_t cur_top_id = 0;
       std::uint64_t layer_lb_min = std::numeric_limits<std::uint64_t>::max();
-      const std::size_t old_best_last = result.best_last.size();
-      const std::size_t old_ties = result.ties.size();
-      const std::size_t old_mincost = result.mincost.size();
+      const std::size_t old_states = result.states.size();
       for (std::size_t i = 0; i < cand.size(); ++i) {
-        OVO_CHECK(best_var[i] >= 0);
+        OVO_CHECK(ties[i] != 0);
         if (keep[i] == 0) continue;
-        const util::Mask K = spread_mask(cand[i], j_vars);
-        result.best_last.emplace_back(K, best_var[i]);
-        result.ties.emplace_back(K, spread_mask(ties[i], j_vars));
-        result.mincost.emplace_back(K, best_cost[i]);
+        result.states.push_back({spread_mask(cand[i], j_vars),
+                                 spread_mask(ties[i], j_vars), best_cost[i]});
         if (prune && bound[i] < layer_lb_min) layer_lb_min = bound[i];
         cur_resident += cur[i].cells.size();
         cur_bytes += cur[i].cells.bytes();
@@ -701,9 +680,7 @@ FsStarResult fs_star_layers(const PrefixTable& base, util::Mask J,
       }
       OVO_CHECK_MSG(kept > 0,
                     "fs_star: pruning incumbent below the true optimum");
-      merge_layer(result.best_last, old_best_last);
-      merge_layer(result.ties, old_ties);
-      merge_layer(result.mincost, old_mincost);
+      merge_layer(result.states, old_states);
       const std::uint64_t generated = cand.size();
       if (prune) {
         result.prune.states_generated += generated;
@@ -954,11 +931,19 @@ util::Mask FsStarResult::canonical(util::Mask K) const {
   return canonical_mask(classes, K);
 }
 
+const FsState* FsStarResult::state(util::Mask K) const {
+  const util::Mask c = canonical(K);
+  const auto it = std::lower_bound(
+      states.begin(), states.end(), c,
+      [](const FsState& st, util::Mask m) { return st.mask < m; });
+  return it != states.end() && it->mask == c ? &*it : nullptr;
+}
+
 int FsStarResult::choice(util::Mask K) const {
-  const util::Mask* tied = find_mask(ties, canonical(K));
-  OVO_CHECK_MSG(tied != nullptr && (K & *tied) != 0,
-                "reconstruct_block_order: missing back-pointer");
-  return util::lowest_bit(K & *tied);
+  const FsState* st = state(K);
+  OVO_CHECK_MSG(st != nullptr && (K & st->ties) != 0,
+                "reconstruct_block_order: missing tie set");
+  return util::lowest_bit(K & st->ties);
 }
 
 std::vector<util::Mask> symmetry_classes(const PrefixTable& base,

@@ -12,10 +12,10 @@
 // only read the previous layer, so each layer is one parallel_for over
 // its states (the per-subset best-last-variable searches are
 // independent) followed by a serial publish epilogue — the layer fence —
-// that publishes back-pointers and costs in colex order, merges the
-// per-thread OpCounter shards, charges the governor, and may encode a
-// checkpoint, which a writer thread commits to disk while the next layer
-// runs.  Every state writes to its own slot, so orders, sizes,
+// that publishes each state's record (tie set and cost) in colex order,
+// merges the per-thread OpCounter shards, charges the governor, and may
+// encode a checkpoint, which a writer thread commits to disk while the
+// next layer runs.  Every state writes to its own slot, so orders, sizes,
 // tie-breaks, and merged OpCounter totals are bit-identical at every
 // thread count.  The default policy is serial and bit-identical to the
 // original single-threaded implementation.
@@ -48,10 +48,10 @@
 // symmetry class K holds.  So a full-block run detects J's classes on the
 // base and builds canonical states only — the sets holding the
 // lowest-index members of each class — each with one transition per
-// class present (remove that class's highest member in K).  Each state
-// also records the classes whose candidates tie at its minimum, which
-// recovers the dense DP's back-pointer for any K ⊆ J (FsStarResult::
-// choice).  Orders, sizes and tie-breaks are the dense DP's for every
+// class present (remove that class's highest member in K).  Each state's
+// record holds the classes whose candidates tie at its minimum, which
+// recovers the dense DP's choice of top variable for any K ⊆ J
+// (FsStarResult::choice).  Orders, sizes and tie-breaks are the dense DP's for every
 // function; a function without a symmetric pair runs the dense DP state
 // for state (docs/INTERNALS.md, "A DP over symmetry orbits").
 
@@ -82,28 +82,18 @@ struct FsStarResult {
   /// singletons.
   std::vector<util::Mask> classes;
 
-  /// For every canonical K ⊆ J with 1 <= |K| <= stop_k: the variable the
-  /// dense DP places at the top level of the block, i.e.
-  /// pi_{<I,K>}[|I|+|K|] (Lemma 7's argmin, lowest index among the tied).
-  /// Entries (K, var) in strictly ascending mask order; look one up with
-  /// find_mask, or use choice() for any K.  Each layer fence appends its
-  /// states, which arrive in ascending order, and merges them into the
-  /// entries before it, so the vector is sorted as it is built: a
-  /// snapshot encodes it as it stands (FsSnapshotView) and a resume
-  /// copies the snapshot's vector back.
-  std::vector<std::pair<util::Mask, int>> best_last;
-
-  /// For the same states as best_last, kept like it: the union of the
-  /// classes whose candidates reach K's minimum, as a variable mask.  A
-  /// run without a symmetric pair never sweeps a tying candidate to its
-  /// end, so there it is the winner's class alone — the lowest-index
-  /// tied variable, which is all choice() reads.
-  std::vector<std::pair<util::Mask, util::Mask>> ties;
-
-  /// MINCOST_{<I,K>} (chain totals, including the base's mincost) for every
-  /// canonical K ⊆ J with |K| <= stop_k; kept like best_last.  A set in
-  /// the same orbit has the same cost: look it up at canonical(K).
-  std::vector<std::pair<util::Mask, std::uint64_t>> mincost;
+  /// One record per canonical K ⊆ J with |K| <= stop_k (FsState: K's
+  /// tie set and MINCOST_{<I,K>}), in strictly ascending mask order; the
+  /// empty set comes first, with no ties.  A run without a symmetric
+  /// pair never sweeps a tying candidate to its end, so there a tie set
+  /// is the winner's class alone — the lowest-index tied variable, which
+  /// is all choice() reads.  Look a K up with state(); a set in the same
+  /// orbit has the same record.  Each layer fence appends its states,
+  /// which arrive in ascending order, and merges them into the records
+  /// before it, so the vector is sorted as it is built: a snapshot
+  /// encodes it as it stands (FsSnapshotView) and a resume moves the
+  /// snapshot's vector in.
+  std::vector<FsState> states;
 
   /// Deepest fully built layer.  Equals the requested stop_k when the run
   /// completed; smaller iff a governor tripped or the certified bound
@@ -115,8 +105,8 @@ struct FsStarResult {
   int completed_layers = 0;
 
   /// Bound-pruned runs only (all-zero otherwise).  In pruned mode,
-  /// `tables`/`best_last`/`mincost` hold the *surviving* states of each
-  /// layer; every chain the dense engine would reconstruct survives, so
+  /// `tables` and `states` hold the *surviving* states of each layer;
+  /// every chain the dense engine would reconstruct survives, so
   /// reconstruct_block_order works unchanged.
   PruneStats prune;
 
@@ -130,11 +120,16 @@ struct FsStarResult {
   std::uint64_t certified_lower_bound = 0;
 
   /// The state of K's orbit the DP built, canonical_mask(classes, K).
-  /// Every lookup of an arbitrary K ⊆ J in the maps goes through it.
+  /// Every lookup of an arbitrary K ⊆ J goes through it.
   util::Mask canonical(util::Mask K) const;
 
-  /// The variable the dense DP places on top of K ⊆ J (its best_last[K]):
-  /// the lowest-index member of K among the classes tied at canonical(K).
+  /// The record of K ⊆ J, stored at canonical(K), by binary search; null
+  /// when the run kept none (a pruned or never-built state).
+  const FsState* state(util::Mask K) const;
+
+  /// The variable the dense DP places on top of K ⊆ J, pi_{<I,K>}
+  /// [|I|+|K|] (Lemma 7's argmin, lowest index among the tied): the
+  /// lowest-index member of K among the classes tied at canonical(K).
   int choice(util::Mask K) const;
 };
 
@@ -163,9 +158,9 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// surviving predecessors and candidate states) instead of the dense
 /// closed form; the two agree while no state has been pruned.  On a trip
 /// the result holds every layer up to `completed_layers` and remains
-/// fully consistent (valid tables, back-pointers, and mincosts for all
-/// published subsets) and — in pruned mode — still carries a consistent
-/// prune ledger and a certified lower bound.
+/// fully consistent (valid tables and records for all published
+/// subsets) and — in pruned mode — still carries a consistent prune
+/// ledger and a certified lower bound.
 ///
 /// `prune_upper_bound` is the pruning incumbent: the exact size of some
 /// real completion of the block (chain totals, including base.mincost()),
@@ -180,8 +175,8 @@ std::vector<util::Mask> symmetry_classes(const PrefixTable& base,
 /// first fence whose certified bound equals the incumbent
 /// (FsStarResult::completed_layers), writes it into its snapshots as
 /// their seed provenance (FsStarSnapshot::seed_order), and needs no more
-/// of the order than that.  Callers that read the DP's J table or its back-pointers pass
-/// none and run every layer.  Ignored in dense mode; an order that is not
+/// of the order than that.  Callers that read the DP's J table or its
+/// records pass none and run every layer.  Ignored in dense mode; an order that is not
 /// a permutation of J is caught by an OVO_CHECK.
 ///
 /// `ckpt` (optional) turns on durable checkpoint/resume (see
@@ -218,7 +213,7 @@ PrefixTable fs_star_full(const PrefixTable& base, util::Mask J,
                          const FsCheckpointOptions* ckpt = nullptr);
 
 /// Recovers the optimal within-block variable order of K ⊆ J (J itself
-/// after a completed run) from the DP back-pointers, by r.choice: result[0]
+/// after a completed run) from the DP's tie sets, by r.choice: result[0]
 /// is the variable at the lowest level of the block, result[|K|-1] the
 /// one at its top (the paper's pi restricted to the block, bottom-up).
 std::vector<int> reconstruct_block_order(const FsStarResult& r, util::Mask J);

@@ -4,9 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#ifndef OVO_GIT_DESCRIBE
-#define OVO_GIT_DESCRIBE "unknown"
-#endif
 #ifndef OVO_BUILD_TYPE
 #define OVO_BUILD_TYPE "unknown"
 #endif
@@ -99,7 +96,6 @@ void append_run_info_json(std::string& s, int threads) {
                   threads < 0 ? 0 : static_cast<std::uint64_t>(threads));
 }
 
-const char* build_git_describe() { return OVO_GIT_DESCRIBE; }
 const char* build_type() { return OVO_BUILD_TYPE; }
 
 }  // namespace ovo::obs

@@ -288,8 +288,11 @@ void append_counters_json(std::string& s, const Ledger& l);
 /// refactor: artifacts must be attributable to a build).
 void append_run_info_json(std::string& s, int threads);
 
-/// Build provenance baked in at configure time (git describe, build
-/// type); "unknown" when not built through CMake.
+/// Build provenance: `git describe --always --dirty --tags` of the
+/// checkout, taken on every build (the source CMake generates from
+/// src/obs/build_stamp.cmake; "unknown" outside a git checkout), and the
+/// build type, taken at configure time ("unknown" when not built through
+/// CMake).
 const char* build_git_describe();
 const char* build_type();
 

@@ -101,17 +101,13 @@ rt::Result<AutoMinimizeResult> minimize_auto(
   }
 
   // Snapshots written from here carry the seed provenance (the DP writes
-  // the seed order it is handed), so a future resume can skip stage 0 yet
-  // hand the DP the same order.  A resumed writing run propagates the
-  // original provenance.
+  // the seed order it is handed, and the seed stage's ledger beside it),
+  // so a future resume can skip stage 0 yet hand the DP the same order.
+  // A resumed writing run propagates the original provenance.
   core::FsCheckpointOptions ckpt = options.ckpt;
   if (resume != nullptr) {
-    ckpt.rng_seed = resume->rng_seed;
-    ckpt.seed_name = resume->seed_name;
     ckpt.seed_counters = resume->seed_counters;
   } else if (options.exec.prune == par::PruneMode::kBounds) {
-    ckpt.rng_seed = kLadderSeed;
-    ckpt.seed_name = options.prune_seed;
     oracle.stats().to_ledger(ckpt.seed_counters);
   }
 

@@ -360,25 +360,21 @@ void expect_ops_equal(const OpCounter& a, const OpCounter& b) {
 void expect_results_equal(const FsStarResult& a, const FsStarResult& b) {
   EXPECT_EQ(a.completed_layers, b.completed_layers);
   EXPECT_EQ(a.classes, b.classes);
-  EXPECT_EQ(a.best_last, b.best_last);
-  EXPECT_EQ(a.ties, b.ties);
-  EXPECT_EQ(a.mincost, b.mincost);
+  EXPECT_EQ(a.states, b.states);
   EXPECT_EQ(a.certified_lower_bound, b.certified_lower_bound);
   expect_prune_equal(a.prune, b.prune);
   expect_tables_equal(a.tables, b.tables);
 }
 
-template <typename V>
-bool strictly_ascending_masks(
-    const std::vector<std::pair<util::Mask, V>>& map) {
-  for (std::size_t i = 1; i < map.size(); ++i)
-    if (map[i - 1].first >= map[i].first) return false;
+bool strictly_ascending_masks(const std::vector<FsState>& states) {
+  for (std::size_t i = 1; i < states.size(); ++i)
+    if (states[i - 1].mask >= states[i].mask) return false;
   return true;
 }
 
 /// Encodes a decoded snapshot again, through the same view the engines
-/// fill from live state (the snapshot's sorted map vectors are the
-/// layout FsStarResult keeps).
+/// fill from live state (the snapshot's sorted records are the layout
+/// FsStarResult keeps).
 std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
   FsSnapshotView v;
   v.fingerprint = &s.fingerprint;
@@ -387,14 +383,10 @@ std::vector<std::uint8_t> reencode(const FsStarSnapshot& s) {
   v.dense = &s.dense;
   v.tables = &s.tables;
   v.classes = &s.classes;
-  v.best_last = &s.best_last;
-  v.ties = &s.ties;
-  v.mincost = &s.mincost;
+  v.states = &s.states;
   v.certified_lower_bound = s.certified_lower_bound;
   v.counters = &s.counters;
   v.seed_order = &s.seed_order;
-  v.rng_seed = s.rng_seed;
-  v.seed_name = &s.seed_name;
   v.seed_counters = &s.seed_counters;
   return encode_snapshot(v);
 }
@@ -547,9 +539,9 @@ std::map<int, std::vector<std::uint8_t>> fence_payloads(
 
 // A fence's bytes are a function of the DP state at that fence alone:
 // neither the cadence (fences that wrote nothing still contribute their
-// map entries) nor a resume in between may change them.  This pins the
-// encoder's map ordering and completeness: every entry of every earlier
-// layer, in ascending mask order.
+// states' records) nor a resume in between may change them.  This pins
+// the encoder's record ordering and completeness: every state of every
+// earlier layer, in ascending mask order.
 TEST(FsSnapshot, BytesIndependentOfCadenceAndResume) {
   util::Xoshiro256 rng(14);
   for (const int n : {6, 8}) {
@@ -647,31 +639,46 @@ TEST(FsSnapshot, WrongInstanceIsTyped) {
                rt::CheckpointError);
 }
 
-// The orbit fields are validated like every other: on adder carry(6),
-// whose three symmetric pairs {x1,x2}, {x3,x4}, {x5,x6} leave layer 1
-// the canonical states {x1}, {x3}, {x5}, each lie is a typed kMalformed.
-// A snapshot whose classes decode but are not the base's is refused by
-// the resumed run.
+/// Requires the decoder to refuse `bytes` as a typed kMalformed, whose
+/// message names `why` when one is given.
+void expect_malformed_bytes(const std::vector<std::uint8_t>& bytes,
+                            const char* what, const char* why = nullptr) {
+  try {
+    decode_snapshot(bytes.data(), bytes.size());
+    ADD_FAILURE() << what << ": decoded";
+  } catch (const rt::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed) << what;
+    if (why != nullptr) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+}
+
+void expect_malformed(const FsStarSnapshot& s, const char* what,
+                      const char* why = nullptr) {
+  expect_malformed_bytes(reencode(s), what, why);
+}
+
+/// Adder carry(6)'s layer-1 dense fence: its three symmetric pairs
+/// {x1,x2}, {x3,x4}, {x5,x6} leave the canonical states {x1}, {x3}, {x5}.
+FsStarSnapshot adder6_layer1(std::vector<std::uint8_t>* payload = nullptr) {
+  const CapturedRun run = capture_run(tt::adder_carry(6), par::PruneMode::kOff);
+  EXPECT_EQ(run.fences.size(), 5u);
+  if (payload != nullptr) *payload = run.fences[0];
+  return decode_snapshot(run.fences[0].data(), run.fences[0].size());
+}
+
+// The orbit fields are validated like every other: on adder carry(6)'s
+// layer-1 fence each lie is a typed kMalformed.  A snapshot whose
+// classes decode but are not the base's is refused by the resumed run.
 TEST(FsSnapshot, OrbitFieldsAreValidated) {
   const tt::TruthTable t = tt::adder_carry(6);
-  const CapturedRun run = capture_run(t, par::PruneMode::kOff);
-  ASSERT_EQ(run.fences.size(), 5u);
-  const FsStarSnapshot layer1 =
-      decode_snapshot(run.fences[0].data(), run.fences[0].size());
+  const FsStarSnapshot layer1 = adder6_layer1();
   ASSERT_EQ(layer1.classes,
             (std::vector<util::Mask>{0b000011, 0b001100, 0b110000}));
   ASSERT_EQ(layer1.dense, (std::vector<util::Mask>{0b000001, 0b000100,
                                                    0b010000}));
-  const auto expect_malformed = [](const FsStarSnapshot& s,
-                                   const char* what) {
-    const std::vector<std::uint8_t> bytes = reencode(s);
-    try {
-      decode_snapshot(bytes.data(), bytes.size());
-      ADD_FAILURE() << what << ": decoded";
-    } catch (const rt::CheckpointError& e) {
-      EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed) << what;
-    }
-  };
   FsStarSnapshot s = layer1;
   s.classes.pop_back();
   expect_malformed(s, "classes short of the block");
@@ -685,15 +692,6 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
   s.dense.pop_back();
   s.tables.pop_back();
   expect_malformed(s, "dense layer short of its canonical states");
-  s = layer1;
-  s.ties[0].second = 0b000001;
-  expect_malformed(s, "tie set not a union of classes");
-  s = layer1;
-  s.ties[0].second = 0b110000;
-  expect_malformed(s, "tie set without its best-last variable");
-  s = layer1;
-  s.mincost[1].first = 0b000010;
-  expect_malformed(s, "non-canonical mincost mask");
 
   // Valid classes that are not the base's: {x5} and {x6} apart.  The
   // pruned fence holds fewer states than the layer allows, so it decodes.
@@ -714,6 +712,50 @@ TEST(FsSnapshot, OrbitFieldsAreValidated) {
   } catch (const rt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), rt::CheckpointErrorKind::kMalformed);
   }
+}
+
+// Each rule of the state section is its own typed kMalformed.  On adder
+// carry(6)'s layer-1 fence the records are the empty set (no ties) and
+// {x1}, {x3}, {x5}, each tied with its whole class.  The lies: masks not
+// strictly ascending, a mask outside the block, a mask that is not
+// canonical, ties that are not a union of classes, ties that miss their
+// state, and an empty set with ties.
+TEST(FsSnapshot, StateRecordsAreValidated) {
+  std::vector<std::uint8_t> payload;
+  const FsStarSnapshot layer1 = adder6_layer1(&payload);
+  ASSERT_EQ(layer1.states,
+            (std::vector<FsState>{{0, 0, layer1.states[0].mincost},
+                                  {0b000001, 0b000011,
+                                   layer1.states[1].mincost},
+                                  {0b000100, 0b001100,
+                                   layer1.states[2].mincost},
+                                  {0b010000, 0b110000,
+                                   layer1.states[3].mincost}}));
+  EXPECT_EQ(reencode(layer1), payload);
+
+  // The encoder asserts ascending masks, so that lie goes into the bytes:
+  // the records end the payload, 24 bytes each, mask first.
+  std::vector<std::uint8_t> bytes = payload;
+  const std::size_t records = bytes.size() - 24 * layer1.states.size();
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(records + 24), 8,
+              bytes.begin() + static_cast<std::ptrdiff_t>(records + 48));
+  expect_malformed_bytes(bytes, "{x1} twice", "not strictly ascending");
+
+  FsStarSnapshot s = layer1;
+  s.states.back().mask |= util::Mask{1} << 6;
+  expect_malformed(s, "a mask outside the block", "outside the block");
+  s = layer1;
+  s.states[1].mask = 0b000010;  // {x2}: its class's second member
+  expect_malformed(s, "a non-canonical mask", "not canonical");
+  s = layer1;
+  s.states[1].ties = 0b000001;
+  expect_malformed(s, "half a class tied", "not a union of symmetry classes");
+  s = layer1;
+  s.states[1].ties = 0b110000;
+  expect_malformed(s, "ties without x1", "misses its state");
+  s = layer1;
+  s.states[0].ties = 0b000011;
+  expect_malformed(s, "an empty set with ties", "empty set");
 }
 
 // A resumed pruned ladder may return its snapshot's seed order as the
@@ -749,9 +791,9 @@ TEST(FsSnapshot, SeedOrderMustPermuteTheBlock) {
 // Resume determinism differential
 
 // Interrupt at every layer fence, resume, and require the resumed run to
-// reproduce the straight-through run exactly: tables, back-pointers,
-// mincosts, prune ledger, certified bound, and the merged OpCounter —
-// at several thread counts.
+// reproduce the straight-through run exactly: tables, records (tie sets
+// and mincosts), prune ledger, certified bound, and the merged OpCounter
+// — at several thread counts.
 TEST(FsResume, EveryFenceBitIdentical) {
   util::Xoshiro256 rng(21);
   for (const int n : {6, 8}) {
@@ -788,7 +830,7 @@ TEST(FsResume, EveryFenceBitIdentical) {
 }
 
 // Resuming at the final fence (layer n-1) and at a mid fence must also
-// reproduce the reconstructed order, not just the maps.
+// reproduce the reconstructed order, not just the records.
 TEST(FsResume, ReconstructedOrderMatches) {
   util::Xoshiro256 rng(22);
   const int n = 7;
@@ -974,9 +1016,7 @@ std::vector<Fence> capture_frames(const tt::TruthTable& t,
       fs_star(initial_table(t), util::full_mask(t.num_vars()), t.num_vars(),
               DiagramKind::kBdd, &ops, exec, nullptr, 0, &ckpt);
   if (!fences.empty()) fences.back().file = sim.get(path);
-  EXPECT_TRUE(strictly_ascending_masks(r.best_last));
-  EXPECT_TRUE(strictly_ascending_masks(r.ties));
-  EXPECT_TRUE(strictly_ascending_masks(r.mincost));
+  EXPECT_TRUE(strictly_ascending_masks(r.states));
   return fences;
 }
 
@@ -993,7 +1033,7 @@ std::size_t crc_chunks(std::size_t payload_len, int threads) {
 // at 4 (where the larger fences fold several CRC pieces: hwb(15)'s
 // widest dense fences exceed 2 MiB at their cell widths).  Fences grow
 // and then shrink, so the run-long frame buffer is reused at smaller
-// sizes too; the DP maps are strictly ascending at every fence.
+// sizes too; the DP's records are strictly ascending at every fence.
 TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
   const tt::TruthTable t = tt::hidden_weighted_bit(15);
   for (const par::PruneMode prune :
@@ -1012,9 +1052,7 @@ TEST(FsFrame, CommittedFilesAreTheReferenceFrames) {
       for (const Fence& f : fences) {
         const FsStarSnapshot s =
             decode_snapshot(f.payload.data(), f.payload.size());
-        EXPECT_TRUE(strictly_ascending_masks(s.best_last));
-        EXPECT_TRUE(strictly_ascending_masks(s.ties));
-        EXPECT_TRUE(strictly_ascending_masks(s.mincost));
+        EXPECT_TRUE(strictly_ascending_masks(s.states));
         EXPECT_EQ(reencode(s), f.payload) << "layer " << s.layer;
         rt::SimFs ref;
         {
@@ -1344,7 +1382,8 @@ TEST(MinimizeAutoResume, EveryFenceOfASiftSeededRunResumes) {
           decode_snapshot(payload.data(), payload.size());
       SCOPED_TRACE(::testing::Message() << "threads " << threads << " fence "
                                         << snap.layer);
-      EXPECT_EQ(snap.seed_name, "sift");
+      EXPECT_EQ(snap.seed_order.size(), 10u);
+      EXPECT_GT(snap.seed_counters.get(obs::Metric::kOracleQueries), 0u);
       reorder::AutoMinimizeOptions ropt = opt;
       ropt.exec.num_threads = 5 - threads;
       ropt.ckpt.resume = &snap;
@@ -1420,28 +1459,30 @@ TEST(MinimizeAutoResume, SeedStageTripWritesNoSnapshot) {
   }
 }
 
-// Framed v8 snapshots checked in under the corpus: the format is pinned,
+// Framed v9 snapshots checked in under the corpus: the format is pinned,
 // not just self-consistent.  Each must load, re-encode to its exact
 // payload, equal what a fresh run writes at that fence, and resume to
 // the straight run.  Dense: hidden-weighted-bit(6) at fence 3 of a
-// direct fs_star run.  Pruned: adder carry(6) at fence 3 of a
-// minimize_auto run with a sift seed, so the seed provenance fields
-// (order, name, oracle counters) are covered too.  Adder carry(6) has
-// three symmetric pairs, so that fixture holds canonical states, their
-// tie sets and its classes.
+// direct fs_star run, 42 records.  Pruned: adder carry(6) at fence 3 of
+// a minimize_auto run with a sift seed, so the seed provenance fields
+// (order and oracle counters) are covered too, 14 records.  Adder
+// carry(6) has three symmetric pairs, so that fixture holds canonical
+// states, their tie sets and its classes.
 std::string corpus_snapshot(const char* name) {
   return std::string(OVO_CORPUS_DIR) + "/snapshot/" + name;
 }
 
-TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
-  static_assert(kFsSnapshotVersion == 8);
+TEST(FsSnapshot, CheckedInV9FixturesStayCompatible) {
+  static_assert(kFsSnapshotVersion == 9);
   {
     const std::string path =
-        corpus_snapshot("valid_v8_dense_hwb6_layer3.bin");
+        corpus_snapshot("valid_v9_dense_hwb6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 8, 8).payload;
+        rt::load_checkpoint(path, 9, 9).payload;
+    EXPECT_EQ(rt::read_file(path).size(), 1936u);
     FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
+    EXPECT_EQ(snap.states.size(), 42u) << "1 + 6 + 15 + 20 states";
     EXPECT_EQ(reencode(snap), payload);
 
     const tt::TruthTable t = tt::hidden_weighted_bit(6);
@@ -1459,13 +1500,15 @@ TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
   }
   {
     const std::string path =
-        corpus_snapshot("valid_v8_pruned_adder6_layer3.bin");
+        corpus_snapshot("valid_v9_pruned_adder6_layer3.bin");
     const std::vector<std::uint8_t> payload =
-        rt::load_checkpoint(path, 8, 8).payload;
+        rt::load_checkpoint(path, 9, 9).payload;
+    EXPECT_EQ(rt::read_file(path).size(), 1213u);
     FsStarSnapshot snap = load_snapshot(path);
     ASSERT_EQ(snap.layer, 3);
-    EXPECT_EQ(snap.seed_name, "sift");
+    EXPECT_EQ(snap.states.size(), 14u);
     EXPECT_EQ(snap.seed_order.size(), 6u);
+    EXPECT_GT(snap.seed_counters.get(obs::Metric::kOracleQueries), 0u);
     EXPECT_EQ(snap.classes.size(), 3u) << "three symmetric pairs";
     EXPECT_LT(snap.tables.size(), 7u)
         << "fence 3 should be pruned below its 7 canonical states";
@@ -1492,9 +1535,9 @@ TEST(FsSnapshot, CheckedInV8FixturesStayCompatible) {
   }
 }
 
-// The v2 to v7 fixtures earlier encoders wrote stay in the corpus: they
-// load as a typed version skew, never as a misparsed v8 payload.
-TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
+// The v2 to v8 fixtures earlier encoders wrote stay in the corpus: they
+// load as a typed version skew, never as a misparsed v9 payload.
+TEST(FsSnapshot, OlderCheckedInFixturesAreVersionSkew) {
   const struct {
     const char* name;
     std::uint32_t version;
@@ -1509,7 +1552,9 @@ TEST(FsSnapshot, CheckedInV2FixturesAreVersionSkew) {
                   {"valid_v6_dense_hwb6_layer3.bin", 6},
                   {"valid_v6_pruned_adder6_layer3.bin", 6},
                   {"valid_v7_dense_hwb6_layer3.bin", 7},
-                  {"valid_v7_pruned_adder6_layer3.bin", 7}};
+                  {"valid_v7_pruned_adder6_layer3.bin", 7},
+                  {"valid_v8_dense_hwb6_layer3.bin", 8},
+                  {"valid_v8_pruned_adder6_layer3.bin", 8}};
   for (const auto& [name, version] : fixtures) {
     const std::string path = corpus_snapshot(name);
     EXPECT_EQ(rt::load_checkpoint(path, version, version).version, version)

@@ -181,8 +181,8 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
   // every I: the DP holds one state per symmetry orbit, so each lookup
   // goes through its canonical state.
   for (util::Mask I = 1; I <= util::full_mask(n); ++I) {
-    const std::uint64_t* cost = find_mask(r.mincost, r.canonical(I));
-    ASSERT_NE(cost, nullptr) << "I=" << I;
+    const FsState* st = r.state(I);
+    ASSERT_NE(st, nullptr) << "I=" << I;
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
     util::for_each_bit(I, [&](int k) {
       // Rebuild the width of k over I\k from scratch.
@@ -192,12 +192,11 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
       });
       const std::uint64_t w =
           compaction_width(p, k, DiagramKind::kBdd, nullptr);
-      const std::uint64_t* pred =
-          find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << k)));
+      const FsState* pred = r.state(I & ~(util::Mask{1} << k));
       ASSERT_NE(pred, nullptr) << "I=" << I << " k=" << k;
-      best = std::min(best, *pred + w);
+      best = std::min(best, pred->mincost + w);
     });
-    EXPECT_EQ(*cost, best) << "I=" << I;
+    EXPECT_EQ(st->mincost, best) << "I=" << I;
   }
 }
 
@@ -205,10 +204,11 @@ TEST(Lemma4, RecurrenceHoldsOnDpTable) {
 // (Lemma 7's argmin by branch and bound), prunes against an incumbent and
 // fans layers out over threads.  None of that may move a single answer:
 // at n = 11..13, out of brute force's reach, every subset's canonicalized
-// mincost and reconstructed choice must be the plain recurrence's
-// mincost and best_last, tie-breaks included, dense and bound-pruned (the
-// optimum as incumbent, so that as many states as possible are pruned),
-// at 1 and 4 threads.  A dense run builds exactly the canonical states.
+// record must hold the plain recurrence's mincost, and its choice must
+// be the recurrence's best_last, tie-breaks included, dense and
+// bound-pruned (the optimum as incumbent, so that as many states as
+// possible are pruned), at 1 and 4 threads.  A dense run holds exactly
+// one record per canonical state, in ascending mask order.
 // The ZDD cases include ¬a ∧ ¬b ∧ … ∧ g functions, which a ZDD bound that
 // counted suppressed variables or the 0-terminal would over-prune.
 TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
@@ -273,25 +273,34 @@ TEST(Lemma4, EngineMatchesReferenceDpAtElevenToThirteenVariables) {
         for (const util::Mask cls : r.classes)
           orbit_states *= static_cast<std::uint64_t>(util::popcount(cls)) + 1;
         if (prune == par::PruneMode::kOff) {
-          ASSERT_EQ(r.mincost.size(), orbit_states);
-          ASSERT_EQ(r.best_last.size(), orbit_states - 1);
+          ASSERT_EQ(r.states.size(), orbit_states);
           ASSERT_EQ(ops.states, orbit_states - 1);
         } else {
-          ASSERT_LT(r.mincost.size(), orbit_states);
+          ASSERT_LT(r.states.size(), orbit_states);
         }
         for (util::Mask K = 0; K <= J; ++K) {
-          const std::uint64_t* cost = find_mask(r.mincost, r.canonical(K));
-          if (cost == nullptr) {
+          const FsState* st = r.state(K);
+          if (st == nullptr) {
             ASSERT_EQ(prune, par::PruneMode::kBounds) << "K=" << K;
             continue;  // a pruned orbit
           }
-          ASSERT_EQ(*cost, ref.mincost[K]) << "K=" << K;
+          ASSERT_EQ(st->mincost, ref.mincost[K]) << "K=" << K;
           if (K != 0) {
             ASSERT_EQ(r.choice(K), ref.best_last[K]) << "K=" << K;
+          } else {
+            ASSERT_EQ(st->ties, 0u) << "the empty set has no ties";
           }
         }
-        for (const auto& [I, var] : r.best_last)
-          ASSERT_EQ(var, ref.best_last[I]) << "I=" << I;
+        for (std::size_t i = 0; i < r.states.size(); ++i) {
+          const util::Mask I = r.states[i].mask;
+          ASSERT_EQ(r.canonical(I), I) << "I=" << I;
+          if (i > 0) {
+            ASSERT_LT(r.states[i - 1].mask, I) << "I=" << I;
+          }
+          if (I != 0) {
+            ASSERT_EQ(r.choice(I), ref.best_last[I]) << "I=" << I;
+          }
+        }
         EXPECT_GT(ops.cut_cells, 0u);
         EXPECT_LT(ops.cut_cells, ops.table_cells);
       }

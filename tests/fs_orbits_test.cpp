@@ -216,15 +216,15 @@ TEST(FsOrbits, EveryChoiceMatchesTheDenseDp) {
         ASSERT_EQ(r.tables.at(J).mincost(), ref.mincost[J]);
         ASSERT_EQ(reconstruct_block_order(r, J), want);
         if (prune == par::PruneMode::kOff) {
-          ASSERT_EQ(r.mincost.size(), orbit_states(r.classes));
+          ASSERT_EQ(r.states.size(), orbit_states(r.classes));
         }
         for (util::Mask K = 1; K <= J; ++K) {
-          const std::uint64_t* cost = find_mask(r.mincost, r.canonical(K));
-          if (cost == nullptr) {
+          const FsState* st = r.state(K);
+          if (st == nullptr) {
             ASSERT_EQ(prune, par::PruneMode::kBounds) << "K=" << K;
             continue;
           }
-          ASSERT_EQ(*cost, ref.mincost[K]) << "K=" << K;
+          ASSERT_EQ(st->mincost, ref.mincost[K]) << "K=" << K;
           ASSERT_EQ(r.choice(K), ref.best_last[K]) << "K=" << K;
         }
       }
@@ -287,9 +287,7 @@ TEST(FsOrbits, ResumeAtEveryFenceReproducesTheStraightRun) {
           const FsStarResult r =
               fs_star(c.base, J, n, c.kind, &ops, policy(5 - threads, prune),
                       nullptr, 0, &resume);
-          EXPECT_EQ(r.best_last, straight.best_last);
-          EXPECT_EQ(r.ties, straight.ties);
-          EXPECT_EQ(r.mincost, straight.mincost);
+          EXPECT_EQ(r.states, straight.states);
           EXPECT_EQ(r.tables.at(J).cells, straight.tables.at(J).cells);
           EXPECT_EQ(reconstruct_block_order(r, J),
                     reconstruct_block_order(straight, J));

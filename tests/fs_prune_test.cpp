@@ -485,7 +485,7 @@ TEST(FsPruneRouting, DeterministicLimitsForceTheBarrierEngine) {
             free_run.tables.at(util::full_mask(7)).mincost());
   EXPECT_EQ(core::reconstruct_block_order(governed, util::full_mask(7)),
             core::reconstruct_block_order(free_run, util::full_mask(7)));
-  EXPECT_EQ(governed.best_last, free_run.best_last);
+  EXPECT_EQ(governed.states, free_run.states);
   EXPECT_EQ(governed.certified_lower_bound, free_run.certified_lower_bound);
   EXPECT_EQ(ops.table_cells, free_ops.table_cells);
   EXPECT_EQ(ops.prune.states_surviving, free_ops.prune.states_surviving);

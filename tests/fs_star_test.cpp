@@ -137,14 +137,13 @@ TEST(FsStar, MincostMapIsMonotone) {
   const tt::TruthTable t = tt::random_function(n, rng);
   const FsStarResult r =
       fs_star(initial_table(t), util::full_mask(n), n, DiagramKind::kBdd);
-  for (const auto& [I, cost] : r.mincost) {
+  for (const auto& [I, ties, cost] : r.states) {
     if (I == 0) continue;
     std::uint64_t best_pred = std::numeric_limits<std::uint64_t>::max();
     util::for_each_bit(I, [&](int i) {
-      const std::uint64_t* pred =
-          find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << i)));
+      const FsState* pred = r.state(I & ~(util::Mask{1} << i));
       ASSERT_NE(pred, nullptr) << "I=" << I << " i=" << i;
-      best_pred = std::min(best_pred, *pred);
+      best_pred = std::min(best_pred, pred->mincost);
     });
     EXPECT_GE(cost, best_pred);
   }

@@ -74,12 +74,12 @@ void expect_matches_reference(const PrefixTable& base, DiagramKind kind) {
           fs_star(base, J, n, kind, nullptr, policy(threads, prune));
       ASSERT_EQ(r.tables.at(J).mincost(), ref.mincost[J]);
       for (util::Mask K = 1; K <= J; ++K) {
-        const std::uint64_t* cost = find_mask(r.mincost, r.canonical(K));
-        if (cost == nullptr) {
+        const FsState* st = r.state(K);
+        if (st == nullptr) {
           ASSERT_EQ(prune, par::PruneMode::kBounds) << "K=" << K;
           continue;
         }
-        ASSERT_EQ(*cost, ref.mincost[K]) << "K=" << K;
+        ASSERT_EQ(st->mincost, ref.mincost[K]) << "K=" << K;
         ASSERT_EQ(r.choice(K), ref.best_last[K]) << "K=" << K;
       }
     }
@@ -163,7 +163,7 @@ TEST(FsWidth, AllDistinctValuesNeedU32FromTheFirstCompaction) {
       const FsStarResult r =
           fs_star(base, J, kN, kMtbdd, nullptr, policy(threads, prune));
       EXPECT_EQ(r.tables.at(J).mincost(), (std::uint64_t{1} << kN) - 1);
-      for (const auto& [K, cost] : r.mincost)
+      for (const auto& [K, ties, cost] : r.states)
         ASSERT_EQ(cost, (std::uint64_t{1} << kN) -
                             (std::uint64_t{1} << (kN - util::popcount(K))))
             << "K=" << K;

@@ -204,7 +204,7 @@ TEST(ObsLedger, FsRunLedgerBitIdenticalAcrossThreadCounts) {
     const core::FsStarResult r =
         core::fs_star(core::initial_table(t), all, t.num_vars(),
                       core::DiagramKind::kBdd, &ops, exec);
-    ASSERT_FALSE(r.mincost.empty());
+    ASSERT_FALSE(r.states.empty());
     Ledger l;
     ops.to_ledger(l);
     ASSERT_GT(l.get(Metric::kFsTableCells), 0u);

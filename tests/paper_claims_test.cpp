@@ -106,15 +106,14 @@ TEST(PaperClaims, Lemma4Recurrence) {
     util::for_each_bit(I & ~(util::Mask{1} << k), [&](int v) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
-    const std::uint64_t* pred =
-        core::find_mask(r.mincost, r.canonical(I & ~(util::Mask{1} << k)));
+    const core::FsState* pred = r.state(I & ~(util::Mask{1} << k));
     ASSERT_NE(pred, nullptr) << "k=" << k;
-    best = std::min(best, *pred + core::compaction_width(
-                                      p, k, core::DiagramKind::kBdd));
+    best = std::min(best, pred->mincost + core::compaction_width(
+                                              p, k, core::DiagramKind::kBdd));
   });
-  const std::uint64_t* cost = core::find_mask(r.mincost, r.canonical(I));
-  ASSERT_NE(cost, nullptr);
-  EXPECT_EQ(*cost, best);
+  const core::FsState* st = r.state(I);
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->mincost, best);
 }
 
 /// Sizes of f's symmetry classes, which fix the orbit DP's counts.
@@ -197,15 +196,14 @@ TEST(PaperClaims, Lemma7PrefixedRecurrence) {
     util::for_each_bit(J & ~(util::Mask{1} << k), [&](int v) {
       p = core::compact(p, v, core::DiagramKind::kBdd);
     });
-    const std::uint64_t* pred =
-        core::find_mask(r.mincost, r.canonical(J & ~(util::Mask{1} << k)));
+    const core::FsState* pred = r.state(J & ~(util::Mask{1} << k));
     ASSERT_NE(pred, nullptr) << "k=" << k;
-    best = std::min(best, *pred + core::compaction_width(
-                                      p, k, core::DiagramKind::kBdd));
+    best = std::min(best, pred->mincost + core::compaction_width(
+                                              p, k, core::DiagramKind::kBdd));
   });
-  const std::uint64_t* cost = core::find_mask(r.mincost, J);
-  ASSERT_NE(cost, nullptr);
-  EXPECT_EQ(*cost, best);
+  const core::FsState* st = r.state(J);
+  ASSERT_NE(st, nullptr);
+  EXPECT_EQ(st->mincost, best);
 }
 
 // Lemma 8: FS* composes — FS(<I,J>) from FS(I) — at the claimed cost

@@ -46,16 +46,25 @@
 #      variables, bad numeric flag values, an unknown --prune-seed,
 #      --strategy or --engine name, a missing input file, and BLIF netlists with an undefined signal
 #      or a combinational cycle exit 1 or 2 — the BLIF errors naming the
-#      signal and its line — a v2, v3 or v7 snapshot exits 3 naming the
-#      version skew, `ovo tables --k 13` and `--k 40` exit 2 while `--k 12`
+#      signal and its line — a v2, v3, v7 or v8 snapshot exits 3 naming
+#      the version skew (the payload is v9), `ovo tables --k 13` and
+#      `--k 40` exit 2 while `--k 12`
 #      runs, and `--strategy brute` over 11 variables, `--strategy
 #      dynamic --zdd` and `--shared` on a 26-input, 2-output PLA exit 2
 #      naming the limit, --resume, --checkpoint, --checkpoint-every or
 #      --prune-seed with `--strategy sift`, `--strategy bnb`, `--strategy
 #      quantum` or `--shared`, and --prune with a strategy that runs no
 #      FS* DP, exit 2 naming the flag and the route and write no file,
-#      and an unknown flag of `size`, `compare`, `tables` or `dot` exits
-#      2, never with internal-check text), plus the window, anneal and
+#      --json-out without --json, --checkpoint-every without
+#      --checkpoint, --prune-seed without --prune bounds and --fault-seed
+#      without --fault-prob exit 2 naming the flag they need and write no
+#      file, every value-taking flag of `order`, `compare --threads`,
+#      `size --order`, `tables --k` and `tables --iters`, given `bogus`
+#      or given last with no value, exits 2 with a usage error, and an
+#      unknown flag of `size`, `compare`, `tables` or `dot` exits 2,
+#      never with internal-check text), plus the build-stamp check (in a
+#      git checkout the JSON's "git" equals `git describe --always
+#      --dirty --tags`), plus the window, anneal and
 #      exact-window pins (each sizes candidates from one kept prefix
 #      chain: a 14-variable formula as a BDD and a ZDD prints the pinned
 #      nodes, work and order with no memo hit at --threads 1 and 4),

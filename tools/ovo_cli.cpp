@@ -57,8 +57,11 @@
 // --checkpoint, --checkpoint-every, --resume or --prune-seed with
 // --shared or a strategy other than fs and auto, and --prune with a
 // strategy that runs no FS* DP (all but fs, auto, exact-window and
-// quantum; --shared prunes too).  An unknown flag, or a flag missing its
-// value, is a usage error in every subcommand.  An input that cannot be
+// quantum; --shared prunes too).  So is a flag that only qualifies
+// another one given without it: --json-out without --json,
+// --checkpoint-every without --checkpoint, --prune-seed without --prune
+// bounds, --fault-seed without --fault-prob.  An unknown flag, or a flag
+// missing its value, is a usage error in every subcommand.  An input that cannot be
 // read or parsed is a typed error (exit 1).
 //
 // <input> is one of:
@@ -370,6 +373,8 @@ int cmd_order(const std::vector<std::string>& args) {
   std::uint64_t fault_cancel_at = 0;
   rt::FaultSchedule fault_schedule;
   bool fault_requested = false;
+  bool fault_prob_given = false;
+  bool fault_seed_given = false;
   std::optional<std::string> input;  // "" is an empty formula
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--zdd") {
@@ -470,8 +475,10 @@ int cmd_order(const std::vector<std::string>& args) {
           rt::FaultSchedule::site_bit(rt::FaultSite::kFileClose) |
           rt::FaultSchedule::site_bit(rt::FaultSite::kFileUnlink);
       fault_requested = true;
+      fault_prob_given = true;
     } else if (args[i] == "--fault-seed" && i + 1 < args.size()) {
       fault_schedule.seed = parse_u64_flag("--fault-seed", args[++i]);
+      fault_seed_given = true;
     } else if (args[i].rfind("--", 0) == 0) {
       throw UsageError("order: unknown flag or missing value: " + args[i]);
     } else {
@@ -552,6 +559,23 @@ int cmd_order(const std::vector<std::string>& args) {
     throw UsageError("--prune: " + route +
                      " runs no FS* DP; only fs, auto, exact-window, quantum "
                      "and --shared prune");
+  // A flag that only qualifies another one means nothing without it: the
+  // user's error too, found before the input is read.
+  const struct {
+    bool orphan;
+    const char* flag;
+    const char* needs;
+  } qualifiers[] = {
+      {!json_out.empty() && !json, "--json-out", "--json"},
+      {checkpoint_every_given && checkpoint_path.empty(),
+       "--checkpoint-every", "--checkpoint"},
+      {prune_seed_given && prune != par::PruneMode::kBounds, "--prune-seed",
+       "--prune bounds"},
+      {fault_seed_given && !fault_prob_given, "--fault-seed",
+       "--fault-prob"},
+  };
+  for (const auto& q : qualifiers)
+    if (q.orphan) throw UsageError(std::string(q.flag) + ": needs " + q.needs);
   const LoadedInput loaded = load_input(*input);
   check_engine_limits(loaded, shared, strategy_name, kind);
   if (!json) std::printf("input: %s\n", loaded.description.c_str());

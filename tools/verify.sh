@@ -74,19 +74,28 @@
 # flag values, an unknown --prune-seed, --strategy or --engine name, a
 # missing input file, BLIF
 # netlists with an undefined signal or a combinational cycle, a v2, a
-# v3 and a v7 snapshot, and inputs past an engine's limit (`--strategy
+# v3, a v7 and a v8 snapshot (the payload is v9), and inputs past an
+# engine's limit (`--strategy
 # brute` over 11 variables, `--strategy dynamic --zdd`, `--shared` on a
 # 26-input, 2-output PLA), --resume, --checkpoint or --checkpoint-every
 # on a route that keeps no snapshot (`--strategy sift`, `--strategy
 # bnb`, `--shared`), --prune-seed on a route other than fs and auto,
-# --prune on a strategy that runs no FS* DP, and malformed --prune and
+# --prune on a strategy that runs no FS* DP, a flag that only qualifies
+# another without it (--json-out without --json, --checkpoint-every
+# without --checkpoint, --prune-seed without --prune bounds, --fault-seed
+# without --fault-prob), and malformed --prune and
 # --fault-fileop values through `ovo order`, an unknown flag of `ovo
-# size`, `compare`, `tables` and `dot`, and `ovo tables --k` at 12
-# (runs), 13 and 40 (past Table 1's double-precision range), and checks
-# each exit code (an old snapshot must name the version skew, a BLIF
-# error its line and signal, an engine limit the limit, a refused
-# DP-only flag the flag and the route, with no file written) and that
-# no internal-check text reaches stderr.  Quick mode
+# size`, `compare`, `tables` and `dot`, every value-taking flag of `ovo
+# order`, `compare --threads`, `size --order`, `tables --k` and `tables
+# --iters` given `bogus` and given last with no value, and `ovo tables
+# --k` at 12 (runs), 13 and 40 (past Table 1's double-precision range),
+# and checks each exit code (an old snapshot must name the version skew,
+# a BLIF error its line and signal, an engine limit the limit, a refused
+# DP-only flag the flag and the route, a lone qualifier the flag it
+# needs, with no file written) and that no internal-check text reaches
+# stderr.  In a git checkout the JSON's "git" must equal `git describe
+# --always --dirty --tags`, since the stamp is taken at build time.
+# Quick mode
 # also smokes `ovo order --trace` (the exported Chrome trace must be
 # valid JSON with fs.group/fs.fence/task spans and per-thread monotone
 # timestamps; with --checkpoint, every fs.checkpoint span carries a
@@ -487,9 +496,11 @@ PY
   # error: each must exit with its documented code (1 input error, 2
   # usage error, 3 checkpoint error) and never surface internal-check
   # text.
+  cli_checks=0
   expect_exit() {
     local want="$1" rc=0
     shift
+    cli_checks=$((cli_checks + 1))
     build/tools/ovo "$@" > /dev/null 2> "${smoke_dir}/cli_err.txt" || rc=$?
     if [[ "${rc}" -ne "${want}" ]] ||
        grep -q 'check failed' "${smoke_dir}/cli_err.txt"; then
@@ -536,7 +547,8 @@ PY
   grep -q 'usage error: --engine' "${smoke_dir}/cli_err.txt"
   for old_snapshot in valid_dense_hwb6_layer3.bin \
                       valid_v3_dense_hwb6_layer3.bin \
-                      valid_v7_dense_hwb6_layer3.bin; do
+                      valid_v7_dense_hwb6_layer3.bin \
+                      valid_v8_dense_hwb6_layer3.bin; do
     expect_cli_error 3 --resume \
       "tests/data/corpus/snapshot/${old_snapshot}" "${smoke_fn}"
     grep -q 'version skew' "${smoke_dir}/cli_err.txt"
@@ -590,6 +602,24 @@ PY
   expect_refused_flag --checkpoint-every --shared --shared --checkpoint-every 2
   expect_refused_flag --prune "strategy 'window'" --strategy window --prune bounds
   expect_refused_flag --prune "strategy 'dynamic'" --strategy dynamic --prune off
+  # A flag that only qualifies another one is refused without it, after
+  # the route checks and before anything is written: --json-out without
+  # --json, --checkpoint-every without --checkpoint, --prune-seed without
+  # --prune bounds, --fault-seed without --fault-prob.
+  expect_orphan_flag() {
+    local flag="$1" needs="$2"
+    shift 2
+    expect_cli_error 2 "$@" "${smoke_fn}"
+    grep -q "usage error: ${flag}: needs ${needs}\$" "${smoke_dir}/cli_err.txt"
+    [[ ! -e "${json_probe}" ]]
+  }
+  expect_orphan_flag --json-out --json --json-out "${json_probe}"
+  expect_orphan_flag --checkpoint-every --checkpoint \
+    --json --json-out "${json_probe}" --checkpoint-every 2
+  expect_orphan_flag --prune-seed "--prune bounds" \
+    --json --json-out "${json_probe}" --prune off --prune-seed anneal
+  expect_orphan_flag --fault-seed --fault-prob \
+    --json --json-out "${json_probe}" --fault-seed 7
   # Malformed --prune and --fault-fileop values, and an unknown flag of
   # any subcommand, print the usage error and the usage text.
   expect_cli_error 2 --prune bogus "${smoke_fn}"
@@ -606,7 +636,42 @@ PY
   expect_exit 2 dot --zdd
   grep -q "usage error: dot: unknown flag" "${smoke_dir}/cli_err.txt"
   grep -q '^usage:' "${smoke_dir}/cli_err.txt"
-  echo "typed CLI errors: 44 invocations, no internal-check text"
+  # Every flag that takes a value, given one it cannot take or given last
+  # with none, is a usage error.
+  expect_usage() {
+    expect_exit 2 "$@"
+    grep -q '^usage error: ' "${smoke_dir}/cli_err.txt"
+  }
+  for flag in --threads --timeout-ms --node-limit --mem-limit-mb \
+              --work-limit --checkpoint-every --fault-cancel-at \
+              --fault-alloc-at --fault-seed --fault-prob --fault-fileop \
+              --prune --prune-seed --strategy --engine; do
+    expect_usage order "${flag}" bogus "${smoke_fn}"
+    expect_usage order "${smoke_fn}" "${flag}"
+  done
+  expect_usage compare --threads bogus "${smoke_fn}"
+  expect_usage compare "${smoke_fn}" --threads
+  expect_usage size --order bogus "${smoke_fn}"
+  expect_usage size "${smoke_fn}" --order
+  for flag in --k --iters; do
+    expect_usage tables "${flag}" bogus
+    expect_usage tables "${flag}"
+  done
+  echo "typed CLI errors: ${cli_checks} invocations, no internal-check text"
+  echo "==== quick: the build stamp follows the checkout ==========="
+  # The stamp is taken on every build, so in a git checkout the JSON's
+  # "git" is the checkout's own description.
+  if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    stamp="$(build/tools/ovo order --json x1 | grep -o '"git":"[^"]*"' \
+      | cut -d'"' -f4)"
+    described="$(git describe --always --dirty --tags)"
+    if [[ "${stamp}" != "${described}" ]]; then
+      echo "FAIL: ovo stamps \"${stamp}\", git describe says" \
+           "\"${described}\"" >&2
+      exit 1
+    fi
+    echo "build stamp: ${stamp} = git describe"
+  fi
   echo "==== quick: trace-span smoke ==============================="
   # A traced parallel run must export a loadable Chrome trace: valid
   # JSON, complete ("X") events only, the FS* DP's fs.group / fs.fence
